@@ -36,7 +36,7 @@ use std::time::Instant;
 use hopper_central::{self as central, HopperConfig, Policy, SimConfig};
 use hopper_decentral::{self as decentral, DecConfig, DecPolicy};
 use hopper_sim::SimTime;
-use hopper_workload::{TraceGenerator, WorkloadProfile};
+use hopper_workload::{ArrivalSource, TraceGenerator, WorkloadProfile};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -167,7 +167,12 @@ fn main() {
             let stream = TraceGenerator::new(profile.clone(), jobs, 1)
                 .stream_with_utilization(total_slots, 0.7);
             let start = Instant::now();
-            let out = decentral::run_stream(stream, DecPolicy::Hopper, &cfg);
+            let out = decentral::run_source(
+                ArrivalSource::from_stream(stream),
+                DecPolicy::Hopper,
+                &cfg,
+                false,
+            );
             let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
             report(
                 "decentral",
@@ -211,7 +216,7 @@ fn main() {
             let stream = TraceGenerator::new(profile.clone(), jobs, 1)
                 .stream_with_utilization(central_slots, 0.7);
             let start = Instant::now();
-            let out = central::run_stream(stream, &policy, &cfg);
+            let out = central::run_source(ArrivalSource::from_stream(stream), &policy, &cfg, false);
             let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
             report(
                 "central",

@@ -18,7 +18,7 @@ use hopper_core::{AllocCounters, AlphaEstimator, BetaEstimator, IncrementalAlloc
 use hopper_metrics::{JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySnapshot};
 use hopper_sim::{EventQueue, SeedSequence, SimTime};
 use hopper_spec::{Candidate, Speculator};
-use hopper_workload::{ArrivalSource, Trace, TraceJob, TraceStream};
+use hopper_workload::{ArrivalSource, Trace, TraceJob};
 use rand::rngs::StdRng;
 
 use crate::policy::{HopperConfig, Policy};
@@ -116,9 +116,9 @@ impl RunStats {
 /// Result of a centralized run: per-job outcomes plus counters.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
-    /// One entry per trace job, sorted by job id. Empty for streaming
-    /// runs ([`run_stream`]), whose per-job statistics live in the
-    /// report's digest.
+    /// One entry per trace job, sorted by job id. Empty for runs that
+    /// do not retain jobs ([`run_source`]), whose per-job statistics
+    /// live in the report's digest.
     pub jobs: Vec<JobResult>,
     /// Aggregate counters.
     pub stats: RunStats,
@@ -147,21 +147,14 @@ pub fn run(trace: &Trace, policy: &Policy, cfg: &SimConfig) -> RunOutput {
     Central::new(ArrivalSource::from_trace(trace), policy, cfg, true).run()
 }
 
-/// Run a lazy arrival stream under `policy` with O(active jobs) job state:
-/// arrivals are injected as simulation time advances, completed jobs are
-/// retired, and per-job results are folded into the output's digest
-/// instead of being kept (`RunOutput::jobs` is empty).
-///
-/// Simulation decisions are bit-identical to [`run`] on the materialized
-/// form of the same stream — `RunStats` and the digest match exactly.
-pub fn run_stream(stream: TraceStream, policy: &Policy, cfg: &SimConfig) -> RunOutput {
-    Central::new(ArrivalSource::from_stream(stream), policy, cfg, false).run()
-}
-
-/// Run any [`ArrivalSource`] under `policy` — the seam replayed CSV
-/// traces come through (`ArrivalSource::from_shared`), and the common
-/// generalization of [`run`] / [`run_stream`]: `retain_jobs` selects
-/// between per-job results and the streaming retirement pipeline.
+/// Run any [`ArrivalSource`] under `policy`: a materialized trace, a
+/// lazy stream (`ArrivalSource::from_stream`), or a replayed CSV trace
+/// (`ArrivalSource::from_shared`). `retain_jobs` keeps per-job results;
+/// without it the run has O(active jobs) job state — arrivals are
+/// injected as simulation time advances, completed jobs are retired, and
+/// per-job results fold into the output's digest (`RunOutput::jobs` is
+/// empty). Simulation decisions do not depend on the source variant or
+/// on `retain_jobs`: `RunStats` and the digest match exactly.
 pub fn run_source(
     source: ArrivalSource<'_>,
     policy: &Policy,

@@ -14,5 +14,5 @@ pub mod driver;
 pub mod policy;
 pub mod scenario;
 
-pub use driver::{run, run_source, run_stream, RunOutput, RunStats, SimConfig};
+pub use driver::{run, run_source, RunOutput, RunStats, SimConfig};
 pub use policy::{HopperConfig, Policy};

@@ -40,7 +40,7 @@ use hopper_core::{virtual_size, BetaEstimator};
 use hopper_metrics::{JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySnapshot};
 use hopper_sim::{EventQueue, SeedSequence, SimTime};
 use hopper_spec::{Candidate, Speculator};
-use hopper_workload::{ArrivalSource, Trace, TraceJob, TraceStream};
+use hopper_workload::{ArrivalSource, Trace, TraceJob};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -209,9 +209,9 @@ impl DecStats {
 /// Result of a decentralized run.
 #[derive(Debug, Clone)]
 pub struct DecOutput {
-    /// Per-job outcomes (sorted by job id). Empty for streaming runs
-    /// ([`run_stream`]); their per-job statistics live in the report's
-    /// digest.
+    /// Per-job outcomes (sorted by job id). Empty for runs that do not
+    /// retain jobs ([`run_source`]); their per-job statistics live in
+    /// the report's digest.
     pub jobs: Vec<JobResult>,
     /// Aggregate counters.
     pub stats: DecStats,
@@ -243,19 +243,13 @@ pub fn run(trace: &Trace, policy: DecPolicy, cfg: &DecConfig) -> DecOutput {
     run_source(ArrivalSource::from_trace(trace), policy, cfg, true)
 }
 
-/// Run a lazy arrival stream with O(active jobs) job state: arrivals are
-/// injected as simulation time advances, completed jobs retire their
-/// task/copy state, and per-job results fold into the output's digest
-/// (`DecOutput::jobs` is empty). Simulation decisions are bit-identical
-/// to [`run`] on the materialized form of the same stream.
-pub fn run_stream(stream: TraceStream, policy: DecPolicy, cfg: &DecConfig) -> DecOutput {
-    run_source(ArrivalSource::from_stream(stream), policy, cfg, false)
-}
-
-/// Run any [`ArrivalSource`] under `policy` — the seam replayed CSV
-/// traces come through (`ArrivalSource::from_shared`), and the common
-/// generalization of [`run`] / [`run_stream`]: `retain_jobs` selects
-/// between per-job results and the streaming retirement pipeline;
+/// Run any [`ArrivalSource`] under `policy`: a materialized trace, a
+/// lazy stream (`ArrivalSource::from_stream`), or a replayed CSV trace
+/// (`ArrivalSource::from_shared`). `retain_jobs` keeps per-job results;
+/// without it the run has O(active jobs) job state — completed jobs
+/// retire their task/copy state and per-job results fold into the
+/// output's digest (`DecOutput::jobs` is empty). Simulation decisions do
+/// not depend on the source variant or on `retain_jobs`.
 /// `cfg.shards >= 1` selects the sharded conservative-PDES engine
 /// (which clones the source per shard).
 pub fn run_source(

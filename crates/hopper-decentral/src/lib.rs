@@ -13,6 +13,6 @@ pub mod driver;
 pub mod faults;
 pub mod shard;
 
-pub use driver::{run, run_source, run_stream, DecConfig, DecOutput, DecPolicy, DecStats};
+pub use driver::{run, run_source, DecConfig, DecOutput, DecPolicy, DecStats};
 pub use faults::FaultConfig;
 pub use shard::ShardStats;

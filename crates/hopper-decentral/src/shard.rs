@@ -423,7 +423,7 @@ struct Shard<'a> {
 
 /// Run one decentralized simulation sharded across
 /// `cfg.shards.max(1)` shards. Private engine behind
-/// [`crate::driver::run`] / [`crate::driver::run_stream`]
+/// [`crate::driver::run_source`]
 /// (`cfg.shards ≥ 1` selects it).
 pub(crate) fn run_sharded(
     source: ArrivalSource<'_>,

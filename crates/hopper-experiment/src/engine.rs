@@ -1,4 +1,5 @@
-//! The [`Engine`] abstraction: both drivers behind one `run` surface.
+//! The [`Engine`] abstraction: both drivers behind one `run_source`
+//! surface.
 //!
 //! The centralized and decentralized simulators keep their concrete
 //! output types (`RunOutput` / `DecOutput` — the golden tests pin those
@@ -13,7 +14,7 @@
 use hopper_central::{Policy, RunOutput, SimConfig};
 use hopper_decentral::{DecConfig, DecOutput, DecPolicy};
 use hopper_metrics::{mean_duration, percentile, JobResult, RunReport};
-use hopper_workload::{ArrivalSource, Trace, TraceStream};
+use hopper_workload::ArrivalSource;
 
 /// Unified read surface over one scheduler run, regardless of driver.
 ///
@@ -72,30 +73,21 @@ impl RunSummary for DecOutput {
     }
 }
 
-/// Anything that can run a trace and summarize the result.
+/// Anything that can run an arrival source and summarize the result.
 ///
 /// `Sync` so a configured engine can be shared by sweep worker threads.
 /// Engines must be deterministic functions of their configuration: two
-/// `run` calls with the same trace must return identical summaries —
-/// the sweep runner's parallel-equals-serial guarantee rests on it.
+/// runs of the same source must return identical summaries — the sweep
+/// runner's parallel-equals-serial guarantee rests on it.
 pub trait Engine: Sync {
     /// Display name for tables ("Hopper", "Sparrow-SRPT", …).
     fn name(&self) -> String;
 
-    /// Simulate `trace` to completion.
-    fn run(&self, trace: &Trace) -> Box<dyn RunSummary>;
-
-    /// Simulate a lazy arrival stream to completion with O(active jobs)
-    /// job state (completed jobs retired, per-job results folded into the
-    /// digest). Decisions are bit-identical to [`Engine::run`] on the
-    /// materialized form of the same stream.
-    fn run_stream(&self, stream: TraceStream) -> Box<dyn RunSummary>;
-
-    /// Simulate an arbitrary [`ArrivalSource`] — the seam replayed CSV
-    /// traces come through. `retain_jobs` selects between per-job
-    /// results ([`Engine::run`] semantics) and the streaming retirement
-    /// pipeline ([`Engine::run_stream`] semantics); the scheduling
-    /// decisions are identical either way.
+    /// Simulate `source` — a materialized trace, a lazy stream, or a
+    /// replayed CSV trace — to completion. `retain_jobs` keeps per-job
+    /// results; without it the run retires completed jobs and folds
+    /// their results into the report's digest, with O(active jobs) job
+    /// state. The scheduling decisions are identical either way.
     fn run_source(&self, source: ArrivalSource<'_>, retain_jobs: bool) -> Box<dyn RunSummary>;
 }
 
@@ -111,14 +103,6 @@ pub struct CentralEngine {
 impl Engine for CentralEngine {
     fn name(&self) -> String {
         self.policy.name().to_string()
-    }
-
-    fn run(&self, trace: &Trace) -> Box<dyn RunSummary> {
-        Box::new(hopper_central::run(trace, &self.policy, &self.cfg))
-    }
-
-    fn run_stream(&self, stream: TraceStream) -> Box<dyn RunSummary> {
-        Box::new(hopper_central::run_stream(stream, &self.policy, &self.cfg))
     }
 
     fn run_source(&self, source: ArrivalSource<'_>, retain_jobs: bool) -> Box<dyn RunSummary> {
@@ -145,14 +129,6 @@ impl Engine for DecentralEngine {
         self.policy.name().to_string()
     }
 
-    fn run(&self, trace: &Trace) -> Box<dyn RunSummary> {
-        Box::new(hopper_decentral::run(trace, self.policy, &self.cfg))
-    }
-
-    fn run_stream(&self, stream: TraceStream) -> Box<dyn RunSummary> {
-        Box::new(hopper_decentral::run_stream(stream, self.policy, &self.cfg))
-    }
-
     fn run_source(&self, source: ArrivalSource<'_>, retain_jobs: bool) -> Box<dyn RunSummary> {
         Box::new(hopper_decentral::run_source(
             source,
@@ -166,7 +142,7 @@ impl Engine for DecentralEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopper_workload::{TraceGenerator, WorkloadProfile};
+    use hopper_workload::{Trace, TraceGenerator, WorkloadProfile};
 
     fn tiny_trace(seed: u64, slots: usize) -> Trace {
         let profile = WorkloadProfile::facebook().interactive();
@@ -199,7 +175,7 @@ mod tests {
         let engines: Vec<Box<dyn Engine>> = vec![Box::new(central), Box::new(decentral)];
         for e in &engines {
             let trace = tiny_trace(5, 40);
-            let out = e.run(&trace);
+            let out = e.run_source(ArrivalSource::from_trace(&trace), true);
             assert_eq!(out.jobs().len(), trace.len(), "{}", e.name());
             assert!(out.mean_duration_ms() > 0.0);
             assert!(out.report().core.events > 0);

@@ -5,15 +5,17 @@
 //! run" a first-class value so the grid is assembled declaratively
 //! instead of hand-wired per figure:
 //!
-//! - [`Engine`] — one trait over both drivers: anything that can run a
-//!   [`Trace`](hopper_workload::Trace) and yield a [`RunSummary`].
+//! - [`Engine`] — one trait over both drivers: anything that can run an
+//!   [`ArrivalSource`](hopper_workload::ArrivalSource) and yield a
+//!   [`RunSummary`].
 //!   [`CentralEngine`] and [`DecentralEngine`] wrap the existing
 //!   `hopper-central` / `hopper-decentral` entry points without touching
 //!   their concrete `RunStats` / `DecStats` types.
 //! - [`ExperimentSpec`] — a serializable description of one experiment
 //!   cell: workload source, cluster shape, engine + policy, utilization,
-//!   seed list. Round-trips through a `key=value` text form whose keys
-//!   map 1:1 onto `hopper` CLI flags, so specs can live in files.
+//!   seed list. Round-trips through a `key=value` text form, so specs
+//!   can live in files; [`KEYS`] declares each key once, and the
+//!   `hopper` CLI derives one flag per key from it.
 //! - [`sweep()`] — fans a seed × axis grid out over scoped worker threads
 //!   and collects a [`SweepTable`] in grid order. Each trial owns its
 //!   seed-derived RNGs, so the parallel result is bit-identical to a
@@ -29,7 +31,7 @@ pub mod stability;
 pub mod sweep;
 
 pub use engine::{CentralEngine, DecentralEngine, Engine, RunSummary};
-pub use spec::{EngineKind, ExperimentSpec, SpecError};
+pub use spec::{EngineKind, ExperimentSpec, Key, SpecError, KEYS};
 pub use stability::{
     find_frontier, frontier_csv, frontier_grid, probe, saturated, FrontierConfig, FrontierResult,
 };

@@ -3,10 +3,12 @@
 //! A spec names everything a trial needs — workload source, cluster
 //! shape, engine + policy, utilization, seed list — and round-trips
 //! through a plain `key=value` text form (one pair per line, `#`
-//! comments). The keys map 1:1 onto `hopper` CLI flags, so a spec file
-//! and a command line describe the same thing; [`ExperimentSpec::set`]
-//! is the single dispatch both go through, and the sweep axis reuses it
-//! to vary one key across a grid.
+//! comments). [`KEYS`] declares every key once; `set`, `render`, the
+//! unknown-key diagnostic and the `hopper` CLI flags (`--probe-ratio` for
+//! `probe_ratio`) are all derived from it, so a spec file and a command
+//! line describe the same thing. [`ExperimentSpec::set`] is the single
+//! dispatch both go through, and the sweep axis reuses it to vary one
+//! key across a grid.
 //!
 //! Round-trip contract (pinned by tests): `parse(render(parse(text)))`
 //! equals `parse(text)`, and unknown keys are rejected with an error
@@ -22,6 +24,8 @@ use hopper_workload::{
     parse_replay_csv, ArrivalSource, RateProfile, Trace, TraceGenerator, TraceStream,
     WorkloadProfile,
 };
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use crate::engine::{CentralEngine, DecentralEngine, Engine, RunSummary};
@@ -61,63 +65,193 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
-/// Canonical key order — `render` emits exactly these, `KNOWN_KEYS`
-/// powers the unknown-key diagnostic.
-const KNOWN_KEYS: &[&str] = &[
-    "engine",
-    "policy",
-    "workload",
-    "interactive",
-    "single_phase",
-    "fixed_dag_len",
-    "fixed_beta",
-    "fixed_tasks",
-    "learn_beta",
-    "realloc_drift",
-    "jobs",
-    "max_jobs",
-    "stream",
-    "rate_profile",
-    "rate_period_ms",
-    "burst_rate",
-    "burst_mult",
-    "burst_len_ms",
-    "replay",
-    "machines",
-    "slots",
-    "handoff_ms",
-    "util",
-    "eps",
-    "scan_ms",
-    "spec_min_elapsed_ms",
-    "probe_ratio",
-    "refusals",
-    "schedulers",
-    "hetero",
-    "slow_frac",
-    "slow_factor",
-    "hetero_sigma",
-    "slowdown_rate",
-    "fail_rate",
-    "mttr_ms",
-    "msg_loss",
-    "msg_jitter_ms",
-    "msg_dup",
-    "sched_fail_rate",
-    "sched_mttr_ms",
-    "rpc_timeout_ms",
-    "rpc_retries",
-    "shards",
-    "telemetry_window_ms",
-    "seeds",
-];
+/// One entry of [`KEYS`]: a spec key's name (its field's name), the
+/// field's accessors, and its line in `hopper help`.
+pub struct Key {
+    /// The `key=value` spelling.
+    pub name: &'static str,
+    /// The value's placeholder in `hopper help` (`N`, `F`, `P`, ...).
+    pub meta: &'static str,
+    /// One-line meaning, for `hopper help`.
+    pub help: &'static str,
+    /// A boolean key's two spellings, true first; a bare CLI flag means
+    /// the first. Empty for keys that always take a value.
+    pub switch: &'static [&'static str],
+    set: fn(&mut ExperimentSpec, &str) -> Result<(), SpecError>,
+    get: fn(&ExperimentSpec) -> String,
+}
+
+impl Key {
+    /// The key called `name`, if there is one.
+    pub fn named(name: &str) -> Option<&'static Key> {
+        KEYS.iter().find(|k| k.name == name)
+    }
+
+    /// The key's CLI flag: its name with dashes for underscores.
+    pub fn flag(&self) -> String {
+        format!("--{}", self.name.replace('_', "-"))
+    }
+}
+
+/// Declares every spec key once, in canonical (`render`) order, as
+/// `field: Kind "META" "help"`. The key is named after its field, and
+/// the kind says how its value is parsed and rendered.
+macro_rules! spec_keys {
+    ($($field:ident: $kind:ident $meta:literal $help:literal,)*) => {
+        /// Every spec key, in canonical order.
+        pub const KEYS: &[Key] = &[$(Key {
+            name: stringify!($field),
+            meta: $meta,
+            help: $help,
+            switch: $kind::SWITCH,
+            set: |spec, value| {
+                spec.$field = $kind::parse(stringify!($field), value)?;
+                Ok(())
+            },
+            get: |spec| $kind::render(&spec.$field),
+        },)*];
+    };
+}
+
+spec_keys! {
+    engine: EngineName "central|decentral" "simulator family; picks the other keys' defaults",
+    policy: Text "P" "central: fifo|fair|srpt|budgeted|hopper; decentral: sparrow|sparrow-srpt|hopper",
+    workload: Text "facebook|bing" "workload profile",
+    interactive: Bool "" "Spark-style interactive variant (sub-second tasks)",
+    single_phase: Bool "" "force single-phase jobs",
+    fixed_dag_len: Opt "N|none" "force every DAG to exactly N phases",
+    fixed_beta: Opt "F|none" "pin every job's Pareto tail index beta",
+    fixed_tasks: Opt "N|none" "pin every job's input-phase task count",
+    learn_beta: Bool "true|false" "central Hopper learns beta online (default true)",
+    realloc_drift: Num "F" "central Hopper: keep the allocation while virtual size drifts < F",
+    jobs: Num "N" "jobs per trial",
+    max_jobs: Opt "N|none" "stop consuming the arrival stream after N jobs",
+    stream: OnOff "" "lazy arrivals + job retirement: O(active jobs) state, same results",
+    rate_profile: Text "constant|diurnal" "arrival-rate shape; diurnal keeps the time-average at util",
+    rate_period_ms: Num "N" "diurnal period (0 = derive from the arrival window)",
+    burst_rate: Num "F" "seeded burst windows per hour on top of the base profile",
+    burst_mult: Num "F" "rate multiplier inside bursts (off-burst normalized down)",
+    burst_len_ms: Num "N" "burst window length",
+    replay: Opt "FILE|none" "replay jobs from CSV: arrival_ms,tasks,work_ms[,dag_len[,beta]]",
+    machines: Num "N" "cluster machines",
+    slots: Num "N" "slots per machine",
+    handoff_ms: Num "N" "slot hand-off cost (0 = long-lived executors)",
+    util: Num "F" "target average cluster utilization",
+    eps: Num "F" "fairness epsilon",
+    scan_ms: Opt "N|none" "straggler-scan period (none = engine default)",
+    spec_min_elapsed_ms: Opt "N|none" "LATE warm-up (none = engine default)",
+    probe_ratio: Num "F" "decentral reservations per task",
+    refusals: Num "N" "decentral refusal threshold",
+    schedulers: Num "N" "decentral autonomous schedulers",
+    hetero: Text "off|uniform|bimodal|lognormal" "machine speed heterogeneity",
+    slow_frac: Num "F" "bimodal slow-node fraction",
+    slow_factor: Num "F" "slow machine speed",
+    hetero_sigma: Num "F" "lognormal sigma",
+    slowdown_rate: Num "F" "transient slowdowns per machine-hour",
+    fail_rate: Num "F" "machine failures per machine-hour",
+    mttr_ms: Num "N" "mean machine recovery",
+    msg_loss: Num "F" "decentral per-RPC loss probability [0,1]",
+    msg_jitter_ms: Num "N" "decentral max extra message delay",
+    msg_dup: Num "F" "decentral per-RPC duplication probability [0,1]",
+    sched_fail_rate: Num "F" "decentral scheduler crashes per scheduler-hour",
+    sched_mttr_ms: Num "N" "mean scheduler recovery",
+    rpc_timeout_ms: Num "N" "watchdog/lease horizon (neutral while faults are off)",
+    rpc_retries: Num "N" "watchdog retries before a fresh probe round",
+    shards: Num "N" "decentral PDES shards; same results for any N >= 1 (0 = serial)",
+    telemetry_window_ms: Num "N" "windowed time-series; never changes results (0 = off)",
+    seeds: Seeds "N,N,..." "one trial per seed",
+}
+
+// The value kinds of the key table. Each parses one value, naming the
+// key in its error, and renders it back in the same spelling.
+
+/// A boolean spelled `true|false` ([`Bool`]) or `on|off` ([`OnOff`]).
+struct Switch<const ON_OFF: bool>;
+type Bool = Switch<false>;
+type OnOff = Switch<true>;
+/// A number or string in its `FromStr`/`Display` spelling.
+struct Num;
+type Text = Num;
+/// `none` or a [`Num`].
+struct Opt;
+/// A comma-separated seed list.
+struct Seeds;
+/// `central|decentral`.
+struct EngineName;
+
+impl<const ON_OFF: bool> Switch<ON_OFF> {
+    const SWITCH: &'static [&'static str] = if ON_OFF {
+        &["on", "off"]
+    } else {
+        &["true", "false"]
+    };
+    fn parse(key: &str, value: &str) -> Result<bool, SpecError> {
+        one_of(key, value, Self::SWITCH)?;
+        Ok(value == Self::SWITCH[0])
+    }
+    fn render(value: &bool) -> String {
+        Self::SWITCH[usize::from(!value)].to_string()
+    }
+}
+
+impl Num {
+    const SWITCH: &'static [&'static str] = &[];
+    fn parse<T: FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
+        value
+            .parse()
+            .map_err(|_| err(format!("could not parse {key}=`{value}`")))
+    }
+    fn render<T: Display + ?Sized>(value: &T) -> String {
+        value.to_string()
+    }
+}
+
+impl Opt {
+    const SWITCH: &'static [&'static str] = &[];
+    fn parse<T: FromStr>(key: &str, value: &str) -> Result<Option<T>, SpecError> {
+        match value {
+            "none" => Ok(None),
+            _ => Num::parse(key, value).map(Some),
+        }
+    }
+    fn render<T: Display>(value: &Option<T>) -> String {
+        value.as_ref().map_or("none".to_string(), T::to_string)
+    }
+}
+
+impl Seeds {
+    const SWITCH: &'static [&'static str] = &[];
+    fn parse(key: &str, value: &str) -> Result<Vec<u64>, SpecError> {
+        value
+            .split(',')
+            .map(|s| Num::parse(key, s.trim()))
+            .collect()
+    }
+    fn render(value: &[u64]) -> String {
+        let seeds: Vec<String> = value.iter().map(u64::to_string).collect();
+        seeds.join(",")
+    }
+}
+
+impl EngineName {
+    const SWITCH: &'static [&'static str] = &[];
+    fn parse(key: &str, value: &str) -> Result<EngineKind, SpecError> {
+        [EngineKind::Central, EngineKind::Decentral]
+            .into_iter()
+            .find(|e| e.as_str() == value)
+            .ok_or_else(|| err(format!("{key} must be central|decentral, got `{value}`")))
+    }
+    fn render(value: &EngineKind) -> String {
+        value.as_str().to_string()
+    }
+}
 
 /// A complete description of one experiment cell.
 ///
-/// Every field maps 1:1 onto a `key=value` pair (and a CLI flag). The
-/// workload source is profile-generated; to run an explicit in-memory
-/// trace, build the [`Engine`] via [`ExperimentSpec::engine`] and call
-/// [`Engine::run`] on it directly.
+/// Every field is one entry of [`KEYS`]: a `key=value` pair and a CLI
+/// flag. The workload source is profile-generated; to run an explicit
+/// in-memory trace, build the [`Engine`] via [`ExperimentSpec::engine`]
+/// and call [`Engine::run_source`] on it directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Simulator family (`engine=central|decentral`).
@@ -336,8 +470,7 @@ impl ExperimentSpec {
     }
 
     /// Set one field by its `key=value` spelling. The single dispatch
-    /// shared by the text parser, the CLI flag mapping, and the sweep
-    /// axis.
+    /// shared by the text parser, the CLI flags, and the sweep axis.
     ///
     /// Note that `set("engine", ..)` flips only the engine selector —
     /// it does not re-base the other fields onto that engine's
@@ -346,83 +479,14 @@ impl ExperimentSpec {
     /// the sweep runner rejects `engine` as an axis for the same
     /// reason.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
-        match key {
-            "engine" => {
-                self.engine = match value {
-                    "central" => EngineKind::Central,
-                    "decentral" => EngineKind::Decentral,
-                    other => {
-                        return Err(err(format!(
-                            "engine must be central|decentral, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "policy" => self.policy = value.to_string(),
-            "workload" => self.workload = value.to_string(),
-            "interactive" => self.interactive = parse_bool(key, value)?,
-            "single_phase" => self.single_phase = parse_bool(key, value)?,
-            "fixed_dag_len" => self.fixed_dag_len = parse_opt(key, value)?,
-            "fixed_beta" => self.fixed_beta = parse_opt(key, value)?,
-            "fixed_tasks" => self.fixed_tasks = parse_opt(key, value)?,
-            "learn_beta" => self.learn_beta = parse_bool(key, value)?,
-            "realloc_drift" => self.realloc_drift = parse_num(key, value)?,
-            "jobs" => self.jobs = parse_num(key, value)?,
-            "max_jobs" => self.max_jobs = parse_opt(key, value)?,
-            "stream" => {
-                self.stream = match value {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(err(format!("stream must be on|off, got `{other}`"))),
-                }
-            }
-            "rate_profile" => self.rate_profile = value.to_string(),
-            "rate_period_ms" => self.rate_period_ms = parse_num(key, value)?,
-            "burst_rate" => self.burst_rate = parse_num(key, value)?,
-            "burst_mult" => self.burst_mult = parse_num(key, value)?,
-            "burst_len_ms" => self.burst_len_ms = parse_num(key, value)?,
-            "replay" => self.replay = parse_opt(key, value)?,
-            "machines" => self.machines = parse_num(key, value)?,
-            "slots" => self.slots = parse_num(key, value)?,
-            "handoff_ms" => self.handoff_ms = parse_num(key, value)?,
-            "util" => self.util = parse_num(key, value)?,
-            "eps" => self.eps = parse_num(key, value)?,
-            "scan_ms" => self.scan_ms = parse_opt(key, value)?,
-            "spec_min_elapsed_ms" => self.spec_min_elapsed_ms = parse_opt(key, value)?,
-            "probe_ratio" => self.probe_ratio = parse_num(key, value)?,
-            "refusals" => self.refusals = parse_num(key, value)?,
-            "schedulers" => self.schedulers = parse_num(key, value)?,
-            "hetero" => self.hetero = value.to_string(),
-            "slow_frac" => self.slow_frac = parse_num(key, value)?,
-            "slow_factor" => self.slow_factor = parse_num(key, value)?,
-            "hetero_sigma" => self.hetero_sigma = parse_num(key, value)?,
-            "slowdown_rate" => self.slowdown_rate = parse_num(key, value)?,
-            "fail_rate" => self.fail_rate = parse_num(key, value)?,
-            "mttr_ms" => self.mttr_ms = parse_num(key, value)?,
-            "msg_loss" => self.msg_loss = parse_num(key, value)?,
-            "msg_jitter_ms" => self.msg_jitter_ms = parse_num(key, value)?,
-            "msg_dup" => self.msg_dup = parse_num(key, value)?,
-            "sched_fail_rate" => self.sched_fail_rate = parse_num(key, value)?,
-            "sched_mttr_ms" => self.sched_mttr_ms = parse_num(key, value)?,
-            "rpc_timeout_ms" => self.rpc_timeout_ms = parse_num(key, value)?,
-            "rpc_retries" => self.rpc_retries = parse_num(key, value)?,
-            "shards" => self.shards = parse_num(key, value)?,
-            "telemetry_window_ms" => self.telemetry_window_ms = parse_num(key, value)?,
-            "seeds" => {
-                let seeds: Result<Vec<u64>, _> = value
-                    .split(',')
-                    .map(|s| parse_num::<u64>("seeds", s.trim()))
-                    .collect();
-                self.seeds = seeds?;
-            }
-            unknown => {
-                return Err(err(format!(
-                    "unknown key `{unknown}`; known keys: {}",
-                    KNOWN_KEYS.join(", ")
-                )))
-            }
-        }
-        Ok(())
+        let Some(k) = Key::named(key) else {
+            let known: Vec<&str> = KEYS.iter().map(|k| k.name).collect();
+            return Err(err(format!(
+                "unknown key `{key}`; known keys: {}",
+                known.join(", ")
+            )));
+        };
+        (k.set)(self, value)
     }
 
     /// Parse the `key=value` text form (one pair per line; blank lines
@@ -430,156 +494,56 @@ impl ExperimentSpec {
     /// — picks the defaults the remaining pairs refine, so a spec file
     /// only needs to name what deviates.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
-        let mut pairs: Vec<(usize, &str, &str)> = Vec::new();
-        let mut engine = EngineKind::Central;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err(format!(
-                    "line {}: expected key=value, got `{line}`",
-                    i + 1
-                )));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if key == "engine" {
-                // Applied first: it selects the default set.
-                let mut probe = ExperimentSpec::central();
-                probe
-                    .set("engine", value)
-                    .map_err(|e| err(format!("line {}: {}", i + 1, e.0)))?;
-                engine = probe.engine;
-            } else {
-                pairs.push((i + 1, key, value));
-            }
-        }
-        let mut spec = match engine {
-            EngineKind::Central => ExperimentSpec::central(),
-            EngineKind::Decentral => ExperimentSpec::decentral(),
-        };
-        for (line, key, value) in pairs {
-            spec.set(key, value)
-                .map_err(|e| err(format!("line {line}: {}", e.0)))?;
-        }
+        let spec = Self::parse_unvalidated(text)?;
         spec.validate()?;
+        Ok(spec)
+    }
+
+    /// [`ExperimentSpec::parse`] without the final
+    /// [`ExperimentSpec::validate`], for a caller that still sets fields
+    /// before validating.
+    pub fn parse_unvalidated(text: &str) -> Result<Self, SpecError> {
+        let pairs = pairs(text)?;
+        let at = |line: usize| move |e: SpecError| err(format!("line {line}: {}", e.0));
+        // `engine=` is applied first: it selects the default set.
+        let mut spec = ExperimentSpec::central();
+        for &(line, key, value) in pairs.iter().filter(|p| p.1 == "engine") {
+            spec.set(key, value).map_err(at(line))?;
+        }
+        if spec.engine == EngineKind::Decentral {
+            spec = ExperimentSpec::decentral();
+        }
+        for &(line, key, value) in pairs.iter().filter(|p| p.1 != "engine") {
+            spec.set(key, value).map_err(at(line))?;
+        }
         Ok(spec)
     }
 
     /// Render the canonical text form: every key, fixed order, one per
     /// line. `parse(render(spec))` reproduces `spec` exactly.
     pub fn render(&self) -> String {
-        let opt_u64 = |v: &Option<u64>| v.map_or("none".to_string(), |x| x.to_string());
-        let mut out = String::new();
-        for key in KNOWN_KEYS {
-            let value = match *key {
-                "engine" => self.engine.as_str().to_string(),
-                "policy" => self.policy.clone(),
-                "workload" => self.workload.clone(),
-                "interactive" => self.interactive.to_string(),
-                "single_phase" => self.single_phase.to_string(),
-                "fixed_dag_len" => self
-                    .fixed_dag_len
-                    .map_or("none".to_string(), |x| x.to_string()),
-                "fixed_beta" => self
-                    .fixed_beta
-                    .map_or("none".to_string(), |x| x.to_string()),
-                "fixed_tasks" => self
-                    .fixed_tasks
-                    .map_or("none".to_string(), |x| x.to_string()),
-                "learn_beta" => self.learn_beta.to_string(),
-                "realloc_drift" => self.realloc_drift.to_string(),
-                "jobs" => self.jobs.to_string(),
-                "max_jobs" => self.max_jobs.map_or("none".to_string(), |x| x.to_string()),
-                "stream" => if self.stream { "on" } else { "off" }.to_string(),
-                "rate_profile" => self.rate_profile.clone(),
-                "rate_period_ms" => self.rate_period_ms.to_string(),
-                "burst_rate" => self.burst_rate.to_string(),
-                "burst_mult" => self.burst_mult.to_string(),
-                "burst_len_ms" => self.burst_len_ms.to_string(),
-                "replay" => self.replay.clone().unwrap_or_else(|| "none".to_string()),
-                "machines" => self.machines.to_string(),
-                "slots" => self.slots.to_string(),
-                "handoff_ms" => self.handoff_ms.to_string(),
-                "util" => self.util.to_string(),
-                "eps" => self.eps.to_string(),
-                "scan_ms" => opt_u64(&self.scan_ms),
-                "spec_min_elapsed_ms" => opt_u64(&self.spec_min_elapsed_ms),
-                "probe_ratio" => self.probe_ratio.to_string(),
-                "refusals" => self.refusals.to_string(),
-                "schedulers" => self.schedulers.to_string(),
-                "hetero" => self.hetero.clone(),
-                "slow_frac" => self.slow_frac.to_string(),
-                "slow_factor" => self.slow_factor.to_string(),
-                "hetero_sigma" => self.hetero_sigma.to_string(),
-                "slowdown_rate" => self.slowdown_rate.to_string(),
-                "fail_rate" => self.fail_rate.to_string(),
-                "mttr_ms" => self.mttr_ms.to_string(),
-                "msg_loss" => self.msg_loss.to_string(),
-                "msg_jitter_ms" => self.msg_jitter_ms.to_string(),
-                "msg_dup" => self.msg_dup.to_string(),
-                "sched_fail_rate" => self.sched_fail_rate.to_string(),
-                "sched_mttr_ms" => self.sched_mttr_ms.to_string(),
-                "rpc_timeout_ms" => self.rpc_timeout_ms.to_string(),
-                "rpc_retries" => self.rpc_retries.to_string(),
-                "shards" => self.shards.to_string(),
-                "telemetry_window_ms" => self.telemetry_window_ms.to_string(),
-                "seeds" => self
-                    .seeds
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                _ => unreachable!("KNOWN_KEYS covered"),
-            };
-            out.push_str(key);
-            out.push('=');
-            out.push_str(&value);
-            out.push('\n');
-        }
-        out
+        KEYS.iter()
+            .map(|k| format!("{}={}\n", k.name, (k.get)(self)))
+            .collect()
     }
 
     /// Check cross-field consistency (policy known to the engine,
     /// workload known, non-degenerate grid).
     pub fn validate(&self) -> Result<(), SpecError> {
-        match self.engine {
-            EngineKind::Central => {
-                if !["fifo", "fair", "srpt", "budgeted", "hopper"].contains(&self.policy.as_str()) {
-                    return Err(err(format!(
-                        "central policy must be fifo|fair|srpt|budgeted|hopper, got `{}`",
-                        self.policy
-                    )));
-                }
-            }
-            EngineKind::Decentral => {
-                if !["sparrow", "sparrow-srpt", "hopper"].contains(&self.policy.as_str()) {
-                    return Err(err(format!(
-                        "decentral policy must be sparrow|sparrow-srpt|hopper, got `{}`",
-                        self.policy
-                    )));
-                }
-            }
-        }
-        if !["facebook", "bing"].contains(&self.workload.as_str()) {
-            return Err(err(format!(
-                "workload must be facebook|bing, got `{}`",
-                self.workload
-            )));
-        }
+        let policies: &[&str] = match self.engine {
+            EngineKind::Central => &["fifo", "fair", "srpt", "budgeted", "hopper"],
+            EngineKind::Decentral => &["sparrow", "sparrow-srpt", "hopper"],
+        };
+        let engine = self.engine.as_str();
+        one_of(&format!("{engine} policy"), &self.policy, policies)?;
+        one_of("workload", &self.workload, &["facebook", "bing"])?;
         if self.single_phase && self.fixed_dag_len.is_some() {
             return Err(err("single_phase and fixed_dag_len are mutually exclusive"));
         }
         if self.jobs == 0 {
             return Err(err("jobs must be positive"));
         }
-        if !(self.realloc_drift >= 0.0 && self.realloc_drift.is_finite()) {
-            return Err(err(format!(
-                "realloc_drift must be finite and >= 0, got {}",
-                self.realloc_drift
-            )));
-        }
+        non_negative("realloc_drift", self.realloc_drift)?;
         if self.max_jobs == Some(0) {
             return Err(err("max_jobs must be positive (or none)"));
         }
@@ -592,52 +556,24 @@ impl ExperimentSpec {
         if !(self.util > 0.0 && self.util <= 1.5) {
             return Err(err(format!("util must be in (0, 1.5], got {}", self.util)));
         }
-        if !["off", "uniform", "bimodal", "lognormal"].contains(&self.hetero.as_str()) {
-            return Err(err(format!(
-                "hetero must be off|uniform|bimodal|lognormal, got `{}`",
-                self.hetero
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.slow_frac) {
-            return Err(err(format!(
-                "slow_frac must be in [0, 1], got {}",
-                self.slow_frac
-            )));
-        }
+        let hetero = ["off", "uniform", "bimodal", "lognormal"];
+        one_of("hetero", &self.hetero, &hetero)?;
+        unit_interval("slow_frac", self.slow_frac)?;
         if !(self.slow_factor > 0.0 && self.slow_factor <= 1.0) {
             return Err(err(format!(
                 "slow_factor must be in (0, 1], got {}",
                 self.slow_factor
             )));
         }
-        if !(self.hetero_sigma >= 0.0 && self.hetero_sigma.is_finite()) {
-            return Err(err(format!(
-                "hetero_sigma must be finite and >= 0, got {}",
-                self.hetero_sigma
-            )));
-        }
-        for (key, rate) in [
-            ("slowdown_rate", self.slowdown_rate),
-            ("fail_rate", self.fail_rate),
-        ] {
-            if !(rate >= 0.0 && rate.is_finite()) {
-                return Err(err(format!("{key} must be finite and >= 0, got {rate}")));
-            }
-        }
+        non_negative("hetero_sigma", self.hetero_sigma)?;
+        non_negative("slowdown_rate", self.slowdown_rate)?;
+        non_negative("fail_rate", self.fail_rate)?;
         if self.fail_rate > 0.0 && self.mttr_ms == 0 {
             return Err(err("mttr_ms must be positive when fail_rate > 0"));
         }
-        for (key, p) in [("msg_loss", self.msg_loss), ("msg_dup", self.msg_dup)] {
-            if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-                return Err(err(format!("{key} must be in [0, 1], got {p}")));
-            }
-        }
-        if !(self.sched_fail_rate >= 0.0 && self.sched_fail_rate.is_finite()) {
-            return Err(err(format!(
-                "sched_fail_rate must be finite and >= 0, got {}",
-                self.sched_fail_rate
-            )));
-        }
+        unit_interval("msg_loss", self.msg_loss)?;
+        unit_interval("msg_dup", self.msg_dup)?;
+        non_negative("sched_fail_rate", self.sched_fail_rate)?;
         if self.sched_fail_rate > 0.0 && self.sched_mttr_ms == 0 {
             return Err(err(
                 "sched_mttr_ms must be positive when sched_fail_rate > 0",
@@ -660,18 +596,8 @@ impl ExperimentSpec {
                 "shards requires engine=decentral — the central engine has no sharded driver",
             ));
         }
-        if !["constant", "diurnal"].contains(&self.rate_profile.as_str()) {
-            return Err(err(format!(
-                "rate_profile must be constant|diurnal, got `{}`",
-                self.rate_profile
-            )));
-        }
-        if !(self.burst_rate >= 0.0 && self.burst_rate.is_finite()) {
-            return Err(err(format!(
-                "burst_rate must be finite and >= 0, got {}",
-                self.burst_rate
-            )));
-        }
+        one_of("rate_profile", &self.rate_profile, &["constant", "diurnal"])?;
+        non_negative("burst_rate", self.burst_rate)?;
         // The profile's own invariants (burst_mult >= 1, windows must not
         // tile the hour, ...) live with the profile.
         self.rate().check().map_err(err)?;
@@ -690,9 +616,7 @@ impl ExperimentSpec {
                 self.probe_ratio
             )));
         }
-        if !(self.eps.is_finite() && (0.0..=1.0).contains(&self.eps)) {
-            return Err(err(format!("eps must be in [0, 1], got {}", self.eps)));
-        }
+        unit_interval("eps", self.eps)?;
         if self.seeds.is_empty() {
             return Err(err("seeds must name at least one seed"));
         }
@@ -814,6 +738,20 @@ impl ExperimentSpec {
         }
     }
 
+    /// Apply the `scan_ms` / `spec_min_elapsed_ms` overrides to an
+    /// engine's straggler-scan period and speculator.
+    fn speculation(&self, scan_interval: &mut SimTime, speculator: &mut Speculator) {
+        if let Some(ms) = self.scan_ms {
+            *scan_interval = SimTime::from_millis(ms);
+        }
+        if let Some(ms) = self.spec_min_elapsed_ms {
+            *speculator = Speculator::Late(SpecConfig {
+                min_elapsed: SimTime::from_millis(ms),
+                ..Default::default()
+            });
+        }
+    }
+
     /// Build the configured engine for one trial seed.
     pub fn engine(&self, seed: u64) -> Result<Box<dyn Engine>, SpecError> {
         self.validate()?;
@@ -843,15 +781,7 @@ impl ExperimentSpec {
                     telemetry_window_ms: self.telemetry_window_ms,
                     ..Default::default()
                 };
-                if let Some(ms) = self.scan_ms {
-                    cfg.scan_interval = SimTime::from_millis(ms);
-                }
-                if let Some(ms) = self.spec_min_elapsed_ms {
-                    cfg.speculator = Speculator::Late(SpecConfig {
-                        min_elapsed: SimTime::from_millis(ms),
-                        ..Default::default()
-                    });
-                }
+                self.speculation(&mut cfg.scan_interval, &mut cfg.speculator);
                 Ok(Box::new(CentralEngine { policy, cfg }))
             }
             EngineKind::Decentral => {
@@ -873,62 +803,78 @@ impl ExperimentSpec {
                     telemetry_window_ms: self.telemetry_window_ms,
                     ..Default::default()
                 };
-                if let Some(ms) = self.scan_ms {
-                    cfg.scan_interval = SimTime::from_millis(ms);
-                }
-                if let Some(ms) = self.spec_min_elapsed_ms {
-                    cfg.speculator = Speculator::Late(SpecConfig {
-                        min_elapsed: SimTime::from_millis(ms),
-                        ..Default::default()
-                    });
-                }
+                self.speculation(&mut cfg.scan_interval, &mut cfg.speculator);
                 Ok(Box::new(DecentralEngine { policy, cfg }))
             }
         }
     }
 
-    /// Run one trial: synthesize the seed's workload (or ingest the
-    /// `replay=` CSV) and simulate it — through the streaming pipeline
-    /// when `stream=on` (lazy arrivals, retired jobs, digest-only
-    /// results), materialized otherwise.
+    /// Run one trial on the seed's arrivals: the `replay=` CSV if set,
+    /// else the synthesized workload — as a lazy stream through the
+    /// streaming pipeline when `stream=on` (retired jobs, digest-only
+    /// results), as a materialized trace otherwise.
     pub fn run_one(&self, seed: u64) -> Result<Box<dyn RunSummary>, SpecError> {
         let engine = self.engine(seed)?;
-        if let Some(path) = &self.replay {
+        let trace;
+        let source = if let Some(path) = &self.replay {
             let text =
                 std::fs::read_to_string(path).map_err(|e| err(format!("replay `{path}`: {e}")))?;
-            let trace =
+            let replayed =
                 parse_replay_csv(&text).map_err(|e| err(format!("replay `{path}`: {e}")))?;
-            let source = ArrivalSource::from_shared(Arc::new(trace));
-            return Ok(engine.run_source(source, !self.stream));
-        }
-        if self.stream {
-            Ok(engine.run_stream(self.stream(seed)))
+            ArrivalSource::from_shared(Arc::new(replayed))
+        } else if self.stream {
+            ArrivalSource::from_stream(self.stream(seed))
         } else {
-            Ok(engine.run(&self.trace(seed)))
+            trace = self.trace(seed);
+            ArrivalSource::from_trace(&trace)
+        };
+        Ok(engine.run_source(source, !self.stream))
+    }
+}
+
+/// `Err` naming `what` unless `value` is one of `choices`.
+fn one_of(what: &str, value: &str, choices: &[&str]) -> Result<(), SpecError> {
+    if choices.contains(&value) {
+        return Ok(());
+    }
+    let choices = choices.join("|");
+    Err(err(format!("{what} must be {choices}, got `{value}`")))
+}
+
+/// `Err` naming `key` unless `value` is finite and >= 0.
+fn non_negative(key: &str, value: f64) -> Result<(), SpecError> {
+    if value >= 0.0 && value.is_finite() {
+        return Ok(());
+    }
+    Err(err(format!("{key} must be finite and >= 0, got {value}")))
+}
+
+/// `Err` naming `key` unless `value` is in [0, 1].
+fn unit_interval(key: &str, value: f64) -> Result<(), SpecError> {
+    if (0.0..=1.0).contains(&value) {
+        return Ok(());
+    }
+    Err(err(format!("{key} must be in [0, 1], got {value}")))
+}
+
+/// Split the text form into `(line number, key, value)` pairs, skipping
+/// blank lines and `#` comments.
+pub fn pairs(text: &str) -> Result<Vec<(usize, &str, &str)>, SpecError> {
+    let mut pairs = Vec::new();
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
         }
+        let Some((key, value)) = line.split_once('=') else {
+            return Err(err(format!(
+                "line {}: expected key=value, got `{line}`",
+                i + 1
+            )));
+        };
+        pairs.push((i + 1, key.trim(), value.trim()));
     }
-}
-
-fn parse_bool(key: &str, value: &str) -> Result<bool, SpecError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(err(format!("{key} must be true|false, got `{other}`"))),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
-    value
-        .parse()
-        .map_err(|_| err(format!("could not parse {key}=`{value}`")))
-}
-
-fn parse_opt<T: std::str::FromStr>(key: &str, value: &str) -> Result<Option<T>, SpecError> {
-    if value == "none" {
-        Ok(None)
-    } else {
-        parse_num(key, value).map(Some)
-    }
+    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -939,6 +885,111 @@ mod tests {
     fn defaults_validate() {
         ExperimentSpec::central().validate().unwrap();
         ExperimentSpec::decentral().validate().unwrap();
+    }
+
+    /// The canonical text of both default specs, pinned literally: the
+    /// key order and every value spelling are part of the file format.
+    #[test]
+    fn render_pins_the_default_specs() {
+        const CENTRAL: &str = "\
+engine=central
+policy=hopper
+workload=facebook
+interactive=false
+single_phase=false
+fixed_dag_len=none
+fixed_beta=none
+fixed_tasks=none
+learn_beta=true
+realloc_drift=0
+jobs=100
+max_jobs=none
+stream=off
+rate_profile=constant
+rate_period_ms=0
+burst_rate=0
+burst_mult=4
+burst_len_ms=60000
+replay=none
+machines=50
+slots=4
+handoff_ms=1000
+util=0.7
+eps=0.1
+scan_ms=none
+spec_min_elapsed_ms=none
+probe_ratio=4
+refusals=2
+schedulers=1
+hetero=off
+slow_frac=0.2
+slow_factor=0.4
+hetero_sigma=0.25
+slowdown_rate=0
+fail_rate=0
+mttr_ms=30000
+msg_loss=0
+msg_jitter_ms=0
+msg_dup=0
+sched_fail_rate=0
+sched_mttr_ms=10000
+rpc_timeout_ms=2000
+rpc_retries=3
+shards=0
+telemetry_window_ms=0
+seeds=1
+";
+        const DECENTRAL: &str = "\
+engine=decentral
+policy=hopper
+workload=facebook
+interactive=false
+single_phase=false
+fixed_dag_len=none
+fixed_beta=none
+fixed_tasks=none
+learn_beta=true
+realloc_drift=0
+jobs=100
+max_jobs=none
+stream=off
+rate_profile=constant
+rate_period_ms=0
+burst_rate=0
+burst_mult=4
+burst_len_ms=60000
+replay=none
+machines=300
+slots=2
+handoff_ms=0
+util=0.7
+eps=0.1
+scan_ms=none
+spec_min_elapsed_ms=none
+probe_ratio=4
+refusals=2
+schedulers=10
+hetero=off
+slow_frac=0.2
+slow_factor=0.4
+hetero_sigma=0.25
+slowdown_rate=0
+fail_rate=0
+mttr_ms=30000
+msg_loss=0
+msg_jitter_ms=0
+msg_dup=0
+sched_fail_rate=0
+sched_mttr_ms=10000
+rpc_timeout_ms=2000
+rpc_retries=3
+shards=0
+telemetry_window_ms=0
+seeds=1
+";
+        assert_eq!(ExperimentSpec::central().render(), CENTRAL);
+        assert_eq!(ExperimentSpec::decentral().render(), DECENTRAL);
+        assert_eq!(CENTRAL.lines().count(), 46);
     }
 
     #[test]

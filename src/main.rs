@@ -1,41 +1,27 @@
 //! `hopper` — command-line experiment runner over the experiment layer.
+//! `hopper help` prints the modes and every spec key.
 //!
-//! ```text
-//! hopper central   [--policy srpt|fifo|fair|budgeted|hopper] [--jobs N]
-//!                  [--machines N] [--slots N] [--util F] [--seed N]
-//!                  [--workload facebook|bing] [--interactive] [--eps F]
-//! hopper decentral [--policy sparrow|sparrow-srpt|hopper] [--jobs N]
-//!                  [--workers N] [--slots N] [--util F] [--seed N]
-//!                  [--probe-ratio F] [--refusals N] [--workload facebook|bing]
-//!                  [--msg-loss F] [--msg-jitter-ms N] [--msg-dup F]
-//!                  [--sched-fail-rate F] [--sched-mttr-ms N]
-//!                  [--rpc-timeout-ms N] [--rpc-retries N]
-//! hopper sweep     [--spec FILE] [key=value ...] --axis KEY=V1,V2[,...]
-//!                  [--threads N] [--csv] [--series-dir DIR]
-//! hopper stability [--spec FILE] [key=value ...] [--policies P1,P2,...]
-//!                  [--profiles constant,diurnal] [--lo F] [--hi F]
-//!                  [--iters N] [--threads N] [--csv]
-//! hopper report    [--out FILE] [--svg-out FILE] A.jsonl [B.jsonl]
-//! hopper example   # the §3 motivating example (Table 1 / Figures 1-2)
-//! ```
-//!
-//! `central` and `decentral` are thin builders over
-//! [`hopper::experiment::ExperimentSpec`]: each flag sets the spec field
-//! of the same name and the single trial runs through the same path a
-//! sweep cell does. Defaults are the spec defaults — central 50×4 slots,
-//! decentral the paper's deployment shape (300 workers × 2 slots, 10
-//! schedulers; the pre-experiment-layer CLI defaulted decentral to a
-//! clamped 50×4) — and flag values are taken as given, unclamped. `sweep` expands one spec along one axis (any spec
-//! key) × its seed list and fans the grid out over worker threads;
-//! results are bit-identical to a serial run regardless of `--threads`.
-//! Exit code 0 on success; unknown flags or keys abort with usage.
+//! `central`, `decentral`, `sweep` and `stability` read their arguments
+//! the same way, into one [`hopper::experiment::ExperimentSpec`]: a
+//! `--spec FILE`, `key=value` pairs, and every spec key as a flag with
+//! dashes for underscores (`--probe-ratio 2` is `probe_ratio=2`; a bare
+//! `--interactive` or `--stream` means true/on). Two aliases remain:
+//! `--workers N` sets `machines`, and `--seed N` a one-seed list.
+//! Command-line pairs override the file. `central` and `decentral` run
+//! one seed on their own engine; `sweep` expands one axis × the seed
+//! list over worker threads, bit-identical to a serial run; `stability`
+//! bisects each policy's frontier on its home engine. Unknown flags or
+//! keys exit with code 2.
 
+use hopper::experiment::spec::pairs;
 use hopper::experiment::{
     frontier_csv, frontier_grid, sweep_with_threads, EngineKind, ExperimentSpec, FrontierConfig,
-    SpecError, SweepAxis, SweepTable,
+    Key, SpecError, SweepAxis, SweepTable, KEYS,
 };
 use hopper::metrics::{mean_duration_in_bin, JobResult, SizeBin, Table};
+use std::iter::Peekable;
 use std::process::exit;
+use std::slice::Iter;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,114 +45,116 @@ fn main() {
     }
 }
 
-fn bail(e: SpecError) -> ! {
-    eprintln!("{e}");
+/// Print `msg` and exit with code 2.
+fn bail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
     exit(2);
 }
 
-/// Map the classic per-driver flags onto spec keys. Every flag is a
-/// 1:1 rename (`--probe-ratio` → `probe_ratio`); `--workers` is an
-/// alias for `--machines` and `--seed` sets a one-entry seed list.
-fn apply_flags(spec: &mut ExperimentSpec, rest: &[String]) {
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut next = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {name} needs a value");
-                exit(2);
-            })
-        };
-        let r = match flag.as_str() {
-            "--policy" => spec.set("policy", &next("--policy")),
-            "--jobs" => spec.set("jobs", &next("--jobs")),
-            "--machines" | "--workers" => spec.set("machines", &next("--machines")),
-            "--slots" => spec.set("slots", &next("--slots")),
-            "--util" => spec.set("util", &next("--util")),
-            "--seed" => {
-                // Single-run mode takes exactly one seed; a comma list
-                // would silently run only its head. Seed *lists* belong
-                // to `hopper sweep` (the `seeds=` key).
-                let v = next("--seed");
-                if v.parse::<u64>().is_err() {
-                    eprintln!(
-                        "--seed takes one seed (use `hopper sweep` with seeds=... for lists)"
-                    );
-                    exit(2);
-                }
-                spec.set("seeds", &v)
-            }
-            "--workload" => spec.set("workload", &next("--workload")),
-            "--interactive" => spec.set("interactive", "true"),
-            "--stream" => spec.set("stream", "on"),
-            "--max-jobs" => spec.set("max_jobs", &next("--max-jobs")),
-            "--rate-profile" => spec.set("rate_profile", &next("--rate-profile")),
-            "--rate-period-ms" => spec.set("rate_period_ms", &next("--rate-period-ms")),
-            "--burst-rate" => spec.set("burst_rate", &next("--burst-rate")),
-            "--burst-mult" => spec.set("burst_mult", &next("--burst-mult")),
-            "--burst-len-ms" => spec.set("burst_len_ms", &next("--burst-len-ms")),
-            "--replay" => spec.set("replay", &next("--replay")),
-            "--eps" => spec.set("eps", &next("--eps")),
-            "--realloc-drift" => spec.set("realloc_drift", &next("--realloc-drift")),
-            "--probe-ratio" => spec.set("probe_ratio", &next("--probe-ratio")),
-            "--refusals" => spec.set("refusals", &next("--refusals")),
-            "--hetero" => spec.set("hetero", &next("--hetero")),
-            "--slow-frac" => spec.set("slow_frac", &next("--slow-frac")),
-            "--slow-factor" => spec.set("slow_factor", &next("--slow-factor")),
-            "--hetero-sigma" => spec.set("hetero_sigma", &next("--hetero-sigma")),
-            "--slowdown-rate" => spec.set("slowdown_rate", &next("--slowdown-rate")),
-            "--fail-rate" => spec.set("fail_rate", &next("--fail-rate")),
-            "--mttr-ms" => spec.set("mttr_ms", &next("--mttr-ms")),
-            "--msg-loss" => spec.set("msg_loss", &next("--msg-loss")),
-            "--msg-jitter-ms" => spec.set("msg_jitter_ms", &next("--msg-jitter-ms")),
-            "--msg-dup" => spec.set("msg_dup", &next("--msg-dup")),
-            "--sched-fail-rate" => spec.set("sched_fail_rate", &next("--sched-fail-rate")),
-            "--sched-mttr-ms" => spec.set("sched_mttr_ms", &next("--sched-mttr-ms")),
-            "--rpc-timeout-ms" => spec.set("rpc_timeout_ms", &next("--rpc-timeout-ms")),
-            "--rpc-retries" => spec.set("rpc_retries", &next("--rpc-retries")),
-            "--shards" => spec.set("shards", &next("--shards")),
-            "--telemetry-window-ms" => {
-                spec.set("telemetry_window_ms", &next("--telemetry-window-ms"))
-            }
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage();
-                exit(2);
-            }
-        };
-        if let Err(e) = r {
-            bail(e);
-        }
+/// The command-line arguments after the mode.
+struct Args<'a>(Peekable<Iter<'a, String>>);
+
+impl Args<'_> {
+    /// The value after `flag`; exits with code 2 if there is none.
+    fn value(&mut self, flag: &str) -> String {
+        self.0
+            .next()
+            .cloned()
+            .unwrap_or_else(|| bail(format!("flag {flag} needs a value")))
+    }
+
+    /// The value after `flag` as a number; exits with code 2 otherwise.
+    fn number<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        let v = self.value(flag);
+        v.parse()
+            .unwrap_or_else(|_| bail(format!("{flag} needs a number, got `{v}`")))
     }
 }
 
-fn run_single(kind: EngineKind, rest: &[String]) {
-    let mut spec = match kind {
-        EngineKind::Central => ExperimentSpec::central(),
-        EngineKind::Decentral => ExperimentSpec::decentral(),
-    };
-    // `--series-out` is an output sink, not a spec key: peel it off
-    // before the flag→key mapping sees the argument list.
-    let mut series_out: Option<String> = None;
-    let mut flags: Vec<String> = Vec::with_capacity(rest.len());
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--series-out" {
-            let Some(path) = it.next() else {
-                eprintln!("flag --series-out needs a value");
-                exit(2);
-            };
-            series_out = Some(path.clone());
-        } else {
-            flags.push(arg.clone());
+/// Read a spec-taking mode's arguments into spec text: the `--spec`
+/// files first, then every `key=value`, derived `--key-name V` flag and
+/// alias in command-line order, so the command line overrides the file
+/// (the parser takes the last occurrence of a key). `mode_flag` is
+/// offered every other argument first, and returns whether it was one
+/// of the mode's own flags.
+fn read_spec_args(rest: &[String], mut mode_flag: impl FnMut(&str, &mut Args) -> bool) -> String {
+    let mut file_text = String::new();
+    let mut arg_text = String::new();
+    let mut args = Args(rest.iter().peekable());
+    while let Some(arg) = args.0.next() {
+        if arg == "--spec" {
+            let path = args.value("--spec");
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| bail(format!("could not read spec file {path}: {e}")));
+            // A file whose last line lacks '\n' must not merge with the
+            // next pair.
+            file_text.push_str(&text);
+            file_text.push('\n');
+            continue;
         }
+        if arg.contains('=') && !arg.starts_with("--") {
+            arg_text.push_str(arg);
+            arg_text.push('\n');
+            continue;
+        }
+        if mode_flag(arg, &mut args) {
+            continue;
+        }
+        let key = match arg.as_str() {
+            "--workers" => Key::named("machines"),
+            "--seed" => Key::named("seeds"),
+            _ => KEYS.iter().find(|k| k.flag() == *arg),
+        };
+        let Some(key) = key else {
+            eprintln!("unknown argument: {arg} (expected key=value, --spec FILE, or a flag)");
+            usage();
+            exit(2);
+        };
+        let value = match (key.switch, args.0.peek()) {
+            ([on, _], next) if !next.is_some_and(|v| key.switch.contains(&v.as_str())) => {
+                on.to_string()
+            }
+            _ => args.value(arg),
+        };
+        arg_text.push_str(&format!("{}={value}\n", key.name));
     }
-    apply_flags(&mut spec, &flags);
-    if let Err(e) = spec.validate() {
-        bail(e);
+    file_text + &arg_text
+}
+
+/// The spec a single-run mode describes: `kind`'s defaults refined by
+/// `text`. Rejects text that names the other engine, or more than one
+/// seed (a list would silently run only its first seed).
+fn single_spec(kind: EngineKind, text: &str) -> Result<ExperimentSpec, SpecError> {
+    let spec = ExperimentSpec::parse(&format!("engine={}\n{text}", kind.as_str()))?;
+    if spec.engine != kind {
+        return Err(SpecError(format!(
+            "`hopper {0}` runs the {0} engine, but the spec names engine={1} \
+             (use `hopper {1}`)",
+            kind.as_str(),
+            spec.engine.as_str()
+        )));
     }
+    if spec.seeds.len() > 1 {
+        return Err(SpecError(format!(
+            "a single run takes one seed, got {} (use `hopper sweep` with seeds=... for lists)",
+            spec.seeds.len()
+        )));
+    }
+    Ok(spec)
+}
+
+fn run_single(kind: EngineKind, rest: &[String]) {
+    let mut series_out: Option<String> = None;
+    let text = read_spec_args(rest, |arg, args| match arg {
+        "--series-out" => {
+            series_out = Some(args.value(arg));
+            true
+        }
+        _ => false,
+    });
+    let spec = single_spec(kind, &text).unwrap_or_else(|e| bail(e));
     if series_out.is_some() && spec.telemetry_window_ms == 0 {
-        eprintln!("--series-out needs --telemetry-window-ms N (N > 0) to collect a series");
-        exit(2);
+        bail("--series-out needs --telemetry-window-ms N (N > 0) to collect a series");
     }
     let seed = spec.seeds[0];
     let out = spec.run_one(seed).unwrap_or_else(|e| bail(e));
@@ -209,10 +197,8 @@ fn run_single(kind: EngineKind, rest: &[String]) {
             .as_ref()
             .expect("telemetry_window_ms > 0 was checked before the run");
         let label = format!("{}/{}", spec.engine.as_str(), spec.policy);
-        if let Err(e) = std::fs::write(&path, series.to_jsonl(&label, seed)) {
-            eprintln!("could not write series to {path}: {e}");
-            exit(2);
-        }
+        std::fs::write(&path, series.to_jsonl(&label, seed))
+            .unwrap_or_else(|e| bail(format!("could not write series to {path}: {e}")));
         println!(
             "telemetry: {} windows of {} ms written to {path}",
             series.windows.len(),
@@ -222,70 +208,24 @@ fn run_single(kind: EngineKind, rest: &[String]) {
 }
 
 fn run_sweep(rest: &[String]) {
-    // File pairs and command-line pairs are collected separately and
-    // applied file-first, so explicit `key=value` arguments override
-    // the `--spec` file regardless of where `--spec` sits on the line
-    // (the parser takes the last occurrence of a key).
-    let mut file_text = String::new();
-    let mut arg_text = String::new();
     let mut axis: Option<SweepAxis> = None;
     let mut threads: Option<usize> = None;
     let mut csv = false;
     let mut series_dir: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {name} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--spec" => {
-                let path = next("--spec");
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => {
-                        file_text.push_str(&text);
-                        // Keep a file whose last line lacks '\n' from
-                        // merging with the next spec line.
-                        if !file_text.ends_with('\n') {
-                            file_text.push('\n');
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("could not read spec file {path}: {e}");
-                        exit(2);
-                    }
-                }
-            }
-            "--axis" => axis = Some(SweepAxis::parse(&next("--axis")).unwrap_or_else(|e| bail(e))),
-            "--threads" => {
-                threads = Some(next("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    exit(2);
-                }))
-            }
+    let text = read_spec_args(rest, |arg, args| {
+        match arg {
+            "--axis" => axis = Some(SweepAxis::parse(&args.value(arg)).unwrap_or_else(|e| bail(e))),
+            "--threads" => threads = Some(args.number(arg)),
             "--csv" => csv = true,
-            "--series-dir" => series_dir = Some(next("--series-dir")),
-            kv if kv.contains('=') && !kv.starts_with("--") => {
-                arg_text.push_str(kv);
-                arg_text.push('\n');
-            }
-            other => {
-                eprintln!("unknown sweep argument: {other} (expected key=value or a --flag)");
-                usage();
-                exit(2);
-            }
+            "--series-dir" => series_dir = Some(args.value(arg)),
+            _ => return false,
         }
-    }
-    let Some(axis) = axis else {
-        eprintln!("sweep needs --axis KEY=V1,V2[,...]");
-        exit(2);
-    };
-    let spec = ExperimentSpec::parse(&format!("{file_text}{arg_text}")).unwrap_or_else(|e| bail(e));
+        true
+    });
+    let axis = axis.unwrap_or_else(|| bail("sweep needs --axis KEY=V1,V2[,...]"));
+    let spec = ExperimentSpec::parse(&text).unwrap_or_else(|e| bail(e));
     if series_dir.is_some() && spec.telemetry_window_ms == 0 {
-        eprintln!("--series-dir needs telemetry_window_ms=N (N > 0) on the spec to collect series");
-        exit(2);
+        bail("--series-dir needs telemetry_window_ms=N (N > 0) on the spec to collect series");
     }
     let threads = threads.unwrap_or_else(hopper::experiment::default_threads);
     let table = sweep_with_threads(&spec, &axis, threads).unwrap_or_else(|e| bail(e));
@@ -307,96 +247,66 @@ fn run_sweep(rest: &[String]) {
     }
 }
 
-/// `hopper stability`: bisect each policy's maximum sustainable
-/// utilization (its stability frontier) under each rate profile.
-///
-/// Policies pick their natural engine — `fifo|fair|srpt|budgeted` run
-/// centralized, `sparrow|sparrow-srpt` decentralized, and `hopper` the
-/// paper's decentralized deployment — so the comparison is frontier vs
-/// frontier, each scheduler in its own home configuration refined by
-/// the shared `key=value` overrides.
-fn run_stability(rest: &[String]) {
-    let mut file_text = String::new();
-    let mut arg_text = String::new();
-    let mut policies = "hopper,sparrow,srpt".to_string();
-    let mut profiles = "constant".to_string();
-    let mut cfg = FrontierConfig::default();
-    let mut threads: Option<usize> = None;
-    let mut csv = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {name} needs a value");
-                exit(2);
-            })
-        };
-        let parse_f64 = |name: &str, v: String| -> f64 {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{name} needs a number, got `{v}`");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--spec" => {
-                let path = next("--spec");
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => {
-                        file_text.push_str(&text);
-                        if !file_text.ends_with('\n') {
-                            file_text.push('\n');
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("could not read spec file {path}: {e}");
-                        exit(2);
-                    }
-                }
-            }
-            "--policies" => policies = next("--policies"),
-            "--profiles" => profiles = next("--profiles"),
-            "--lo" => cfg.lo = parse_f64("--lo", next("--lo")),
-            "--hi" => cfg.hi = parse_f64("--hi", next("--hi")),
-            "--iters" => {
-                cfg.iters = next("--iters").parse().unwrap_or_else(|_| {
-                    eprintln!("--iters needs a number");
-                    exit(2);
-                })
-            }
-            "--threads" => {
-                threads = Some(next("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    exit(2);
-                }))
-            }
-            "--csv" => csv = true,
-            kv if kv.contains('=') && !kv.starts_with("--") => {
-                arg_text.push_str(kv);
-                arg_text.push('\n');
-            }
-            other => {
-                eprintln!("unknown stability argument: {other} (expected key=value or a --flag)");
-                usage();
-                exit(2);
-            }
-        }
+/// The stability grid's cells: one spec per (profile, policy), each on
+/// the policy's home engine — `fifo|fair|srpt|budgeted` run centralized,
+/// `sparrow|sparrow-srpt` decentralized, and `hopper` the paper's
+/// decentralized deployment — refined by the shared `text`. The engine
+/// follows the policy, so `text` may not name one.
+fn stability_cells(
+    text: &str,
+    policies: &str,
+    profiles: &str,
+) -> Result<Vec<ExperimentSpec>, SpecError> {
+    if pairs(text)?.iter().any(|&(_, key, _)| key == "engine") {
+        return Err(SpecError(
+            "stability picks each policy's engine itself (fifo|fair|srpt|budgeted central, \
+             others decentral); drop engine= from the spec"
+                .into(),
+        ));
     }
     let mut cells = Vec::new();
     for profile in profiles.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         for policy in policies.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             let engine = match policy {
-                "fifo" | "fair" | "srpt" | "budgeted" => "central",
-                _ => "decentral",
+                "fifo" | "fair" | "srpt" | "budgeted" => EngineKind::Central,
+                _ => EngineKind::Decentral,
             };
-            let text = format!(
-                "engine={engine}\n{file_text}{arg_text}policy={policy}\nrate_profile={profile}\n"
-            );
-            cells.push(ExperimentSpec::parse(&text).unwrap_or_else(|e| bail(e)));
+            let mut cell =
+                ExperimentSpec::parse_unvalidated(&format!("engine={}\n{text}", engine.as_str()))?;
+            cell.policy = policy.to_string();
+            cell.rate_profile = profile.to_string();
+            cell.validate()?;
+            cells.push(cell);
         }
     }
+    Ok(cells)
+}
+
+/// `hopper stability`: bisect each policy's maximum sustainable
+/// utilization (its stability frontier) under each rate profile, each
+/// policy in its own home configuration (see [`stability_cells`]).
+fn run_stability(rest: &[String]) {
+    let mut policies = "hopper,sparrow,srpt".to_string();
+    let mut profiles = "constant".to_string();
+    let mut cfg = FrontierConfig::default();
+    let mut threads: Option<usize> = None;
+    let mut csv = false;
+    let text = read_spec_args(rest, |arg, args| {
+        match arg {
+            "--policies" => policies = args.value(arg),
+            "--profiles" => profiles = args.value(arg),
+            "--lo" => cfg.lo = args.number(arg),
+            "--hi" => cfg.hi = args.number(arg),
+            "--iters" => cfg.iters = args.number(arg),
+            "--threads" => threads = Some(args.number(arg)),
+            "--csv" => csv = true,
+            _ => return false,
+        }
+        true
+    });
+    let cells = stability_cells(&text, &policies, &profiles).unwrap_or_else(|e| bail(e));
     if cells.is_empty() {
-        eprintln!("stability needs at least one policy and one profile");
-        exit(2);
+        bail("stability needs at least one policy and one profile");
     }
     let threads = threads.unwrap_or_else(hopper::experiment::default_threads);
     let results = frontier_grid(&cells, &cfg, threads).unwrap_or_else(|e| bail(e));
@@ -451,10 +361,8 @@ fn series_file_name(axis_key: &str, axis_value: &str, seed: u64) -> String {
 /// Write one JSON-lines telemetry file per trial into `dir` (created if
 /// missing), named by [`series_file_name`].
 fn write_series_dir(dir: &str, axis_key: &str, spec: &ExperimentSpec, table: &SweepTable) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("could not create series dir {dir}: {e}");
-        exit(2);
-    }
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| bail(format!("could not create series dir {dir}: {e}")));
     let mut written = 0usize;
     for trial in &table.trials {
         let Some(series) = &trial.report.telemetry else {
@@ -469,10 +377,8 @@ fn write_series_dir(dir: &str, axis_key: &str, spec: &ExperimentSpec, table: &Sw
             axis_key,
             trial.axis_value
         );
-        if let Err(e) = std::fs::write(&path, series.to_jsonl(&label, trial.seed)) {
-            eprintln!("could not write series to {path}: {e}");
-            exit(2);
-        }
+        std::fs::write(&path, series.to_jsonl(&label, trial.seed))
+            .unwrap_or_else(|e| bail(format!("could not write series to {path}: {e}")));
         written += 1;
     }
     eprintln!("telemetry: wrote {written} series files to {dir}/");
@@ -484,17 +390,11 @@ fn run_report(rest: &[String]) {
     let mut out_path = "report.html".to_string();
     let mut svg_path: Option<String> = None;
     let mut inputs: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut next = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("flag {name} needs a value");
-                exit(2);
-            })
-        };
+    let mut args = Args(rest.iter().peekable());
+    while let Some(arg) = args.0.next() {
         match arg.as_str() {
-            "--out" => out_path = next("--out"),
-            "--svg-out" => svg_path = Some(next("--svg-out")),
+            "--out" => out_path = args.value(arg),
+            "--svg-out" => svg_path = Some(args.value(arg)),
             flag if flag.starts_with("--") => {
                 eprintln!("unknown report flag: {flag}");
                 usage();
@@ -504,40 +404,29 @@ fn run_report(rest: &[String]) {
         }
     }
     if inputs.is_empty() || inputs.len() > 2 {
-        eprintln!(
-            "report takes one series file (single run) or two (A/B), got {}",
-            inputs.len()
-        );
-        exit(2);
+        let n = inputs.len();
+        bail(format!(
+            "report takes one series file (single run) or two (A/B), got {n}"
+        ));
     }
     let mut runs = Vec::with_capacity(inputs.len());
     for path in &inputs {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read series file {path}: {e}");
-            exit(2);
-        });
-        match hopper::metrics::parse_jsonl(&text) {
-            Ok(data) => runs.push(data),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                exit(2);
-            }
-        }
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| bail(format!("could not read series file {path}: {e}")));
+        runs.push(
+            hopper::metrics::parse_jsonl(&text).unwrap_or_else(|e| bail(format!("{path}: {e}"))),
+        );
     }
-    if let Err(e) = std::fs::write(&out_path, hopper::metrics::render_html(&runs)) {
-        eprintln!("could not write report to {out_path}: {e}");
-        exit(2);
-    }
+    std::fs::write(&out_path, hopper::metrics::render_html(&runs))
+        .unwrap_or_else(|e| bail(format!("could not write report to {out_path}: {e}")));
     println!(
         "report: {} run{} -> {out_path}",
         runs.len(),
         if runs.len() == 1 { "" } else { "s (A/B)" },
     );
     if let Some(path) = svg_path {
-        if let Err(e) = std::fs::write(&path, hopper::metrics::render_svg(&runs)) {
-            eprintln!("could not write SVG to {path}: {e}");
-            exit(2);
-        }
+        std::fs::write(&path, hopper::metrics::render_svg(&runs))
+            .unwrap_or_else(|e| bail(format!("could not write SVG to {path}: {e}")));
         println!("report: SVG panel -> {path}");
     }
 }
@@ -585,8 +474,126 @@ fn run_example() {
     t.print();
 }
 
+const USAGE: &str = "\
+usage:
+  hopper central   [--spec FILE] [KEY=V | --KEY V ...] [--series-out FILE]
+  hopper decentral [--spec FILE] [KEY=V | --KEY V ...] [--series-out FILE]
+  hopper sweep     [--spec FILE] [KEY=V | --KEY V ...] --axis KEY=V1,V2[,...] \\
+                   [--threads N] [--csv] [--series-dir DIR]
+  hopper stability [--spec FILE] [KEY=V | --KEY V ...] [--policies P1,P2,...] \\
+                   [--profiles constant,diurnal] [--lo F] [--hi F] [--iters N] \\
+                   [--threads N] [--csv]
+  hopper report    [--out FILE] [--svg-out FILE] A.jsonl [B.jsonl]
+  hopper example   the §3 motivating example (Table 1)
+
+Every spec key below is also a flag, with dashes for underscores
+(--probe-ratio 2 is probe_ratio=2); a true|false or on|off key given bare
+means true/on. Aliases: --workers N sets machines, --seed N a one-seed list.
+Command-line pairs override --spec FILE. central/decentral run one seed on
+their own engine; stability picks each policy's engine itself.
+
+mode flags:
+  --series-out FILE single runs: write the telemetry series as JSON lines
+  --series-dir DIR  sweeps: one AXIS-VALUE-seedN.jsonl series per trial
+  --policies P,...  policies to bisect (default hopper,sparrow,srpt)
+  --profiles ...    rate profiles per policy (default constant)
+  --lo F / --hi F   utilization bracket (default 0.5 / 1.4)
+  --iters N         bisection steps after the endpoint probes (default 7)
+  hopper report renders series files into a self-contained HTML page
+  (one file = single run, two = A/B overlay).
+
+spec keys:
+";
+
+/// [`USAGE`] followed by one line per spec key.
+fn usage_text() -> String {
+    let mut text = USAGE.to_string();
+    for key in KEYS {
+        let flag = format!("{} {}", key.flag(), key.meta);
+        text += &format!("  {flag:<25} {}\n", key.help);
+    }
+    text
+}
+
 fn usage() {
-    eprintln!(
-        "usage:\n  hopper central   [--policy srpt|fifo|fair|budgeted|hopper] [--jobs N] \\\n                   [--machines N] [--slots N] [--util F] [--seed N] \\\n                   [--workload facebook|bing] [--interactive] [--eps F] \\\n                   [--realloc-drift F]  (0 = exact eager reallocation;\n                    F > 0 keeps the last Hopper allocation while total\n                    virtual size drifts < F, relative; sweep key realloc_drift=)\n  hopper decentral [--policy sparrow|sparrow-srpt|hopper] [--workers N] \\\n                   [--slots N] [--jobs N] [--util F] [--seed N] \\\n                   [--probe-ratio F] [--refusals N]\n  hopper sweep     [--spec FILE] [key=value ...] --axis KEY=V1,V2[,...] \\\n                   [--threads N] [--csv] [--series-dir DIR]\n  hopper stability [--spec FILE] [key=value ...] [--policies P1,P2,...] \\\n                   [--profiles constant,diurnal] [--lo F] [--hi F] [--iters N] \\\n                   [--threads N] [--csv]\n  hopper report    [--out FILE] [--svg-out FILE] A.jsonl [B.jsonl]\n  hopper example\n\nstreaming flags (central and decentral; also sweep keys stream=, max_jobs=):\n  --stream          lazy arrivals + job retirement: O(active jobs) job state,\n                    identical results (percentiles via an ε=1% sketch)\n  --max-jobs N      stop consuming the arrival stream after N jobs\n\nnon-stationary arrivals (both engines; sweep keys rate_profile=, burst_rate=, ...):\n  --rate-profile constant|diurnal   arrival-rate shape; diurnal follows a\n                    day/night curve whose time-average stays at --util\n  --rate-period-ms N   diurnal period (0 = derive from the arrival window)\n  --burst-rate F    seeded burst windows per hour layered on the base profile\n  --burst-mult F    rate multiplier inside bursts (off-burst normalized down)\n  --burst-len-ms N  burst window length\n  --replay FILE     replay jobs from CSV (arrival_ms,tasks,work_ms[,dag_len[,beta]])\n                    instead of synthesizing; requires a constant profile\n\nstability frontier (hopper stability; probes run streaming with telemetry):\n  --policies P,...  policies to bisect; fifo|fair|srpt|budgeted run centralized,\n                    sparrow|sparrow-srpt|hopper decentralized (default\n                    hopper,sparrow,srpt)\n  --profiles ...    rate profiles per policy (default constant)\n  --lo F / --hi F   utilization bracket (default 0.5 / 1.4)\n  --iters N         bisection steps after the endpoint probes (default 7)\n\ncluster-dynamics flags (central and decentral; all default off):\n  --hetero off|uniform|bimodal|lognormal   machine speed heterogeneity\n  --slow-frac F     bimodal slow-node fraction        --slow-factor F  slow speed\n  --hetero-sigma F  lognormal sigma                   --slowdown-rate F  per machine-hour\n  --fail-rate F     machine failures per machine-hour --mttr-ms N      mean recovery\n  (the same knobs are sweep keys: hetero=, slow_frac=, fail_rate=, ...)\n\nmessage-fault flags (decentral only; all default off):\n  --msg-loss F      per-RPC loss probability [0,1]   --msg-jitter-ms N  max extra delay\n  --msg-dup F       per-RPC duplication prob [0,1]   --sched-fail-rate F  crashes/sched-hour\n  --sched-mttr-ms N mean scheduler recovery\n  hardening (neutral unless a fault source is on):\n  --rpc-timeout-ms N  watchdog/lease horizon         --rpc-retries N  before fresh round\n  (the same knobs are sweep keys: msg_loss=, msg_dup=, rpc_timeout_ms=, ...)\n\nsharded execution (decentral only; sweep key shards=):\n  --shards N        run the conservative-PDES engine on N threads; results are\n                    bit-identical for every N >= 1 (0 = the serial driver);\n                    sweep worker counts clamp so workers x shards fits the host\n\ntelemetry (both engines; spec key telemetry_window_ms=; default 0 = off):\n  --telemetry-window-ms N  collect a windowed time-series (utilization, queue,\n                    live jobs, speculation, kills, messages, per-window JCT);\n                    never changes simulation results (observer invariant)\n  --series-out FILE single runs: write the series as JSON lines\n  --series-dir DIR  sweeps: one AXIS-VALUE-seedN.jsonl per trial (the\n                    value is sanitized to [A-Za-z0-9._-]; deterministic names)\n  hopper report     render series files into a self-contained HTML page\n                    (one file = single run, two = A/B overlay)"
-    );
+    eprint!("{}", usage_text());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `--flag` the usage text shows is a spec key's derived flag,
+    /// one of the two aliases, or a mode's own flag.
+    #[test]
+    fn usage_names_only_real_flags() {
+        let mode_flags = [
+            "--spec",
+            "--series-out",
+            "--axis",
+            "--threads",
+            "--csv",
+            "--series-dir",
+            "--policies",
+            "--profiles",
+            "--lo",
+            "--hi",
+            "--iters",
+            "--out",
+            "--svg-out",
+        ];
+        let mut flags = 0;
+        let usage = usage_text();
+        for (i, _) in usage.match_indices("--") {
+            let flag: String = usage[i..]
+                .chars()
+                .take_while(|c| *c == '-' || c.is_ascii_alphanumeric())
+                .collect();
+            flags += 1;
+            let known = ["--workers", "--seed", "--KEY"].contains(&flag.as_str())
+                || mode_flags.contains(&flag.as_str())
+                || KEYS
+                    .iter()
+                    .any(|k| flag == format!("--{}", k.name.replace('_', "-")));
+            assert!(known, "usage names `{flag}`, which no mode accepts");
+        }
+        assert!(flags > 40, "scanned only {flags} flags");
+    }
+
+    #[test]
+    fn stability_rejects_an_engine_key() {
+        for text in ["engine=central\n", "jobs=50\nengine=decentral\n"] {
+            let e = stability_cells(text, "hopper", "constant").unwrap_err();
+            assert!(e.0.contains("engine itself"), "{e}");
+        }
+        let cells = stability_cells("jobs=50\n", "hopper,srpt", "constant,diurnal").unwrap();
+        let engines: Vec<EngineKind> = cells.iter().map(|c| c.engine).collect();
+        use EngineKind::{Central, Decentral};
+        assert_eq!(engines, [Decentral, Central, Decentral, Central]);
+        assert!(cells.iter().all(|c| c.jobs == 50));
+        assert_eq!(cells[3].policy, "srpt");
+        assert_eq!(cells[3].rate_profile, "diurnal");
+    }
+
+    /// The mode's own policy and profile override the shared text.
+    #[test]
+    fn stability_cells_override_policy_and_profile() {
+        let cells =
+            stability_cells("policy=fifo\nrate_profile=diurnal\n", "sparrow", "constant").unwrap();
+        assert_eq!(cells[0].policy, "sparrow");
+        assert_eq!(cells[0].rate_profile, "constant");
+    }
+
+    #[test]
+    fn single_runs_reject_seed_lists_and_the_other_engine() {
+        let e = single_spec(EngineKind::Decentral, "seeds=1,2\n").unwrap_err();
+        assert!(e.0.contains("hopper sweep"), "{e}");
+        let e = single_spec(EngineKind::Central, "engine=decentral\n").unwrap_err();
+        assert!(e.0.contains("hopper decentral"), "{e}");
+        let s = single_spec(EngineKind::Decentral, "engine=decentral\nseeds=4\n").unwrap();
+        assert_eq!(
+            (s.engine, s.seeds.as_slice()),
+            (EngineKind::Decentral, &[4][..])
+        );
+    }
 }

@@ -16,7 +16,7 @@
 
 use hopper::cluster::{ClusterConfig, DynamicsConfig, HeteroProfile};
 use hopper::decentral::{self, DecConfig, DecPolicy, FaultConfig};
-use hopper::workload::{Trace, TraceGenerator, WorkloadProfile};
+use hopper::workload::{ArrivalSource, Trace, TraceGenerator, WorkloadProfile};
 
 fn trace(seed: u64, jobs: usize) -> Trace {
     let profile = WorkloadProfile::facebook().interactive();
@@ -215,7 +215,12 @@ fn sharded_streaming_matches_materialized_and_shard_counts() {
     let base = decentral::run(&materialized, DecPolicy::Hopper, &cfg(9, 1));
     assert_eq!(base.jobs.len(), 40, "truncated stream job count");
     for shards in [1, 2, 4] {
-        let got = decentral::run_stream(stream.clone(), DecPolicy::Hopper, &cfg(9, shards));
+        let got = decentral::run_source(
+            ArrivalSource::from_stream(stream.clone()),
+            DecPolicy::Hopper,
+            &cfg(9, shards),
+            false,
+        );
         let ctx = format!("stream/shards{shards}");
         assert!(got.jobs.is_empty(), "streaming retained jobs: {ctx}");
         assert_eq!(base.stats, got.stats, "DecStats drifted: {ctx}");

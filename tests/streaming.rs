@@ -17,7 +17,7 @@
 //! with every `debug_assert!` oracle live.
 
 use hopper::experiment::{EngineKind, ExperimentSpec};
-use hopper::workload::{Dist, TraceGenerator, WorkloadProfile};
+use hopper::workload::{ArrivalSource, Dist, TraceGenerator, WorkloadProfile};
 
 /// A small spec that exercises DAGs, speculation, and both regimes.
 fn spec(kind: EngineKind, policy: &str, jobs: usize) -> ExperimentSpec {
@@ -179,7 +179,12 @@ fn retirement_bounds_live_jobs_on_a_long_run() {
         seed: 1,
         ..Default::default()
     };
-    let out = hopper::decentral::run_stream(stream, hopper::decentral::DecPolicy::Hopper, &cfg);
+    let out = hopper::decentral::run_source(
+        ArrivalSource::from_stream(stream),
+        hopper::decentral::DecPolicy::Hopper,
+        &cfg,
+        false,
+    );
     assert_eq!(
         out.report.digest.count() as usize,
         total,
@@ -208,10 +213,11 @@ fn central_streaming_also_retires() {
         seed: 2,
         ..Default::default()
     };
-    let out = hopper::central::run_stream(
-        stream,
+    let out = hopper::central::run_source(
+        ArrivalSource::from_stream(stream),
         &hopper::central::Policy::Hopper(hopper::central::HopperConfig::default()),
         &cfg,
+        false,
     );
     assert_eq!(out.report.digest.count() as usize, total);
     assert!(
