@@ -8,7 +8,8 @@
 //! is spent on them — which is exactly the coordination gap the paper
 //! closes with Hopper.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::Bound;
 
 use hopper_cluster::{
     ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, JobSlab, MachineDynamics, MachineId,
@@ -176,6 +177,41 @@ enum Event {
     Dyn(DynEvent),
 }
 
+/// Ordered ready index for the priority policies (FIFO, SRPT, budgeted
+/// SRPT): `(key, job)` for every active job with runnable work. The key
+/// is `total_remaining` under SRPT and budgeted SRPT and 0 under FIFO,
+/// so ties — and all of FIFO — fall back to ascending id. The set is a
+/// superset: a job that runs out of runnable work keeps its entry until
+/// the dispatch walk passes and prunes it. Keys are always current: the
+/// only key change, a task finish, removes the entry first and re-marks
+/// the job after. See DESIGN.md, "Index invariants".
+struct ReadyIndex {
+    by_remaining: bool,
+    set: BTreeSet<(usize, usize)>,
+}
+
+impl ReadyIndex {
+    fn for_policy(policy: &Policy) -> Option<Self> {
+        let by_remaining = match policy {
+            Policy::Fifo => false,
+            Policy::Srpt | Policy::BudgetedSrpt { .. } => true,
+            Policy::Hopper(_) | Policy::Fair => return None,
+        };
+        Some(ReadyIndex {
+            by_remaining,
+            set: BTreeSet::new(),
+        })
+    }
+
+    fn key(&self, job: &JobRun) -> usize {
+        if self.by_remaining {
+            job.total_remaining()
+        } else {
+            0
+        }
+    }
+}
+
 struct Central<'a> {
     policy: &'a Policy,
     cfg: &'a SimConfig,
@@ -206,9 +242,14 @@ struct Central<'a> {
     alpha_cache: Vec<f64>,
     /// Whether a job's first allocation regime has been recorded.
     regime_counted: Vec<bool>,
-    /// Active job ids, maintained in ascending id order (insertion by
-    /// binary search) so per-event dispatch never re-sorts.
+    /// Active job ids in ascending id order (binary-search insert and
+    /// remove). The per-job sweeps — scan refresh, machine incidents,
+    /// telemetry — visit jobs in id order, which fixes the order of the
+    /// events they queue.
     active: Vec<usize>,
+    /// Priority order of the jobs with runnable work, for FIFO, SRPT and
+    /// budgeted SRPT (`None` under Hopper and Fair) — see [`ReadyIndex`].
+    ready: Option<ReadyIndex>,
     arrivals_pending: usize,
     scan_armed: bool,
     /// Incrementally maintained Hopper allocation (empty for non-Hopper
@@ -306,6 +347,7 @@ impl<'a> Central<'a> {
             alpha_cache: vec![1.0; n],
             regime_counted: vec![false; n],
             active: Vec::new(),
+            ready: ReadyIndex::for_policy(policy),
             arrivals_pending: n,
             scan_armed: false,
             alloc,
@@ -357,6 +399,7 @@ impl<'a> Central<'a> {
         self.arrivals_pending -= 1;
         let pos = self.active.binary_search(&j).unwrap_err();
         self.active.insert(pos, j);
+        self.mark_ready(j);
         self.predicted_mb[j] = self.alpha_est.predict(self.jobs[j].spec.template);
         self.refresh_alpha(j);
         // Enter the allocator (refresh_alpha only upserts on α change).
@@ -497,8 +540,15 @@ impl<'a> Central<'a> {
                             !c.speculative && c.status == hopper_cluster::CopyStatus::Running
                         })
                         .count();
+                    // A winning finish moves the SRPT key: drop the entry
+                    // under the old key (re-marked below unless the job
+                    // completes).
+                    self.unmark_ready(job);
                     let Some(out) = self.jobs[job].finish_copy(copy, now) else {
-                        continue; // stale: the copy lost its race earlier
+                        // Stale: the copy lost its race earlier and
+                        // nothing moved.
+                        self.mark_ready(job);
+                        continue;
                     };
                     // Slot bookkeeping for winner + killed siblings.
                     for &m in &out.freed {
@@ -550,6 +600,7 @@ impl<'a> Central<'a> {
                         // demand into the allocator (a no-op if α/remaining
                         // bits happen to be unchanged).
                         self.alloc_upsert(job);
+                        self.mark_ready(job);
                     }
                     self.dispatch_or_defer(now);
                 }
@@ -559,6 +610,7 @@ impl<'a> Central<'a> {
                         let j = self.active[idx];
                         self.candidates[j] =
                             self.cfg.speculator.candidates(&self.jobs[j], now).into();
+                        self.mark_ready(j);
                         self.refresh_alpha(j);
                     }
                     self.arm_scan();
@@ -730,6 +782,7 @@ impl<'a> Central<'a> {
                     self.orig_running -= orig.min(self.orig_running);
                     self.pending_orig[j] += fo.requeued.len();
                     self.stats.killed += fo.killed as u64;
+                    self.mark_ready(j);
                 }
                 self.machines.set_down(m);
                 // No allocate input moved: killed tasks return to
@@ -783,41 +836,70 @@ impl<'a> Central<'a> {
         self.pending_orig[j] + self.candidates[j].len()
     }
 
-    /// Assign free slots according to the policy. Called after every event.
+    /// Insert job `j` into the ready index under its current key if it
+    /// has runnable work. Called wherever runnable work can appear or the
+    /// key can move: arrival, task finish (phase eligibility included),
+    /// scan refresh and failure requeue. A no-op without an index.
+    fn mark_ready(&mut self, j: usize) {
+        if self.runnable(j) == 0 {
+            return;
+        }
+        if let Some(ready) = self.ready.as_mut() {
+            let key = ready.key(&self.jobs[j]);
+            ready.set.insert((key, j));
+        }
+    }
+
+    /// Remove job `j`'s entry under its current key, if any.
+    fn unmark_ready(&mut self, j: usize) {
+        if let Some(ready) = self.ready.as_mut() {
+            let key = ready.key(&self.jobs[j]);
+            ready.set.remove(&(key, j));
+        }
+    }
+
+    /// Assign free slots according to the policy. Runs after every
+    /// event, or once per instant when Hopper batches dispatch
+    /// (`realloc_drift > 0`).
     fn dispatch(&mut self, now: SimTime) {
         match self.policy {
             Policy::Hopper(h) => self.dispatch_hopper(now, h),
-            Policy::Fifo => {
-                // `active` is maintained in ascending id order already.
-                let order = self.active.clone();
-                self.dispatch_priority(now, &order, None);
-            }
-            Policy::Srpt => {
-                let mut order = self.active.clone();
-                order.sort_by_key(|&j| (self.jobs[j].total_remaining(), j));
-                self.dispatch_priority(now, &order, None);
-            }
+            Policy::Fifo | Policy::Srpt => self.dispatch_priority(now, None),
             Policy::BudgetedSrpt { budget_fraction } => {
-                let mut order = self.active.clone();
-                order.sort_by_key(|&j| (self.jobs[j].total_remaining(), j));
                 let budget =
                     (self.cfg.cluster.total_slots() as f64 * budget_fraction).ceil() as usize;
                 let orig_cap = self.cfg.cluster.total_slots().saturating_sub(budget);
-                self.dispatch_priority(now, &order, Some(orig_cap));
+                self.dispatch_priority(now, Some(orig_cap));
             }
             Policy::Fair => self.dispatch_fair(now),
         }
     }
 
     /// Launch loop for priority-ordered policies (FIFO, SRPT, budgeted):
-    /// each job in order exhausts its runnable work — originals first,
-    /// then speculation best-effort. `orig_cap` bounds cluster-wide
-    /// original copies (the §3 budgeted strawman).
-    fn dispatch_priority(&mut self, now: SimTime, order: &[usize], orig_cap: Option<usize>) {
-        for &j in order {
+    /// each job in priority order exhausts its runnable work — originals
+    /// first, then speculation best-effort. `orig_cap` bounds
+    /// cluster-wide original copies (the §3 budgeted strawman).
+    ///
+    /// A cursor walks the ready index, so it visits only jobs with
+    /// runnable work, in the order of `active` sorted by
+    /// `(total_remaining, id)` (id alone under FIFO); a job without
+    /// runnable work has nothing to launch. A launch moves no key
+    /// (`total_remaining` counts unfinished tasks) and makes no other job
+    /// runnable, so the order is fixed for the whole walk. Jobs the walk
+    /// leaves without runnable work are pruned.
+    fn dispatch_priority(&mut self, now: SimTime, orig_cap: Option<usize>) {
+        let mut ready = self
+            .ready
+            .take()
+            .expect("priority policies keep a ready index");
+        #[cfg(debug_assertions)]
+        self.assert_ready_matches_sort(&ready);
+        let mut cursor = Bound::Unbounded;
+        'walk: while let Some(&(key, j)) = ready.set.range((cursor, Bound::Unbounded)).next() {
+            cursor = Bound::Excluded((key, j));
             loop {
                 if self.machines.total_free() == 0 {
-                    return;
+                    break 'walk;
                 }
                 let can_orig = orig_cap.is_none_or(|cap| self.orig_running < cap);
                 let launched = if can_orig && self.pending_orig[j] > 0 {
@@ -831,7 +913,35 @@ impl<'a> Central<'a> {
                     break; // move on to the next job in priority order
                 }
             }
+            if self.runnable(j) == 0 {
+                ready.set.remove(&(key, j));
+            }
         }
+        self.ready = Some(ready);
+    }
+
+    /// Debug-only shadow check: the ready index, filtered to jobs with
+    /// runnable work, must equal `active` sorted by `(key, id)` and
+    /// filtered the same way, keys included.
+    #[cfg(debug_assertions)]
+    fn assert_ready_matches_sort(&self, ready: &ReadyIndex) {
+        let mut sorted: Vec<(usize, usize)> = self
+            .active
+            .iter()
+            .filter(|&&j| self.runnable(j) > 0)
+            .map(|&j| (ready.key(&self.jobs[j]), j))
+            .collect();
+        sorted.sort_unstable();
+        let indexed: Vec<(usize, usize)> = ready
+            .set
+            .iter()
+            .filter(|&&(_, j)| self.runnable(j) > 0)
+            .copied()
+            .collect();
+        assert_eq!(
+            indexed, sorted,
+            "ready index drifted from the priority sort"
+        );
     }
 
     /// Fair sharing: each job is entitled to S/N; grant slots to the most
@@ -1229,14 +1339,16 @@ impl<'a> Central<'a> {
                 self.candidates[j].pop_front();
                 continue;
             }
-            // Prefer a machine not already running a copy of this task.
-            let busy: Vec<MachineId> = t
+            // Prefer a machine not already running a copy of this task;
+            // the guard above leaves exactly one running copy.
+            debug_assert_eq!(t.running_copies(), 1);
+            let busy = t
                 .copies
                 .iter()
-                .filter(|c| c.status == hopper_cluster::CopyStatus::Running)
-                .map(|c| c.machine)
-                .collect();
-            let Some(m) = self.machines.preferred_free_machine(j, &busy) else {
+                .find(|c| c.status == hopper_cluster::CopyStatus::Running)
+                .expect("a candidate task has one running copy")
+                .machine;
+            let Some(m) = self.machines.preferred_free_machine(j, &[busy]) else {
                 return false;
             };
             let temp = self.machines.occupy_for(m, j);

@@ -90,31 +90,52 @@ fn dynamics_enabled_sweep_is_identical_across_thread_counts() {
 }
 
 /// Failures actually fire, requeue work, and every job still completes —
-/// on both engines. Re-dispatched originals relaunch, so the original
-/// launch counter exceeds the task count.
+/// on both engines, and under the central priority policies (FIFO, SRPT,
+/// budgeted SRPT) with multi-phase DAG jobs, where failure requeues,
+/// phase eligibility and straggler scans all feed the driver's ready
+/// index and its debug-build shadow check. Re-dispatched originals
+/// relaunch, so the original launch counter exceeds the task count; a
+/// seed replays bit-identically.
 #[test]
 fn machine_failures_requeue_work_and_all_jobs_complete() {
-    for engine_decentral in [false, true] {
+    let cases = [
+        (false, "hopper", true),
+        (true, "hopper", true),
+        (false, "fifo", false),
+        (false, "srpt", false),
+        (false, "budgeted", false),
+    ];
+    for (engine_decentral, policy, single_phase) in cases {
         let mut spec = dynamic_spec(engine_decentral);
+        spec.policy = policy.into();
+        spec.single_phase = single_phase;
         spec.slowdown_rate = 0.0;
         spec.fail_rate = 60.0; // ~one failure per machine-minute
+        let case = format!("decentral={engine_decentral} {policy}");
         let mut saw_relaunch = false;
         for &seed in &spec.seeds.clone() {
             let t = spec.trace(seed);
+            assert!(
+                single_phase || t.jobs.iter().any(|j| j.dag_len() > 1),
+                "no multi-phase job ({case}, seed {seed})"
+            );
             let tasks: u64 = t.jobs.iter().map(|j| j.num_tasks() as u64).sum();
             let out = spec.run_one(seed).expect("run");
-            assert_eq!(
-                out.jobs().len(),
-                t.len(),
-                "jobs lost (decentral={engine_decentral}, seed {seed})"
-            );
+            assert_eq!(out.jobs().len(), t.len(), "jobs lost ({case}, seed {seed})");
             if out.report().core.orig_launched > tasks {
                 saw_relaunch = true;
             }
+            let again = spec.run_one(seed).expect("rerun");
+            assert_eq!(out.jobs(), again.jobs(), "{case}, seed {seed}");
+            assert_eq!(
+                out.report().core,
+                again.report().core,
+                "{case}, seed {seed}"
+            );
         }
         assert!(
             saw_relaunch,
-            "no failure ever forced a re-dispatch (decentral={engine_decentral})"
+            "no failure ever forced a re-dispatch ({case})"
         );
     }
 }
