@@ -1,0 +1,881 @@
+//! One scheduler's book: the per-job state a decentralized scheduler
+//! keeps, and every scheduler-side rule of the protocol (§4–5), written
+//! once for both engines.
+//!
+//! Job `j` belongs to scheduler `j % K` and sits at the book's dense
+//! local index `lj = j / K` ([`owner`]). The book owns no RNG and sends
+//! no message: callers pass the randomness they own (the serial driver's
+//! global streams, or a shard's per-entity children) and turn the
+//! returned decisions into direct calls or messages. How a decision is
+//! *embedded* is all that differs between `driver.rs` and `shard.rs`.
+//!
+//! The rules that live here:
+//!
+//! - the virtual size ([`SchedBook::vsize`]), the ε-fair floor
+//!   ([`fair_share`]) and the Pseudocode-2 accept test, inside
+//!   [`SchedBook::serve`];
+//! - what an accepted offer launches: an unclaimed original (local
+//!   preferred), else a flagged speculation candidate, else (Hopper) a
+//!   Guideline-3 extra copy;
+//! - the Pseudocode-3 refusal advertisement
+//!   ([`SchedBook::best_unsatisfied`]);
+//! - arrival admission, probe targets and re-probe counts;
+//! - the straggler scan, crash scratch-wipe, recovery, the watchdog's
+//!   reconciliation and retirement;
+//! - the worker's side: its episode step ([`episode_action`]), its
+//!   handling of a refusal ([`worker_refused`]) and the §5.3 piggyback
+//!   ([`piggyback`]).
+
+use std::collections::{HashSet, VecDeque};
+
+use crate::driver::DecPolicy;
+use hopper_cluster::{CopyRef, CopyStatus, JobRun, JobSlab, MachineId, TaskRef};
+use hopper_core::protocol::{
+    pick_fcfs, pick_srpt, scheduler_accepts, BackoffPolicy, FreeSlotEpisode, Reservation,
+    ResponseKind, UnsatisfiedJob, WorkerAction,
+};
+use hopper_core::{virtual_size, BetaEstimator};
+use hopper_metrics::JobResult;
+use hopper_sim::SimTime;
+use hopper_spec::{Candidate, Speculator};
+use rand::Rng;
+
+/// Owning scheduler of job `j` among `k` schedulers, and the job's
+/// local index in that scheduler's book.
+#[inline]
+pub(crate) fn owner(j: usize, k: usize) -> (usize, usize) {
+    (j % k, j / k)
+}
+
+/// Reservations to place for `tasks` tasks: `⌈tasks × probe_ratio⌉`,
+/// at least one.
+pub(crate) fn probe_count(tasks: usize, probe_ratio: f64) -> usize {
+    ((tasks as f64 * probe_ratio).ceil() as usize).max(1)
+}
+
+/// The ε-fair floor `⌊(1−ε)·S/N⌋` slots per job (§4.3) for `active`
+/// jobs on `total_slots` slots; `None` when ε-fairness is off or no job
+/// is active. [`SchedBook::serve`] caps it at the job's virtual size,
+/// exactly like the centralized projection: fairness never forces slots
+/// a job cannot use.
+pub(crate) fn fair_share(eps: Option<f64>, total_slots: usize, active: usize) -> Option<f64> {
+    let eps = eps?;
+    if active == 0 {
+        return None;
+    }
+    let fair = total_slots as f64 / active as f64;
+    Some(((1.0 - eps) * fair).floor())
+}
+
+/// One worker-side protocol step. Sparrow answers its FCFS pick and
+/// Sparrow-SRPT its fewest-remaining pick, both non-refusable; Hopper
+/// runs the free-slot episode (Pseudocode 3), which after
+/// `refusal_threshold` refusals switches to the Guideline-3 weighted
+/// pick drawn from `rng`. A response marks its scheduler probed for the
+/// rest of the episode. Returns the action and whether this step was
+/// taken past the refusal threshold (a Guideline-3 switch).
+pub(crate) fn episode_action(
+    policy: DecPolicy,
+    queue: &[Reservation],
+    ep: &mut FreeSlotEpisode,
+    refusal_threshold: usize,
+    rng: &mut impl Rng,
+) -> (WorkerAction, bool) {
+    let respond = |r: &Reservation| WorkerAction::Respond {
+        scheduler: r.scheduler,
+        job: r.job,
+        kind: ResponseKind::NonRefusable,
+    };
+    let (action, switched) = match policy {
+        DecPolicy::Sparrow => (pick_fcfs(queue).map_or(WorkerAction::Idle, respond), false),
+        DecPolicy::SparrowSrpt => (pick_srpt(queue).map_or(WorkerAction::Idle, respond), false),
+        DecPolicy::Hopper => {
+            let switched = ep.refusals() >= refusal_threshold;
+            (ep.next_action(queue, rng), switched)
+        }
+    };
+    if let WorkerAction::Respond { scheduler, .. } = action {
+        ep.mark_probed(scheduler);
+    }
+    (action, switched)
+}
+
+/// A refusal for `job` (owned by scheduler `sched`) reached the worker's
+/// episode. Sparrow's no-task consumes one of the job's parked
+/// reservations and returns whether one was there; Hopper keeps them —
+/// the job may want Guideline-3 extras later — and records the refusal
+/// and its advertised unsatisfied job in the episode.
+pub(crate) fn worker_refused(
+    policy: DecPolicy,
+    queue: &mut Vec<Reservation>,
+    episode: &mut Option<FreeSlotEpisode>,
+    sched: usize,
+    job: usize,
+    unsatisfied: Option<UnsatisfiedJob>,
+) -> bool {
+    match policy {
+        DecPolicy::Sparrow | DecPolicy::SparrowSrpt => consume_reservation(queue, job),
+        DecPolicy::Hopper => {
+            if let Some(ep) = episode.as_mut() {
+                ep.record_refusal(sched, job as u64, unsatisfied);
+            }
+            false
+        }
+    }
+}
+
+/// Remove the first of `job`'s reservations parked in a worker queue;
+/// returns whether there was one.
+pub(crate) fn consume_reservation(queue: &mut Vec<Reservation>, job: usize) -> bool {
+    let pos = queue.iter().position(|r| r.job as usize == job);
+    pos.map(|pos| queue.remove(pos)).is_some()
+}
+
+/// The §5.3 piggyback: an assignment refreshes the virtual size and
+/// remaining count of every reservation its job has parked at the
+/// worker.
+pub(crate) fn piggyback(queue: &mut [Reservation], job: usize, vsize: f64, remaining: f64) {
+    for r in queue.iter_mut().filter(|r| r.job as usize == job) {
+        r.virtual_size = vsize;
+        r.remaining_tasks = remaining;
+    }
+}
+
+/// What a copy's completion did to its job, as its scheduler sees it.
+pub(crate) struct Finished {
+    /// The winner's running siblings, which lost the race, and their
+    /// machines (the kill targets).
+    pub losers: Vec<(CopyRef, MachineId)>,
+    /// Whether the winner was a speculative copy.
+    pub spec_won: bool,
+    /// Probe count for each phase the completion made eligible, in
+    /// phase order (their originals are already counted pending).
+    pub phase_probes: Vec<usize>,
+    /// Whether the whole job completed (the caller retires it).
+    pub job_done: bool,
+}
+
+/// One scheduler's per-job state, indexed by local job index.
+pub(crate) struct SchedBook {
+    /// Global scheduler id.
+    pub s: usize,
+    /// Scheduler count (the job→owner modulus).
+    k: usize,
+    /// Reservations per task.
+    probe_ratio: f64,
+    /// Worker count (random probes draw from `0..workers`).
+    workers: usize,
+    /// Whether the scheduler is up (false from a crash to its recovery;
+    /// always true while scheduler faults are off).
+    pub up: bool,
+    /// Live jobs' runtime state; a completed job is retired, after which
+    /// indexing it panics.
+    pub jobs: JobSlab,
+    /// Scheduler-side occupancy (running + in-flight assignments).
+    occupied: Vec<usize>,
+    /// Originals not yet assigned, as the scheduler counts them.
+    pending_orig: Vec<usize>,
+    /// Originals with an assignment in flight (guards against two
+    /// concurrent slot offers claiming the same task).
+    claimed: Vec<HashSet<TaskRef>>,
+    /// Live (unconsumed) reservations: a job with launchable work but no
+    /// reservation left is re-probed at the next scan.
+    live_res: Vec<usize>,
+    /// Speculation candidates, consumed front-first.
+    candidates: Vec<VecDeque<Candidate>>,
+    /// Watchdog progress clock: bumped on every launch and finish.
+    pub wd_progress: Vec<u64>,
+    wd_seen: Vec<u64>,
+    wd_attempt: Vec<u32>,
+    /// Live jobs' local indices, ascending (= ascending global id).
+    pub live: Vec<usize>,
+    /// Owned jobs that have not arrived yet.
+    pub arrivals_pending: usize,
+    /// β learned from this scheduler's own completions.
+    beta: BetaEstimator,
+}
+
+impl SchedBook {
+    /// The book of scheduler `s` of `k`, for a run of `total_jobs` jobs
+    /// on `workers` workers.
+    pub fn new(s: usize, k: usize, total_jobs: usize, probe_ratio: f64, workers: usize) -> Self {
+        let n = if total_jobs > s {
+            (total_jobs - s).div_ceil(k)
+        } else {
+            0
+        };
+        SchedBook {
+            s,
+            k,
+            probe_ratio,
+            workers,
+            up: true,
+            jobs: JobSlab::new(n),
+            occupied: vec![0; n],
+            pending_orig: vec![0; n],
+            claimed: vec![HashSet::new(); n],
+            live_res: vec![0; n],
+            candidates: vec![VecDeque::new(); n],
+            wd_progress: vec![0; n],
+            wd_seen: vec![0; n],
+            wd_attempt: vec![0; n],
+            live: Vec::new(),
+            arrivals_pending: n,
+            beta: BetaEstimator::with_prior(1.5),
+        }
+    }
+
+    /// Global id of local job `lj`.
+    #[inline]
+    pub fn job_id(&self, lj: usize) -> usize {
+        lj * self.k + self.s
+    }
+
+    /// Whether job `lj` has arrived and not completed.
+    #[inline]
+    pub fn is_live(&self, lj: usize) -> bool {
+        self.jobs.is_live(lj)
+    }
+
+    /// A live job's occupancy as the scheduler counts it and as ground
+    /// truth has it (the two agree whenever no message is in flight and
+    /// faults are off; see `Auditor::check_job`).
+    pub fn occupancy(&self, lj: usize) -> Option<(u64, u64)> {
+        self.is_live(lj).then(|| {
+            (
+                self.occupied[lj] as u64,
+                self.jobs[lj].occupied_slots() as u64,
+            )
+        })
+    }
+
+    /// Whether the job has work an offer could launch right now.
+    fn launchable(&self, lj: usize) -> bool {
+        self.pending_orig[lj] > 0 || !self.candidates[lj].is_empty()
+    }
+
+    /// The scheduler's current view of a job's virtual size (Pseudocode
+    /// 1 inputs, all local): its learned β once it has 20 samples, else
+    /// the job's own.
+    pub fn vsize(&self, lj: usize) -> f64 {
+        let job = &self.jobs[lj];
+        let beta = if self.beta.observations() >= 20 {
+            self.beta.beta()
+        } else {
+            job.spec.beta
+        };
+        virtual_size(job.current_remaining() as f64, beta, job.alpha().max(1.0))
+    }
+
+    /// A reservation for job `lj` carrying the scheduler's current
+    /// virtual size and remaining count (the §5.3 piggyback).
+    pub fn reservation(&self, lj: usize) -> Reservation {
+        Reservation {
+            scheduler: self.s,
+            job: self.job_id(lj) as u64,
+            virtual_size: self.vsize(lj),
+            remaining_tasks: self.jobs[lj].current_remaining() as f64,
+        }
+    }
+
+    /// Admit an arriving job: its eligible phases' tasks are pending.
+    pub fn admit(&mut self, lj: usize, job: JobRun) {
+        self.pending_orig[lj] = job
+            .phases()
+            .iter()
+            .filter(|p| p.eligible)
+            .map(|p| p.num_tasks())
+            .sum();
+        self.jobs.insert(lj, job);
+        self.arrivals_pending -= 1;
+        debug_assert!(self.live.last().is_none_or(|&last| last < lj));
+        self.live.push(lj);
+    }
+
+    /// An arriving job's probe targets: `probe_ratio × tasks`
+    /// reservations, the replica machines of its first phase's input
+    /// tasks first (§6.1), the rest drawn from `rng`. All count as live
+    /// reservations. None while the scheduler is down: its recovery
+    /// (and the job's watchdog) probe from ground truth instead.
+    pub fn arrival_probes(&mut self, lj: usize, rng: &mut impl Rng) -> Vec<usize> {
+        if !self.up {
+            return Vec::new();
+        }
+        let job = &self.jobs[lj];
+        let probes = probe_count(job.spec.size_tasks().max(1), self.probe_ratio);
+        let mut targets: Vec<usize> = Vec::with_capacity(probes);
+        for t in &job.phases()[0].tasks {
+            for r in &t.replicas {
+                if targets.len() < probes {
+                    targets.push(r.0);
+                }
+            }
+        }
+        while targets.len() < probes {
+            targets.push(rng.gen_range(0..self.workers));
+        }
+        self.live_res[lj] += probes;
+        targets
+    }
+
+    /// `count` fresh probe targets for job `lj`, drawn from `rng` and
+    /// counted as live reservations. None while the scheduler is down.
+    pub fn random_probes(&mut self, lj: usize, count: usize, rng: &mut impl Rng) -> Vec<usize> {
+        if !self.up {
+            return Vec::new();
+        }
+        self.live_res[lj] += count;
+        (0..count).map(|_| rng.gen_range(0..self.workers)).collect()
+    }
+
+    /// Decide a worker's slot offer for live job `lj` (Pseudocode 2).
+    /// Sparrow variants never refuse: they answer task-or-no-task.
+    /// Hopper accepts a refusable offer only below the job's virtual
+    /// size, or below its ε-fair floor `share` (see [`fair_share`]);
+    /// non-refusable offers are always accepted. An accepted Hopper
+    /// offer always places work when it can: the virtual size *is* the
+    /// speculation budget, so with no pending original or flagged
+    /// candidate it sends an extra copy of the longest-remaining running
+    /// task ("faster clearing of tasks is overall beneficial", §4.1).
+    /// Returns the task and whether the copy is speculative, with the
+    /// book updated as for an assignment in flight; `None` is a refusal.
+    pub fn serve(
+        &mut self,
+        lj: usize,
+        kind: ResponseKind,
+        worker: MachineId,
+        policy: DecPolicy,
+        share: Option<f64>,
+        now: SimTime,
+    ) -> Option<(TaskRef, bool)> {
+        let hopper = policy == DecPolicy::Hopper;
+        if hopper {
+            let v = self.vsize(lj);
+            let occupied = self.occupied[lj] as f64;
+            let below_floor = share.is_some_and(|f| occupied < f.min(v));
+            if !scheduler_accepts(kind, occupied, v) && !below_floor {
+                return None;
+            }
+        }
+        let (task, speculative) = self.pick_work(lj, worker, hopper, now)?;
+        self.occupied[lj] += 1;
+        if speculative {
+            // Consume the candidate so the next offer goes to the next
+            // straggler.
+            self.candidates[lj].retain(|c| c.task != task);
+        } else {
+            self.pending_orig[lj] -= 1;
+        }
+        Some((task, speculative))
+    }
+
+    /// The next work item for job `lj` on `worker`: a pending original
+    /// (preferring data-local, skipping tasks claimed by an in-flight
+    /// assignment), else the first still-valid speculation candidate,
+    /// else — only with `allow_extra_spec` — an extra copy of the
+    /// longest-estimated-remaining running task, where a fresh copy
+    /// could plausibly finish first (t_rem > t_new, the §3 benefit rule).
+    fn pick_work(
+        &mut self,
+        lj: usize,
+        worker: MachineId,
+        allow_extra_spec: bool,
+        now: SimTime,
+    ) -> Option<(TaskRef, bool)> {
+        if self.pending_orig[lj] > 0 {
+            if let Some(task) = self.next_unclaimed_original(lj, worker) {
+                self.claimed[lj].insert(task);
+                return Some((task, false));
+            }
+        }
+        while let Some(cand) = self.candidates[lj].front().copied() {
+            let t = &self.jobs[lj].phases()[cand.task.phase].tasks[cand.task.task];
+            if t.is_finished() || t.running_copies() == 0 || t.running_copies() >= 2 {
+                self.candidates[lj].pop_front();
+                continue;
+            }
+            return Some((cand.task, true));
+        }
+        if allow_extra_spec {
+            return self.jobs[lj].best_extra_speculation(now).map(|t| (t, true));
+        }
+        None
+    }
+
+    /// First unlaunched, unclaimed original in eligible phases,
+    /// preferring one whose input is local to `m`.
+    ///
+    /// Walks the job's pending-task indices instead of every task: the
+    /// preferred pick is the minimum of the first unclaimed replica-free
+    /// task and the first unclaimed task local to `m` (a task scan
+    /// returns whichever comes first in `(phase, task)` order), and the
+    /// fallback is the first unclaimed pending task overall. The claimed
+    /// set only holds in-flight assignments, so the skip is a handful of
+    /// probes, not a rescan.
+    fn next_unclaimed_original(&self, lj: usize, m: MachineId) -> Option<TaskRef> {
+        let jr = &self.jobs[lj];
+        let claimed = &self.claimed[lj];
+        let no_pref = jr.pending_no_replica_tasks().find(|t| !claimed.contains(t));
+        let local = jr.pending_local_tasks(m).find(|t| !claimed.contains(t));
+        let picked = match (no_pref, local) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        }
+        .or_else(|| jr.pending_tasks().find(|t| !claimed.contains(t)));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            picked,
+            self.scan_next_unclaimed_original(lj, m),
+            "pending index disagrees with the task scan"
+        );
+        picked
+    }
+
+    /// The O(tasks) task scan, kept as the debug oracle of
+    /// [`SchedBook::next_unclaimed_original`]. "Pending" is
+    /// `needs_original` (no running copy, unfinished) rather than "never
+    /// launched", so tasks requeued by a machine failure are assignable
+    /// again.
+    #[cfg(debug_assertions)]
+    fn scan_next_unclaimed_original(&self, lj: usize, m: MachineId) -> Option<TaskRef> {
+        let mut fallback = None;
+        for (pi, p) in self.jobs[lj].phases().iter().enumerate() {
+            if !p.eligible || p.is_complete() {
+                continue;
+            }
+            for (ti, t) in p.tasks.iter().enumerate() {
+                let tr = TaskRef::new(pi, ti);
+                if !t.needs_original() || self.claimed[lj].contains(&tr) {
+                    continue;
+                }
+                if t.replicas.is_empty() || t.replicas.contains(&m) {
+                    return Some(tr);
+                }
+                if fallback.is_none() {
+                    fallback = Some(tr);
+                }
+            }
+        }
+        fallback
+    }
+
+    /// The refusal payload (Pseudocode 3): this scheduler's smallest
+    /// unsatisfied live job other than `asking` — below its virtual size
+    /// with launchable work. Ties go to the lowest id. ε-fairness does
+    /// not reorder this channel: a hard priority inversion (large
+    /// deficient jobs pre-empting every small job) costs far more than
+    /// the guarantee is worth, so ε acts only through the accept test
+    /// (see DESIGN.md, deviations).
+    pub fn best_unsatisfied(&self, asking: usize) -> Option<UnsatisfiedJob> {
+        let mut best: Option<UnsatisfiedJob> = None;
+        for &lj in &self.live {
+            if lj == asking || !self.launchable(lj) {
+                continue;
+            }
+            let v = self.vsize(lj);
+            if (self.occupied[lj] as f64) < v && best.is_none_or(|b| v < b.virtual_size) {
+                best = Some(UnsatisfiedJob {
+                    scheduler: self.s,
+                    job: self.job_id(lj) as u64,
+                    virtual_size: v,
+                });
+            }
+        }
+        best
+    }
+
+    /// An assignment reached no slot (its machine failed, or the episode
+    /// ended first): release its claim and undo the send-side books.
+    pub fn assign_failed(&mut self, lj: usize, task: TaskRef, speculative: bool) {
+        if !speculative {
+            self.claimed[lj].remove(&task);
+        }
+        self.undo_assign(lj, task, speculative);
+    }
+
+    /// An assignment reached its promised slot (`consumed`: it ate one
+    /// of the job's reservations parked there). Releases its claim and
+    /// re-validates it against ground truth: the job may have completed
+    /// (and been retired), or the task may have finished, lost the copy
+    /// a speculative assignment was meant to race, or already got its
+    /// original (`needs_original` also covers tasks a machine failure
+    /// requeued). Returns whether the copy may run; a stale assignment
+    /// has its accounting undone.
+    pub fn assign_landed(
+        &mut self,
+        lj: usize,
+        task: TaskRef,
+        speculative: bool,
+        consumed: bool,
+    ) -> bool {
+        if !speculative {
+            self.claimed[lj].remove(&task);
+        }
+        if consumed {
+            self.reservations_gone(lj, 1);
+        }
+        let stale = !self.is_live(lj) || {
+            let t = &self.jobs[lj].phases()[task.phase].tasks[task.task];
+            t.is_finished()
+                || (speculative && t.running_copies() == 0)
+                || (!speculative && !t.needs_original())
+        };
+        if stale {
+            self.undo_assign(lj, task, speculative);
+        }
+        !stale
+    }
+
+    /// Undo an unlaunched assignment: it leaves the occupancy, and its
+    /// original returns to the pending pool if it truly is still
+    /// pending. A retired job is never dereferenced (all its tasks
+    /// finished, so nothing is pending).
+    fn undo_assign(&mut self, lj: usize, task: TaskRef, speculative: bool) {
+        self.vacate(lj, 1);
+        if !speculative
+            && self.is_live(lj)
+            && self.jobs[lj].phases()[task.phase].tasks[task.task].needs_original()
+        {
+            self.pending_orig[lj] += 1;
+        }
+    }
+
+    /// Resolve a copy's completion at `now`: the race is won, running
+    /// siblings become losers, β learns the copy's straggler multiplier
+    /// (from `measured` when the caller timed the copy itself, else from
+    /// the copy's own duration; skipped while the scheduler is down), and
+    /// newly eligible phases' originals turn pending. `None` when the
+    /// completion is stale (the copy was killed or its task already
+    /// finished).
+    pub fn copy_finished(
+        &mut self,
+        lj: usize,
+        copy: CopyRef,
+        now: SimTime,
+        measured: Option<SimTime>,
+    ) -> Option<Finished> {
+        let job = &mut self.jobs[lj];
+        // Collect running siblings *before* resolving the race.
+        let losers = job.phases()[copy.task.phase].tasks[copy.task.task]
+            .copies
+            .iter()
+            .enumerate()
+            .filter(|(i, c)| *i != copy.copy && c.status == CopyStatus::Running)
+            .map(|(i, c)| (CopyRef::new(copy.task.phase, copy.task.task, i), c.machine))
+            .collect();
+        let out = job.finish_copy(copy, now)?;
+        let spec_won =
+            job.phases()[copy.task.phase].tasks[copy.task.task].copies[copy.copy].speculative;
+        let phase_probes = out
+            .newly_eligible
+            .iter()
+            .map(|&pi| {
+                let tasks = job.phases()[pi].num_tasks();
+                self.pending_orig[lj] += tasks;
+                probe_count(tasks, self.probe_ratio)
+            })
+            .collect();
+        self.wd_progress[lj] += 1;
+        self.vacate(lj, 1);
+        if out.nominal.as_millis() > 0 && self.up {
+            let duration = measured.unwrap_or(out.duration);
+            self.beta
+                .observe(duration.as_millis() as f64 / out.nominal.as_millis() as f64);
+        }
+        Some(Finished {
+            losers,
+            spec_won,
+            phase_probes,
+            job_done: out.job_done,
+        })
+    }
+
+    /// `n` of job `lj`'s copies left the scheduler's occupancy count
+    /// (killed, lost, or never launched).
+    pub fn vacate(&mut self, lj: usize, n: usize) {
+        self.occupied[lj] = self.occupied[lj].saturating_sub(n);
+    }
+
+    /// `n` of job `lj`'s reservations were consumed or evaporated.
+    pub fn reservations_gone(&mut self, lj: usize, n: usize) {
+        self.live_res[lj] = self.live_res[lj].saturating_sub(n);
+    }
+
+    /// `n` of job `lj`'s originals went back to pending (their last
+    /// running copy died with a machine). Returns the re-probe count.
+    pub fn requeue(&mut self, lj: usize, n: usize) -> usize {
+        self.pending_orig[lj] += n;
+        probe_count(n, self.probe_ratio)
+    }
+
+    /// Scan pass one for job `lj`: refresh the speculation candidates of
+    /// a job with running copies. A crashed scheduler scans nothing.
+    pub fn refresh_candidates(&mut self, lj: usize, speculator: &Speculator, now: SimTime) {
+        if self.up && self.jobs[lj].occupied_slots() > 0 {
+            self.candidates[lj] = speculator.candidates(&self.jobs[lj], now).into();
+        }
+    }
+
+    /// Scan pass two for job `lj`: a job whose reservations were all
+    /// consumed while launchable work remains would starve, so it is
+    /// re-probed for its current phase. Returns the probe count.
+    pub fn starved(&self, lj: usize) -> Option<usize> {
+        (self.up && self.live_res[lj] == 0 && self.launchable(lj))
+            .then(|| probe_count(self.jobs[lj].current_remaining(), self.probe_ratio))
+    }
+
+    /// Both scan passes over every live job of this book: returns the
+    /// `(lj, probes)` re-probes, ascending.
+    pub fn scan(&mut self, speculator: &Speculator, now: SimTime) -> Vec<(usize, usize)> {
+        for idx in 0..self.live.len() {
+            self.refresh_candidates(self.live[idx], speculator, now);
+        }
+        self.live
+            .iter()
+            .filter_map(|&lj| self.starved(lj).map(|p| (lj, p)))
+            .collect()
+    }
+
+    /// A crash loses all scheduler-side scratch: claims, candidate
+    /// lists, the learned β. Ground truth (running copies) lives on the
+    /// workers and survives.
+    pub fn crash(&mut self) {
+        self.up = false;
+        for &lj in &self.live {
+            self.candidates[lj] = VecDeque::new();
+            self.claimed[lj] = HashSet::new();
+        }
+        self.beta = BetaEstimator::with_prior(1.5);
+    }
+
+    /// Recovery rebuilds every live job's counters from ground truth.
+    /// Returns `(lj, probes)` re-probes for the jobs with pending
+    /// originals; candidates regrow at the next scan, β re-learns from
+    /// scratch.
+    pub fn recover(&mut self) -> Vec<(usize, usize)> {
+        self.up = true;
+        let mut reprobe = Vec::new();
+        for idx in 0..self.live.len() {
+            let lj = self.live[idx];
+            self.resync(lj);
+            if self.pending_orig[lj] > 0 {
+                reprobe.push((lj, probe_count(self.pending_orig[lj], self.probe_ratio)));
+            }
+        }
+        reprobe
+    }
+
+    /// Reset job `lj`'s occupancy and pending counts to ground truth.
+    fn resync(&mut self, lj: usize) {
+        self.occupied[lj] = self.jobs[lj].occupied_slots();
+        self.pending_orig[lj] = self.jobs[lj].pending_tasks().count();
+    }
+
+    /// One watchdog check of job `lj` (faults only). `None` once the job
+    /// completed: the watchdog dies with it. Otherwise the delay to the
+    /// next check and, for a stall, `Some(probes)`. Progress since the
+    /// last check resets the backoff; an owner that is down only keeps
+    /// the clock running (its recovery reconciles). A genuine stall —
+    /// every probe/reply chain died — drops claims stuck on lost assigns,
+    /// resyncs the counters to ground truth and asks for a fresh probe
+    /// round (0 probes if nothing is launchable), with capped exponential
+    /// backoff and a retry budget that wraps around, so a job can degrade
+    /// but never deadlock.
+    pub fn watchdog(&mut self, lj: usize, backoff: &BackoffPolicy) -> Option<(u64, Option<usize>)> {
+        if !self.is_live(lj) {
+            return None;
+        }
+        if self.wd_progress[lj] != self.wd_seen[lj] {
+            self.wd_seen[lj] = self.wd_progress[lj];
+            self.wd_attempt[lj] = 0;
+            return Some((backoff.delay_ms(0), None));
+        }
+        if !self.up {
+            return Some((backoff.delay_ms(0), None));
+        }
+        self.claimed[lj] = HashSet::new();
+        self.resync(lj);
+        let probes = if self.launchable(lj) {
+            probe_count(self.jobs[lj].current_remaining(), self.probe_ratio)
+        } else {
+            0
+        };
+        let attempt = self.wd_attempt[lj];
+        self.wd_attempt[lj] = backoff.next_attempt(attempt);
+        Some((backoff.delay_ms(attempt), Some(probes)))
+    }
+
+    /// Complete and **retire** job `lj` at `now`: drop its task/copy
+    /// state and scratch, and remove it from the live list. From this
+    /// instant the job is observationally gone — indexing it panics (the
+    /// retirement invariant, DESIGN.md).
+    pub fn retire(&mut self, lj: usize, now: SimTime) -> JobResult {
+        // Replace (not clear): `clear` keeps capacity alive forever.
+        self.candidates[lj] = VecDeque::new();
+        self.claimed[lj] = HashSet::new();
+        let pos = self.live.binary_search(&lj).expect("completed job is live");
+        self.live.remove(pos);
+        let retired = self.jobs.retire(lj);
+        JobResult {
+            job: retired.id,
+            size_tasks: retired.spec.size_tasks(),
+            dag_len: retired.spec.dag_len(),
+            arrival: retired.spec.arrival,
+            completed: now,
+        }
+    }
+
+    /// A job's stuck-state summary for the event-budget panic.
+    pub fn describe(&self, lj: usize) -> String {
+        let job = &self.jobs[lj];
+        format!(
+            "job {}: pending={} claimed={} occupied={} live_res={} cands={} running={} total_rem={} current_rem={} vsize={:.1}",
+            self.job_id(lj),
+            self.pending_orig[lj],
+            self.claimed[lj].len(),
+            self.occupied[lj],
+            self.live_res[lj],
+            self.candidates[lj].len(),
+            job.occupied_slots(),
+            job.total_remaining(),
+            job.current_remaining(),
+            self.vsize(lj),
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hopper_cluster::ClusterConfig;
+
+    /// A one-scheduler book holding one single-phase job per entry of
+    /// `sizes` (that many tasks each, scripted 10 s originals and 100 ms
+    /// speculative copies, no replicas).
+    fn book(sizes: &[usize]) -> SchedBook {
+        let mut b = SchedBook::new(0, 1, sizes.len(), 2.0, 8);
+        for (j, &n) in sizes.iter().enumerate() {
+            b.admit(
+                j,
+                JobRun::scripted(j, SimTime::ZERO, &vec![(10_000, 100); n]),
+            );
+        }
+        b
+    }
+
+    fn launch(b: &mut SchedBook, lj: usize, task: TaskRef, m: usize) {
+        let mut rng = hopper_sim::rng_from_seed(0);
+        let cfg = ClusterConfig::default();
+        b.jobs[lj].launch_copy(
+            task,
+            MachineId(m),
+            false,
+            SimTime::ZERO,
+            SimTime::ZERO,
+            &cfg,
+            &mut rng,
+        );
+    }
+
+    #[test]
+    fn advertisement_skips_asking_satisfied_and_unlaunchable_jobs() {
+        // Job 0 is the smallest and asks; job 1 is at its virtual size;
+        // job 2 has nothing launchable; only job 3 qualifies.
+        let mut b = book(&[1, 2, 3, 8]);
+        b.occupied[1] = b.vsize(1).ceil() as usize;
+        b.pending_orig[2] = 0;
+        let adv = b.best_unsatisfied(0).expect("job 3 is unsatisfied");
+        assert_eq!((adv.scheduler, adv.job), (0, 3));
+        assert_eq!(adv.virtual_size, b.vsize(3));
+        // Asked by job 3, the smallest unsatisfied job is job 0.
+        assert_eq!(b.best_unsatisfied(3).map(|u| u.job), Some(0));
+        // With job 3 satisfied too, nothing is advertised to job 0.
+        b.occupied[3] = b.vsize(3).ceil() as usize;
+        assert_eq!(b.best_unsatisfied(0), None);
+    }
+
+    #[test]
+    fn advertisement_prefers_smallest_virtual_size_then_lowest_id() {
+        let b = book(&[5, 3, 3, 7]);
+        assert_eq!(b.vsize(1), b.vsize(2));
+        assert!(b.vsize(1) < b.vsize(0));
+        let adv = b.best_unsatisfied(usize::MAX).expect("all unsatisfied");
+        assert_eq!(adv.job, 1, "tie between jobs 1 and 2 goes to the lower id");
+        // Global ids: scheduler 1 of 3 owns jobs 1, 4, 7, ...
+        let mut b = SchedBook::new(1, 3, 9, 2.0, 8);
+        for (lj, n) in [(0, 4), (1, 2), (2, 2)] {
+            let j = b.job_id(lj);
+            b.admit(
+                lj,
+                JobRun::scripted(j, SimTime::ZERO, &vec![(10_000, 100); n]),
+            );
+        }
+        assert_eq!(
+            b.best_unsatisfied(usize::MAX).map(|u| (u.scheduler, u.job)),
+            Some((1, 4))
+        );
+    }
+
+    #[test]
+    fn pick_order_is_original_then_candidate_then_extra_copy() {
+        let mut b = book(&[3]);
+        let t = |i| TaskRef::new(0, i);
+        b.jobs[0].set_replicas(t(0), vec![MachineId(5)]);
+        b.jobs[0].set_replicas(t(1), vec![MachineId(7)]);
+        b.jobs[0].set_replicas(t(2), vec![MachineId(5)]);
+        let now = SimTime::from_millis(1_000);
+        // Originals first, local to the offering worker preferred; a
+        // claimed original is never handed out twice.
+        assert_eq!(b.pick_work(0, MachineId(7), true, now), Some((t(1), false)));
+        assert_eq!(b.pick_work(0, MachineId(7), true, now), Some((t(0), false)));
+        assert_eq!(b.pick_work(0, MachineId(5), true, now), Some((t(2), false)));
+        assert_eq!(b.next_unclaimed_original(0, MachineId(5)), None);
+        // All three run; flagged candidates come next, skipping any that
+        // is no longer a valid straggler (its task has no running copy).
+        for i in 0..3 {
+            launch(&mut b, 0, t(i), 1 + i);
+        }
+        b.pending_orig[0] = 0;
+        let flag = |task| Candidate {
+            task,
+            est_remaining: SimTime::from_millis(9_000),
+        };
+        b.candidates[0] = VecDeque::from([flag(t(2))]);
+        assert_eq!(b.pick_work(0, MachineId(4), false, now), Some((t(2), true)));
+        // No candidate left: a Guideline-3 extra copy of the
+        // longest-remaining solo task, and only when allowed.
+        b.candidates[0].clear();
+        assert_eq!(b.pick_work(0, MachineId(4), false, now), None);
+        assert_eq!(b.pick_work(0, MachineId(4), true, now), Some((t(0), true)));
+    }
+
+    #[test]
+    fn serve_refuses_at_virtual_size_unless_non_refusable() {
+        let mut b = book(&[2]);
+        let now = SimTime::ZERO;
+        let full = b.vsize(0).ceil() as usize;
+        b.occupied[0] = full;
+        let m = MachineId(0);
+        let hopper = DecPolicy::Hopper;
+        assert_eq!(
+            b.serve(0, ResponseKind::Refusable, m, hopper, None, now),
+            None
+        );
+        // Sparrow never refuses.
+        let sparrow = b.serve(0, ResponseKind::Refusable, m, DecPolicy::Sparrow, None, now);
+        assert_eq!(sparrow, Some((TaskRef::new(0, 0), false)));
+        assert_eq!((b.occupied[0], b.pending_orig[0]), (full + 1, 1));
+        // Non-refusable offers are always taken.
+        let taken = b.serve(0, ResponseKind::NonRefusable, m, hopper, None, now);
+        assert_eq!(taken, Some((TaskRef::new(0, 1), false)));
+        // The ε-fair floor is capped at the virtual size: a job at its
+        // virtual size is refused even far below its fair share.
+        let floor = fair_share(Some(0.1), 100, 1);
+        assert_eq!(floor, Some(90.0));
+        assert_eq!(
+            b.serve(0, ResponseKind::Refusable, m, hopper, floor, now),
+            None
+        );
+    }
+}

@@ -24,25 +24,25 @@
 //!   (Pseudocode 3). Virtual-size updates are piggybacked on every
 //!   scheduler→worker message (§5.3).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::audit::{Auditor, MsgKind};
+use crate::book::{
+    consume_reservation, episode_action, fair_share, owner, piggyback, worker_refused, SchedBook,
+};
 use crate::faults::{FaultConfig, MsgFaults, SchedEv, SchedulerChain};
 use hopper_cluster::{
-    ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, JobSlab, MachineDynamics, MachineId,
-    Machines, TaskRef,
+    ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, MachineDynamics, MachineId, Machines,
+    TaskRef,
 };
 use hopper_core::protocol::{
-    pick_fcfs, pick_srpt, scheduler_accepts, BackoffPolicy, FreeSlotEpisode, Reservation,
-    ResponseKind, UnsatisfiedJob, WorkerAction,
+    BackoffPolicy, FreeSlotEpisode, Reservation, ResponseKind, UnsatisfiedJob, WorkerAction,
 };
-use hopper_core::{virtual_size, BetaEstimator};
 use hopper_metrics::{JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySnapshot};
 use hopper_sim::{EventQueue, SeedSequence, SimTime};
-use hopper_spec::{Candidate, Speculator};
+use hopper_spec::Speculator;
 use hopper_workload::{ArrivalSource, Trace, TraceJob};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Which decentralized scheduler to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,7 +258,15 @@ pub fn run_source(
     cfg: &DecConfig,
     retain_jobs: bool,
 ) -> DecOutput {
+    assert!(
+        cfg.num_schedulers >= 1,
+        "decentralized run needs a scheduler"
+    );
     if cfg.shards >= 1 {
+        assert!(
+            cfg.msg_latency >= SimTime::from_millis(1),
+            "sharded engine needs msg_latency >= 1ms (it is the conservative lookahead)"
+        );
         return crate::shard::run_sharded(source, policy, cfg, retain_jobs);
     }
     Decentral::new(source, policy, cfg, retain_jobs).run()
@@ -385,20 +393,17 @@ struct Decentral<'a> {
     /// arrival precedes any queued event at the same instant — the
     /// order the historical pre-loaded arrival events produced).
     arrivals: ArrivalSource<'a>,
-    /// Live jobs' runtime state; completed jobs are retired (their
-    /// task/copy state dropped, stats folded into accumulators).
-    jobs: JobSlab,
-    /// Total jobs of the run (`jobs` only holds the live ones).
+    /// One book per scheduler (`crate::book`): every live job's runtime
+    /// state, the scheduler-side counters and scratch, and the learned
+    /// β. Job `j` lives in book `j % K` at local index `j / K`.
+    books: Vec<SchedBook>,
+    /// Total jobs of the run.
     num_jobs: usize,
     /// Placement randomness for lazily constructed `JobRun`s; consumed
     /// in arrival (= id) order, exactly as the eager constructor did.
     placement_rng: StdRng,
     /// Whether per-job `JobResult`s are retained (false for streaming).
     retain_jobs: bool,
-    done: Vec<bool>,
-    /// Whether the job's arrival has been processed; jobs are invisible
-    /// to the scan rescue path until then.
-    arrived: Vec<bool>,
     /// Live job ids in ascending order (arrivals come in id order, so a
     /// push maintains it; completion removes by binary search). Scans
     /// and dynamics walk this instead of every job id ever issued —
@@ -406,32 +411,11 @@ struct Decentral<'a> {
     /// done/arrived guards, but O(live), and structurally incapable of
     /// touching a retired job.
     live: Vec<usize>,
-    active_count: usize,
+    /// Most jobs simultaneously live over the run.
+    live_high_water: usize,
     arrivals_pending: usize,
-    /// Scheduler-side occupancy (running + in-flight assignments) per job.
-    occupied: Vec<usize>,
-    pending_orig: Vec<usize>,
-    /// Originals with an assignment in flight (guards against two
-    /// concurrent slot offers claiming the same task).
-    claimed: Vec<std::collections::HashSet<TaskRef>>,
-    /// Live (unconsumed) reservations per job; when a job still has
-    /// launchable work but its probes were all consumed (e.g. by stale
-    /// speculative assignments), the scheduler re-probes at the next scan.
-    live_res: Vec<usize>,
-    /// Speculation candidates per job, consumed front-first (deque — the
-    /// old `Vec::remove(0)` shifted the whole list per pop).
-    candidates: Vec<VecDeque<Candidate>>,
-    /// job → owning scheduler (round-robin).
-    owner: Vec<usize>,
-    /// scheduler → its *live* jobs in ascending id order (round-robin
-    /// partition; insert at arrival, remove at retirement). The refusal
-    /// path walks this instead of every job — and, per the retirement
-    /// invariant, can never advertise a retired job.
-    sched_jobs: Vec<Vec<usize>>,
     /// Jobs completed so far (the epoch for worker-queue purges).
     done_count: u64,
-    /// Per-scheduler β estimator (learned from its own jobs' completions).
-    beta_est: Vec<BetaEstimator>,
     scan_armed: bool,
     /// Machine speed/availability state; `None` when dynamics are off.
     dynamics: Option<MachineDynamics>,
@@ -446,8 +430,6 @@ struct Decentral<'a> {
     /// Scheduler crash chains; `None` unless faults with a nonzero
     /// scheduler crash rate are enabled.
     sched_chain: Option<SchedulerChain>,
-    /// Per-scheduler liveness (all true while scheduler faults are off).
-    sched_up: Vec<bool>,
     /// Per-scheduler incarnation, bumped on crash — the scheduler-side
     /// mirror of `dyn_inc` (always 0 while scheduler faults are off).
     sched_inc: Vec<u64>,
@@ -464,11 +446,6 @@ struct Decentral<'a> {
     rpc_seq: Vec<u64>,
     /// Watchdog pacing (from `faults.rpc_timeout_ms`/`rpc_retries`).
     backoff: BackoffPolicy,
-    /// Per-job progress clock: bumped on every launch and finish. The
-    /// watchdog compares it against `wd_seen` to detect stalls.
-    wd_progress: Vec<u64>,
-    wd_seen: Vec<u64>,
-    wd_attempt: Vec<u32>,
     /// Kill messages in flight, keyed by the doomed copy and stamped
     /// with the worker incarnation at send. Maintained only when faults
     /// are enabled: a duplicate kill finds no entry (idempotent), and a
@@ -505,6 +482,7 @@ impl<'a> Decentral<'a> {
     ) -> Self {
         let seq = SeedSequence::new(cfg.seed);
         let n = arrivals.total_jobs();
+        let k = cfg.num_schedulers;
         let mut queue = EventQueue::new();
         let mut dynamics = cfg
             .dynamics
@@ -520,7 +498,7 @@ impl<'a> Decentral<'a> {
         // build (the same contract the dynamics plane honors).
         let faults_on = cfg.faults.enabled();
         let mut sched_chain = (faults_on && cfg.faults.sched_fail_rate_per_hour > 0.0)
-            .then(|| SchedulerChain::new(&cfg.faults, cfg.num_schedulers.max(1), &seq));
+            .then(|| SchedulerChain::new(&cfg.faults, k, &seq));
         if let Some(c) = sched_chain.as_mut() {
             for (at, ev) in c.initial_incidents() {
                 queue.push(at, Ev::SchedDyn(ev));
@@ -540,38 +518,25 @@ impl<'a> Decentral<'a> {
                 })
                 .collect(),
             arrivals,
+            books: (0..k)
+                .map(|s| SchedBook::new(s, k, n, cfg.probe_ratio, cfg.cluster.machines))
+                .collect(),
             num_jobs: n,
             placement_rng: seq.child_rng(0xB10C),
             retain_jobs,
-            done: vec![false; n],
-            arrived: vec![false; n],
             live: Vec::new(),
-            active_count: 0,
+            live_high_water: 0,
             arrivals_pending: n,
-            occupied: vec![0; n],
-            pending_orig: vec![0; n],
-            claimed: vec![std::collections::HashSet::new(); n],
-            live_res: vec![0; n],
-            candidates: vec![VecDeque::new(); n],
-            owner: (0..n).map(|j| j % cfg.num_schedulers.max(1)).collect(),
-            sched_jobs: vec![Vec::new(); cfg.num_schedulers.max(1)],
             done_count: 0,
-            beta_est: (0..cfg.num_schedulers.max(1))
-                .map(|_| BetaEstimator::with_prior(1.5))
-                .collect(),
             scan_armed: false,
             dynamics,
             dyn_inc: vec![0; cfg.cluster.machines],
             faults: faults_on.then(|| MsgFaults::new(cfg.faults, &seq)),
             sched_chain,
-            sched_up: vec![true; cfg.num_schedulers.max(1)],
-            sched_inc: vec![0; cfg.num_schedulers.max(1)],
+            sched_inc: vec![0; k],
             ep_epoch: vec![0; cfg.cluster.machines],
             rpc_seq: vec![0; cfg.cluster.machines],
             backoff: BackoffPolicy::new(cfg.faults.rpc_timeout_ms, cfg.faults.rpc_retries),
-            wd_progress: vec![0; n],
-            wd_seen: vec![0; n],
-            wd_attempt: vec![0; n],
             pending_kill: HashMap::new(),
             audit: cfg!(debug_assertions).then(|| Auditor::new(cfg.cluster.machines)),
             rng: seq.child_rng(0xDEC),
@@ -581,8 +546,13 @@ impl<'a> Decentral<'a> {
             ev_counts: [0; 12],
             tele: SeriesCollector::new(cfg.telemetry_window_ms, cfg.cluster.total_slots() as u64),
             tele_kills: 0,
-            jobs: JobSlab::new(n),
         }
+    }
+
+    /// Owning book and local index of job `j`.
+    #[inline]
+    fn at(&self, j: usize) -> (usize, usize) {
+        owner(j, self.books.len())
     }
 
     /// Effective speed of worker `w`'s machine (1.0 when dynamics are off).
@@ -595,24 +565,6 @@ impl<'a> Decentral<'a> {
     /// Whether worker `w`'s machine is currently up.
     fn worker_up(&self, w: usize) -> bool {
         self.dynamics.as_ref().is_none_or(|d| d.is_up(MachineId(w)))
-    }
-
-    /// The scheduler's current view of a job's virtual size (Pseudocode 1
-    /// inputs, computed locally from the scheduler's own state).
-    fn vsize(&self, j: usize) -> f64 {
-        let beta = {
-            let est = &self.beta_est[self.owner[j]];
-            if est.observations() >= 20 {
-                est.beta()
-            } else {
-                self.jobs[j].spec.beta
-            }
-        };
-        virtual_size(
-            self.jobs[j].current_remaining() as f64,
-            beta,
-            self.jobs[j].alpha().max(1.0),
-        )
     }
 
     /// Send one scheduler↔worker RPC through the message plane. Faults
@@ -686,12 +638,12 @@ impl<'a> Decentral<'a> {
         // (see `Auditor::check_job`), and a retired job has no ground
         // truth left to compare.
         let check_j = |j: usize| {
-            if self.faults.is_none() && !self.done[j] {
-                a.check_job(
-                    j,
-                    self.occupied[j] as u64,
-                    self.jobs[j].occupied_slots() as u64,
-                );
+            if self.faults.is_some() {
+                return;
+            }
+            let (s, lj) = self.at(j);
+            if let Some((count, truth)) = self.books[s].occupancy(lj) {
+                a.check_job(j, count, truth);
             }
         };
         match *ev {
@@ -744,29 +696,18 @@ impl<'a> Decentral<'a> {
                 let stuck: Vec<String> = self
                     .live
                     .iter()
-                    .copied()
                     .take(5)
-                    .map(|j| {
-                        format!(
-                            "job {j}: pending={} claimed={} occupied={} live_res={} cands={} running={} total_rem={} current_rem={} vsize={:.1}",
-                            self.pending_orig[j],
-                            self.claimed[j].len(),
-                            self.occupied[j],
-                            self.live_res[j],
-                            self.candidates[j].len(),
-                            self.jobs[j].occupied_slots(),
-                            self.jobs[j].total_remaining(),
-                            self.jobs[j].current_remaining(),
-                            self.vsize(j),
-                        )
+                    .map(|&j| {
+                        let (s, lj) = self.at(j);
+                        self.books[s].describe(lj)
                     })
                     .collect();
                 let active_eps = self.workers.iter().filter(|w| w.episode.is_some()).count();
                 let queued_res: usize = self.workers.iter().map(|w| w.queue.len()).sum();
                 panic!(
-                    "event budget exceeded ({}) at t={now}; active_count={} pending_events={} worker_episodes={} queued_reservations={} ev_counts(arr/res/resp/asgn/ref/fin/kill/scan/dyn/sdyn/lease/wd)={:?} unfinished: {stuck:#?}",
+                    "event budget exceeded ({}) at t={now}; live_jobs={} pending_events={} worker_episodes={} queued_reservations={} ev_counts(arr/res/resp/asgn/ref/fin/kill/scan/dyn/sdyn/lease/wd)={:?} unfinished: {stuck:#?}",
                     self.policy.name(),
-                    self.active_count,
+                    self.live.len(),
                     self.queue.len(),
                     active_eps,
                     queued_res,
@@ -815,13 +756,13 @@ impl<'a> Decentral<'a> {
                     //
                     // A reservation reaching a down machine is lost with
                     // it (the scheduler re-probes at the next scan).
+                    let (s, lj) = self.at(res.job as usize);
                     if !self.worker_up(worker) {
-                        self.live_res[res.job as usize] =
-                            self.live_res[res.job as usize].saturating_sub(1);
-                    } else if !self.done[res.job as usize] {
+                        self.books[s].reservations_gone(lj, 1);
+                    } else if self.books[s].is_live(lj) {
                         self.workers[worker].queue.push(res);
                     }
-                    self.maybe_start_episode(worker, now);
+                    self.maybe_start_episode(worker);
                 }
                 Ev::Response {
                     worker,
@@ -845,73 +786,55 @@ impl<'a> Decentral<'a> {
                     unsatisfied,
                     inc,
                     ep,
-                } => self.on_refusal(worker, job, unsatisfied, inc, ep, now),
+                } => self.on_refusal(worker, job, unsatisfied, inc, ep),
                 Ev::Finish { job, copy, worker } => self.on_finish(job, copy, worker, now),
                 Ev::Kill {
                     worker,
                     job,
                     copy,
                     inc,
-                } => self.on_kill(worker, job, copy, inc, now),
+                } => self.on_kill(worker, job, copy, inc),
                 Ev::SchedDyn(sev) => {
                     // Same drain rule as machine dynamics: the crash
                     // chain dies with the workload.
-                    if self.active_count == 0 && self.arrivals_pending == 0 {
+                    if self.live.is_empty() && self.arrivals_pending == 0 {
                         continue;
                     }
                     self.on_sched_dyn(sev, now);
                 }
-                Ev::Lease { worker, seq } => self.on_lease(worker, seq, now),
-                Ev::JobTimeout { job } => self.on_job_timeout(job, now),
+                Ev::Lease { worker, seq } => self.on_lease(worker, seq),
+                Ev::JobTimeout { job } => self.on_job_timeout(job),
                 Ev::Dyn(ev) => {
                     // The incident chain dies with the workload (see the
                     // centralized driver): drop unapplied once all jobs
                     // completed so the queue drains.
-                    if self.active_count == 0 && self.arrivals_pending == 0 {
+                    if self.live.is_empty() && self.arrivals_pending == 0 {
                         continue;
                     }
                     self.on_dyn(ev, now);
                 }
                 Ev::Scan => {
                     self.scan_armed = false;
-                    // Both scan passes walk the live list (ascending id —
-                    // the order the old `0..n` loops visited live jobs
-                    // in), so scan cost is O(live jobs), not O(all jobs
-                    // ever arrived).
-                    for idx in 0..self.live.len() {
-                        let j = self.live[idx];
-                        // A crashed scheduler scans nothing (its scratch
-                        // is rebuilt at recovery); never taken while
-                        // scheduler faults are off.
-                        if !self.sched_up[self.owner[j]] {
-                            continue;
-                        }
-                        if self.jobs[j].occupied_slots() > 0 {
-                            self.candidates[j] =
-                                self.cfg.speculator.candidates(&self.jobs[j], now).into();
-                        }
+                    // Both scan passes walk the global live list (ascending
+                    // id — the order the old `0..n` loops visited live jobs
+                    // in, and the order re-probes draw from `rng`), so scan
+                    // cost is O(live jobs), not O(all jobs ever arrived).
+                    let speculator = &self.cfg.speculator;
+                    for &j in &self.live {
+                        let (s, lj) = owner(j, self.books.len());
+                        self.books[s].refresh_candidates(lj, speculator, now);
                     }
-                    // Re-probe jobs whose reservations were all consumed
-                    // while launchable work remains (otherwise they starve).
                     for idx in 0..self.live.len() {
-                        let j = self.live[idx];
-                        if !self.sched_up[self.owner[j]] || self.live_res[j] > 0 {
-                            continue;
-                        }
-                        let launchable = self.pending_orig[j] > 0 || !self.candidates[j].is_empty();
-                        if launchable {
-                            let want = ((self.jobs[j].current_remaining() as f64
-                                * self.cfg.probe_ratio)
-                                .ceil() as usize)
-                                .max(1);
-                            self.send_probes(j, want);
+                        let (s, lj) = self.at(self.live[idx]);
+                        if let Some(probes) = self.books[s].starved(lj) {
+                            self.send_probes(s, lj, probes);
                         }
                     }
                     self.arm_scan();
                     // Re-poll dormant workers: new candidates may make
                     // previously-refusing jobs worth offering again.
                     for w in 0..self.workers.len() {
-                        self.maybe_start_episode(w, now);
+                        self.maybe_start_episode(w);
                     }
                 }
             }
@@ -946,7 +869,7 @@ impl<'a> Decentral<'a> {
         let report = RunReport {
             core: self.stats.core(),
             digest: self.digest,
-            live_high_water: self.jobs.high_water(),
+            live_high_water: self.live_high_water,
             telemetry,
         };
         DecOutput {
@@ -975,9 +898,9 @@ impl<'a> Decentral<'a> {
     /// evaluated at window boundaries and at the end of the run.
     fn tele_snapshot(&self) -> TelemetrySnapshot {
         let busy_slots = self
-            .live
+            .books
             .iter()
-            .map(|&j| self.jobs[j].occupied_slots() as u64)
+            .flat_map(|b| b.live.iter().map(|&lj| b.jobs[lj].occupied_slots() as u64))
             .sum();
         let queue_depth = self.workers.iter().map(|w| w.queue.len() as u64).sum();
         TelemetrySnapshot {
@@ -995,7 +918,7 @@ impl<'a> Decentral<'a> {
     }
 
     fn arm_scan(&mut self) {
-        if !self.scan_armed && (self.active_count > 0 || self.arrivals_pending > 0) {
+        if !self.scan_armed && (!self.live.is_empty() || self.arrivals_pending > 0) {
             self.queue.push_after(self.cfg.scan_interval, Ev::Scan);
             self.scan_armed = true;
         }
@@ -1008,58 +931,16 @@ impl<'a> Decentral<'a> {
     fn on_job_arrive(&mut self, spec: TraceJob, now: SimTime) {
         let j = spec.id;
         debug_assert_eq!(spec.arrival, now);
-        let _ = now;
+        let (s, lj) = self.at(j);
         let job = JobRun::new(spec, &self.cfg.cluster, &mut self.placement_rng);
-        self.pending_orig[j] = job
-            .phases()
-            .iter()
-            .filter(|p| p.eligible)
-            .map(|p| p.num_tasks())
-            .sum();
-        self.jobs.insert(j, job);
+        self.books[s].admit(lj, job);
         self.arrivals_pending -= 1;
-        self.active_count += 1;
-        self.arrived[j] = true;
         debug_assert!(self.live.last().is_none_or(|&last| last < j));
         self.live.push(j);
-        self.sched_jobs[self.owner[j]].push(j);
+        self.live_high_water = self.live_high_water.max(self.live.len());
         self.arm_scan();
-        // A job arriving at a crashed scheduler places no probes — the
-        // scheduler's recovery (and the job's watchdog) re-probe from
-        // ground truth. Never taken while scheduler faults are off.
-        if self.sched_up[self.owner[j]] {
-            // Place probe_ratio × tasks reservations. Input tasks probe
-            // their replica machines first (§6.1), the remainder go to
-            // random workers.
-            let tasks = self.jobs[j].spec.size_tasks().max(1);
-            let probes = ((tasks as f64 * self.cfg.probe_ratio).ceil() as usize).max(1);
-            let vsize = self.vsize(j);
-            let remaining = self.jobs[j].current_remaining() as f64;
-            let mut targets: Vec<usize> = Vec::with_capacity(probes);
-            for t in &self.jobs[j].phases()[0].tasks {
-                for r in &t.replicas {
-                    if targets.len() < probes {
-                        targets.push(r.0);
-                    }
-                }
-            }
-            while targets.len() < probes {
-                targets.push(self.rng.gen_range(0..self.workers.len()));
-            }
-            for w in targets {
-                self.stats.reservations += 1;
-                self.live_res[j] += 1;
-                self.send_msg(Ev::Reservation {
-                    worker: w,
-                    res: Reservation {
-                        scheduler: self.owner[j],
-                        job: j as u64,
-                        virtual_size: vsize,
-                        remaining_tasks: remaining,
-                    },
-                });
-            }
-        }
+        let targets = self.books[s].arrival_probes(lj, &mut self.rng);
+        self.send_reservations(s, lj, targets);
         // Watchdog (faults only): first check one timeout out; resets
         // whenever the job makes progress, backs off while it does not.
         if self.faults.is_some() {
@@ -1070,34 +951,32 @@ impl<'a> Decentral<'a> {
         }
     }
 
-    /// Send `count` fresh reservations for `job` to random workers.
-    fn send_probes(&mut self, job: usize, count: usize) {
-        // A crashed scheduler sends nothing (its recovery re-probes);
-        // never taken while scheduler faults are off.
-        if !self.sched_up[self.owner[job]] {
+    /// Send `count` fresh reservations for book `s`'s job `lj` to random
+    /// workers (none while the scheduler is down: its recovery
+    /// re-probes).
+    fn send_probes(&mut self, s: usize, lj: usize, count: usize) {
+        let targets = self.books[s].random_probes(lj, count, &mut self.rng);
+        self.send_reservations(s, lj, targets);
+    }
+
+    /// Send a reservation for book `s`'s job `lj` to each of `targets`.
+    fn send_reservations(&mut self, s: usize, lj: usize, targets: Vec<usize>) {
+        if targets.is_empty() {
             return;
         }
-        let vsize = self.vsize(job);
-        let rem = self.jobs[job].current_remaining() as f64;
-        for _ in 0..count {
-            let w = self.rng.gen_range(0..self.workers.len());
+        let res = self.books[s].reservation(lj);
+        for worker in targets {
             self.stats.reservations += 1;
-            self.live_res[job] += 1;
             self.send_msg(Ev::Reservation {
-                worker: w,
-                res: Reservation {
-                    scheduler: self.owner[job],
-                    job: job as u64,
-                    virtual_size: vsize,
-                    remaining_tasks: rem,
-                },
+                worker,
+                res: res.clone(),
             });
         }
     }
 
     /// Start a late-binding episode if the worker is up and has a free
     /// slot, no episode in flight, and a non-empty queue.
-    fn maybe_start_episode(&mut self, w: usize, now: SimTime) {
+    fn maybe_start_episode(&mut self, w: usize) {
         if !self.worker_up(w) {
             return;
         }
@@ -1106,71 +985,50 @@ impl<'a> Decentral<'a> {
         // since this worker's last purge — every queued reservation was
         // live then and only live jobs enqueue new ones, so the scan would
         // remove nothing.
+        let books = &self.books;
+        let live = |r: &Reservation| {
+            let (s, lj) = owner(r.job as usize, books.len());
+            books[s].is_live(lj)
+        };
         if self.workers[w].purged_at != self.done_count {
-            let done = &self.done;
-            self.workers[w].queue.retain(|r| !done[r.job as usize]);
+            self.workers[w].queue.retain(live);
             self.workers[w].purged_at = self.done_count;
         }
-        #[cfg(debug_assertions)]
-        assert!(
-            !self.workers[w]
-                .queue
-                .iter()
-                .any(|r| self.done[r.job as usize]),
+        debug_assert!(
+            self.workers[w].queue.iter().all(live),
             "stale reservation survived the epoch-gated purge"
         );
-        if self.workers[w].free == 0
-            || self.workers[w].episode.is_some()
-            || self.workers[w].queue.is_empty()
-        {
+        let wk = &mut self.workers[w];
+        if wk.free == 0 || wk.episode.is_some() || wk.queue.is_empty() {
             return;
         }
-        self.workers[w].free -= 1; // promise the slot to this episode
-        self.workers[w].episode = Some(FreeSlotEpisode::new(self.cfg.refusal_threshold));
-        self.episode_step(w, now);
+        wk.free -= 1; // promise the slot to this episode
+        wk.episode = Some(FreeSlotEpisode::new(self.cfg.refusal_threshold));
+        self.episode_step(w);
     }
 
     /// Advance the worker's episode by one protocol step.
-    fn episode_step(&mut self, w: usize, _now: SimTime) {
-        if self.workers[w].episode.is_none() {
+    fn episode_step(&mut self, w: usize) {
+        let wk = &mut self.workers[w];
+        let Some(ep) = wk.episode.as_mut() else {
             return; // defensive: stray refusal after the episode resolved
-        }
-        let action = match self.policy {
-            DecPolicy::Sparrow => match pick_fcfs(&self.workers[w].queue) {
-                Some(r) => WorkerAction::Respond {
-                    scheduler: r.scheduler,
-                    job: r.job,
-                    kind: ResponseKind::NonRefusable,
-                },
-                None => WorkerAction::Idle,
-            },
-            DecPolicy::SparrowSrpt => match pick_srpt(&self.workers[w].queue) {
-                Some(r) => WorkerAction::Respond {
-                    scheduler: r.scheduler,
-                    job: r.job,
-                    kind: ResponseKind::NonRefusable,
-                },
-                None => WorkerAction::Idle,
-            },
-            DecPolicy::Hopper => {
-                let mut ep = self.workers[w].episode.take().expect("episode in flight");
-                if ep.refusals() >= self.cfg.refusal_threshold {
-                    self.stats.guideline3_switches += 1;
-                }
-                let action = ep.next_action(&self.workers[w].queue, &mut self.rng);
-                self.workers[w].episode = Some(ep);
-                action
-            }
         };
+        let (action, switched) = episode_action(
+            self.policy,
+            &wk.queue,
+            ep,
+            self.cfg.refusal_threshold,
+            &mut self.rng,
+        );
+        if switched {
+            self.stats.guideline3_switches += 1;
+        }
         match action {
             WorkerAction::Respond {
                 scheduler,
                 job,
                 kind,
             } => {
-                if let Some(ep) = self.workers[w].episode.as_mut() {
-                    ep.mark_probed(scheduler);
-                }
                 self.stats.responses += 1;
                 self.rpc_seq[w] += 1;
                 self.send_msg(Ev::Response {
@@ -1202,10 +1060,10 @@ impl<'a> Decentral<'a> {
         }
     }
 
-    /// Scheduler-side handling of a worker's slot offer (Pseudocode 2).
-    /// `inc`/`ep` are the offer's worker incarnation and episode epoch,
-    /// echoed into the reply; `sinc` is the scheduler incarnation the
-    /// offer was addressed to.
+    /// Scheduler-side handling of a worker's slot offer (Pseudocode 2,
+    /// decided by the owning book). `inc`/`ep` are the offer's worker
+    /// incarnation and episode epoch, echoed into the reply; `sinc` is
+    /// the scheduler incarnation the offer was addressed to.
     #[allow(clippy::too_many_arguments)]
     fn on_response(
         &mut self,
@@ -1219,229 +1077,49 @@ impl<'a> Decentral<'a> {
     ) {
         // Offer addressed to a crashed scheduler (down, or a pre-crash
         // incarnation): the reply is effectively lost — the worker's
-        // lease reclaims the promised slot. `owner` is indexed by a
-        // message-carried id, but reservations are only ever created for
-        // real jobs, so `job < owner.len()` holds by construction; the
-        // `get` is belt-and-braces for the degenerate 0-scheduler cap.
-        // Never taken while scheduler faults are off (all up, all inc 0).
-        let sched = self.owner.get(job).copied().unwrap_or(0);
-        if !self.sched_up[sched] || sinc != self.sched_inc[sched] {
+        // lease reclaims the promised slot. Never taken while scheduler
+        // faults are off (all up, all incarnations 0).
+        let (s, lj) = self.at(job);
+        if !self.books[s].up || sinc != self.sched_inc[s] {
             return;
         }
-        if self.done[job] {
-            self.send_refusal(worker, job, inc, ep, now);
+        if !self.books[s].is_live(lj) {
+            self.send_refusal(worker, s, lj, inc, ep);
             return;
         }
-        let accepts = match self.policy {
-            // Sparrow variants never refuse; they answer task-or-no-task.
-            DecPolicy::Sparrow | DecPolicy::SparrowSrpt => true,
-            DecPolicy::Hopper => {
-                let below_fair_floor = self.below_fair_floor(job);
-                scheduler_accepts(kind, self.occupied[job] as f64, self.vsize(job))
-                    || below_fair_floor
-            }
-        };
-        // Under Hopper an accepted offer always places work: the virtual
-        // size *is* the speculation budget, so when no pending original or
-        // flagged candidate exists the scheduler sends an extra speculative
-        // copy of its longest-remaining running task ("faster clearing of
-        // tasks is overall beneficial", §4.1 footnote; non-refusable offers
-        // are Guideline-3 extra slots beyond the virtual size).
-        let allow_extra_spec = matches!(self.policy, DecPolicy::Hopper);
-        let launch = if accepts {
-            self.pick_work(job, worker, allow_extra_spec, now)
-        } else {
-            None
-        };
-        match launch {
-            Some((task, speculative)) => {
-                self.occupied[job] += 1;
-                if speculative {
-                    // Consume the candidate so the next offer goes to the
-                    // next straggler.
-                    self.candidates[job].retain(|c| c.task != task);
-                } else {
-                    self.pending_orig[job] -= 1;
-                }
-                self.send_msg(Ev::Assign {
-                    worker,
-                    job,
-                    task,
-                    speculative,
-                    inc,
-                    ep,
-                });
-            }
-            None => self.send_refusal(worker, job, inc, ep, now),
-        }
-    }
-
-    /// Whether `job` is below its ε-fair share `(1−ε)·S/N` (§4.3). The
-    /// active-job count is piggybacked on scheduler↔worker traffic, so
-    /// every scheduler tracks it without extra messages.
-    fn below_fair_floor(&self, job: usize) -> bool {
-        let Some(eps) = self.cfg.fairness_eps else {
-            return false;
-        };
-        if self.active_count == 0 {
-            return false;
-        }
-        let fair = self.cfg.cluster.total_slots() as f64 / self.active_count as f64;
-        // Capped at the job's virtual size, exactly like the centralized
-        // projection: fairness never forces slots a job cannot use.
-        let floor = ((1.0 - eps) * fair).floor().min(self.vsize(job));
-        (self.occupied[job] as f64) < floor
-    }
-
-    /// Choose the next work item for `job` on `worker`: pending original
-    /// (preferring data-local, skipping tasks already claimed by an
-    /// in-flight assignment) first, then the best speculation candidate.
-    fn pick_work(
-        &mut self,
-        job: usize,
-        worker: usize,
-        allow_extra_spec: bool,
-        now: SimTime,
-    ) -> Option<(TaskRef, bool)> {
-        if self.pending_orig[job] > 0 {
-            if let Some(task) = self.next_unclaimed_original(job, MachineId(worker)) {
-                self.claimed[job].insert(task);
-                return Some((task, false));
-            }
-        }
-        while let Some(cand) = self.candidates[job].front().copied() {
-            let t = &self.jobs[job].phases()[cand.task.phase].tasks[cand.task.task];
-            if t.is_finished() || t.running_copies() == 0 || t.running_copies() >= 2 {
-                self.candidates[job].pop_front();
-                continue;
-            }
-            return Some((cand.task, true));
-        }
-        if allow_extra_spec {
-            // Longest-estimated-remaining running task with copy headroom,
-            // but only where a fresh copy could plausibly finish first
-            // (t_rem > t_new — the same benefit rule the §3 example uses).
-            // O(log) off the job's solo-running index instead of a full
-            // `observe_running` sweep.
-            if let Some(task) = self.jobs[job].best_extra_speculation(now) {
-                return Some((task, true));
-            }
-        }
-        None
-    }
-
-    /// First unlaunched, unclaimed original in eligible phases, preferring
-    /// one whose input is local to `m`.
-    ///
-    /// Walks the job's pending-task indices instead of every task: the
-    /// preferred pick is the minimum of the first unclaimed replica-free
-    /// task and the first unclaimed task local to `m` (the old scan
-    /// returned whichever came first in `(phase, task)` order), and the
-    /// fallback is the first unclaimed pending task overall. The claimed
-    /// set only holds in-flight assignments, so the skip is a handful of
-    /// probes, not a rescan.
-    fn next_unclaimed_original(&self, job: usize, m: MachineId) -> Option<TaskRef> {
-        let jr = &self.jobs[job];
-        let claimed = &self.claimed[job];
-        let no_pref = jr.pending_no_replica_tasks().find(|t| !claimed.contains(t));
-        let local = jr.pending_local_tasks(m).find(|t| !claimed.contains(t));
-        let picked = match (no_pref, local) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        }
-        .or_else(|| jr.pending_tasks().find(|t| !claimed.contains(t)));
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            picked,
-            self.scan_next_unclaimed_original(job, m),
-            "pending index disagrees with the task scan"
+        // The active-job count is piggybacked on scheduler↔worker
+        // traffic, so every scheduler knows it without extra messages.
+        let share = fair_share(
+            self.cfg.fairness_eps,
+            self.cfg.cluster.total_slots(),
+            self.live.len(),
         );
-        picked
-    }
-
-    /// The pre-index O(tasks) implementation, kept as the debug oracle.
-    /// "Pending" is `needs_original` (no running copy, unfinished) rather
-    /// than "never launched", so tasks requeued by a machine failure are
-    /// assignable again.
-    #[cfg(debug_assertions)]
-    fn scan_next_unclaimed_original(&self, job: usize, m: MachineId) -> Option<TaskRef> {
-        let mut fallback = None;
-        for (pi, p) in self.jobs[job].phases().iter().enumerate() {
-            if !p.eligible || p.is_complete() {
-                continue;
-            }
-            for (ti, t) in p.tasks.iter().enumerate() {
-                let tr = TaskRef::new(pi, ti);
-                if !t.needs_original() || self.claimed[job].contains(&tr) {
-                    continue;
-                }
-                if t.replicas.is_empty() || t.replicas.contains(&m) {
-                    return Some(tr);
-                }
-                if fallback.is_none() {
-                    fallback = Some(tr);
-                }
-            }
+        match self.books[s].serve(lj, kind, MachineId(worker), self.policy, share, now) {
+            Some((task, speculative)) => self.send_msg(Ev::Assign {
+                worker,
+                job,
+                task,
+                speculative,
+                inc,
+                ep,
+            }),
+            None => self.send_refusal(worker, s, lj, inc, ep),
         }
-        fallback
     }
 
-    fn send_refusal(&mut self, worker: usize, job: usize, inc: u64, ep: u64, now: SimTime) {
-        let _ = now;
+    /// Refuse an offer for book `s`'s job `lj`, advertising the
+    /// scheduler's smallest unsatisfied job (Pseudocode 3).
+    fn send_refusal(&mut self, worker: usize, s: usize, lj: usize, inc: u64, ep: u64) {
         self.stats.refusals += 1;
-        // Advertise this scheduler's smallest unsatisfied job (Pseudocode
-        // 3's refusal payload): below its virtual size with launchable
-        // work.
-        let sched = self.owner.get(job).copied().unwrap_or(0);
-        let mut best: Option<UnsatisfiedJob> = None;
-        // Only this scheduler's own *live* jobs are candidates — walk its
-        // live partition (ascending id, the order the old all-jobs scan
-        // visited them in; membership = arrived ∧ not retired) instead of
-        // the whole cluster.
-        for &j in &self.sched_jobs[sched] {
-            debug_assert_eq!(self.owner[j], sched);
-            debug_assert!(self.arrived[j] && !self.done[j]);
-            if j == job {
-                continue;
-            }
-            let v = self.vsize(j);
-            let launchable = self.pending_orig[j] > 0 || !self.candidates[j].is_empty();
-            if !launchable {
-                continue;
-            }
-            // ε-fairness (§4.3), decentralized approximation: a job below
-            // its (1−ε) fair-share floor is advertised as unsatisfied even
-            // when it is at its virtual size, so the refusal channel tops
-            // it up. Deficient jobs keep their virtual-size order — the
-            // serial refusal channel delivers one slot per round, and a
-            // hard priority inversion (large deficient jobs pre-empting
-            // every small job) costs far more than the guarantee is worth
-            // (see DESIGN.md, deviations).
-            // Fairness floors are capped at the job's own virtual size
-            // (exactly like the centralized projection), so the advertised
-            // set is simply the unsatisfied jobs; ε's remaining effect is
-            // the acceptance forcing in `on_response`. See DESIGN.md —
-            // the decentralized ε enforcement is deliberately conservative.
-            let advertised = ((self.occupied[j] as f64) < v).then_some(v);
-            if let Some(adv) = advertised {
-                let better = best.is_none_or(|b| adv < b.virtual_size);
-                if better {
-                    best = Some(UnsatisfiedJob {
-                        scheduler: sched,
-                        job: j as u64,
-                        virtual_size: adv,
-                    });
-                }
-            }
-        }
-        self.send_msg(Ev::Refusal {
+        let book = &self.books[s];
+        let ev = Ev::Refusal {
             worker,
-            job,
-            unsatisfied: best,
+            job: book.job_id(lj),
+            unsatisfied: book.best_unsatisfied(lj),
             inc,
             ep,
-        });
+        };
+        self.send_msg(ev);
     }
 
     fn on_refusal(
@@ -1451,7 +1129,6 @@ impl<'a> Decentral<'a> {
         unsatisfied: Option<UnsatisfiedJob>,
         inc: u64,
         ep: u64,
-        now: SimTime,
     ) {
         // The offer this refusal answers referenced a slot that died with
         // the machine (incarnation mismatch: everything about the episode
@@ -1464,29 +1141,19 @@ impl<'a> Decentral<'a> {
         }
         // A reply reached the episode: any armed lease is void.
         self.rpc_seq[worker] += 1;
-        match self.policy {
-            DecPolicy::Sparrow | DecPolicy::SparrowSrpt => {
-                // Sparrow consumes the reservation on no-task and moves on.
-                if let Some(pos) = self.workers[worker]
-                    .queue
-                    .iter()
-                    .position(|r| r.job as usize == job)
-                {
-                    self.workers[worker].queue.remove(pos);
-                    self.live_res[job] = self.live_res[job].saturating_sub(1);
-                }
-                self.episode_step(worker, now);
-            }
-            DecPolicy::Hopper => {
-                // Reservations stay (the job may want Guideline-3 extras
-                // later); the episode just records the refusal.
-                let sched = self.owner.get(job).copied().unwrap_or(0);
-                if let Some(ep) = self.workers[worker].episode.as_mut() {
-                    ep.record_refusal(sched, job as u64, unsatisfied);
-                }
-                self.episode_step(worker, now);
-            }
+        let (s, lj) = self.at(job);
+        let wk = &mut self.workers[worker];
+        if worker_refused(
+            self.policy,
+            &mut wk.queue,
+            &mut wk.episode,
+            s,
+            job,
+            unsatisfied,
+        ) {
+            self.books[s].reservations_gone(lj, 1);
         }
+        self.episode_step(worker);
     }
 
     /// A task assignment arrives at the worker: consume a reservation and
@@ -1502,72 +1169,36 @@ impl<'a> Decentral<'a> {
         ep: u64,
         now: SimTime,
     ) {
-        if !speculative {
-            self.claimed[job].remove(&task);
-        }
+        let (s, lj) = self.at(job);
         // The promised slot is gone: the machine failed while the
         // assignment was in flight (incarnation mismatch), or the episode
         // already ended (epoch mismatch — a duplicated assign whose first
         // delivery consumed the episode, or a lease reclaim after this
-        // reply was presumed lost). Undo the scheduler-side accounting
-        // and return the original to the pending pool if it still needs
-        // one — but touch no worker state, the episode and slot are gone.
+        // reply was presumed lost). Undo the scheduler-side accounting,
+        // but touch no worker state: the episode and slot are gone.
         // Faults-off the two mismatches coincide (a machine failure is
-        // the only mid-flight teardown), so behavior is unchanged. A
-        // completed (retired) job's tasks are all finished, so the
-        // done-guard preserves the old `needs_original()` answer without
-        // dereferencing retired state.
+        // the only mid-flight teardown), so behavior is unchanged.
         if inc != self.dyn_inc[worker] || ep != self.ep_epoch[worker] {
-            self.occupied[job] = self.occupied[job].saturating_sub(1);
-            if !speculative
-                && !self.done[job]
-                && self.jobs[job].phases()[task.phase].tasks[task.task].needs_original()
-            {
-                self.pending_orig[job] += 1;
-            }
+            self.books[s].assign_failed(lj, task, speculative);
             return;
         }
         // Episode resolved successfully; the promised slot is consumed
         // (and later replies echoing this epoch are stale).
         self.end_episode(worker);
         // Consume one reservation of this job at this worker (if present).
-        if let Some(pos) = self.workers[worker]
-            .queue
-            .iter()
-            .position(|r| r.job as usize == job)
-        {
-            self.workers[worker].queue.remove(pos);
-            self.live_res[job] = self.live_res[job].saturating_sub(1);
-        }
+        let consumed = consume_reservation(&mut self.workers[worker].queue, job);
         // Validate against races: the job may have completed — and been
         // retired — or the task may have finished while the assignment
-        // was in flight. (An original is live exactly when the task still
-        // needs one — `needs_original` also covers tasks a machine
-        // failure requeued, whose earlier copies were all killed.) A
-        // retired job is never dereferenced: done ⇒ every task finished ⇒
-        // stale, and the old needs_original() re-check answered false.
-        let stale = self.done[job] || {
-            let t = &self.jobs[job].phases()[task.phase].tasks[task.task];
-            t.is_finished()
-                || (speculative && t.running_copies() == 0)
-                || (!speculative && !t.needs_original())
-        };
-        if stale {
-            self.occupied[job] = self.occupied[job].saturating_sub(1);
-            if !speculative && !self.done[job] {
-                // Return the unlaunched original to the pending pool only
-                // if it truly is still pending.
-                let t = &self.jobs[job].phases()[task.phase].tasks[task.task];
-                if t.needs_original() {
-                    self.pending_orig[job] += 1;
-                }
-            }
+        // was in flight.
+        if !self.books[s].assign_landed(lj, task, speculative, consumed) {
             self.workers[worker].free += 1;
-            self.maybe_start_episode(worker, now);
+            self.maybe_start_episode(worker);
             return;
         }
+        let speed = self.machine_speed(worker);
+        let book = &mut self.books[s];
         if let Some(a) = self.audit.as_mut() {
-            let t = &self.jobs[job].phases()[task.phase].tasks[task.task];
+            let t = &book.jobs[lj].phases()[task.phase].tasks[task.task];
             a.note_launch(
                 worker,
                 !speculative,
@@ -1575,10 +1206,9 @@ impl<'a> Decentral<'a> {
                 t.is_finished(),
             );
         }
-        self.wd_progress[job] += 1;
+        book.wd_progress[lj] += 1;
         self.machines.occupy_for(MachineId(worker), job);
-        let speed = self.machine_speed(worker);
-        let (copy, dur) = self.jobs[job].launch_copy_at_speed(
+        let (copy, dur) = book.jobs[lj].launch_copy_at_speed(
             task,
             MachineId(worker),
             speculative,
@@ -1594,17 +1224,10 @@ impl<'a> Decentral<'a> {
             self.stats.orig_launched += 1;
         }
         self.queue.push(now + dur, Ev::Finish { job, copy, worker });
-        // Piggyback a virtual-size update on this assignment for all of
-        // the job's reservations parked at this worker (§5.3).
-        let v = self.vsize(job);
-        let rem = self.jobs[job].current_remaining() as f64;
-        for r in self.workers[worker].queue.iter_mut() {
-            if r.job as usize == job {
-                r.virtual_size = v;
-                r.remaining_tasks = rem;
-            }
-        }
-        self.maybe_start_episode(worker, now);
+        let fresh = self.books[s].reservation(lj);
+        let queue = &mut self.workers[worker].queue;
+        piggyback(queue, job, fresh.virtual_size, fresh.remaining_tasks);
+        self.maybe_start_episode(worker);
     }
 
     /// Apply one machine-dynamics incident.
@@ -1627,7 +1250,8 @@ impl<'a> Decentral<'a> {
                 // workload, not the whole stream.
                 for idx in 0..self.live.len() {
                     let j = self.live[idx];
-                    for (copy, finish) in self.jobs[j].rescale_machine(m, now, ratio) {
+                    let (s, lj) = self.at(j);
+                    for (copy, finish) in self.books[s].jobs[lj].rescale_machine(m, now, ratio) {
                         self.queue.push(
                             finish,
                             Ev::Finish {
@@ -1646,7 +1270,8 @@ impl<'a> Decentral<'a> {
                 // incarnation bump.
                 self.dyn_inc[w] += 1;
                 for r in std::mem::take(&mut self.workers[w].queue) {
-                    self.live_res[r.job as usize] = self.live_res[r.job as usize].saturating_sub(1);
+                    let (s, lj) = self.at(r.job as usize);
+                    self.books[s].reservations_gone(lj, 1);
                 }
                 self.end_episode(w);
                 self.workers[w].free = 0;
@@ -1658,18 +1283,16 @@ impl<'a> Decentral<'a> {
                 // (their old reservations may be anywhere, but the pending
                 // original needs the re-dispatch advertised).
                 for idx in 0..self.live.len() {
-                    let j = self.live[idx];
-                    let fo = self.jobs[j].fail_machine(m);
+                    let (s, lj) = self.at(self.live[idx]);
+                    let book = &mut self.books[s];
+                    let fo = book.jobs[lj].fail_machine(m);
                     if fo.killed == 0 {
                         continue;
                     }
-                    self.occupied[j] = self.occupied[j].saturating_sub(fo.killed);
+                    book.vacate(lj, fo.killed);
                     if !fo.requeued.is_empty() {
-                        self.pending_orig[j] += fo.requeued.len();
-                        let probes = ((fo.requeued.len() as f64 * self.cfg.probe_ratio).ceil()
-                            as usize)
-                            .max(1);
-                        self.send_probes(j, probes);
+                        let probes = book.requeue(lj, fo.requeued.len());
+                        self.send_probes(s, lj, probes);
                     }
                 }
                 self.machines.set_down(m);
@@ -1684,23 +1307,24 @@ impl<'a> Decentral<'a> {
     }
 
     fn on_finish(&mut self, job: usize, copy: CopyRef, worker: usize, now: SimTime) {
+        let (s, lj) = self.at(job);
         // Lost or still-in-flight kill (faults only): the kill ledger
         // still holds this copy, so the worker never heard the race was
         // lost and ran the copy to this scheduled finish — it discovers
         // the result is moot and returns the slot itself (lease-style
         // orphan reclamation at task granularity). If the machine failed
         // since the kill was stamped, the slot died with it. The job may
-        // already be retired; nothing here dereferences `jobs[job]`.
+        // already be retired; nothing here dereferences its state.
         if self.faults.is_some() {
             if let Some(kill_inc) = self.pending_kill.remove(&(job, copy)) {
-                self.occupied[job] = self.occupied[job].saturating_sub(1);
+                self.books[s].vacate(lj, 1);
                 if kill_inc == self.dyn_inc[worker] {
                     if let Some(a) = self.audit.as_mut() {
                         a.note_copy_stopped(worker);
                     }
                     self.workers[worker].free += 1;
                     self.machines.release_to(MachineId(worker), job);
-                    self.maybe_start_episode(worker, now);
+                    self.maybe_start_episode(worker);
                 }
                 return;
             }
@@ -1708,59 +1332,37 @@ impl<'a> Decentral<'a> {
         // Completions queued for copies that lost their race pop after
         // the job completed and retired; they are stale by definition
         // and must not touch its (gone) state.
-        if self.done[job] {
+        if !self.books[s].is_live(lj) {
             return;
         }
         // A machine-speed change rescheduled this copy: its superseded
         // completion event pops at a time that no longer matches the
         // copy's finish instant. A no-op without dynamics.
         {
-            let c =
-                &self.jobs[job].phases()[copy.task.phase].tasks[copy.task.task].copies[copy.copy];
+            let c = &self.books[s].jobs[lj].phases()[copy.task.phase].tasks[copy.task.task].copies
+                [copy.copy];
             if c.status == hopper_cluster::CopyStatus::Running && c.finish_time() != now {
                 return;
             }
         }
-        // Collect running siblings *before* resolving the race: their
-        // kill notifications travel over the network (keyed by copy so
-        // the kill ledger can recognize each one individually).
-        let siblings: Vec<(CopyRef, MachineId)> = self.jobs[job].phases()[copy.task.phase].tasks
-            [copy.task.task]
-            .copies
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| *i != copy.copy && c.status == hopper_cluster::CopyStatus::Running)
-            .map(|(i, c)| (CopyRef::new(copy.task.phase, copy.task.task, i), c.machine))
-            .collect();
-        let Some(out) = self.jobs[job].finish_copy(copy, now) else {
+        let Some(done) = self.books[s].copy_finished(lj, copy, now, None) else {
             return; // stale (copy killed earlier)
         };
-        let was_spec = self.jobs[job].phases()[copy.task.phase].tasks[copy.task.task].copies
-            [copy.copy]
-            .speculative;
-        if was_spec {
+        if done.spec_won {
             self.stats.spec_won += 1;
         }
         // The winner's slot frees immediately.
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_stopped(worker);
         }
-        self.wd_progress[job] += 1;
         self.workers[worker].free += 1;
         self.machines.release_to(MachineId(worker), job);
-        self.occupied[job] = self.occupied[job].saturating_sub(1);
-        // β learning at the owning scheduler (skipped while it is down —
-        // a crash loses the estimator; never taken faults-off).
-        if out.nominal.as_millis() > 0 && self.sched_up[self.owner[job]] {
-            self.beta_est[self.owner[job]]
-                .observe(out.duration.as_millis() as f64 / out.nominal.as_millis() as f64);
-        }
         // Kill messages to losing siblings, stamped with the sibling
         // machine's current incarnation. With faults on, each kill is
         // also entered into the pending ledger so duplicates are
         // idempotent and losses are recovered at the copy's scheduled
         // finish.
-        for (c, m) in siblings {
+        for (c, m) in done.losers {
             if self.faults.is_some() {
                 self.pending_kill.insert((job, c), self.dyn_inc[m.0]);
             }
@@ -1773,25 +1375,22 @@ impl<'a> Decentral<'a> {
             });
         }
         // New phases: their tasks need reservations too.
-        for &pi in &out.newly_eligible {
-            let tasks = self.jobs[job].phases()[pi].num_tasks();
-            self.pending_orig[job] += tasks;
-            let probes = ((tasks as f64 * self.cfg.probe_ratio).ceil() as usize).max(1);
-            self.send_probes(job, probes);
+        for probes in done.phase_probes {
+            self.send_probes(s, lj, probes);
         }
-        if out.job_done {
-            self.complete_job(job, now);
+        if done.job_done {
+            self.complete_job(s, lj, now);
         }
-        self.maybe_start_episode(worker, now);
+        self.maybe_start_episode(worker);
     }
 
     /// Kill notification reaches the worker running a lost sibling.
-    fn on_kill(&mut self, worker: usize, job: usize, copy: CopyRef, inc: u64, now: SimTime) {
+    fn on_kill(&mut self, worker: usize, job: usize, copy: CopyRef, inc: u64) {
         // Idempotence (faults only): only the kill still present in the
         // pending ledger settles accounting — a duplicate, or a kill
         // whose copy already returned its slot at its scheduled finish,
         // is a complete no-op. The job may be retired; nothing here
-        // dereferences `jobs[job]` (the copy was marked killed in job
+        // dereferences its state (the copy was marked killed in job
         // state at race-resolution time, before any retirement).
         if self.faults.is_some() && self.pending_kill.remove(&(job, copy)).is_none() {
             return;
@@ -1799,14 +1398,15 @@ impl<'a> Decentral<'a> {
         // The lost sibling's copy is accounted gone either way; its slot
         // only returns if the machine has not failed since the kill was
         // sent (incarnation match).
-        self.occupied[job] = self.occupied[job].saturating_sub(1);
+        let (s, lj) = self.at(job);
+        self.books[s].vacate(lj, 1);
         if inc == self.dyn_inc[worker] {
             if let Some(a) = self.audit.as_mut() {
                 a.note_copy_stopped(worker);
             }
             self.workers[worker].free += 1;
             self.machines.release_to(MachineId(worker), job);
-            self.maybe_start_episode(worker, now);
+            self.maybe_start_episode(worker);
         }
     }
 
@@ -1823,41 +1423,18 @@ impl<'a> Decentral<'a> {
         }
         match ev {
             SchedEv::Fail(s) => {
-                // The crash loses every piece of scheduler-side scratch:
-                // claims, candidate lists, the learned β prior. Ground
-                // truth (running copies) lives on the workers and
-                // survives; in-flight replies to this scheduler are
-                // invalidated by the incarnation bump, and in-flight
-                // assigns it already sent stay valid — their delivery-
-                // time re-validation makes re-dispatch after recovery
-                // safe.
-                self.sched_up[s] = false;
+                // In-flight replies to this scheduler are invalidated by
+                // the incarnation bump; in-flight assigns it already sent
+                // stay valid — their delivery-time re-validation makes
+                // re-dispatch after recovery safe.
+                self.books[s].crash();
                 self.sched_inc[s] += 1;
                 self.stats.sched_failovers += 1;
-                for idx in 0..self.sched_jobs[s].len() {
-                    let j = self.sched_jobs[s][idx];
-                    self.candidates[j] = VecDeque::new();
-                    self.claimed[j] = std::collections::HashSet::new();
-                }
-                self.beta_est[s] = BetaEstimator::with_prior(1.5);
             }
             SchedEv::Recover(s) => {
-                // Recovery rebuilds the counters from ground truth (the
-                // workers' running copies) and re-probes every owned job
-                // with launchable work. Candidates regrow at the next
-                // scan; β re-learns from scratch.
-                self.sched_up[s] = true;
-                let owned: Vec<usize> = self.sched_jobs[s].clone();
-                for j in owned {
-                    self.occupied[j] = self.jobs[j].occupied_slots();
-                    self.pending_orig[j] = self.jobs[j].pending_tasks().count();
-                    if self.pending_orig[j] > 0 {
-                        let probes = ((self.pending_orig[j] as f64 * self.cfg.probe_ratio).ceil()
-                            as usize)
-                            .max(1);
-                        self.stats.msgs_retried += probes as u64;
-                        self.send_probes(j, probes);
-                    }
+                for (lj, probes) in self.books[s].recover() {
+                    self.stats.msgs_retried += probes as u64;
+                    self.send_probes(s, lj, probes);
                 }
             }
         }
@@ -1867,93 +1444,46 @@ impl<'a> Decentral<'a> {
     /// reply since the lease was armed its RPC sequence moved on and the
     /// lease is void; otherwise the reply was lost (or stale-dropped)
     /// and the promised slot is reclaimed instead of leaking.
-    fn on_lease(&mut self, worker: usize, seq: u64, now: SimTime) {
+    fn on_lease(&mut self, worker: usize, seq: u64) {
         if seq != self.rpc_seq[worker] || self.workers[worker].episode.is_none() {
             return;
         }
         self.stats.orphan_reclaimed += 1;
         self.end_episode(worker);
         self.workers[worker].free += 1;
-        self.maybe_start_episode(worker, now);
+        self.maybe_start_episode(worker);
     }
 
-    /// The per-job watchdog fired (faults only). Progress resets the
-    /// backoff; a genuine stall reconciles the scheduler's counters
-    /// against ground truth and sends a fresh probe round, with capped
-    /// exponential backoff and a retry budget that wraps around — after
-    /// exhaustion the job simply gets another fresh round at base pace,
-    /// so a job can degrade but never deadlock.
-    fn on_job_timeout(&mut self, job: usize, now: SimTime) {
-        if self.done[job] {
+    /// The per-job watchdog fired (faults only); the owning book decides
+    /// (see `SchedBook::watchdog`).
+    fn on_job_timeout(&mut self, job: usize) {
+        let (s, lj) = self.at(job);
+        let Some((delay_ms, stall)) = self.books[s].watchdog(lj, &self.backoff) else {
             return; // no re-arm: the watchdog dies with the job
-        }
-        let delay_ms = if self.wd_progress[job] != self.wd_seen[job] {
-            // Progress since the last check: reset and keep watching.
-            self.wd_seen[job] = self.wd_progress[job];
-            self.wd_attempt[job] = 0;
-            self.backoff.delay_ms(0)
-        } else if !self.sched_up[self.owner[job]] {
-            // Owner down: its recovery will reconcile and re-probe; the
-            // watchdog only keeps the clock running.
-            self.backoff.delay_ms(0)
-        } else {
-            // Stalled: every probe/reply chain for this job died (lost
-            // messages, reclaimed episodes, crashed schedulers). Drop
-            // any claims stuck on lost assigns, resync the counters to
-            // ground truth, and re-probe. In-flight assigns briefly
-            // de-sync `occupied` again — delivery-time re-validation
-            // keeps that safe (no task double-launches).
-            self.stats.timeouts_fired += 1;
-            self.claimed[job] = std::collections::HashSet::new();
-            self.occupied[job] = self.jobs[job].occupied_slots();
-            self.pending_orig[job] = self.jobs[job].pending_tasks().count();
-            if self.pending_orig[job] > 0 || !self.candidates[job].is_empty() {
-                let probes = ((self.jobs[job].current_remaining() as f64 * self.cfg.probe_ratio)
-                    .ceil() as usize)
-                    .max(1);
-                self.stats.msgs_retried += probes as u64;
-                self.send_probes(job, probes);
-            }
-            let attempt = self.wd_attempt[job];
-            self.wd_attempt[job] = self.backoff.next_attempt(attempt);
-            self.backoff.delay_ms(attempt)
         };
-        let _ = now;
+        if let Some(probes) = stall {
+            self.stats.timeouts_fired += 1;
+            if probes > 0 {
+                self.stats.msgs_retried += probes as u64;
+                self.send_probes(s, lj, probes);
+            }
+        }
         self.queue
             .push_after(SimTime::from_millis(delay_ms), Ev::JobTimeout { job });
     }
 
-    /// Complete and **retire** `job`: fold its outcome into the digest
-    /// and accumulators (plus a `JobResult` in materialized mode), drop
-    /// its task/copy state and scheduler-side scratch, and remove it from
-    /// every live index. From this instant the job is observationally
-    /// gone — any path touching `jobs[job]` panics (the retirement
-    /// invariant, DESIGN.md).
-    fn complete_job(&mut self, job: usize, now: SimTime) {
-        self.done[job] = true;
+    /// Complete and **retire** book `s`'s job `lj`: fold its outcome
+    /// into the digest and accumulators (plus a `JobResult` in
+    /// materialized mode) and remove it from every live index (see
+    /// `SchedBook::retire`).
+    fn complete_job(&mut self, s: usize, lj: usize, now: SimTime) {
+        let result = self.books[s].retire(lj, now);
         self.done_count += 1;
-        self.active_count -= 1;
-        // Replace (not clear): `clear` keeps capacity alive forever.
-        self.candidates[job] = VecDeque::new();
-        self.claimed[job] = std::collections::HashSet::new();
         let pos = self
             .live
-            .binary_search(&job)
+            .binary_search(&result.job)
             .expect("completed job is live");
         self.live.remove(pos);
-        let part = &mut self.sched_jobs[self.owner[job]];
-        let pos = part
-            .binary_search(&job)
-            .expect("completed job is in its partition");
-        part.remove(pos);
-        let retired = self.jobs.retire(job);
-        let result = JobResult {
-            job: retired.id,
-            size_tasks: retired.spec.size_tasks(),
-            dag_len: retired.spec.dag_len(),
-            arrival: retired.spec.arrival,
-            completed: now,
-        };
         self.digest.observe_ms(result.duration_ms());
         self.tele.observe_jct(result.duration_ms());
         if self.retain_jobs {

@@ -9,6 +9,7 @@
 //! (Pseudocodes 2 & 3) and piggybacked virtual-size updates.
 
 pub mod audit;
+mod book;
 pub mod driver;
 pub mod faults;
 pub mod shard;

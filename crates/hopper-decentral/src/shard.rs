@@ -43,40 +43,39 @@
 //! is itself shard-count-independent because window boundaries are.
 //!
 //! **Relation to the serial driver.** `shards = 0` (the default) is the
-//! untouched legacy [`crate::driver`] path, byte-identical to every
-//! pinned golden. `shards ≥ 1` selects this engine — a slightly
-//! different *protocol embedding* of the same scheduler logic (launch
-//! durations are pre-drawn by the owning scheduler and committed at the
-//! worker with an explicit ack; kill/loss notifications are per-copy
-//! messages; workers self-poll instead of being poked by a global
-//! scan), so its trajectories differ from `shards = 0` by a few
-//! milliseconds of extra acknowledgment latency, but are identical to
-//! *each other* for every shard count ≥ 1. The deliberate deviations
-//! are cataloged in DESIGN.md.
+//! serial [`crate::driver`] path. Both engines take every scheduler-side
+//! decision through the same code — one `SchedBook` per scheduler
+//! (`crate::book`) and the shared worker step `episode_action` — so the
+//! decision rules agree by construction. What differs is how a decision
+//! is embedded: this engine is message-complete (launch durations are
+//! pre-drawn by the owning scheduler and committed at the worker with an
+//! explicit ack; kill/loss notifications are per-copy messages; workers
+//! self-poll instead of being poked by a global scan) and every entity
+//! owns its RNG streams. Its trajectories therefore differ from
+//! `shards = 0`, but are identical to *each other* for every shard count
+//! ≥ 1. DESIGN.md lists the embedding differences ("Known deviations").
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Mutex;
 
 use crate::audit::{Auditor, MsgKind};
+use crate::book::{
+    consume_reservation, episode_action, fair_share, piggyback, worker_refused, SchedBook,
+};
 use crate::driver::{DecConfig, DecOutput, DecPolicy, DecStats};
 use crate::faults::{MsgFaults, SchedEv, SchedulerChain};
-use hopper_cluster::{
-    CopyRef, DynEvent, JobRun, JobSlab, MachineDynamics, MachineId, Machines, TaskRef,
-};
+use hopper_cluster::{CopyRef, DynEvent, JobRun, MachineDynamics, MachineId, Machines, TaskRef};
 use hopper_core::protocol::{
-    pick_fcfs, pick_srpt, scheduler_accepts, BackoffPolicy, FreeSlotEpisode, Reservation,
-    ResponseKind, UnsatisfiedJob, WorkerAction,
+    BackoffPolicy, FreeSlotEpisode, Reservation, ResponseKind, UnsatisfiedJob, WorkerAction,
 };
-use hopper_core::{safe_horizon, virtual_size, BetaEstimator, EventKey, Mailbox, SyncBarrier};
+use hopper_core::{safe_horizon, EventKey, Mailbox, SyncBarrier};
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySeries, TelemetrySnapshot,
 };
 use hopper_sim::{SeedSequence, SimTime};
-use hopper_spec::Candidate;
 use hopper_workload::{ArrivalSource, TraceJob};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Child-seed namespaces for the sharded engine's per-entity RNGs.
 /// Disjoint from every legacy child: placement `0xB10C`, decisions
@@ -300,31 +299,14 @@ struct CopyRec {
     finish: SimTime,
 }
 
-/// One scheduler's complete runtime state. Job-indexed vectors use the
-/// scheduler-local dense index `lj = j / K` (the scheduler owns exactly
-/// the jobs with `j % K == s`).
+/// One scheduler's complete runtime state: its book (every owned job's
+/// state and the scheduler-side scratch, `crate::book`) plus what only
+/// the sharded embedding needs.
 struct SchedSt {
-    /// Global scheduler id.
-    s: usize,
-    up: bool,
     /// Event-emission counter (the `seq` of every key this scheduler
     /// stamps).
     seq: u64,
-    jobs: JobSlab,
-    done: Vec<bool>,
-    arrived: Vec<bool>,
-    occupied: Vec<usize>,
-    pending_orig: Vec<usize>,
-    claimed: Vec<HashSet<TaskRef>>,
-    live_res: Vec<usize>,
-    candidates: Vec<VecDeque<Candidate>>,
-    wd_progress: Vec<u64>,
-    wd_seen: Vec<u64>,
-    wd_attempt: Vec<u32>,
-    /// Live owned jobs, ascending global id.
-    live: Vec<usize>,
-    arrivals_pending: usize,
-    beta: BetaEstimator,
+    book: SchedBook,
     scan_armed: bool,
     rng: StdRng,
     placement_rng: StdRng,
@@ -336,7 +318,6 @@ struct SchedSt {
     /// (worker, wtoken) → (job, copy): resolves acks from workers.
     tok_copy: HashMap<(usize, u64), (usize, CopyRef)>,
     digest: JobDigest,
-    done_count: u64,
 }
 
 /// One worker's complete runtime state.
@@ -431,10 +412,6 @@ pub(crate) fn run_sharded(
     cfg: &DecConfig,
     retain_jobs: bool,
 ) -> DecOutput {
-    assert!(
-        cfg.msg_latency >= SimTime::from_millis(1),
-        "sharded engine needs msg_latency >= 1ms (it is the conservative lookahead)"
-    );
     let nshards = cfg.shards.max(1);
     let mut shards: Vec<Shard<'_>> = (0..nshards)
         // Every shard replays the whole source from the start (a clone
@@ -494,7 +471,7 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
     let mut digest = JobDigest::new();
     let mut results: Vec<JobResult> = Vec::new();
     let mut live_high_water = 0usize;
-    let mut done_total = 0u64;
+    let mut done_total = 0usize;
     let mut audit: Option<Box<Auditor>> = None;
     let mut shard_stats = ShardStats {
         shards: nshards,
@@ -529,8 +506,8 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         shard_stats.local_msgs += sh.local_msgs;
         results.extend(sh.results);
         for sched in &sh.scheds {
-            live_high_water += sched.jobs.high_water();
-            done_total += sched.done_count;
+            live_high_water += sched.book.jobs.high_water();
+            done_total += sched.book.jobs.retired();
         }
         match audit.as_mut() {
             None => audit = sh.audit,
@@ -542,7 +519,7 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         }
     }
     assert!(
-        done_total as usize == n,
+        done_total == n,
         "sharded run drained with {done_total} of {n} jobs finished"
     );
     if let Some(a) = audit.as_ref() {
@@ -603,45 +580,23 @@ impl<'a> Shard<'a> {
         retain_jobs: bool,
     ) -> Self {
         let seq = SeedSequence::new(cfg.seed);
-        let k = cfg.num_schedulers.max(1);
+        let k = cfg.num_schedulers;
         let n = arrivals.total_jobs();
         let nworkers = cfg.cluster.machines;
         let faults_on = cfg.faults.enabled();
         let scheds: Vec<SchedSt> = (id..k)
             .step_by(nshards)
-            .map(|s| {
-                // Jobs owned by scheduler s: {j : j % K == s}, densely
-                // indexed as lj = j / K.
-                let n_s = if n > s { (n - s).div_ceil(k) } else { 0 };
-                SchedSt {
-                    s,
-                    up: true,
-                    seq: 0,
-                    jobs: JobSlab::new(n_s),
-                    done: vec![false; n_s],
-                    arrived: vec![false; n_s],
-                    occupied: vec![0; n_s],
-                    pending_orig: vec![0; n_s],
-                    claimed: vec![HashSet::new(); n_s],
-                    live_res: vec![0; n_s],
-                    candidates: vec![VecDeque::new(); n_s],
-                    wd_progress: vec![0; n_s],
-                    wd_seen: vec![0; n_s],
-                    wd_attempt: vec![0; n_s],
-                    live: Vec::new(),
-                    arrivals_pending: n_s,
-                    beta: BetaEstimator::with_prior(1.5),
-                    scan_armed: false,
-                    rng: seq.child_rng(SHARD_SCHED_RNG + s as u64),
-                    placement_rng: seq.child_rng(SHARD_SCHED_PLACE + s as u64),
-                    faults: faults_on.then(|| {
-                        MsgFaults::with_seed(cfg.faults, &seq, SHARD_SCHED_FAULT + s as u64)
-                    }),
-                    copy_tok: HashMap::new(),
-                    tok_copy: HashMap::new(),
-                    digest: JobDigest::new(),
-                    done_count: 0,
-                }
+            .map(|s| SchedSt {
+                seq: 0,
+                book: SchedBook::new(s, k, n, cfg.probe_ratio, nworkers),
+                scan_armed: false,
+                rng: seq.child_rng(SHARD_SCHED_RNG + s as u64),
+                placement_rng: seq.child_rng(SHARD_SCHED_PLACE + s as u64),
+                faults: faults_on
+                    .then(|| MsgFaults::with_seed(cfg.faults, &seq, SHARD_SCHED_FAULT + s as u64)),
+                copy_tok: HashMap::new(),
+                tok_copy: HashMap::new(),
+                digest: JobDigest::new(),
             })
             .collect();
         let mut workers: Vec<WorkSt> = (id..nworkers)
@@ -718,7 +673,7 @@ impl<'a> Shard<'a> {
         for (st, sq) in scheds.iter_mut().zip(sched_seqs) {
             st.seq = sq;
         }
-        let arrivals_pending: usize = scheds.iter().map(|st| st.arrivals_pending).sum();
+        let arrivals_pending: usize = scheds.iter().map(|st| st.book.arrivals_pending).sum();
         // This shard's slice of the slot capacity: owned workers only,
         // so merged per-window capacities sum to the global cluster.
         let owned_slots = workers.len() as u64 * cfg.cluster.slots_per_machine as u64;
@@ -955,7 +910,7 @@ impl<'a> Shard<'a> {
                 job,
                 task,
                 speculative,
-            } => self.on_assign_failed(job, task, speculative, now),
+            } => self.on_assign_failed(job, task, speculative),
             SEv::TaskDone {
                 job,
                 worker,
@@ -967,7 +922,7 @@ impl<'a> Shard<'a> {
                 worker,
                 wtoken,
             } => self.on_copy_lost(job, worker, wtoken, now),
-            SEv::ResGone { job, count } => self.on_res_gone(job, count, now),
+            SEv::ResGone { job, count } => self.on_res_gone(job, count),
             SEv::Scan { sched } => self.on_scan(sched, now),
             SEv::SchedDyn(ev) => self.on_sched_dyn(ev, now),
             SEv::JobTimeout { job } => self.on_job_timeout(job, now),
@@ -1075,7 +1030,7 @@ impl<'a> Shard<'a> {
         let st = &mut self.scheds[si];
         let key = EventKey {
             time: at,
-            origin: st.s as u64,
+            origin: st.book.s as u64,
             seq: st.seq,
         };
         st.seq += 1;
@@ -1122,7 +1077,7 @@ impl<'a> Shard<'a> {
             }
         }
         let outcome = self.scheds[si].faults.as_mut().map(|f| f.send());
-        let origin = self.scheds[si].s as u64;
+        let origin = self.scheds[si].book.s as u64;
         self.rpc_deliver(ev, kind, outcome, origin, now, |sh| {
             let st = &mut sh.scheds[si];
             let q = st.seq;
@@ -1241,13 +1196,8 @@ impl<'a> Shard<'a> {
                 return;
             }
             let (s, lj) = self.owner_of(j);
-            let st = &self.scheds[self.si_of(s)];
-            if st.arrived[lj] && !st.done[lj] {
-                a.check_job(
-                    j,
-                    st.occupied[lj] as u64,
-                    st.jobs[lj].occupied_slots() as u64,
-                );
+            if let Some((count, truth)) = self.scheds[self.si_of(s)].book.occupancy(lj) {
+                a.check_job(j, count, truth);
             }
         };
         match ev {
@@ -1316,48 +1266,23 @@ impl<'a> Shard<'a> {
     /// sequence depends only on this worker's event history, never on
     /// how entities interleave globally.
     fn episode_step(&mut self, wi: usize, now: SimTime) {
-        if self.workers[wi].episode.is_none() {
+        let wk = &mut self.workers[wi];
+        let worker = wk.w;
+        let Some(ep) = wk.episode.as_mut() else {
             return; // defensive: stray refusal after the episode resolved
-        }
-        let worker = self.workers[wi].w;
-        let action = match self.policy {
-            DecPolicy::Sparrow => match pick_fcfs(&self.workers[wi].queue) {
-                Some(r) => WorkerAction::Respond {
-                    scheduler: r.scheduler,
-                    job: r.job,
-                    kind: ResponseKind::NonRefusable,
-                },
-                None => WorkerAction::Idle,
-            },
-            DecPolicy::SparrowSrpt => match pick_srpt(&self.workers[wi].queue) {
-                Some(r) => WorkerAction::Respond {
-                    scheduler: r.scheduler,
-                    job: r.job,
-                    kind: ResponseKind::NonRefusable,
-                },
-                None => WorkerAction::Idle,
-            },
-            DecPolicy::Hopper => {
-                let wk = &mut self.workers[wi];
-                let mut ep = wk.episode.take().expect("episode in flight");
-                let switched = ep.refusals() >= self.cfg.refusal_threshold;
-                let action = ep.next_action(&wk.queue, &mut wk.rng);
-                wk.episode = Some(ep);
-                if switched {
-                    self.stats.guideline3_switches += 1;
-                }
-                action
-            }
         };
+        let (action, switched) = episode_action(
+            self.policy,
+            &wk.queue,
+            ep,
+            self.cfg.refusal_threshold,
+            &mut wk.rng,
+        );
+        if switched {
+            self.stats.guideline3_switches += 1;
+        }
         match action {
-            WorkerAction::Respond {
-                scheduler,
-                job,
-                kind,
-            } => {
-                if let Some(ep) = self.workers[wi].episode.as_mut() {
-                    ep.mark_probed(scheduler);
-                }
+            WorkerAction::Respond { job, kind, .. } => {
                 self.stats.responses += 1;
                 let wk = &mut self.workers[wi];
                 wk.rpc += 1;
@@ -1415,7 +1340,8 @@ impl<'a> Shard<'a> {
         // purges every reservation the finished job still has parked
         // here — *before* the staleness check, because even a stale
         // refusal carries fresh completion news. (The serial driver
-        // purged against a global done[] the worker could see directly.)
+        // purges against the schedulers' books, which its workers can see
+        // directly.)
         if job_done {
             let wk = &mut self.workers[wi];
             let before = wk.queue.len();
@@ -1433,30 +1359,21 @@ impl<'a> Shard<'a> {
         }
         // A reply reached the episode: any armed lease is void.
         self.workers[wi].rpc += 1;
-        match self.policy {
-            DecPolicy::Sparrow | DecPolicy::SparrowSrpt => {
-                // Sparrow consumes the reservation on no-task and moves on.
-                if !job_done {
-                    let wk = &mut self.workers[wi];
-                    if let Some(pos) = wk.queue.iter().position(|r| r.job as usize == job) {
-                        wk.queue.remove(pos);
-                        self.worker_msg(wi, now, SEv::ResGone { job, count: 1 });
-                    }
-                }
-                self.episode_step(wi, now);
-            }
-            DecPolicy::Hopper => {
-                // Reservations stay (the job may want Guideline-3 extras
-                // later); the episode just records the refusal.
-                if !job_done {
-                    let sched = job % self.k;
-                    if let Some(ep) = self.workers[wi].episode.as_mut() {
-                        ep.record_refusal(sched, job as u64, unsatisfied);
-                    }
-                }
-                self.episode_step(wi, now);
+        if !job_done {
+            let wk = &mut self.workers[wi];
+            let sched = job % self.k;
+            if worker_refused(
+                self.policy,
+                &mut wk.queue,
+                &mut wk.episode,
+                sched,
+                job,
+                unsatisfied,
+            ) {
+                self.worker_msg(wi, now, SEv::ResGone { job, count: 1 });
             }
         }
+        self.episode_step(wi, now);
     }
 
     /// A task assignment arrives: commit the copy against local machine
@@ -1508,12 +1425,7 @@ impl<'a> Shard<'a> {
             unit_dur.scale(1.0 / speed).max(SimTime::from_millis(1))
         };
         let wk = &mut self.workers[wi];
-        let consumed = if let Some(pos) = wk.queue.iter().position(|r| r.job as usize == job) {
-            wk.queue.remove(pos);
-            true
-        } else {
-            false
-        };
+        let consumed = consume_reservation(&mut wk.queue, job);
         let wtoken = wk.next_wtoken;
         wk.next_wtoken += 1;
         wk.records.insert(
@@ -1524,16 +1436,9 @@ impl<'a> Shard<'a> {
                 finish: now + dur,
             },
         );
-        // Piggyback a virtual-size update on this assignment for the
-        // job's reservations parked here (§5.3) — the Assign-time
-        // snapshot, where the serial driver read the scheduler's
-        // post-launch state directly.
-        for r in wk.queue.iter_mut() {
-            if r.job as usize == job {
-                r.virtual_size = vsize;
-                r.remaining_tasks = remaining;
-            }
-        }
+        // The piggyback carries the Assign-time snapshot, where the
+        // serial driver reads the scheduler's post-launch state directly.
+        piggyback(&mut wk.queue, job, vsize, remaining);
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_started(worker);
         }
@@ -1734,94 +1639,26 @@ impl<'a> Shard<'a> {
     }
 }
 
-/// First unlaunched, unclaimed original in eligible phases, preferring
-/// one whose input is local to `m` — the serial driver's
-/// `next_unclaimed_original` over the job's pending-task indices.
-fn next_unclaimed_original(
-    jr: &JobRun,
-    claimed: &HashSet<TaskRef>,
-    m: MachineId,
-) -> Option<TaskRef> {
-    let no_pref = jr.pending_no_replica_tasks().find(|t| !claimed.contains(t));
-    let local = jr.pending_local_tasks(m).find(|t| !claimed.contains(t));
-    match (no_pref, local) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
-    .or_else(|| jr.pending_tasks().find(|t| !claimed.contains(t)))
-}
-
 // ---- scheduler-side handlers ----
 impl<'a> Shard<'a> {
     /// Build job `j`'s runtime state and probe for its tasks. The
     /// owner's placement RNG is consumed in its own arrival order
-    /// (ascending job id within the scheduler), so the draw sequence is
+    /// (ascending job id within the scheduler), and random probe
+    /// targets come from the owner's own RNG, so the draw sequences are
     /// partition-independent.
     fn on_job_arrive(&mut self, spec: TraceJob, now: SimTime) {
         let j = spec.id;
         debug_assert_eq!(spec.arrival, now);
         let (s, lj) = self.owner_of(j);
         let si = self.si_of(s);
-        {
-            let st = &mut self.scheds[si];
-            let job = JobRun::new(spec, &self.cfg.cluster, &mut st.placement_rng);
-            st.pending_orig[lj] = job
-                .phases()
-                .iter()
-                .filter(|p| p.eligible)
-                .map(|p| p.num_tasks())
-                .sum();
-            st.jobs.insert(lj, job);
-            st.arrived[lj] = true;
-            st.arrivals_pending -= 1;
-            debug_assert!(st.live.last().is_none_or(|&last| last < j));
-            st.live.push(j);
-        }
+        let st = &mut self.scheds[si];
+        let job = JobRun::new(spec, &self.cfg.cluster, &mut st.placement_rng);
+        st.book.admit(lj, job);
+        let targets = st.book.arrival_probes(lj, &mut st.rng);
         self.arrivals_pending -= 1;
         self.live_count += 1;
         self.arm_scan(si, now);
-        // A job arriving at a crashed scheduler places no probes — the
-        // scheduler's recovery (and the job's watchdog) re-probe from
-        // ground truth. Never taken while scheduler faults are off.
-        if self.scheds[si].up {
-            // Place probe_ratio × tasks reservations; input tasks probe
-            // their replica machines first (§6.1), the remainder go to
-            // random workers drawn from the owner's own RNG.
-            let tasks = self.scheds[si].jobs[lj].spec.size_tasks().max(1);
-            let probes = ((tasks as f64 * self.cfg.probe_ratio).ceil() as usize).max(1);
-            let vsize = self.vsize(si, lj);
-            let remaining = self.scheds[si].jobs[lj].current_remaining() as f64;
-            let mut targets: Vec<usize> = Vec::with_capacity(probes);
-            for t in &self.scheds[si].jobs[lj].phases()[0].tasks {
-                for r in &t.replicas {
-                    if targets.len() < probes {
-                        targets.push(r.0);
-                    }
-                }
-            }
-            while targets.len() < probes {
-                let w = self.scheds[si].rng.gen_range(0..self.cfg.cluster.machines);
-                targets.push(w);
-            }
-            for w in targets {
-                self.stats.reservations += 1;
-                self.scheds[si].live_res[lj] += 1;
-                self.sched_rpc(
-                    si,
-                    now,
-                    SEv::Reservation {
-                        worker: w,
-                        res: Reservation {
-                            scheduler: s,
-                            job: j as u64,
-                            virtual_size: vsize,
-                            remaining_tasks: remaining,
-                        },
-                    },
-                );
-            }
-        }
+        self.send_reservations(si, lj, targets, now);
         // Watchdog (faults only), as in the serial driver.
         if self.faults_on {
             let at = now + SimTime::from_millis(self.backoff.delay_ms(0));
@@ -1829,67 +1666,32 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Send `count` fresh reservations for `job` to random workers.
-    fn send_probes(&mut self, si: usize, job: usize, count: usize, now: SimTime) {
-        if !self.scheds[si].up {
+    /// Send `count` fresh reservations for job `lj` of scheduler `si` to
+    /// random workers drawn from the owner's own RNG.
+    fn send_probes(&mut self, si: usize, lj: usize, count: usize, now: SimTime) {
+        let st = &mut self.scheds[si];
+        let targets = st.book.random_probes(lj, count, &mut st.rng);
+        self.send_reservations(si, lj, targets, now);
+    }
+
+    /// Send a reservation for job `lj` of scheduler `si` to each of
+    /// `targets`.
+    fn send_reservations(&mut self, si: usize, lj: usize, targets: Vec<usize>, now: SimTime) {
+        if targets.is_empty() {
             return;
         }
-        let lj = job / self.k;
-        let vsize = self.vsize(si, lj);
-        let rem = self.scheds[si].jobs[lj].current_remaining() as f64;
-        let s = self.scheds[si].s;
-        for _ in 0..count {
-            let w = self.scheds[si].rng.gen_range(0..self.cfg.cluster.machines);
+        let res = self.scheds[si].book.reservation(lj);
+        for worker in targets {
             self.stats.reservations += 1;
-            self.scheds[si].live_res[lj] += 1;
-            self.sched_rpc(
-                si,
-                now,
-                SEv::Reservation {
-                    worker: w,
-                    res: Reservation {
-                        scheduler: s,
-                        job: job as u64,
-                        virtual_size: vsize,
-                        remaining_tasks: rem,
-                    },
-                },
-            );
+            let res = res.clone();
+            self.sched_rpc(si, now, SEv::Reservation { worker, res });
         }
     }
 
-    /// The scheduler's current view of a job's virtual size.
-    fn vsize(&self, si: usize, lj: usize) -> f64 {
-        let st = &self.scheds[si];
-        let beta = if st.beta.observations() >= 20 {
-            st.beta.beta()
-        } else {
-            st.jobs[lj].spec.beta
-        };
-        virtual_size(
-            st.jobs[lj].current_remaining() as f64,
-            beta,
-            st.jobs[lj].alpha().max(1.0),
-        )
-    }
-
-    /// Whether the job is below its ε-fair share `(1−ε)·S/N` (§4.3),
-    /// with N the *window-start snapshot* of the global live-job count —
-    /// the barrier makes that snapshot identical on every shard and for
-    /// every shard count.
-    fn below_fair_floor(&self, si: usize, lj: usize) -> bool {
-        let Some(eps) = self.cfg.fairness_eps else {
-            return false;
-        };
-        if self.active_global == 0 {
-            return false;
-        }
-        let fair = self.cfg.cluster.total_slots() as f64 / self.active_global as f64;
-        let floor = ((1.0 - eps) * fair).floor().min(self.vsize(si, lj));
-        (self.scheds[si].occupied[lj] as f64) < floor
-    }
-
-    /// Scheduler-side handling of a worker's slot offer (Pseudocode 2).
+    /// Scheduler-side handling of a worker's slot offer (Pseudocode 2,
+    /// decided by the owning book). The ε-fair floor uses the
+    /// *window-start snapshot* of the global live-job count — the barrier
+    /// makes it identical on every shard and for every shard count.
     fn on_response(
         &mut self,
         worker: usize,
@@ -1903,162 +1705,78 @@ impl<'a> Shard<'a> {
         let si = self.si_of(s);
         // Offer addressed to a crashed scheduler: effectively lost — the
         // worker's lease reclaims the promised slot. (Faults only.)
-        if !self.scheds[si].up {
+        if !self.scheds[si].book.up {
             return;
         }
-        if self.scheds[si].done[lj] {
-            self.send_refusal(si, worker, job, true, inc, ep, now);
+        if !self.scheds[si].book.is_live(lj) {
+            self.send_refusal(si, worker, lj, true, inc, ep, now);
             return;
         }
-        let accepts = match self.policy {
-            DecPolicy::Sparrow | DecPolicy::SparrowSrpt => true,
-            DecPolicy::Hopper => {
-                let below = self.below_fair_floor(si, lj);
-                scheduler_accepts(
-                    kind,
-                    self.scheds[si].occupied[lj] as f64,
-                    self.vsize(si, lj),
-                ) || below
-            }
-        };
-        let allow_extra_spec = matches!(self.policy, DecPolicy::Hopper);
-        let launch = if accepts {
-            self.pick_work(si, lj, worker, allow_extra_spec, now)
-        } else {
-            None
-        };
-        match launch {
-            Some((task, speculative)) => {
-                let unit_dur = {
-                    let st = &mut self.scheds[si];
-                    st.occupied[lj] += 1;
-                    if speculative {
-                        st.candidates[lj].retain(|c| c.task != task);
-                    } else {
-                        st.pending_orig[lj] -= 1;
-                    }
-                    // Pre-draw the unit-speed duration from the owner's
-                    // own RNG; the worker speed-scales and commits.
-                    st.jobs[lj].sample_unit_duration(
-                        task,
-                        MachineId(worker),
-                        speculative,
-                        &self.cfg.cluster,
-                        &mut st.rng,
-                    )
-                };
-                let vsize = self.vsize(si, lj);
-                let remaining = self.scheds[si].jobs[lj].current_remaining() as f64;
-                self.sched_rpc(
-                    si,
-                    now,
-                    SEv::Assign {
-                        worker,
-                        job,
-                        task,
-                        speculative,
-                        unit_dur,
-                        vsize,
-                        remaining,
-                        inc,
-                        ep,
-                    },
-                );
-            }
-            None => self.send_refusal(si, worker, job, false, inc, ep, now),
-        }
-    }
-
-    /// Choose the next work item for the job on `worker`, exactly as the
-    /// serial driver's `pick_work`.
-    fn pick_work(
-        &mut self,
-        si: usize,
-        lj: usize,
-        worker: usize,
-        allow_extra_spec: bool,
-        now: SimTime,
-    ) -> Option<(TaskRef, bool)> {
+        let share = fair_share(
+            self.cfg.fairness_eps,
+            self.cfg.cluster.total_slots(),
+            self.active_global,
+        );
         let st = &mut self.scheds[si];
-        if st.pending_orig[lj] > 0 {
-            if let Some(task) =
-                next_unclaimed_original(&st.jobs[lj], &st.claimed[lj], MachineId(worker))
-            {
-                st.claimed[lj].insert(task);
-                return Some((task, false));
-            }
-        }
-        while let Some(cand) = st.candidates[lj].front().copied() {
-            let t = &st.jobs[lj].phases()[cand.task.phase].tasks[cand.task.task];
-            if t.is_finished() || t.running_copies() == 0 || t.running_copies() >= 2 {
-                st.candidates[lj].pop_front();
-                continue;
-            }
-            return Some((cand.task, true));
-        }
-        if allow_extra_spec {
-            if let Some(task) = st.jobs[lj].best_extra_speculation(now) {
-                return Some((task, true));
-            }
-        }
-        None
+        let Some((task, speculative)) =
+            st.book
+                .serve(lj, kind, MachineId(worker), self.policy, share, now)
+        else {
+            self.send_refusal(si, worker, lj, false, inc, ep, now);
+            return;
+        };
+        // Pre-draw the unit-speed duration from the owner's own RNG; the
+        // worker speed-scales and commits.
+        let unit_dur = st.book.jobs[lj].sample_unit_duration(
+            task,
+            MachineId(worker),
+            speculative,
+            &self.cfg.cluster,
+            &mut st.rng,
+        );
+        let fresh = st.book.reservation(lj);
+        self.sched_rpc(
+            si,
+            now,
+            SEv::Assign {
+                worker,
+                job,
+                task,
+                speculative,
+                unit_dur,
+                vsize: fresh.virtual_size,
+                remaining: fresh.remaining_tasks,
+                inc,
+                ep,
+            },
+        );
     }
 
-    /// Refuse an offer, advertising this scheduler's smallest
-    /// unsatisfied job (Pseudocode 3). `job_done` makes the refusal
-    /// double as the job's completion notification at the worker.
+    /// Refuse an offer for job `lj`, advertising this scheduler's
+    /// smallest unsatisfied job (Pseudocode 3). `job_done` makes the
+    /// refusal double as the job's completion notification at the worker.
     #[allow(clippy::too_many_arguments)]
     fn send_refusal(
         &mut self,
         si: usize,
         worker: usize,
-        job: usize,
+        lj: usize,
         job_done: bool,
         inc: u64,
         ep: u64,
         now: SimTime,
     ) {
         self.stats.refusals += 1;
-        let s = self.scheds[si].s;
-        let mut best: Option<UnsatisfiedJob> = None;
-        for idx in 0..self.scheds[si].live.len() {
-            let j2 = self.scheds[si].live[idx];
-            if j2 == job {
-                continue;
-            }
-            let lj2 = j2 / self.k;
-            let launchable = {
-                let st = &self.scheds[si];
-                st.pending_orig[lj2] > 0 || !st.candidates[lj2].is_empty()
-            };
-            if !launchable {
-                continue;
-            }
-            let v = self.vsize(si, lj2);
-            let advertised = ((self.scheds[si].occupied[lj2] as f64) < v).then_some(v);
-            if let Some(adv) = advertised {
-                let better = best.is_none_or(|b| adv < b.virtual_size);
-                if better {
-                    best = Some(UnsatisfiedJob {
-                        scheduler: s,
-                        job: j2 as u64,
-                        virtual_size: adv,
-                    });
-                }
-            }
-        }
-        self.sched_rpc(
-            si,
-            now,
-            SEv::Refusal {
-                worker,
-                job,
-                job_done,
-                unsatisfied: best,
-                inc,
-                ep,
-            },
-        );
+        let book = &self.scheds[si].book;
+        let ev = SEv::Refusal {
+            worker,
+            job: book.job_id(lj),
+            job_done,
+            unsatisfied: book.best_unsatisfied(lj),
+            inc,
+            ep,
+        };
+        self.sched_rpc(si, now, ev);
     }
 
     /// The worker's launch ack: commit the copy into scheduler ground
@@ -2085,38 +1803,10 @@ impl<'a> Shard<'a> {
                 a.note_occ_delivered(job);
             }
         }
-        {
-            let st = &mut self.scheds[si];
-            if !speculative {
-                st.claimed[lj].remove(&task);
-            }
-            if consumed {
-                st.live_res[lj] = st.live_res[lj].saturating_sub(1);
-            }
-        }
         // The serial driver's delivery-time re-validation, moved to ack
-        // time: done ⇒ every task finished ⇒ stale, without
-        // dereferencing retired state.
-        let stale = {
-            let st = &self.scheds[si];
-            st.done[lj] || {
-                let t = &st.jobs[lj].phases()[task.phase].tasks[task.task];
-                t.is_finished()
-                    || (speculative && t.running_copies() == 0)
-                    || (!speculative && !t.needs_original())
-            }
-        };
-        if stale {
-            {
-                let st = &mut self.scheds[si];
-                st.occupied[lj] = st.occupied[lj].saturating_sub(1);
-                if !speculative
-                    && !st.done[lj]
-                    && st.jobs[lj].phases()[task.phase].tasks[task.task].needs_original()
-                {
-                    st.pending_orig[lj] += 1;
-                }
-            }
+        // time.
+        let st = &mut self.scheds[si];
+        if !st.book.assign_landed(lj, task, speculative, consumed) {
             // Unlike the serial driver, the copy is already running at
             // the worker: reclaim it. (A lost kill is recovered by the
             // copy freeing itself at its natural finish.)
@@ -2124,14 +1814,11 @@ impl<'a> Shard<'a> {
             self.sched_rpc(si, now, SEv::Kill { worker, wtoken });
             return;
         }
-        {
-            let st = &mut self.scheds[si];
-            st.wd_progress[lj] += 1;
-            let copy =
-                st.jobs[lj].launch_copy_prepared(task, MachineId(worker), speculative, start, dur);
-            st.copy_tok.insert((job, copy), (worker, wtoken));
-            st.tok_copy.insert((worker, wtoken), (job, copy));
-        }
+        st.book.wd_progress[lj] += 1;
+        let copy =
+            st.book.jobs[lj].launch_copy_prepared(task, MachineId(worker), speculative, start, dur);
+        st.copy_tok.insert((job, copy), (worker, wtoken));
+        st.tok_copy.insert((worker, wtoken), (job, copy));
         if speculative {
             self.stats.spec_launched += 1;
         } else {
@@ -2141,9 +1828,8 @@ impl<'a> Shard<'a> {
 
     /// The assign found no promised slot (machine failed or episode
     /// ended in flight): undo the send-side accounting, as the serial
-    /// driver's delivery-time mismatch branch did in place.
-    fn on_assign_failed(&mut self, job: usize, task: TaskRef, speculative: bool, now: SimTime) {
-        let _ = now;
+    /// driver's delivery-time mismatch branch does in place.
+    fn on_assign_failed(&mut self, job: usize, task: TaskRef, speculative: bool) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
         if !self.faults_on {
@@ -2151,100 +1837,49 @@ impl<'a> Shard<'a> {
                 a.note_occ_delivered(job);
             }
         }
-        let st = &mut self.scheds[si];
-        if !speculative {
-            st.claimed[lj].remove(&task);
-        }
-        st.occupied[lj] = st.occupied[lj].saturating_sub(1);
-        if !speculative
-            && !st.done[lj]
-            && st.jobs[lj].phases()[task.phase].tasks[task.task].needs_original()
-        {
-            st.pending_orig[lj] += 1;
-        }
+        self.scheds[si].book.assign_failed(lj, task, speculative);
     }
 
-    /// A committed copy ran to completion: resolve the race exactly as
-    /// the serial driver's `on_finish` scheduler half — kill running
-    /// siblings, learn β from the measured wall-clock duration, open
-    /// newly eligible phases, complete the job.
+    /// A committed copy ran to completion: resolve the race (the book
+    /// learns β from the worker's measured wall-clock duration — equal
+    /// to the serial driver's rescale-adjusted copy duration), kill the
+    /// running siblings, probe newly eligible phases, complete the job.
     fn on_task_done(&mut self, job: usize, worker: usize, wtoken: u64, dur: SimTime, now: SimTime) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
-        let _ = s;
-        let Some(&(gjob, copy)) = self.scheds[si].tok_copy.get(&(worker, wtoken)) else {
+        let st = &mut self.scheds[si];
+        let Some((gjob, copy)) = st.tok_copy.remove(&(worker, wtoken)) else {
             return; // lost its race (or machine) before this ack landed
         };
         debug_assert_eq!(gjob, job);
-        {
-            let st = &mut self.scheds[si];
-            st.tok_copy.remove(&(worker, wtoken));
-            st.copy_tok.remove(&(gjob, copy));
-        }
-        // Collect running siblings *before* resolving the race.
-        let siblings: Vec<CopyRef> = self.scheds[si].jobs[lj].phases()[copy.task.phase].tasks
-            [copy.task.task]
-            .copies
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| *i != copy.copy && c.status == hopper_cluster::CopyStatus::Running)
-            .map(|(i, _)| CopyRef::new(copy.task.phase, copy.task.task, i))
-            .collect();
-        let out = {
-            let st = &mut self.scheds[si];
-            let Some(out) = st.jobs[lj].finish_copy(copy, now) else {
-                return; // stale (copy killed earlier)
-            };
-            out
+        st.copy_tok.remove(&(job, copy));
+        let Some(done) = st.book.copy_finished(lj, copy, now, Some(dur)) else {
+            return; // stale (copy killed earlier)
         };
-        let was_spec = self.scheds[si].jobs[lj].phases()[copy.task.phase].tasks[copy.task.task]
-            .copies[copy.copy]
-            .speculative;
-        if was_spec {
+        if done.spec_won {
             self.stats.spec_won += 1;
         }
-        {
-            let st = &mut self.scheds[si];
-            st.wd_progress[lj] += 1;
-            st.occupied[lj] = st.occupied[lj].saturating_sub(1);
-            // β learns the measured wall-clock duration — equal to the
-            // serial driver's rescale-adjusted copy duration.
-            if out.nominal.as_millis() > 0 && st.up {
-                st.beta
-                    .observe(dur.as_millis() as f64 / out.nominal.as_millis() as f64);
-            }
-        }
-        for c in siblings {
+        for (c, _) in done.losers {
             // The sibling leaves the occupancy counter at its kill's
             // *send* (ground truth dropped it in `finish_copy` at this
             // same event), keeping counter and truth in lockstep.
-            let kill = {
-                let st = &mut self.scheds[si];
-                st.occupied[lj] = st.occupied[lj].saturating_sub(1);
-                st.copy_tok.remove(&(gjob, c)).inspect(|(w2, tok2)| {
-                    st.tok_copy.remove(&(*w2, *tok2));
-                })
-            };
-            if let Some((w2, tok2)) = kill {
+            let st = &mut self.scheds[si];
+            st.book.vacate(lj, 1);
+            if let Some((w2, tok2)) = st.copy_tok.remove(&(job, c)) {
+                st.tok_copy.remove(&(w2, tok2));
                 self.tele_kills += 1;
-                self.sched_rpc(
-                    si,
-                    now,
-                    SEv::Kill {
-                        worker: w2,
-                        wtoken: tok2,
-                    },
-                );
+                let kill = SEv::Kill {
+                    worker: w2,
+                    wtoken: tok2,
+                };
+                self.sched_rpc(si, now, kill);
             }
         }
-        for &pi in &out.newly_eligible {
-            let tasks = self.scheds[si].jobs[lj].phases()[pi].num_tasks();
-            self.scheds[si].pending_orig[lj] += tasks;
-            let probes = ((tasks as f64 * self.cfg.probe_ratio).ceil() as usize).max(1);
-            self.send_probes(si, job, probes, now);
+        for probes in done.phase_probes {
+            self.send_probes(si, lj, probes, now);
         }
-        if out.job_done {
-            self.complete_job(si, lj, job, now);
+        if done.job_done {
+            self.complete_job(si, lj, now);
         }
     }
 
@@ -2253,33 +1888,23 @@ impl<'a> Shard<'a> {
     fn on_copy_lost(&mut self, job: usize, worker: usize, wtoken: u64, now: SimTime) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
-        let _ = s;
-        let Some((gjob, copy)) = self.scheds[si].tok_copy.remove(&(worker, wtoken)) else {
+        let st = &mut self.scheds[si];
+        let Some((_, copy)) = st.tok_copy.remove(&(worker, wtoken)) else {
             return;
         };
-        self.scheds[si].copy_tok.remove(&(gjob, copy));
-        let requeued = {
-            let st = &mut self.scheds[si];
-            st.occupied[lj] = st.occupied[lj].saturating_sub(1);
-            st.jobs[lj].lose_copy(copy)
-        };
-        if requeued == Some(true) {
-            self.scheds[si].pending_orig[lj] += 1;
-            let probes = (self.cfg.probe_ratio.ceil() as usize).max(1);
-            self.send_probes(si, job, probes, now);
+        st.copy_tok.remove(&(job, copy));
+        st.book.vacate(lj, 1);
+        if st.book.jobs[lj].lose_copy(copy) == Some(true) {
+            let probes = st.book.requeue(lj, 1);
+            self.send_probes(si, lj, probes, now);
         }
     }
 
     /// Reservations for the job evaporated at a worker.
-    fn on_res_gone(&mut self, job: usize, count: usize, now: SimTime) {
-        let _ = now;
+    fn on_res_gone(&mut self, job: usize, count: usize) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
-        let _ = s;
-        let st = &mut self.scheds[si];
-        if !st.done[lj] {
-            st.live_res[lj] = st.live_res[lj].saturating_sub(count);
-        }
+        self.scheds[si].book.reservations_gone(lj, count);
     }
 
     /// Per-scheduler straggler scan: refresh speculation candidates and
@@ -2288,35 +1913,10 @@ impl<'a> Shard<'a> {
     /// self-poll (`SEv::Poll`).
     fn on_scan(&mut self, sched: usize, now: SimTime) {
         let si = self.si_of(sched);
-        self.scheds[si].scan_armed = false;
-        if self.scheds[si].up {
-            for idx in 0..self.scheds[si].live.len() {
-                let lj = self.scheds[si].live[idx] / self.k;
-                let st = &mut self.scheds[si];
-                if st.jobs[lj].occupied_slots() > 0 {
-                    let cands = self.cfg.speculator.candidates(&st.jobs[lj], now);
-                    st.candidates[lj] = cands.into();
-                }
-            }
-            let mut reprobe: Vec<(usize, usize)> = Vec::new();
-            for idx in 0..self.scheds[si].live.len() {
-                let j = self.scheds[si].live[idx];
-                let lj = j / self.k;
-                let st = &self.scheds[si];
-                if st.live_res[lj] > 0 {
-                    continue;
-                }
-                let launchable = st.pending_orig[lj] > 0 || !st.candidates[lj].is_empty();
-                if launchable {
-                    let want = ((st.jobs[lj].current_remaining() as f64 * self.cfg.probe_ratio)
-                        .ceil() as usize)
-                        .max(1);
-                    reprobe.push((j, want));
-                }
-            }
-            for (j, want) in reprobe {
-                self.send_probes(si, j, want, now);
-            }
+        let st = &mut self.scheds[si];
+        st.scan_armed = false;
+        for (lj, probes) in st.book.scan(&self.cfg.speculator, now) {
+            self.send_probes(si, lj, probes, now);
         }
         self.arm_scan(si, now);
     }
@@ -2325,22 +1925,30 @@ impl<'a> Shard<'a> {
     /// arrivals (the self-limiting equivalent of the serial driver's
     /// global-activity check).
     fn arm_scan(&mut self, si: usize, now: SimTime) {
-        let st = &self.scheds[si];
-        if !st.scan_armed && (!st.live.is_empty() || st.arrivals_pending > 0) {
-            let s = st.s;
-            let at = now + self.cfg.scan_interval;
-            self.scheds[si].scan_armed = true;
-            self.push_local_sched(si, at, SEv::Scan { sched: s });
+        let st = &mut self.scheds[si];
+        if !st.scan_armed && (!st.book.live.is_empty() || st.book.arrivals_pending > 0) {
+            st.scan_armed = true;
+            let scan = SEv::Scan { sched: st.book.s };
+            self.push_local_sched(si, now + self.cfg.scan_interval, scan);
         }
     }
 
     /// Apply one scheduler crash/recover incident (faults only).
     fn on_sched_dyn(&mut self, ev: SchedEv, now: SimTime) {
-        if self.drained {
-            return; // chain retires, as the dynamics chains do
-        }
         let s = sched_of(&ev);
         let si = self.si_of(s);
+        if self.drained {
+            // The chain retires, as the dynamics chains do — but a
+            // scheduler that is down at that point still recovers.
+            // Workers learn that its jobs completed only from its
+            // refusals; left down, it would leave their reservations
+            // parked and re-offered forever. No job is live, so
+            // recovery has nothing to reconcile.
+            if let SchedEv::Recover(_) = ev {
+                self.scheds[si].book.up = true;
+            }
+            return;
+        }
         if let Some((delay, next)) = self
             .sched_chain
             .as_mut()
@@ -2352,101 +1960,44 @@ impl<'a> Shard<'a> {
         match ev {
             SchedEv::Fail(_) => {
                 self.stats.sched_failovers += 1;
-                let st = &mut self.scheds[si];
-                st.up = false;
-                for idx in 0..st.live.len() {
-                    let lj = st.live[idx] / self.k;
-                    st.candidates[lj] = VecDeque::new();
-                    st.claimed[lj] = HashSet::new();
-                }
-                st.beta = BetaEstimator::with_prior(1.5);
+                self.scheds[si].book.crash();
             }
             SchedEv::Recover(_) => {
-                self.scheds[si].up = true;
-                let owned: Vec<usize> = self.scheds[si].live.clone();
-                for j in owned {
-                    let lj = j / self.k;
-                    {
-                        let st = &mut self.scheds[si];
-                        st.occupied[lj] = st.jobs[lj].occupied_slots();
-                        st.pending_orig[lj] = st.jobs[lj].pending_tasks().count();
-                    }
-                    let pending = self.scheds[si].pending_orig[lj];
-                    if pending > 0 {
-                        let probes =
-                            ((pending as f64 * self.cfg.probe_ratio).ceil() as usize).max(1);
-                        self.stats.msgs_retried += probes as u64;
-                        self.send_probes(si, j, probes, now);
-                    }
+                for (lj, probes) in self.scheds[si].book.recover() {
+                    self.stats.msgs_retried += probes as u64;
+                    self.send_probes(si, lj, probes, now);
                 }
             }
         }
     }
 
-    /// The per-job watchdog fired (faults only), as in the serial
-    /// driver.
+    /// The per-job watchdog fired (faults only); the owning book decides
+    /// (see `SchedBook::watchdog`).
     fn on_job_timeout(&mut self, job: usize, now: SimTime) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
-        let _ = s;
-        if self.scheds[si].done[lj] {
+        let Some((delay_ms, stall)) = self.scheds[si].book.watchdog(lj, &self.backoff) else {
             return; // no re-arm: the watchdog dies with the job
-        }
-        let delay_ms = if self.scheds[si].wd_progress[lj] != self.scheds[si].wd_seen[lj] {
-            let st = &mut self.scheds[si];
-            st.wd_seen[lj] = st.wd_progress[lj];
-            st.wd_attempt[lj] = 0;
-            self.backoff.delay_ms(0)
-        } else if !self.scheds[si].up {
-            self.backoff.delay_ms(0)
-        } else {
-            self.stats.timeouts_fired += 1;
-            let launchable = {
-                let st = &mut self.scheds[si];
-                st.claimed[lj] = HashSet::new();
-                st.occupied[lj] = st.jobs[lj].occupied_slots();
-                st.pending_orig[lj] = st.jobs[lj].pending_tasks().count();
-                st.pending_orig[lj] > 0 || !st.candidates[lj].is_empty()
-            };
-            if launchable {
-                let probes = ((self.scheds[si].jobs[lj].current_remaining() as f64
-                    * self.cfg.probe_ratio)
-                    .ceil() as usize)
-                    .max(1);
-                self.stats.msgs_retried += probes as u64;
-                self.send_probes(si, job, probes, now);
-            }
-            let st = &mut self.scheds[si];
-            let attempt = st.wd_attempt[lj];
-            st.wd_attempt[lj] = self.backoff.next_attempt(attempt);
-            self.backoff.delay_ms(attempt)
         };
+        if let Some(probes) = stall {
+            self.stats.timeouts_fired += 1;
+            if probes > 0 {
+                self.stats.msgs_retried += probes as u64;
+                self.send_probes(si, lj, probes, now);
+            }
+        }
         let at = now + SimTime::from_millis(delay_ms);
         self.push_local_sched(si, at, SEv::JobTimeout { job });
     }
 
-    /// Complete and **retire** the job, exactly as the serial driver's
-    /// `complete_job` (the retirement invariant carries over verbatim).
-    fn complete_job(&mut self, si: usize, lj: usize, job: usize, now: SimTime) {
-        {
-            let st = &mut self.scheds[si];
-            st.done[lj] = true;
-            st.done_count += 1;
-            st.candidates[lj] = VecDeque::new();
-            st.claimed[lj] = HashSet::new();
-            let pos = st.live.binary_search(&job).expect("completed job is live");
-            st.live.remove(pos);
-        }
+    /// Complete and **retire** job `lj` of scheduler `si` (see
+    /// `SchedBook::retire`), folding its outcome into the scheduler's
+    /// digest and the shard's accumulators.
+    fn complete_job(&mut self, si: usize, lj: usize, now: SimTime) {
+        let st = &mut self.scheds[si];
+        let result = st.book.retire(lj, now);
+        st.digest.observe_ms(result.duration_ms());
         self.live_count -= 1;
-        let retired = self.scheds[si].jobs.retire(lj);
-        let result = JobResult {
-            job: retired.id,
-            size_tasks: retired.spec.size_tasks(),
-            dag_len: retired.spec.dag_len(),
-            arrival: retired.spec.arrival,
-            completed: now,
-        };
-        self.scheds[si].digest.observe_ms(result.duration_ms());
         self.tele.observe_jct(result.duration_ms());
         if self.retain_jobs {
             self.results.push(result);
@@ -2476,7 +2027,11 @@ impl<'a> Shard<'a> {
             busy_slots: self.workers.iter().map(|wk| wk.records.len() as u64).sum(),
             queue_depth: self.workers.iter().map(|wk| wk.queue.len() as u64).sum(),
             live_jobs: self.live_count as u64,
-            completed: self.scheds.iter().map(|st| st.done_count).sum(),
+            completed: self
+                .scheds
+                .iter()
+                .map(|st| st.book.jobs.retired() as u64)
+                .sum(),
             orig_launched: self.stats.orig_launched,
             spec_launched: self.stats.spec_launched,
             spec_won: self.stats.spec_won,

@@ -553,6 +553,9 @@ impl ExperimentSpec {
         if self.machines == 0 || self.slots == 0 {
             return Err(err("machines and slots must be positive"));
         }
+        if self.schedulers == 0 {
+            return Err(err("schedulers must be positive"));
+        }
         if !(self.util > 0.0 && self.util <= 1.5) {
             return Err(err(format!("util must be in (0, 1.5], got {}", self.util)));
         }
@@ -1058,6 +1061,16 @@ seeds=0,1,2
         let mut s = ExperimentSpec::central();
         s.seeds.clear();
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn zero_schedulers_is_rejected() {
+        let err = ExperimentSpec::parse("engine=decentral\nschedulers=0\n").unwrap_err();
+        assert!(
+            err.to_string().contains("schedulers must be positive"),
+            "{err}"
+        );
+        assert!(ExperimentSpec::parse("engine=decentral\nschedulers=1\n").is_ok());
     }
 
     #[test]

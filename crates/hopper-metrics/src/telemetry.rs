@@ -403,7 +403,10 @@ pub struct RunReport {
     /// Streaming JCT digest over every completed job.
     pub digest: JobDigest,
     /// High-water mark of simultaneously live jobs (the streaming
-    /// memory gate).
+    /// memory gate). The sharded decentralized engine reports the sum of
+    /// its per-scheduler high-water marks instead: an upper bound on the
+    /// simultaneous maximum, kept because it does not depend on the
+    /// shard count.
     pub live_high_water: usize,
     /// Windowed time-series; `None` unless the run set
     /// `telemetry_window_ms > 0`.

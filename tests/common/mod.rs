@@ -118,6 +118,78 @@ pub fn render_goldens(dynamics: &DynamicsConfig) -> String {
             .unwrap();
         }
     }
+    out.push_str(&render_engine_rows(dynamics, |_| {}));
+    out
+}
+
+/// The message storm of the `storm/` rows: loss, duplication, jitter and
+/// scheduler crash/recover chains (with the hardening that keeps every
+/// job completing).
+pub fn storm_faults() -> decentral::FaultConfig {
+    decentral::FaultConfig {
+        msg_loss: 0.05,
+        msg_jitter_ms: 5,
+        msg_dup: 0.02,
+        sched_fail_rate_per_hour: 400.0,
+        sched_mttr_ms: 1_500,
+        rpc_timeout_ms: 1_000,
+        rpc_retries: 3,
+    }
+}
+
+/// The golden rows beyond the serial, faults-off decentralized family:
+/// `sharded/<policy>/seed<N>` (the sharded engine at `shards=1`) and
+/// `storm/{serial,sharded}/hopper/seed<N>` (both engines under
+/// [`storm_faults`]). They pin the sharded family's absolute values and
+/// the fault and crash paths. `mutate` adjusts every config after the
+/// row's own settings (the telemetry suite turns windows on with it).
+/// The prefixes differ from `decentral/` so [`golden_decentral_lines`]
+/// does not pick them up.
+pub fn render_engine_rows(
+    dynamics: &DynamicsConfig,
+    mutate: impl Fn(&mut decentral::DecConfig),
+) -> String {
+    let mut out = String::new();
+    let mut row = |label: String, t: &Trace, policy, cfg: &mut decentral::DecConfig| {
+        mutate(cfg);
+        let r = decentral::run(t, policy, cfg);
+        writeln!(
+            out,
+            "{label}: jobs_digest={:#018x} stats={:?}",
+            jobs_digest(&r.jobs),
+            r.stats
+        )
+        .unwrap();
+    };
+    for seed in [5u64, 11] {
+        let t = trace(seed);
+        for policy in [
+            decentral::DecPolicy::Sparrow,
+            decentral::DecPolicy::SparrowSrpt,
+            decentral::DecPolicy::Hopper,
+        ] {
+            let mut cfg = decentral_cfg(seed, dynamics.clone());
+            cfg.shards = 1;
+            row(
+                format!("sharded/{}/seed{seed}", policy.name()),
+                &t,
+                policy,
+                &mut cfg,
+            );
+        }
+        for (engine, shards) in [("serial", 0), ("sharded", 1)] {
+            let mut cfg = decentral_cfg(seed, dynamics.clone());
+            cfg.shards = shards;
+            cfg.faults = storm_faults();
+            let policy = decentral::DecPolicy::Hopper;
+            row(
+                format!("storm/{engine}/hopper/seed{seed}"),
+                &t,
+                policy,
+                &mut cfg,
+            );
+        }
+    }
     out
 }
 

@@ -124,6 +124,9 @@ fn telemetry_on_matches_the_pinned_goldens() {
             .unwrap();
         }
     }
+    out.push_str(&common::render_engine_rows(&DynamicsConfig::off(), |cfg| {
+        cfg.telemetry_window_ms = WINDOW_MS;
+    }));
     assert_matches_goldens(&out, "telemetry_window_ms > 0");
 }
 
