@@ -219,6 +219,58 @@ pub struct FailOutcome {
     pub requeued: Vec<TaskRef>,
 }
 
+/// What losing one running copy did to its task (returned by
+/// [`JobRun::lose_copy`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopyLoss {
+    /// The task's last running copy died: it is pending again.
+    pub requeued: bool,
+    /// The lost copy was speculative.
+    pub speculative: bool,
+}
+
+/// The wall-clock duration of a unit-speed `duration` on a machine
+/// running at `speed`: divided by the speed, at least 1 ms. Speed 1.0
+/// returns `duration` untouched (`scale` re-rounds even at factor 1.0),
+/// which keeps the homogeneous path bit-identical.
+pub fn duration_at_speed(duration: SimTime, speed: f64) -> SimTime {
+    debug_assert!(speed > 0.0 && speed.is_finite(), "bad machine speed");
+    if speed == 1.0 {
+        duration
+    } else {
+        duration.scale(1.0 / speed).max(SimTime::from_millis(1))
+    }
+}
+
+/// A running copy's new finish instant after its machine's speed changed
+/// at `now` by `ratio` (old speed / new speed). The remaining time
+/// stretches by `ratio`, re-anchored at `now`; a copy that has not
+/// started yet (`start >= now`) stretches its whole duration. Every
+/// stretched span is at least 1 ms. `None` when the finish stays: the
+/// copy is due at this very instant (it lands unchanged), or rounding
+/// left it where it was.
+pub fn rescaled_finish(
+    start: SimTime,
+    finish: SimTime,
+    now: SimTime,
+    ratio: f64,
+) -> Option<SimTime> {
+    debug_assert!(ratio > 0.0 && ratio.is_finite(), "bad rescale ratio");
+    let stretch = |span: SimTime| {
+        SimTime::from_millis(((span.as_millis() as f64 * ratio).round() as u64).max(1))
+    };
+    let new = if start >= now {
+        start + stretch(finish - start)
+    } else {
+        let rem = finish.saturating_sub(now);
+        if rem == SimTime::ZERO {
+            return None;
+        }
+        now + stretch(rem)
+    };
+    (new != finish).then_some(new)
+}
+
 /// A scheduler-visible view of one running copy (progress observation).
 ///
 /// `est_remaining_ms` is derived from the copy's progress rate the way
@@ -560,8 +612,9 @@ impl JobRun {
 
     /// [`JobRun::launch_copy`] on a machine running at `speed` (the
     /// cluster-dynamics plane): the copy's wall-clock duration is the
-    /// unit-speed duration divided by the speed. `speed == 1.0` is
-    /// bit-identical to `launch_copy` — the dynamics-off invariant.
+    /// unit-speed duration divided by the speed ([`duration_at_speed`]).
+    /// `speed == 1.0` is bit-identical to `launch_copy` — the
+    /// dynamics-off invariant.
     #[allow(clippy::too_many_arguments)]
     pub fn launch_copy_at_speed(
         &mut self,
@@ -574,19 +627,32 @@ impl JobRun {
         rng: &mut StdRng,
         speed: f64,
     ) -> (CopyRef, SimTime) {
-        debug_assert!(speed > 0.0 && speed.is_finite(), "bad machine speed");
-        let phase = &mut self.phases[task.phase];
-        assert!(phase.eligible, "launching into ineligible phase");
-        let effective = phase.effective_work(task.task);
-        let t = &mut phase.tasks[task.task];
-        assert!(t.finished_at.is_none(), "launching a finished task");
-        debug_assert!(
-            !speculative || t.running > 0,
-            "speculating on a task with no running copy"
-        );
+        let unit = self.sample_unit_duration(task, machine, speculative, cfg, rng);
+        let duration = duration_at_speed(unit, speed);
+        let copy = self.launch_copy_prepared(task, machine, speculative, now + delay, duration);
+        (copy, duration)
+    }
 
+    /// Draw the unit-speed duration a copy of `task` would run for on
+    /// `machine`, *without* launching it: the first half of every launch
+    /// ([`JobRun::launch_copy_prepared`] is the second). The sharded
+    /// engine calls the halves apart — the owning scheduler samples the
+    /// duration from its own RNG child and ships it inside the
+    /// assignment; the worker scales it by its local machine speed and
+    /// commits. Scripted tasks consume no randomness.
+    pub fn sample_unit_duration(
+        &self,
+        task: TaskRef,
+        machine: MachineId,
+        speculative: bool,
+        cfg: &ClusterConfig,
+        rng: &mut StdRng,
+    ) -> SimTime {
+        let phase = &self.phases[task.phase];
+        let effective = phase.effective_work(task.task);
+        let t = &phase.tasks[task.task];
         let local = t.replicas.is_empty() || t.replicas.contains(&machine);
-        let unit_speed = match t.scripted {
+        match t.scripted {
             Some(s) => {
                 if speculative {
                     s.speculative
@@ -601,14 +667,33 @@ impl JobRun {
                 let penalty = if local { 1.0 } else { cfg.remote_read_penalty };
                 effective.scale(mult * penalty)
             }
-        };
-        // The speed division is gated so the homogeneous path stays
-        // bit-identical (scale() re-rounds even at factor 1.0).
-        let duration = if speed == 1.0 {
-            unit_speed
-        } else {
-            unit_speed.scale(1.0 / speed).max(SimTime::from_millis(1))
-        };
+        }
+    }
+
+    /// Commit a copy whose start instant and (already speed-scaled)
+    /// duration are fixed: the second half of every launch, and the only
+    /// place a copy enters the task and the job's indices. No RNG is
+    /// consumed. `start` may lie in the past relative to the caller's
+    /// clock (the sharded engine's launch acknowledgment travelled over
+    /// the simulated network); all consumers of copy finish times
+    /// saturate.
+    pub fn launch_copy_prepared(
+        &mut self,
+        task: TaskRef,
+        machine: MachineId,
+        speculative: bool,
+        start: SimTime,
+        duration: SimTime,
+    ) -> CopyRef {
+        let phase = &mut self.phases[task.phase];
+        assert!(phase.eligible, "launching into ineligible phase");
+        let t = &mut phase.tasks[task.task];
+        assert!(t.finished_at.is_none(), "launching a finished task");
+        debug_assert!(
+            !speculative || t.running > 0,
+            "speculating on a task with no running copy"
+        );
+        let local = t.replicas.is_empty() || t.replicas.contains(&machine);
         if !t.replicas.is_empty() {
             if local {
                 self.local_launches += 1;
@@ -621,7 +706,6 @@ impl JobRun {
         // failure requeued it.
         let was_pending = t.running == 0;
         let copy_idx = t.copies.len();
-        let start = now + delay;
         t.copies.push(Copy {
             machine,
             start,
@@ -659,138 +743,27 @@ impl JobRun {
         }
         #[cfg(debug_assertions)]
         self.debug_check_index();
-        (
-            CopyRef {
-                task,
-                copy: copy_idx,
-            },
-            duration,
-        )
-    }
-
-    /// Draw the unit-speed duration a copy of `task` would run for on
-    /// `machine`, *without* launching it — the sharded engine's
-    /// scheduler-side pre-draw: the owning scheduler samples the
-    /// duration (consuming only its own RNG child), ships it inside the
-    /// assignment, and the worker commits it via
-    /// [`JobRun::launch_copy_prepared`] after scaling by its local
-    /// machine speed. Scripted tasks consume no randomness, exactly
-    /// like [`JobRun::launch_copy_at_speed`].
-    pub fn sample_unit_duration(
-        &self,
-        task: TaskRef,
-        machine: MachineId,
-        speculative: bool,
-        cfg: &ClusterConfig,
-        rng: &mut StdRng,
-    ) -> SimTime {
-        let phase = &self.phases[task.phase];
-        let effective = phase.effective_work(task.task);
-        let t = &phase.tasks[task.task];
-        let local = t.replicas.is_empty() || t.replicas.contains(&machine);
-        match t.scripted {
-            Some(s) => {
-                if speculative {
-                    s.speculative
-                } else {
-                    s.original
-                }
-            }
-            None => {
-                let mult = Dist::unit_mean_pareto(self.spec.beta)
-                    .sample(rng)
-                    .min(cfg.max_straggle_factor);
-                let penalty = if local { 1.0 } else { cfg.remote_read_penalty };
-                effective.scale(mult * penalty)
-            }
-        }
-    }
-
-    /// Commit a copy whose start instant and (already speed-scaled)
-    /// duration were fixed elsewhere — the worker-side half of the
-    /// sharded launch protocol ([`JobRun::sample_unit_duration`] is the
-    /// scheduler-side half). Identical index/counter maintenance to
-    /// [`JobRun::launch_copy_at_speed`], with no RNG consumed. `start`
-    /// may lie in the past relative to the caller's clock (the launch
-    /// acknowledgment travelled over the simulated network); all
-    /// consumers of copy finish times saturate.
-    pub fn launch_copy_prepared(
-        &mut self,
-        task: TaskRef,
-        machine: MachineId,
-        speculative: bool,
-        start: SimTime,
-        duration: SimTime,
-    ) -> CopyRef {
-        let phase = &mut self.phases[task.phase];
-        assert!(phase.eligible, "launching into ineligible phase");
-        let t = &mut phase.tasks[task.task];
-        assert!(t.finished_at.is_none(), "launching a finished task");
-        debug_assert!(
-            !speculative || t.running > 0,
-            "speculating on a task with no running copy"
-        );
-        let local = t.replicas.is_empty() || t.replicas.contains(&machine);
-        if !t.replicas.is_empty() {
-            if local {
-                self.local_launches += 1;
-            } else {
-                self.nonlocal_launches += 1;
-            }
-        }
-        let was_pending = t.running == 0;
-        let copy_idx = t.copies.len();
-        t.copies.push(Copy {
-            machine,
-            start,
-            duration,
-            status: CopyStatus::Running,
-            speculative,
-            local,
-        });
-        t.running += 1;
-        self.idx.running_copies += 1;
-        let running_now = self.phases[task.phase].tasks[task.task].running;
-        match running_now {
-            1 => {
-                self.idx.solo_running.insert((start + duration, task));
-            }
-            2 => {
-                let prev = self.phases[task.phase].tasks[task.task]
-                    .copies
-                    .iter()
-                    .enumerate()
-                    .find(|(i, c)| *i != copy_idx && c.status == CopyStatus::Running)
-                    .map(|(_, c)| c.finish_time())
-                    .expect("second running copy implies a first");
-                self.idx.solo_running.remove(&(prev, task));
-            }
-            _ => {}
-        }
-        if was_pending {
-            self.idx.pending_originals -= 1;
-            self.index_remove_pending(task);
-        }
-        #[cfg(debug_assertions)]
-        self.debug_check_index();
         CopyRef {
             task,
             copy: copy_idx,
         }
     }
 
-    /// Kill one running copy — its machine died under it (the sharded
-    /// engine's per-copy mirror of [`JobRun::fail_machine`], driven by
-    /// individual loss notifications instead of one bulk sweep). The
-    /// slot freed nothing (it died with the machine); a task whose last
-    /// running copy was lost becomes pending again. Returns
-    /// `Some(requeued)` — or `None` when the copy is no longer running
-    /// (its race resolved while the loss notification was in flight).
-    pub fn lose_copy(&mut self, c: CopyRef) -> Option<bool> {
+    /// Kill one running copy — its machine died under it. The slot
+    /// freed nothing (it died with the machine); a task whose last
+    /// running copy was lost becomes pending again (it re-enters
+    /// `pending_originals` and the locality indices), while its recorded
+    /// copies stay (`Killed`), so duration statistics are untouched.
+    /// [`JobRun::fail_machine`] applies it to a whole machine; the
+    /// sharded engine applies it per loss notification. `None` when the
+    /// copy is no longer running (its race resolved while the loss
+    /// notification was in flight).
+    pub fn lose_copy(&mut self, c: CopyRef) -> Option<CopyLoss> {
         let t = &mut self.phases[c.task.phase].tasks[c.task.task];
         if t.finished_at.is_some() || t.copies[c.copy].status != CopyStatus::Running {
             return None;
         }
+        let speculative = t.copies[c.copy].speculative;
         let prev_running = t.running;
         let killed_finish = t.copies[c.copy].finish_time();
         t.copies[c.copy].status = CopyStatus::Killed;
@@ -818,7 +791,10 @@ impl JobRun {
         }
         #[cfg(debug_assertions)]
         self.debug_check_index();
-        Some(requeued)
+        Some(CopyLoss {
+            requeued,
+            speculative,
+        })
     }
 
     /// Handle a copy-completion event. Returns `None` when the event is
@@ -899,79 +875,28 @@ impl JobRun {
     }
 
     /// Kill every running copy of this job on `machine` (the machine
-    /// failed). Killed copies free no slot — the slot died with the
-    /// machine — and a task whose *last* running copy was killed becomes
-    /// pending again for re-dispatch (it re-enters `pending_originals`
-    /// and the locality indices). The task's already-accumulated copies
-    /// stay recorded (`Killed`), so duration statistics are untouched.
+    /// failed): [`JobRun::lose_copy`] for each, in `(phase, task, copy)`
+    /// order.
     pub fn fail_machine(&mut self, machine: MachineId) -> FailOutcome {
-        let mut out = FailOutcome {
-            killed: 0,
-            killed_spec: 0,
-            requeued: Vec::new(),
-        };
-        // (task, prev_running, killed_here, solo_finish_before, survivor_finish_after)
-        let mut solo_removals: Vec<(SimTime, TaskRef)> = Vec::new();
-        let mut solo_insertions: Vec<(SimTime, TaskRef)> = Vec::new();
-        for pi in 0..self.phases.len() {
-            if !self.phases[pi].eligible {
-                continue;
-            }
-            for ti in 0..self.phases[pi].tasks.len() {
-                let t = &mut self.phases[pi].tasks[ti];
-                if t.finished_at.is_some() || t.running == 0 {
-                    continue;
-                }
-                let tr = TaskRef::new(pi, ti);
-                let prev_running = t.running;
-                let mut killed_here: u32 = 0;
-                let mut killed_finish = SimTime::ZERO;
-                for c in t.copies.iter_mut() {
+        let mut doomed = Vec::new();
+        for (pi, p) in self.phases.iter().enumerate().filter(|(_, p)| p.eligible) {
+            for (ti, t) in p.tasks.iter().enumerate().filter(|(_, t)| t.running > 0) {
+                for (ci, c) in t.copies.iter().enumerate() {
                     if c.status == CopyStatus::Running && c.machine == machine {
-                        c.status = CopyStatus::Killed;
-                        killed_here += 1;
-                        killed_finish = c.finish_time();
-                        if c.speculative {
-                            out.killed_spec += 1;
-                        }
+                        doomed.push(CopyRef::new(pi, ti, ci));
                     }
                 }
-                if killed_here == 0 {
-                    continue;
-                }
-                t.running -= killed_here;
-                let now_running = t.running;
-                let survivor_finish = t
-                    .copies
-                    .iter()
-                    .find(|c| c.status == CopyStatus::Running)
-                    .map(|c| c.finish_time());
-                out.killed += killed_here as usize;
-                self.idx.running_copies -= killed_here as usize;
-                if prev_running == 1 {
-                    solo_removals.push((killed_finish, tr));
-                }
-                if now_running == 1 {
-                    solo_insertions.push((survivor_finish.expect("one running copy"), tr));
-                }
-                if now_running == 0 {
-                    self.idx.pending_originals += 1;
-                    out.requeued.push(tr);
-                }
             }
         }
-        for key in solo_removals {
-            let removed = self.idx.solo_running.remove(&key);
-            debug_assert!(removed, "solo-running entry missing at failure");
+        let mut out = FailOutcome::default();
+        for c in doomed {
+            let loss = self.lose_copy(c).expect("a doomed copy is running");
+            out.killed += 1;
+            out.killed_spec += loss.speculative as usize;
+            if loss.requeued {
+                out.requeued.push(c.task);
+            }
         }
-        for key in solo_insertions {
-            self.idx.solo_running.insert(key);
-        }
-        for &tr in &out.requeued {
-            self.index_insert_pending(tr);
-        }
-        #[cfg(debug_assertions)]
-        self.debug_check_index();
         out
     }
 
@@ -1009,19 +934,9 @@ impl JobRun {
                         continue;
                     }
                     let old_finish = c.finish_time();
-                    let new_finish = if c.start >= now {
-                        let d = ((c.duration.as_millis() as f64 * ratio).round() as u64).max(1);
-                        c.start + SimTime::from_millis(d)
-                    } else {
-                        let rem = old_finish.saturating_sub(now).as_millis();
-                        if rem == 0 {
-                            continue; // due at this very instant; let it land
-                        }
-                        now + SimTime::from_millis(((rem as f64 * ratio).round() as u64).max(1))
-                    };
-                    if new_finish == old_finish {
+                    let Some(new_finish) = rescaled_finish(c.start, old_finish, now, ratio) else {
                         continue;
-                    }
+                    };
                     c.duration = new_finish - c.start;
                     if solo {
                         solo_moves.push((old_finish, new_finish, TaskRef::new(pi, ti)));
@@ -1948,6 +1863,43 @@ mod tests {
             .expect("survivor finishes");
         assert!(fin.job_done);
         assert_eq!(fin.freed.len(), 1, "only the survivor frees a slot");
+
+        // Two of task 0's three copies die with the machine, and both of
+        // task 1's: task 0 keeps running on its one survivor, which
+        // becomes solo; task 1 passes through solo (one copy left after
+        // the first loss) and is requeued by the second.
+        let mut j = simple_job(2, 1000);
+        let (t0, t1) = (TaskRef::new(0, 0), TaskRef::new(0, 1));
+        for (task, m, speculative) in [
+            (t0, 0, false),
+            (t0, 1, true),
+            (t0, 0, true),
+            (t1, 0, false),
+            (t1, 0, true),
+        ] {
+            j.launch_copy(
+                task,
+                MachineId(m),
+                speculative,
+                SimTime::ZERO,
+                SimTime::ZERO,
+                &c,
+                &mut rng,
+            );
+        }
+        let out = j.fail_machine(MachineId(0));
+        let expected = FailOutcome {
+            killed: 4,
+            killed_spec: 2,
+            requeued: vec![t1],
+        };
+        assert_eq!(out, expected);
+        let survivor = j.phases()[0].tasks[0].copies[1].finish_time();
+        let solo: Vec<_> = j.idx.solo_running.iter().copied().collect();
+        assert_eq!(solo, vec![(survivor, t0)]);
+        assert_eq!(j.pending_tasks().collect::<Vec<_>>(), vec![t1]);
+        assert_eq!(j.pending_originals(), 1);
+        assert_eq!(j.occupied_slots(), 1);
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub use dynamics::{
 };
 pub use ids::{CopyRef, MachineId, TaskRef};
 pub use job::{
-    Copy, CopyObservation, CopyStatus, FailOutcome, FinishOutcome, JobRun, PhaseRun, ScriptedTask,
-    TaskRun,
+    duration_at_speed, rescaled_finish, Copy, CopyLoss, CopyObservation, CopyStatus, FailOutcome,
+    FinishOutcome, JobRun, PhaseRun, ScriptedTask, TaskRun,
 };
 pub use machine::{ClusterConfig, Machines, SlotTemp};
 pub use slab::JobSlab;

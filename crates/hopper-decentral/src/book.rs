@@ -1,13 +1,13 @@
-//! One scheduler's book: the per-job state a decentralized scheduler
-//! keeps, and every scheduler-side rule of the protocol (§4–5), written
-//! once for both engines.
+//! The protocol's two sides, written once for both engines: one
+//! scheduler's book (the per-job state a decentralized scheduler keeps
+//! and every scheduler-side rule, §4–5) and one worker's state machine.
 //!
 //! Job `j` belongs to scheduler `j % K` and sits at the book's dense
-//! local index `lj = j / K` ([`owner`]). The book owns no RNG and sends
-//! no message: callers pass the randomness they own (the serial driver's
-//! global streams, or a shard's per-entity children) and turn the
-//! returned decisions into direct calls or messages. How a decision is
-//! *embedded* is all that differs between `driver.rs` and `shard.rs`.
+//! local index `lj = j / K` ([`owner`]). Neither side owns an RNG or
+//! sends a message: callers pass the randomness they own (the serial
+//! driver's global streams, or a shard's per-entity children) and turn
+//! the returned decisions into direct calls or messages. How a decision
+//! is *embedded* is all that differs between `driver.rs` and `shard.rs`.
 //!
 //! The rules that live here:
 //!
@@ -22,9 +22,11 @@
 //! - arrival admission, probe targets and re-probe counts;
 //! - the straggler scan, crash scratch-wipe, recovery, the watchdog's
 //!   reconciliation and retirement;
-//! - the worker's side: its episode step ([`episode_action`]), its
-//!   handling of a refusal ([`worker_refused`]) and the §5.3 piggyback
-//!   ([`piggyback`]).
+//! - the worker's side, in one [`Worker`] per machine: its free-slot
+//!   episode and the step it takes, the incarnation/epoch stamps that
+//!   tell a current reply from a stale one, the response lease, refusal
+//!   handling, accepting an assignment, the §5.3 piggyback, and machine
+//!   failure and recovery.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -67,77 +69,246 @@ pub(crate) fn fair_share(eps: Option<f64>, total_slots: usize, active: usize) ->
     Some(((1.0 - eps) * fair).floor())
 }
 
-/// One worker-side protocol step. Sparrow answers its FCFS pick and
-/// Sparrow-SRPT its fewest-remaining pick, both non-refusable; Hopper
-/// runs the free-slot episode (Pseudocode 3), which after
-/// `refusal_threshold` refusals switches to the Guideline-3 weighted
-/// pick drawn from `rng`. A response marks its scheduler probed for the
-/// rest of the episode. Returns the action and whether this step was
-/// taken past the refusal threshold (a Guideline-3 switch).
-pub(crate) fn episode_action(
-    policy: DecPolicy,
-    queue: &[Reservation],
-    ep: &mut FreeSlotEpisode,
-    refusal_threshold: usize,
-    rng: &mut impl Rng,
-) -> (WorkerAction, bool) {
-    let respond = |r: &Reservation| WorkerAction::Respond {
-        scheduler: r.scheduler,
-        job: r.job,
-        kind: ResponseKind::NonRefusable,
-    };
-    let (action, switched) = match policy {
-        DecPolicy::Sparrow => (pick_fcfs(queue).map_or(WorkerAction::Idle, respond), false),
-        DecPolicy::SparrowSrpt => (pick_srpt(queue).map_or(WorkerAction::Idle, respond), false),
-        DecPolicy::Hopper => {
-            let switched = ep.refusals() >= refusal_threshold;
-            (ep.next_action(queue, rng), switched)
-        }
-    };
-    if let WorkerAction::Respond { scheduler, .. } = action {
-        ep.mark_probed(scheduler);
-    }
-    (action, switched)
+/// A worker's slot offer, as its current episode step made it. The
+/// embedding sends it to `job`'s scheduler stamped with `inc`/`ep` (which
+/// the reply echoes) and arms a response lease on `lease`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Offer {
+    pub scheduler: usize,
+    pub job: usize,
+    pub kind: ResponseKind,
+    pub inc: u64,
+    pub ep: u64,
+    pub lease: u64,
 }
 
-/// A refusal for `job` (owned by scheduler `sched`) reached the worker's
-/// episode. Sparrow's no-task consumes one of the job's parked
-/// reservations and returns whether one was there; Hopper keeps them —
-/// the job may want Guideline-3 extras later — and records the refusal
-/// and its advertised unsatisfied job in the episode.
-pub(crate) fn worker_refused(
-    policy: DecPolicy,
-    queue: &mut Vec<Reservation>,
-    episode: &mut Option<FreeSlotEpisode>,
-    sched: usize,
-    job: usize,
-    unsatisfied: Option<UnsatisfiedJob>,
-) -> bool {
-    match policy {
-        DecPolicy::Sparrow | DecPolicy::SparrowSrpt => consume_reservation(queue, job),
-        DecPolicy::Hopper => {
-            if let Some(ep) = episode.as_mut() {
-                ep.record_refusal(sched, job as u64, unsatisfied);
+/// One worker's side of the protocol: its reservation queue, its free
+/// slots and at most one free-slot episode (Pseudocode 3), plus the
+/// stamps that keep replies honest. Like [`SchedBook`] it owns no RNG:
+/// the Guideline-3 pick draws from the caller's stream.
+#[derive(Debug, Clone)]
+pub(crate) struct Worker {
+    /// Parked reservations, in arrival order.
+    pub queue: Vec<Reservation>,
+    /// Slots neither running a copy nor promised to the episode.
+    pub free: usize,
+    /// The late-binding episode in flight (it holds one promised slot).
+    episode: Option<FreeSlotEpisode>,
+    /// Machine incarnation, bumped on failure: a reply to an offer from
+    /// an earlier incarnation references a slot that died with the
+    /// machine (always 0 while dynamics are off).
+    pub inc: u64,
+    /// Episode epoch, bumped at every episode end: a reply echoing an
+    /// older epoch answers an episode that is already over (a duplicated
+    /// or lease-superseded reply).
+    ep: u64,
+    /// RPC sequence, bumped on every offer sent, every reply processed
+    /// and at episode end. A lease snapshots it at the offer; if it has
+    /// not moved when the lease fires, the reply was lost.
+    rpc: u64,
+}
+
+impl Worker {
+    /// An idle worker with `slots` free slots.
+    pub fn new(slots: usize) -> Self {
+        Worker {
+            queue: Vec::new(),
+            free: slots,
+            episode: None,
+            inc: 0,
+            ep: 0,
+            rpc: 0,
+        }
+    }
+
+    /// Whether an episode is in flight.
+    pub fn has_episode(&self) -> bool {
+        self.episode.is_some()
+    }
+
+    /// Promise a free slot to a new episode, if there is a free slot, no
+    /// episode in flight and a reservation to offer it to. Returns
+    /// whether one opened (the caller then takes its first [`step`]).
+    ///
+    /// [`step`]: Worker::step
+    pub fn open_episode(&mut self, refusal_threshold: usize) -> bool {
+        if self.free == 0 || self.episode.is_some() || self.queue.is_empty() {
+            return false;
+        }
+        self.free -= 1;
+        self.episode = Some(FreeSlotEpisode::new(refusal_threshold));
+        true
+    }
+
+    /// Take one episode step. Sparrow offers its FCFS pick and
+    /// Sparrow-SRPT its fewest-remaining pick, both non-refusable;
+    /// Hopper runs Pseudocode 3, which after `refusal_threshold`
+    /// refusals switches to the Guideline-3 weighted pick drawn from
+    /// `rng`. An offer marks its scheduler probed for the rest of the
+    /// episode; with nothing to offer the episode ends and its slot
+    /// returns to the free pool. Returns the offer (`None`: idle, or no
+    /// episode in flight) and whether this step was taken past the
+    /// refusal threshold (a Guideline-3 switch).
+    pub fn step(
+        &mut self,
+        policy: DecPolicy,
+        refusal_threshold: usize,
+        rng: &mut impl Rng,
+    ) -> (Option<Offer>, bool) {
+        let Some(ep) = self.episode.as_mut() else {
+            return (None, false); // defensive: stray reply after the episode resolved
+        };
+        let respond = |r: &Reservation| WorkerAction::Respond {
+            scheduler: r.scheduler,
+            job: r.job,
+            kind: ResponseKind::NonRefusable,
+        };
+        let (action, switched) = match policy {
+            DecPolicy::Sparrow => (
+                pick_fcfs(&self.queue).map_or(WorkerAction::Idle, respond),
+                false,
+            ),
+            DecPolicy::SparrowSrpt => (
+                pick_srpt(&self.queue).map_or(WorkerAction::Idle, respond),
+                false,
+            ),
+            DecPolicy::Hopper => {
+                let switched = ep.refusals() >= refusal_threshold;
+                (ep.next_action(&self.queue, rng), switched)
             }
-            false
+        };
+        let offer = match action {
+            WorkerAction::Respond {
+                scheduler,
+                job,
+                kind,
+            } => {
+                ep.mark_probed(scheduler);
+                self.rpc += 1;
+                Some(Offer {
+                    scheduler,
+                    job: job as usize,
+                    kind,
+                    inc: self.inc,
+                    ep: self.ep,
+                    lease: self.rpc,
+                })
+            }
+            WorkerAction::Idle => {
+                self.end_episode();
+                self.free += 1;
+                None
+            }
+        };
+        (offer, switched)
+    }
+
+    /// The episode is over (its slot consumed, reclaimed or dead):
+    /// replies echoing its epoch are stale and any armed lease is void.
+    /// Callers settle `free` themselves.
+    fn end_episode(&mut self) {
+        self.episode = None;
+        self.ep += 1;
+        self.rpc += 1;
+    }
+
+    /// Whether a reply stamped `(inc, ep)` answers the live episode of
+    /// this incarnation. Faults off, a mismatch only follows a machine
+    /// failure (the one mid-flight teardown), where both stamps move.
+    fn is_current(&self, inc: u64, ep: u64) -> bool {
+        inc == self.inc && ep == self.ep
+    }
+
+    /// A reply (refusal) stamped `(inc, ep)` reached the worker:
+    /// whether it answers the live episode. A current reply voids the
+    /// armed lease; a stale one touches nothing.
+    pub fn take_reply(&mut self, inc: u64, ep: u64) -> bool {
+        let current = self.is_current(inc, ep);
+        if current {
+            self.rpc += 1;
+        }
+        current
+    }
+
+    /// The episode's offer for `job` (owned by scheduler `sched`) was
+    /// refused, advertising `unsatisfied`. Sparrow's no-task consumes
+    /// one of the job's parked reservations and returns whether one was
+    /// there; Hopper keeps them — the job may want Guideline-3 extras
+    /// later — and records the refusal and its advertisement.
+    pub fn refused(
+        &mut self,
+        policy: DecPolicy,
+        sched: usize,
+        job: usize,
+        unsatisfied: Option<UnsatisfiedJob>,
+    ) -> bool {
+        match policy {
+            DecPolicy::Sparrow | DecPolicy::SparrowSrpt => self.consume_reservation(job),
+            DecPolicy::Hopper => {
+                if let Some(ep) = self.episode.as_mut() {
+                    ep.record_refusal(sched, job as u64, unsatisfied);
+                }
+                false
+            }
         }
     }
-}
 
-/// Remove the first of `job`'s reservations parked in a worker queue;
-/// returns whether there was one.
-pub(crate) fn consume_reservation(queue: &mut Vec<Reservation>, job: usize) -> bool {
-    let pos = queue.iter().position(|r| r.job as usize == job);
-    pos.map(|pos| queue.remove(pos)).is_some()
-}
+    /// An assignment for `job` stamped `(inc, ep)` reached the worker.
+    /// `None` when its promised slot is gone (stale stamps), which
+    /// touches nothing. Otherwise the episode ends with its slot consumed
+    /// by the assignment, which eats one of the job's parked
+    /// reservations if there is one: returns whether it did.
+    pub fn assigned(&mut self, inc: u64, ep: u64, job: usize) -> Option<bool> {
+        if !self.is_current(inc, ep) {
+            return None;
+        }
+        self.end_episode();
+        Some(self.consume_reservation(job))
+    }
 
-/// The §5.3 piggyback: an assignment refreshes the virtual size and
-/// remaining count of every reservation its job has parked at the
-/// worker.
-pub(crate) fn piggyback(queue: &mut [Reservation], job: usize, vsize: f64, remaining: f64) {
-    for r in queue.iter_mut().filter(|r| r.job as usize == job) {
-        r.virtual_size = vsize;
-        r.remaining_tasks = remaining;
+    /// Remove the first of `job`'s parked reservations; returns whether
+    /// there was one.
+    fn consume_reservation(&mut self, job: usize) -> bool {
+        let pos = self.queue.iter().position(|r| r.job as usize == job);
+        pos.map(|pos| self.queue.remove(pos)).is_some()
+    }
+
+    /// The response lease armed on `seq` fired: if no reply reached the
+    /// episode since (the RPC sequence has not moved) the reply was lost
+    /// or stale-dropped, so the episode ends and its promised slot
+    /// returns to the free pool. Returns whether the slot was reclaimed.
+    pub fn lease_expired(&mut self, seq: u64) -> bool {
+        if seq != self.rpc || self.episode.is_none() {
+            return false;
+        }
+        self.end_episode();
+        self.free += 1;
+        true
+    }
+
+    /// The §5.3 piggyback: an assignment refreshes the virtual size and
+    /// remaining count of every reservation its job has parked here.
+    pub fn piggyback(&mut self, job: usize, vsize: f64, remaining: f64) {
+        for r in self.queue.iter_mut().filter(|r| r.job as usize == job) {
+            r.virtual_size = vsize;
+            r.remaining_tasks = remaining;
+        }
+    }
+
+    /// The machine failed: the incarnation moves on (every reply in
+    /// flight is stale), the episode and every slot die, and the parked
+    /// reservations are handed back for their schedulers to write off.
+    pub fn fail(&mut self) -> Vec<Reservation> {
+        self.inc += 1;
+        let queue = std::mem::take(&mut self.queue);
+        self.end_episode();
+        self.free = 0;
+        queue
+    }
+
+    /// The machine rejoins with `slots` free slots and an empty queue.
+    pub fn recover(&mut self, slots: usize) {
+        self.free = slots;
     }
 }
 
@@ -877,5 +1048,97 @@ mod tests {
             b.serve(0, ResponseKind::Refusable, m, hopper, floor, now),
             None
         );
+    }
+
+    /// A two-slot worker with one reservation for each of `jobs` parked,
+    /// its episode opened and its first offer made (Sparrow: FCFS, no
+    /// randomness).
+    fn offering(jobs: &[u64]) -> (Worker, Offer) {
+        let mut w = Worker::new(2);
+        for &job in jobs {
+            w.queue.push(Reservation {
+                scheduler: 0,
+                job,
+                virtual_size: 1.0,
+                remaining_tasks: 1.0,
+            });
+        }
+        assert!(w.open_episode(2));
+        assert!(!w.open_episode(2), "one episode at a time");
+        let mut rng = hopper_sim::rng_from_seed(0);
+        let (offer, switched) = w.step(DecPolicy::Sparrow, 2, &mut rng);
+        assert!(!switched);
+        (w, offer.expect("a parked reservation is offered"))
+    }
+
+    #[test]
+    fn worker_drops_stale_replies_untouched() {
+        let (mut w, o) = offering(&[3, 4]);
+        assert_eq!((o.job, o.inc, o.ep), (3, 0, 0));
+        let before = format!("{w:?}");
+        // Wrong incarnation or wrong epoch: refusal and assign alike are
+        // dropped without a trace.
+        for (inc, ep) in [(o.inc + 1, o.ep), (o.inc, o.ep + 1)] {
+            assert!(!w.take_reply(inc, ep));
+            assert_eq!(w.assigned(inc, ep, 3), None);
+            assert_eq!(format!("{w:?}"), before);
+        }
+        // The current assign ends the episode and eats the reservation;
+        // a duplicate of it is then stale.
+        assert_eq!(w.assigned(o.inc, o.ep, 3), Some(true));
+        assert!(!w.has_episode());
+        assert_eq!(w.queue.len(), 1);
+        assert_eq!(w.free, 1, "the promised slot went to the copy");
+        assert_eq!(w.assigned(o.inc, o.ep, 4), None);
+    }
+
+    #[test]
+    fn lease_reclaims_only_when_no_reply_moved_the_sequence() {
+        let (mut w, o) = offering(&[3]);
+        // A refusal reached the episode: the lease armed on the offer is
+        // void, and the episode carries on.
+        assert!(w.take_reply(o.inc, o.ep));
+        assert!(!w.lease_expired(o.lease));
+        assert!(w.has_episode());
+        assert_eq!(w.free, 1);
+        // The next offer's reply never comes: its lease reclaims the slot.
+        let mut rng = hopper_sim::rng_from_seed(0);
+        let o2 = w.step(DecPolicy::Sparrow, 2, &mut rng).0.expect("offer");
+        assert!(w.lease_expired(o2.lease));
+        assert!(!w.has_episode());
+        assert_eq!(w.free, 2);
+        // Once, and the late reply is stale.
+        assert!(!w.lease_expired(o2.lease));
+        assert!(!w.take_reply(o2.inc, o2.ep));
+    }
+
+    #[test]
+    fn worker_failure_hands_back_reservations_and_slots() {
+        let (mut w, o) = offering(&[3, 4, 3]);
+        let lost: Vec<u64> = w.fail().iter().map(|r| r.job).collect();
+        assert_eq!(lost, vec![3, 4, 3]);
+        assert!(w.queue.is_empty());
+        assert_eq!(w.free, 0);
+        assert!(!w.has_episode());
+        assert_eq!(w.assigned(o.inc, o.ep, 3), None, "the slot died");
+        assert!(!w.lease_expired(o.lease));
+        assert!(!w.open_episode(2));
+        w.recover(2);
+        assert_eq!(w.free, 2);
+    }
+
+    #[test]
+    fn idle_step_returns_the_promised_slot() {
+        let (mut w, o) = offering(&[3]);
+        assert_eq!(w.free, 1);
+        // Sparrow's no-task eats the only reservation; the next step
+        // finds nothing to offer, so the episode ends idle.
+        assert!(w.take_reply(o.inc, o.ep));
+        assert!(w.refused(DecPolicy::Sparrow, 0, 3, None));
+        let mut rng = hopper_sim::rng_from_seed(0);
+        assert_eq!(w.step(DecPolicy::Sparrow, 2, &mut rng), (None, false));
+        assert_eq!(w.free, 2);
+        assert!(!w.has_episode());
+        assert!(!w.take_reply(o.inc, o.ep), "the idle end moved the epoch");
     }
 }

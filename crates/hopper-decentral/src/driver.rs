@@ -27,17 +27,13 @@
 use std::collections::HashMap;
 
 use crate::audit::{Auditor, MsgKind};
-use crate::book::{
-    consume_reservation, episode_action, fair_share, owner, piggyback, worker_refused, SchedBook,
-};
+use crate::book::{fair_share, owner, SchedBook, Worker};
 use crate::faults::{FaultConfig, MsgFaults, SchedEv, SchedulerChain};
 use hopper_cluster::{
     ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, MachineDynamics, MachineId, Machines,
     TaskRef,
 };
-use hopper_core::protocol::{
-    BackoffPolicy, FreeSlotEpisode, Reservation, ResponseKind, UnsatisfiedJob, WorkerAction,
-};
+use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, UnsatisfiedJob};
 use hopper_metrics::{JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySnapshot};
 use hopper_sim::{EventQueue, SeedSequence, SimTime};
 use hopper_spec::Speculator;
@@ -370,25 +366,19 @@ fn msg_kind(ev: &Ev) -> Option<MsgKind> {
     }
 }
 
-struct WorkerState {
-    queue: Vec<Reservation>,
-    /// Slots neither running a copy nor promised to an in-flight episode.
-    free: usize,
-    /// Active late-binding episode (at most one in flight per worker).
-    episode: Option<FreeSlotEpisode>,
-    /// Value of the driver's completed-job counter when this queue last
-    /// purged finished jobs' reservations. While no further job has
-    /// completed, the queue provably holds only live reservations and the
-    /// per-touch O(queue) purge scan is skipped.
-    purged_at: u64,
-}
-
 struct Decentral<'a> {
     policy: DecPolicy,
     cfg: &'a DecConfig,
     queue: EventQueue<Ev>,
     machines: Machines,
-    workers: Vec<WorkerState>,
+    /// One worker per machine (`crate::book`): its queue, slots,
+    /// episode, and the incarnation/epoch/lease stamps.
+    workers: Vec<Worker>,
+    /// Per worker, the value of the completed-job counter when its queue
+    /// last purged finished jobs' reservations. While no further job has
+    /// completed, the queue provably holds only live reservations and the
+    /// per-touch O(queue) purge scan is skipped.
+    purged_at: Vec<u64>,
     /// Undelivered arrivals, merged with `queue` by the run loop (an
     /// arrival precedes any queued event at the same instant — the
     /// order the historical pre-loaded arrival events produced).
@@ -419,11 +409,6 @@ struct Decentral<'a> {
     scan_armed: bool,
     /// Machine speed/availability state; `None` when dynamics are off.
     dynamics: Option<MachineDynamics>,
-    /// Per-worker incarnation, bumped on machine failure. In-flight
-    /// messages that reference a worker slot carry the incarnation they
-    /// were stamped with; a mismatch on delivery means the slot died with
-    /// the machine.
-    dyn_inc: Vec<u64>,
     /// Per-message fault sampler; `None` when faults are off (in which
     /// case `send_msg` degenerates to the historical exactly-once push).
     faults: Option<MsgFaults>,
@@ -431,19 +416,8 @@ struct Decentral<'a> {
     /// scheduler crash rate are enabled.
     sched_chain: Option<SchedulerChain>,
     /// Per-scheduler incarnation, bumped on crash — the scheduler-side
-    /// mirror of `dyn_inc` (always 0 while scheduler faults are off).
+    /// mirror of `Worker::inc` (always 0 while scheduler faults are off).
     sched_inc: Vec<u64>,
-    /// Per-worker episode epoch, bumped at every episode termination
-    /// (assignment consumed, idle teardown, lease reclaim, machine
-    /// failure). Replies echo the epoch of the offer they answer; a
-    /// mismatch means the episode they belong to is already over —
-    /// the dedup key that makes duplicated assigns/refusals no-ops.
-    ep_epoch: Vec<u64>,
-    /// Per-worker RPC sequence, bumped on every offer sent and every
-    /// reply processed (and at episode teardown). A response lease
-    /// snapshots it at send; if it has not moved when the lease fires,
-    /// the reply was lost and the promised slot is reclaimed.
-    rpc_seq: Vec<u64>,
     /// Watchdog pacing (from `faults.rpc_timeout_ms`/`rpc_retries`).
     backoff: BackoffPolicy,
     /// Kill messages in flight, keyed by the doomed copy and stamped
@@ -509,14 +483,8 @@ impl<'a> Decentral<'a> {
             cfg,
             queue,
             machines: Machines::new(&cfg.cluster),
-            workers: (0..cfg.cluster.machines)
-                .map(|_| WorkerState {
-                    queue: Vec::new(),
-                    free: cfg.cluster.slots_per_machine,
-                    episode: None,
-                    purged_at: 0,
-                })
-                .collect(),
+            workers: vec![Worker::new(cfg.cluster.slots_per_machine); cfg.cluster.machines],
+            purged_at: vec![0; cfg.cluster.machines],
             arrivals,
             books: (0..k)
                 .map(|s| SchedBook::new(s, k, n, cfg.probe_ratio, cfg.cluster.machines))
@@ -530,12 +498,9 @@ impl<'a> Decentral<'a> {
             done_count: 0,
             scan_armed: false,
             dynamics,
-            dyn_inc: vec![0; cfg.cluster.machines],
             faults: faults_on.then(|| MsgFaults::new(cfg.faults, &seq)),
             sched_chain,
             sched_inc: vec![0; k],
-            ep_epoch: vec![0; cfg.cluster.machines],
-            rpc_seq: vec![0; cfg.cluster.machines],
             backoff: BackoffPolicy::new(cfg.faults.rpc_timeout_ms, cfg.faults.rpc_retries),
             pending_kill: HashMap::new(),
             audit: cfg!(debug_assertions).then(|| Auditor::new(cfg.cluster.machines)),
@@ -610,17 +575,6 @@ impl<'a> Decentral<'a> {
         self.queue.push_after(latency + first.extra, ev);
     }
 
-    /// Terminate worker `w`'s episode bookkeeping: the episode slot is
-    /// gone (consumed, reclaimed, or dead), replies echoing the old
-    /// epoch are stale, and any armed lease is void. Callers settle the
-    /// `free` count themselves (a consumed promise frees nothing; a
-    /// reclaimed one returns to the pool).
-    fn end_episode(&mut self, w: usize) {
-        self.workers[w].episode = None;
-        self.ep_epoch[w] += 1;
-        self.rpc_seq[w] += 1;
-    }
-
     /// Dev-profile invariant re-check after an event touched a worker
     /// and/or a job (see `crate::audit`).
     fn audit_event(&self, ev: &Ev) {
@@ -630,7 +584,7 @@ impl<'a> Decentral<'a> {
                 w,
                 self.worker_up(w),
                 self.workers[w].free as u64,
-                self.workers[w].episode.is_some(),
+                self.workers[w].has_episode(),
                 self.cfg.cluster.slots_per_machine as u64,
             );
         };
@@ -702,7 +656,7 @@ impl<'a> Decentral<'a> {
                         self.books[s].describe(lj)
                     })
                     .collect();
-                let active_eps = self.workers.iter().filter(|w| w.episode.is_some()).count();
+                let active_eps = self.workers.iter().filter(|w| w.has_episode()).count();
                 let queued_res: usize = self.workers.iter().map(|w| w.queue.len()).sum();
                 panic!(
                     "event budget exceeded ({}) at t={now}; live_jobs={} pending_events={} worker_episodes={} queued_reservations={} ev_counts(arr/res/resp/asgn/ref/fin/kill/scan/dyn/sdyn/lease/wd)={:?} unfinished: {stuck:#?}",
@@ -854,7 +808,7 @@ impl<'a> Decentral<'a> {
                     w,
                     self.worker_up(w),
                     self.workers[w].free as u64,
-                    self.workers[w].episode.is_some(),
+                    self.workers[w].has_episode(),
                     self.cfg.cluster.slots_per_machine as u64,
                 );
             }
@@ -990,73 +944,47 @@ impl<'a> Decentral<'a> {
             let (s, lj) = owner(r.job as usize, books.len());
             books[s].is_live(lj)
         };
-        if self.workers[w].purged_at != self.done_count {
+        if self.purged_at[w] != self.done_count {
             self.workers[w].queue.retain(live);
-            self.workers[w].purged_at = self.done_count;
+            self.purged_at[w] = self.done_count;
         }
         debug_assert!(
             self.workers[w].queue.iter().all(live),
             "stale reservation survived the epoch-gated purge"
         );
-        let wk = &mut self.workers[w];
-        if wk.free == 0 || wk.episode.is_some() || wk.queue.is_empty() {
-            return;
+        if self.workers[w].open_episode(self.cfg.refusal_threshold) {
+            self.episode_step(w);
         }
-        wk.free -= 1; // promise the slot to this episode
-        wk.episode = Some(FreeSlotEpisode::new(self.cfg.refusal_threshold));
-        self.episode_step(w);
     }
 
-    /// Advance the worker's episode by one protocol step.
+    /// Advance the worker's episode by one protocol step: send its offer
+    /// and lease the promised slot (faults only: if no reply of any kind
+    /// is processed within the RPC timeout, the episode is reclaimed
+    /// instead of hanging forever).
     fn episode_step(&mut self, w: usize) {
-        let wk = &mut self.workers[w];
-        let Some(ep) = wk.episode.as_mut() else {
-            return; // defensive: stray refusal after the episode resolved
-        };
-        let (action, switched) = episode_action(
-            self.policy,
-            &wk.queue,
-            ep,
-            self.cfg.refusal_threshold,
-            &mut self.rng,
-        );
+        let thr = self.cfg.refusal_threshold;
+        let (offer, switched) = self.workers[w].step(self.policy, thr, &mut self.rng);
         if switched {
             self.stats.guideline3_switches += 1;
         }
-        match action {
-            WorkerAction::Respond {
-                scheduler,
-                job,
-                kind,
-            } => {
-                self.stats.responses += 1;
-                self.rpc_seq[w] += 1;
-                self.send_msg(Ev::Response {
+        let Some(o) = offer else { return };
+        self.stats.responses += 1;
+        self.send_msg(Ev::Response {
+            worker: w,
+            job: o.job,
+            kind: o.kind,
+            inc: o.inc,
+            ep: o.ep,
+            sinc: self.sched_inc[o.scheduler],
+        });
+        if self.faults.is_some() {
+            self.queue.push_after(
+                SimTime::from_millis(self.cfg.faults.rpc_timeout_ms),
+                Ev::Lease {
                     worker: w,
-                    job: job as usize,
-                    kind,
-                    inc: self.dyn_inc[w],
-                    ep: self.ep_epoch[w],
-                    sinc: self.sched_inc[scheduler],
-                });
-                // Lease the promised slot (faults only): if no reply of
-                // any kind is processed within the RPC timeout, the
-                // episode is reclaimed instead of hanging forever.
-                if self.faults.is_some() {
-                    self.queue.push_after(
-                        SimTime::from_millis(self.cfg.faults.rpc_timeout_ms),
-                        Ev::Lease {
-                            worker: w,
-                            seq: self.rpc_seq[w],
-                        },
-                    );
-                }
-            }
-            WorkerAction::Idle => {
-                // Episode dies; slot returns to the free pool.
-                self.end_episode(w);
-                self.workers[w].free += 1;
-            }
+                    seq: o.lease,
+                },
+            );
         }
     }
 
@@ -1130,27 +1058,13 @@ impl<'a> Decentral<'a> {
         inc: u64,
         ep: u64,
     ) {
-        // The offer this refusal answers referenced a slot that died with
-        // the machine (incarnation mismatch: everything about the episode
-        // is already torn down), or an episode that already ended (epoch
-        // mismatch: a duplicated or lease-superseded reply). Faults-off
-        // the two conditions coincide — a machine failure is the only
-        // mid-flight teardown — so behavior is unchanged.
-        if inc != self.dyn_inc[worker] || ep != self.ep_epoch[worker] {
+        // A stale refusal answers a slot that died with the machine or an
+        // episode that already ended (see `Worker::take_reply`).
+        if !self.workers[worker].take_reply(inc, ep) {
             return;
         }
-        // A reply reached the episode: any armed lease is void.
-        self.rpc_seq[worker] += 1;
         let (s, lj) = self.at(job);
-        let wk = &mut self.workers[worker];
-        if worker_refused(
-            self.policy,
-            &mut wk.queue,
-            &mut wk.episode,
-            s,
-            job,
-            unsatisfied,
-        ) {
+        if self.workers[worker].refused(self.policy, s, job, unsatisfied) {
             self.books[s].reservations_gone(lj, 1);
         }
         self.episode_step(worker);
@@ -1171,22 +1085,14 @@ impl<'a> Decentral<'a> {
     ) {
         let (s, lj) = self.at(job);
         // The promised slot is gone: the machine failed while the
-        // assignment was in flight (incarnation mismatch), or the episode
-        // already ended (epoch mismatch — a duplicated assign whose first
-        // delivery consumed the episode, or a lease reclaim after this
-        // reply was presumed lost). Undo the scheduler-side accounting,
-        // but touch no worker state: the episode and slot are gone.
-        // Faults-off the two mismatches coincide (a machine failure is
-        // the only mid-flight teardown), so behavior is unchanged.
-        if inc != self.dyn_inc[worker] || ep != self.ep_epoch[worker] {
+        // assignment was in flight, or the episode already ended (a
+        // duplicated assign whose first delivery consumed the episode,
+        // or a lease reclaim after this reply was presumed lost). Undo
+        // the scheduler-side accounting; the worker is untouched.
+        let Some(consumed) = self.workers[worker].assigned(inc, ep, job) else {
             self.books[s].assign_failed(lj, task, speculative);
             return;
-        }
-        // Episode resolved successfully; the promised slot is consumed
-        // (and later replies echoing this epoch are stale).
-        self.end_episode(worker);
-        // Consume one reservation of this job at this worker (if present).
-        let consumed = consume_reservation(&mut self.workers[worker].queue, job);
+        };
         // Validate against races: the job may have completed — and been
         // retired — or the task may have finished while the assignment
         // was in flight.
@@ -1225,8 +1131,7 @@ impl<'a> Decentral<'a> {
         }
         self.queue.push(now + dur, Ev::Finish { job, copy, worker });
         let fresh = self.books[s].reservation(lj);
-        let queue = &mut self.workers[worker].queue;
-        piggyback(queue, job, fresh.virtual_size, fresh.remaining_tasks);
+        self.workers[worker].piggyback(job, fresh.virtual_size, fresh.remaining_tasks);
         self.maybe_start_episode(worker);
     }
 
@@ -1264,17 +1169,12 @@ impl<'a> Decentral<'a> {
                 }
             }
             DynEvent::Fail(_) => {
-                // Worker-side teardown: parked reservations, the in-flight
-                // episode, and every slot die with the machine. Replies to
-                // messages already in flight are invalidated by the
-                // incarnation bump.
-                self.dyn_inc[w] += 1;
-                for r in std::mem::take(&mut self.workers[w].queue) {
+                // Worker-side teardown (`Worker::fail`): the parked
+                // reservations are written off at their schedulers.
+                for r in self.workers[w].fail() {
                     let (s, lj) = self.at(r.job as usize);
                     self.books[s].reservations_gone(lj, 1);
                 }
-                self.end_episode(w);
-                self.workers[w].free = 0;
                 if let Some(a) = self.audit.as_mut() {
                     a.note_machine_failed(w);
                 }
@@ -1301,7 +1201,7 @@ impl<'a> Decentral<'a> {
                 // The machine rejoins with every slot free and an empty
                 // queue; probes find it again through random placement.
                 self.machines.set_up(m);
-                self.workers[w].free = self.cfg.cluster.slots_per_machine;
+                self.workers[w].recover(self.cfg.cluster.slots_per_machine);
             }
         }
     }
@@ -1318,7 +1218,7 @@ impl<'a> Decentral<'a> {
         if self.faults.is_some() {
             if let Some(kill_inc) = self.pending_kill.remove(&(job, copy)) {
                 self.books[s].vacate(lj, 1);
-                if kill_inc == self.dyn_inc[worker] {
+                if kill_inc == self.workers[worker].inc {
                     if let Some(a) = self.audit.as_mut() {
                         a.note_copy_stopped(worker);
                     }
@@ -1364,14 +1264,14 @@ impl<'a> Decentral<'a> {
         // finish.
         for (c, m) in done.losers {
             if self.faults.is_some() {
-                self.pending_kill.insert((job, c), self.dyn_inc[m.0]);
+                self.pending_kill.insert((job, c), self.workers[m.0].inc);
             }
             self.tele_kills += 1;
             self.send_msg(Ev::Kill {
                 worker: m.0,
                 job,
                 copy: c,
-                inc: self.dyn_inc[m.0],
+                inc: self.workers[m.0].inc,
             });
         }
         // New phases: their tasks need reservations too.
@@ -1400,7 +1300,7 @@ impl<'a> Decentral<'a> {
         // sent (incarnation match).
         let (s, lj) = self.at(job);
         self.books[s].vacate(lj, 1);
-        if inc == self.dyn_inc[worker] {
+        if inc == self.workers[worker].inc {
             if let Some(a) = self.audit.as_mut() {
                 a.note_copy_stopped(worker);
             }
@@ -1445,13 +1345,10 @@ impl<'a> Decentral<'a> {
     /// lease is void; otherwise the reply was lost (or stale-dropped)
     /// and the promised slot is reclaimed instead of leaking.
     fn on_lease(&mut self, worker: usize, seq: u64) {
-        if seq != self.rpc_seq[worker] || self.workers[worker].episode.is_none() {
-            return;
+        if self.workers[worker].lease_expired(seq) {
+            self.stats.orphan_reclaimed += 1;
+            self.maybe_start_episode(worker);
         }
-        self.stats.orphan_reclaimed += 1;
-        self.end_episode(worker);
-        self.workers[worker].free += 1;
-        self.maybe_start_episode(worker);
     }
 
     /// The per-job watchdog fired (faults only); the owning book decides

@@ -43,32 +43,34 @@
 //! is itself shard-count-independent because window boundaries are.
 //!
 //! **Relation to the serial driver.** `shards = 0` (the default) is the
-//! serial [`crate::driver`] path. Both engines take every scheduler-side
-//! decision through the same code — one `SchedBook` per scheduler
-//! (`crate::book`) and the shared worker step `episode_action` — so the
-//! decision rules agree by construction. What differs is how a decision
-//! is embedded: this engine is message-complete (launch durations are
-//! pre-drawn by the owning scheduler and committed at the worker with an
-//! explicit ack; kill/loss notifications are per-copy messages; workers
-//! self-poll instead of being poked by a global scan) and every entity
-//! owns its RNG streams. Its trajectories therefore differ from
-//! `shards = 0`, but are identical to *each other* for every shard count
-//! ≥ 1. DESIGN.md lists the embedding differences ("Known deviations").
+//! serial [`crate::driver`] path. Both engines run every protocol rule
+//! through the same code — one `SchedBook` per scheduler and one
+//! `Worker` per machine (`crate::book`) — and every copy's lifecycle
+//! through the same `JobRun` paths (a launch is `sample_unit_duration`,
+//! `duration_at_speed`, `launch_copy_prepared`; a loss is `lose_copy`;
+//! a speed change is `rescaled_finish`), so the rules agree by
+//! construction. What differs is how a decision is embedded: this
+//! engine is message-complete (launch durations are pre-drawn by the
+//! owning scheduler and committed at the worker with an explicit ack;
+//! kill/loss notifications are per-copy messages; workers self-poll
+//! instead of being poked by a global scan) and every entity owns its
+//! RNG streams. Its trajectories therefore differ from `shards = 0`, but
+//! are identical to *each other* for every shard count ≥ 1. DESIGN.md
+//! lists the embedding differences ("Known deviations").
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Mutex;
 
 use crate::audit::{Auditor, MsgKind};
-use crate::book::{
-    consume_reservation, episode_action, fair_share, piggyback, worker_refused, SchedBook,
-};
+use crate::book::{fair_share, SchedBook, Worker};
 use crate::driver::{DecConfig, DecOutput, DecPolicy, DecStats};
 use crate::faults::{MsgFaults, SchedEv, SchedulerChain};
-use hopper_cluster::{CopyRef, DynEvent, JobRun, MachineDynamics, MachineId, Machines, TaskRef};
-use hopper_core::protocol::{
-    BackoffPolicy, FreeSlotEpisode, Reservation, ResponseKind, UnsatisfiedJob, WorkerAction,
+use hopper_cluster::{
+    duration_at_speed, rescaled_finish, CopyRef, DynEvent, JobRun, MachineDynamics, MachineId,
+    Machines, TaskRef,
 };
+use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, UnsatisfiedJob};
 use hopper_core::{safe_horizon, EventKey, Mailbox, SyncBarrier};
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySeries, TelemetrySnapshot,
@@ -320,26 +322,19 @@ struct SchedSt {
     digest: JobDigest,
 }
 
-/// One worker's complete runtime state.
+/// One worker's complete runtime state: its protocol side
+/// (`crate::book`'s `Worker`) plus what only the sharded embedding needs.
 struct WorkSt {
     /// Global worker id (= machine id).
     w: usize,
     /// Event-emission counter.
     seq: u64,
-    queue: Vec<Reservation>,
-    free: usize,
-    episode: Option<FreeSlotEpisode>,
+    state: Worker,
     /// Committed running copies by worker-local token. A BTreeMap
     /// because machine failure *iterates* it to emit loss
     /// notifications — iteration order must be deterministic.
     records: BTreeMap<u64, CopyRec>,
     next_wtoken: u64,
-    /// Machine incarnation (bumped on failure).
-    inc: u64,
-    /// Episode epoch (bumped at every episode end).
-    ep: u64,
-    /// RPC sequence (lease dedup), as in the serial driver.
-    rpc: u64,
     poll_armed: bool,
     rng: StdRng,
     faults: Option<MsgFaults>,
@@ -402,17 +397,16 @@ struct Shard<'a> {
     tele_kills: u64,
 }
 
-/// Run one decentralized simulation sharded across
-/// `cfg.shards.max(1)` shards. Private engine behind
-/// [`crate::driver::run_source`]
-/// (`cfg.shards ≥ 1` selects it).
+/// Run one decentralized simulation sharded across `cfg.shards` shards.
+/// Private engine behind [`crate::driver::run_source`], which enters it
+/// only when `cfg.shards >= 1`.
 pub(crate) fn run_sharded(
     source: ArrivalSource<'_>,
     policy: DecPolicy,
     cfg: &DecConfig,
     retain_jobs: bool,
 ) -> DecOutput {
-    let nshards = cfg.shards.max(1);
+    let nshards = cfg.shards;
     let mut shards: Vec<Shard<'_>> = (0..nshards)
         // Every shard replays the whole source from the start (a clone
         // of the undelivered source — borrowed trace, generator stream,
@@ -604,14 +598,9 @@ impl<'a> Shard<'a> {
             .map(|w| WorkSt {
                 w,
                 seq: 0,
-                queue: Vec::new(),
-                free: cfg.cluster.slots_per_machine,
-                episode: None,
+                state: Worker::new(cfg.cluster.slots_per_machine),
                 records: BTreeMap::new(),
                 next_wtoken: 0,
-                inc: 0,
-                ep: 0,
-                rpc: 0,
                 poll_armed: false,
                 rng: seq.child_rng(SHARD_WORKER_RNG + w as u64),
                 faults: faults_on
@@ -791,8 +780,8 @@ impl<'a> Shard<'a> {
                     self.dynamics
                         .as_ref()
                         .is_none_or(|d| d.is_up(MachineId(wk.w))),
-                    wk.free as u64,
-                    wk.episode.is_some(),
+                    wk.state.free as u64,
+                    wk.state.has_episode(),
                     self.cfg.cluster.slots_per_machine as u64,
                 );
             }
@@ -1186,8 +1175,8 @@ impl<'a> Shard<'a> {
             a.check_worker(
                 w,
                 self.worker_up(w),
-                wk.free as u64,
-                wk.episode.is_some(),
+                wk.state.free as u64,
+                wk.state.has_episode(),
                 self.cfg.cluster.slots_per_machine as u64,
             );
         };
@@ -1235,7 +1224,7 @@ impl<'a> Shard<'a> {
         }
         // Parked unconditionally — the worker cannot see job completion
         // here; `job_done` refusals purge stale parks later.
-        self.workers[wi].queue.push(res);
+        self.workers[wi].state.queue.push(res);
         self.maybe_start_episode(worker, now);
     }
 
@@ -1247,81 +1236,49 @@ impl<'a> Shard<'a> {
             return;
         }
         let wi = self.wi_of(worker);
-        let wk = &mut self.workers[wi];
-        if wk.free > 0 && wk.episode.is_none() && !wk.queue.is_empty() {
-            wk.free -= 1; // promise the slot to this episode
-            wk.episode = Some(FreeSlotEpisode::new(self.cfg.refusal_threshold));
+        let thr = self.cfg.refusal_threshold;
+        if self.workers[wi].state.open_episode(thr) {
             self.episode_step(wi, now);
         }
         let wk = &mut self.workers[wi];
-        if !wk.poll_armed && !wk.queue.is_empty() {
+        if !wk.poll_armed && !wk.state.queue.is_empty() {
             wk.poll_armed = true;
             let at = now + self.cfg.scan_interval;
             self.push_local_worker(wi, at, SEv::Poll { worker });
         }
     }
 
-    /// Advance the worker's episode by one protocol step. Guideline-3
-    /// randomness draws from the *worker's own* RNG child — the draw
-    /// sequence depends only on this worker's event history, never on
-    /// how entities interleave globally.
+    /// Advance the worker's episode by one protocol step: send its offer
+    /// and lease the promised slot (faults only), as in the serial
+    /// driver. Guideline-3 randomness draws from the *worker's own* RNG
+    /// child — the draw sequence depends only on this worker's event
+    /// history, never on how entities interleave globally.
     fn episode_step(&mut self, wi: usize, now: SimTime) {
         let wk = &mut self.workers[wi];
         let worker = wk.w;
-        let Some(ep) = wk.episode.as_mut() else {
-            return; // defensive: stray refusal after the episode resolved
-        };
-        let (action, switched) = episode_action(
-            self.policy,
-            &wk.queue,
-            ep,
-            self.cfg.refusal_threshold,
-            &mut wk.rng,
-        );
+        let thr = self.cfg.refusal_threshold;
+        let (offer, switched) = wk.state.step(self.policy, thr, &mut wk.rng);
         if switched {
             self.stats.guideline3_switches += 1;
         }
-        match action {
-            WorkerAction::Respond { job, kind, .. } => {
-                self.stats.responses += 1;
-                let wk = &mut self.workers[wi];
-                wk.rpc += 1;
-                let inc = wk.inc;
-                let epoch = wk.ep;
-                let seq = wk.rpc;
-                self.worker_rpc(
-                    wi,
-                    now,
-                    SEv::Response {
-                        worker,
-                        job: job as usize,
-                        kind,
-                        inc,
-                        ep: epoch,
-                    },
-                );
-                // Lease the promised slot (faults only), as in the
-                // serial driver.
-                if self.faults_on {
-                    let at = now + SimTime::from_millis(self.cfg.faults.rpc_timeout_ms);
-                    self.push_local_worker(wi, at, SEv::Lease { worker, seq });
-                }
-            }
-            WorkerAction::Idle => {
-                self.end_episode(wi);
-                self.workers[wi].free += 1;
-            }
+        let Some(o) = offer else { return };
+        self.stats.responses += 1;
+        let response = SEv::Response {
+            worker,
+            job: o.job,
+            kind: o.kind,
+            inc: o.inc,
+            ep: o.ep,
+        };
+        self.worker_rpc(wi, now, response);
+        if self.faults_on {
+            let at = now + SimTime::from_millis(self.cfg.faults.rpc_timeout_ms);
+            let lease = SEv::Lease {
+                worker,
+                seq: o.lease,
+            };
+            self.push_local_worker(wi, at, lease);
         }
-    }
-
-    /// Terminate worker `wi`'s episode bookkeeping (see the serial
-    /// driver's `end_episode`): replies echoing the old epoch are stale
-    /// and any armed lease is void. Callers settle `free` themselves.
-    fn end_episode(&mut self, wi: usize) {
-        let wk = &mut self.workers[wi];
-        wk.episode = None;
-        wk.ep += 1;
-        wk.rpc += 1;
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1343,35 +1300,20 @@ impl<'a> Shard<'a> {
         // purges against the schedulers' books, which its workers can see
         // directly.)
         if job_done {
-            let wk = &mut self.workers[wi];
-            let before = wk.queue.len();
-            wk.queue.retain(|r| r.job as usize != job);
-            let gone = before - wk.queue.len();
+            let queue = &mut self.workers[wi].state.queue;
+            let before = queue.len();
+            queue.retain(|r| r.job as usize != job);
+            let gone = before - queue.len();
             if gone > 0 {
                 self.worker_msg(wi, now, SEv::ResGone { job, count: gone });
             }
         }
-        {
-            let wk = &self.workers[wi];
-            if inc != wk.inc || ep != wk.ep {
-                return;
-            }
+        let wk = &mut self.workers[wi].state;
+        if !wk.take_reply(inc, ep) {
+            return;
         }
-        // A reply reached the episode: any armed lease is void.
-        self.workers[wi].rpc += 1;
-        if !job_done {
-            let wk = &mut self.workers[wi];
-            let sched = job % self.k;
-            if worker_refused(
-                self.policy,
-                &mut wk.queue,
-                &mut wk.episode,
-                sched,
-                job,
-                unsatisfied,
-            ) {
-                self.worker_msg(wi, now, SEv::ResGone { job, count: 1 });
-            }
+        if !job_done && wk.refused(self.policy, job % self.k, job, unsatisfied) {
+            self.worker_msg(wi, now, SEv::ResGone { job, count: 1 });
         }
         self.episode_step(wi, now);
     }
@@ -1395,37 +1337,21 @@ impl<'a> Shard<'a> {
         now: SimTime,
     ) {
         let wi = self.wi_of(worker);
-        {
-            let wk = &self.workers[wi];
-            // The promised slot is gone (machine failed mid-flight, or
-            // the episode ended first): nothing commits, and the sender
-            // must undo its send-side accounting — by message here,
-            // where the serial driver undid it in place.
-            if inc != wk.inc || ep != wk.ep {
-                self.worker_msg(
-                    wi,
-                    now,
-                    SEv::AssignFailed {
-                        job,
-                        task,
-                        speculative,
-                    },
-                );
-                return;
-            }
-        }
-        // Episode resolved successfully; the promised slot is consumed.
-        self.end_episode(wi);
-        let speed = self.machine_speed(worker);
-        // Exactly `launch_copy_at_speed`'s scaling: nominal at speed 1,
-        // stretched (floor 1ms) otherwise.
-        let dur = if speed == 1.0 {
-            unit_dur
-        } else {
-            unit_dur.scale(1.0 / speed).max(SimTime::from_millis(1))
+        // The promised slot is gone (machine failed mid-flight, or the
+        // episode ended first): nothing commits, and the sender must undo
+        // its send-side accounting — by message here, where the serial
+        // driver undid it in place.
+        let Some(consumed) = self.workers[wi].state.assigned(inc, ep, job) else {
+            let failed = SEv::AssignFailed {
+                job,
+                task,
+                speculative,
+            };
+            self.worker_msg(wi, now, failed);
+            return;
         };
+        let dur = duration_at_speed(unit_dur, self.machine_speed(worker));
         let wk = &mut self.workers[wi];
-        let consumed = consume_reservation(&mut wk.queue, job);
         let wtoken = wk.next_wtoken;
         wk.next_wtoken += 1;
         wk.records.insert(
@@ -1438,7 +1364,7 @@ impl<'a> Shard<'a> {
         );
         // The piggyback carries the Assign-time snapshot, where the
         // serial driver reads the scheduler's post-launch state directly.
-        piggyback(&mut wk.queue, job, vsize, remaining);
+        wk.state.piggyback(job, vsize, remaining);
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_started(worker);
         }
@@ -1477,7 +1403,7 @@ impl<'a> Shard<'a> {
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_stopped(worker);
         }
-        self.workers[wi].free += 1;
+        self.workers[wi].state.free += 1;
         self.machines.release_to(MachineId(worker), rec.job);
         self.worker_msg(
             wi,
@@ -1504,7 +1430,7 @@ impl<'a> Shard<'a> {
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_stopped(worker);
         }
-        self.workers[wi].free += 1;
+        self.workers[wi].state.free += 1;
         self.machines.release_to(MachineId(worker), rec.job);
         self.maybe_start_episode(worker, now);
     }
@@ -1518,23 +1444,16 @@ impl<'a> Shard<'a> {
     /// A response lease fired (faults only), as in the serial driver.
     fn on_lease(&mut self, worker: usize, seq: u64, now: SimTime) {
         let wi = self.wi_of(worker);
-        {
-            let wk = &self.workers[wi];
-            if seq != wk.rpc || wk.episode.is_none() {
-                return;
-            }
+        if self.workers[wi].state.lease_expired(seq) {
+            self.stats.orphan_reclaimed += 1;
+            self.maybe_start_episode(worker, now);
         }
-        self.stats.orphan_reclaimed += 1;
-        self.end_episode(wi);
-        self.workers[wi].free += 1;
-        self.maybe_start_episode(worker, now);
     }
 
-    /// Apply one machine-dynamics incident to the owning worker. The
-    /// speed-rescale mirrors `JobRun::rescale_machine` on the worker's
-    /// own copy records (duration = finish − start is maintained by
-    /// both); failure turns parked reservations and running copies into
-    /// loss notifications toward their owning schedulers.
+    /// Apply one machine-dynamics incident to the owning worker. A speed
+    /// change moves the finish of the worker's own copy records
+    /// (`rescaled_finish`); failure turns parked reservations and running
+    /// copies into loss notifications toward their owning schedulers.
     fn on_dyn(&mut self, ev: DynEvent, now: SimTime) {
         if self.drained {
             // The workload is globally complete (window-start snapshot):
@@ -1559,25 +1478,10 @@ impl<'a> Shard<'a> {
                 {
                     let wk = &mut self.workers[wi];
                     for (&tok, rec) in wk.records.iter_mut() {
-                        let old_finish = rec.finish;
-                        let new_finish = if rec.start >= now {
-                            let full = (rec.finish - rec.start).as_millis();
-                            rec.start
-                                + SimTime::from_millis(
-                                    ((full as f64 * ratio).round() as u64).max(1),
-                                )
-                        } else {
-                            let rem = old_finish.saturating_sub(now).as_millis();
-                            if rem == 0 {
-                                continue; // due at this very instant; let it land
-                            }
-                            now + SimTime::from_millis(((rem as f64 * ratio).round() as u64).max(1))
-                        };
-                        if new_finish == old_finish {
-                            continue;
+                        if let Some(finish) = rescaled_finish(rec.start, rec.finish, now, ratio) {
+                            rec.finish = finish;
+                            resched.push((tok, finish));
                         }
-                        rec.finish = new_finish;
-                        resched.push((tok, new_finish));
                     }
                 }
                 for (tok, finish) in resched {
@@ -1596,16 +1500,9 @@ impl<'a> Shard<'a> {
                 // every slot, and every running copy die with the machine.
                 // Each casualty becomes a message to its owning scheduler
                 // (the serial driver swept scheduler state in place).
-                let (queue, records) = {
-                    let wk = &mut self.workers[wi];
-                    wk.inc += 1;
-                    (
-                        std::mem::take(&mut wk.queue),
-                        std::mem::take(&mut wk.records),
-                    )
-                };
-                self.end_episode(wi);
-                self.workers[wi].free = 0;
+                let wk = &mut self.workers[wi];
+                let queue = wk.state.fail();
+                let records = std::mem::take(&mut wk.records);
                 if let Some(a) = self.audit.as_mut() {
                     a.note_machine_failed(w);
                 }
@@ -1633,7 +1530,9 @@ impl<'a> Shard<'a> {
             }
             DynEvent::Recover(_) => {
                 self.machines.set_up(m);
-                self.workers[wi].free = self.cfg.cluster.slots_per_machine;
+                self.workers[wi]
+                    .state
+                    .recover(self.cfg.cluster.slots_per_machine);
             }
         }
     }
@@ -1894,7 +1793,7 @@ impl<'a> Shard<'a> {
         };
         st.copy_tok.remove(&(job, copy));
         st.book.vacate(lj, 1);
-        if st.book.jobs[lj].lose_copy(copy) == Some(true) {
+        if st.book.jobs[lj].lose_copy(copy).is_some_and(|l| l.requeued) {
             let probes = st.book.requeue(lj, 1);
             self.send_probes(si, lj, probes, now);
         }
@@ -2025,7 +1924,11 @@ impl<'a> Shard<'a> {
     fn tele_snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             busy_slots: self.workers.iter().map(|wk| wk.records.len() as u64).sum(),
-            queue_depth: self.workers.iter().map(|wk| wk.queue.len() as u64).sum(),
+            queue_depth: self
+                .workers
+                .iter()
+                .map(|wk| wk.state.queue.len() as u64)
+                .sum(),
             live_jobs: self.live_count as u64,
             completed: self
                 .scheds

@@ -24,13 +24,10 @@
 //! fans whole cells (never probes) out over worker threads and writes
 //! results by index, so the output is identical at every thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use hopper_metrics::RunReport;
 
 use crate::spec::{ExperimentSpec, SpecError};
-use crate::sweep::{clamp_threads, default_threads};
+use crate::sweep::{clamp_threads, default_threads, fan_out};
 
 /// Live high-water fraction of delivered jobs that flags saturation on
 /// its own: a draining run keeps live jobs near the steady-state level,
@@ -246,28 +243,9 @@ pub fn frontier_grid(
         c.validate()?;
     }
     let max_shards = cells.iter().map(|c| c.shards).max().unwrap_or(0);
-    let threads = clamp_threads(threads, max_shards, default_threads()).min(cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<FrontierResult, SpecError>>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else {
-                    break;
-                };
-                *slots[i].lock().unwrap() = Some(find_frontier(cell, cfg));
-            });
-        }
-    });
-    slots
+    let threads = clamp_threads(threads, max_shards, default_threads());
+    fan_out(cells, threads, |cell| find_frontier(cell, cfg))
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("every cell index was claimed by a worker")
-        })
         .collect()
 }
 

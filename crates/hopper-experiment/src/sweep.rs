@@ -275,25 +275,39 @@ fn grid(
 /// Run a pre-validated trial grid over `threads` scoped workers,
 /// collecting results in grid order.
 fn run_cells(cells: Vec<(ExperimentSpec, String, u64)>, threads: usize) -> Vec<Trial> {
-    let threads = threads.max(1).min(cells.len().max(1));
+    fan_out(&cells, threads, |(spec, value, seed)| {
+        let summary = spec
+            .run_one(*seed)
+            .expect("grid variants are validated before workers start");
+        Trial {
+            axis_value: value.clone(),
+            seed: *seed,
+            jobs: summary.jobs().to_vec(),
+            report: summary.report().clone(),
+        }
+    })
+}
+
+/// `f` applied to every item over `threads` scoped workers (at least
+/// one, at most one per item). Workers claim items by index, and the
+/// results come back in item order, so they are identical at every
+/// thread count.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.max(1).min(items.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Trial>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((spec, value, seed)) = cells.get(i) else {
+                let Some(item) = items.get(i) else {
                     break;
                 };
-                let summary = spec
-                    .run_one(*seed)
-                    .expect("grid variants are validated before workers start");
-                *slots[i].lock().unwrap() = Some(Trial {
-                    axis_value: value.clone(),
-                    seed: *seed,
-                    jobs: summary.jobs().to_vec(),
-                    report: summary.report().clone(),
-                });
+                *slots[i].lock().expect("no worker panics holding a slot") = Some(f(item));
             });
         }
     });
@@ -301,8 +315,8 @@ fn run_cells(cells: Vec<(ExperimentSpec, String, u64)>, threads: usize) -> Vec<T
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .unwrap()
-                .expect("every grid index was claimed by a worker")
+                .expect("no worker panics holding a slot")
+                .expect("every index was claimed by a worker")
         })
         .collect()
 }
