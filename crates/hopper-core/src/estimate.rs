@@ -19,19 +19,43 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Online Pareto tail-index (β) estimator over a sliding window.
+///
+/// A read sums one cached log term per sample instead of taking a fresh
+/// `ln()` of each: the estimate depends on the window only through its
+/// minimum `x_min` and the terms `ln(x_i / x_min)`, and the minimum
+/// rarely moves. The cache is bit-exact — every term is the expression
+/// the full sweep evaluates, on the same operands, summed in the same
+/// order.
 #[derive(Debug, Clone)]
 pub struct BetaEstimator {
-    window: VecDeque<f64>,
+    /// The window, oldest first: each sample with its cached log term.
+    window: VecDeque<Sample>,
+    /// Monotone-minimum deque: the window's samples that are no larger
+    /// than any later sample, oldest first (equal values are all kept).
+    /// Its front is the window minimum.
+    mins: VecDeque<f64>,
+    /// The minimum every cached `ln_ratio` was computed against. The
+    /// terms are valid iff this equals the window minimum; `observe`
+    /// rebuilds them as soon as the minimum moves.
+    term_min: f64,
+    /// Times `observe` recomputed every cached term because the window
+    /// minimum moved (a work counter; each rebuild costs one `ln()` per
+    /// sample, every other observation costs one).
+    term_rebuilds: u64,
     capacity: usize,
     min_samples: usize,
     prior: f64,
-    total_observed: u64,
-    /// Memoized MLE of the current window; invalidated by `observe`. The
-    /// estimate is a pure function of the window, so serving the cached
-    /// value between observations is exact — and it turns the scheduler's
-    /// per-job, per-dispatch β reads from O(window) `ln()` sweeps into
-    /// O(1) loads (the single hottest scalar read in both drivers).
+    /// Memoized estimate of the current window; invalidated by
+    /// `observe`. The estimate is a pure function of the window, so
+    /// serving the memo between observations is exact.
     cached: std::cell::Cell<Option<f64>>,
+}
+
+/// One window entry: a duration multiplier and its `ln(x / term_min)`.
+#[derive(Debug, Clone, Copy)]
+struct Sample {
+    x: f64,
+    ln_ratio: f64,
 }
 
 impl BetaEstimator {
@@ -43,10 +67,12 @@ impl BetaEstimator {
         assert!(capacity >= min_samples && min_samples >= 2);
         BetaEstimator {
             window: VecDeque::with_capacity(capacity),
+            mins: VecDeque::new(),
+            term_min: f64::NAN,
+            term_rebuilds: 0,
             capacity,
             min_samples,
             prior,
-            total_observed: 0,
             cached: std::cell::Cell::new(None),
         }
     }
@@ -64,24 +90,45 @@ impl BetaEstimator {
             return; // defensive: ignore garbage observations
         }
         if self.window.len() == self.capacity {
-            self.window.pop_front();
+            let evicted = self.window.pop_front().map(|s| s.x);
+            // The oldest sample, if still a candidate, heads the deque.
+            if self.mins.front().copied() == evicted {
+                self.mins.pop_front();
+            }
         }
-        self.window.push_back(multiplier);
-        self.total_observed += 1;
+        while self.mins.back().is_some_and(|&b| b > multiplier) {
+            self.mins.pop_back();
+        }
+        self.mins.push_back(multiplier);
+        let x_min = self.mins[0];
+        self.window.push_back(Sample {
+            x: multiplier,
+            ln_ratio: (multiplier / x_min).ln(),
+        });
+        if x_min != self.term_min {
+            self.term_min = x_min;
+            self.term_rebuilds += 1;
+            for s in &mut self.window {
+                s.ln_ratio = (s.x / x_min).ln();
+            }
+        }
         self.cached.set(None);
     }
 
-    /// Number of observations ever made.
-    pub fn observations(&self) -> u64 {
-        self.total_observed
+    /// The learned estimate, or `None` while fewer than `min_samples`
+    /// observations back it (when [`BetaEstimator::beta`] serves the
+    /// prior).
+    pub fn learned(&self) -> Option<f64> {
+        (self.window.len() >= self.min_samples).then(|| self.beta())
     }
 
     /// Current β estimate.
     ///
-    /// MLE for Pareto: with x_min taken as the window minimum,
-    /// `β̂ = n / Σ ln(x_i / x_min)`, clamped into (1, 2] ∪ … — we clamp to
-    /// `[1.05, 4.0]` so downstream math (2/β, mean factors) stays sane even
-    /// on degenerate windows.
+    /// Pareto MLE with `x_min` taken as the window minimum and the
+    /// small-sample correction: `β̂ = (n − 2) / Σ ln(x_i / x_min)`,
+    /// clamped to `[1.05, 4.0]` so downstream math (2/β, mean factors)
+    /// stays sane even on degenerate windows. The prior is served below
+    /// `min_samples` samples and when every sample equals the minimum.
     pub fn beta(&self) -> f64 {
         if let Some(v) = self.cached.get() {
             return v;
@@ -91,16 +138,14 @@ impl BetaEstimator {
         v
     }
 
-    /// The full-window MLE (memoized by [`BetaEstimator::beta`]).
+    /// The MLE over the cached terms (memoized by [`BetaEstimator::beta`]).
     fn compute_beta(&self) -> f64 {
         if self.window.len() < self.min_samples {
             return self.prior;
         }
-        let x_min = self.window.iter().copied().fold(f64::INFINITY, f64::min);
-        if !(x_min.is_finite() && x_min > 0.0) {
-            return self.prior;
-        }
-        let log_sum: f64 = self.window.iter().map(|x| (x / x_min).ln()).sum();
+        let log_sum: f64 = self.window.iter().map(|s| s.ln_ratio).sum();
+        #[cfg(debug_assertions)]
+        self.debug_check_terms(log_sum);
         if log_sum <= 0.0 {
             return self.prior; // all samples identical: no tail information
         }
@@ -109,6 +154,28 @@ impl BetaEstimator {
         // small-sample correction is (n-2)/n · n/Σln = (n-2)/Σln.
         let beta = (n - 2.0) / log_sum;
         beta.clamp(1.05, 4.0)
+    }
+
+    /// Debug-build oracle: the deque's minimum and the cached log sum
+    /// must equal a full sweep of the window, bit for bit. Sampled
+    /// (every 64th read) — the sweep is the O(window) `ln()` pass the
+    /// cache removes.
+    #[cfg(debug_assertions)]
+    fn debug_check_terms(&self, log_sum: f64) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static TICK: AtomicU64 = AtomicU64::new(0);
+        if !TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(64) {
+            return;
+        }
+        let x_min = self
+            .window
+            .iter()
+            .map(|s| s.x)
+            .fold(f64::INFINITY, f64::min);
+        let swept: f64 = self.window.iter().map(|s| (s.x / x_min).ln()).sum();
+        debug_assert_eq!(self.mins[0].to_bits(), x_min.to_bits(), "β minimum drifted");
+        debug_assert_eq!(self.term_min.to_bits(), x_min.to_bits(), "β terms stale");
+        debug_assert_eq!(log_sum.to_bits(), swept.to_bits(), "β log sum drifted");
     }
 }
 
@@ -202,7 +269,114 @@ pub fn alpha_from_work(remaining_transfer_ms: f64, remaining_compute_ms: f64) ->
 mod tests {
     use super::*;
     use hopper_sim::rng_from_seed;
+    use proptest::prelude::*;
     use rand::Rng;
+
+    /// The full-window sweep the incremental estimator replaces, kept
+    /// verbatim as the oracle: one `f64::min` fold, then one divide and
+    /// `ln()` per sample.
+    fn reference_beta(window: &[f64], prior: f64, min_samples: usize) -> f64 {
+        if window.len() < min_samples {
+            return prior;
+        }
+        let x_min = window.iter().copied().fold(f64::INFINITY, f64::min);
+        if !(x_min.is_finite() && x_min > 0.0) {
+            return prior;
+        }
+        let log_sum: f64 = window.iter().map(|x| (x / x_min).ln()).sum();
+        if log_sum <= 0.0 {
+            return prior;
+        }
+        let n = window.len() as f64;
+        let beta = (n - 2.0) / log_sum;
+        beta.clamp(1.05, 4.0)
+    }
+
+    proptest! {
+        /// The cached terms and the minimum deque reproduce the full
+        /// sweep bit for bit. Small windows evict the minimum often;
+        /// the step kinds mix fresh values, repeats of the current
+        /// minimum (so one of several equal minima gets evicted), new
+        /// record lows, near-identical samples (the clamp and the
+        /// `log_sum <= 0` prior fallback), and garbage. Reads are
+        /// skipped for stretches longer than the window.
+        #[test]
+        fn incremental_beta_matches_full_sweep_bit_for_bit(
+            capacity in 3usize..=8,
+            min_samples in 2usize..=8,
+            flat in 0u8..4,
+            read_gap in 1usize..=12,
+            steps in prop::collection::vec((0u8..10, 0.5f64..4.0), 1..200),
+        ) {
+            let min_samples = min_samples.min(capacity);
+            let mut est = BetaEstimator::new(1.5, capacity, min_samples);
+            let mut window: Vec<f64> = Vec::new();
+            let mut low = 0.5;
+            for (i, &(kind, v)) in steps.iter().enumerate() {
+                // One case in four only repeats 1.0 or samples just above it.
+                let kind = if flat == 0 { 3 + kind % 2 } else { kind };
+                let x = match kind {
+                    0..=2 => v,
+                    3 => 1.0,
+                    4 => 1.0 + (v * 4.0).floor() * 1e-9,
+                    5 => {
+                        low *= 0.5;
+                        low
+                    }
+                    6 => [f64::NAN, -v, 0.0, f64::INFINITY][(v as usize) % 4],
+                    _ => window.iter().copied().fold(v, f64::min),
+                };
+                est.observe(x);
+                if x.is_finite() && x > 0.0 {
+                    if window.len() == capacity {
+                        window.remove(0);
+                    }
+                    window.push(x);
+                }
+                if i % read_gap == 0 || kind == 9 {
+                    let want = reference_beta(&window, 1.5, min_samples);
+                    prop_assert_eq!(est.beta().to_bits(), want.to_bits(), "step {i}: {window:?}");
+                    let learned = (window.len() >= min_samples).then_some(want.to_bits());
+                    prop_assert_eq!(est.learned().map(f64::to_bits), learned);
+                }
+            }
+        }
+    }
+
+    /// The speed-up, pinned by an exact counter instead of wall time: on
+    /// an i.i.d. Pareto stream the window minimum moves (a record low,
+    /// or the minimum ages out) on well under 1% of observations, so
+    /// nearly every read is one add pass over cached terms.
+    #[test]
+    fn beta_terms_rebuild_on_under_one_percent_of_reads() {
+        let mut rng = rng_from_seed(5);
+        let mut est = BetaEstimator::with_prior(1.5);
+        let reads = 20_000u64;
+        for _ in 0..reads {
+            let u: f64 = 1.0 - rng.gen::<f64>();
+            est.observe(1.0 / u.powf(1.0 / 1.5));
+            est.beta();
+        }
+        let rebuilds = est.term_rebuilds;
+        assert!(rebuilds > 0, "the minimum must move at least once");
+        assert!(
+            rebuilds * 100 < reads,
+            "{rebuilds} rebuilds over {reads} reads"
+        );
+    }
+
+    #[test]
+    fn learned_is_none_below_min_samples() {
+        let mut est = BetaEstimator::new(1.7, 10, 3);
+        est.observe(1.0);
+        est.observe(2.0);
+        assert_eq!(est.learned(), None);
+        assert_eq!(est.beta(), 1.7);
+        est.observe(f64::NAN);
+        assert_eq!(est.learned(), None, "garbage does not count");
+        est.observe(3.0);
+        assert_eq!(est.learned(), Some(est.beta()));
+    }
 
     /// Draw Pareto(β, x_min=1) samples and check the estimator recovers β.
     fn pareto_recovery(beta_true: f64) -> f64 {
@@ -308,7 +482,12 @@ mod tests {
         est.observe(f64::NAN);
         est.observe(-1.0);
         est.observe(0.0);
-        assert_eq!(est.observations(), 0);
+        est.observe(f64::INFINITY);
+        // One real sample: with min_samples = 2, any counted garbage
+        // value would make the estimate learned.
+        est.observe(1.0);
+        assert_eq!(est.learned(), None, "garbage is not a sample");
+        assert_eq!(est.window.len(), 1);
     }
 
     #[test]

@@ -426,15 +426,11 @@ impl SchedBook {
     }
 
     /// The scheduler's current view of a job's virtual size (Pseudocode
-    /// 1 inputs, all local): its learned β once it has 20 samples, else
-    /// the job's own.
+    /// 1 inputs, all local): its learned β once the estimator has
+    /// enough samples, else the job's own.
     pub fn vsize(&self, lj: usize) -> f64 {
         let job = &self.jobs[lj];
-        let beta = if self.beta.observations() >= 20 {
-            self.beta.beta()
-        } else {
-            job.spec.beta
-        };
+        let beta = self.beta.learned().unwrap_or(job.spec.beta);
         virtual_size(job.current_remaining() as f64, beta, job.alpha().max(1.0))
     }
 
