@@ -14,7 +14,7 @@
 //!   `VmHWM` is process-monotonic, so each reading is the peak up to
 //!   and including that size.
 //!
-//! One machine-parseable JSON line per size, like `throughput`.
+//! One machine-parseable JSON line per size.
 //!
 //! Sizing knobs:
 //!
@@ -28,8 +28,9 @@
 //! - `HOPPER_BENCH_SCALE_ENGINES` — comma-separated engine filter,
 //!   `decentral` / `central` (default both)
 //! - `HOPPER_BENCH_MACHINES`   — cluster size (default 2 000)
-//! - `HOPPER_BENCH_DRIFT`     — `realloc_drift` for the central run
-//!   (default 0 = exact eager-equivalent reallocation)
+//!
+//! The central run is exact (`realloc_drift = 0`, eager-equivalent
+//! reallocation); CI's `realloc_drift` sweep covers the drift mode.
 
 use std::time::Instant;
 
@@ -39,13 +40,6 @@ use hopper_sim::SimTime;
 use hopper_workload::{ArrivalSource, TraceGenerator, WorkloadProfile};
 
 fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -131,15 +125,14 @@ fn main() {
     let engines =
         std::env::var("HOPPER_BENCH_SCALE_ENGINES").unwrap_or_else(|_| "decentral,central".into());
     let engines: Vec<&str> = engines.split(',').map(str::trim).collect();
-    let drift = env_f64("HOPPER_BENCH_DRIFT", 0.0);
     eprintln!(
         "fig_scale bench: streaming pipeline, {machines} machines, engines {engines:?}, \
-         decentral sizes {sizes:?}, central sizes {central_sizes:?}, realloc_drift {drift} \
+         decentral sizes {sizes:?}, central sizes {central_sizes:?} \
          (HOPPER_BENCH_SCALE_JOBS / HOPPER_BENCH_SCALE_JOBS_CENTRAL / \
-         HOPPER_BENCH_SCALE_ENGINES / HOPPER_BENCH_MACHINES / HOPPER_BENCH_DRIFT)"
+         HOPPER_BENCH_SCALE_ENGINES / HOPPER_BENCH_MACHINES)"
     );
-    // The throughput bench's workload shape: interactive single-phase
-    // Facebook jobs, the one that stresses per-event dispatch and the
+    // Interactive single-phase Facebook jobs, the shape of the benchmark's
+    // `central-*` workloads: it stresses per-event dispatch and the
     // arrival/retirement machinery rather than straggler modelling.
     let profile = WorkloadProfile::facebook().interactive().single_phase();
     let base_cfg = DecConfig {
@@ -192,8 +185,7 @@ fn main() {
     // The centralized engine's streaming scale point: the incremental
     // allocator (ISSUE 6) is what makes ≥100k-job central streams
     // reachable at all — the eager O(active)-per-event allocator sat
-    // ~500× below decentral throughput. `HOPPER_BENCH_DRIFT > 0`
-    // additionally exercises the bounded-staleness mode at scale.
+    // ~500× below decentral throughput.
     if engines.contains(&"central") {
         let central_cluster = hopper_cluster::ClusterConfig {
             machines,
@@ -209,10 +201,7 @@ fn main() {
                 max_events: (jobs as u64).saturating_mul(2_000).max(200_000_000),
                 ..Default::default()
             };
-            let policy = Policy::Hopper(HopperConfig {
-                realloc_drift: drift,
-                ..Default::default()
-            });
+            let policy = Policy::Hopper(HopperConfig::default());
             let stream = TraceGenerator::new(profile.clone(), jobs, 1)
                 .stream_with_utilization(central_slots, 0.7);
             let start = Instant::now();

@@ -14,14 +14,14 @@
 //! its own event count, so its line carries `engine:"serial"` and is not
 //! comparable event-for-event with the sharded rows.
 //!
-//! One machine-parseable JSON line per cell, like `throughput`. Sizing
-//! knobs (CI smoke shrinks them; BENCH_8.json records the defaults):
+//! Every run covers both fault modes, off then on. One machine-parseable
+//! JSON line per cell. Sizing knobs (the `events_per_sec_vs_shards`
+//! rows of `docs/perf-history.tsv` record a run at the defaults):
 //!
 //! - `HOPPER_BENCH_JOBS`         — jobs per trace (default 100 000)
 //! - `HOPPER_BENCH_MACHINES`     — cluster size (default 2 000)
 //! - `HOPPER_BENCH_SHARD_COUNTS` — comma-separated shard counts
 //!   (default `1,2,4`)
-//! - `HOPPER_BENCH_FAULTS`       — `on,off` filter (default both)
 
 use std::time::Instant;
 
@@ -130,23 +130,14 @@ fn main() {
     let jobs = env_usize("HOPPER_BENCH_JOBS", 100_000);
     let machines = env_usize("HOPPER_BENCH_MACHINES", 2_000);
     let shard_counts = env_list("HOPPER_BENCH_SHARD_COUNTS", &[1, 2, 4]);
-    let fault_modes = std::env::var("HOPPER_BENCH_FAULTS").unwrap_or_else(|_| "off,on".into());
-    let fault_modes: Vec<bool> = fault_modes
-        .split(',')
-        .filter_map(|s| match s.trim() {
-            "on" => Some(true),
-            "off" => Some(false),
-            _ => None,
-        })
-        .collect();
     let seed = 1;
     eprintln!(
         "fig_shard bench: {jobs} jobs, {machines} machines, shard counts {shard_counts:?}, \
-         fault modes {fault_modes:?} (HOPPER_BENCH_JOBS / HOPPER_BENCH_MACHINES / \
-         HOPPER_BENCH_SHARD_COUNTS / HOPPER_BENCH_FAULTS)"
+         faults off and on (HOPPER_BENCH_JOBS / HOPPER_BENCH_MACHINES / \
+         HOPPER_BENCH_SHARD_COUNTS)"
     );
     let t = trace(seed, jobs, machines * 2);
-    for &faults in &fault_modes {
+    for faults in [false, true] {
         // Serial-driver context line (its own equivalence family).
         let serial = run_cell(&t, machines, faults, 0, seed);
         assert_eq!(serial.jobs_done, jobs, "serial run lost jobs");

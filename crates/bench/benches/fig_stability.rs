@@ -27,13 +27,13 @@
 //! drain the backlog and mask saturation).
 //!
 //! Output: the `frontier_csv` table
-//! (`policy,rate_profile,frontier_lo,frontier_hi,probes`). Sizing knobs:
+//! (`policy,rate_profile,frontier_lo,frontier_hi,probes`). Each cell
+//! takes `FrontierConfig::default()`'s 7 bisection steps after the
+//! endpoint probes (brackets to ≈ 0.007 in utilization). Sizing knob:
 //!
-//! - `HOPPER_BENCH_JOBS`  — jobs per probe run (default 600: the
+//! - `HOPPER_BENCH_JOBS` — jobs per probe run (default 600: the
 //!   live-jobs fraction signal needs enough jobs that a draining
 //!   heavy-tailed run's elephants stay below it)
-//! - `HOPPER_BENCH_ITERS` — bisection steps after the endpoint probes
-//!   (default 7: brackets to ≈ 0.007 in utilization)
 
 use hopper_bench::{central_spec, decentral_spec};
 use hopper_experiment::{default_threads, frontier_csv, frontier_grid, FrontierConfig};
@@ -50,10 +50,7 @@ fn main() {
         "\n=== fig_stability — stability frontiers: \
          max sustainable utilization per policy, stationary vs diurnal ==="
     );
-    let cfg = FrontierConfig {
-        iters: env_usize("HOPPER_BENCH_ITERS", FrontierConfig::default().iters),
-        ..FrontierConfig::default()
-    };
+    let cfg = FrontierConfig::default();
 
     // The probe utilization in these constructors is a placeholder —
     // bisection overwrites `util` on every probe. Probe runs need more
@@ -61,8 +58,7 @@ fn main() {
     // detector's fractions to be meaningful.
     let jobs = env_usize("HOPPER_BENCH_JOBS", 600);
     println!(
-        "(jobs/probe: {jobs}, bisection steps: {}; override via \
-         HOPPER_BENCH_JOBS / HOPPER_BENCH_ITERS)",
+        "(jobs/probe: {jobs}, override via HOPPER_BENCH_JOBS; bisection steps: {})",
         cfg.iters
     );
     let reference = |s: &mut hopper_experiment::ExperimentSpec, profile: &str| {

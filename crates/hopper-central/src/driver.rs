@@ -229,11 +229,14 @@ struct Central<'a> {
     placement_rng: StdRng,
     /// Whether per-job `JobResult`s are retained (false for streaming).
     retain_jobs: bool,
-    arrived: Vec<bool>,
-    done: Vec<bool>,
-    /// Driver-maintained running-copy count per job (avoids O(tasks) scans).
+    /// Driver-maintained running-copy count per job. Equals
+    /// `JobRun::occupied_slots()` at every read, but that accessor
+    /// re-runs an O(tasks) cross-check in debug builds, which at every
+    /// `runnable()` would more than double the test suite's run time.
     usage: Vec<usize>,
-    /// Driver-maintained unlaunched-original count per job.
+    /// Driver-maintained unlaunched-original count per job. Equals
+    /// `JobRun::pending_originals()` at every read; kept for the same
+    /// debug-build cost as `usage`.
     pending_orig: Vec<usize>,
     /// Cached speculation candidates per job (refreshed at scans);
     /// consumed front-first, so a deque instead of a `Vec::remove(0)`.
@@ -339,8 +342,6 @@ impl<'a> Central<'a> {
             arrivals,
             placement_rng: seq.child_rng(0xB10C),
             retain_jobs,
-            arrived: vec![false; n],
-            done: vec![false; n],
             usage: vec![0; n],
             pending_orig: vec![0; n],
             candidates: vec![VecDeque::new(); n],
@@ -395,7 +396,6 @@ impl<'a> Central<'a> {
             .map(|p| p.num_tasks())
             .sum();
         self.jobs.insert(j, job);
-        self.arrived[j] = true;
         self.arrivals_pending -= 1;
         let pos = self.active.binary_search(&j).unwrap_err();
         self.active.insert(pos, j);
@@ -511,7 +511,7 @@ impl<'a> Central<'a> {
                     // Completions queued for copies that lost their race
                     // pop after the job completed and retired; they are
                     // stale by definition and must not touch its state.
-                    if self.done[job] {
+                    if !self.jobs.is_live(job) {
                         continue;
                     }
                     // A machine-speed change reschedules in-flight copies:
@@ -706,7 +706,6 @@ impl<'a> Central<'a> {
     /// instant the job is observationally gone — any path touching
     /// `jobs[j]` panics (the retirement invariant, DESIGN.md).
     fn complete_job(&mut self, j: usize, now: SimTime) {
-        self.done[j] = true;
         if let Ok(pos) = self.active.binary_search(&j) {
             self.active.remove(pos);
         }

@@ -260,11 +260,6 @@ impl MachineDynamics {
         self.up[m.0]
     }
 
-    /// Base (static-heterogeneity) speed of `m`.
-    pub fn base_speed(&self, m: MachineId) -> f64 {
-        self.base[m.0]
-    }
-
     /// First incident per machine, as absolute times from simulation
     /// start. Empty when both rates are zero (pure static heterogeneity).
     pub fn initial_incidents(&mut self) -> Vec<(SimTime, DynEvent)> {

@@ -586,11 +586,6 @@ impl JobRun {
         job
     }
 
-    /// Whether the job has completed.
-    pub fn is_done(&self) -> bool {
-        self.completed_at.is_some()
-    }
-
     /// Launch a copy of `task` on `machine` at `now`; the copy starts
     /// running at `now + delay` (slot hand-off / container setup cost).
     /// Returns the copy id and its (hidden) duration so the driver can
