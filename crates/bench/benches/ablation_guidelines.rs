@@ -7,12 +7,13 @@
 //! strawman and the Fair baseline for calibration.
 
 use hopper_central::{run, HopperConfig, Policy};
-use hopper_metrics::{reduction_pct, Table};
-use hopper_workload::{TraceGenerator, WorkloadProfile};
+use hopper_metrics::{reduction_pct, RunSummary, Table};
 
 fn main() {
     hopper_bench::banner("Ablation", "centralized Hopper variants vs SRPT, 80% util");
     let seeds = hopper_bench::seeds();
+    let mut spec = hopper_bench::central_spec("srpt", false, 0.8);
+    spec.single_phase = true;
 
     let variants: Vec<(&str, Policy)> = vec![
         ("Fair", Policy::Fair),
@@ -63,12 +64,9 @@ fn main() {
         let mut launched = 0;
         let mut won = 0;
         for seed in 0..seeds {
-            let cfg = hopper_bench::central_cfg(seed, false);
-            let slots = cfg.cluster.total_slots();
-            let profile = WorkloadProfile::facebook().single_phase();
-            let trace = TraceGenerator::new(profile, hopper_bench::jobs(), seed)
-                .generate_with_utilization(slots, 0.8);
-            base += run(&trace, &Policy::Srpt, &cfg).mean_duration_ms();
+            let (srpt, cfg) = spec.central_config(seed).expect("ablation spec");
+            let trace = spec.trace(seed);
+            base += run(&trace, &srpt, &cfg).mean_duration_ms();
             let out = run(&trace, &policy, &cfg);
             var += out.mean_duration_ms();
             launched += out.stats.spec_launched;

@@ -6,11 +6,12 @@
 //! ε = 10% fewer than 4% of jobs slow down, with bounded magnitudes.
 
 use hopper_decentral::{run, DecPolicy};
-use hopper_metrics::{reduction_pct, GainCdf, Table};
+use hopper_metrics::{reduction_pct, GainCdf, RunSummary, Table};
 
 fn main() {
     hopper_bench::banner("Figure 10", "ε-fairness: gains, slowdowns, magnitudes");
     let seeds = hopper_bench::seeds();
+    let spec = hopper_bench::decentral_spec("hopper", "facebook", 0.6);
 
     let mut table = Table::new(
         "decentralized Hopper at 60% utilization (baseline: ε = 0)",
@@ -29,9 +30,8 @@ fn main() {
         let mut avg_slow = 0.0;
         let mut worst_slow = 0.0f64;
         for seed in 0..seeds {
-            let mut cfg = hopper_bench::decentral_cfg(seed);
-            let slots = cfg.cluster.total_slots();
-            let trace = hopper_bench::fb_interactive_trace(seed, 0.6, slots);
+            let (_, mut cfg) = spec.decentral_config(seed).expect("fig10 spec");
+            let trace = spec.trace(seed);
             srpt += run(&trace, DecPolicy::SparrowSrpt, &cfg).mean_duration_ms();
             cfg.fairness_eps = Some(0.0);
             let fair = run(&trace, DecPolicy::Hopper, &cfg);

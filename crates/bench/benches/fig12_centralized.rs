@@ -5,12 +5,15 @@
 //!
 //! The paper: ~50% overall, with Spark modestly higher than Hadoop
 //! (short tasks are more sensitive to stragglers and to speculative-copy
-//! placement). See EXPERIMENTS.md for where this reproduction lands —
-//! our idealized zero-latency SRPT baseline narrows the gap. Each
-//! policy's seed repetitions run in parallel via `run_seeds`.
+//! placement). This bench regenerates where the reproduction lands
+//! (`cargo bench --bench fig12_centralized`): our idealized
+//! zero-latency SRPT baseline narrows the gap. Each policy's seed
+//! repetitions run in parallel via `run_seeds`.
 
 use hopper_experiment::{run_seeds, ExperimentSpec, Trial};
-use hopper_metrics::{mean_duration_for_dag, mean_duration_in_bin, reduction_pct, SizeBin, Table};
+use hopper_metrics::{
+    mean_duration_for_dag, mean_duration_in_bin, reduction_pct, RunSummary, SizeBin, Table,
+};
 
 fn seed_sum(trials: &[Trial], f: impl Fn(&Trial) -> Option<f64>) -> f64 {
     trials.iter().filter_map(&f).sum()

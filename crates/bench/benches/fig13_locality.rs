@@ -5,9 +5,8 @@
 //! gains hold for a while and drop past k ≈ 7% as the deviation from the
 //! virtual-size order outweighs locality.
 
-use hopper_central::{run, HopperConfig, Policy};
-use hopper_metrics::{reduction_pct, Table};
-use hopper_workload::{TraceGenerator, WorkloadProfile};
+use hopper_central::{run, Policy};
+use hopper_metrics::{reduction_pct, RunSummary, Table};
 
 fn main() {
     hopper_bench::banner(
@@ -17,6 +16,8 @@ fn main() {
     let seeds = hopper_bench::seeds();
 
     for (name, interactive) in [("Spark-style", true), ("Hadoop-style", false)] {
+        let mut spec = hopper_bench::central_spec("hopper", interactive, 0.8);
+        spec.single_phase = true;
         let mut table = Table::new(
             &format!("{name} profile, 80% utilization"),
             &["k", "reduction vs SRPT", "% data-local tasks"],
@@ -26,25 +27,13 @@ fn main() {
             let mut hop = 0.0;
             let mut local = 0.0;
             for seed in 0..seeds {
-                let cfg = hopper_bench::central_cfg(seed, interactive);
-                let slots = cfg.cluster.total_slots();
-                let profile = if interactive {
-                    WorkloadProfile::facebook().interactive().single_phase()
-                } else {
-                    WorkloadProfile::facebook().single_phase()
-                };
-                let trace = TraceGenerator::new(profile, hopper_bench::jobs(), seed)
-                    .generate_with_utilization(slots, 0.8);
+                let (mut hopper, cfg) = spec.central_config(seed).expect("fig13 spec");
+                if let Policy::Hopper(h) = &mut hopper {
+                    h.locality_relax_pct = k;
+                }
+                let trace = spec.trace(seed);
                 base += run(&trace, &Policy::Srpt, &cfg).mean_duration_ms();
-                let out = run(
-                    &trace,
-                    &Policy::Hopper(HopperConfig {
-                        locality_relax_pct: k,
-                        learn_beta: false,
-                        ..Default::default()
-                    }),
-                    &cfg,
-                );
+                let out = run(&trace, &hopper, &cfg);
                 hop += out.mean_duration_ms();
                 local += out.stats.locality_fraction.unwrap_or(0.0);
             }

@@ -4,12 +4,13 @@
 //! One job with 200 Pareto tasks under LATE speculation, allocated a
 //! varying number of slots (x-axis normalized by job size). The paper
 //! observes a knee at `max(2/β, 1)`: 1.43 for β = 1.4 and 1.25 for
-//! β = 1.6. See EXPERIMENTS.md for the measured knee position in this
-//! reproduction (the reactive-speculation model places it earlier).
+//! β = 1.6. This reproduction measures the knee at 1.1–1.2 slots/task
+//! for both β = 1.4 and β = 1.6: the reactive-speculation model places
+//! it earlier.
 
 use hopper_central::{run, HopperConfig, Policy, SimConfig};
 use hopper_cluster::ClusterConfig;
-use hopper_metrics::Table;
+use hopper_metrics::{RunSummary, Table};
 use hopper_sim::SimTime;
 use hopper_spec::{SpecConfig, Speculator};
 use hopper_workload::{single_phase_job, Trace};

@@ -5,10 +5,9 @@
 //! the centralized scheduler; more refusals give a better view but cost
 //! messages and idle time.
 
-use hopper_central as central;
-use hopper_decentral::{run, DecPolicy};
-use hopper_metrics::Table;
-use hopper_workload::{TraceGenerator, WorkloadProfile};
+use hopper_decentral::run;
+use hopper_experiment::{mean_jct, run_seeds};
+use hopper_metrics::{RunSummary, Table};
 
 fn main() {
     hopper_bench::banner(
@@ -18,28 +17,12 @@ fn main() {
     let seeds = hopper_bench::seeds();
 
     for util in [0.6, 0.8] {
-        let mut central_mean = 0.0;
-        for seed in 0..seeds {
-            let dcfg = hopper_bench::decentral_cfg(seed);
-            let slots = dcfg.cluster.total_slots();
-            let profile = WorkloadProfile::facebook().interactive().fixed_beta(1.5);
-            let trace = TraceGenerator::new(profile, hopper_bench::jobs(), seed)
-                .generate_with_utilization(slots, util);
-            let ccfg = central::SimConfig {
-                cluster: dcfg.cluster.clone(),
-                scan_interval: dcfg.scan_interval,
-                speculator: dcfg.speculator.clone(),
-                seed,
-                ..Default::default()
-            };
-            central_mean += central::run(
-                &trace,
-                &central::Policy::Hopper(central::HopperConfig::default()),
-                &ccfg,
-            )
-            .mean_duration_ms();
-        }
-        central_mean /= seeds as f64;
+        let mut spec = hopper_bench::decentral_spec("hopper", "facebook", util);
+        spec.fixed_beta = Some(1.5);
+
+        // Centralized Hopper reference on the same cluster and traces.
+        let central = hopper_bench::centralized_reference(&spec);
+        let central_mean = mean_jct(&run_seeds(&central).expect("central reference"));
 
         let mut table = Table::new(
             &format!(
@@ -52,13 +35,9 @@ fn main() {
             let mut h = 0.0;
             let mut g3 = 0u64;
             for seed in 0..seeds {
-                let mut cfg = hopper_bench::decentral_cfg(seed);
+                let (policy, mut cfg) = spec.decentral_config(seed).expect("fig5b spec");
                 cfg.refusal_threshold = threshold;
-                let slots = cfg.cluster.total_slots();
-                let profile = WorkloadProfile::facebook().interactive().fixed_beta(1.5);
-                let trace = TraceGenerator::new(profile, hopper_bench::jobs(), seed)
-                    .generate_with_utilization(slots, util);
-                let out = run(&trace, DecPolicy::Hopper, &cfg);
+                let out = run(&spec.trace(seed), policy, &cfg);
                 h += out.mean_duration_ms();
                 g3 += out.stats.guideline3_switches;
             }

@@ -6,7 +6,7 @@
 //! grows with the number of tasks.
 
 use hopper_decentral::{run, DecPolicy};
-use hopper_metrics::{mean_duration_in_bin, reduction_pct, SizeBin, Table};
+use hopper_metrics::{mean_duration_in_bin, reduction_pct, RunSummary, SizeBin, Table};
 
 fn main() {
     hopper_bench::banner(
@@ -16,6 +16,7 @@ fn main() {
     let seeds = hopper_bench::seeds();
 
     for workload in ["facebook", "bing"] {
+        let spec = hopper_bench::decentral_spec("hopper", workload, 0.6);
         let mut table = Table::new(
             &format!("{workload} workload"),
             &["job bin (tasks)", "jobs", "reduction vs Sparrow-SRPT"],
@@ -27,13 +28,8 @@ fn main() {
         let mut overall_base = 0.0;
         let mut overall_hopper = 0.0;
         for seed in 0..seeds {
-            let cfg = hopper_bench::decentral_cfg(seed);
-            let slots = cfg.cluster.total_slots();
-            let trace = if workload == "facebook" {
-                hopper_bench::fb_interactive_trace(seed, 0.6, slots)
-            } else {
-                hopper_bench::bing_interactive_trace(seed, 0.6, slots)
-            };
+            let (_, cfg) = spec.decentral_config(seed).expect("fig7 spec");
+            let trace = spec.trace(seed);
             let base = run(&trace, DecPolicy::SparrowSrpt, &cfg);
             let hop = run(&trace, DecPolicy::Hopper, &cfg);
             overall_base += base.mean_duration_ms();

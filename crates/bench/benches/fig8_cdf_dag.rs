@@ -7,18 +7,17 @@
 
 use hopper_decentral::{run, DecPolicy};
 use hopper_metrics::{mean_duration_for_dag, reduction_pct, GainCdf, Table};
-use hopper_workload::{TraceGenerator, WorkloadProfile};
 
 fn main() {
     hopper_bench::banner("Figure 8", "gain CDF and gains by DAG length, 60% util");
     let seeds = hopper_bench::seeds();
+    let spec = hopper_bench::decentral_spec("hopper", "facebook", 0.6);
 
     // (a) CDF of per-job gains.
     let mut gains: Vec<f64> = Vec::new();
     for seed in 0..seeds {
-        let cfg = hopper_bench::decentral_cfg(seed);
-        let slots = cfg.cluster.total_slots();
-        let trace = hopper_bench::fb_interactive_trace(seed, 0.6, slots);
+        let (_, cfg) = spec.decentral_config(seed).expect("fig8 spec");
+        let trace = spec.trace(seed);
         let base = run(&trace, DecPolicy::SparrowSrpt, &cfg);
         let hop = run(&trace, DecPolicy::Hopper, &cfg);
         gains.extend(GainCdf::between(&base.jobs, &hop.jobs).gains);
@@ -40,14 +39,14 @@ fn main() {
     // (b) Gains by DAG length (force a mix of lengths 1..=6).
     let mut tb = Table::new("(b) gains by DAG length", &["phases", "reduction"]);
     for len in 1..=6usize {
+        let mut dag_spec = spec.clone();
+        dag_spec.jobs = hopper_bench::jobs() / 2;
+        dag_spec.fixed_dag_len = Some(len);
         let (mut b, mut h) = (0.0, 0.0);
         let mut have = true;
         for seed in 0..seeds {
-            let cfg = hopper_bench::decentral_cfg(seed);
-            let slots = cfg.cluster.total_slots();
-            let profile = WorkloadProfile::facebook().interactive().fixed_dag_len(len);
-            let trace = TraceGenerator::new(profile, hopper_bench::jobs() / 2, seed)
-                .generate_with_utilization(slots, 0.6);
+            let (_, cfg) = dag_spec.decentral_config(seed).expect("fig8 spec");
+            let trace = dag_spec.trace(seed);
             let base = run(&trace, DecPolicy::SparrowSrpt, &cfg);
             let hop = run(&trace, DecPolicy::Hopper, &cfg);
             match (

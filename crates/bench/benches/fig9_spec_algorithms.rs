@@ -7,13 +7,14 @@
 //! a job.
 
 use hopper_decentral::{run, DecPolicy};
-use hopper_metrics::{mean_duration_in_bin, reduction_pct, SizeBin, Table};
+use hopper_metrics::{mean_duration_in_bin, reduction_pct, RunSummary, SizeBin, Table};
 use hopper_sim::SimTime;
 use hopper_spec::{SpecConfig, Speculator};
 
 fn main() {
     hopper_bench::banner("Figure 9", "gains by speculation algorithm, 60% util");
     let seeds = hopper_bench::seeds();
+    let spec = hopper_bench::decentral_spec("hopper", "facebook", 0.6);
     let spec_cfg = SpecConfig {
         min_elapsed: SimTime::from_millis(300),
         ..Default::default()
@@ -28,14 +29,13 @@ fn main() {
         "reduction vs Sparrow-SRPT with the same speculation algorithm",
         &["algorithm", "overall", "<50", "51-150", "151-500", ">500"],
     );
-    for (name, spec) in algos {
+    for (name, speculator) in algos {
         let mut overall = (0.0, 0.0);
         let mut bins = [(0.0, 0.0); 4];
         for seed in 0..seeds {
-            let mut cfg = hopper_bench::decentral_cfg(seed);
-            cfg.speculator = spec.clone();
-            let slots = cfg.cluster.total_slots();
-            let trace = hopper_bench::fb_interactive_trace(seed, 0.6, slots);
+            let (_, mut cfg) = spec.decentral_config(seed).expect("fig9 spec");
+            cfg.speculator = speculator.clone();
+            let trace = spec.trace(seed);
             let base = run(&trace, DecPolicy::SparrowSrpt, &cfg);
             let hop = run(&trace, DecPolicy::Hopper, &cfg);
             overall.0 += base.mean_duration_ms();

@@ -15,29 +15,24 @@
 //! cargo bench --bench fig_faults
 //! ```
 
-use hopper_bench::{banner, decentral_cluster, jobs, seed_list};
-use hopper_decentral::{self as decentral, DecConfig, DecPolicy, FaultConfig};
+use hopper_bench::{banner, decentral_spec, seed_list};
+use hopper_decentral::{self as decentral, DecPolicy};
+use hopper_experiment::ExperimentSpec;
 use hopper_metrics::Table;
-use hopper_workload::{Trace, TraceGenerator, WorkloadProfile};
 
 const LOSS_RATES: [f64; 4] = [0.0, 0.01, 0.02, 0.05];
 
-fn trace(seed: u64, total_slots: usize) -> Trace {
-    let profile = WorkloadProfile::facebook().interactive().single_phase();
-    TraceGenerator::new(profile, jobs(), seed).generate_with_utilization(total_slots, 0.7)
-}
-
-fn storm(msg_loss: f64) -> FaultConfig {
-    FaultConfig {
-        msg_loss,
-        // Jitter and duplication ride along at fixed rates so the loss
-        // axis is swept through a realistically messy network, except at
-        // the loss=0 reference point, which stays the pristine
-        // (golden-identical) run.
-        msg_jitter_ms: if msg_loss > 0.0 { 5 } else { 0 },
-        msg_dup: if msg_loss > 0.0 { 0.02 } else { 0.0 },
-        ..FaultConfig::off()
-    }
+/// The cell at one loss rate. Jitter and duplication ride along at fixed
+/// rates so the loss axis is swept through a realistically messy
+/// network, except at the loss=0 reference point, which stays the
+/// pristine (golden-identical) run.
+fn storm(msg_loss: f64) -> ExperimentSpec {
+    let mut spec = decentral_spec("hopper", "facebook", 0.7);
+    spec.single_phase = true;
+    spec.msg_loss = msg_loss;
+    spec.msg_jitter_ms = if msg_loss > 0.0 { 5 } else { 0 };
+    spec.msg_dup = if msg_loss > 0.0 { 0.02 } else { 0.0 };
+    spec
 }
 
 fn main() {
@@ -55,6 +50,7 @@ fn main() {
     for policy in [DecPolicy::Sparrow, DecPolicy::Hopper] {
         let mut base_jct = 0.0;
         for loss in LOSS_RATES {
+            let spec = storm(loss);
             let (mut jct, mut n) = (0.0, 0usize);
             let mut lost = 0u64;
             let mut dup = 0u64;
@@ -62,15 +58,8 @@ fn main() {
             let mut timeouts = 0u64;
             let mut orphans = 0u64;
             for seed in seed_list() {
-                let cluster = decentral_cluster();
-                let t = trace(seed, cluster.machines * cluster.slots_per_machine);
-                let cfg = DecConfig {
-                    cluster,
-                    num_schedulers: 10,
-                    seed,
-                    faults: storm(loss),
-                    ..Default::default()
-                };
+                let (_, cfg) = spec.decentral_config(seed).expect("storm spec");
+                let t = spec.trace(seed);
                 let out = decentral::run(&t, policy, &cfg);
                 assert_eq!(out.jobs.len(), t.len(), "a storm run lost a job");
                 jct += out.jobs.iter().map(|j| j.duration_ms() as f64).sum::<f64>();

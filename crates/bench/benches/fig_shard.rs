@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use hopper_cluster::ClusterConfig;
 use hopper_decentral::{self as decentral, DecConfig, DecPolicy, FaultConfig};
+use hopper_metrics::RunSummary;
 use hopper_sim::SimTime;
 use hopper_workload::{Trace, TraceGenerator, WorkloadProfile};
 

@@ -4,14 +4,18 @@
 //! defaults are sized so the whole suite completes in tens of minutes on a
 //! laptop; set `HOPPER_BENCH_JOBS` / `HOPPER_BENCH_SEEDS` to trade
 //! precision for time.
+//!
+//! A figure's cell is an [`ExperimentSpec`] ([`decentral_spec`],
+//! [`central_spec`], [`centralized_reference`]). A bench either runs it
+//! whole (`hopper_experiment::run_seeds` / `sweep`) or takes the
+//! engine configuration from [`ExperimentSpec::central_config`] /
+//! [`ExperimentSpec::decentral_config`] and the trace from
+//! [`ExperimentSpec::trace`], then changes only the field its figure
+//! varies, so every figure that starts from these cells shares the
+//! spec's one mapping. This crate builds no `SimConfig` or `DecConfig`
+//! itself; CI checks that.
 
-use hopper_central::SimConfig;
-use hopper_cluster::ClusterConfig;
-use hopper_decentral::DecConfig;
 use hopper_experiment::{EngineKind, ExperimentSpec};
-use hopper_sim::SimTime;
-use hopper_spec::{SpecConfig, Speculator};
-use hopper_workload::{Trace, TraceGenerator, WorkloadProfile};
 
 /// Number of jobs per experiment run (`HOPPER_BENCH_JOBS`, default 150).
 pub fn jobs() -> usize {
@@ -36,11 +40,12 @@ pub fn seed_list() -> Vec<u64> {
 }
 
 /// Decentralized experiment cell: the paper's deployment shape
-/// ([`decentral_cluster`] + 10 schedulers, probe ratio 4, refusal
-/// threshold 2, ε = 10%, LATE speculation) on an interactive trace —
-/// the spec-constructor form of [`decentral_cfg`] +
-/// [`fb_interactive_trace`]/[`bing_interactive_trace`], sized by
-/// [`jobs`] and [`seed_list`].
+/// ([`ExperimentSpec::decentral`]: 300×2 slots with long-lived
+/// executors, 10 schedulers, probe ratio 4, refusal threshold 2, ε = 10%,
+/// LATE speculation) on an interactive ("in-memory Spark jobs", §7.1)
+/// trace, sized by [`jobs`] and [`seed_list`]. Benches take the
+/// engine configuration from [`ExperimentSpec::decentral_config`] and
+/// the trace from [`ExperimentSpec::trace`].
 pub fn decentral_spec(policy: &str, workload: &str, util: f64) -> ExperimentSpec {
     let mut s = ExperimentSpec::decentral();
     s.policy = policy.to_string();
@@ -52,11 +57,14 @@ pub fn decentral_spec(policy: &str, workload: &str, util: f64) -> ExperimentSpec
     s
 }
 
-/// Centralized experiment cell: the Figure 12/13 cluster
-/// ([`central_cluster`]: 50×4 slots, 800 ms hand-off) with the
-/// task-scale-appropriate scan period and LATE warm-up of
-/// [`central_cfg`], per-job trace β (no online MLE — same rationale as
-/// [`central_cfg`]), on the Facebook profile.
+/// Centralized experiment cell: the Figure 12/13 cluster (50×4 slots,
+/// 800 ms container hand-off) with a task-scale-appropriate scan period
+/// and LATE warm-up, on the Facebook profile. β is taken per job from
+/// the trace rather than from the global online MLE: the paper's
+/// recurring jobs make per-job β learnable from history, and the global
+/// estimator's blend across heterogeneous jobs costs a few percent
+/// (quantified by the `ablation_guidelines` bench). Benches take the
+/// engine configuration from [`ExperimentSpec::central_config`].
 pub fn central_spec(policy: &str, interactive: bool, util: f64) -> ExperimentSpec {
     let mut s = ExperimentSpec::central();
     s.policy = policy.to_string();
@@ -75,8 +83,9 @@ pub fn central_spec(policy: &str, interactive: bool, util: f64) -> ExperimentSpe
 
 /// Flip a decentralized spec into the centralized engine on the *same*
 /// cluster, scan period, and speculation warm-up — the
-/// centralized-reference point of Figure 5a (seeds and traces shared
-/// with the decentralized cells, so ratios compare like with like).
+/// centralized-reference point of Figures 5a and 5b (seeds and traces
+/// shared with the decentralized cells, so ratios compare like with
+/// like).
 pub fn centralized_reference(spec: &ExperimentSpec) -> ExperimentSpec {
     let mut s = spec.clone();
     s.engine = EngineKind::Central;
@@ -84,80 +93,6 @@ pub fn centralized_reference(spec: &ExperimentSpec) -> ExperimentSpec {
     s.scan_ms = Some(s.scan_ms.unwrap_or(200));
     s.spec_min_elapsed_ms = Some(s.spec_min_elapsed_ms.unwrap_or(300));
     s
-}
-
-/// The interactive (Spark-like) cluster used by the decentralized
-/// experiments: many small workers, long-lived executors (no hand-off
-/// cost), 1 ms scheduler↔worker messages.
-pub fn decentral_cluster() -> ClusterConfig {
-    ClusterConfig {
-        machines: 300,
-        slots_per_machine: 2,
-        handoff_ms: 0,
-        ..Default::default()
-    }
-}
-
-/// Decentralized config with the paper's defaults: probe ratio 4,
-/// refusal threshold 2, ε = 10%, LATE speculation.
-pub fn decentral_cfg(seed: u64) -> DecConfig {
-    DecConfig {
-        cluster: decentral_cluster(),
-        num_schedulers: 10,
-        seed,
-        ..Default::default()
-    }
-}
-
-/// The centralized cluster (Figure 12/13 experiments): fewer, bigger
-/// machines, with a container hand-off cost.
-pub fn central_cluster() -> ClusterConfig {
-    ClusterConfig {
-        machines: 50,
-        slots_per_machine: 4,
-        handoff_ms: 800,
-        ..Default::default()
-    }
-}
-
-/// Centralized sim config with a task-scale-appropriate scan period.
-///
-/// β is taken per job from the trace rather than from the global online
-/// MLE: the paper's recurring jobs make per-job β learnable from history,
-/// and the global estimator's blend across heterogeneous jobs costs a few
-/// percent (quantified by the `ablation_guidelines` bench).
-pub fn central_cfg(seed: u64, interactive: bool) -> SimConfig {
-    SimConfig {
-        cluster: central_cluster(),
-        scan_interval: if interactive {
-            SimTime::from_millis(200)
-        } else {
-            SimTime::from_millis(500)
-        },
-        speculator: Speculator::Late(SpecConfig {
-            min_elapsed: if interactive {
-                SimTime::from_millis(300)
-            } else {
-                SimTime::from_millis(1000)
-            },
-            ..Default::default()
-        }),
-        seed,
-        ..Default::default()
-    }
-}
-
-/// Facebook-style interactive trace (the decentralized experiments run
-/// "in-memory Spark jobs", §7.1) at a target utilization.
-pub fn fb_interactive_trace(seed: u64, util: f64, total_slots: usize) -> Trace {
-    let profile = WorkloadProfile::facebook().interactive();
-    TraceGenerator::new(profile, jobs(), seed).generate_with_utilization(total_slots, util)
-}
-
-/// Bing-style interactive trace.
-pub fn bing_interactive_trace(seed: u64, util: f64, total_slots: usize) -> Trace {
-    let profile = WorkloadProfile::bing().interactive();
-    TraceGenerator::new(profile, jobs(), seed).generate_with_utilization(total_slots, util)
 }
 
 /// Paper-style header printed by every bench target.

@@ -16,7 +16,9 @@ use hopper_cluster::{
     Machines, TaskRef,
 };
 use hopper_core::{AllocCounters, AlphaEstimator, BetaEstimator, IncrementalAlloc, Regime};
-use hopper_metrics::{JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySnapshot};
+use hopper_metrics::{
+    JobDigest, JobResult, RunReport, RunSummary, SeriesCollector, TelemetrySnapshot,
+};
 use hopper_sim::{EventQueue, SeedSequence, SimTime};
 use hopper_spec::{Candidate, Speculator};
 use hopper_workload::{ArrivalSource, Trace, TraceJob};
@@ -132,14 +134,13 @@ pub struct RunOutput {
     pub alloc_counters: AllocCounters,
 }
 
-impl RunOutput {
-    /// Mean job duration in milliseconds (exact in both modes).
-    pub fn mean_duration_ms(&self) -> f64 {
-        if self.jobs.is_empty() {
-            self.report.digest.mean_ms()
-        } else {
-            hopper_metrics::mean_duration(&self.jobs)
-        }
+impl RunSummary for RunOutput {
+    fn jobs(&self) -> &[JobResult] {
+        &self.jobs
+    }
+
+    fn report(&self) -> &RunReport {
+        &self.report
     }
 }
 

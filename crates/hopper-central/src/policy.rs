@@ -107,12 +107,6 @@ impl Policy {
             Policy::Hopper(_) => "Hopper",
         }
     }
-
-    /// Whether this policy reserves ("holds") allocated-but-idle slots for
-    /// anticipated speculation.
-    pub fn holds_slots(&self) -> bool {
-        matches!(self, Policy::Hopper(_))
-    }
 }
 
 #[cfg(test)]
@@ -130,8 +124,6 @@ mod tests {
             .name(),
             "Budgeted-SRPT"
         );
-        assert!(Policy::Hopper(HopperConfig::default()).holds_slots());
-        assert!(!Policy::Srpt.holds_slots());
     }
 
     #[test]

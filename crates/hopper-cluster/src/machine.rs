@@ -399,11 +399,6 @@ impl Machines {
         self.debug_check_index();
     }
 
-    /// Whether machine `m` is currently down (failed).
-    pub fn is_down(&self, m: MachineId) -> bool {
-        self.down[m.0]
-    }
-
     /// One free slot disappears on `m`.
     fn free_dec(&mut self, m: usize) {
         self.free[m] -= 1;
@@ -772,11 +767,6 @@ impl Machines {
             .or(self.free_set.first())
             .map(MachineId)
     }
-
-    /// First free machine among `preferred`, if any.
-    pub fn first_free_of(&self, preferred: &[MachineId]) -> Option<MachineId> {
-        preferred.iter().copied().find(|&m| self.free[m.0] > 0)
-    }
 }
 
 #[cfg(test)]
@@ -835,11 +825,6 @@ mod tests {
         m.occupy_for(MachineId(0), 1);
         let free: Vec<usize> = m.machines_with_free().map(|x| x.0).collect();
         assert_eq!(free, vec![1, 2]);
-        assert_eq!(
-            m.first_free_of(&[MachineId(0), MachineId(2)]),
-            Some(MachineId(2))
-        );
-        assert_eq!(m.first_free_of(&[MachineId(0)]), None);
     }
 
     #[test]
@@ -875,14 +860,12 @@ mod tests {
         m.release_to(MachineId(1), 7); // warm slot for job 7 on machine 1
         m.occupy_for(MachineId(1), 9); // one slot occupied (steals warmth)
         m.set_down(MachineId(1));
-        assert!(m.is_down(MachineId(1)));
         assert_eq!(m.free_on(MachineId(1)), 0);
         assert_eq!(m.warm_on(MachineId(1), 7), 0);
         assert_eq!(m.total_free(), 4, "only machines 0 and 2 contribute");
         assert!(m.machines_with_free().all(|x| x != MachineId(1)));
         // Recovery restores a fully free, fully cold machine.
         m.set_up(MachineId(1));
-        assert!(!m.is_down(MachineId(1)));
         assert_eq!(m.free_on(MachineId(1)), 2);
         assert_eq!(m.total_free(), 6);
         assert_eq!(m.occupy_for(MachineId(1), 7), SlotTemp::Cold);

@@ -245,11 +245,6 @@ impl AlphaEstimator {
     pub fn accuracy(&self) -> Option<f64> {
         (self.accuracy.1 > 0).then(|| self.accuracy.0 / self.accuracy.1 as f64)
     }
-
-    /// Number of templates with history.
-    pub fn templates_learned(&self) -> usize {
-        self.history.len()
-    }
 }
 
 /// Compute α from its ingredients (pure helper shared by both drivers).
@@ -508,7 +503,6 @@ mod tests {
         est.observe(Some(2), 100.0);
         assert!((est.predict(Some(1)).unwrap() - 11.0).abs() < 1e-9);
         assert!((est.predict(Some(2)).unwrap() - 100.0).abs() < 1e-9);
-        assert_eq!(est.templates_learned(), 2);
     }
 
     #[test]

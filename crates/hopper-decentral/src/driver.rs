@@ -34,7 +34,9 @@ use hopper_cluster::{
     TaskRef,
 };
 use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, UnsatisfiedJob};
-use hopper_metrics::{JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySnapshot};
+use hopper_metrics::{
+    JobDigest, JobResult, RunReport, RunSummary, SeriesCollector, TelemetrySnapshot,
+};
 use hopper_sim::{EventQueue, SeedSequence, SimTime};
 use hopper_spec::Speculator;
 use hopper_workload::{ArrivalSource, Trace, TraceJob};
@@ -223,14 +225,13 @@ pub struct DecOutput {
     pub shard: Option<crate::shard::ShardStats>,
 }
 
-impl DecOutput {
-    /// Mean job duration in milliseconds (exact in both modes).
-    pub fn mean_duration_ms(&self) -> f64 {
-        if self.jobs.is_empty() {
-            self.report.digest.mean_ms()
-        } else {
-            hopper_metrics::mean_duration(&self.jobs)
-        }
+impl RunSummary for DecOutput {
+    fn jobs(&self) -> &[JobResult] {
+        &self.jobs
+    }
+
+    fn report(&self) -> &RunReport {
+        &self.report
     }
 }
 
@@ -1448,7 +1449,8 @@ mod tests {
         // The paper's headline (Figure 6): decentralized Hopper reduces
         // average job duration versus both Sparrow and Sparrow-SRPT.
         // Uses the calibrated operating point (600 slots, 75% util,
-        // heterogeneous β) — see EXPERIMENTS.md for the full sweep.
+        // heterogeneous β); the `fig6_utilization` bench regenerates the
+        // full utilization sweep.
         let mut sparrow = 0.0;
         let mut srpt = 0.0;
         let mut hopper = 0.0;

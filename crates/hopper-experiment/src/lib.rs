@@ -5,17 +5,18 @@
 //! run" a first-class value so the grid is assembled declaratively
 //! instead of hand-wired per figure:
 //!
-//! - [`Engine`] — one trait over both drivers: anything that can run an
-//!   [`ArrivalSource`](hopper_workload::ArrivalSource) and yield a
-//!   [`RunSummary`].
-//!   [`CentralEngine`] and [`DecentralEngine`] wrap the existing
-//!   `hopper-central` / `hopper-decentral` entry points without touching
-//!   their concrete `RunStats` / `DecStats` types.
 //! - [`ExperimentSpec`] — a serializable description of one experiment
 //!   cell: workload source, cluster shape, engine + policy, utilization,
 //!   seed list. Round-trips through a `key=value` text form, so specs
 //!   can live in files; [`KEYS`] declares each key once, and the
 //!   `hopper` CLI derives one flag per key from it.
+//!   [`ExperimentSpec::central_config`] and
+//!   [`ExperimentSpec::decentral_config`] are the one mapping from a
+//!   spec to `hopper-central`'s `(Policy, SimConfig)` or
+//!   `hopper-decentral`'s `(DecPolicy, DecConfig)`;
+//!   [`ExperimentSpec::run_one`] feeds the seed's arrivals to that
+//!   engine's `run_source` and returns a boxed
+//!   [`RunSummary`](hopper_metrics::RunSummary).
 //! - [`sweep()`] — fans a seed × axis grid out over scoped worker threads
 //!   and collects a [`SweepTable`] in grid order. Each trial owns its
 //!   seed-derived RNGs, so the parallel result is bit-identical to a
@@ -25,12 +26,10 @@
 //!   unbounded-queue detector; [`frontier_grid`] fans cells out over
 //!   threads with deterministic results.
 
-pub mod engine;
 pub mod spec;
 pub mod stability;
 pub mod sweep;
 
-pub use engine::{CentralEngine, DecentralEngine, Engine, RunSummary};
 pub use spec::{EngineKind, ExperimentSpec, Key, SpecError, KEYS};
 pub use stability::{
     find_frontier, frontier_csv, frontier_grid, probe, saturated, FrontierConfig, FrontierResult,

@@ -18,6 +18,7 @@ use hopper_central::{HopperConfig, Policy, SimConfig};
 use hopper_cluster::{ClusterConfig, DynamicsConfig, HeteroProfile};
 use hopper_core::AllocConfig;
 use hopper_decentral::{DecConfig, DecPolicy, FaultConfig};
+use hopper_metrics::RunSummary;
 use hopper_sim::SimTime;
 use hopper_spec::{SpecConfig, Speculator};
 use hopper_workload::{
@@ -27,8 +28,6 @@ use hopper_workload::{
 use std::fmt::Display;
 use std::str::FromStr;
 use std::sync::Arc;
-
-use crate::engine::{CentralEngine, DecentralEngine, Engine, RunSummary};
 
 /// Which simulator family runs the trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,9 +248,12 @@ impl EngineName {
 /// A complete description of one experiment cell.
 ///
 /// Every field is one entry of [`KEYS`]: a `key=value` pair and a CLI
-/// flag. The workload source is profile-generated; to run an explicit
-/// in-memory trace, build the [`Engine`] via [`ExperimentSpec::engine`]
-/// and call [`Engine::run_source`] on it directly.
+/// flag. [`ExperimentSpec::central_config`] and
+/// [`ExperimentSpec::decentral_config`] are the one mapping from a spec
+/// to an engine's policy and configuration; [`ExperimentSpec::run_one`]
+/// runs one of them on the spec's own arrivals. To run another trace,
+/// or to vary a config field no key names, build the config and call
+/// `hopper_central::run_source` / `hopper_decentral::run_source` on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Simulator family (`engine=central|decentral`).
@@ -755,83 +757,126 @@ impl ExperimentSpec {
         }
     }
 
-    /// Build the configured engine for one trial seed.
-    pub fn engine(&self, seed: u64) -> Result<Box<dyn Engine>, SpecError> {
-        self.validate()?;
-        match self.engine {
-            EngineKind::Central => {
-                let policy = match self.policy.as_str() {
-                    "fifo" => Policy::Fifo,
-                    "fair" => Policy::Fair,
-                    "srpt" => Policy::Srpt,
-                    "budgeted" => Policy::BudgetedSrpt {
-                        budget_fraction: 0.2,
-                    },
-                    _ => Policy::Hopper(HopperConfig {
-                        alloc: AllocConfig {
-                            fairness_eps: self.eps,
-                            ..Default::default()
-                        },
-                        learn_beta: self.learn_beta,
-                        realloc_drift: self.realloc_drift,
-                        ..Default::default()
-                    }),
-                };
-                let mut cfg = SimConfig {
-                    cluster: self.cluster(),
-                    dynamics: self.dynamics(),
-                    seed,
-                    telemetry_window_ms: self.telemetry_window_ms,
+    /// The centralized policy and simulator configuration this spec
+    /// describes for one trial seed. `Err` unless the spec validates and
+    /// names `engine=central`.
+    pub fn central_config(&self, seed: u64) -> Result<(Policy, SimConfig), SpecError> {
+        self.validate_for(EngineKind::Central)?;
+        let policy = match self.policy.as_str() {
+            "fifo" => Policy::Fifo,
+            "fair" => Policy::Fair,
+            "srpt" => Policy::Srpt,
+            "budgeted" => Policy::BudgetedSrpt {
+                budget_fraction: 0.2,
+            },
+            _ => Policy::Hopper(HopperConfig {
+                alloc: AllocConfig {
+                    fairness_eps: self.eps,
                     ..Default::default()
-                };
-                self.speculation(&mut cfg.scan_interval, &mut cfg.speculator);
-                Ok(Box::new(CentralEngine { policy, cfg }))
-            }
-            EngineKind::Decentral => {
-                let policy = match self.policy.as_str() {
-                    "sparrow" => DecPolicy::Sparrow,
-                    "sparrow-srpt" => DecPolicy::SparrowSrpt,
-                    _ => DecPolicy::Hopper,
-                };
-                let mut cfg = DecConfig {
-                    cluster: self.cluster(),
-                    num_schedulers: self.schedulers,
-                    probe_ratio: self.probe_ratio,
-                    refusal_threshold: self.refusals,
-                    fairness_eps: Some(self.eps),
-                    dynamics: self.dynamics(),
-                    faults: self.faults(),
-                    shards: self.shards,
-                    seed,
-                    telemetry_window_ms: self.telemetry_window_ms,
-                    ..Default::default()
-                };
-                self.speculation(&mut cfg.scan_interval, &mut cfg.speculator);
-                Ok(Box::new(DecentralEngine { policy, cfg }))
-            }
-        }
+                },
+                learn_beta: self.learn_beta,
+                realloc_drift: self.realloc_drift,
+                ..Default::default()
+            }),
+        };
+        let mut cfg = SimConfig {
+            cluster: self.cluster(),
+            dynamics: self.dynamics(),
+            seed,
+            telemetry_window_ms: self.telemetry_window_ms,
+            ..Default::default()
+        };
+        self.speculation(&mut cfg.scan_interval, &mut cfg.speculator);
+        Ok((policy, cfg))
     }
 
-    /// Run one trial on the seed's arrivals: the `replay=` CSV if set,
-    /// else the synthesized workload — as a lazy stream through the
-    /// streaming pipeline when `stream=on` (retired jobs, digest-only
-    /// results), as a materialized trace otherwise.
-    pub fn run_one(&self, seed: u64) -> Result<Box<dyn RunSummary>, SpecError> {
-        let engine = self.engine(seed)?;
-        let trace;
-        let source = if let Some(path) = &self.replay {
+    /// The decentralized policy and simulator configuration this spec
+    /// describes for one trial seed. `Err` unless the spec validates and
+    /// names `engine=decentral`.
+    pub fn decentral_config(&self, seed: u64) -> Result<(DecPolicy, DecConfig), SpecError> {
+        self.validate_for(EngineKind::Decentral)?;
+        let policy = match self.policy.as_str() {
+            "sparrow" => DecPolicy::Sparrow,
+            "sparrow-srpt" => DecPolicy::SparrowSrpt,
+            _ => DecPolicy::Hopper,
+        };
+        let mut cfg = DecConfig {
+            cluster: self.cluster(),
+            num_schedulers: self.schedulers,
+            probe_ratio: self.probe_ratio,
+            refusal_threshold: self.refusals,
+            fairness_eps: Some(self.eps),
+            dynamics: self.dynamics(),
+            faults: self.faults(),
+            shards: self.shards,
+            seed,
+            telemetry_window_ms: self.telemetry_window_ms,
+            ..Default::default()
+        };
+        self.speculation(&mut cfg.scan_interval, &mut cfg.speculator);
+        Ok((policy, cfg))
+    }
+
+    /// [`ExperimentSpec::validate`], and the spec names `engine`.
+    fn validate_for(&self, engine: EngineKind) -> Result<(), SpecError> {
+        if self.engine != engine {
+            let (want, have) = (engine.as_str(), self.engine.as_str());
+            return Err(err(format!(
+                "a {want} config needs engine={want}, the spec names engine={have}"
+            )));
+        }
+        self.validate()
+    }
+
+    /// The seed's arrivals: the `replay=` CSV if set, else the
+    /// synthesized workload, as a lazy stream when `stream=on` and as a
+    /// trace materialized into `trace` otherwise.
+    fn source<'a>(
+        &self,
+        seed: u64,
+        trace: &'a mut Option<Trace>,
+    ) -> Result<ArrivalSource<'a>, SpecError> {
+        if let Some(path) = &self.replay {
             let text =
                 std::fs::read_to_string(path).map_err(|e| err(format!("replay `{path}`: {e}")))?;
             let replayed =
                 parse_replay_csv(&text).map_err(|e| err(format!("replay `{path}`: {e}")))?;
-            ArrivalSource::from_shared(Arc::new(replayed))
+            Ok(ArrivalSource::from_shared(Arc::new(replayed)))
         } else if self.stream {
-            ArrivalSource::from_stream(self.stream(seed))
+            Ok(ArrivalSource::from_stream(self.stream(seed)))
         } else {
-            trace = self.trace(seed);
-            ArrivalSource::from_trace(&trace)
-        };
-        Ok(engine.run_source(source, !self.stream))
+            Ok(ArrivalSource::from_trace(trace.insert(self.trace(seed))))
+        }
+    }
+
+    /// Run one trial on the seed's arrivals through the engine's
+    /// `run_source`. `stream=on` retires completed jobs, so the summary
+    /// then carries digest-only results.
+    pub fn run_one(&self, seed: u64) -> Result<Box<dyn RunSummary>, SpecError> {
+        let mut trace = None;
+        let retain_jobs = !self.stream;
+        Ok(match self.engine {
+            EngineKind::Central => {
+                let (policy, cfg) = self.central_config(seed)?;
+                let source = self.source(seed, &mut trace)?;
+                Box::new(hopper_central::run_source(
+                    source,
+                    &policy,
+                    &cfg,
+                    retain_jobs,
+                ))
+            }
+            EngineKind::Decentral => {
+                let (policy, cfg) = self.decentral_config(seed)?;
+                let source = self.source(seed, &mut trace)?;
+                Box::new(hopper_decentral::run_source(
+                    source,
+                    policy,
+                    &cfg,
+                    retain_jobs,
+                ))
+            }
+        })
     }
 }
 
@@ -1421,6 +1466,80 @@ burst_len_ms=30000
             diurnal.report().core,
             "a diurnal curve should actually change the run"
         );
+    }
+
+    /// `run_one` is the driver run on the spec's own config and trace, for
+    /// both engines: identical jobs and report, with telemetry off unless
+    /// the spec asks for a window.
+    #[test]
+    fn run_one_is_the_driver_run_on_the_built_config() {
+        let mut c = ExperimentSpec::central();
+        c.jobs = 12;
+        c.machines = 10;
+        c.util = 0.6;
+        let (policy, cfg) = c.central_config(4).unwrap();
+        let raw = hopper_central::run(&c.trace(4), &policy, &cfg);
+        let out = c.run_one(4).unwrap();
+        assert_eq!(out.jobs(), raw.jobs.as_slice());
+        assert_eq!(out.report(), &raw.report);
+        assert_eq!(raw.jobs.len(), 12);
+        assert!(out.report().core.events > 0);
+        assert!(
+            raw.report.telemetry.is_none(),
+            "telemetry is off by default"
+        );
+        assert!(out.mean_duration_ms() > 0.0);
+        assert!(out.percentile_duration_ms(0.0) <= out.percentile_duration_ms(1.0));
+
+        let mut d = ExperimentSpec::decentral();
+        d.jobs = 12;
+        d.machines = 30;
+        d.util = 0.6;
+        d.telemetry_window_ms = 500;
+        let (policy, cfg) = d.decentral_config(4).unwrap();
+        let raw = hopper_decentral::run(&d.trace(4), policy, &cfg);
+        let out = d.run_one(4).unwrap();
+        assert_eq!(out.jobs(), raw.jobs.as_slice());
+        assert_eq!(out.report(), &raw.report);
+        assert_eq!(raw.jobs.len(), 12);
+        assert!(out.report().core.events > 0);
+        assert!(raw.report.telemetry.is_some());
+        assert!(out.mean_duration_ms() > 0.0);
+        assert!(out.percentile_duration_ms(0.0) <= out.percentile_duration_ms(1.0));
+
+        // Each builder serves only its own engine.
+        let e = c.decentral_config(4).unwrap_err();
+        assert!(e.0.contains("needs engine=decentral"), "{e}");
+        assert!(d.central_config(4).is_err());
+    }
+
+    /// A run's report carries the driver's own counters: its core is the
+    /// driver stats flattened, and its digest holds every job.
+    #[test]
+    fn run_one_report_matches_driver_stats() {
+        let mut c = ExperimentSpec::central();
+        c.policy = "srpt".into();
+        c.jobs = 12;
+        c.machines = 10;
+        c.util = 0.6;
+        let (policy, cfg) = c.central_config(9).unwrap();
+        let raw = hopper_central::run(&c.trace(9), &policy, &cfg);
+        let core = &raw.report.core;
+        assert_eq!(*core, raw.stats.core());
+        assert_eq!(core.events, raw.stats.events);
+        assert_eq!(core.spec_launched, raw.stats.spec_launched);
+        assert_eq!(core.makespan, raw.stats.makespan);
+        assert_eq!(core.messages, 0, "central driver has no network");
+        assert_eq!(raw.report.digest.count() as usize, 12);
+
+        let mut d = ExperimentSpec::decentral();
+        d.jobs = 12;
+        d.machines = 30;
+        d.util = 0.6;
+        let (policy, cfg) = d.decentral_config(9).unwrap();
+        let raw = hopper_decentral::run(&d.trace(9), policy, &cfg);
+        assert_eq!(raw.report.core, raw.stats.core());
+        assert_eq!(raw.report.digest.count() as usize, 12);
     }
 
     #[test]

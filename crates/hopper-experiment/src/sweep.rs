@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use hopper_metrics::{percentile, JobResult, RunReport, Table};
+use hopper_metrics::{percentile, JobResult, RunReport, RunSummary, Table};
 
 use crate::spec::{ExperimentSpec, SpecError};
 
@@ -78,25 +78,13 @@ pub struct Trial {
     pub report: RunReport,
 }
 
-impl Trial {
-    /// Mean job duration (ms) — exact in both modes.
-    pub fn mean_duration_ms(&self) -> f64 {
-        if self.jobs.is_empty() {
-            self.report.digest.mean_ms()
-        } else {
-            hopper_metrics::mean_duration(&self.jobs)
-        }
+impl RunSummary for Trial {
+    fn jobs(&self) -> &[JobResult] {
+        &self.jobs
     }
 
-    /// Duration percentile (ms), `p` ∈ [0, 1]: exact when per-job
-    /// results are retained, the digest's ε-approximate quantile on
-    /// streaming trials.
-    pub fn percentile_duration_ms(&self, p: f64) -> f64 {
-        if self.jobs.is_empty() {
-            return self.report.digest.quantile_ms(p);
-        }
-        let durs: Vec<f64> = self.jobs.iter().map(|r| r.duration_ms() as f64).collect();
-        percentile(&durs, p)
+    fn report(&self) -> &RunReport {
+        &self.report
     }
 }
 

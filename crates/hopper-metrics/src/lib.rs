@@ -10,20 +10,18 @@
 #![warn(missing_docs)]
 
 pub mod digest;
-pub mod export;
 pub mod report;
 pub mod stats;
 pub mod table;
 pub mod telemetry;
 
 pub use digest::{JobDigest, QuantileSketch, DIGEST_EPS};
-pub use export::{jobs_to_csv, sweep_to_csv};
 pub use report::{parse_jsonl, render_html, render_svg, SeriesData, WindowRow};
 pub use stats::{
     mean, mean_duration, mean_duration_for_dag, mean_duration_in_bin, percentile, reduction_pct,
     summarize, CoreStats, DistSummary, GainCdf, JobResult, SizeBin,
 };
-pub use table::{f1, pct, Table};
+pub use table::Table;
 pub use telemetry::{
-    RunReport, SeriesCollector, TelemetrySeries, TelemetrySnapshot, TelemetryWindow,
+    RunReport, RunSummary, SeriesCollector, TelemetrySeries, TelemetrySnapshot, TelemetryWindow,
 };

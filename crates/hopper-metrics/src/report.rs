@@ -13,8 +13,6 @@
 //! overlay as two colored polylines per panel, which is how
 //! fault-storm or policy regressions are eyeballed nightly.
 
-use crate::telemetry::TelemetrySeries;
-
 /// One window of chart-ready data (derived JCT stats, no sketch).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowRow {
@@ -65,48 +63,6 @@ pub struct SeriesData {
     pub total_slots: u64,
     /// Chart rows in window order.
     pub rows: Vec<WindowRow>,
-}
-
-/// Quantize to the 3-decimal precision of the JSONL contract, so
-/// in-memory and file-round-tripped chart data compare equal.
-fn q3(x: f64) -> f64 {
-    format!("{x:.3}").parse().expect("fixed-format float")
-}
-
-impl SeriesData {
-    /// Flatten an in-memory series for rendering without a JSONL
-    /// round-trip. Float fields are quantized to the JSONL contract's
-    /// 3 decimals.
-    pub fn from_series(series: &TelemetrySeries, label: &str, seed: u64) -> SeriesData {
-        SeriesData {
-            label: label.to_string(),
-            seed,
-            window_ms: series.window_ms,
-            total_slots: series.total_slots,
-            rows: series
-                .windows
-                .iter()
-                .map(|w| WindowRow {
-                    index: w.index,
-                    busy: w.busy_slots,
-                    queue: w.queue_depth,
-                    live: w.live_jobs,
-                    completed: w.completed,
-                    orig: w.orig_launched,
-                    spec: w.spec_launched,
-                    spec_won: w.spec_won,
-                    killed: w.killed,
-                    msgs: w.messages,
-                    events: w.events,
-                    jct_count: w.jct.count(),
-                    jct_mean_ms: q3(w.jct.mean_ms()),
-                    jct_p50_ms: q3(w.jct.quantile_ms(0.5)),
-                    jct_p99_ms: q3(w.jct.quantile_ms(0.99)),
-                    jct_max_ms: w.jct.max_ms(),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Extract the raw text of `"key":<value>` from one JSONL line, up to
@@ -347,7 +303,48 @@ pub fn render_html(runs: &[SeriesData]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{SeriesCollector, TelemetrySnapshot};
+    use crate::telemetry::{SeriesCollector, TelemetrySeries, TelemetrySnapshot};
+
+    /// Quantize to the 3-decimal precision of the JSONL contract, so
+    /// in-memory and file-round-tripped chart data compare equal.
+    fn q3(x: f64) -> f64 {
+        format!("{x:.3}").parse().expect("fixed-format float")
+    }
+
+    impl SeriesData {
+        /// Flatten an in-memory series without a JSONL round-trip. Float
+        /// fields are quantized to the JSONL contract's 3 decimals.
+        fn from_series(series: &TelemetrySeries, label: &str, seed: u64) -> SeriesData {
+            SeriesData {
+                label: label.to_string(),
+                seed,
+                window_ms: series.window_ms,
+                total_slots: series.total_slots,
+                rows: series
+                    .windows
+                    .iter()
+                    .map(|w| WindowRow {
+                        index: w.index,
+                        busy: w.busy_slots,
+                        queue: w.queue_depth,
+                        live: w.live_jobs,
+                        completed: w.completed,
+                        orig: w.orig_launched,
+                        spec: w.spec_launched,
+                        spec_won: w.spec_won,
+                        killed: w.killed,
+                        msgs: w.messages,
+                        events: w.events,
+                        jct_count: w.jct.count(),
+                        jct_mean_ms: q3(w.jct.mean_ms()),
+                        jct_p50_ms: q3(w.jct.quantile_ms(0.5)),
+                        jct_p99_ms: q3(w.jct.quantile_ms(0.99)),
+                        jct_max_ms: w.jct.max_ms(),
+                    })
+                    .collect(),
+            }
+        }
+    }
 
     fn sample(seed: u64) -> SeriesData {
         let mut c = SeriesCollector::new(100, 50);

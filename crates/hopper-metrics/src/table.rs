@@ -81,16 +81,6 @@ impl Table {
     }
 }
 
-/// Format a float with one decimal (the paper's typical precision).
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-/// Format a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{x:.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,11 +103,5 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("bad", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(f1(1.25), "1.2");
-        assert_eq!(pct(52.34), "52.3%");
     }
 }

@@ -34,7 +34,7 @@
 //!   bit-identical merged series.
 
 use crate::digest::JobDigest;
-use crate::stats::CoreStats;
+use crate::stats::{mean_duration, percentile, CoreStats, JobResult};
 
 /// Point-in-time view a driver hands the collector at a window boundary
 /// (and once more at the end of the run).
@@ -390,7 +390,7 @@ impl SeriesCollector {
 /// finished run without reaching into engine-specific stats structs.
 ///
 /// Both `RunOutput` (central) and `DecOutput` (decentralized) embed one
-/// of these, and the `RunSummary` trait exposes it directly — replacing
+/// of these, and the [`RunSummary`] trait exposes it directly — replacing
 /// the former per-field `core()` / `digest()` / `live_high_water()`
 /// accessors. The engine-specific `RunStats` / `DecStats` remain on the
 /// outputs untouched, so golden files keyed to their `Debug` rendering
@@ -426,15 +426,41 @@ impl Default for RunReport {
     }
 }
 
-impl RunReport {
-    /// Exact mean job duration (ms) from the digest.
-    pub fn mean_duration_ms(&self) -> f64 {
-        self.digest.mean_ms()
+/// The read surface of one finished run, whichever engine produced it:
+/// the per-job results and the [`RunReport`].
+///
+/// `hopper-central`'s `RunOutput`, `hopper-decentral`'s `DecOutput` and
+/// the experiment layer's sweep `Trial` implement it. `Send` lets sweep
+/// worker threads hand summaries back to the caller.
+pub trait RunSummary: Send {
+    /// Per-job outcomes. Empty for runs that retire jobs (streaming),
+    /// whose per-job statistics live in the report's digest.
+    fn jobs(&self) -> &[JobResult];
+
+    /// Counter core, duration digest, live-jobs high-water and, when
+    /// `telemetry_window_ms > 0`, the windowed time-series.
+    fn report(&self) -> &RunReport;
+
+    /// Mean job duration in ms, exact in both modes: the digest's mean
+    /// is an integer-millisecond sum.
+    fn mean_duration_ms(&self) -> f64 {
+        if self.jobs().is_empty() {
+            self.report().digest.mean_ms()
+        } else {
+            mean_duration(self.jobs())
+        }
     }
 
-    /// ε-approximate duration quantile (ms) at `p` from the digest.
-    pub fn percentile_duration_ms(&self, p: f64) -> f64 {
-        self.digest.quantile_ms(p)
+    /// Duration percentile (`p` ∈ [0, 1]) in ms: linear-interpolated and
+    /// exact when per-job results are retained, the digest's
+    /// ε-approximate quantile when they are not. 0.0 on a run with no
+    /// jobs.
+    fn percentile_duration_ms(&self, p: f64) -> f64 {
+        if self.jobs().is_empty() {
+            return self.report().digest.quantile_ms(p);
+        }
+        let durs: Vec<f64> = self.jobs().iter().map(|r| r.duration_ms() as f64).collect();
+        percentile(&durs, p)
     }
 }
 

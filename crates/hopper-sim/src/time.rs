@@ -31,18 +31,6 @@ impl SimTime {
         SimTime(s * 1000)
     }
 
-    /// Construct from fractional seconds, rounding *up* to ≥ 1 ms for any
-    /// strictly positive input (a task never takes zero time).
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0 && s.is_finite(), "invalid duration {s}");
-        let ms = (s * 1000.0).ceil();
-        if s > 0.0 {
-            SimTime((ms as u64).max(1))
-        } else {
-            SimTime(0)
-        }
-    }
-
     /// The raw millisecond count.
     pub const fn as_millis(self) -> u64 {
         self.0
@@ -108,15 +96,6 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2000));
-        assert_eq!(SimTime::from_secs_f64(1.5), SimTime::from_millis(1500));
-        assert_eq!(SimTime::from_secs_f64(0.0), SimTime::ZERO);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_up_to_one_ms() {
-        // A strictly positive duration must never round to zero.
-        assert_eq!(SimTime::from_secs_f64(0.000_01), SimTime::from_millis(1));
-        assert_eq!(SimTime::from_secs_f64(0.0012), SimTime::from_millis(2));
     }
 
     #[test]

@@ -195,11 +195,6 @@ impl Speculator {
             }
         }
     }
-
-    /// Convenience: the single best candidate, if any.
-    pub fn best_candidate(&self, job: &JobRun, now: SimTime) -> Option<Candidate> {
-        self.candidates(job, now).into_iter().next()
-    }
 }
 
 /// Progress rate of a copy observation (fraction per ms).
@@ -475,9 +470,7 @@ mod tests {
         let pol = Speculator::SimpleThreshold {
             detect_after: SimTime::from_millis(1_000),
         };
-        let best = pol
-            .best_candidate(&job, SimTime::from_millis(2_000))
-            .unwrap();
+        let best = &pol.candidates(&job, SimTime::from_millis(2_000))[0];
         assert_eq!(best.task, TaskRef::new(0, 1));
     }
 

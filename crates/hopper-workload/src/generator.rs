@@ -39,8 +39,9 @@ impl TraceGenerator {
 
     /// Generate the jobs *without* arrival times (all at t = 0).
     ///
-    /// Useful for single-job or closed-system experiments (e.g. Figure 3).
-    pub fn generate_jobs(&self) -> Vec<TraceJob> {
+    /// The unit tests' view of the job population, arrival-free.
+    #[cfg(test)]
+    fn generate_jobs(&self) -> Vec<TraceJob> {
         let seq = SeedSequence::new(self.seed);
         (0..self.num_jobs)
             .map(|i| self.generate_job(i, &mut seq.child_rng(i as u64)))

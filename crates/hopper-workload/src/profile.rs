@@ -220,17 +220,6 @@ impl WorkloadProfile {
         self.bushy_fraction = fraction;
         self
     }
-
-    /// Mean DAG length implied by the weights.
-    pub fn mean_dag_len(&self) -> f64 {
-        let total: f64 = self.dag_len_weights.iter().sum();
-        self.dag_len_weights
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (i + 1) as f64 * w)
-            .sum::<f64>()
-            / total
-    }
 }
 
 #[cfg(test)]
@@ -242,7 +231,6 @@ mod tests {
         let p = WorkloadProfile::facebook();
         assert_eq!(p.name, "facebook");
         assert!(p.beta_range.0 > 1.0 && p.beta_range.1 < 2.0);
-        assert!(p.mean_dag_len() > 1.0 && p.mean_dag_len() < 4.0);
         assert!((0.0..=1.0).contains(&p.recurring_fraction));
     }
 
@@ -277,10 +265,9 @@ mod tests {
     #[test]
     fn fixed_dag_len_masses_one_length() {
         let p = WorkloadProfile::facebook().fixed_dag_len(5);
-        assert_eq!(p.dag_len_weights.len(), 5);
-        assert!((p.mean_dag_len() - 5.0).abs() < 1e-9);
+        assert_eq!(p.dag_len_weights, [0.0, 0.0, 0.0, 0.0, 1.0]);
         let q = WorkloadProfile::facebook().single_phase();
-        assert!((q.mean_dag_len() - 1.0).abs() < 1e-9);
+        assert_eq!(q.dag_len_weights, [1.0]);
     }
 
     #[test]

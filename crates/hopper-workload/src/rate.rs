@@ -304,10 +304,10 @@ impl RateClock {
         k * q
     }
 
-    /// Relative rate at `t` (time-average 1). Exposed for calibration
-    /// tests and docs; arrival sampling goes through
-    /// [`RateClock::advance`].
-    pub fn rel_rate(&mut self, t: f64) -> f64 {
+    /// Relative rate at `t` (time-average 1), for the calibration
+    /// tests; arrival sampling goes through [`RateClock::advance`].
+    #[cfg(test)]
+    fn rel_rate(&mut self, t: f64) -> f64 {
         let (mult, _) = match self.burst.as_mut() {
             Some(b) => b.at(t),
             None => (1.0, f64::INFINITY),

@@ -7,7 +7,7 @@
 
 use hopper::central::{run, HopperConfig, Policy, SimConfig};
 use hopper::cluster::{ClusterConfig, JobRun};
-use hopper::metrics::Table;
+use hopper::metrics::{RunSummary, Table};
 use hopper::sim::rng_from_seed;
 use hopper::workload::{TraceGenerator, WorkloadProfile};
 

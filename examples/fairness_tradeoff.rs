@@ -14,7 +14,7 @@
 //! ```
 
 use hopper::experiment::{sweep, ExperimentSpec, SweepAxis};
-use hopper::metrics::{reduction_pct, GainCdf, Table};
+use hopper::metrics::{reduction_pct, GainCdf, RunSummary, Table};
 
 fn main() {
     let mut spec = ExperimentSpec::central();

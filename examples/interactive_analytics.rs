@@ -11,7 +11,7 @@
 //! ```
 
 use hopper::decentral::{run, DecConfig, DecPolicy};
-use hopper::metrics::{reduction_pct, Table};
+use hopper::metrics::{reduction_pct, RunSummary, Table};
 use hopper::workload::{TraceGenerator, WorkloadProfile};
 
 fn main() {

@@ -5,7 +5,7 @@
 //! ```
 
 use hopper::central::{run, HopperConfig, Policy, SimConfig};
-use hopper::metrics::{reduction_pct, Table};
+use hopper::metrics::{reduction_pct, RunSummary, Table};
 use hopper::workload::{TraceGenerator, WorkloadProfile};
 
 fn main() {

@@ -7,6 +7,7 @@
 
 use hopper::central::{run, HopperConfig, Policy, SimConfig};
 use hopper::cluster::ClusterConfig;
+use hopper::metrics::RunSummary;
 use hopper::sim::SimTime;
 use hopper::spec::{SpecConfig, Speculator};
 use hopper::workload::{single_phase_job, Trace};

@@ -29,6 +29,7 @@
 //!
 //! ```
 //! use hopper::central::{run, HopperConfig, Policy, SimConfig};
+//! use hopper::metrics::RunSummary;
 //! use hopper::workload::{TraceGenerator, WorkloadProfile};
 //!
 //! // Synthesize a small Facebook-like trace at 70% cluster utilization.

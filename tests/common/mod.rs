@@ -1,51 +1,57 @@
-//! Scaffolding shared by the golden suites (`tests/golden_stats.rs` and
-//! `tests/dynamics.rs`): the pinned scenario grid, the per-job digest,
-//! and the stats renderer. One definition, so the dynamics-equivalence
-//! check can never drift from the writer that produced
-//! `tests/goldens/stats.txt`.
+//! Scaffolding shared by the golden suites (`tests/golden_stats.rs`,
+//! `tests/dynamics.rs` and the ones that render golden rows) and by
+//! `tests/determinism.rs`: the golden cell as an [`ExperimentSpec`],
+//! whose trace and engine configs come from the spec's own builders,
+//! the pinned scenario grid, the per-job digest, and the stats renderer.
+//! One definition, so the dynamics-equivalence check can never drift
+//! from the writer that produced `tests/goldens/stats.txt`.
+
+// Each suite uses its own subset of this module.
+#![allow(dead_code)]
 
 use std::fmt::Write as _;
 
 use hopper::central;
-use hopper::cluster::{ClusterConfig, DynamicsConfig};
+use hopper::cluster::DynamicsConfig;
 use hopper::decentral;
-use hopper::workload::{Trace, TraceGenerator, WorkloadProfile};
+use hopper::experiment::{EngineKind, ExperimentSpec};
+use hopper::workload::Trace;
 
 pub const GOLDEN_PATH: &str = "tests/goldens/stats.txt";
 
-/// The pinned multi-phase interactive trace: exercises DAG eligibility,
+/// The golden cell on `engine`: a 30-job multi-phase interactive
+/// Facebook trace at 70% of 100 slots, which exercises DAG eligibility,
 /// shuffle transfers (α), locality, and speculation in one workload.
-pub fn trace(seed: u64) -> Trace {
-    let profile = WorkloadProfile::facebook().interactive();
-    TraceGenerator::new(profile, 30, seed).generate_with_utilization(100, 0.7)
+/// Each engine keeps its default machine size (4 slots central, 2
+/// decentral), so both clusters have 100 slots and share one trace.
+pub fn spec(engine: EngineKind) -> ExperimentSpec {
+    let base = match engine {
+        EngineKind::Central => ExperimentSpec::central(),
+        EngineKind::Decentral => ExperimentSpec::decentral(),
+    };
+    ExperimentSpec {
+        interactive: true,
+        jobs: 30,
+        machines: 100 / base.slots,
+        ..base
+    }
 }
 
-#[allow(dead_code)] // each suite uses its own subset of this module
+/// The pinned golden trace for `seed`.
+pub fn trace(seed: u64) -> Trace {
+    spec(EngineKind::Central).trace(seed)
+}
+
 pub fn central_cfg(seed: u64, dynamics: DynamicsConfig) -> central::SimConfig {
-    central::SimConfig {
-        cluster: ClusterConfig {
-            machines: 25,
-            slots_per_machine: 4,
-            ..Default::default()
-        },
-        seed,
-        dynamics,
-        ..Default::default()
-    }
+    let (_, mut cfg) = spec(EngineKind::Central).central_config(seed).unwrap();
+    cfg.dynamics = dynamics;
+    cfg
 }
 
 pub fn decentral_cfg(seed: u64, dynamics: DynamicsConfig) -> decentral::DecConfig {
-    decentral::DecConfig {
-        cluster: ClusterConfig {
-            machines: 50,
-            slots_per_machine: 2,
-            handoff_ms: 0,
-            ..Default::default()
-        },
-        seed,
-        dynamics,
-        ..Default::default()
-    }
+    let (_, mut cfg) = spec(EngineKind::Decentral).decentral_config(seed).unwrap();
+    cfg.dynamics = dynamics;
+    cfg
 }
 
 /// FNV-1a over the full per-job outcome tuple: any bit of drift in any
@@ -72,7 +78,6 @@ pub fn jobs_digest(jobs: &[hopper::metrics::JobResult]) -> u64 {
 /// dynamics plane. `Debug` for the stats structs prints f64 fields with
 /// shortest-roundtrip formatting, so two renders are equal iff the stats
 /// are bit-identical.
-#[allow(dead_code)] // each suite uses its own subset of this module
 pub fn render_goldens(dynamics: &DynamicsConfig) -> String {
     let mut out = String::new();
     let central_policies: Vec<(&str, central::Policy)> = vec![
@@ -197,7 +202,6 @@ pub fn render_engine_rows(
 /// adjust the config. The chaos suite uses this to prove that fault-plane
 /// *hardening* knobs alone (timeouts, retry budgets) leave runs
 /// bit-identical — only enabled fault sources may change a run.
-#[allow(dead_code)]
 pub fn render_decentral_goldens(mutate: impl Fn(&mut decentral::DecConfig)) -> String {
     let mut out = String::new();
     for seed in [5u64, 11] {
@@ -224,7 +228,6 @@ pub fn render_decentral_goldens(mutate: impl Fn(&mut decentral::DecConfig)) -> S
 }
 
 /// The decentralized lines of the pinned golden file, in file order.
-#[allow(dead_code)]
 pub fn golden_decentral_lines() -> Vec<String> {
     std::fs::read_to_string(GOLDEN_PATH)
         .expect(
@@ -239,7 +242,6 @@ pub fn golden_decentral_lines() -> Vec<String> {
 
 /// Line-by-line comparison against the pinned golden file, with a
 /// caller-supplied context string in the failure message.
-#[allow(dead_code)] // each suite uses its own subset of this module
 pub fn assert_matches_goldens(actual: &str, context: &str) {
     let expected = std::fs::read_to_string(GOLDEN_PATH).expect(
         "missing tests/goldens/stats.txt — run \

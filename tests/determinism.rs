@@ -8,47 +8,19 @@
 //! seeds must reproduce the stats captured before the incremental-index
 //! refactor, for every policy in both drivers.
 
+mod common;
+
+use common::{central_cfg, decentral_cfg, trace};
 use hopper::central;
-use hopper::cluster::ClusterConfig;
+use hopper::cluster::DynamicsConfig;
 use hopper::decentral;
-use hopper::workload::{Trace, TraceGenerator, WorkloadProfile};
-
-fn trace(seed: u64) -> Trace {
-    let profile = WorkloadProfile::facebook().interactive();
-    TraceGenerator::new(profile, 30, seed).generate_with_utilization(100, 0.7)
-}
-
-fn central_cfg(seed: u64) -> central::SimConfig {
-    central::SimConfig {
-        cluster: ClusterConfig {
-            machines: 25,
-            slots_per_machine: 4,
-            ..Default::default()
-        },
-        seed,
-        ..Default::default()
-    }
-}
-
-fn decentral_cfg(seed: u64) -> decentral::DecConfig {
-    decentral::DecConfig {
-        cluster: ClusterConfig {
-            machines: 50,
-            slots_per_machine: 2,
-            handoff_ms: 0,
-            ..Default::default()
-        },
-        seed,
-        ..Default::default()
-    }
-}
 
 #[test]
 fn central_run_is_bit_identical_for_same_seed() {
     let t = trace(5);
     let policy = central::Policy::Hopper(central::HopperConfig::default());
-    let a = central::run(&t, &policy, &central_cfg(5));
-    let b = central::run(&t, &policy, &central_cfg(5));
+    let a = central::run(&t, &policy, &central_cfg(5, DynamicsConfig::off()));
+    let b = central::run(&t, &policy, &central_cfg(5, DynamicsConfig::off()));
     assert_eq!(a.stats, b.stats, "RunStats must be bit-identical");
     assert_eq!(a.jobs, b.jobs, "per-job results must be bit-identical");
 }
@@ -59,8 +31,8 @@ fn central_runs_differ_across_seeds() {
     // so some observable output must differ.
     let t = trace(5);
     let policy = central::Policy::Hopper(central::HopperConfig::default());
-    let a = central::run(&t, &policy, &central_cfg(5));
-    let b = central::run(&t, &policy, &central_cfg(6));
+    let a = central::run(&t, &policy, &central_cfg(5, DynamicsConfig::off()));
+    let b = central::run(&t, &policy, &central_cfg(6, DynamicsConfig::off()));
     assert!(
         a.stats != b.stats || a.jobs != b.jobs,
         "different seeds produced identical central runs"
@@ -82,8 +54,8 @@ fn central_traces_differ_across_workload_seeds() {
 fn decentral_run_is_bit_identical_for_same_seed() {
     let t = trace(7);
     for policy in [decentral::DecPolicy::Sparrow, decentral::DecPolicy::Hopper] {
-        let a = decentral::run(&t, policy, &decentral_cfg(7));
-        let b = decentral::run(&t, policy, &decentral_cfg(7));
+        let a = decentral::run(&t, policy, &decentral_cfg(7, DynamicsConfig::off()));
+        let b = decentral::run(&t, policy, &decentral_cfg(7, DynamicsConfig::off()));
         assert_eq!(
             a.stats,
             b.stats,
@@ -102,8 +74,16 @@ fn decentral_run_is_bit_identical_for_same_seed() {
 #[test]
 fn decentral_runs_differ_across_seeds() {
     let t = trace(7);
-    let a = decentral::run(&t, decentral::DecPolicy::Hopper, &decentral_cfg(7));
-    let b = decentral::run(&t, decentral::DecPolicy::Hopper, &decentral_cfg(8));
+    let a = decentral::run(
+        &t,
+        decentral::DecPolicy::Hopper,
+        &decentral_cfg(7, DynamicsConfig::off()),
+    );
+    let b = decentral::run(
+        &t,
+        decentral::DecPolicy::Hopper,
+        &decentral_cfg(8, DynamicsConfig::off()),
+    );
     assert!(
         a.stats != b.stats || a.jobs != b.jobs,
         "different seeds produced identical decentralized runs"

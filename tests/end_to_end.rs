@@ -4,7 +4,7 @@
 use hopper::central;
 use hopper::cluster::ClusterConfig;
 use hopper::decentral;
-use hopper::metrics::GainCdf;
+use hopper::metrics::{GainCdf, RunSummary};
 use hopper::sim::SimTime;
 use hopper::workload::{TraceGenerator, WorkloadProfile};
 

@@ -10,6 +10,7 @@
 use hopper::central::{self, HopperConfig, Policy, SimConfig};
 use hopper::cluster::{ClusterConfig, DynamicsConfig};
 use hopper::experiment::{EngineKind, ExperimentSpec};
+use hopper::metrics::RunSummary;
 use hopper::sim::SimTime;
 use hopper::workload::{Trace, TraceGenerator, WorkloadProfile};
 
