@@ -13,7 +13,7 @@ use std::ops::Bound;
 
 use hopper_cluster::{
     ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, JobSlab, MachineDynamics, MachineId,
-    Machines, TaskRef,
+    Machines, PrewarmCounters, TaskRef,
 };
 use hopper_core::{AllocCounters, AlphaEstimator, BetaEstimator, IncrementalAlloc, Regime};
 use hopper_metrics::{
@@ -132,6 +132,10 @@ pub struct RunOutput {
     /// Allocation-churn counters of the incremental Hopper allocator
     /// (all zero for non-Hopper policies).
     pub alloc_counters: AllocCounters,
+    /// Work counters of Hopper's slot pre-warm pass (all zero for
+    /// non-Hopper policies). Not in `report.core`: they count work, not
+    /// outcomes.
+    pub prewarm_counters: PrewarmCounters,
 }
 
 impl RunSummary for RunOutput {
@@ -282,10 +286,13 @@ struct Central<'a> {
     /// dispatch runs at this time once the instant's batch drains).
     last_now: SimTime,
     /// Scratch for the Hopper launch loop (reused across dispatches):
-    /// `(job, target, hold)` rows in priority order + eligible row
-    /// indices.
-    rows_scratch: Vec<(usize, usize, usize)>,
+    /// `(job, hold)` rows in priority order, each row's target, and the
+    /// eligible row indices.
+    rows_scratch: Vec<(usize, usize)>,
+    targets_scratch: Vec<usize>,
     elig_scratch: Vec<u32>,
+    /// Work counters of the launch loop's pre-warm passes.
+    prewarm: PrewarmCounters,
     /// Cluster-wide running original copies (BudgetedSrpt's cap input).
     orig_running: usize,
     /// Machine speed/availability state; `None` when dynamics are off
@@ -360,7 +367,9 @@ impl<'a> Central<'a> {
             pending_dispatch: false,
             last_now: SimTime::ZERO,
             rows_scratch: Vec::new(),
+            targets_scratch: Vec::new(),
             elig_scratch: Vec::new(),
+            prewarm: PrewarmCounters::default(),
             orig_running: 0,
             dynamics,
             rng: seq.child_rng(0xD00D),
@@ -661,6 +670,7 @@ impl<'a> Central<'a> {
             stats: self.stats,
             report,
             alloc_counters: self.alloc.counters(),
+            prewarm_counters: self.prewarm,
         }
     }
 
@@ -953,29 +963,24 @@ impl<'a> Central<'a> {
             }
             let n = self.active.len();
             let share = (self.cfg.cluster.total_slots() / n).max(1);
-            // Most-deficient job with runnable work and usage below share.
-            let mut best: Option<(usize, usize)> = None; // (usage, job)
+            // Most-deficient job with runnable work and usage below share;
+            // if everyone hit their share but slots remain, spill over to
+            // any runnable job (work conservation, like Hadoop Fair). One
+            // scan finds both minima, keyed (usage, job).
+            let mut under: Option<(usize, usize)> = None;
+            let mut any: Option<(usize, usize)> = None;
             for &j in &self.active {
-                if self.usage[j] < share && self.runnable(j) > 0 {
+                if self.runnable(j) > 0 {
                     let key = (self.usage[j], j);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
+                    if any.is_none_or(|b| key < b) {
+                        any = Some(key);
+                    }
+                    if key.0 < share && under.is_none_or(|b| key < b) {
+                        under = Some(key);
                     }
                 }
             }
-            // If everyone hit their share but slots remain, spill over to
-            // any runnable job (work conservation, like Hadoop Fair).
-            if best.is_none() {
-                for &j in &self.active {
-                    if self.runnable(j) > 0 {
-                        let key = (self.usage[j], j);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
-                }
-            }
-            let Some((_, j)) = best else { return };
+            let Some((_, j)) = under.or(any) else { return };
             if self.pending_orig[j] > 0 {
                 if !self.launch_original(j, now) {
                     return;
@@ -1108,8 +1113,10 @@ impl<'a> Central<'a> {
     /// none ever re-enters. Returns whether any copy launched.
     fn hopper_launch_loop(&mut self, now: SimTime, hcfg: &HopperConfig) -> bool {
         let mut rows = std::mem::take(&mut self.rows_scratch);
+        let mut targets = std::mem::take(&mut self.targets_scratch);
         let mut elig = std::mem::take(&mut self.elig_scratch);
         rows.clear();
+        targets.clear();
         elig.clear();
         // Under a learned β every job shares one speculation multiplier;
         // hoist it so the per-row quota below is pure integer work.
@@ -1119,7 +1126,7 @@ impl<'a> Central<'a> {
             None
         };
         // One pass in ascending max(V, V') order — the allocator's fill
-        // order — building the row table (job, target, hold), the held
+        // order — building the row table (job, hold) and targets, the held
         // total, and the eligibility list together. Holds are slots kept
         // idle for jobs whose allocation exceeds both their usage and
         // their immediately runnable work (anticipated speculation —
@@ -1133,7 +1140,8 @@ impl<'a> Central<'a> {
             if self.usage[j] < target && self.runnable(j) > 0 {
                 elig.push(rows.len() as u32);
             }
-            rows.push((j, target, hold));
+            rows.push((j, hold));
+            targets.push(target);
         }
         let bracket =
             ((hcfg.locality_relax_pct / 100.0 * rows.len() as f64).ceil() as usize).min(rows.len());
@@ -1150,7 +1158,7 @@ impl<'a> Central<'a> {
                 let Some(&ri) = elig.get(start) else {
                     break None;
                 };
-                let (j, t, _) = rows[ri as usize];
+                let (j, t) = (rows[ri as usize].0, targets[ri as usize]);
                 if self.usage[j] < t && self.runnable(j) > 0 {
                     break Some(ri as usize);
                 }
@@ -1167,7 +1175,7 @@ impl<'a> Central<'a> {
                     if seen == bracket {
                         break;
                     }
-                    let (j, t, _) = rows[ri as usize];
+                    let (j, t) = (rows[ri as usize].0, targets[ri as usize]);
                     if self.usage[j] >= t || self.runnable(j) == 0 {
                         continue; // went ineligible mid-pass: not counted
                     }
@@ -1187,9 +1195,9 @@ impl<'a> Central<'a> {
             // Refresh the chosen row's hold (even on failure: pruned
             // candidates shrink runnable work) so the held total and the
             // bind phase below see current values.
-            held -= rows[chosen].2;
-            rows[chosen].2 = self.hold_quota(j, rows[chosen].1, shared_mult);
-            held += rows[chosen].2;
+            held -= rows[chosen].1;
+            rows[chosen].1 = self.hold_quota(j, targets[chosen], shared_mult);
+            held += rows[chosen].1;
             if !launched {
                 break;
             }
@@ -1198,15 +1206,39 @@ impl<'a> Central<'a> {
         // Pre-warm held slots: bind idle slots to their holders now so the
         // anticipated speculative copy starts without the hand-off cost —
         // the physical payoff of reservation (Figure 2).
-        for &(j, _, hold) in &rows {
-            let have = self.machines.warm_total(j);
-            if hold > have {
-                self.machines.bind_idle(j, hold - have);
-            }
+        #[cfg(debug_assertions)]
+        let before = {
+            let p = self.prewarm.passes;
+            (p < 64 || p.is_multiple_of(64)).then(|| self.machines.clone())
+        };
+        self.prewarm += self.machines.bind_holds(&rows);
+        #[cfg(debug_assertions)]
+        if let Some(before) = before {
+            self.assert_holds_match_per_row(before, &rows);
         }
         self.rows_scratch = rows;
+        self.targets_scratch = targets;
         self.elig_scratch = elig;
         launched_any
+    }
+
+    /// Debug-build shadow check of the batched pre-warm: replay the
+    /// per-row `bind_idle` loop it replaces on `before` (the machines as
+    /// the pass found them) and require the same state. Sampled — every
+    /// pass of a run's first 64, then every 64th — because the clone and
+    /// the replay are O(machines).
+    #[cfg(debug_assertions)]
+    fn assert_holds_match_per_row(&self, mut before: Machines, rows: &[(usize, usize)]) {
+        for &(j, hold) in rows {
+            let have = before.warm_total(j);
+            if hold > have {
+                before.bind_idle(j, hold - have);
+            }
+        }
+        assert!(
+            before == self.machines,
+            "batched pre-warm drifted from the per-row bind_idle loop"
+        );
     }
 
     /// Slots job `j` may hold idle in anticipation of speculation: the
@@ -1498,6 +1530,30 @@ mod tests {
             let out = run(&trace, &policy, &cfg);
             assert_eq!(out.jobs.len(), trace.len(), "policy {}", policy.name());
             assert!(out.stats.makespan > SimTime::ZERO);
+        }
+    }
+
+    /// The pre-warm work counters are exact per seed, count real work
+    /// under Hopper, and stay zero for policies that hold no slots.
+    #[test]
+    fn prewarm_counters_are_deterministic_and_hopper_only() {
+        let trace = small_trace(5, 30, 0.8, 100);
+        let cfg = small_cfg(5);
+        let hopper = Policy::Hopper(HopperConfig::default());
+        let a = run(&trace, &hopper, &cfg).prewarm_counters;
+        assert_eq!(a, run(&trace, &hopper, &cfg).prewarm_counters);
+        assert!(
+            a.passes > 0 && a.deficit_rows > 0 && a.machines_visited > 0,
+            "{a:?}"
+        );
+        for policy in [Policy::Fifo, Policy::Fair, Policy::Srpt] {
+            let out = run(&trace, &policy, &cfg);
+            assert_eq!(
+                out.prewarm_counters,
+                PrewarmCounters::default(),
+                "policy {}",
+                policy.name()
+            );
         }
     }
 

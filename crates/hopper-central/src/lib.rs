@@ -15,4 +15,5 @@ pub mod policy;
 pub mod scenario;
 
 pub use driver::{run, run_source, RunOutput, RunStats, SimConfig};
+pub use hopper_cluster::PrewarmCounters;
 pub use policy::{HopperConfig, Policy};

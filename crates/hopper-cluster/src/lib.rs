@@ -23,5 +23,5 @@ pub use job::{
     duration_at_speed, rescaled_finish, Copy, CopyLoss, CopyObservation, CopyStatus, FailOutcome,
     FinishOutcome, JobRun, PhaseRun, ScriptedTask, TaskRun,
 };
-pub use machine::{ClusterConfig, Machines, SlotTemp};
+pub use machine::{ClusterConfig, Machines, PrewarmCounters, SlotTemp};
 pub use slab::JobSlab;

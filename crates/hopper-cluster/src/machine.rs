@@ -128,6 +128,18 @@ impl MachineSet {
         self.scan(0, self.words.first().copied().unwrap_or(0))
     }
 
+    /// Smallest member `>= m`, if any.
+    fn next_from(&self, m: usize) -> Option<usize> {
+        let wi = m / 64;
+        let cur = *self.words.get(wi)? & (!0u64 << (m % 64));
+        self.scan(wi, cur)
+    }
+
+    /// Word `i` of the set, with missing words read as zero.
+    fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
     fn scan(&self, mut wi: usize, mut cur: u64) -> Option<usize> {
         loop {
             if cur != 0 {
@@ -161,6 +173,15 @@ impl MachineSet {
     }
 }
 
+/// Set equality: the word array only ever grows, so two sets with the
+/// same members may differ in trailing zero words.
+impl PartialEq for MachineSet {
+    fn eq(&self, other: &Self) -> bool {
+        let n = self.words.len().max(other.words.len());
+        (0..n).all(|i| self.word(i) == other.word(i))
+    }
+}
+
 struct MachineSetIter<'a> {
     words: &'a [u64],
     wi: usize,
@@ -189,7 +210,7 @@ impl Iterator for MachineSetIter<'_> {
 /// tree-node allocator traffic. The smallest-id reads (`first_job`,
 /// `first_other`) that the deterministic victim picks rely on are the
 /// leading elements of the sorted vector.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct WarmCounts {
     e: Vec<(usize, usize)>,
 }
@@ -271,6 +292,44 @@ impl WarmCounts {
     }
 }
 
+/// One painted run of [`Machines::bind_holds`]'s prefix repaint.
+#[derive(Debug, Clone)]
+enum Run {
+    /// Machines `start..end`, every free slot warm for `owner`.
+    Whole {
+        start: usize,
+        end: usize,
+        owner: usize,
+    },
+    /// One machine whose free slots are split between jobs.
+    Mixed { m: usize, warm: WarmCounts },
+}
+
+/// Deterministic work counters of the slot pre-warm pass
+/// ([`Machines::bind_holds`]): exact per seed, independent of wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrewarmCounters {
+    /// Pre-warm passes (one per Hopper launch loop).
+    pub passes: u64,
+    /// Rows whose hold exceeded the job's warm total when their turn came.
+    pub deficit_rows: u64,
+    /// Machines the passes walked one at a time: those `bind_idle`
+    /// drained of unbound slots or stole from, and those a repaint painted
+    /// for the first time. A repaint's steps on machines it already
+    /// painted (a mixed machine, or the machine where a row splits a whole
+    /// run) are not counted again: a row stops once and leaves at most one
+    /// mixed machine, so they number at most twice `deficit_rows`.
+    pub machines_visited: u64,
+}
+
+impl std::ops::AddAssign for PrewarmCounters {
+    fn add_assign(&mut self, o: Self) {
+        self.passes += o.passes;
+        self.deficit_rows += o.deficit_rows;
+        self.machines_visited += o.machines_visited;
+    }
+}
+
 /// Dynamic slot occupancy across machines, with per-job slot affinity.
 ///
 /// Beyond the per-machine arrays, the struct maintains deterministic
@@ -320,6 +379,37 @@ pub struct Machines {
     /// free, unbound, or bound slots, so every index skips it naturally;
     /// the flag guards against accidental occupy/release while down.
     down: Vec<bool>,
+    /// [`Machines::bind_holds`] scratch, empty between calls: the run
+    /// stack (top = lowest machines) and prefix sums of `free` over the
+    /// painted machines.
+    runs: Vec<Run>,
+    prefix: Vec<usize>,
+}
+
+/// State equality: two values are equal when they describe the same
+/// cluster (per-machine counts and every index, by membership), whatever
+/// the capacity of their grown-on-demand job tables or scratch.
+impl PartialEq for Machines {
+    fn eq(&self, o: &Self) -> bool {
+        let jobs = self.warm_totals.len().max(o.warm_totals.len());
+        let empty = MachineSet::default();
+        self.bound == o.bound
+            && self.unbound == o.unbound
+            && self.free == o.free
+            && self.slots_per_machine == o.slots_per_machine
+            && self.total_free == o.total_free
+            && self.free_set == o.free_set
+            && self.unbound_set == o.unbound_set
+            && self.bound_set == o.bound_set
+            && self.multi_set == o.multi_set
+            && self.total_bound == o.total_bound
+            && self.down == o.down
+            && (0..jobs).all(|j| {
+                self.warm_totals.get(j).unwrap_or(&0) == o.warm_totals.get(j).unwrap_or(&0)
+                    && self.warm_machines.get(j).unwrap_or(&empty)
+                        == o.warm_machines.get(j).unwrap_or(&empty)
+            })
+    }
 }
 
 impl Machines {
@@ -344,6 +434,8 @@ impl Machines {
             warm_totals: Vec::new(),
             total_bound: 0,
             down: vec![false; cfg.machines],
+            runs: Vec::new(),
+            prefix: Vec::new(),
         }
     }
 
@@ -661,7 +753,14 @@ impl Machines {
     /// scans they replace — but only over machines that actually hold an
     /// unbound (pass 1) or foreign-warm (pass 2) slot.
     pub fn bind_idle(&mut self, job: usize, want: usize) -> usize {
+        self.bind_idle_visits(job, want).0
+    }
+
+    /// [`Machines::bind_idle`], also returning how many machines it
+    /// visited (drained of unbound slots or stolen from).
+    fn bind_idle_visits(&mut self, job: usize, want: usize) -> (usize, u64) {
         let mut bound = 0;
+        let mut visited = 0;
         // Pass 1: unbound slots, smallest machine first. Draining the set
         // head either consumes the machine's last unbound slot (removing
         // it from the set) or satisfies `want`, so this makes progress
@@ -670,6 +769,7 @@ impl Machines {
             let Some(m) = self.unbound_set.first() else {
                 break;
             };
+            visited += 1;
             let take = (want - bound).min(self.unbound[m]);
             self.unbound[m] -= take;
             if self.unbound[m] == 0 {
@@ -708,6 +808,7 @@ impl Machines {
                     continue 'words;
                 }
                 let m = wi * 64 + cand.trailing_zeros() as usize;
+                visited += 1;
                 while bound < want {
                     let Some(v) = self.bound[m].first_other(job) else {
                         break;
@@ -721,7 +822,187 @@ impl Machines {
         }
         #[cfg(debug_assertions)]
         self.debug_check_index();
-        bound
+        (bound, visited)
+    }
+
+    /// Pre-warm one pass of holds (Hopper's slot holding, Figure 2): for
+    /// each `(job, hold)` row in order, bind idle slots to `job` until it
+    /// has `hold` warm ones. Leaves exactly the state of the per-row loop
+    /// `for (j, hold) in rows { if hold > warm_total(j) {
+    /// bind_idle(j, hold - warm_total(j)) } }`, at a cost that follows
+    /// the machines the pass changes rather than the machines it walks.
+    ///
+    /// While unbound slots remain, each row is that `bind_idle` call. Once
+    /// they are gone they cannot come back within the pass, and every
+    /// row's steal walk drains the foreign-warm machines in ascending id
+    /// until its deficit is met: afterwards every free machine below its
+    /// stop machine is wholly the row's, and at most the stop machine is
+    /// split. The rest of the pass is a sequence of *prefix repaints*,
+    /// replayed over a stack of painted runs: a row takes a whole run in
+    /// O(1) through prefix sums of `free`, applies `bind_idle`'s
+    /// smallest-foreign-id rule only on the machine where it stops, and
+    /// reads machines one at a time only past the painted frontier.
+    /// Returns the pass's work counters.
+    pub fn bind_holds(&mut self, rows: &[(usize, usize)]) -> PrewarmCounters {
+        let mut work = PrewarmCounters {
+            passes: 1,
+            ..Default::default()
+        };
+        let mut rest = rows;
+        while let Some((&(job, hold), tail)) = rest.split_first() {
+            if self.unbound_set.first().is_none() {
+                break;
+            }
+            rest = tail;
+            let have = self.warm_total(job);
+            if hold > have {
+                work.deficit_rows += 1;
+                work.machines_visited += self.bind_idle_visits(job, hold - have).1;
+            }
+        }
+        if !rest.is_empty() {
+            self.repaint_holds(rest, &mut work);
+        }
+        work
+    }
+
+    /// The steal-only rest of [`Machines::bind_holds`], with no unbound
+    /// slot left. The run stack covers the painted machines
+    /// `0..frontier`, lowest machines on top. `warm_totals` stays live
+    /// (each row's deficit reads it); the per-machine counts and the
+    /// other indices are written back at the end, for the machines whose
+    /// composition changed.
+    fn repaint_holds(&mut self, rows: &[(usize, usize)], work: &mut PrewarmCounters) {
+        debug_assert!(self.unbound_set.first().is_none());
+        let mut runs = std::mem::take(&mut self.runs);
+        let mut pre = std::mem::take(&mut self.prefix);
+        pre.push(0); // pre[m] = Σ free[..m] for m ≤ frontier = pre.len() − 1
+        for &(job, hold) in rows {
+            let have = self.warm_totals.get(job).copied().unwrap_or(0);
+            if hold <= have {
+                continue;
+            }
+            work.deficit_rows += 1;
+            let mut want = hold - have;
+            self.ensure_job(job);
+            // The row walks up from machine 0 (the stack top) and makes
+            // `0..end` wholly its own.
+            let mut end = 0;
+            while want > 0 && self.warm_totals[job] < self.total_bound {
+                let (m, split) = match runs.pop() {
+                    Some(Run::Whole {
+                        start,
+                        end: e,
+                        owner,
+                    }) => {
+                        let slots = pre[e] - pre[start];
+                        if owner == job || slots <= want {
+                            if owner != job {
+                                self.warm_totals[owner] -= slots;
+                                self.warm_totals[job] += slots;
+                                want -= slots;
+                            }
+                            end = e;
+                            continue;
+                        }
+                        // The row stops inside the run, on the first
+                        // machine whose running slot sum covers `want`.
+                        let m =
+                            start + pre[start + 1..=e].partition_point(|&p| p - pre[start] < want);
+                        let taken = want - (pre[m] - pre[start]);
+                        self.warm_totals[owner] -= want;
+                        self.warm_totals[job] += want;
+                        want = 0;
+                        if m + 1 < e {
+                            runs.push(Run::Whole {
+                                start: m + 1,
+                                end: e,
+                                owner,
+                            });
+                        }
+                        let split = (taken < self.free[m]).then(|| {
+                            let mut warm = WarmCounts::default();
+                            warm.inc_by(owner, self.free[m] - taken);
+                            warm.inc_by(job, taken);
+                            warm
+                        });
+                        (m, split)
+                    }
+                    Some(Run::Mixed { m, warm }) => (
+                        m,
+                        steal_on(&mut self.warm_totals, &warm, self.free[m], job, &mut want),
+                    ),
+                    None => {
+                        // Past the frontier: paint the next fresh machine.
+                        let f = pre.len() - 1;
+                        let Some(m) = self.free_set.next_from(f) else {
+                            break;
+                        };
+                        work.machines_visited += 1;
+                        pre.resize(m + 1, pre[f]);
+                        pre.push(pre[m] + self.free[m]);
+                        let warm = &self.bound[m];
+                        (
+                            m,
+                            steal_on(&mut self.warm_totals, warm, self.free[m], job, &mut want),
+                        )
+                    }
+                };
+                end = match split {
+                    None => m + 1,
+                    Some(warm) => {
+                        runs.push(Run::Mixed { m, warm });
+                        m
+                    }
+                };
+            }
+            if end > 0 {
+                runs.push(Run::Whole {
+                    start: 0,
+                    end,
+                    owner: job,
+                });
+            }
+        }
+        for run in runs.drain(..) {
+            match run {
+                Run::Whole { start, end, owner } => {
+                    let mut m = start;
+                    while let Some(x) = self.free_set.next_from(m).filter(|&x| x < end) {
+                        self.rewrite_warmth(x, &[(owner, self.free[x])]);
+                        m = x + 1;
+                    }
+                }
+                Run::Mixed { m, warm } => self.rewrite_warmth(m, &warm.e),
+            }
+        }
+        pre.clear();
+        self.runs = runs;
+        self.prefix = pre;
+        #[cfg(debug_assertions)]
+        self.debug_check_index();
+    }
+
+    /// Set machine `m`'s warm counts to `new` (same free total) and bring
+    /// `warm_machines` and `multi_set` along; `warm_totals` is the
+    /// caller's to keep. A no-op when the composition did not change.
+    fn rewrite_warmth(&mut self, m: usize, new: &[(usize, usize)]) {
+        if self.bound[m].e == new {
+            return;
+        }
+        for &(j, _) in &self.bound[m].e {
+            if !new.iter().any(|&(k, _)| k == j) {
+                self.warm_machines[j].remove(m);
+            }
+        }
+        for &(j, _) in new {
+            if !self.bound[m].contains(j) {
+                self.warm_machines[j].insert_grow(m);
+            }
+        }
+        self.bound[m].e.clear();
+        self.bound[m].e.extend_from_slice(new);
+        self.refresh_multi(m);
     }
 
     /// Iterate machines that currently have at least one free slot, in
@@ -769,9 +1050,48 @@ impl Machines {
     }
 }
 
+/// `bind_idle`'s steal on one machine with `free` slots, replayed on its
+/// current counts `warm`: take up to `*want` slots foreign to `job`,
+/// smallest victim id first, moving them in `totals`. Returns the new
+/// counts if the machine stays split, `None` once it is wholly `job`'s.
+fn steal_on(
+    totals: &mut [usize],
+    warm: &WarmCounts,
+    free: usize,
+    job: usize,
+    want: &mut usize,
+) -> Option<WarmCounts> {
+    let foreign = free - warm.get(job);
+    if foreign <= *want {
+        for &(v, c) in &warm.e {
+            if v != job {
+                totals[v] -= c;
+            }
+        }
+        totals[job] += foreign;
+        *want -= foreign;
+        return None;
+    }
+    let mut split = warm.clone();
+    while *want > 0 {
+        let v = split
+            .first_other(job)
+            .expect("a split machine keeps foreign slots");
+        let take = (*want).min(split.get(v));
+        split.dec_by(v, take);
+        split.inc_by(job, take);
+        totals[v] -= take;
+        totals[job] += take;
+        *want -= take;
+    }
+    Some(split)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small() -> (ClusterConfig, Machines) {
         let cfg = ClusterConfig {
@@ -894,6 +1214,137 @@ mod tests {
         m.occupy_for(MachineId(2), 1);
         m.set_down(MachineId(2));
         m.release_to(MachineId(2), 1);
+    }
+
+    #[test]
+    fn bind_holds_repaints_the_low_prefix() {
+        let cfg = ClusterConfig {
+            machines: 4,
+            slots_per_machine: 2,
+            ..Default::default()
+        };
+        let mut m = Machines::new(&cfg);
+        assert_eq!(m.bind_idle(1, 8), 8, "every slot warm for job 1");
+        let work = m.bind_holds(&[(2, 3), (3, 4), (1, 8)]);
+        // Job 2 paints machines 0..2 (splitting machine 1), job 3 repaints
+        // 0..2 wholly, and job 1 takes everything back.
+        assert_eq!(m.warm_total(1), 8);
+        assert_eq!(work.deficit_rows, 3);
+        let mut m2 = Machines::new(&cfg);
+        m2.bind_idle(1, 8);
+        m2.bind_holds(&[(2, 3), (3, 4)]);
+        assert_eq!(m2.warm_on(MachineId(0), 3), 2);
+        assert_eq!(m2.warm_on(MachineId(1), 3), 2);
+        assert_eq!(m2.warm_total(2), 0, "job 3 stole job 2's repainted prefix");
+        assert_eq!(m2.warm_on(MachineId(2), 1), 2);
+    }
+
+    /// A random state for the `bind_holds` differential: machines holding
+    /// 2–4 warm jobs drawn from `0..jobs`, and (in half the states) some
+    /// unbound slots, and some down machines.
+    fn random_state(rng: &mut StdRng, machines: usize, slots: usize, jobs: usize) -> Machines {
+        let cfg = ClusterConfig {
+            machines,
+            slots_per_machine: slots,
+            ..Default::default()
+        };
+        let mut ms = Machines::new(&cfg);
+        let unbound_p = if rng.gen_bool(0.5) { 0.0 } else { 0.2 };
+        for m in (0..machines).map(MachineId) {
+            if rng.gen_bool(0.1) {
+                ms.set_down(m);
+                continue;
+            }
+            let unbound = if rng.gen_bool(unbound_p) {
+                rng.gen_range(1..=slots)
+            } else {
+                0
+            };
+            for _ in unbound..slots {
+                ms.occupy_for(m, 0);
+            }
+            let owners: Vec<usize> = (0..rng.gen_range(2..=4usize))
+                .map(|_| rng.gen_range(0..jobs))
+                .collect();
+            for _ in 0..rng.gen_range(0..=slots - unbound) {
+                ms.release_to(m, owners[rng.gen_range(0..owners.len())]);
+            }
+        }
+        ms
+    }
+
+    /// Rows with holds at or below the warm total, beyond all foreign
+    /// warmth, or a few slots short; job ids past `jobs` were never warm.
+    fn random_rows(
+        rng: &mut StdRng,
+        ms: &Machines,
+        jobs: usize,
+        max: usize,
+    ) -> Vec<(usize, usize)> {
+        (0..rng.gen_range(1..=max))
+            .map(|_| {
+                let job = rng.gen_range(0..jobs + 4);
+                let have = ms.warm_total(job);
+                let hold = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..=have),
+                    1 => ms.total_free() + rng.gen_range(0..3usize),
+                    _ => have + rng.gen_range(1..=6usize),
+                };
+                (job, hold)
+            })
+            .collect()
+    }
+
+    /// Three passes of `bind_holds` against the per-row `bind_idle` loop
+    /// on a clone, with occupancy churn between passes.
+    fn differential(seed: u64, machines: usize, slots: usize, jobs: usize, max_rows: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ms = random_state(&mut rng, machines, slots, jobs);
+        for pass in 0..3 {
+            let rows = random_rows(&mut rng, &ms, jobs, max_rows);
+            let mut oracle = ms.clone();
+            let mut deficits = 0;
+            for &(j, hold) in &rows {
+                let have = oracle.warm_total(j);
+                if hold > have {
+                    deficits += 1;
+                    oracle.bind_idle(j, hold - have);
+                }
+            }
+            let work = ms.bind_holds(&rows);
+            assert!(
+                ms == oracle,
+                "seed {seed} pass {pass}: state drifted, rows {rows:?}"
+            );
+            assert_eq!(work.deficit_rows, deficits, "seed {seed} pass {pass}");
+            for _ in 0..rng.gen_range(0..=machines) {
+                let m = MachineId(rng.gen_range(0..machines));
+                if ms.down[m.0] {
+                    continue;
+                }
+                if ms.free_on(m) > 0 && rng.gen_bool(0.5) {
+                    ms.occupy_for(m, rng.gen_range(0..jobs));
+                } else if ms.free_on(m) < slots {
+                    ms.release_to(m, rng.gen_range(0..jobs));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bind_holds_matches_the_per_row_bind_idle_loop() {
+        for seed in 0..400 {
+            differential(seed, 3 + seed as usize % 40, 1 + seed as usize % 4, 10, 12);
+        }
+    }
+
+    /// Benchmark-sized states (run in release by CI).
+    #[test]
+    #[ignore]
+    fn bind_holds_matches_the_per_row_bind_idle_loop_at_scale() {
+        for seed in 0..200 {
+            differential(seed, 2000, 4, 400, 250);
+        }
     }
 
     #[test]
