@@ -172,13 +172,11 @@ impl FreeSlotEpisode {
         if self.responses_sent >= self.max_responses() {
             return WorkerAction::Idle;
         }
-        let eligible: Vec<&Reservation> = queue
-            .iter()
-            .filter(|r| {
-                !self.refused_jobs.contains(&r.job)
-                    && !self.probed_schedulers.contains(&r.scheduler)
-            })
-            .collect();
+        // The filter is re-applied on each pass instead of collected:
+        // this step runs once per worker protocol step, and must not allocate.
+        let eligible = |r: &Reservation| {
+            !self.refused_jobs.contains(&r.job) && !self.probed_schedulers.contains(&r.scheduler)
+        };
 
         // An advertised unsatisfied job that has not itself refused is the
         // best possible target once probing is over.
@@ -196,7 +194,7 @@ impl FreeSlotEpisode {
                     kind: ResponseKind::NonRefusable,
                 }
             } else {
-                match pick_weighted_by_virtual_size(&eligible, rng) {
+                match pick_weighted_by_virtual_size(queue, eligible, rng) {
                     Some(r) => WorkerAction::Respond {
                         scheduler: r.scheduler,
                         job: r.job,
@@ -207,7 +205,7 @@ impl FreeSlotEpisode {
             }
         } else {
             // Probing round: smallest virtual size first (Guideline 2).
-            match pick_min_virtual_size(&eligible) {
+            match pick_min_virtual_size(queue.iter().filter(|r| eligible(r))) {
                 Some(r) => WorkerAction::Respond {
                     scheduler: r.scheduler,
                     job: r.job,
@@ -235,50 +233,49 @@ impl FreeSlotEpisode {
 }
 
 /// Smallest virtual size; ties broken by (job, scheduler) for determinism.
-fn pick_min_virtual_size<'a>(eligible: &[&'a Reservation]) -> Option<&'a Reservation> {
-    eligible
-        .iter()
-        .min_by(|a, b| {
-            a.virtual_size
-                .partial_cmp(&b.virtual_size)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.job.cmp(&b.job))
-                .then(a.scheduler.cmp(&b.scheduler))
-        })
-        .copied()
+fn pick_min_virtual_size<'a>(
+    eligible: impl Iterator<Item = &'a Reservation>,
+) -> Option<&'a Reservation> {
+    eligible.min_by(|a, b| {
+        a.virtual_size
+            .partial_cmp(&b.virtual_size)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.job.cmp(&b.job))
+            .then(a.scheduler.cmp(&b.scheduler))
+    })
 }
 
 /// Guideline-3 pick: random, weighted by virtual size ("the worker randomly
 /// picks a job from the waiting queue based on the distribution of job
-/// virtual sizes", §5.2). Dedups by job so a job with many queued
-/// reservations is not double-counted.
+/// virtual sizes", §5.2), over the reservations of `queue` that pass
+/// `eligible`. Dedups by job — only a job's first eligible reservation
+/// counts — so a job with many queued reservations is not double-counted.
 fn pick_weighted_by_virtual_size<'a, R: Rng + ?Sized>(
-    eligible: &[&'a Reservation],
+    queue: &'a [Reservation],
+    eligible: impl Fn(&Reservation) -> bool,
     rng: &mut R,
 ) -> Option<&'a Reservation> {
-    let mut seen: Vec<u64> = Vec::new();
-    let mut jobs: Vec<&Reservation> = Vec::new();
-    for r in eligible {
-        if !seen.contains(&r.job) {
-            seen.push(r.job);
-            jobs.push(r);
-        }
-    }
-    let total: f64 = jobs.iter().map(|r| r.virtual_size.max(0.0)).sum();
-    if jobs.is_empty() {
-        return None;
-    }
+    let jobs = || {
+        queue.iter().enumerate().filter_map(|(i, r)| {
+            let is_first = eligible(r) && !queue[..i].iter().any(|p| p.job == r.job && eligible(p));
+            is_first.then_some(r)
+        })
+    };
+    let first = jobs().next()?;
+    let total: f64 = jobs().map(|r| r.virtual_size.max(0.0)).sum();
     if total <= 0.0 {
-        return Some(jobs[0]);
+        return Some(first);
     }
     let mut x = rng.gen::<f64>() * total;
-    for r in &jobs {
+    let mut last = first;
+    for r in jobs() {
         x -= r.virtual_size.max(0.0);
         if x <= 0.0 {
             return Some(r);
         }
+        last = r;
     }
-    jobs.last().copied()
+    Some(last)
 }
 
 /// FCFS pick (stock Sparrow): the earliest queued reservation.
@@ -572,15 +569,158 @@ mod tests {
         // odds are ~100:1 for job 2.
         let mut q: Vec<Reservation> = (0..100).map(|_| res(0, 1, 1.0, 1.0)).collect();
         q.push(res(1, 2, 100.0, 90.0));
-        let refs: Vec<&Reservation> = q.iter().collect();
         let mut hits2 = 0;
         for seed in 0..300 {
             let mut rng = rng_from_seed(seed);
-            if pick_weighted_by_virtual_size(&refs, &mut rng).unwrap().job == 2 {
+            let pick = pick_weighted_by_virtual_size(&q, |_| true, &mut rng).unwrap();
+            if pick.job == 2 {
                 hits2 += 1;
             }
         }
         assert!(hits2 > 270, "dedup failed: {hits2}/300");
+    }
+
+    /// The worker step as first written: collect the eligible
+    /// reservations, then dedup jobs into two more vectors for the
+    /// Guideline-3 pick. The oracle for the allocation-free step.
+    fn reference_next_action<R: Rng + ?Sized>(
+        ep: &mut FreeSlotEpisode,
+        queue: &[Reservation],
+        rng: &mut R,
+    ) -> WorkerAction {
+        if ep.responses_sent >= ep.max_responses() {
+            return WorkerAction::Idle;
+        }
+        let eligible: Vec<&Reservation> = queue
+            .iter()
+            .filter(|r| {
+                !ep.refused_jobs.contains(&r.job) && !ep.probed_schedulers.contains(&r.scheduler)
+            })
+            .collect();
+        let unsatisfied = ep
+            .best_unsatisfied
+            .filter(|u| !ep.refused_jobs.contains(&u.job));
+        let respond = |r: &Reservation, kind| WorkerAction::Respond {
+            scheduler: r.scheduler,
+            job: r.job,
+            kind,
+        };
+        let fallback = |kind| match unsatisfied {
+            Some(u) => WorkerAction::Respond {
+                scheduler: u.scheduler,
+                job: u.job,
+                kind,
+            },
+            None => WorkerAction::Idle,
+        };
+        let action = if ep.refusal_count >= ep.refusal_threshold {
+            if unsatisfied.is_some() {
+                fallback(ResponseKind::NonRefusable)
+            } else {
+                let mut seen: Vec<u64> = Vec::new();
+                let mut jobs: Vec<&Reservation> = Vec::new();
+                for r in &eligible {
+                    if !seen.contains(&r.job) {
+                        seen.push(r.job);
+                        jobs.push(r);
+                    }
+                }
+                let total: f64 = jobs.iter().map(|r| r.virtual_size.max(0.0)).sum();
+                let pick = if jobs.is_empty() {
+                    None
+                } else if total <= 0.0 {
+                    Some(jobs[0])
+                } else {
+                    let mut x = rng.gen::<f64>() * total;
+                    let mut hit = None;
+                    for r in &jobs {
+                        x -= r.virtual_size.max(0.0);
+                        if x <= 0.0 {
+                            hit = Some(*r);
+                            break;
+                        }
+                    }
+                    hit.or(jobs.last().copied())
+                };
+                pick.map_or(WorkerAction::Idle, |r| {
+                    respond(r, ResponseKind::NonRefusable)
+                })
+            }
+        } else {
+            let min = eligible.iter().min_by(|a, b| {
+                a.virtual_size
+                    .partial_cmp(&b.virtual_size)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.job.cmp(&b.job))
+                    .then(a.scheduler.cmp(&b.scheduler))
+            });
+            match min {
+                Some(r) => respond(r, ResponseKind::Refusable),
+                None => fallback(ResponseKind::NonRefusable),
+            }
+        };
+        if matches!(action, WorkerAction::Respond { .. }) {
+            ep.responses_sent += 1;
+        }
+        action
+    }
+
+    /// The allocation-free worker step makes the reference's picks and
+    /// RNG draws, over random queues (duplicate jobs, tied and zero
+    /// virtual sizes) and random refusal/probe histories.
+    #[test]
+    fn next_action_matches_collecting_reference() {
+        let mut gen = rng_from_seed(23);
+        let vsizes = [0.0, 1.0, 1.0, 2.5, 7.0, 40.0];
+        let mut responds = [0usize; 2];
+        for case in 0..3000u64 {
+            let len = gen.gen_range(0..24);
+            let queue: Vec<Reservation> = (0..len)
+                .map(|_| {
+                    let v = if gen.gen_bool(0.5) {
+                        vsizes[gen.gen_range(0..vsizes.len())]
+                    } else {
+                        gen.gen_range(0.0..50.0)
+                    };
+                    res(gen.gen_range(0..5), gen.gen_range(0..10), v, v)
+                })
+                .collect();
+            let mut ep = FreeSlotEpisode::new(gen.gen_range(0..4));
+            let mut reference = ep.clone();
+            let mut rng = rng_from_seed(case);
+            let mut ref_rng = rng_from_seed(case);
+            for _ in 0..8 {
+                let action = ep.next_action(&queue, &mut rng);
+                assert_eq!(
+                    action,
+                    reference_next_action(&mut reference, &queue, &mut ref_rng),
+                    "case {case}"
+                );
+                if let WorkerAction::Respond { kind, .. } = action {
+                    responds[(kind == ResponseKind::NonRefusable) as usize] += 1;
+                }
+                // Refuse the offered job (or a random one), sometimes
+                // advertising an unsatisfied job.
+                let (s, j) = match action {
+                    WorkerAction::Respond { scheduler, job, .. } => (scheduler, job),
+                    WorkerAction::Idle => (gen.gen_range(0..5), gen.gen_range(0..10)),
+                };
+                let unsatisfied = gen.gen_bool(0.2).then(|| UnsatisfiedJob {
+                    scheduler: gen.gen_range(0..5),
+                    job: gen.gen_range(0..10),
+                    virtual_size: vsizes[gen.gen_range(0..vsizes.len())],
+                });
+                for e in [&mut ep, &mut reference] {
+                    e.mark_probed(s);
+                    e.record_refusal(s, j, unsatisfied);
+                }
+            }
+            assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>(), "case {case}");
+        }
+        assert!(
+            responds.iter().all(|&n| n > 1000),
+            "both rounds exercised: {responds:?}"
+        );
     }
 
     #[test]
@@ -614,8 +754,7 @@ mod tests {
     #[test]
     fn zero_virtual_sizes_still_pick_something() {
         let q = [res(0, 1, 0.0, 0.0), res(1, 2, 0.0, 0.0)];
-        let refs: Vec<&Reservation> = q.iter().collect();
         let mut rng = rng_from_seed(4);
-        assert!(pick_weighted_by_virtual_size(&refs, &mut rng).is_some());
+        assert!(pick_weighted_by_virtual_size(&q, |_| true, &mut rng).is_some());
     }
 }

@@ -37,7 +37,7 @@ use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, Unsatisfie
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, RunSummary, SeriesCollector, TelemetrySnapshot,
 };
-use hopper_sim::{EventQueue, SeedSequence, SimTime};
+use hopper_sim::{EventQueue, QueueCounters, SeedSequence, SimTime};
 use hopper_spec::Speculator;
 use hopper_workload::{ArrivalSource, Trace, TraceJob};
 use rand::rngs::StdRng;
@@ -223,6 +223,10 @@ pub struct DecOutput {
     /// are observability only — never part of the determinism contract
     /// beyond `ShardStats`'s own documented fields.
     pub shard: Option<crate::shard::ShardStats>,
+    /// Heap and FIFO-lane pushes of the serial driver's event queue (all
+    /// zero for the sharded engine, which keeps its own heap). Not in
+    /// `report.core`: they count work, not outcomes.
+    pub queue_counters: QueueCounters,
 }
 
 impl RunSummary for DecOutput {
@@ -458,7 +462,9 @@ impl<'a> Decentral<'a> {
         let seq = SeedSequence::new(cfg.seed);
         let n = arrivals.total_jobs();
         let k = cfg.num_schedulers;
-        let mut queue = EventQueue::new();
+        // Every RPC pays the fixed `msg_latency` (plus jitter under
+        // faults), so unjittered deliveries take the queue's O(1) lane.
+        let mut queue = EventQueue::with_fifo_delay(cfg.msg_latency);
         let mut dynamics = cfg
             .dynamics
             .enabled()
@@ -621,6 +627,12 @@ impl<'a> Decentral<'a> {
     }
 
     fn run(mut self) -> DecOutput {
+        self.drain();
+        self.finish()
+    }
+
+    /// Deliver arrivals and queued events until both run dry.
+    fn drain(&mut self) {
         loop {
             // Merge the arrival source with the event queue; at equal
             // instants the arrival is delivered first (see
@@ -797,6 +809,10 @@ impl<'a> Decentral<'a> {
                 self.audit_event(&ev);
             }
         }
+    }
+
+    /// Check the drained run's end state and assemble its output.
+    fn finish(mut self) -> DecOutput {
         assert!(
             self.done_count as usize == self.num_jobs && self.arrivals_pending == 0,
             "decentralized run drained with {} of {} jobs finished",
@@ -832,6 +848,7 @@ impl<'a> Decentral<'a> {
             stats: self.stats,
             report,
             shard: None,
+            queue_counters: self.queue.counters(),
         }
     }
 
@@ -1475,6 +1492,23 @@ mod tests {
             hopper < srpt && hopper < sparrow,
             "hopper {hopper:.0} vs sparrow-srpt {srpt:.0} vs sparrow {sparrow:.0}"
         );
+    }
+
+    /// The queue counters repeat exactly per seed, and with faults off
+    /// every RPC delivery (reservation, response, assign, refusal, kill)
+    /// took the FIFO lane while only `Finish` and `Scan` used the heap.
+    #[test]
+    fn queue_counters_are_exact_and_split_rpcs_from_timers() {
+        let t = trace(4, 60, 0.8);
+        let cfg = small_cfg(4);
+        let mut sim = Decentral::new(ArrivalSource::from_trace(&t), DecPolicy::Hopper, &cfg, true);
+        sim.drain();
+        let e = sim.ev_counts;
+        let c = sim.queue.counters();
+        assert_eq!(c, run(&t, DecPolicy::Hopper, &cfg).queue_counters);
+        assert_eq!(c.lane_pushes, e[1] + e[2] + e[3] + e[4] + e[6], "{e:?}");
+        assert_eq!(c.heap_pushes, e[5] + e[7], "{e:?}");
+        assert!(e[4] > 0 && e[6] > 0, "refusals and kills exercised: {e:?}");
     }
 
     #[test]

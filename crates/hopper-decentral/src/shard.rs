@@ -531,6 +531,7 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         stats,
         report,
         shard: Some(shard_stats),
+        queue_counters: Default::default(),
     }
 }
 

@@ -4,26 +4,40 @@
 //! same instant are popped in the order they were pushed (FIFO). That
 //! stability is what makes whole-simulation determinism cheap: no hash-map
 //! iteration order or heap tie ambiguity ever leaks into results.
+//!
+//! A queue may also keep a FIFO *lane* for events pushed at one fixed
+//! delay ([`EventQueue::with_fifo_delay`]). The clock never rewinds and the
+//! insertion sequence only grows, so such events arrive already sorted by
+//! `(time, seq)`: the lane is a plain deque, and `pop` takes the smaller of
+//! its front and the heap's top. The pop order is the heap-only order, tie
+//! for tie.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
 /// An event plus its scheduling metadata, as stored in the queue.
-#[derive(Debug, Clone)]
-pub struct EventEntry<E> {
+#[derive(Debug)]
+struct EventEntry<E> {
     /// When the event fires.
-    pub time: SimTime,
+    time: SimTime,
     /// Monotonic insertion sequence number; breaks same-time ties FIFO.
-    pub seq: u64,
+    seq: u64,
     /// The payload.
-    pub event: E,
+    event: E,
+}
+
+impl<E> EventEntry<E> {
+    /// The total-order key: earlier time first, then earlier push.
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl<E> PartialEq for EventEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for EventEntry<E> {}
@@ -38,11 +52,19 @@ impl<E> Ord for EventEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
         // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
+}
+
+/// Deterministic work counters of an [`EventQueue`]: how many pushes
+/// went to the binary heap and how many to the FIFO lane. Exact per
+/// seed, so they can be compared across runs and gated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueCounters {
+    /// Pushes into the binary heap (O(log n) each, and O(log n) to pop).
+    pub heap_pushes: u64,
+    /// Pushes into the fixed-delay FIFO lane (O(1) each way).
+    pub lane_pushes: u64,
 }
 
 /// A discrete-event priority queue with stable (FIFO) tie-breaking.
@@ -54,7 +76,12 @@ impl<E> Ord for EventEntry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<EventEntry<E>>,
+    /// Events pushed `lane_delay` after the clock, in push order, which
+    /// is `(time, seq)` order. Empty when `lane_delay` is `None`.
+    lane: VecDeque<EventEntry<E>>,
+    lane_delay: Option<SimTime>,
     next_seq: u64,
+    lane_pushes: u64,
     now: SimTime,
 }
 
@@ -65,12 +92,27 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue with the clock at time zero.
+    /// Create an empty queue with the clock at time zero. Every event
+    /// goes through the binary heap.
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            lane_delay: None,
             next_seq: 0,
+            lane_pushes: 0,
             now: SimTime::ZERO,
+        }
+    }
+
+    /// Create an empty queue whose [`EventQueue::push_after`] calls with
+    /// exactly `delay` go to an O(1) FIFO lane instead of the heap (for
+    /// drivers whose messages all pay one fixed latency). The pop order
+    /// is identical to [`EventQueue::new`]'s.
+    pub fn with_fifo_delay(delay: SimTime) -> Self {
+        Self {
+            lane_delay: Some(delay),
+            ..Self::new()
         }
     }
 
@@ -81,17 +123,20 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
-    /// Total number of events ever pushed (diagnostics).
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
+    /// Pushes so far, split by store.
+    pub fn counters(&self) -> QueueCounters {
+        QueueCounters {
+            heap_pushes: self.next_seq - self.lane_pushes,
+            lane_pushes: self.lane_pushes,
+        }
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -113,14 +158,42 @@ impl<E> EventQueue<E> {
         self.heap.push(entry);
     }
 
-    /// Schedule `event` at `delay` after the current clock.
+    /// Schedule `event` at `delay` after the current clock. With `delay`
+    /// equal to the lane delay the event joins the FIFO lane.
     pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
+        if self.lane_delay != Some(delay) {
+            self.push(self.now + delay, event);
+            return;
+        }
+        let entry = EventEntry {
+            time: self.now + delay,
+            seq: self.next_seq,
+            event,
+        };
+        debug_assert!(
+            self.lane.back().is_none_or(|b| b.key() < entry.key()),
+            "FIFO lane out of order"
+        );
+        self.next_seq += 1;
+        self.lane_pushes += 1;
+        self.lane.push_back(entry);
+    }
+
+    /// Whether the earliest pending event is the lane's front.
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => l.key() < h.key(),
+            (lane, _) => lane.is_some(),
+        }
     }
 
     /// Pop the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let entry = if self.lane_first() {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
         Some((entry.time, entry.event))
@@ -128,7 +201,10 @@ impl<E> EventQueue<E> {
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => Some(l.time.min(h.time)),
+            (lane, heap) => lane.or(heap).map(|e| e.time),
+        }
     }
 
     /// Advance the clock to `t` without popping an event.
@@ -145,11 +221,6 @@ impl<E> EventQueue<E> {
             self.now
         );
         self.now = t;
-    }
-
-    /// Drop every pending event (the clock is unchanged).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -209,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_len_clear() {
+    fn peek_len_and_counters() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
@@ -217,9 +288,31 @@ mod tests {
         q.push(SimTime::from_millis(3), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-        q.clear();
+        q.push_after(SimTime::from_millis(1), ());
+        let c = q.counters();
+        assert_eq!((c.heap_pushes, c.lane_pushes), (3, 0));
+    }
+
+    #[test]
+    fn lane_merges_with_heap_in_total_order() {
+        let ms = SimTime::from_millis;
+        let mut q = EventQueue::with_fifo_delay(ms(5));
+        q.push(ms(5), "heap@5 first");
+        q.push_after(ms(5), "lane@5");
+        q.push(ms(5), "heap@5 last");
+        q.push_after(ms(2), "heap@2");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(ms(2)));
+        assert_eq!(q.pop(), Some((ms(2), "heap@2")));
+        q.push_after(ms(5), "lane@7");
+        assert_eq!(q.pop(), Some((ms(5), "heap@5 first")));
+        assert_eq!(q.pop(), Some((ms(5), "lane@5")));
+        assert_eq!(q.pop(), Some((ms(5), "heap@5 last")));
+        assert_eq!(q.peek_time(), Some(ms(7)));
+        assert_eq!(q.pop(), Some((ms(7), "lane@7")));
         assert!(q.is_empty());
-        assert_eq!(q.pushed(), 2);
+        let c = q.counters();
+        assert_eq!((c.heap_pushes, c.lane_pushes), (3, 2));
     }
 
     #[test]

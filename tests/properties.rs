@@ -5,6 +5,7 @@ use hopper::metrics::percentile;
 use hopper::sim::{rng_from_seed, EventQueue, SimTime};
 use hopper::workload::Dist;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn demand_strategy() -> impl Strategy<Value = JobDemand> {
     (
@@ -23,6 +24,61 @@ fn demand_strategy() -> impl Strategy<Value = JobDemand> {
             beta,
             weight,
         })
+}
+
+/// Delay of the FIFO lane in the lane-vs-heap differential.
+const LANE_MS: u64 = 2;
+
+/// Drive a heap-only queue and a queue with a FIFO lane at [`LANE_MS`]
+/// through the same operations, and assert that every observation —
+/// popped `(time, event)`, `peek_time`, `len`, `is_empty` — agrees after
+/// each one, then that both drain identically. An op is `(kind, arg)`:
+///
+/// - 0: `push` at `now + arg % 4` (absolute; same-instant ties galore);
+/// - 1: `push_after` at the lane delay;
+/// - 2: `push_after` at another delay (0, 1, 3 or 5);
+/// - 3: `advance_to` up to 2 ms ahead, never past the next event;
+/// - 4, 5: `pop`.
+fn assert_lane_matches_heap(ops: impl IntoIterator<Item = (u8, u64)>) {
+    let ms = SimTime::from_millis;
+    let mut heap = EventQueue::new();
+    let mut lane = EventQueue::with_fifo_delay(ms(LANE_MS));
+    for (i, (kind, arg)) in ops.into_iter().enumerate() {
+        match kind {
+            0 => {
+                let at = heap.now() + ms(arg % 4);
+                heap.push(at, i);
+                lane.push(at, i);
+            }
+            1 => {
+                heap.push_after(ms(LANE_MS), i);
+                lane.push_after(ms(LANE_MS), i);
+            }
+            2 => {
+                let d = ms([0, 1, 3, 5][arg as usize % 4]);
+                heap.push_after(d, i);
+                lane.push_after(d, i);
+            }
+            3 => {
+                let t = heap.now() + ms(arg % 3);
+                let t = heap.peek_time().map_or(t, |next| t.min(next));
+                heap.advance_to(t);
+                lane.advance_to(t);
+            }
+            _ => assert_eq!(heap.pop(), lane.pop(), "op {i}"),
+        }
+        assert_eq!(heap.peek_time(), lane.peek_time(), "op {i}");
+        assert_eq!(heap.len(), lane.len(), "op {i}");
+        assert_eq!(heap.is_empty(), lane.is_empty(), "op {i}");
+        assert_eq!(heap.now(), lane.now(), "op {i}");
+    }
+    while let Some(ev) = heap.pop() {
+        assert_eq!(Some(ev), lane.pop());
+    }
+    assert!(lane.is_empty());
+    let (h, l) = (heap.counters(), lane.counters());
+    assert_eq!(h.lane_pushes, 0);
+    assert_eq!(h.heap_pushes, l.heap_pushes + l.lane_pushes);
 }
 
 proptest! {
@@ -170,6 +226,13 @@ proptest! {
         }
     }
 
+    /// A queue with a FIFO lane pops exactly what the heap-only queue
+    /// pops, tie for tie, under random interleavings of every operation.
+    #[test]
+    fn event_queue_lane_matches_heap(ops in prop::collection::vec((0u8..6, 0u64..12), 0..400)) {
+        assert_lane_matches_heap(ops);
+    }
+
     /// Pareto sampler honours its analytic complementary CDF.
     #[test]
     fn pareto_tail_is_correct(shape in 1.1f64..2.5, scale in 0.1f64..10.0, seed in 0u64..50) {
@@ -228,4 +291,16 @@ proptest! {
             prop_assert!(steps <= threshold + 4, "episode exceeded its bound");
         }
     }
+}
+
+/// The lane-vs-heap differential over 10⁶ operations, so the lane and
+/// the heap both grow deep. Ignored by default; run in release with
+/// `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore = "large; run in release via -- --ignored"]
+fn event_queue_lane_matches_heap_at_scale() {
+    let mut rng = rng_from_seed(0x1a4e);
+    assert_lane_matches_heap(
+        (0..1_000_000).map(|_| (rng.gen_range(0..6u8), rng.gen_range(0..12u64))),
+    );
 }
