@@ -12,13 +12,15 @@
 //!   freed (paper §2.2, footnote 1: both run "until the first completes").
 //! - **Locality.** Input-phase tasks carry a replica set; running
 //!   elsewhere multiplies the duration by the remote-read penalty.
-//! - **DAG + shuffle.** A downstream phase becomes eligible when its
-//!   upstream phases pass the slow-start fraction; its tasks' durations
-//!   include the per-task intermediate-data transfer time, which also
-//!   feeds the job's α (remaining transfer vs remaining compute, §4.2).
+//! - **DAG + shuffle.** A downstream phase becomes eligible when every
+//!   task of its upstream phases has finished (a strict barrier); its
+//!   tasks' durations include the per-task intermediate-data transfer
+//!   time, which also feeds the job's α (remaining transfer vs remaining
+//!   compute, §4.2).
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use hopper_core::alpha_from_work;
 use hopper_sim::SimTime;
 use hopper_workload::{Dist, TraceJob, TracePhase};
 use rand::rngs::StdRng;
@@ -199,7 +201,7 @@ pub struct FinishOutcome {
     pub nominal: SimTime,
     /// Whether the whole phase completed with this task.
     pub phase_done: bool,
-    /// Phases that just became eligible (slow-start satisfied).
+    /// Phases that just became eligible (every upstream task finished).
     pub newly_eligible: Vec<usize>,
     /// Whether the whole job completed.
     pub job_done: bool,
@@ -832,7 +834,7 @@ impl JobRun {
         self.idx.total_remaining -= 1;
         self.idx.remaining_compute_ms -= work_ms;
 
-        // Slow-start: re-evaluate eligibility of downstream phases.
+        // Strict barrier: re-evaluate eligibility of downstream phases.
         let mut newly_eligible = Vec::new();
         for pi in 0..self.phases.len() {
             if self.phases[pi].eligible {
@@ -840,8 +842,7 @@ impl JobRun {
             }
             let ready = self.phases[pi].spec.upstream.iter().all(|&u| {
                 let up = &self.phases[u];
-                let need = (up.num_tasks() as f64 * self.slowstart(u)).ceil() as usize;
-                up.finished >= need.max(1)
+                up.finished >= up.num_tasks().max(1)
             });
             if ready {
                 self.phases[pi].eligible = true;
@@ -948,12 +949,6 @@ impl JobRun {
         #[cfg(debug_assertions)]
         self.debug_check_index();
         resched
-    }
-
-    /// Slow-start fraction for upstream phase `u` (constant today; indexed
-    /// so per-phase policies can be added without changing callers).
-    fn slowstart(&self, _u: usize) -> f64 {
-        1.0
     }
 
     /// Insert a newly-eligible phase's tasks into the counters and pending
@@ -1332,7 +1327,7 @@ impl JobRun {
         if transfer_ms <= 0.0 {
             1.0
         } else {
-            hopper_core_alpha(transfer_ms, compute_ms)
+            alpha_from_work(transfer_ms, compute_ms)
         }
     }
 
@@ -1344,7 +1339,7 @@ impl JobRun {
     /// transfer term is built from the recurring-job prediction.
     pub fn alpha_with_predicted_output(&self, mb_per_task: f64, cfg: &ClusterConfig) -> f64 {
         let compute_ms = self.remaining_compute_ms_f64();
-        let Some((pi, next)) = self.idx.first_ineligible.map(|pi| (pi, &self.phases[pi])) else {
+        let Some(next) = self.idx.first_ineligible.map(|pi| &self.phases[pi]) else {
             return 1.0;
         };
         let upstream_tasks: usize = next
@@ -1353,7 +1348,6 @@ impl JobRun {
             .iter()
             .map(|&u| self.phases[u].num_tasks())
             .sum();
-        let _ = pi;
         if next.num_tasks() == 0 {
             return 1.0;
         }
@@ -1362,7 +1356,7 @@ impl JobRun {
         if transfer_ms <= 0.0 {
             1.0
         } else {
-            hopper_core_alpha(transfer_ms, compute_ms)
+            alpha_from_work(transfer_ms, compute_ms)
         }
     }
 
@@ -1371,16 +1365,6 @@ impl JobRun {
         let total = self.local_launches + self.nonlocal_launches;
         (total > 0).then(|| self.local_launches as f64 / total as f64)
     }
-}
-
-/// α clamped like `hopper_core::alpha_from_work` (duplicated locally to
-/// avoid a dependency cycle; the clamp band is part of the documented
-/// contract in both places).
-fn hopper_core_alpha(transfer_ms: f64, compute_ms: f64) -> f64 {
-    if compute_ms <= 0.0 {
-        return 1.0;
-    }
-    (transfer_ms / compute_ms).clamp(0.05, 20.0)
 }
 
 /// Sample `dfs_replicas` distinct machines.

@@ -32,10 +32,6 @@ pub struct ClusterConfig {
     /// Per-slot network bandwidth in MB/s used to convert intermediate
     /// data volume into transfer time (drives α and shuffle durations).
     pub bandwidth_mbps: f64,
-    /// Fraction of upstream tasks that must finish before a downstream
-    /// phase becomes eligible. 1.0 = strict barrier (default); lower
-    /// values emulate Hadoop "slowstart" pipelining.
-    pub slowstart_fraction: f64,
     /// Upper clamp on the per-copy Pareto duration multiplier, bounding
     /// pathological tail draws (production stragglers observed up to ~8×;
     /// we allow well beyond that, the clamp only guards simulation time).
@@ -54,7 +50,6 @@ impl Default for ClusterConfig {
             dfs_replicas: 3,
             remote_read_penalty: 1.2,
             bandwidth_mbps: 125.0, // 1 Gbps, as in the paper's cluster
-            slowstart_fraction: 1.0,
             max_straggle_factor: 40.0,
             handoff_ms: 1000,
         }

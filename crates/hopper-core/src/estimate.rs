@@ -247,7 +247,8 @@ impl AlphaEstimator {
     }
 }
 
-/// Compute α from its ingredients (pure helper shared by both drivers).
+/// Compute α from its ingredients (pure helper; `hopper-cluster`'s
+/// `JobRun` α methods call it).
 ///
 /// `remaining_transfer_ms` is the time to move the job's pending
 /// intermediate data at the given per-slot bandwidth; `remaining_compute_ms`

@@ -1,13 +1,15 @@
 //! Conservative-PDES support types for sharded simulation engines.
 //!
 //! A sharded engine partitions its entities (schedulers, workers)
-//! across N shards, each with its own event heap, and advances them in
+//! across N shards, each with its own event queue, and advances them in
 //! lockstep *windows* bounded by the safe horizon
 //! `min(next event across shards) + lookahead`, where the lookahead is
 //! the engine's minimum cross-entity message latency. Every event
 //! carries an [`EventKey`] — `(time, origin entity, per-origin
-//! sequence)` — so each shard pops its heap in a total order that does
-//! not depend on how entities were partitioned: per-origin sequence
+//! sequence)`, defined next to the queue in `hopper_sim` and re-exported
+//! here — and each shard's queue is a `hopper_sim::EventQueue` fed only
+//! through `push_keyed`, so it pops in a total order that does not
+//! depend on how entities were partitioned: per-origin sequence
 //! numbers are assigned by the emitting entity in its own deterministic
 //! emission order, and entities on different shards interact only
 //! through messages that pay at least the lookahead. Together those two
@@ -15,25 +17,9 @@
 //! invariant `tests/shard.rs` pins; see DESIGN.md, "Sharded
 //! execution").
 
+pub use hopper_sim::EventKey;
 use hopper_sim::SimTime;
 use std::sync::{Condvar, Mutex};
-
-/// Total-order key of one simulation event: timestamp, emitting entity,
-/// and the entity's own emission sequence number. Keys are unique (an
-/// origin never reuses a sequence number), so a heap ordered by
-/// `EventKey` is a deterministic total order regardless of insertion
-/// order — the property that makes cross-shard mailbox delivery order
-/// irrelevant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EventKey {
-    /// Simulation instant the event fires.
-    pub time: SimTime,
-    /// Emitting entity (engine-defined numbering; e.g. schedulers then
-    /// workers). Ties at equal time break by origin, then sequence.
-    pub origin: u64,
-    /// The origin's emission counter at send — unique per origin.
-    pub seq: u64,
-}
 
 /// The conservative-window bound: the earliest instant at which any
 /// shard could be affected by another shard's not-yet-executed work.
@@ -57,7 +43,7 @@ where
 /// posting `(key, payload)` into the destination's mailbox during a
 /// window and draining it at the next barrier. Posting order across
 /// sending shards is racy, but every message carries its unique
-/// [`EventKey`], so the receiving heap re-establishes the one
+/// [`EventKey`], so the receiving queue re-establishes the one
 /// deterministic order.
 #[derive(Debug, Default)]
 pub struct Mailbox<T> {

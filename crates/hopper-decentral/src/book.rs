@@ -90,8 +90,11 @@ pub(crate) struct Offer {
 pub(crate) struct Worker {
     /// Parked reservations, in arrival order.
     pub queue: Vec<Reservation>,
-    /// Slots neither running a copy nor promised to the episode.
-    pub free: usize,
+    /// Slots neither running a copy nor promised to the episode; never
+    /// above `slots`.
+    free: usize,
+    /// The machine's slot count.
+    slots: usize,
     /// The late-binding episode in flight (it holds one promised slot).
     episode: Option<FreeSlotEpisode>,
     /// Machine incarnation, bumped on failure: a reply to an offer from
@@ -114,6 +117,7 @@ impl Worker {
         Worker {
             queue: Vec::new(),
             free: slots,
+            slots,
             episode: None,
             inc: 0,
             ep: 0,
@@ -121,9 +125,29 @@ impl Worker {
         }
     }
 
+    /// Slots neither running a copy nor promised to the episode.
+    pub fn free(&self) -> usize {
+        self.free
+    }
+
     /// Whether an episode is in flight.
     pub fn has_episode(&self) -> bool {
         self.episode.is_some()
+    }
+
+    /// A copy stopped or a promised slot came back: return one slot to
+    /// the free pool. Callers first check that the slot is still this
+    /// incarnation's (a slot on a failed machine died with it). Panics,
+    /// in release builds too, on a return past the machine's slot count:
+    /// a double release.
+    pub fn release_slot(&mut self) {
+        assert!(
+            self.free < self.slots,
+            "slot released twice: {} of {} already free",
+            self.free,
+            self.slots
+        );
+        self.free += 1;
     }
 
     /// Promise a free slot to a new episode, if there is a free slot, no
@@ -196,7 +220,7 @@ impl Worker {
             }
             WorkerAction::Idle => {
                 self.end_episode();
-                self.free += 1;
+                self.release_slot();
                 None
             }
         };
@@ -282,7 +306,7 @@ impl Worker {
             return false;
         }
         self.end_episode();
-        self.free += 1;
+        self.release_slot();
         true
     }
 
@@ -306,9 +330,9 @@ impl Worker {
         queue
     }
 
-    /// The machine rejoins with `slots` free slots and an empty queue.
-    pub fn recover(&mut self, slots: usize) {
-        self.free = slots;
+    /// The machine rejoins with every slot free and an empty queue.
+    pub fn recover(&mut self) {
+        self.free = self.slots;
     }
 }
 
@@ -1119,8 +1143,15 @@ mod tests {
         assert_eq!(w.assigned(o.inc, o.ep, 3), None, "the slot died");
         assert!(!w.lease_expired(o.lease));
         assert!(!w.open_episode(2));
-        w.recover(2);
+        w.recover();
         assert_eq!(w.free, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot released twice")]
+    fn double_slot_release_panics() {
+        let mut w = Worker::new(2);
+        w.release_slot();
     }
 
     #[test]

@@ -30,8 +30,7 @@ use crate::audit::{Auditor, MsgKind};
 use crate::book::{fair_share, owner, SchedBook, Worker};
 use crate::faults::{FaultConfig, MsgFaults, SchedEv, SchedulerChain};
 use hopper_cluster::{
-    ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, MachineDynamics, MachineId, Machines,
-    TaskRef,
+    ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, MachineDynamics, MachineId, TaskRef,
 };
 use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, UnsatisfiedJob};
 use hopper_metrics::{
@@ -223,8 +222,10 @@ pub struct DecOutput {
     /// are observability only — never part of the determinism contract
     /// beyond `ShardStats`'s own documented fields.
     pub shard: Option<crate::shard::ShardStats>,
-    /// Heap and FIFO-lane pushes of the serial driver's event queue (all
-    /// zero for the sharded engine, which keeps its own heap). Not in
+    /// Heap and FIFO-lane pushes of the engine's event queue. The sharded
+    /// engine sums its shards' queues (keyed, so every push is a heap
+    /// push), and the sums are the same for every shard count. Heap
+    /// pushes + lane pushes + arrivals = `stats.events`. Not in
     /// `report.core`: they count work, not outcomes.
     pub queue_counters: QueueCounters,
 }
@@ -375,7 +376,6 @@ struct Decentral<'a> {
     policy: DecPolicy,
     cfg: &'a DecConfig,
     queue: EventQueue<Ev>,
-    machines: Machines,
     /// One worker per machine (`crate::book`): its queue, slots,
     /// episode, and the incarnation/epoch/lease stamps.
     workers: Vec<Worker>,
@@ -489,7 +489,6 @@ impl<'a> Decentral<'a> {
             policy,
             cfg,
             queue,
-            machines: Machines::new(&cfg.cluster),
             workers: vec![Worker::new(cfg.cluster.slots_per_machine); cfg.cluster.machines],
             purged_at: vec![0; cfg.cluster.machines],
             arrivals,
@@ -590,7 +589,7 @@ impl<'a> Decentral<'a> {
             a.check_worker(
                 w,
                 self.worker_up(w),
-                self.workers[w].free as u64,
+                self.workers[w].free() as u64,
                 self.workers[w].has_episode(),
                 self.cfg.cluster.slots_per_machine as u64,
             );
@@ -824,7 +823,7 @@ impl<'a> Decentral<'a> {
                 a.check_worker(
                     w,
                     self.worker_up(w),
-                    self.workers[w].free as u64,
+                    self.workers[w].free() as u64,
                     self.workers[w].has_episode(),
                     self.cfg.cluster.slots_per_machine as u64,
                 );
@@ -1115,7 +1114,7 @@ impl<'a> Decentral<'a> {
         // retired — or the task may have finished while the assignment
         // was in flight.
         if !self.books[s].assign_landed(lj, task, speculative, consumed) {
-            self.workers[worker].free += 1;
+            self.workers[worker].release_slot();
             self.maybe_start_episode(worker);
             return;
         }
@@ -1131,7 +1130,6 @@ impl<'a> Decentral<'a> {
             );
         }
         book.wd_progress[lj] += 1;
-        self.machines.occupy_for(MachineId(worker), job);
         let (copy, dur) = book.jobs[lj].launch_copy_at_speed(
             task,
             MachineId(worker),
@@ -1213,13 +1211,11 @@ impl<'a> Decentral<'a> {
                         self.send_probes(s, lj, probes);
                     }
                 }
-                self.machines.set_down(m);
             }
             DynEvent::Recover(_) => {
                 // The machine rejoins with every slot free and an empty
                 // queue; probes find it again through random placement.
-                self.machines.set_up(m);
-                self.workers[w].recover(self.cfg.cluster.slots_per_machine);
+                self.workers[w].recover();
             }
         }
     }
@@ -1240,8 +1236,7 @@ impl<'a> Decentral<'a> {
                     if let Some(a) = self.audit.as_mut() {
                         a.note_copy_stopped(worker);
                     }
-                    self.workers[worker].free += 1;
-                    self.machines.release_to(MachineId(worker), job);
+                    self.workers[worker].release_slot();
                     self.maybe_start_episode(worker);
                 }
                 return;
@@ -1273,8 +1268,7 @@ impl<'a> Decentral<'a> {
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_stopped(worker);
         }
-        self.workers[worker].free += 1;
-        self.machines.release_to(MachineId(worker), job);
+        self.workers[worker].release_slot();
         // Kill messages to losing siblings, stamped with the sibling
         // machine's current incarnation. With faults on, each kill is
         // also entered into the pending ledger so duplicates are
@@ -1322,8 +1316,7 @@ impl<'a> Decentral<'a> {
             if let Some(a) = self.audit.as_mut() {
                 a.note_copy_stopped(worker);
             }
-            self.workers[worker].free += 1;
-            self.machines.release_to(MachineId(worker), job);
+            self.workers[worker].release_slot();
             self.maybe_start_episode(worker);
         }
     }

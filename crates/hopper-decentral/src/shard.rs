@@ -7,9 +7,10 @@
 //! — schedulers and workers — across `DecConfig::shards` shards.
 //! Scheduler `s` lives on shard `s % S`; worker `w` on `w % S`; job `j`
 //! belongs to scheduler `j % K` and therefore to its shard. Each shard
-//! owns a private event heap, per-entity RNG children, and the complete
-//! runtime state of its entities (worker queues and running-copy
-//! records; scheduler job slabs, counters, and estimators). Shards
+//! owns a private event queue (a `hopper_sim::EventQueue` ordered by
+//! [`EventKey`]), per-entity RNG children, and the complete runtime
+//! state of its entities (worker queues and running-copy records;
+//! scheduler job slabs, counters, and estimators). Shards
 //! advance in lockstep *conservative windows* (classic conservative
 //! PDES): at each window barrier every shard publishes its earliest
 //! pending event; the next window executes everything strictly before
@@ -28,7 +29,7 @@
 //!    latency;
 //! 2. every event carries an [`EventKey`] `(time, origin, seq)` whose
 //!    per-origin sequence is assigned by the *emitting* entity in its
-//!    own deterministic order, so each shard's heap pops in a total
+//!    own deterministic order, so each shard's queue pops in a total
 //!    order that restricts the same global order regardless of the
 //!    partition;
 //! 3. every stream of randomness is owned by a single entity
@@ -58,8 +59,7 @@
 //! are identical to *each other* for every shard count ≥ 1. DESIGN.md
 //! lists the embedding differences ("Known deviations").
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 use crate::audit::{Auditor, MsgKind};
@@ -68,14 +68,14 @@ use crate::driver::{DecConfig, DecOutput, DecPolicy, DecStats};
 use crate::faults::{MsgFaults, SchedEv, SchedulerChain};
 use hopper_cluster::{
     duration_at_speed, rescaled_finish, CopyRef, DynEvent, JobRun, MachineDynamics, MachineId,
-    Machines, TaskRef,
+    TaskRef,
 };
 use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, UnsatisfiedJob};
 use hopper_core::{safe_horizon, EventKey, Mailbox, SyncBarrier};
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySeries, TelemetrySnapshot,
 };
-use hopper_sim::{SeedSequence, SimTime};
+use hopper_sim::{EventQueue, QueueCounters, SeedSequence, SimTime};
 use hopper_workload::{ArrivalSource, TraceJob};
 use rand::rngs::StdRng;
 
@@ -106,7 +106,7 @@ pub struct ShardStats {
     pub horizon_stalls: u64,
     /// Messages that crossed a shard boundary (through a mailbox).
     pub cross_msgs: u64,
-    /// Messages whose sender and receiver shared a shard (heap-local).
+    /// Messages whose sender and receiver shared a shard (queue-local).
     pub local_msgs: u64,
 }
 
@@ -228,36 +228,10 @@ fn rpc_kind(ev: &SEv) -> Option<MsgKind> {
     }
 }
 
-/// Heap entry ordered by [`EventKey`] alone — the payload never
-/// participates, so the pop order is the deterministic global order
-/// restricted to this shard.
-#[derive(Debug)]
-struct HeapEv {
-    key: EventKey,
-    ev: SEv,
-}
-
-impl PartialEq for HeapEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for HeapEv {}
-impl PartialOrd for HeapEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
 /// What a shard publishes at each window barrier.
 #[derive(Debug, Default)]
 struct SlotPub {
-    /// Earliest pending event (heap min or next owned arrival).
+    /// Earliest pending event (queue min or next owned arrival).
     next: Option<SimTime>,
     /// Live (arrived, unfinished) jobs owned by this shard.
     live: usize,
@@ -357,7 +331,9 @@ struct Shard<'a> {
     retain_jobs: bool,
     lookahead: SimTime,
     backoff: BackoffPolicy,
-    heap: BinaryHeap<Reverse<HeapEv>>,
+    /// This shard's events, fed only by `push_keyed`: they pop in
+    /// [`EventKey`] order, the global order restricted to this shard.
+    queue: EventQueue<SEv>,
     /// Cross-shard sends buffered during a window, flushed to the
     /// destination mailboxes once at the barrier.
     outboxes: Vec<Vec<(EventKey, SEv)>>,
@@ -367,7 +343,6 @@ struct Shard<'a> {
     pending_arrival: Option<TraceJob>,
     scheds: Vec<SchedSt>,
     workers: Vec<WorkSt>,
-    machines: Machines,
     dynamics: Option<MachineDynamics>,
     sched_chain: Option<SchedulerChain>,
     audit: Option<Box<Auditor>>,
@@ -467,6 +442,9 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
     let mut live_high_water = 0usize;
     let mut done_total = 0usize;
     let mut audit: Option<Box<Auditor>> = None;
+    // Every event is pushed into exactly one shard's queue, so the sums
+    // are the same for every shard count.
+    let mut queue_counters = QueueCounters::default();
     let mut shard_stats = ShardStats {
         shards: nshards,
         windows: shards.first().map_or(0, |sh| sh.windows),
@@ -498,6 +476,9 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         shard_stats.horizon_stalls += sh.stalls;
         shard_stats.cross_msgs += sh.cross_msgs;
         shard_stats.local_msgs += sh.local_msgs;
+        let qc = sh.queue.counters();
+        queue_counters.heap_pushes += qc.heap_pushes;
+        queue_counters.lane_pushes += qc.lane_pushes;
         results.extend(sh.results);
         for sched in &sh.scheds {
             live_high_water += sched.book.jobs.high_water();
@@ -531,7 +512,7 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         stats,
         report,
         shard: Some(shard_stats),
-        queue_counters: Default::default(),
+        queue_counters,
     }
 }
 
@@ -608,10 +589,10 @@ impl<'a> Shard<'a> {
                     .then(|| MsgFaults::with_seed(cfg.faults, &seq, SHARD_WORKER_FAULT + w as u64)),
             })
             .collect();
-        let mut heap: BinaryHeap<Reverse<HeapEv>> = BinaryHeap::new();
+        let mut queue = EventQueue::new();
         // Every shard constructs the *full* dynamics plane and scheduler
         // chain — identical RNG draws everywhere, because both keep
-        // strictly per-entity generators — then seeds its heap with only
+        // strictly per-entity generators — then seeds its queue with only
         // its own entities' incidents. Applying an incident consumes only
         // the owning entity's generator, so the replicas never diverge.
         let mut dynamics = cfg
@@ -631,10 +612,7 @@ impl<'a> Shard<'a> {
                     seq: wk.seq,
                 };
                 wk.seq += 1;
-                heap.push(Reverse(HeapEv {
-                    key,
-                    ev: SEv::Dyn(ev),
-                }));
+                queue.push_keyed(key, SEv::Dyn(ev));
             }
         }
         let mut sched_chain = (faults_on && cfg.faults.sched_fail_rate_per_hour > 0.0)
@@ -653,10 +631,7 @@ impl<'a> Shard<'a> {
                     seq: sched_seqs[si],
                 };
                 sched_seqs[si] += 1;
-                heap.push(Reverse(HeapEv {
-                    key,
-                    ev: SEv::SchedDyn(ev),
-                }));
+                queue.push_keyed(key, SEv::SchedDyn(ev));
             }
         }
         let mut scheds = scheds;
@@ -677,13 +652,12 @@ impl<'a> Shard<'a> {
             retain_jobs,
             lookahead: cfg.msg_latency,
             backoff: BackoffPolicy::new(cfg.faults.rpc_timeout_ms, cfg.faults.rpc_retries),
-            heap,
+            queue,
             outboxes: (0..nshards).map(|_| Vec::new()).collect(),
             arrivals,
             pending_arrival: None,
             scheds,
             workers,
-            machines: Machines::new(&cfg.cluster),
             dynamics,
             sched_chain,
             audit: cfg!(debug_assertions).then(|| Auditor::new(nworkers)),
@@ -711,14 +685,13 @@ impl<'a> Shard<'a> {
         };
         loop {
             for (key, ev) in coord.mailboxes[self.id].drain() {
-                self.heap.push(Reverse(HeapEv { key, ev }));
+                self.queue.push_keyed(key, ev);
             }
             let next_local = {
                 let arrival = self.peek_own_arrival();
-                let heap = self.heap.peek().map(|Reverse(h)| h.key.time);
-                match (arrival, heap) {
-                    (Some(a), Some(h)) => Some(a.min(h)),
-                    (a, h) => a.or(h),
+                match (arrival, self.queue.peek_time()) {
+                    (Some(a), Some(q)) => Some(a.min(q)),
+                    (a, q) => a.or(q),
                 }
             };
             {
@@ -781,7 +754,7 @@ impl<'a> Shard<'a> {
                     self.dynamics
                         .as_ref()
                         .is_none_or(|d| d.is_up(MachineId(wk.w))),
-                    wk.state.free as u64,
+                    wk.state.free() as u64,
                     wk.state.has_episode(),
                     self.cfg.cluster.slots_per_machine as u64,
                 );
@@ -795,8 +768,8 @@ impl<'a> Shard<'a> {
     fn exec_window(&mut self, end: SimTime) {
         loop {
             let arrival_at = self.peek_own_arrival();
-            let heap_at = self.heap.peek().map(|Reverse(h)| h.key.time);
-            let take_arrival = match (arrival_at, heap_at) {
+            let queue_at = self.queue.peek_time();
+            let take_arrival = match (arrival_at, queue_at) {
                 (Some(a), Some(h)) => a < end && a <= h,
                 (Some(a), None) => a < end,
                 _ => false,
@@ -804,17 +777,17 @@ impl<'a> Shard<'a> {
             if take_arrival {
                 let spec = self.pending_arrival.take().expect("peeked arrival");
                 let now = arrival_at.expect("arrival time");
+                self.queue.advance_to(now);
                 self.tele_tick(now);
                 self.stats.events += 1;
                 self.ev_counts[0] += 1;
                 self.on_job_arrive(spec, now);
                 continue;
             }
-            if heap_at.is_none_or(|t| t >= end) {
+            if queue_at.is_none_or(|t| t >= end) {
                 return;
             }
-            let Reverse(HeapEv { key, ev }) = self.heap.pop().expect("peeked event");
-            let now = key.time;
+            let (now, ev) = self.queue.pop().expect("peeked event");
             self.tele_tick(now);
             self.stats.events += 1;
             self.ev_counts[ev_idx(&ev)] += 1;
@@ -1001,13 +974,13 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Deliver a keyed message: own heap if the destination entity lives
+    /// Deliver a keyed message: own queue if the destination entity lives
     /// here, else the destination shard's outbox (flushed at barrier B).
     fn route(&mut self, key: EventKey, ev: SEv) {
         let dest = self.dest_shard(&ev);
         if dest == self.id {
             self.local_msgs += 1;
-            self.heap.push(Reverse(HeapEv { key, ev }));
+            self.queue.push_keyed(key, ev);
         } else {
             self.cross_msgs += 1;
             self.outboxes[dest].push((key, ev));
@@ -1024,7 +997,7 @@ impl<'a> Shard<'a> {
             seq: st.seq,
         };
         st.seq += 1;
-        self.heap.push(Reverse(HeapEv { key, ev }));
+        self.queue.push_keyed(key, ev);
     }
 
     /// Queue a worker-local timer/self event.
@@ -1036,7 +1009,7 @@ impl<'a> Shard<'a> {
             seq: wk.seq,
         };
         wk.seq += 1;
-        self.heap.push(Reverse(HeapEv { key, ev }));
+        self.queue.push_keyed(key, ev);
     }
 
     /// Reliable internal message from worker `wi` at fixed latency.
@@ -1176,7 +1149,7 @@ impl<'a> Shard<'a> {
             a.check_worker(
                 w,
                 self.worker_up(w),
-                wk.state.free as u64,
+                wk.state.free() as u64,
                 wk.state.has_episode(),
                 self.cfg.cluster.slots_per_machine as u64,
             );
@@ -1369,7 +1342,6 @@ impl<'a> Shard<'a> {
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_started(worker);
         }
-        self.machines.occupy_for(MachineId(worker), job);
         self.push_local_worker(wi, now + dur, SEv::Finish { worker, wtoken });
         self.worker_msg(
             wi,
@@ -1404,8 +1376,7 @@ impl<'a> Shard<'a> {
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_stopped(worker);
         }
-        self.workers[wi].state.free += 1;
-        self.machines.release_to(MachineId(worker), rec.job);
+        self.workers[wi].state.release_slot();
         self.worker_msg(
             wi,
             now,
@@ -1425,14 +1396,13 @@ impl<'a> Shard<'a> {
     /// machine failure) settles the slot exactly once.
     fn on_kill(&mut self, worker: usize, wtoken: u64, now: SimTime) {
         let wi = self.wi_of(worker);
-        let Some(rec) = self.workers[wi].records.remove(&wtoken) else {
+        if self.workers[wi].records.remove(&wtoken).is_none() {
             return;
-        };
+        }
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_stopped(worker);
         }
-        self.workers[wi].state.free += 1;
-        self.machines.release_to(MachineId(worker), rec.job);
+        self.workers[wi].state.release_slot();
         self.maybe_start_episode(worker, now);
     }
 
@@ -1527,13 +1497,9 @@ impl<'a> Shard<'a> {
                         },
                     );
                 }
-                self.machines.set_down(m);
             }
             DynEvent::Recover(_) => {
-                self.machines.set_up(m);
-                self.workers[wi]
-                    .state
-                    .recover(self.cfg.cluster.slots_per_machine);
+                self.workers[wi].state.recover();
             }
         }
     }

@@ -14,7 +14,7 @@
 pub mod queue;
 pub mod time;
 
-pub use queue::{EventQueue, QueueCounters};
+pub use queue::{EventKey, EventQueue, QueueCounters};
 pub use time::SimTime;
 
 use rand::rngs::StdRng;

@@ -1,15 +1,21 @@
 //! A stable discrete-event queue.
 //!
-//! Events are popped in nondecreasing time order; events scheduled for the
-//! same instant are popped in the order they were pushed (FIFO). That
-//! stability is what makes whole-simulation determinism cheap: no hash-map
-//! iteration order or heap tie ambiguity ever leaks into results.
+//! Every entry is ordered by an [`EventKey`] `(time, origin, seq)`, and
+//! events pop in increasing key order. [`EventQueue::push`] and
+//! [`EventQueue::push_after`] stamp `origin: 0` and the queue's own
+//! insertion sequence, so events scheduled for the same instant pop in
+//! the order they were pushed (FIFO). That stability is what makes
+//! whole-simulation determinism cheap: no hash-map iteration order or
+//! heap tie ambiguity ever leaks into results. A driver whose entities
+//! stamp their own keys (the sharded engine, where each emitting entity
+//! numbers its own events) uses [`EventQueue::push_keyed`] instead; the
+//! pop order is then the keys' order, whatever the insertion order.
 //!
 //! A queue may also keep a FIFO *lane* for events pushed at one fixed
 //! delay ([`EventQueue::with_fifo_delay`]). The clock never rewinds and the
 //! insertion sequence only grows, so such events arrive already sorted by
-//! `(time, seq)`: the lane is a plain deque, and `pop` takes the smaller of
-//! its front and the heap's top. The pop order is the heap-only order, tie
+//! key: the lane is a plain deque, and `pop` takes the smaller of its
+//! front and the heap's top. The pop order is the heap-only order, tie
 //! for tie.
 
 use std::cmp::Ordering;
@@ -17,27 +23,32 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
-/// An event plus its scheduling metadata, as stored in the queue.
-#[derive(Debug)]
-struct EventEntry<E> {
-    /// When the event fires.
-    time: SimTime,
-    /// Monotonic insertion sequence number; breaks same-time ties FIFO.
-    seq: u64,
-    /// The payload.
-    event: E,
+/// Total-order key of one simulation event: timestamp, emitting entity,
+/// and the entity's own emission sequence number. Keys are unique (an
+/// origin never reuses a sequence number), so a queue ordered by
+/// `EventKey` pops in one deterministic total order regardless of
+/// insertion order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    /// Simulation instant the event fires.
+    pub time: SimTime,
+    /// Emitting entity (driver-defined numbering; e.g. schedulers then
+    /// workers). Ties at equal time break by origin, then sequence.
+    pub origin: u64,
+    /// The origin's emission counter at send — unique per origin.
+    pub seq: u64,
 }
 
-impl<E> EventEntry<E> {
-    /// The total-order key: earlier time first, then earlier push.
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
+/// An event plus its key, as stored in the queue.
+#[derive(Debug)]
+struct EventEntry<E> {
+    key: EventKey,
+    event: E,
 }
 
 impl<E> PartialEq for EventEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.key == other.key
     }
 }
 impl<E> Eq for EventEntry<E> {}
@@ -50,9 +61,8 @@ impl<E> PartialOrd for EventEntry<E> {
 
 impl<E> Ord for EventEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other.key().cmp(&self.key())
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -77,10 +87,12 @@ pub struct QueueCounters {
 pub struct EventQueue<E> {
     heap: BinaryHeap<EventEntry<E>>,
     /// Events pushed `lane_delay` after the clock, in push order, which
-    /// is `(time, seq)` order. Empty when `lane_delay` is `None`.
+    /// is key order. Empty when `lane_delay` is `None`.
     lane: VecDeque<EventEntry<E>>,
     lane_delay: Option<SimTime>,
+    /// The `seq` the next [`EventQueue::push`] stamps.
     next_seq: u64,
+    heap_pushes: u64,
     lane_pushes: u64,
     now: SimTime,
 }
@@ -100,6 +112,7 @@ impl<E> EventQueue<E> {
             lane: VecDeque::new(),
             lane_delay: None,
             next_seq: 0,
+            heap_pushes: 0,
             lane_pushes: 0,
             now: SimTime::ZERO,
         }
@@ -134,9 +147,21 @@ impl<E> EventQueue<E> {
     /// Pushes so far, split by store.
     pub fn counters(&self) -> QueueCounters {
         QueueCounters {
-            heap_pushes: self.next_seq - self.lane_pushes,
+            heap_pushes: self.heap_pushes,
             lane_pushes: self.lane_pushes,
         }
+    }
+
+    /// The key [`EventQueue::push`] stamps on an event at `at`: origin 0
+    /// and the next insertion sequence, so equal instants pop FIFO.
+    fn stamp(&mut self, at: SimTime) -> EventKey {
+        let key = EventKey {
+            time: at,
+            origin: 0,
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
+        key
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -144,45 +169,45 @@ impl<E> EventQueue<E> {
     /// Debug-panics if `at` is before the current clock; the engine never
     /// rewrites history.
     pub fn push(&mut self, at: SimTime, event: E) {
+        let key = self.stamp(at);
+        self.push_keyed(key, event);
+    }
+
+    /// Schedule `event` under a key its driver stamped. Keys must be
+    /// unique; a queue fed only by this method pops in key order,
+    /// whatever order the pushes came in. Debug-panics if the key's time
+    /// is before the current clock.
+    pub fn push_keyed(&mut self, key: EventKey, event: E) {
         debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at:?} now={:?}",
+            key.time >= self.now,
+            "event scheduled in the past: at={:?} now={:?}",
+            key.time,
             self.now
         );
-        let entry = EventEntry {
-            time: at,
-            seq: self.next_seq,
-            event,
-        };
-        self.next_seq += 1;
-        self.heap.push(entry);
+        self.heap_pushes += 1;
+        self.heap.push(EventEntry { key, event });
     }
 
     /// Schedule `event` at `delay` after the current clock. With `delay`
     /// equal to the lane delay the event joins the FIFO lane.
     pub fn push_after(&mut self, delay: SimTime, event: E) {
+        let key = self.stamp(self.now + delay);
         if self.lane_delay != Some(delay) {
-            self.push(self.now + delay, event);
+            self.push_keyed(key, event);
             return;
         }
-        let entry = EventEntry {
-            time: self.now + delay,
-            seq: self.next_seq,
-            event,
-        };
         debug_assert!(
-            self.lane.back().is_none_or(|b| b.key() < entry.key()),
+            self.lane.back().is_none_or(|b| b.key < key),
             "FIFO lane out of order"
         );
-        self.next_seq += 1;
         self.lane_pushes += 1;
-        self.lane.push_back(entry);
+        self.lane.push_back(EventEntry { key, event });
     }
 
     /// Whether the earliest pending event is the lane's front.
     fn lane_first(&self) -> bool {
         match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => l.key() < h.key(),
+            (Some(l), Some(h)) => l.key < h.key,
             (lane, _) => lane.is_some(),
         }
     }
@@ -194,16 +219,17 @@ impl<E> EventQueue<E> {
         } else {
             self.heap.pop()
         }?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
-        Some((entry.time, entry.event))
+        let time = entry.key.time;
+        debug_assert!(time >= self.now);
+        self.now = time;
+        Some((time, entry.event))
     }
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => Some(l.time.min(h.time)),
-            (lane, heap) => lane.or(heap).map(|e| e.time),
+            (Some(l), Some(h)) => Some(l.key.time.min(h.key.time)),
+            (lane, heap) => lane.or(heap).map(|e| e.key.time),
         }
     }
 
@@ -289,8 +315,17 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
         q.push_after(SimTime::from_millis(1), ());
+        q.push_keyed(
+            EventKey {
+                time: SimTime::from_millis(2),
+                origin: 5,
+                seq: 0,
+            },
+            (),
+        );
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
         let c = q.counters();
-        assert_eq!((c.heap_pushes, c.lane_pushes), (3, 0));
+        assert_eq!((c.heap_pushes, c.lane_pushes), (4, 0));
     }
 
     #[test]

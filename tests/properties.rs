@@ -2,7 +2,7 @@
 
 use hopper::core::{allocate, AllocConfig, FreeSlotEpisode, JobDemand, Reservation, WorkerAction};
 use hopper::metrics::percentile;
-use hopper::sim::{rng_from_seed, EventQueue, SimTime};
+use hopper::sim::{rng_from_seed, EventKey, EventQueue, SimTime};
 use hopper::workload::Dist;
 use proptest::prelude::*;
 use rand::Rng;
@@ -79,6 +79,46 @@ fn assert_lane_matches_heap(ops: impl IntoIterator<Item = (u8, u64)>) {
     let (h, l) = (heap.counters(), lane.counters());
     assert_eq!(h.lane_pushes, 0);
     assert_eq!(h.heap_pushes, l.heap_pushes + l.lane_pushes);
+}
+
+/// Drive a queue fed only by `push_keyed` and a reference
+/// `BinaryHeap<Reverse<(EventKey, id)>>` through the same operations and
+/// assert that they pop the same events in the same order. An op is
+/// `(kind, offset, origin)`:
+///
+/// - 0–2: push at `now + offset % 3` from `origin`, stamped with that
+///   origin's next sequence number (few instants, few origins: ties at
+///   one instant are the common case);
+/// - 3: pop from both.
+fn assert_keyed_matches_reference(ops: impl IntoIterator<Item = (u8, u64, u64)>) {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut q = EventQueue::new();
+    let mut reference = BinaryHeap::new();
+    let mut seqs = [0u64; 4];
+    for (i, (kind, offset, origin)) in ops.into_iter().enumerate() {
+        if kind < 3 {
+            let origin = origin % seqs.len() as u64;
+            let key = EventKey {
+                time: q.now() + SimTime::from_millis(offset % 3),
+                origin,
+                seq: seqs[origin as usize],
+            };
+            seqs[origin as usize] += 1;
+            q.push_keyed(key, i);
+            reference.push(Reverse((key, i)));
+        } else {
+            let want = reference.pop().map(|Reverse((k, id))| (k.time, id));
+            assert_eq!(q.pop(), want, "op {i}");
+        }
+        let next = reference.peek().map(|Reverse((k, _))| k.time);
+        assert_eq!(q.peek_time(), next, "op {i}");
+        assert_eq!(q.len(), reference.len(), "op {i}");
+    }
+    while let Some(Reverse((k, id))) = reference.pop() {
+        assert_eq!(q.pop(), Some((k.time, id)));
+    }
+    assert!(q.is_empty());
 }
 
 proptest! {
@@ -224,6 +264,15 @@ proptest! {
             }
             last = Some((t, i));
         }
+    }
+
+    /// Keyed pushes pop in `EventKey` order — time, then origin, then
+    /// the origin's sequence — exactly like the reference heap.
+    #[test]
+    fn event_queue_keyed_order_matches_reference(
+        ops in prop::collection::vec((0u8..4, 0u64..6, 0u64..3), 0..400),
+    ) {
+        assert_keyed_matches_reference(ops);
     }
 
     /// A queue with a FIFO lane pops exactly what the heap-only queue

@@ -38,6 +38,20 @@ fn cfg(seed: u64, shards: usize) -> DecConfig {
     }
 }
 
+/// A message and scheduler-crash storm: loss, duplication, jitter,
+/// crashes with recovery, and RPC timeouts with retries.
+fn storm() -> FaultConfig {
+    FaultConfig {
+        msg_loss: 0.05,
+        msg_jitter_ms: 5,
+        msg_dup: 0.02,
+        sched_fail_rate_per_hour: 400.0,
+        sched_mttr_ms: 1_500,
+        rpc_timeout_ms: 1_000,
+        rpc_retries: 3,
+    }
+}
+
 const POLICIES: [DecPolicy; 3] = [
     DecPolicy::Sparrow,
     DecPolicy::SparrowSrpt,
@@ -62,6 +76,10 @@ fn assert_same(a: &decentral::DecOutput, b: &decentral::DecOutput, ctx: &str) {
         sa.cross_msgs + sa.local_msgs,
         sb.cross_msgs + sb.local_msgs,
         "total message count drifted: {ctx}"
+    );
+    assert_eq!(
+        a.queue_counters, b.queue_counters,
+        "queue counters drifted: {ctx}"
     );
 }
 
@@ -140,15 +158,7 @@ fn shard_counts_are_bit_identical_under_dynamics() {
 /// also the "chaos stays auditor-silent under sharding" gate.
 #[test]
 fn shard_counts_are_bit_identical_under_fault_storm() {
-    let storm = FaultConfig {
-        msg_loss: 0.05,
-        msg_jitter_ms: 5,
-        msg_dup: 0.02,
-        sched_fail_rate_per_hour: 400.0,
-        sched_mttr_ms: 1_500,
-        rpc_timeout_ms: 1_000,
-        rpc_retries: 3,
-    };
+    let storm = storm();
     for policy in POLICIES {
         let seed = 11;
         let t = trace(seed, 25);
@@ -228,6 +238,40 @@ fn sharded_streaming_matches_materialized_and_shard_counts() {
             base.report.digest, got.report.digest,
             "digest drifted: {ctx}"
         );
+    }
+}
+
+/// Every queued event is popped exactly once and the queues drain, so
+/// heap pushes + lane pushes + arrivals == events, for the serial driver
+/// (`shards = 0`) and the sharded engine alike. The sharded engine
+/// pushes each event into exactly one shard's keyed queue and has no
+/// FIFO lane, so its counters are the same for every shard count.
+#[test]
+fn queue_counters_account_for_every_event() {
+    for (name, faults) in [("calm", FaultConfig::off()), ("storm", storm())] {
+        let t = trace(3, 25);
+        let mut sharded = None;
+        for shards in [0, 1, 2, 3] {
+            let mut c = cfg(3, shards);
+            c.faults = faults;
+            let out = decentral::run(&t, DecPolicy::Hopper, &c);
+            let q = out.queue_counters;
+            let ctx = format!("{name}/shards{shards}: {q:?}");
+            assert_eq!(
+                q.heap_pushes + q.lane_pushes + t.jobs.len() as u64,
+                out.stats.events,
+                "a queued event was not popped exactly once: {ctx}"
+            );
+            if shards == 0 {
+                assert!(q.lane_pushes > 0, "serial lane unused: {ctx}");
+                continue;
+            }
+            assert_eq!(q.lane_pushes, 0, "sharded queues have no lane: {ctx}");
+            match sharded {
+                None => sharded = Some(q),
+                Some(base) => assert_eq!(base, q, "counters drifted: {ctx}"),
+            }
+        }
     }
 }
 
