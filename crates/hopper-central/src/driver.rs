@@ -172,6 +172,9 @@ pub fn run_source(
 
 #[derive(Debug, Clone)]
 enum Event {
+    /// The arrival of `Central::next_job`, queued by `push_arrival`
+    /// ahead of every other event at its instant.
+    Arrival,
     Finish {
         job: usize,
         copy: CopyRef,
@@ -222,10 +225,11 @@ struct Central<'a> {
     cfg: &'a SimConfig,
     queue: EventQueue<Event>,
     machines: Machines,
-    /// Undelivered arrivals, merged with `queue` by the run loop (an
-    /// arrival precedes any queued event at the same instant — the order
-    /// the historical pre-loaded arrival events produced).
+    /// Undelivered arrivals after `next_job`.
     arrivals: ArrivalSource<'a>,
+    /// The job whose [`Event::Arrival`] is queued (`None` once the
+    /// source is exhausted).
+    next_job: Option<TraceJob>,
     /// Live jobs' runtime state; completed jobs are retired (their
     /// task/copy state dropped, stats folded into accumulators).
     jobs: JobSlab,
@@ -258,7 +262,6 @@ struct Central<'a> {
     /// Priority order of the jobs with runnable work, for FIFO, SRPT and
     /// budgeted SRPT (`None` under Hopper and Fair) — see [`ReadyIndex`].
     ready: Option<ReadyIndex>,
-    arrivals_pending: usize,
     scan_armed: bool,
     /// Incrementally maintained Hopper allocation (empty for non-Hopper
     /// policies). Every `allocate` input change is pushed into it at the
@@ -342,12 +345,13 @@ impl<'a> Central<'a> {
             matches!(policy, Policy::Hopper(h) if h.learn_beta).then(|| beta_est.beta()),
         );
         let defer_dispatch = matches!(policy, Policy::Hopper(h) if h.realloc_drift > 0.0);
-        Central {
+        let mut central = Central {
             policy,
             cfg,
             queue,
             machines: Machines::new(&cfg.cluster),
             arrivals,
+            next_job: None,
             placement_rng: seq.child_rng(0xB10C),
             retain_jobs,
             usage: vec![0; n],
@@ -357,7 +361,6 @@ impl<'a> Central<'a> {
             regime_counted: vec![false; n],
             active: Vec::new(),
             ready: ReadyIndex::for_policy(policy),
-            arrivals_pending: n,
             scan_armed: false,
             alloc,
             uncounted: Vec::new(),
@@ -383,6 +386,16 @@ impl<'a> Central<'a> {
             local_launches: 0,
             nonlocal_launches: 0,
             jobs: JobSlab::new(n),
+        };
+        central.queue_next_arrival();
+        central
+    }
+
+    /// Take the source's next job and queue its arrival.
+    fn queue_next_arrival(&mut self) {
+        self.next_job = self.arrivals.pop();
+        if let Some(job) = &self.next_job {
+            self.queue.push_arrival(job.arrival, Event::Arrival);
         }
     }
 
@@ -406,7 +419,6 @@ impl<'a> Central<'a> {
             .map(|p| p.num_tasks())
             .sum();
         self.jobs.insert(j, job);
-        self.arrivals_pending -= 1;
         let pos = self.active.binary_search(&j).unwrap_err();
         self.active.insert(pos, j);
         self.mark_ready(j);
@@ -465,45 +477,15 @@ impl<'a> Central<'a> {
         }
     }
 
-    /// Earliest undelivered instant (arrival source merged with the
-    /// event queue).
-    fn next_instant(&mut self) -> Option<SimTime> {
-        match (self.arrivals.peek_arrival(), self.queue.peek_time()) {
-            (Some(a), Some(q)) => Some(a.min(q)),
-            (Some(a), None) => Some(a),
-            (None, q) => q,
-        }
-    }
-
     fn run(mut self) -> RunOutput {
         loop {
             // Batching mode: all events of one instant are processed
             // before the single dispatch for that instant runs. Flushing
             // here — before delivering an event at a *later* instant (or
             // none) — is what makes the batch boundary exact.
-            if self.pending_dispatch && self.next_instant() != Some(self.last_now) {
+            if self.pending_dispatch && self.queue.peek_time() != Some(self.last_now) {
                 self.pending_dispatch = false;
                 self.dispatch(self.last_now);
-            }
-            // Merge the arrival source with the event queue; at equal
-            // instants the arrival is delivered first (see
-            // `ArrivalSource`'s ordering contract).
-            let arrival_due = match self.arrivals.peek_arrival() {
-                Some(at) => match self.queue.peek_time() {
-                    Some(qt) => at <= qt,
-                    None => true,
-                },
-                None => false,
-            };
-            if arrival_due {
-                let spec = self.arrivals.pop().expect("peeked arrival exists");
-                let now = spec.arrival;
-                self.queue.advance_to(now);
-                self.tele_tick(now);
-                self.stats.events += 1;
-                self.last_now = now;
-                self.on_arrival(spec, now);
-                continue;
             }
             let Some((now, ev)) = self.queue.pop() else {
                 break;
@@ -517,6 +499,11 @@ impl<'a> Central<'a> {
                 self.policy.name()
             );
             match ev {
+                Event::Arrival => {
+                    let spec = self.next_job.take().expect("a queued arrival has its job");
+                    self.queue_next_arrival();
+                    self.on_arrival(spec, now);
+                }
                 Event::Finish { job, copy } => {
                     // Completions queued for copies that lost their race
                     // pop after the job completed and retired; they are
@@ -630,7 +617,7 @@ impl<'a> Central<'a> {
                     // The incident chain dies with the workload: once every
                     // job has completed, incidents are dropped unapplied and
                     // no follow-up is scheduled, so the queue drains.
-                    if self.active.is_empty() && self.arrivals_pending == 0 {
+                    if self.active.is_empty() && self.next_job.is_none() {
                         continue;
                     }
                     self.on_dyn(ev, now);
@@ -638,7 +625,7 @@ impl<'a> Central<'a> {
             }
         }
         assert!(
-            self.active.is_empty() && self.arrivals_pending == 0,
+            self.active.is_empty() && self.next_job.is_none(),
             "simulation drained with unfinished jobs (deadlock?)"
         );
         self.stats.locality_fraction = {
@@ -742,7 +729,7 @@ impl<'a> Central<'a> {
     }
 
     fn arm_scan(&mut self) {
-        if !self.scan_armed && (!self.active.is_empty() || self.arrivals_pending > 0) {
+        if !self.scan_armed && (!self.active.is_empty() || self.next_job.is_some()) {
             self.queue.push_after(self.cfg.scan_interval, Event::Scan);
             self.scan_armed = true;
         }

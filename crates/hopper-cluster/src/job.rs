@@ -320,8 +320,8 @@ struct JobIndex {
     /// incremental updates reproduce the old f64 scan bit-for-bit (task
     /// works are integral millis and job totals stay far below 2^53).
     remaining_compute_ms: u64,
-    /// Index of the first not-yet-eligible phase — `downstream_remaining()`
-    /// and the transfer term of `alpha()`.
+    /// Index of the first not-yet-eligible phase — the transfer term of
+    /// `alpha()`.
     first_ineligible: Option<usize>,
     /// Pending (unlaunched, unfinished, eligible-phase) tasks.
     pending: BTreeSet<TaskRef>,
@@ -1004,24 +1004,6 @@ impl JobRun {
         self.phases.iter().map(|p| p.remaining()).sum()
     }
 
-    /// Tasks of the next not-yet-eligible phase — the paper's `T'_i(t)`
-    /// used in the `max{V, V'}` DAG priority. O(1) via the cached
-    /// first-ineligible phase index.
-    pub fn downstream_remaining(&self) -> usize {
-        let indexed = self
-            .idx
-            .first_ineligible
-            .map_or(0, |pi| self.phases[pi].remaining());
-        debug_assert_eq!(
-            indexed,
-            self.phases
-                .iter()
-                .find(|p| !p.eligible)
-                .map_or(0, |p| p.remaining())
-        );
-        indexed
-    }
-
     /// Unlaunched original tasks in eligible phases. O(1).
     pub fn pending_originals(&self) -> usize {
         debug_assert_eq!(self.idx.pending_originals, self.scan_pending_originals());
@@ -1437,7 +1419,7 @@ mod tests {
         assert!(j.phases[0].eligible);
         assert!(!j.phases[1].eligible);
         assert_eq!(j.current_remaining(), 4);
-        assert_eq!(j.downstream_remaining(), 2);
+        assert_eq!(j.total_remaining() - j.current_remaining(), 2);
 
         let mut rng = rng_from_seed(1);
         let c = cfg();
@@ -1469,7 +1451,7 @@ mod tests {
         assert!(eligible_seen);
         assert!(j.phases[1].eligible);
         assert_eq!(j.current_remaining(), 2);
-        assert_eq!(j.downstream_remaining(), 0);
+        assert_eq!(j.total_remaining(), j.current_remaining());
     }
 
     #[test]

@@ -224,9 +224,10 @@ pub struct DecOutput {
     pub shard: Option<crate::shard::ShardStats>,
     /// Heap and FIFO-lane pushes of the engine's event queue. The sharded
     /// engine sums its shards' queues (keyed, so every push is a heap
-    /// push), and the sums are the same for every shard count. Heap
-    /// pushes + lane pushes + arrivals = `stats.events`. Not in
-    /// `report.core`: they count work, not outcomes.
+    /// push), and the sums are the same for every shard count. Every
+    /// event, job arrivals included, is pushed once and popped once, so
+    /// heap pushes + lane pushes = `stats.events`; each arrival is one
+    /// heap push. Not in `report.core`: they count work, not outcomes.
     pub queue_counters: QueueCounters,
 }
 
@@ -276,6 +277,9 @@ pub fn run_source(
 
 #[derive(Debug, Clone)]
 enum Ev {
+    /// The arrival of `Decentral::next_job`, queued by `push_arrival`
+    /// ahead of every other event at its instant.
+    Arrival,
     /// Reservation lands in a worker queue.
     Reservation { worker: usize, res: Reservation },
     /// Worker offers its free slot to `job`'s scheduler. `inc` is the
@@ -363,7 +367,8 @@ fn msg_kind(ev: &Ev) -> Option<MsgKind> {
         Ev::Assign { .. } => Some(MsgKind::Assign),
         Ev::Refusal { .. } => Some(MsgKind::Refusal),
         Ev::Kill { .. } => Some(MsgKind::Kill),
-        Ev::Finish { .. }
+        Ev::Arrival
+        | Ev::Finish { .. }
         | Ev::Scan
         | Ev::Dyn(_)
         | Ev::SchedDyn(_)
@@ -384,10 +389,11 @@ struct Decentral<'a> {
     /// completed, the queue provably holds only live reservations and the
     /// per-touch O(queue) purge scan is skipped.
     purged_at: Vec<u64>,
-    /// Undelivered arrivals, merged with `queue` by the run loop (an
-    /// arrival precedes any queued event at the same instant — the
-    /// order the historical pre-loaded arrival events produced).
+    /// Undelivered arrivals after `next_job`.
     arrivals: ArrivalSource<'a>,
+    /// The job whose [`Ev::Arrival`] is queued (`None` once the source
+    /// is exhausted).
+    next_job: Option<TraceJob>,
     /// One book per scheduler (`crate::book`): every live job's runtime
     /// state, the scheduler-side counters and scratch, and the learned
     /// β. Job `j` lives in book `j % K` at local index `j / K`.
@@ -408,7 +414,6 @@ struct Decentral<'a> {
     live: Vec<usize>,
     /// Most jobs simultaneously live over the run.
     live_high_water: usize,
-    arrivals_pending: usize,
     /// Jobs completed so far (the epoch for worker-queue purges).
     done_count: u64,
     scan_armed: bool,
@@ -485,13 +490,14 @@ impl<'a> Decentral<'a> {
                 queue.push(at, Ev::SchedDyn(ev));
             }
         }
-        Decentral {
+        let mut sim = Decentral {
             policy,
             cfg,
             queue,
             workers: vec![Worker::new(cfg.cluster.slots_per_machine); cfg.cluster.machines],
             purged_at: vec![0; cfg.cluster.machines],
             arrivals,
+            next_job: None,
             books: (0..k)
                 .map(|s| SchedBook::new(s, k, n, cfg.probe_ratio, cfg.cluster.machines))
                 .collect(),
@@ -500,7 +506,6 @@ impl<'a> Decentral<'a> {
             retain_jobs,
             live: Vec::new(),
             live_high_water: 0,
-            arrivals_pending: n,
             done_count: 0,
             scan_armed: false,
             dynamics,
@@ -517,6 +522,16 @@ impl<'a> Decentral<'a> {
             ev_counts: [0; 12],
             tele: SeriesCollector::new(cfg.telemetry_window_ms, cfg.cluster.total_slots() as u64),
             tele_kills: 0,
+        };
+        sim.queue_next_arrival();
+        sim
+    }
+
+    /// Take the source's next job and queue its arrival.
+    fn queue_next_arrival(&mut self) {
+        self.next_job = self.arrivals.pop();
+        if let Some(job) = &self.next_job {
+            self.queue.push_arrival(job.arrival, Ev::Arrival);
         }
     }
 
@@ -621,7 +636,7 @@ impl<'a> Decentral<'a> {
             }
             Ev::Lease { worker, .. } => check_w(worker),
             Ev::Dyn(d) => check_w(d.machine().0),
-            Ev::Scan | Ev::SchedDyn(_) | Ev::JobTimeout { .. } => {}
+            Ev::Arrival | Ev::Scan | Ev::SchedDyn(_) | Ev::JobTimeout { .. } => {}
         }
     }
 
@@ -630,32 +645,9 @@ impl<'a> Decentral<'a> {
         self.finish()
     }
 
-    /// Deliver arrivals and queued events until both run dry.
+    /// Deliver queued events, arrivals included, until none is left.
     fn drain(&mut self) {
-        loop {
-            // Merge the arrival source with the event queue; at equal
-            // instants the arrival is delivered first (see
-            // `ArrivalSource`'s ordering contract).
-            let arrival_due = match self.arrivals.peek_arrival() {
-                Some(at) => match self.queue.peek_time() {
-                    Some(qt) => at <= qt,
-                    None => true,
-                },
-                None => false,
-            };
-            if arrival_due {
-                let spec = self.arrivals.pop().expect("peeked arrival exists");
-                let now = spec.arrival;
-                self.queue.advance_to(now);
-                self.tele_tick(now);
-                self.stats.events += 1;
-                self.ev_counts[0] += 1;
-                self.on_job_arrive(spec, now);
-                continue;
-            }
-            let Some((now, ev)) = self.queue.pop() else {
-                break;
-            };
+        while let Some((now, ev)) = self.queue.pop() {
             self.tele_tick(now);
             self.stats.events += 1;
             if self.stats.events > self.cfg.max_events {
@@ -681,6 +673,7 @@ impl<'a> Decentral<'a> {
                 );
             }
             self.ev_counts[match &ev {
+                Ev::Arrival => 0,
                 Ev::Reservation { .. } => 1,
                 Ev::Response { .. } => 2,
                 Ev::Assign { .. } => 3,
@@ -712,6 +705,11 @@ impl<'a> Decentral<'a> {
                 }
             }
             match ev {
+                Ev::Arrival => {
+                    let spec = self.next_job.take().expect("a queued arrival has its job");
+                    self.queue_next_arrival();
+                    self.on_job_arrive(spec, now);
+                }
                 Ev::Reservation { worker, res } => {
                     // A job can complete while its reservation is still in
                     // flight. The pre-epoch code parked it and purged it in
@@ -763,7 +761,7 @@ impl<'a> Decentral<'a> {
                 Ev::SchedDyn(sev) => {
                     // Same drain rule as machine dynamics: the crash
                     // chain dies with the workload.
-                    if self.live.is_empty() && self.arrivals_pending == 0 {
+                    if self.live.is_empty() && self.next_job.is_none() {
                         continue;
                     }
                     self.on_sched_dyn(sev, now);
@@ -774,7 +772,7 @@ impl<'a> Decentral<'a> {
                     // The incident chain dies with the workload (see the
                     // centralized driver): drop unapplied once all jobs
                     // completed so the queue drains.
-                    if self.live.is_empty() && self.arrivals_pending == 0 {
+                    if self.live.is_empty() && self.next_job.is_none() {
                         continue;
                     }
                     self.on_dyn(ev, now);
@@ -813,7 +811,7 @@ impl<'a> Decentral<'a> {
     /// Check the drained run's end state and assemble its output.
     fn finish(mut self) -> DecOutput {
         assert!(
-            self.done_count as usize == self.num_jobs && self.arrivals_pending == 0,
+            self.done_count as usize == self.num_jobs && self.next_job.is_none(),
             "decentralized run drained with {} of {} jobs finished",
             self.done_count,
             self.num_jobs
@@ -889,7 +887,7 @@ impl<'a> Decentral<'a> {
     }
 
     fn arm_scan(&mut self) {
-        if !self.scan_armed && (!self.live.is_empty() || self.arrivals_pending > 0) {
+        if !self.scan_armed && (!self.live.is_empty() || self.next_job.is_some()) {
             self.queue.push_after(self.cfg.scan_interval, Ev::Scan);
             self.scan_armed = true;
         }
@@ -905,7 +903,6 @@ impl<'a> Decentral<'a> {
         let (s, lj) = self.at(j);
         let job = JobRun::new(spec, &self.cfg.cluster, &mut self.placement_rng);
         self.books[s].admit(lj, job);
-        self.arrivals_pending -= 1;
         debug_assert!(self.live.last().is_none_or(|&last| last < j));
         self.live.push(j);
         self.live_high_water = self.live_high_water.max(self.live.len());
@@ -1489,7 +1486,8 @@ mod tests {
 
     /// The queue counters repeat exactly per seed, and with faults off
     /// every RPC delivery (reservation, response, assign, refusal, kill)
-    /// took the FIFO lane while only `Finish` and `Scan` used the heap.
+    /// took the FIFO lane while only arrivals, `Finish` and `Scan` used
+    /// the heap; every event was pushed once.
     #[test]
     fn queue_counters_are_exact_and_split_rpcs_from_timers() {
         let t = trace(4, 60, 0.8);
@@ -1500,7 +1498,8 @@ mod tests {
         let c = sim.queue.counters();
         assert_eq!(c, run(&t, DecPolicy::Hopper, &cfg).queue_counters);
         assert_eq!(c.lane_pushes, e[1] + e[2] + e[3] + e[4] + e[6], "{e:?}");
-        assert_eq!(c.heap_pushes, e[5] + e[7], "{e:?}");
+        assert_eq!(c.heap_pushes, e[0] + e[5] + e[7], "{e:?}");
+        assert_eq!(c.heap_pushes + c.lane_pushes, sim.stats.events);
         assert!(e[4] > 0 && e[6] > 0, "refusals and kills exercised: {e:?}");
     }
 

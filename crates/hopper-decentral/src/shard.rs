@@ -124,6 +124,9 @@ pub struct ShardStats {
 /// system does not have.
 #[derive(Debug, Clone)]
 enum SEv {
+    /// The arrival of the shard's `next_job`, queued by `push_arrival`
+    /// ahead of every other event at its instant.
+    Arrival,
     /// Reservation lands in a worker queue.
     Reservation { worker: usize, res: Reservation },
     /// Scheduler assigns a task to the worker's promised slot. Carries
@@ -231,12 +234,12 @@ fn rpc_kind(ev: &SEv) -> Option<MsgKind> {
 /// What a shard publishes at each window barrier.
 #[derive(Debug, Default)]
 struct SlotPub {
-    /// Earliest pending event (queue min or next owned arrival).
+    /// Earliest pending event (the next owned arrival included).
     next: Option<SimTime>,
     /// Live (arrived, unfinished) jobs owned by this shard.
     live: usize,
-    /// Arrivals this shard still owes the simulation.
-    arrivals: usize,
+    /// Whether this shard still owes the simulation an arrival.
+    owes_arrival: bool,
     /// Events executed so far (for the global budget check).
     events: u64,
 }
@@ -280,7 +283,7 @@ struct CopyRec {
 /// the sharded embedding needs.
 struct SchedSt {
     /// Event-emission counter (the `seq` of every key this scheduler
-    /// stamps).
+    /// stamps; from 1, as `EventKey::arrival` owns 0).
     seq: u64,
     book: SchedBook,
     scan_armed: bool,
@@ -293,7 +296,6 @@ struct SchedSt {
     copy_tok: HashMap<(usize, CopyRef), (usize, u64)>,
     /// (worker, wtoken) → (job, copy): resolves acks from workers.
     tok_copy: HashMap<(usize, u64), (usize, CopyRef)>,
-    digest: JobDigest,
 }
 
 /// One worker's complete runtime state: its protocol side
@@ -337,10 +339,11 @@ struct Shard<'a> {
     /// Cross-shard sends buffered during a window, flushed to the
     /// destination mailboxes once at the barrier.
     outboxes: Vec<Vec<(EventKey, SEv)>>,
+    /// The whole source, replayed: foreign jobs are popped and dropped.
     arrivals: ArrivalSource<'a>,
-    /// Next owned arrival, buffered because foreign arrivals must be
-    /// popped-and-discarded to see past them.
-    pending_arrival: Option<TraceJob>,
+    /// The owned job whose [`SEv::Arrival`] is queued (`None` once the
+    /// source holds no more owned jobs).
+    next_job: Option<TraceJob>,
     scheds: Vec<SchedSt>,
     workers: Vec<WorkSt>,
     dynamics: Option<MachineDynamics>,
@@ -348,8 +351,6 @@ struct Shard<'a> {
     audit: Option<Box<Auditor>>,
     /// Live jobs owned by this shard (Σ over its schedulers).
     live_count: usize,
-    /// Arrivals this shard still owes.
-    arrivals_pending: usize,
     /// Window-start snapshot of the global live-job count (ε-fairness
     /// input; shard-count-independent because window boundaries are).
     active_global: usize,
@@ -370,6 +371,10 @@ struct Shard<'a> {
     /// Cumulative kill RPCs sent (telemetry only; deliberately not a
     /// `DecStats` field — goldens pin that struct's `Debug` output).
     tele_kills: u64,
+    /// Online duration statistics of the jobs this shard's schedulers
+    /// completed. `JobDigest::merge` is exact and order-free, so the
+    /// merged digest is the same for every partition.
+    digest: JobDigest,
 }
 
 /// Run one decentralized simulation sharded across `cfg.shards` shards.
@@ -382,6 +387,7 @@ pub(crate) fn run_sharded(
     retain_jobs: bool,
 ) -> DecOutput {
     let nshards = cfg.shards;
+    let n = source.total_jobs();
     let mut shards: Vec<Shard<'_>> = (0..nshards)
         // Every shard replays the whole source from the start (a clone
         // of the undelivered source — borrowed trace, generator stream,
@@ -389,7 +395,6 @@ pub(crate) fn run_sharded(
         // entities' jobs.
         .map(|id| Shard::new(id, nshards, source.clone(), policy, cfg, retain_jobs))
         .collect();
-    let n: usize = shards.iter().map(|sh| sh.arrivals_pending).sum();
     let coord = Coord {
         barrier: SyncBarrier::new(nshards),
         slots: (0..nshards)
@@ -418,10 +423,9 @@ pub(crate) fn run_sharded(
 
 /// Fold per-shard state into one [`DecOutput`], exactly as the serial
 /// driver would have reported it: counters sum, makespan maxes, the
-/// digest merges in scheduler order, per-job results sort by id, and
-/// the merged conservation auditor proves the end-of-run laws globally.
+/// digests merge, per-job results sort by id, and the merged
+/// conservation auditor proves the end-of-run laws globally.
 fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
-    let k = shards.first().map(|sh| sh.k).expect("at least one shard");
     // Per-shard telemetry series merge window-by-window: counters and
     // gauges sum (disjoint entities), digests union exactly, shorter
     // series pad with frozen last gauges — commutative, so the result
@@ -450,13 +454,8 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         windows: shards.first().map_or(0, |sh| sh.windows),
         ..ShardStats::default()
     };
-    // Per-scheduler digests merge in global scheduler order so the
-    // merged sketch is the same regardless of the partition.
-    for s in 0..k {
-        let sh = &shards[s % nshards];
-        digest.merge(&sh.scheds[s / nshards].digest);
-    }
     for sh in shards {
+        digest.merge(&sh.digest);
         let st = sh.stats;
         stats.orig_launched += st.orig_launched;
         stats.spec_launched += st.spec_launched;
@@ -526,6 +525,7 @@ fn sched_of(ev: &SchedEv) -> usize {
 /// Diagnostic counter slot of an event (see [`EV_KINDS`]).
 fn ev_idx(ev: &SEv) -> usize {
     match ev {
+        SEv::Arrival => 0,
         SEv::Reservation { .. } => 1,
         SEv::Response { .. } => 2,
         SEv::Assign { .. } => 3,
@@ -563,7 +563,7 @@ impl<'a> Shard<'a> {
         let scheds: Vec<SchedSt> = (id..k)
             .step_by(nshards)
             .map(|s| SchedSt {
-                seq: 0,
+                seq: 1,
                 book: SchedBook::new(s, k, n, cfg.probe_ratio, nworkers),
                 scan_armed: false,
                 rng: seq.child_rng(SHARD_SCHED_RNG + s as u64),
@@ -572,14 +572,13 @@ impl<'a> Shard<'a> {
                     .then(|| MsgFaults::with_seed(cfg.faults, &seq, SHARD_SCHED_FAULT + s as u64)),
                 copy_tok: HashMap::new(),
                 tok_copy: HashMap::new(),
-                digest: JobDigest::new(),
             })
             .collect();
         let mut workers: Vec<WorkSt> = (id..nworkers)
             .step_by(nshards)
             .map(|w| WorkSt {
                 w,
-                seq: 0,
+                seq: 1,
                 state: Worker::new(cfg.cluster.slots_per_machine),
                 records: BTreeMap::new(),
                 next_wtoken: 0,
@@ -617,7 +616,7 @@ impl<'a> Shard<'a> {
         }
         let mut sched_chain = (faults_on && cfg.faults.sched_fail_rate_per_hour > 0.0)
             .then(|| SchedulerChain::new(&cfg.faults, k, &seq));
-        let mut sched_seqs: Vec<u64> = vec![0; scheds.len()];
+        let mut sched_seqs: Vec<u64> = vec![1; scheds.len()];
         if let Some(c) = sched_chain.as_mut() {
             for (at, ev) in c.initial_incidents() {
                 let s = sched_of(&ev);
@@ -638,7 +637,6 @@ impl<'a> Shard<'a> {
         for (st, sq) in scheds.iter_mut().zip(sched_seqs) {
             st.seq = sq;
         }
-        let arrivals_pending: usize = scheds.iter().map(|st| st.book.arrivals_pending).sum();
         // This shard's slice of the slot capacity: owned workers only,
         // so merged per-window capacities sum to the global cluster.
         let owned_slots = workers.len() as u64 * cfg.cluster.slots_per_machine as u64;
@@ -655,14 +653,13 @@ impl<'a> Shard<'a> {
             queue,
             outboxes: (0..nshards).map(|_| Vec::new()).collect(),
             arrivals,
-            pending_arrival: None,
+            next_job: None,
             scheds,
             workers,
             dynamics,
             sched_chain,
             audit: cfg!(debug_assertions).then(|| Auditor::new(nworkers)),
             live_count: 0,
-            arrivals_pending,
             active_global: 0,
             drained: false,
             stats: DecStats::default(),
@@ -674,6 +671,7 @@ impl<'a> Shard<'a> {
             local_msgs: 0,
             tele: SeriesCollector::new(cfg.telemetry_window_ms, owned_slots),
             tele_kills: 0,
+            digest: JobDigest::new(),
         }
     }
 
@@ -683,22 +681,20 @@ impl<'a> Shard<'a> {
         let _guard = PoisonGuard {
             barrier: &coord.barrier,
         };
+        // Queued here, on the shard's own thread: this first push
+        // allocates the queue's heap, and the allocator grows a block in
+        // the arena of the thread that made it (queued in `Shard::new`,
+        // on the caller's thread, `sharded-storm` peaked 3.5 MB higher).
+        self.queue_next_arrival();
         loop {
             for (key, ev) in coord.mailboxes[self.id].drain() {
                 self.queue.push_keyed(key, ev);
             }
-            let next_local = {
-                let arrival = self.peek_own_arrival();
-                match (arrival, self.queue.peek_time()) {
-                    (Some(a), Some(q)) => Some(a.min(q)),
-                    (a, q) => a.or(q),
-                }
-            };
             {
                 let mut slot = coord.slots[self.id].lock().expect("slot lock poisoned");
-                slot.next = next_local;
+                slot.next = self.queue.peek_time();
                 slot.live = self.live_count;
-                slot.arrivals = self.arrivals_pending;
+                slot.owes_arrival = self.next_job.is_some();
                 slot.events = self.stats.events;
             }
             coord.barrier.wait();
@@ -708,13 +704,13 @@ impl<'a> Shard<'a> {
             // for every shard count, because window boundaries are.
             let mut nexts: Vec<Option<SimTime>> = Vec::with_capacity(coord.slots.len());
             let mut live = 0usize;
-            let mut arrivals = 0usize;
+            let mut owes_arrival = false;
             let mut events = 0u64;
             for s in &coord.slots {
                 let sl = s.lock().expect("slot lock poisoned");
                 nexts.push(sl.next);
                 live += sl.live;
-                arrivals += sl.arrivals;
+                owes_arrival |= sl.owes_arrival;
                 events += sl.events;
             }
             let Some(window_end) = safe_horizon(nexts, self.lookahead) else {
@@ -724,7 +720,7 @@ impl<'a> Shard<'a> {
                 self.panic_event_budget(events);
             }
             self.active_global = live;
-            if live == 0 && arrivals == 0 {
+            if live == 0 && !owes_arrival {
                 self.drained = true;
             }
             self.windows += 1;
@@ -742,11 +738,6 @@ impl<'a> Shard<'a> {
             }
             coord.barrier.wait();
         }
-        assert_eq!(
-            self.arrivals_pending, 0,
-            "shard {} terminated with arrivals pending",
-            self.id
-        );
         if let Some(a) = self.audit.as_ref() {
             for wk in &self.workers {
                 a.check_worker(
@@ -762,31 +753,9 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Execute everything this shard owns strictly before `end` —
-    /// arrivals win ties against queued events at the same instant, as
-    /// in the serial driver.
+    /// Execute everything this shard owns strictly before `end`.
     fn exec_window(&mut self, end: SimTime) {
-        loop {
-            let arrival_at = self.peek_own_arrival();
-            let queue_at = self.queue.peek_time();
-            let take_arrival = match (arrival_at, queue_at) {
-                (Some(a), Some(h)) => a < end && a <= h,
-                (Some(a), None) => a < end,
-                _ => false,
-            };
-            if take_arrival {
-                let spec = self.pending_arrival.take().expect("peeked arrival");
-                let now = arrival_at.expect("arrival time");
-                self.queue.advance_to(now);
-                self.tele_tick(now);
-                self.stats.events += 1;
-                self.ev_counts[0] += 1;
-                self.on_job_arrive(spec, now);
-                continue;
-            }
-            if queue_at.is_none_or(|t| t >= end) {
-                return;
-            }
+        while self.queue.peek_time().is_some_and(|t| t < end) {
             let (now, ev) = self.queue.pop().expect("peeked event");
             self.tele_tick(now);
             self.stats.events += 1;
@@ -806,6 +775,11 @@ impl<'a> Shard<'a> {
 
     fn handle(&mut self, ev: SEv, now: SimTime) {
         match ev {
+            SEv::Arrival => {
+                let spec = self.next_job.take().expect("a queued arrival has its job");
+                self.queue_next_arrival();
+                self.on_job_arrive(spec, now);
+            }
             SEv::Reservation { worker, res } => self.on_reservation(worker, res, now),
             SEv::Assign {
                 worker,
@@ -892,23 +866,14 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Next arrival owned by this shard, skipping (and discarding)
-    /// foreign jobs. The skipped job's full state lives on its owner
-    /// shard, which performs the identical skip dance from its own
-    /// arrival-source replica.
-    fn peek_own_arrival(&mut self) -> Option<SimTime> {
-        loop {
-            if let Some(j) = &self.pending_arrival {
-                return Some(j.arrival);
-            }
-            match self.arrivals.pop() {
-                Some(j) => {
-                    if (j.id % self.k) % self.nshards == self.id {
-                        self.pending_arrival = Some(j);
-                    }
-                }
-                None => return None,
-            }
+    /// Take the source's next job owned by this shard and queue its
+    /// arrival. Foreign jobs are dropped: each lives on its owner shard,
+    /// which skips this shard's jobs in its own replica of the source.
+    fn queue_next_arrival(&mut self) {
+        self.next_job = std::iter::from_fn(|| self.arrivals.pop())
+            .find(|j| (j.id % self.k) % self.nshards == self.id);
+        if let Some(job) = &self.next_job {
+            self.queue.push_arrival(job.arrival, SEv::Arrival);
         }
     }
 
@@ -971,6 +936,7 @@ impl<'a> Shard<'a> {
             | SEv::JobTimeout { job } => (job % self.k) % self.nshards,
             SEv::Scan { sched } => sched % self.nshards,
             SEv::SchedDyn(ev) => sched_of(ev) % self.nshards,
+            SEv::Arrival => unreachable!("an arrival is queued only by its owner shard"),
         }
     }
 
@@ -1126,14 +1092,14 @@ impl<'a> Shard<'a> {
     fn panic_event_budget(&self, total: u64) -> ! {
         panic!(
             "decentralized sharded run exceeded event budget: policy={} events={total} \
-             (budget {}) windows={} shard={}/{} live={} arrivals_pending={} ev_counts={:?}",
+             (budget {}) windows={} shard={}/{} live={} next_arrival={:?} ev_counts={:?}",
             self.policy.name(),
             self.cfg.max_events,
             self.windows,
             self.id,
             self.nshards,
             self.live_count,
-            self.arrivals_pending,
+            self.next_job.as_ref().map(|j| j.arrival),
             self.ev_counts
         );
     }
@@ -1179,7 +1145,7 @@ impl<'a> Shard<'a> {
             | SEv::CopyLost { job, .. }
             | SEv::ResGone { job, .. }
             | SEv::JobTimeout { job } => check_j(*job),
-            SEv::Scan { .. } | SEv::SchedDyn(_) => {}
+            SEv::Arrival | SEv::Scan { .. } | SEv::SchedDyn(_) => {}
         }
     }
 }
@@ -1521,7 +1487,6 @@ impl<'a> Shard<'a> {
         let job = JobRun::new(spec, &self.cfg.cluster, &mut st.placement_rng);
         st.book.admit(lj, job);
         let targets = st.book.arrival_probes(lj, &mut st.rng);
-        self.arrivals_pending -= 1;
         self.live_count += 1;
         self.arm_scan(si, now);
         self.send_reservations(si, lj, targets, now);
@@ -1857,12 +1822,11 @@ impl<'a> Shard<'a> {
     }
 
     /// Complete and **retire** job `lj` of scheduler `si` (see
-    /// `SchedBook::retire`), folding its outcome into the scheduler's
-    /// digest and the shard's accumulators.
+    /// `SchedBook::retire`), folding its outcome into the shard's digest
+    /// and accumulators.
     fn complete_job(&mut self, si: usize, lj: usize, now: SimTime) {
-        let st = &mut self.scheds[si];
-        let result = st.book.retire(lj, now);
-        st.digest.observe_ms(result.duration_ms());
+        let result = self.scheds[si].book.retire(lj, now);
+        self.digest.observe_ms(result.duration_ms());
         self.live_count -= 1;
         self.tele.observe_jct(result.duration_ms());
         if self.retain_jobs {

@@ -236,11 +236,6 @@ impl JobDigest {
         self.count
     }
 
-    /// Exact sum of observed durations (ms).
-    pub fn total_ms(&self) -> u64 {
-        self.total_ms
-    }
-
     /// Exact maximum observed duration (ms); 0 when empty.
     pub fn max_ms(&self) -> u64 {
         self.max_ms
@@ -389,7 +384,6 @@ mod tests {
             d.observe_ms(ms);
         }
         let total: u64 = durations.iter().sum();
-        assert_eq!(d.total_ms(), total);
         assert_eq!(d.mean_ms().to_bits(), (total as f64 / 10_000.0).to_bits());
         assert_eq!(d.max_ms(), *durations.iter().max().unwrap());
         assert_eq!(d.count(), 10_000);

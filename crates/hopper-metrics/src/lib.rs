@@ -19,7 +19,7 @@ pub use digest::{JobDigest, QuantileSketch, DIGEST_EPS};
 pub use report::{parse_jsonl, render_html, render_svg, SeriesData, WindowRow};
 pub use stats::{
     mean, mean_duration, mean_duration_for_dag, mean_duration_in_bin, percentile, reduction_pct,
-    summarize, CoreStats, DistSummary, GainCdf, JobResult, SizeBin,
+    CoreStats, GainCdf, JobResult, SizeBin,
 };
 pub use table::Table;
 pub use telemetry::{

@@ -126,55 +126,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     v[lo] * (1.0 - frac) + v[hi] * frac
 }
 
-/// Five-number-ish summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistSummary {
-    /// Sample count.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// 10th percentile.
-    pub p10: f64,
-    /// Median.
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-/// Summarize a sample.
-///
-/// Empty input returns the all-zero summary (`count == 0` flags it) —
-/// never NaN or −∞, so tables built over sparse sweep grids stay
-/// printable. `max` is additionally floored at 0 for non-empty input,
-/// matching the non-negative quantities (durations, gains) this
-/// summarizes.
-pub fn summarize(xs: &[f64]) -> DistSummary {
-    if xs.is_empty() {
-        return DistSummary {
-            count: 0,
-            mean: 0.0,
-            p10: 0.0,
-            p50: 0.0,
-            p90: 0.0,
-            max: 0.0,
-        };
-    }
-    DistSummary {
-        count: xs.len(),
-        mean: mean(xs),
-        p10: percentile(xs, 0.10),
-        p50: percentile(xs, 0.50),
-        p90: percentile(xs, 0.90),
-        max: xs
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .max(0.0),
-    }
-}
-
 /// The paper's headline metric: percentage reduction in average job
 /// duration going from `baseline` to `improved`.
 /// Positive = improvement.
@@ -326,17 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_fields() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = summarize(&xs);
-        assert_eq!(s.count, 100);
-        assert!((s.mean - 50.5).abs() < 1e-9);
-        assert!((s.p50 - 50.5).abs() < 1e-9);
-        assert!(s.p10 < s.p50 && s.p50 < s.p90);
-        assert_eq!(s.max, 100.0);
-    }
-
-    #[test]
     fn gain_cdf_between_runs() {
         let base = vec![job(0, 10, 100), job(1, 10, 200), job(2, 10, 400)];
         let better = vec![job(0, 10, 50), job(1, 10, 220), job(2, 10, 100)];
@@ -385,15 +325,6 @@ mod tests {
         assert_eq!(percentile(&[], 0.0), 0.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
         assert_eq!(percentile(&[], 1.0), 0.0);
-        // summarize: the all-zero summary, count flags emptiness.
-        let s = summarize(&[]);
-        assert_eq!(s, summarize(&[]));
-        assert_eq!(s.count, 0);
-        assert_eq!(
-            (s.mean, s.p10, s.p50, s.p90, s.max),
-            (0.0, 0.0, 0.0, 0.0, 0.0)
-        );
-        assert!(!s.mean.is_nan() && !s.max.is_nan());
         // mean: 0.0 on empty.
         assert_eq!(mean(&[]), 0.0);
     }

@@ -10,6 +10,9 @@
 //! stamp their own keys (the sharded engine, where each emitting entity
 //! numbers its own events) uses [`EventQueue::push_keyed`] instead; the
 //! pop order is then the keys' order, whatever the insertion order.
+//! Every engine queues its next job arrival too, with
+//! [`EventQueue::push_arrival`]: its [`EventKey::arrival`] sorts first at
+//! its instant.
 //!
 //! A queue may also keep a FIFO *lane* for events pushed at one fixed
 //! delay ([`EventQueue::with_fifo_delay`]). The clock never rewinds and the
@@ -28,6 +31,10 @@ use crate::time::SimTime;
 /// origin never reuses a sequence number), so a queue ordered by
 /// `EventKey` pops in one deterministic total order regardless of
 /// insertion order.
+///
+/// Sequence number 0 is reserved for [`EventKey::arrival`]: every
+/// stamper — [`EventQueue::push`] and each entity of a driver that
+/// stamps its own keys — numbers its events from 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Simulation instant the event fires.
@@ -37,6 +44,26 @@ pub struct EventKey {
     pub origin: u64,
     /// The origin's emission counter at send — unique per origin.
     pub seq: u64,
+}
+
+impl EventKey {
+    /// The key of a job arrival at `time`: origin 0, sequence 0, which
+    /// sorts before every stamped key at the same instant.
+    ///
+    /// This is the engines' one ordering rule for arrivals: a job
+    /// arriving at `t` is delivered before any other event at `t`, even
+    /// one pushed earlier (arrivals are delivered in id order, and an
+    /// engine keeps only its next arrival queued, so the key is unique).
+    /// It is the order the historical pre-loaded arrival events
+    /// produced, where every arrival was pushed first and so held the
+    /// lowest sequence number at its instant.
+    pub const fn arrival(time: SimTime) -> Self {
+        EventKey {
+            time,
+            origin: 0,
+            seq: 0,
+        }
+    }
 }
 
 /// An event plus its key, as stored in the queue.
@@ -90,7 +117,8 @@ pub struct EventQueue<E> {
     /// is key order. Empty when `lane_delay` is `None`.
     lane: VecDeque<EventEntry<E>>,
     lane_delay: Option<SimTime>,
-    /// The `seq` the next [`EventQueue::push`] stamps.
+    /// The `seq` the next [`EventQueue::push`] stamps (from 1; 0 is
+    /// [`EventKey::arrival`]'s).
     next_seq: u64,
     heap_pushes: u64,
     lane_pushes: u64,
@@ -111,7 +139,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             lane: VecDeque::new(),
             lane_delay: None,
-            next_seq: 0,
+            next_seq: 1,
             heap_pushes: 0,
             lane_pushes: 0,
             now: SimTime::ZERO,
@@ -176,8 +204,20 @@ impl<E> EventQueue<E> {
     /// Schedule `event` under a key its driver stamped. Keys must be
     /// unique; a queue fed only by this method pops in key order,
     /// whatever order the pushes came in. Debug-panics if the key's time
-    /// is before the current clock.
+    /// is before the current clock, or if its `seq` is the arrivals' 0.
     pub fn push_keyed(&mut self, key: EventKey, event: E) {
+        debug_assert!(key.seq > 0, "seq 0 is reserved for arrivals: {key:?}");
+        self.push_entry(key, event);
+    }
+
+    /// Schedule a job arrival at `at` under [`EventKey::arrival`], so it
+    /// pops before every other event at `at`. A queue may hold only one
+    /// arrival at a time.
+    pub fn push_arrival(&mut self, at: SimTime, event: E) {
+        self.push_entry(EventKey::arrival(at), event);
+    }
+
+    fn push_entry(&mut self, key: EventKey, event: E) {
         debug_assert!(
             key.time >= self.now,
             "event scheduled in the past: at={:?} now={:?}",
@@ -231,22 +271,6 @@ impl<E> EventQueue<E> {
             (Some(l), Some(h)) => Some(l.key.time.min(h.key.time)),
             (lane, heap) => lane.or(heap).map(|e| e.key.time),
         }
-    }
-
-    /// Advance the clock to `t` without popping an event.
-    ///
-    /// For drivers that merge an external event source (e.g. a lazy
-    /// arrival stream) with this queue: delivering a source event at `t`
-    /// must advance the clock the same way popping a queued event at `t`
-    /// would, so that subsequent [`EventQueue::push_after`] calls are
-    /// relative to the right instant. Debug-panics on rewinding.
-    pub fn advance_to(&mut self, t: SimTime) {
-        debug_assert!(
-            t >= self.now,
-            "clock rewound: advance_to {t:?} from {:?}",
-            self.now
-        );
-        self.now = t;
     }
 }
 
@@ -319,7 +343,7 @@ mod tests {
             EventKey {
                 time: SimTime::from_millis(2),
                 origin: 5,
-                seq: 0,
+                seq: 1,
             },
             (),
         );
@@ -328,26 +352,39 @@ mod tests {
         assert_eq!((c.heap_pushes, c.lane_pushes), (4, 0));
     }
 
+    /// Heap, lane and keyed entries pop in one key order, and an arrival
+    /// pushed after all of them still pops first at its instant.
     #[test]
     fn lane_merges_with_heap_in_total_order() {
         let ms = SimTime::from_millis;
+        let keyed = |t| EventKey {
+            time: ms(t),
+            origin: 1,
+            seq: 1,
+        };
         let mut q = EventQueue::with_fifo_delay(ms(5));
         q.push(ms(5), "heap@5 first");
         q.push_after(ms(5), "lane@5");
         q.push(ms(5), "heap@5 last");
+        q.push_keyed(keyed(5), "keyed@5");
+        q.push_arrival(ms(5), "arrival@5");
         q.push_after(ms(2), "heap@2");
-        assert_eq!(q.len(), 4);
+        assert_eq!(q.len(), 6);
         assert_eq!(q.peek_time(), Some(ms(2)));
         assert_eq!(q.pop(), Some((ms(2), "heap@2")));
         q.push_after(ms(5), "lane@7");
+        q.push_arrival(ms(7), "arrival@7");
+        assert_eq!(q.pop(), Some((ms(5), "arrival@5")));
         assert_eq!(q.pop(), Some((ms(5), "heap@5 first")));
         assert_eq!(q.pop(), Some((ms(5), "lane@5")));
         assert_eq!(q.pop(), Some((ms(5), "heap@5 last")));
+        assert_eq!(q.pop(), Some((ms(5), "keyed@5")));
         assert_eq!(q.peek_time(), Some(ms(7)));
+        assert_eq!(q.pop(), Some((ms(7), "arrival@7")));
         assert_eq!(q.pop(), Some((ms(7), "lane@7")));
         assert!(q.is_empty());
         let c = q.counters();
-        assert_eq!((c.heap_pushes, c.lane_pushes), (3, 2));
+        assert_eq!((c.heap_pushes, c.lane_pushes), (6, 2));
     }
 
     #[test]

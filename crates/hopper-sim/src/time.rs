@@ -26,11 +26,6 @@ impl SimTime {
         SimTime(ms)
     }
 
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1000)
-    }
-
     /// The raw millisecond count.
     pub const fn as_millis(self) -> u64 {
         self.0
@@ -44,11 +39,6 @@ impl SimTime {
     /// Saturating subtraction: `self - other`, or zero if `other > self`.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        self.0.checked_add(other.0).map(SimTime)
     }
 
     /// Multiply a duration by a scalar (used for scaling workloads).
@@ -95,7 +85,9 @@ mod tests {
 
     #[test]
     fn constructors() {
-        assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2000));
+        let t = SimTime::from_millis(2500);
+        assert_eq!(t.as_millis(), 2500);
+        assert_eq!(t.as_secs_f64(), 2.5);
     }
 
     #[test]
@@ -124,15 +116,6 @@ mod tests {
     fn ordering_and_display() {
         assert!(SimTime::from_millis(5) < SimTime::from_millis(6));
         assert_eq!(format!("{}", SimTime::from_millis(7)), "7ms");
-        assert_eq!(format!("{}", SimTime::from_secs(3)), "3.0s");
-    }
-
-    #[test]
-    fn checked_add_overflow() {
-        assert_eq!(SimTime::MAX.checked_add(SimTime::from_millis(1)), None);
-        assert_eq!(
-            SimTime::from_millis(1).checked_add(SimTime::from_millis(2)),
-            Some(SimTime::from_millis(3))
-        );
+        assert_eq!(format!("{}", SimTime::from_millis(3000)), "3.0s");
     }
 }

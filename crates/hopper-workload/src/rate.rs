@@ -79,7 +79,6 @@ impl RateProfile {
     /// ```
     /// use hopper_workload::RateProfile;
     /// let p = RateProfile::constant();
-    /// assert!(p.is_constant());
     /// p.check().unwrap();
     /// ```
     pub fn constant() -> Self {
@@ -92,7 +91,6 @@ impl RateProfile {
     /// ```
     /// use hopper_workload::RateProfile;
     /// let day = RateProfile::diurnal(3_600_000); // 1-hour "day"
-    /// assert!(!day.is_constant());
     /// day.check().unwrap();
     /// ```
     pub fn diurnal(period_ms: u64) -> Self {
@@ -117,12 +115,6 @@ impl RateProfile {
             mult,
             len_ms,
         }
-    }
-
-    /// Whether this is the stationary profile (the byte-identical
-    /// legacy path).
-    pub fn is_constant(&self) -> bool {
-        matches!(self, RateProfile::Constant)
     }
 
     /// Validate parameters. The burst layer needs `per_hour > 0`,

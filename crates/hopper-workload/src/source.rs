@@ -1,23 +1,19 @@
-//! [`ArrivalSource`]: one peek/pop surface over materialized traces,
-//! lazy streams, and replayed external traces.
+//! [`ArrivalSource`]: one pop surface over materialized traces, lazy
+//! streams, and replayed external traces.
 //!
-//! Both simulation drivers consume job arrivals through this type —
-//! arrivals are *delivered* into the event flow as simulation time
-//! advances, never pre-loaded into the event queues. The ordering
-//! contract every variant upholds: arrivals are delivered in id order,
-//! and a driver merging this source with its event queue must deliver
-//! an arrival *before* any queued event of the same timestamp —
-//! exactly the order the historical pre-loaded code produced, where
-//! arrivals were pushed first and thus held the lowest FIFO sequence
-//! numbers at every tied instant.
+//! Every engine consumes job arrivals through this type: arrivals are
+//! *delivered* into the event flow as simulation time advances, never
+//! pre-loaded into the event queues. Every variant delivers jobs in id
+//! order with nondecreasing arrival times. An engine keeps its next job
+//! beside its event queue and queues a marker for it under
+//! `hopper_sim::EventKey::arrival`, whose documentation states the one
+//! ordering rule: an arrival precedes any other event at its instant.
 //!
 //! The source is `Clone` because the sharded decentralized engine
 //! replicates it per shard (each shard replays the whole source and
 //! keeps only its own entities' jobs).
 
 use std::sync::Arc;
-
-use hopper_sim::SimTime;
 
 use crate::generator::TraceStream;
 use crate::trace::{Trace, TraceJob};
@@ -41,8 +37,6 @@ pub enum ArrivalSource<'a> {
         /// The backing stream (boxed: a stream carries its generator and
         /// RNG state, many times the size of the borrowed variant).
         stream: Box<TraceStream>,
-        /// One-job lookahead so arrival times can be peeked.
-        peeked: Option<TraceJob>,
     },
     /// Jobs come from a shared (typically CSV-replayed) trace, in
     /// order. Like `Materialized` but owning: the trace outlives any
@@ -66,7 +60,6 @@ impl<'a> ArrivalSource<'a> {
     pub fn from_stream(stream: TraceStream) -> ArrivalSource<'static> {
         ArrivalSource::Streaming {
             stream: Box::new(stream),
-            peeked: None,
         }
     }
 
@@ -80,22 +73,8 @@ impl<'a> ArrivalSource<'a> {
     pub fn total_jobs(&self) -> usize {
         match self {
             ArrivalSource::Materialized { trace, .. } => trace.len(),
-            ArrivalSource::Streaming { stream, .. } => stream.total_jobs(),
+            ArrivalSource::Streaming { stream } => stream.total_jobs(),
             ArrivalSource::Replay { trace, .. } => trace.len(),
-        }
-    }
-
-    /// Arrival time of the next undelivered job, if any.
-    pub fn peek_arrival(&mut self) -> Option<SimTime> {
-        match self {
-            ArrivalSource::Materialized { trace, next } => trace.jobs.get(*next).map(|j| j.arrival),
-            ArrivalSource::Streaming { stream, peeked } => {
-                if peeked.is_none() {
-                    *peeked = stream.next();
-                }
-                peeked.as_ref().map(|j| j.arrival)
-            }
-            ArrivalSource::Replay { trace, next } => trace.jobs.get(*next).map(|j| j.arrival),
         }
     }
 
@@ -107,7 +86,7 @@ impl<'a> ArrivalSource<'a> {
                 *next += 1;
                 Some(job)
             }
-            ArrivalSource::Streaming { stream, peeked } => peeked.take().or_else(|| stream.next()),
+            ArrivalSource::Streaming { stream } => stream.next(),
             ArrivalSource::Replay { trace, next } => {
                 let job = trace.jobs.get(*next)?.clone();
                 *next += 1;
@@ -131,7 +110,6 @@ mod tests {
         assert_eq!(mat.total_jobs(), 30);
         assert_eq!(str.total_jobs(), 30);
         loop {
-            assert_eq!(mat.peek_arrival(), str.peek_arrival());
             let (a, b) = (mat.pop(), str.pop());
             match (&a, &b) {
                 (None, None) => break,
@@ -153,7 +131,6 @@ mod tests {
         let mut rep = ArrivalSource::from_shared(Arc::new(trace.clone()));
         assert_eq!(rep.total_jobs(), 12);
         loop {
-            assert_eq!(mat.peek_arrival(), rep.peek_arrival());
             match (mat.pop(), rep.pop()) {
                 (None, None) => break,
                 (Some(x), Some(y)) => {
@@ -170,17 +147,6 @@ mod tests {
         let mut a = ArrivalSource::from_shared(Arc::new(trace));
         a.pop();
         let mut b = a.clone();
-        assert_eq!(a.peek_arrival(), b.peek_arrival());
         assert_eq!(a.pop().map(|j| j.id), b.pop().map(|j| j.id));
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let g = TraceGenerator::new(WorkloadProfile::facebook(), 5, 1);
-        let mut s = ArrivalSource::from_stream(g.stream_with_utilization(50, 0.6));
-        let t0 = s.peek_arrival();
-        assert_eq!(s.peek_arrival(), t0);
-        assert_eq!(s.pop().map(|j| j.arrival), t0);
-        assert_eq!(s.total_jobs(), 5);
     }
 }

@@ -37,12 +37,15 @@ const LANE_MS: u64 = 2;
 /// - 0: `push` at `now + arg % 4` (absolute; same-instant ties galore);
 /// - 1: `push_after` at the lane delay;
 /// - 2: `push_after` at another delay (0, 1, 3 or 5);
-/// - 3: `advance_to` up to 2 ms ahead, never past the next event;
-/// - 4, 5: `pop`.
+/// - 3: `push_arrival` at `now + arg % 3`, unless an arrival is queued
+///   already (an engine queues one at a time);
+/// - 4, 5: `pop`. While an arrival is queued at the head's instant, the
+///   pop must return it, however many entries were pushed there first.
 fn assert_lane_matches_heap(ops: impl IntoIterator<Item = (u8, u64)>) {
     let ms = SimTime::from_millis;
     let mut heap = EventQueue::new();
     let mut lane = EventQueue::with_fifo_delay(ms(LANE_MS));
+    let mut arrival: Option<(SimTime, usize)> = None;
     for (i, (kind, arg)) in ops.into_iter().enumerate() {
         match kind {
             0 => {
@@ -59,13 +62,23 @@ fn assert_lane_matches_heap(ops: impl IntoIterator<Item = (u8, u64)>) {
                 heap.push_after(d, i);
                 lane.push_after(d, i);
             }
-            3 => {
-                let t = heap.now() + ms(arg % 3);
-                let t = heap.peek_time().map_or(t, |next| t.min(next));
-                heap.advance_to(t);
-                lane.advance_to(t);
+            3 if arrival.is_none() => {
+                let at = heap.now() + ms(arg % 3);
+                heap.push_arrival(at, i);
+                lane.push_arrival(at, i);
+                arrival = Some((at, i));
             }
-            _ => assert_eq!(heap.pop(), lane.pop(), "op {i}"),
+            3 => {}
+            _ => {
+                let popped = heap.pop();
+                if let Some((at, id)) = arrival {
+                    if popped.is_some_and(|(t, _)| t == at) {
+                        assert_eq!(popped, Some((at, id)), "op {i}: arrival not first");
+                        arrival = None;
+                    }
+                }
+                assert_eq!(popped, lane.pop(), "op {i}");
+            }
         }
         assert_eq!(heap.peek_time(), lane.peek_time(), "op {i}");
         assert_eq!(heap.len(), lane.len(), "op {i}");
@@ -81,42 +94,59 @@ fn assert_lane_matches_heap(ops: impl IntoIterator<Item = (u8, u64)>) {
     assert_eq!(h.heap_pushes, l.heap_pushes + l.lane_pushes);
 }
 
-/// Drive a queue fed only by `push_keyed` and a reference
-/// `BinaryHeap<Reverse<(EventKey, id)>>` through the same operations and
-/// assert that they pop the same events in the same order. An op is
+/// Drive a queue fed by `push_keyed` and `push_arrival` and a reference
+/// `BinaryHeap` through the same operations and assert that they pop the
+/// same events in the same order. The reference orders by `(time, not an
+/// arrival, origin, seq)`: it states the arrival rule on its own instead
+/// of trusting [`EventKey::arrival`]'s values. An op is
 /// `(kind, offset, origin)`:
 ///
 /// - 0–2: push at `now + offset % 3` from `origin`, stamped with that
-///   origin's next sequence number (few instants, few origins: ties at
-///   one instant are the common case);
-/// - 3: pop from both.
+///   origin's next sequence number, from 1 (few instants, few origins:
+///   ties at one instant are the common case);
+/// - 3: `push_arrival` at `now + offset % 3`, unless one is queued;
+/// - 4: pop from both.
 fn assert_keyed_matches_reference(ops: impl IntoIterator<Item = (u8, u64, u64)>) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let mut q = EventQueue::new();
     let mut reference = BinaryHeap::new();
-    let mut seqs = [0u64; 4];
+    let mut seqs = [1u64; 4];
+    let mut arrival_queued = false;
     for (i, (kind, offset, origin)) in ops.into_iter().enumerate() {
+        let at = q.now() + SimTime::from_millis(offset % 3);
         if kind < 3 {
             let origin = origin % seqs.len() as u64;
-            let key = EventKey {
-                time: q.now() + SimTime::from_millis(offset % 3),
-                origin,
-                seq: seqs[origin as usize],
-            };
+            let seq = seqs[origin as usize];
             seqs[origin as usize] += 1;
-            q.push_keyed(key, i);
-            reference.push(Reverse((key, i)));
+            q.push_keyed(
+                EventKey {
+                    time: at,
+                    origin,
+                    seq,
+                },
+                i,
+            );
+            reference.push(Reverse(((at, true, origin, seq), i)));
+        } else if kind == 3 {
+            if !arrival_queued {
+                q.push_arrival(at, i);
+                reference.push(Reverse(((at, false, 0, 0), i)));
+                arrival_queued = true;
+            }
         } else {
-            let want = reference.pop().map(|Reverse((k, id))| (k.time, id));
-            assert_eq!(q.pop(), want, "op {i}");
+            let want = reference.pop().map(|Reverse(entry)| entry);
+            if matches!(want, Some(((_, false, ..), _))) {
+                arrival_queued = false;
+            }
+            assert_eq!(q.pop(), want.map(|(k, id)| (k.0, id)), "op {i}");
         }
-        let next = reference.peek().map(|Reverse((k, _))| k.time);
+        let next = reference.peek().map(|Reverse((k, _))| k.0);
         assert_eq!(q.peek_time(), next, "op {i}");
         assert_eq!(q.len(), reference.len(), "op {i}");
     }
     while let Some(Reverse((k, id))) = reference.pop() {
-        assert_eq!(q.pop(), Some((k.time, id)));
+        assert_eq!(q.pop(), Some((k.0, id)));
     }
     assert!(q.is_empty());
 }
@@ -267,10 +297,11 @@ proptest! {
     }
 
     /// Keyed pushes pop in `EventKey` order — time, then origin, then
-    /// the origin's sequence — exactly like the reference heap.
+    /// the origin's sequence — exactly like the reference heap, and an
+    /// arrival pops before every other entry at its instant.
     #[test]
     fn event_queue_keyed_order_matches_reference(
-        ops in prop::collection::vec((0u8..4, 0u64..6, 0u64..3), 0..400),
+        ops in prop::collection::vec((0u8..5, 0u64..6, 0u64..3), 0..400),
     ) {
         assert_keyed_matches_reference(ops);
     }
