@@ -1246,7 +1246,7 @@ impl<'a> Central<'a> {
         }
         let mult = shared_mult
             .unwrap_or_else(|| hopper_core::speculation_multiplier(self.jobs[j].spec.beta));
-        let anticipation = ((mult - 1.0) * self.usage[j] as f64).ceil() as usize;
+        let anticipation = hopper_core::ceil_usize((mult - 1.0) * self.usage[j] as f64);
         headroom.min(anticipation)
     }
 

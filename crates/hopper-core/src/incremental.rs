@@ -14,9 +14,9 @@
 //!   searches) and re-runs the fill only from the first affected
 //!   position (**sorted-suffix recompute**);
 //! * a shared-β change (online learning re-estimates one global β)
-//!   rescales every key by the same positive factor, so the refreshed
-//!   order is re-sorted with a stable `O(n)`-on-nearly-sorted pass
-//!   rather than rebuilt;
+//!   rescales every key by the same positive factor, so the refresh pass
+//!   checks that the order still holds and re-sorts only when float
+//!   rounding moved a near-tie;
 //! * an unchanged input set reuses the previous fill outright.
 //!
 //! **Exactness contract**: after any sequence of `upsert` / `remove` /
@@ -33,7 +33,7 @@ use crate::allocate::{
     apply_floor_trim, cmp_priority, fair_floor, fair_share_floor, fill_proportional, want_slots,
     AllocConfig, Regime,
 };
-use crate::vsize::{priority_key, speculation_multiplier, virtual_size};
+use crate::vsize::{ceil_usize, priority_key, speculation_multiplier, virtual_size};
 
 const NO_SLOT: u32 = u32::MAX;
 
@@ -392,13 +392,13 @@ impl IncrementalAlloc {
         let full = self.beta_dirty || structural;
 
         // Shared-β refresh: rescale every cached size/key, then restore
-        // the order with one stable pass (nearly sorted — a positive
-        // rescale preserves the mathematical order; only float-rounding
-        // near-ties actually move). The keys are recomputed from the
-        // cached `√α` with two multiplies each: `virtual_size` is the
-        // left-associated product `(m·T)·√α`, so `(m·T)·s` with
-        // `s = α.sqrt()` cached produces the exact same bits without the
-        // per-entry division and square root (debug-asserted below).
+        // the order (a positive rescale preserves the mathematical order;
+        // only float-rounding near-ties can move). The keys are
+        // recomputed from the cached `√α` with two multiplies each:
+        // `virtual_size` is the left-associated product `(m·T)·√α`, so
+        // `(m·T)·s` with `s = α.sqrt()` cached produces the exact same
+        // bits without the per-entry division and square root
+        // (debug-asserted below).
         if self.beta_dirty {
             let b = self.shared_beta.expect("beta_dirty implies shared mode");
             let m = speculation_multiplier(b);
@@ -418,10 +418,19 @@ impl IncrementalAlloc {
                     "fast β rescale drifted from priority_key"
                 );
             }
+            // Keys are unique (job-id tie-break), so a strictly ascending
+            // refresh is already the sorted order; almost every refresh
+            // is, and then the sort (and its buffer) is skipped.
+            let mut sorted = true;
+            let mut prev: Option<(f64, usize)> = None;
             for k in self.order.iter_mut() {
                 k.0 = self.slab[self.slot_of[k.1] as usize].prio;
+                sorted &= prev.is_none_or(|p| cmp_priority(p, *k).is_lt());
+                prev = Some(*k);
             }
-            self.order.sort_by(|&a, &b| cmp_priority(a, b));
+            if !sorted {
+                self.order.sort_by(|&a, &b| cmp_priority(a, b));
+            }
         }
 
         // Exact regime input: ΣV freshly summed over the cached per-job
@@ -474,10 +483,10 @@ impl IncrementalAlloc {
                 if e.dirty {
                     // A demand change rode along with the β update: its
                     // useful cap (remaining-task dependent) is stale too.
-                    e.cap = (e.remaining * cfg.max_useful_factor).ceil() as usize;
+                    e.cap = ceil_usize(e.remaining * cfg.max_useful_factor);
                     e.dirty = false;
                 }
-                let vc = e.v.ceil() as usize;
+                let vc = ceil_usize(e.v);
                 e.want = vc.min(e.cap);
                 e.floor = if with_floors {
                     e.share_floor.min(vc).min(e.cap)
@@ -817,6 +826,41 @@ mod tests {
         check_equiv(&mut inc, &model, 40, &cfg);
         let order: Vec<usize> = inc.order().iter().map(|&(_, j)| j).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>(), "ties must break by id");
+    }
+
+    /// A positive β rescale keeps the mathematical order, but rounding
+    /// can flip a near-tie: these two keys are 147.38754445643133 vs
+    /// 147.3875444564313 at β = 1.5 and 124.06483327724557 vs
+    /// 124.06483327724558 at the second β. The refresh must see the
+    /// flip and re-sort, or the constrained fill serves the wrong job
+    /// first.
+    #[test]
+    fn shared_beta_refresh_resorts_a_rounding_flip() {
+        let cfg = AllocConfig::no_fairness();
+        let mut inc = IncrementalAlloc::new(Some(1.5));
+        let mut model = Model {
+            demands: vec![],
+            shared_beta: Some(1.5),
+        };
+        for (job, rem, alpha) in [(0, 56.0, 3.8964404166946087), (1, 67.0, 2.722039907942591)] {
+            inc.upsert(job, rem, 0.0, alpha, 1.5, 1.0);
+            model.demands.push(JobDemand {
+                job,
+                remaining_tasks: rem,
+                downstream_tasks: 0.0,
+                alpha,
+                beta: 1.5,
+                weight: 1.0,
+            });
+        }
+        let ids = |inc: &IncrementalAlloc| inc.order().iter().map(|&(_, j)| j).collect::<Vec<_>>();
+        check_equiv(&mut inc, &model, 150, &cfg);
+        assert_eq!(ids(&inc), [1, 0]);
+        let b = 1.7819821366349666;
+        inc.set_shared_beta(b);
+        model.shared_beta = Some(b);
+        check_equiv(&mut inc, &model, 150, &cfg);
+        assert_eq!(ids(&inc), [0, 1], "the refresh kept a stale order");
     }
 
     #[test]

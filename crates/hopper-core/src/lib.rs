@@ -38,4 +38,4 @@ pub use protocol::{
     UnsatisfiedJob, WorkerAction,
 };
 pub use shard::{safe_horizon, EventKey, Mailbox, SyncBarrier};
-pub use vsize::{priority_key, speculation_multiplier, virtual_size};
+pub use vsize::{ceil_usize, priority_key, speculation_multiplier, virtual_size};

@@ -59,9 +59,87 @@ pub fn priority_key(v_current: f64, v_downstream: f64) -> f64 {
     v_current.max(v_downstream)
 }
 
+/// `⌈v⌉` as a slot count: exactly `v.ceil() as usize` for every `f64`
+/// (NaN and everything at or below zero give 0, everything beyond
+/// `usize::MAX` saturates), without `f64::ceil`, which compiles to an
+/// out-of-line libm call on baseline x86-64. The truncating cast is
+/// exact: below 2⁵³ `t` converts back to `f64` exactly, and from 2⁵³ on
+/// every `f64` is an integer, so `t < v` holds exactly when `v` has a
+/// fractional part.
+#[inline]
+pub fn ceil_usize(v: f64) -> usize {
+    let t = v as usize;
+    if (t as f64) < v {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ceil_usize_is_ceil_as_usize() {
+        let two52 = 2f64.powi(52);
+        let two53 = 2f64.powi(53);
+        let fixed = [
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            -1.5,
+            -1e300,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 0.5,
+            two52 + 1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            2f64.powi(63),
+            2f64.powi(64) - 2048.0,
+            2f64.powi(64),
+            2f64.powi(64) + 4096.0,
+            f64::MAX,
+        ];
+        for v in fixed {
+            assert_eq!(
+                ceil_usize(v),
+                v.ceil() as usize,
+                "{v:e} ({:#x})",
+                v.to_bits()
+            );
+        }
+        // 10⁶ random bit patterns (splitmix64), plus the same values
+        // scaled into the slot range, where fractions are common.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..1_000_000 {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let v = f64::from_bits(z);
+            assert_eq!(ceil_usize(v), v.ceil() as usize, "{v:e} ({z:#x})");
+            let w = (z >> 11) as f64 / 2f64.powi(40);
+            assert_eq!(ceil_usize(w), w.ceil() as usize, "{w:e}");
+        }
+    }
 
     #[test]
     fn multiplier_is_two_over_beta_in_trace_range() {

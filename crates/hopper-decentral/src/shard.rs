@@ -12,7 +12,7 @@
 //! state of its entities (worker queues and running-copy records;
 //! scheduler job slabs, counters, and estimators). Shards
 //! advance in lockstep *conservative windows* (classic conservative
-//! PDES): at each window barrier every shard publishes its earliest
+//! PDES): at each window rendezvous every shard publishes its earliest
 //! pending event; the next window executes everything strictly before
 //! `min(next event) + lookahead`, where the lookahead is the one-way
 //! message latency (asserted ≥ 1 ms). Every cross-entity interaction is
@@ -60,7 +60,8 @@
 //! lists the embedding differences ("Known deviations").
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 
 use crate::audit::{Auditor, MsgKind};
 use crate::book::{fair_share, SchedBook, Worker};
@@ -100,6 +101,9 @@ pub struct ShardStats {
     pub shards: usize,
     /// Conservative windows advanced (identical on every shard).
     pub windows: u64,
+    /// Window rendezvous each shard made (identical on every shard):
+    /// one per window, plus the last, which finds nothing pending.
+    pub barrier_waits: u64,
     /// Window slots in which a shard had nothing to execute — it
     /// advanced only because the safe horizon was bounded by a peer
     /// (summed over shards; the load-imbalance signal).
@@ -231,26 +235,43 @@ fn rpc_kind(ev: &SEv) -> Option<MsgKind> {
     }
 }
 
-/// What a shard publishes at each window barrier.
+/// What a shard publishes at each window rendezvous. The owner stores
+/// before the barrier and every shard loads after it; the barrier orders
+/// the two, so the fields are relaxed atomics and nobody takes a lock.
+/// One cache line per slot, so a shard publishing does not invalidate
+/// the line its peers are reading.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct SlotPub {
-    /// Earliest pending event (the next owned arrival included).
-    next: Option<SimTime>,
+    /// Earliest pending event this shard accounts for, as `SimTime`
+    /// bits (`u64::MAX`: none): its queue head (the next owned arrival
+    /// included), or the earliest key it posted to a peer's mailbox in
+    /// the window just run, whichever is earlier.
+    next: AtomicU64,
     /// Live (arrived, unfinished) jobs owned by this shard.
-    live: usize,
+    live: AtomicUsize,
     /// Whether this shard still owes the simulation an arrival.
-    owes_arrival: bool,
+    owes_arrival: AtomicBool,
     /// Events executed so far (for the global budget check).
-    events: u64,
+    events: AtomicU64,
 }
 
-/// Shared coordination state: the window barrier, one publish slot and
-/// one inter-shard mailbox per shard. Slots are written by their owner
-/// before barrier A and read by everyone between barriers A and B, so
-/// the lock is never contended across a write.
+impl SlotPub {
+    fn next(&self) -> Option<SimTime> {
+        let t = self.next.load(Relaxed);
+        (t != u64::MAX).then_some(SimTime(t))
+    }
+}
+
+/// Shared coordination state: the window barrier, the publish slots and
+/// one inter-shard mailbox per shard. `slots[p][shard]` is double-
+/// buffered by window parity `p`: a shard that finishes its window
+/// early writes the other parity, never the snapshot a slower peer may
+/// still be reading, and it cannot come back to this parity before that
+/// peer has reached the next barrier.
 struct Coord {
     barrier: SyncBarrier,
-    slots: Vec<Mutex<SlotPub>>,
+    slots: [Vec<SlotPub>; 2],
     mailboxes: Vec<Mailbox<SEv>>,
 }
 
@@ -316,6 +337,12 @@ struct WorkSt {
     faults: Option<MsgFaults>,
 }
 
+/// Capacity, in messages, that a shard's mailbox buffer keeps between
+/// windows: enough that a typical window (`sharded-storm` averages ~16
+/// cross-shard messages per window) allocates nothing, small enough
+/// that buffers grown by an arrival burst do not stay resident.
+const INBOX_KEEP: usize = 256;
+
 /// Event-type diagnostic counters (for the budget-exceeded panic):
 /// arrive, reservation, response, assign, refusal, kill, finish, poll,
 /// lease, dyn, launched, assign-failed, task-done, copy-lost, res-gone,
@@ -337,8 +364,13 @@ struct Shard<'a> {
     /// [`EventKey`] order, the global order restricted to this shard.
     queue: EventQueue<SEv>,
     /// Cross-shard sends buffered during a window, flushed to the
-    /// destination mailboxes once at the barrier.
+    /// destination mailboxes once at its end.
     outboxes: Vec<Vec<(EventKey, SEv)>>,
+    /// The earliest key put in an outbox since the last rendezvous: in
+    /// flight, the message is this shard's to publish (see `run_loop`).
+    posted: Option<SimTime>,
+    /// Reused buffer for this shard's mailbox drain.
+    inbox: Vec<(EventKey, SEv)>,
     /// The whole source, replayed: foreign jobs are popped and dropped.
     arrivals: ArrivalSource<'a>,
     /// The owned job whose [`SEv::Arrival`] is queued (`None` once the
@@ -361,6 +393,7 @@ struct Shard<'a> {
     results: Vec<JobResult>,
     ev_counts: [u64; EV_KINDS],
     windows: u64,
+    barrier_waits: u64,
     stalls: u64,
     cross_msgs: u64,
     local_msgs: u64,
@@ -397,9 +430,7 @@ pub(crate) fn run_sharded(
         .collect();
     let coord = Coord {
         barrier: SyncBarrier::new(nshards),
-        slots: (0..nshards)
-            .map(|_| Mutex::new(SlotPub::default()))
-            .collect(),
+        slots: [0, 1].map(|_| (0..nshards).map(|_| SlotPub::default()).collect()),
         mailboxes: (0..nshards).map(|_| Mailbox::new()).collect(),
     };
     if nshards == 1 {
@@ -452,9 +483,15 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
     let mut shard_stats = ShardStats {
         shards: nshards,
         windows: shards.first().map_or(0, |sh| sh.windows),
+        barrier_waits: shards.first().map_or(0, |sh| sh.barrier_waits),
         ..ShardStats::default()
     };
     for sh in shards {
+        assert!(
+            (sh.windows, sh.barrier_waits) == (shard_stats.windows, shard_stats.barrier_waits),
+            "shard {} saw a different window sequence",
+            sh.id
+        );
         digest.merge(&sh.digest);
         let st = sh.stats;
         stats.orig_launched += st.orig_launched;
@@ -652,6 +689,8 @@ impl<'a> Shard<'a> {
             backoff: BackoffPolicy::new(cfg.faults.rpc_timeout_ms, cfg.faults.rpc_retries),
             queue,
             outboxes: (0..nshards).map(|_| Vec::new()).collect(),
+            posted: None,
+            inbox: Vec::new(),
             arrivals,
             next_job: None,
             scheds,
@@ -666,6 +705,7 @@ impl<'a> Shard<'a> {
             results: Vec::new(),
             ev_counts: [0; EV_KINDS],
             windows: 0,
+            barrier_waits: 0,
             stalls: 0,
             cross_msgs: 0,
             local_msgs: 0,
@@ -677,6 +717,16 @@ impl<'a> Shard<'a> {
 
     /// Drive this shard through conservative windows until global
     /// termination (no shard has a pending event or arrival).
+    ///
+    /// One rendezvous per window. Before it, the shard publishes the
+    /// earliest event it accounts for: its queue head, or the earliest
+    /// message it posted to a peer in the window just run. A message is
+    /// counted by its sender for the one rendezvous after it was posted,
+    /// and by its receiver (queued) from then on, so the minimum over all
+    /// slots is the minimum over every pending event, exactly as if every
+    /// mailbox had been drained first (DESIGN.md, "Sharded execution").
+    /// After it, every shard reads the same snapshot, drains its mailbox
+    /// and runs to `T_min + lookahead`.
     fn run_loop(&mut self, coord: &Coord) {
         let _guard = PoisonGuard {
             barrier: &coord.barrier,
@@ -686,36 +736,30 @@ impl<'a> Shard<'a> {
         // the arena of the thread that made it (queued in `Shard::new`,
         // on the caller's thread, `sharded-storm` peaked 3.5 MB higher).
         self.queue_next_arrival();
-        loop {
-            for (key, ev) in coord.mailboxes[self.id].drain() {
-                self.queue.push_keyed(key, ev);
-            }
-            {
-                let mut slot = coord.slots[self.id].lock().expect("slot lock poisoned");
-                slot.next = self.queue.peek_time();
-                slot.live = self.live_count;
-                slot.owes_arrival = self.next_job.is_some();
-                slot.events = self.stats.events;
-            }
+        for parity in [0, 1].into_iter().cycle() {
+            let slots = &coord.slots[parity];
+            let mine = &slots[self.id];
+            let next = [self.queue.peek_time(), self.posted.take()]
+                .into_iter()
+                .flatten()
+                .min();
+            mine.next.store(next.map_or(u64::MAX, |t| t.0), Relaxed);
+            mine.live.store(self.live_count, Relaxed);
+            mine.owes_arrival.store(self.next_job.is_some(), Relaxed);
+            mine.events.store(self.stats.events, Relaxed);
             coord.barrier.wait();
-            // Between barriers A and B nobody writes slots: every shard
-            // reads the same snapshot, so the horizon, the drain flag,
-            // and the budget verdict agree everywhere — and are the same
-            // for every shard count, because window boundaries are.
-            let mut nexts: Vec<Option<SimTime>> = Vec::with_capacity(coord.slots.len());
-            let mut live = 0usize;
-            let mut owes_arrival = false;
-            let mut events = 0u64;
-            for s in &coord.slots {
-                let sl = s.lock().expect("slot lock poisoned");
-                nexts.push(sl.next);
-                live += sl.live;
-                owes_arrival |= sl.owes_arrival;
-                events += sl.events;
-            }
-            let Some(window_end) = safe_horizon(nexts, self.lookahead) else {
+            self.barrier_waits += 1;
+            // Every shard reads the same snapshot, so the horizon, the
+            // drain flag, and the budget verdict agree everywhere — and
+            // are the same for every shard count, because window
+            // boundaries are.
+            let Some(window_end) = safe_horizon(slots.iter().map(SlotPub::next), self.lookahead)
+            else {
                 break;
             };
+            let live: usize = slots.iter().map(|sl| sl.live.load(Relaxed)).sum();
+            let owes_arrival = slots.iter().any(|sl| sl.owes_arrival.load(Relaxed));
+            let events: u64 = slots.iter().map(|sl| sl.events.load(Relaxed)).sum();
             if events > self.cfg.max_events {
                 self.panic_event_budget(events);
             }
@@ -724,19 +768,27 @@ impl<'a> Shard<'a> {
                 self.drained = true;
             }
             self.windows += 1;
+            // Everything a peer posted before this rendezvous is here; a
+            // peer already past its window may have added messages from
+            // this window too, and those lie at or beyond `window_end`.
+            coord.mailboxes[self.id].drain_into(&mut self.inbox);
+            for (key, ev) in self.inbox.drain(..) {
+                self.queue.push_keyed(key, ev);
+            }
+            // The mailboxes pass buffers around (`post_all` and
+            // `drain_into` swap); a burst's buffer is cut back here, so
+            // the ones in circulation stay small.
+            self.inbox.shrink_to(INBOX_KEEP);
             let before = self.stats.events;
             self.exec_window(window_end);
             if self.stats.events == before {
                 self.stalls += 1;
             }
-            for d in 0..self.outboxes.len() {
-                if d == self.id {
-                    continue;
+            for (d, outbox) in self.outboxes.iter_mut().enumerate() {
+                if d != self.id {
+                    coord.mailboxes[d].post_all(outbox);
                 }
-                let buf = std::mem::take(&mut self.outboxes[d]);
-                coord.mailboxes[d].post_many(buf);
             }
-            coord.barrier.wait();
         }
         if let Some(a) = self.audit.as_ref() {
             for wk in &self.workers {
@@ -941,7 +993,8 @@ impl<'a> Shard<'a> {
     }
 
     /// Deliver a keyed message: own queue if the destination entity lives
-    /// here, else the destination shard's outbox (flushed at barrier B).
+    /// here, else the destination shard's outbox (flushed at the end of
+    /// the window).
     fn route(&mut self, key: EventKey, ev: SEv) {
         let dest = self.dest_shard(&ev);
         if dest == self.id {
@@ -949,6 +1002,7 @@ impl<'a> Shard<'a> {
             self.queue.push_keyed(key, ev);
         } else {
             self.cross_msgs += 1;
+            self.posted = Some(self.posted.map_or(key.time, |t| t.min(key.time)));
             self.outboxes[dest].push((key, ev));
         }
     }

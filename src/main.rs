@@ -45,6 +45,33 @@ fn main() {
     }
 }
 
+/// `print!` to stdout, where a reader that stopped reading
+/// (`hopper … | head`) ends the run normally: `EPIPE` exits with code 0
+/// instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn emit(args: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write};
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        exit(1);
+    }
+}
+
 /// Print `msg` and exit with code 2.
 fn bail(msg: impl std::fmt::Display) -> ! {
     eprintln!("{msg}");
@@ -160,7 +187,7 @@ fn run_single(kind: EngineKind, rest: &[String]) {
     let out = spec.run_one(seed).unwrap_or_else(|e| bail(e));
     let report = out.report();
     let core = &report.core;
-    println!(
+    outln!(
         "{}/{} on {} jobs ({} workload, util {:.0}%, seed {}): mean JCT {:.0} ms, p90 {:.0} ms, \
          makespan {:.1} s, spec {}/{} won, events {}, msgs {}",
         spec.engine.as_str(),
@@ -180,7 +207,7 @@ fn run_single(kind: EngineKind, rest: &[String]) {
     if spec.stream {
         // Streaming runs retire per-job results; report the memory
         // yardstick instead of the per-bin table.
-        println!(
+        outln!(
             "streaming: live-job high-water {} of {} total ({:.2}%), p50 ~{:.0} ms (sketch ε={})",
             report.live_high_water,
             report.digest.count(),
@@ -199,7 +226,7 @@ fn run_single(kind: EngineKind, rest: &[String]) {
         let label = format!("{}/{}", spec.engine.as_str(), spec.policy);
         std::fs::write(&path, series.to_jsonl(&label, seed))
             .unwrap_or_else(|e| bail(format!("could not write series to {path}: {e}")));
-        println!(
+        outln!(
             "telemetry: {} windows of {} ms written to {path}",
             series.windows.len(),
             series.window_ms,
@@ -233,7 +260,7 @@ fn run_sweep(rest: &[String]) {
         write_series_dir(&dir, &axis.key, &spec, &table);
     }
     if csv {
-        print!("{}", table.to_csv());
+        out!("{}", table.to_csv());
     } else {
         let title = format!(
             "{}/{} sweep over {} ({} trials, {} threads)",
@@ -243,7 +270,7 @@ fn run_sweep(rest: &[String]) {
             table.trials.len(),
             threads,
         );
-        table.to_table(&title).print();
+        out!("{}", table.to_table(&title).render());
     }
 }
 
@@ -311,7 +338,7 @@ fn run_stability(rest: &[String]) {
     let threads = threads.unwrap_or_else(hopper::experiment::default_threads);
     let results = frontier_grid(&cells, &cfg, threads).unwrap_or_else(|e| bail(e));
     if csv {
-        print!("{}", frontier_csv(&results));
+        out!("{}", frontier_csv(&results));
     } else {
         let mut t = Table::new(
             "stability frontier (max sustainable utilization)",
@@ -330,7 +357,7 @@ fn run_stability(rest: &[String]) {
                 r.probes.len().to_string(),
             ]);
         }
-        t.print();
+        out!("{}", t.render());
     }
 }
 
@@ -419,7 +446,7 @@ fn run_report(rest: &[String]) {
     }
     std::fs::write(&out_path, hopper::metrics::render_html(&runs))
         .unwrap_or_else(|e| bail(format!("could not write report to {out_path}: {e}")));
-    println!(
+    outln!(
         "report: {} run{} -> {out_path}",
         runs.len(),
         if runs.len() == 1 { "" } else { "s (A/B)" },
@@ -427,7 +454,7 @@ fn run_report(rest: &[String]) {
     if let Some(path) = svg_path {
         std::fs::write(&path, hopper::metrics::render_svg(&runs))
             .unwrap_or_else(|e| bail(format!("could not write SVG to {path}: {e}")));
-        println!("report: SVG panel -> {path}");
+        outln!("report: SVG panel -> {path}");
     }
 }
 
@@ -441,7 +468,7 @@ fn print_bins(jobs: &[JobResult]) {
         let cell = mean_duration_in_bin(jobs, bin).map_or("n/a".to_string(), |m| format!("{m:.0}"));
         t.row(&[bin.label().into(), n.to_string(), cell]);
     }
-    t.print();
+    out!("{}", t.render());
 }
 
 fn run_example() {
@@ -471,7 +498,7 @@ fn run_example() {
         let b = out.jobs.iter().find(|r| r.job == 1).unwrap().duration_ms() / 1000;
         t.row(&[name.into(), a.to_string(), b.to_string()]);
     }
-    t.print();
+    out!("{}", t.render());
 }
 
 const USAGE: &str = "\

@@ -142,3 +142,24 @@ fn bad_command_lines_exit_with_code_2() {
         assert!(out.stdout.is_empty(), "hopper {args:?} ran anyway");
     }
 }
+
+/// A reader that stops early (`hopper example | head -0`) ends the run
+/// normally: `EPIPE` on stdout exits with code 0, and nothing panics.
+#[test]
+fn closed_stdout_is_a_normal_exit() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hopper"))
+        .arg("example")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the hopper binary");
+    // Close the only read end before the run prints anything.
+    drop(child.stdout.take());
+    let out = child
+        .wait_with_output()
+        .expect("wait for the hopper binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+}

@@ -115,6 +115,9 @@ fn sharded_run_is_deterministic_for_same_seed() {
     let a = decentral::run(&t, DecPolicy::Hopper, &cfg(3, 2));
     let b = decentral::run(&t, DecPolicy::Hopper, &cfg(3, 2));
     assert_same(&a, &b, "Hopper/seed3/shards2 repeat");
+    // The engine counters too: stalls and the cross/local split depend
+    // on the partition, but not on thread timing.
+    assert_eq!(a.shard, b.shard, "ShardStats drifted between repeats");
 }
 
 /// Partition independence must survive the full dynamics plane:
@@ -274,6 +277,37 @@ fn queue_counters_account_for_every_event() {
                 Some(base) => assert_eq!(base, q, "counters drifted: {ctx}"),
             }
         }
+    }
+}
+
+/// The window negotiation's exact counters. Each shard makes one
+/// rendezvous per window plus the last one that finds nothing pending
+/// (`merge` checks that every shard made the same number). The window
+/// sequence and the message total are the same at every shard count,
+/// and one shard sends nothing across and never stalls: its own queue
+/// head sets the horizon. (At each count the cross/local split and the
+/// stalls are exact too: `sharded_run_is_deterministic_for_same_seed`.)
+/// 8 shards outnumber a small host's cores, so barrier waiters park
+/// there, and the run must still be bit-identical to one shard.
+#[test]
+fn window_counters_are_exact_at_every_shard_count() {
+    let t = trace(5, 30);
+    let mut c = cfg(5, 1);
+    c.faults = storm();
+    let base = decentral::run(&t, DecPolicy::Hopper, &c);
+    let b = base.shard.clone().unwrap();
+    assert_eq!((b.cross_msgs, b.horizon_stalls), (0, 0), "{b:?}");
+    assert_eq!(b.barrier_waits, b.windows + 1, "{b:?}");
+    for shards in [2, 3, 4, 8] {
+        c.shards = shards;
+        let got = decentral::run(&t, DecPolicy::Hopper, &c);
+        assert_same(&base, &got, &format!("counters/shards{shards}"));
+        let s = got.shard.unwrap();
+        let ctx = format!("shards{shards}: {s:?}");
+        assert_eq!(s.barrier_waits, s.windows + 1, "{ctx}");
+        assert_eq!(s.windows, b.windows, "{ctx}");
+        assert_eq!(s.cross_msgs + s.local_msgs, b.local_msgs, "{ctx}");
+        assert!(s.cross_msgs > 0, "{ctx}");
     }
 }
 
