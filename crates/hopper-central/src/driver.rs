@@ -15,7 +15,9 @@ use hopper_cluster::{
     ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, JobSlab, MachineDynamics, MachineId,
     Machines, PrewarmCounters, TaskRef,
 };
-use hopper_core::{AllocCounters, AlphaEstimator, BetaEstimator, IncrementalAlloc, Regime};
+use hopper_core::{
+    AllocCounters, AlphaEstimator, BetaEstimator, IncrementalAlloc, Interval, Regime,
+};
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, RunSummary, SeriesCollector, TelemetrySnapshot,
 };
@@ -25,6 +27,7 @@ use hopper_workload::{ArrivalSource, Trace, TraceJob};
 use rand::rngs::StdRng;
 
 use crate::policy::{HopperConfig, Policy};
+use crate::rows::{RowCounters, RowTable};
 
 /// Simulation-wide configuration (cluster + execution model + seed).
 #[derive(Debug, Clone)]
@@ -136,6 +139,9 @@ pub struct RunOutput {
     /// non-Hopper policies). Not in `report.core`: they count work, not
     /// outcomes.
     pub prewarm_counters: PrewarmCounters,
+    /// Work counters of Hopper's persistent launch-loop row table (all
+    /// zero for non-Hopper policies). Not in `report.core` either.
+    pub row_counters: RowCounters,
 }
 
 impl RunSummary for RunOutput {
@@ -288,12 +294,10 @@ struct Central<'a> {
     /// Instant of the most recently delivered event (the deferred
     /// dispatch runs at this time once the instant's batch drains).
     last_now: SimTime,
-    /// Scratch for the Hopper launch loop (reused across dispatches):
-    /// `(job, hold)` rows in priority order, each row's target, and the
-    /// eligible row indices.
-    rows_scratch: Vec<(usize, usize)>,
-    targets_scratch: Vec<usize>,
-    elig_scratch: Vec<u32>,
+    /// Hopper's launch-loop rows, kept across dispatches and patched
+    /// where something changed (`None` for the other policies) — see
+    /// [`RowTable`].
+    table: Option<RowTable>,
     /// Work counters of the launch loop's pre-warm passes.
     prewarm: PrewarmCounters,
     /// Cluster-wide running original copies (BudgetedSrpt's cap input).
@@ -369,9 +373,7 @@ impl<'a> Central<'a> {
             defer_dispatch,
             pending_dispatch: false,
             last_now: SimTime::ZERO,
-            rows_scratch: Vec::new(),
-            targets_scratch: Vec::new(),
-            elig_scratch: Vec::new(),
+            table: matches!(policy, Policy::Hopper(_)).then(|| RowTable::new(n)),
             prewarm: PrewarmCounters::default(),
             orig_running: 0,
             dynamics,
@@ -658,6 +660,10 @@ impl<'a> Central<'a> {
             report,
             alloc_counters: self.alloc.counters(),
             prewarm_counters: self.prewarm,
+            row_counters: self
+                .table
+                .as_ref()
+                .map_or_else(RowCounters::default, |t| t.counters),
         }
     }
 
@@ -836,14 +842,19 @@ impl<'a> Central<'a> {
     /// Insert job `j` into the ready index under its current key if it
     /// has runnable work. Called wherever runnable work can appear or the
     /// key can move: arrival, task finish (phase eligibility included),
-    /// scan refresh and failure requeue. A no-op without an index.
+    /// scan refresh and failure requeue — the same points where a job's
+    /// usage or runnable work moves outside the launch loop, so under
+    /// Hopper (no ready index) it queues the job's launch-loop row for
+    /// recomputation instead.
     fn mark_ready(&mut self, j: usize) {
-        if self.runnable(j) == 0 {
-            return;
-        }
         if let Some(ready) = self.ready.as_mut() {
+            if self.pending_orig[j] + self.candidates[j].len() == 0 {
+                return;
+            }
             let key = ready.key(&self.jobs[j]);
             ready.set.insert((key, j));
+        } else if let Some(table) = self.table.as_mut() {
+            table.touch(j);
         }
     }
 
@@ -1090,21 +1101,16 @@ impl<'a> Central<'a> {
     /// The launch loop over the current allocation: priority-ordered
     /// launches with slot-holding and the k% locality relaxation.
     ///
-    /// Equivalent to the historical rebuild-everything-per-iteration
-    /// loop, but the held total and the eligibility list are maintained
-    /// incrementally: one launch attempt moves usage/runnable state for
-    /// exactly the chosen job (a failed speculative attempt still prunes
-    /// its candidates), so only that row is refreshed. Eligibility is
-    /// monotone within one pass — usage only grows and runnable work
-    /// only shrinks — so rows that drop out are skipped permanently and
-    /// none ever re-enters. Returns whether any copy launched.
+    /// The rows — `(job, hold)`, target and eligibility in allocation
+    /// order, and the held total — persist in the [`RowTable`]; a pass
+    /// first patches the rows that changed since the last one
+    /// ([`Self::sync_rows`]). Within a pass one launch attempt moves
+    /// usage/runnable state for exactly the chosen job (a failed
+    /// speculative attempt still prunes its candidates), so only that
+    /// row is recomputed. Eligibility is monotone within one pass —
+    /// usage only grows and runnable work only shrinks — so a row that
+    /// drops out never re-enters. Returns whether any copy launched.
     fn hopper_launch_loop(&mut self, now: SimTime, hcfg: &HopperConfig) -> bool {
-        let mut rows = std::mem::take(&mut self.rows_scratch);
-        let mut targets = std::mem::take(&mut self.targets_scratch);
-        let mut elig = std::mem::take(&mut self.elig_scratch);
-        rows.clear();
-        targets.clear();
-        elig.clear();
         // Under a learned β every job shares one speculation multiplier;
         // hoist it so the per-row quota below is pure integer work.
         let shared_mult = if hcfg.learn_beta {
@@ -1112,79 +1118,55 @@ impl<'a> Central<'a> {
         } else {
             None
         };
-        // One pass in ascending max(V, V') order — the allocator's fill
-        // order — building the row table (job, hold) and targets, the held
-        // total, and the eligibility list together. Holds are slots kept
-        // idle for jobs whose allocation exceeds both their usage and
-        // their immediately runnable work (anticipated speculation —
-        // Figure 2's "budgeted slot 5 until time 2"); eligible rows have
-        // headroom and runnable work.
-        let mut held = 0usize;
-        for &(_, j) in self.alloc.order() {
-            let target = self.alloc.granted(j);
-            let hold = self.hold_quota(j, target, shared_mult);
-            held += hold;
-            if self.usage[j] < target && self.runnable(j) > 0 {
-                elig.push(rows.len() as u32);
-            }
-            rows.push((j, hold));
-            targets.push(target);
-        }
-        let bracket =
-            ((hcfg.locality_relax_pct / 100.0 * rows.len() as f64).ceil() as usize).min(rows.len());
-        let mut start = 0usize;
+        let mut t = self.table.take().expect("Hopper keeps a row table");
+        self.sync_rows(&mut t, shared_mult);
+        #[cfg(debug_assertions)]
+        self.assert_rows_match_rebuild(&t, shared_mult);
+        // Holds are slots kept idle for jobs whose allocation exceeds
+        // both their usage and their immediately runnable work
+        // (anticipated speculation — Figure 2's "budgeted slot 5 until
+        // time 2"); eligible rows have headroom and runnable work.
+        let n = t.rows.len();
+        let bracket = ((hcfg.locality_relax_pct / 100.0 * n as f64).ceil() as usize).min(n);
         let mut launched_any = false;
         loop {
             let free = self.machines.total_free();
-            if free == 0 || free <= held {
+            if free == 0 || free <= t.held {
                 break;
             }
-            // Head: first still-eligible row. Entries the loop already
-            // filled (or drained of work) are skipped for good.
-            let head = loop {
-                let Some(&ri) = elig.get(start) else {
-                    break None;
-                };
-                let (j, t) = (rows[ri as usize].0, targets[ri as usize]);
-                if self.usage[j] < t && self.runnable(j) > 0 {
-                    break Some(ri as usize);
-                }
-                start += 1;
+            // Head: first eligible row.
+            let Some(head) = t.elig.next_set(0) else {
+                break;
             };
-            let Some(head) = head else { break };
             let mut chosen = head;
             // k% locality relaxation (§4.4): if the head job's next launch
             // would be non-local, any of the smallest k% of eligible jobs
             // with a data-local task on a free machine may take the slot.
-            if bracket > 0 && !self.would_launch_local(rows[head].0) {
+            if bracket > 0 && !self.would_launch_local(t.rows[head].0) {
                 let mut seen = 0usize;
-                for &ri in &elig[start..] {
+                let mut next = Some(head);
+                while let Some(ri) = next {
                     if seen == bracket {
                         break;
                     }
-                    let (j, t) = (rows[ri as usize].0, targets[ri as usize]);
-                    if self.usage[j] >= t || self.runnable(j) == 0 {
-                        continue; // went ineligible mid-pass: not counted
-                    }
                     seen += 1;
-                    if self.would_launch_local(j) {
-                        chosen = ri as usize;
+                    if self.would_launch_local(t.rows[ri].0) {
+                        chosen = ri;
                         break;
                     }
+                    next = t.elig.next_set(ri + 1);
                 }
             }
-            let j = rows[chosen].0;
+            let j = t.rows[chosen].0;
             let launched = if self.pending_orig[j] > 0 {
                 self.launch_original(j, now)
             } else {
                 self.try_speculative(j, now)
             };
-            // Refresh the chosen row's hold (even on failure: pruned
-            // candidates shrink runnable work) so the held total and the
-            // bind phase below see current values.
-            held -= rows[chosen].1;
-            rows[chosen].1 = self.hold_quota(j, targets[chosen], shared_mult);
-            held += rows[chosen].1;
+            // Recompute the chosen row (even on failure: pruned
+            // candidates shrink runnable work) so the held total, the
+            // eligible set and the bind phase below see current values.
+            self.refresh_row(&mut t, chosen, shared_mult);
             if !launched {
                 break;
             }
@@ -1198,15 +1180,132 @@ impl<'a> Central<'a> {
             let p = self.prewarm.passes;
             (p < 64 || p.is_multiple_of(64)).then(|| self.machines.clone())
         };
-        self.prewarm += self.machines.bind_holds(&rows);
+        self.prewarm += self.machines.bind_holds(&t.rows);
         #[cfg(debug_assertions)]
         if let Some(before) = before {
-            self.assert_holds_match_per_row(before, &rows);
+            self.assert_holds_match_per_row(before, &t.rows);
         }
-        self.rows_scratch = rows;
-        self.targets_scratch = targets;
-        self.elig_scratch = elig;
+        self.table = Some(t);
         launched_any
+    }
+
+    /// Bring the row table up to date for a pass: replay the allocator's
+    /// order edits, then recompute the rows of the jobs whose grant moved
+    /// (allocator feed), whose usage or runnable work moved
+    /// ([`Self::mark_ready`]), or whose anticipation can have changed
+    /// with the shared multiplier (threshold index). A first pass, or an
+    /// allocator re-sort, rebuilds every row instead.
+    fn sync_rows(&mut self, t: &mut RowTable, shared_mult: Option<f64>) {
+        if self.alloc.take_changes(&mut t.edits, &mut t.moved) || !t.built {
+            self.rebuild_rows(t, shared_mult);
+            return;
+        }
+        for i in 0..t.edits.len() {
+            t.apply(t.edits[i]);
+        }
+        for i in 0..t.moved.len() {
+            t.touch(t.moved[i]);
+        }
+        // A moved multiplier: recompute the rows whose hold interval it
+        // left (queued rows are recomputed below anyway).
+        if let Some(m) = shared_mult {
+            if t.mult.map(f64::to_bits) != Some(m.to_bits()) {
+                for pos in 0..t.rows.len() {
+                    if !t.valid[pos].contains(m) && !t.is_touched(t.rows[pos].0) {
+                        self.refresh_row(t, pos, shared_mult);
+                        t.counters.refreshed += 1;
+                    }
+                }
+            }
+        }
+        t.mult = shared_mult;
+        t.take_dirty();
+        for i in 0..t.taken.len() {
+            // Completed jobs left the order (their row with them).
+            if let Some(pos) = self.alloc.position(t.taken[i]) {
+                self.refresh_row(t, pos, shared_mult);
+                t.counters.refreshed += 1;
+            }
+        }
+    }
+
+    /// Rebuild every row from the allocation order — the from-scratch
+    /// table the incremental sync must reproduce.
+    fn rebuild_rows(&mut self, t: &mut RowTable, shared_mult: Option<f64>) {
+        t.take_dirty();
+        t.rows.clear();
+        t.targets.clear();
+        t.valid.clear();
+        t.elig.clear();
+        t.held = 0;
+        for (_, j) in self.alloc.order() {
+            t.rows.push((j, 0));
+            t.targets.push(0);
+            t.valid.push(Interval::ALL);
+            t.elig.push(false);
+        }
+        for pos in 0..t.rows.len() {
+            self.refresh_row(t, pos, shared_mult);
+        }
+        t.mult = shared_mult;
+        t.built = true;
+        t.counters.rebuilds += 1;
+        t.counters.refreshed += t.rows.len() as u64;
+    }
+
+    /// Recompute row `pos` from the job's current grant, usage and
+    /// runnable work, keeping the held total, the eligible set and the
+    /// row's hold interval in step.
+    fn refresh_row(&self, t: &mut RowTable, pos: usize, shared_mult: Option<f64>) {
+        let j = t.rows[pos].0;
+        let target = self.alloc.granted(j);
+        let hold = self.hold_quota(j, target, shared_mult);
+        t.held = t.held - t.rows[pos].1 + hold;
+        t.rows[pos].1 = hold;
+        t.targets[pos] = target;
+        let usage = self.usage[j];
+        let runnable = self.runnable(j);
+        t.elig.set(pos, usage < target && runnable > 0);
+        // The hold is min(headroom, ⌈(m−1)·usage⌉) when headroom > 0,
+        // else 0: it moves with m only with headroom and running copies.
+        let headroom = target.saturating_sub(usage).saturating_sub(runnable);
+        t.valid[pos] = match shared_mult {
+            Some(m) if headroom > 0 && usage > 0 => {
+                let u = usage as f64;
+                let (level, valid) = hopper_core::level_interval(
+                    m,
+                    headroom,
+                    |m| hopper_core::ceil_usize((m - 1.0) * u),
+                    |k| 1.0 + k as f64 / u,
+                );
+                debug_assert_eq!(level, hold);
+                valid
+            }
+            _ => Interval::ALL,
+        };
+    }
+
+    /// Debug-only shadow check of the persistent row table: the rows,
+    /// targets, eligible set and held total must equal a from-scratch
+    /// build over the allocation order.
+    #[cfg(debug_assertions)]
+    fn assert_rows_match_rebuild(&self, t: &RowTable, shared_mult: Option<f64>) {
+        let mut held = 0usize;
+        let mut rows = Vec::new();
+        let mut targets = Vec::new();
+        let mut elig = crate::rows::RowBits::default();
+        for (_, j) in self.alloc.order() {
+            let target = self.alloc.granted(j);
+            let hold = self.hold_quota(j, target, shared_mult);
+            held += hold;
+            elig.push(self.usage[j] < target && self.runnable(j) > 0);
+            rows.push((j, hold));
+            targets.push(target);
+        }
+        assert_eq!(t.rows, rows, "row table drifted from a rebuild");
+        assert_eq!(t.targets, targets, "row targets drifted from a rebuild");
+        assert_eq!(t.held, held, "held total drifted from a rebuild");
+        assert_eq!(t.elig, elig, "eligible rows drifted from a rebuild");
     }
 
     /// Debug-build shadow check of the batched pre-warm: replay the

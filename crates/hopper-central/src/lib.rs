@@ -12,8 +12,10 @@
 
 pub mod driver;
 pub mod policy;
+mod rows;
 pub mod scenario;
 
 pub use driver::{run, run_source, RunOutput, RunStats, SimConfig};
 pub use hopper_cluster::PrewarmCounters;
 pub use policy::{HopperConfig, Policy};
+pub use rows::RowCounters;

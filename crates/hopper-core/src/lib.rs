@@ -9,7 +9,8 @@
 //! - [`allocate()`] — the two-regime slot allocator (Pseudocode 1) with
 //!   ε-fairness (§4.3);
 //! - [`incremental`] — the same allocation maintained incrementally
-//!   (sorted Guideline-2 order, suffix-only refills) for per-event use;
+//!   (sorted Guideline-2 order, an exhaustion-point fill) for per-event
+//!   use, with [`threshold`] naming the sizes a shared-β move can change;
 //! - [`estimate`] — online β (Pareto MLE) and α (recurring-job history)
 //!   estimation (§5.3, §6.3);
 //! - [`protocol`] — the decentralized worker/scheduler decision rules
@@ -28,14 +29,16 @@ pub mod estimate;
 pub mod incremental;
 pub mod protocol;
 pub mod shard;
+pub mod threshold;
 pub mod vsize;
 
 pub use allocate::{allocate, cmp_priority, AllocConfig, Allocation, JobDemand, Regime};
 pub use estimate::{alpha_from_work, AlphaEstimator, BetaEstimator};
-pub use incremental::{AllocCounters, IncrementalAlloc};
+pub use incremental::{AllocCounters, IncrementalAlloc, OrderEdit};
 pub use protocol::{
     pick_fcfs, pick_srpt, scheduler_accepts, FreeSlotEpisode, Reservation, ResponseKind,
     UnsatisfiedJob, WorkerAction,
 };
 pub use shard::{safe_horizon, EventKey, Mailbox, SyncBarrier};
+pub use threshold::{level_interval, Interval};
 pub use vsize::{ceil_usize, priority_key, speculation_multiplier, virtual_size};

@@ -143,13 +143,13 @@ fn cores() -> usize {
 ///
 /// Arrival is one atomic increment; the last arriver resets the count
 /// and bumps the generation. Early arrivers spin on the generation for
-/// [`SPIN_LIMIT`] polls, then park on a condvar. The releaser takes the
+/// `SPIN_LIMIT` polls, then park on a condvar. The releaser takes the
 /// lock and notifies only when `sleepers` says someone is parked, so a
 /// rendezvous whose peers all arrive within the spin costs no syscall.
 #[derive(Debug)]
 pub struct SyncBarrier {
     parties: usize,
-    /// Polls before parking: [`SPIN_LIMIT`], or 0 when the parties
+    /// Polls before parking: `SPIN_LIMIT`, or 0 when the parties
     /// outnumber the cores (a spinner would hold the core a late peer
     /// needs).
     spin: u32,

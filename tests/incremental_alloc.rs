@@ -177,3 +177,31 @@ fn streaming_equals_materialized_with_drift() {
         assert_eq!(mat.jobs().len() as u64, str.report().digest.count());
     }
 }
+
+/// Exact work counters of the threshold intervals and the persistent
+/// launch-loop row table on one seeded learned-β run (they are kept out
+/// of `RunReport.core`). A shared-β move re-checks only the `⌈V⌉` whose
+/// interval it left, and a launch-loop pass recomputes only the rows
+/// that changed: both stay far below one full sweep per pass, and the
+/// table is built from scratch once (no β refresh re-sorted the order).
+/// Dev-profile runs also replay every pass against a from-scratch
+/// rebuild of the table (`assert_rows_match_rebuild`).
+#[test]
+fn threshold_and_row_table_counters_are_pinned() {
+    let t = trace(4, 80);
+    let out = central::run(
+        &t,
+        &Policy::Hopper(HopperConfig::default()),
+        &cfg(4, DynamicsConfig::off()),
+    );
+    let (a, r, p) = (out.alloc_counters, out.row_counters, out.prewarm_counters);
+    assert_eq!(out.jobs.len(), 80);
+    assert_eq!((a.recomputes, a.index_rechecks), (1524, 521));
+    assert_eq!((r.refreshed, r.rebuilds), (3541, 1));
+    assert_eq!(p.passes, 1565);
+    // Fewer rows recomputed over the run than rows that even needed a
+    // pre-warm bind (a subset of all rows), and fewer ⌈V⌉ re-checks than
+    // allocations.
+    assert!(r.refreshed < p.deficit_rows, "{r:?} vs {p:?}");
+    assert!(a.index_rechecks < a.recomputes, "{a:?}");
+}
