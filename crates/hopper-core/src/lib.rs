@@ -36,8 +36,8 @@ pub use allocate::{allocate, cmp_priority, AllocConfig, Allocation, JobDemand, R
 pub use estimate::{alpha_from_work, AlphaEstimator, BetaEstimator};
 pub use incremental::{AllocCounters, IncrementalAlloc, OrderEdit};
 pub use protocol::{
-    pick_fcfs, pick_srpt, scheduler_accepts, FreeSlotEpisode, Reservation, ResponseKind,
-    UnsatisfiedJob, WorkerAction,
+    pick_fcfs, pick_srpt, scheduler_accepts, FreeSlotEpisode, PickScratch, Reservation,
+    ResponseKind, UnsatisfiedJob, WorkerAction,
 };
 pub use shard::{safe_horizon, EventKey, Mailbox, SyncBarrier};
 pub use threshold::{level_interval, Interval};

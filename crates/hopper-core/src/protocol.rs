@@ -99,6 +99,14 @@ pub struct FreeSlotEpisode {
     responses_sent: usize,
 }
 
+/// Reusable buffer of the Guideline-3 pick: each eligible job's first
+/// reservation, as `(job, weight, queue index)` in queue order. An engine
+/// keeps one and lends it to every worker step
+/// ([`FreeSlotEpisode::next_action_with`]), so the pick allocates nothing
+/// once warm and no worker holds a buffer of its own.
+#[derive(Debug, Clone, Default)]
+pub struct PickScratch(Vec<(u64, f64, usize)>);
+
 impl FreeSlotEpisode {
     /// Start an episode with the given refusal threshold.
     pub fn new(refusal_threshold: usize) -> Self {
@@ -110,6 +118,17 @@ impl FreeSlotEpisode {
             best_unsatisfied: None,
             responses_sent: 0,
         }
+    }
+
+    /// Start a fresh episode in place: the state of
+    /// [`FreeSlotEpisode::new`], keeping this one's two buffers.
+    pub fn restart(&mut self, refusal_threshold: usize) {
+        self.probed_schedulers.clear();
+        self.refused_jobs.clear();
+        self.refusal_count = 0;
+        self.refusal_threshold = refusal_threshold;
+        self.best_unsatisfied = None;
+        self.responses_sent = 0;
     }
 
     /// Hard bound on responses per episode: the probing round costs at
@@ -169,11 +188,24 @@ impl FreeSlotEpisode {
         queue: &[Reservation],
         rng: &mut R,
     ) -> WorkerAction {
+        self.next_action_with(queue, &mut PickScratch::default(), rng)
+    }
+
+    /// [`FreeSlotEpisode::next_action`] with a caller-kept pick buffer:
+    /// the same action and RNG draws, and no allocation once `picks` is
+    /// warm.
+    pub fn next_action_with<R: Rng + ?Sized>(
+        &mut self,
+        queue: &[Reservation],
+        picks: &mut PickScratch,
+        rng: &mut R,
+    ) -> WorkerAction {
         if self.responses_sent >= self.max_responses() {
             return WorkerAction::Idle;
         }
-        // The filter is re-applied on each pass instead of collected:
-        // this step runs once per worker protocol step, and must not allocate.
+        // This step runs once per worker protocol step and must not
+        // allocate: the filter is applied in place, and the Guideline-3
+        // pick fills the caller's buffer.
         let eligible = |r: &Reservation| {
             !self.refused_jobs.contains(&r.job) && !self.probed_schedulers.contains(&r.scheduler)
         };
@@ -194,7 +226,7 @@ impl FreeSlotEpisode {
                     kind: ResponseKind::NonRefusable,
                 }
             } else {
-                match pick_weighted_by_virtual_size(queue, eligible, rng) {
+                match pick_weighted_by_virtual_size(queue, eligible, picks, rng) {
                     Some(r) => WorkerAction::Respond {
                         scheduler: r.scheduler,
                         job: r.job,
@@ -250,32 +282,36 @@ fn pick_min_virtual_size<'a>(
 /// virtual sizes", §5.2), over the reservations of `queue` that pass
 /// `eligible`. Dedups by job — only a job's first eligible reservation
 /// counts — so a job with many queued reservations is not double-counted.
+///
+/// One pass over `queue` collects the jobs into `picks` (cleared first);
+/// the weights are then summed and walked in that order, with one RNG
+/// draw when their total is positive.
 fn pick_weighted_by_virtual_size<'a, R: Rng + ?Sized>(
     queue: &'a [Reservation],
     eligible: impl Fn(&Reservation) -> bool,
+    picks: &mut PickScratch,
     rng: &mut R,
 ) -> Option<&'a Reservation> {
-    let jobs = || {
-        queue.iter().enumerate().filter_map(|(i, r)| {
-            let is_first = eligible(r) && !queue[..i].iter().any(|p| p.job == r.job && eligible(p));
-            is_first.then_some(r)
-        })
-    };
-    let first = jobs().next()?;
-    let total: f64 = jobs().map(|r| r.virtual_size.max(0.0)).sum();
+    let picks = &mut picks.0;
+    picks.clear();
+    for (i, r) in queue.iter().enumerate() {
+        if eligible(r) && !picks.iter().any(|&(job, ..)| job == r.job) {
+            picks.push((r.job, r.virtual_size.max(0.0), i));
+        }
+    }
+    let &(_, _, first) = picks.first()?;
+    let total: f64 = picks.iter().map(|&(_, w, _)| w).sum();
     if total <= 0.0 {
-        return Some(first);
+        return Some(&queue[first]);
     }
     let mut x = rng.gen::<f64>() * total;
-    let mut last = first;
-    for r in jobs() {
-        x -= r.virtual_size.max(0.0);
+    for &(_, w, i) in picks.iter() {
+        x -= w;
         if x <= 0.0 {
-            return Some(r);
+            return Some(&queue[i]);
         }
-        last = r;
     }
-    Some(last)
+    picks.last().map(|&(_, _, i)| &queue[i])
 }
 
 /// FCFS pick (stock Sparrow): the earliest queued reservation.
@@ -572,7 +608,9 @@ mod tests {
         let mut hits2 = 0;
         for seed in 0..300 {
             let mut rng = rng_from_seed(seed);
-            let pick = pick_weighted_by_virtual_size(&q, |_| true, &mut rng).unwrap();
+            let pick =
+                pick_weighted_by_virtual_size(&q, |_| true, &mut PickScratch::default(), &mut rng)
+                    .unwrap();
             if pick.job == 2 {
                 hits2 += 1;
             }
@@ -755,6 +793,9 @@ mod tests {
     fn zero_virtual_sizes_still_pick_something() {
         let q = [res(0, 1, 0.0, 0.0), res(1, 2, 0.0, 0.0)];
         let mut rng = rng_from_seed(4);
-        assert!(pick_weighted_by_virtual_size(&q, |_| true, &mut rng).is_some());
+        assert!(
+            pick_weighted_by_virtual_size(&q, |_| true, &mut PickScratch::default(), &mut rng)
+                .is_some()
+        );
     }
 }

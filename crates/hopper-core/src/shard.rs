@@ -8,7 +8,7 @@
 //! carries an [`EventKey`] — `(time, origin entity, per-origin
 //! sequence)`, defined next to the queue in `hopper_sim` and re-exported
 //! here — and each shard's queue is a `hopper_sim::EventQueue` fed only
-//! through `push_keyed`, so it pops in a total order that does not
+//! by keyed pushes, so it pops in a total order that does not
 //! depend on how entities were partitioned: per-origin sequence
 //! numbers are assigned by the emitting entity in its own deterministic
 //! emission order, and entities on different shards interact only

@@ -33,8 +33,8 @@ use std::collections::{HashSet, VecDeque};
 use crate::driver::DecPolicy;
 use hopper_cluster::{CopyRef, CopyStatus, JobRun, JobSlab, MachineId, TaskRef};
 use hopper_core::protocol::{
-    pick_fcfs, pick_srpt, scheduler_accepts, BackoffPolicy, FreeSlotEpisode, Reservation,
-    ResponseKind, UnsatisfiedJob, WorkerAction,
+    pick_fcfs, pick_srpt, scheduler_accepts, BackoffPolicy, FreeSlotEpisode, PickScratch,
+    Reservation, ResponseKind, UnsatisfiedJob, WorkerAction,
 };
 use hopper_core::{virtual_size, BetaEstimator};
 use hopper_metrics::JobResult;
@@ -95,8 +95,12 @@ pub(crate) struct Worker {
     free: usize,
     /// The machine's slot count.
     slots: usize,
-    /// The late-binding episode in flight (it holds one promised slot).
-    episode: Option<FreeSlotEpisode>,
+    /// Whether a late-binding episode is in flight (it holds one
+    /// promised slot).
+    in_episode: bool,
+    /// The episode in flight, or the last one: restarted in place by
+    /// each [`Worker::open_episode`], so opening one does not allocate.
+    episode: FreeSlotEpisode,
     /// Machine incarnation, bumped on failure: a reply to an offer from
     /// an earlier incarnation references a slot that died with the
     /// machine (always 0 while dynamics are off).
@@ -118,7 +122,8 @@ impl Worker {
             queue: Vec::new(),
             free: slots,
             slots,
-            episode: None,
+            in_episode: false,
+            episode: FreeSlotEpisode::new(0),
             inc: 0,
             ep: 0,
             rpc: 0,
@@ -132,7 +137,7 @@ impl Worker {
 
     /// Whether an episode is in flight.
     pub fn has_episode(&self) -> bool {
-        self.episode.is_some()
+        self.in_episode
     }
 
     /// A copy stopped or a promised slot came back: return one slot to
@@ -156,11 +161,12 @@ impl Worker {
     ///
     /// [`step`]: Worker::step
     pub fn open_episode(&mut self, refusal_threshold: usize) -> bool {
-        if self.free == 0 || self.episode.is_some() || self.queue.is_empty() {
+        if self.free == 0 || self.in_episode || self.queue.is_empty() {
             return false;
         }
         self.free -= 1;
-        self.episode = Some(FreeSlotEpisode::new(refusal_threshold));
+        self.in_episode = true;
+        self.episode.restart(refusal_threshold);
         true
     }
 
@@ -172,16 +178,19 @@ impl Worker {
     /// episode; with nothing to offer the episode ends and its slot
     /// returns to the free pool. Returns the offer (`None`: idle, or no
     /// episode in flight) and whether this step was taken past the
-    /// refusal threshold (a Guideline-3 switch).
+    /// refusal threshold (a Guideline-3 switch). `picks` is the engine's
+    /// buffer for the Guideline-3 pick, lent to every worker.
     pub fn step(
         &mut self,
         policy: DecPolicy,
         refusal_threshold: usize,
+        picks: &mut PickScratch,
         rng: &mut impl Rng,
     ) -> (Option<Offer>, bool) {
-        let Some(ep) = self.episode.as_mut() else {
+        if !self.in_episode {
             return (None, false); // defensive: stray reply after the episode resolved
-        };
+        }
+        let ep = &mut self.episode;
         let respond = |r: &Reservation| WorkerAction::Respond {
             scheduler: r.scheduler,
             job: r.job,
@@ -198,7 +207,7 @@ impl Worker {
             ),
             DecPolicy::Hopper => {
                 let switched = ep.refusals() >= refusal_threshold;
-                (ep.next_action(&self.queue, rng), switched)
+                (ep.next_action_with(&self.queue, picks, rng), switched)
             }
         };
         let offer = match action {
@@ -231,7 +240,7 @@ impl Worker {
     /// replies echoing its epoch are stale and any armed lease is void.
     /// Callers settle `free` themselves.
     fn end_episode(&mut self) {
-        self.episode = None;
+        self.in_episode = false;
         self.ep += 1;
         self.rpc += 1;
     }
@@ -269,8 +278,8 @@ impl Worker {
         match policy {
             DecPolicy::Sparrow | DecPolicy::SparrowSrpt => self.consume_reservation(job),
             DecPolicy::Hopper => {
-                if let Some(ep) = self.episode.as_mut() {
-                    ep.record_refusal(sched, job as u64, unsatisfied);
+                if self.in_episode {
+                    self.episode.record_refusal(sched, job as u64, unsatisfied);
                 }
                 false
             }
@@ -302,7 +311,7 @@ impl Worker {
     /// or stale-dropped, so the episode ends and its promised slot
     /// returns to the free pool. Returns whether the slot was reclaimed.
     pub fn lease_expired(&mut self, seq: u64) -> bool {
-        if seq != self.rpc || self.episode.is_none() {
+        if seq != self.rpc || !self.in_episode {
             return false;
         }
         self.end_episode();
@@ -1086,7 +1095,8 @@ mod tests {
         assert!(w.open_episode(2));
         assert!(!w.open_episode(2), "one episode at a time");
         let mut rng = hopper_sim::rng_from_seed(0);
-        let (offer, switched) = w.step(DecPolicy::Sparrow, 2, &mut rng);
+        let (offer, switched) =
+            w.step(DecPolicy::Sparrow, 2, &mut PickScratch::default(), &mut rng);
         assert!(!switched);
         (w, offer.expect("a parked reservation is offered"))
     }
@@ -1123,7 +1133,10 @@ mod tests {
         assert_eq!(w.free, 1);
         // The next offer's reply never comes: its lease reclaims the slot.
         let mut rng = hopper_sim::rng_from_seed(0);
-        let o2 = w.step(DecPolicy::Sparrow, 2, &mut rng).0.expect("offer");
+        let o2 = w
+            .step(DecPolicy::Sparrow, 2, &mut PickScratch::default(), &mut rng)
+            .0
+            .expect("offer");
         assert!(w.lease_expired(o2.lease));
         assert!(!w.has_episode());
         assert_eq!(w.free, 2);
@@ -1163,7 +1176,10 @@ mod tests {
         assert!(w.take_reply(o.inc, o.ep));
         assert!(w.refused(DecPolicy::Sparrow, 0, 3, None));
         let mut rng = hopper_sim::rng_from_seed(0);
-        assert_eq!(w.step(DecPolicy::Sparrow, 2, &mut rng), (None, false));
+        assert_eq!(
+            w.step(DecPolicy::Sparrow, 2, &mut PickScratch::default(), &mut rng),
+            (None, false)
+        );
         assert_eq!(w.free, 2);
         assert!(!w.has_episode());
         assert!(!w.take_reply(o.inc, o.ep), "the idle end moved the epoch");

@@ -32,7 +32,9 @@ use crate::faults::{FaultConfig, MsgFaults, SchedEv, SchedulerChain};
 use hopper_cluster::{
     ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, MachineDynamics, MachineId, TaskRef,
 };
-use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, UnsatisfiedJob};
+use hopper_core::protocol::{
+    BackoffPolicy, PickScratch, Reservation, ResponseKind, UnsatisfiedJob,
+};
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, RunSummary, SeriesCollector, TelemetrySnapshot,
 };
@@ -116,6 +118,27 @@ pub struct DecConfig {
     /// results are bit-identical either way (see DESIGN.md,
     /// "Telemetry plane").
     pub telemetry_window_ms: u64,
+}
+
+impl DecConfig {
+    /// An empty event queue with the delay lanes both decentralized
+    /// engines use, most traffic first: the message latency (every
+    /// unjittered RPC and ack), the scan period (scans and the sharded
+    /// engine's self-polls), the RPC timeout (leases and first
+    /// watchdogs, faults on only), then each jitter class
+    /// `msg_latency + 1..=msg_jitter_ms` until the queue's lane cap.
+    pub(crate) fn event_queue<E>(&self) -> EventQueue<E> {
+        let faults_on = self.faults.enabled();
+        let timeout = faults_on.then(|| SimTime::from_millis(self.faults.rpc_timeout_ms));
+        let jitter =
+            (1..=self.faults.msg_jitter_ms).map(|j| self.msg_latency + SimTime::from_millis(j));
+        EventQueue::with_lanes(
+            [self.msg_latency, self.scan_interval]
+                .into_iter()
+                .chain(timeout)
+                .chain(jitter),
+        )
+    }
 }
 
 impl Default for DecConfig {
@@ -222,12 +245,13 @@ pub struct DecOutput {
     /// are observability only — never part of the determinism contract
     /// beyond `ShardStats`'s own documented fields.
     pub shard: Option<crate::shard::ShardStats>,
-    /// Heap and FIFO-lane pushes of the engine's event queue. The sharded
-    /// engine sums its shards' queues (keyed, so every push is a heap
-    /// push), and the sums are the same for every shard count. Every
-    /// event, job arrivals included, is pushed once and popped once, so
-    /// heap pushes + lane pushes = `stats.events`; each arrival is one
-    /// heap push. Not in `report.core`: they count work, not outcomes.
+    /// Heap and delay-lane pushes of the engine's event queue (lanes
+    /// from `DecConfig::event_queue`). The sharded engine sums its
+    /// shards' queues, and the sums are the same for every shard count.
+    /// Every event, job arrivals included, is pushed once and popped
+    /// once, so heap pushes + lane pushes = `stats.events`; each arrival
+    /// is one heap push. Not in `report.core`: they count work, not
+    /// outcomes.
     pub queue_counters: QueueCounters,
 }
 
@@ -440,6 +464,8 @@ struct Decentral<'a> {
     /// whole dev test suite re-proves the protocol invariants).
     audit: Option<Box<Auditor>>,
     rng: StdRng,
+    /// The Guideline-3 pick buffer every worker step borrows.
+    picks: PickScratch,
     results: Vec<JobResult>,
     stats: DecStats,
     /// Online duration statistics, folded at each retirement.
@@ -467,9 +493,7 @@ impl<'a> Decentral<'a> {
         let seq = SeedSequence::new(cfg.seed);
         let n = arrivals.total_jobs();
         let k = cfg.num_schedulers;
-        // Every RPC pays the fixed `msg_latency` (plus jitter under
-        // faults), so unjittered deliveries take the queue's O(1) lane.
-        let mut queue = EventQueue::with_fifo_delay(cfg.msg_latency);
+        let mut queue = cfg.event_queue();
         let mut dynamics = cfg
             .dynamics
             .enabled()
@@ -516,6 +540,7 @@ impl<'a> Decentral<'a> {
             pending_kill: HashMap::new(),
             audit: cfg!(debug_assertions).then(|| Auditor::new(cfg.cluster.machines)),
             rng: seq.child_rng(0xDEC),
+            picks: PickScratch::default(),
             results: Vec::with_capacity(if retain_jobs { n } else { 0 }),
             stats: DecStats::default(),
             digest: JobDigest::new(),
@@ -588,9 +613,11 @@ impl<'a> Decentral<'a> {
             }
         }
         let latency = self.cfg.msg_latency;
-        let mut deliveries = out.deliveries.into_iter();
-        let first = deliveries.next().expect("surviving message delivers");
-        for d in deliveries {
+        let (first, dups) = out
+            .deliveries
+            .split_first()
+            .expect("surviving message delivers");
+        for d in dups {
             self.queue.push_after(latency + d.extra, ev.clone());
         }
         self.queue.push_after(latency + first.extra, ev);
@@ -977,7 +1004,8 @@ impl<'a> Decentral<'a> {
     /// instead of hanging forever).
     fn episode_step(&mut self, w: usize) {
         let thr = self.cfg.refusal_threshold;
-        let (offer, switched) = self.workers[w].step(self.policy, thr, &mut self.rng);
+        let (offer, switched) =
+            self.workers[w].step(self.policy, thr, &mut self.picks, &mut self.rng);
         if switched {
             self.stats.guideline3_switches += 1;
         }
@@ -1486,8 +1514,9 @@ mod tests {
 
     /// The queue counters repeat exactly per seed, and with faults off
     /// every RPC delivery (reservation, response, assign, refusal, kill)
-    /// took the FIFO lane while only arrivals, `Finish` and `Scan` used
-    /// the heap; every event was pushed once.
+    /// took the message-latency lane and every `Scan` the scan-period
+    /// lane, while only arrivals and `Finish` used the heap; every event
+    /// was pushed once.
     #[test]
     fn queue_counters_are_exact_and_split_rpcs_from_timers() {
         let t = trace(4, 60, 0.8);
@@ -1497,8 +1526,12 @@ mod tests {
         let e = sim.ev_counts;
         let c = sim.queue.counters();
         assert_eq!(c, run(&t, DecPolicy::Hopper, &cfg).queue_counters);
-        assert_eq!(c.lane_pushes, e[1] + e[2] + e[3] + e[4] + e[6], "{e:?}");
-        assert_eq!(c.heap_pushes, e[0] + e[5] + e[7], "{e:?}");
+        assert_eq!(
+            c.lane_pushes,
+            e[1] + e[2] + e[3] + e[4] + e[6] + e[7],
+            "{e:?}"
+        );
+        assert_eq!(c.heap_pushes, e[0] + e[5], "{e:?}");
         assert_eq!(c.heap_pushes + c.lane_pushes, sim.stats.events);
         assert!(e[4] > 0 && e[6] > 0, "refusals and kills exercised: {e:?}");
     }

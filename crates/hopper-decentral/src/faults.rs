@@ -107,11 +107,40 @@ pub struct Delivery {
     pub extra: SimTime,
 }
 
+/// The deliveries of one message, held inline: none (lost), one, or two
+/// (duplicated), in draw order. Derefs to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deliveries {
+    buf: [Delivery; 2],
+    len: usize,
+}
+
+impl Deliveries {
+    const NONE: Deliveries = Deliveries {
+        buf: [Delivery {
+            extra: SimTime::ZERO,
+        }; 2],
+        len: 0,
+    };
+
+    fn push(&mut self, d: Delivery) {
+        self.buf[self.len] = d;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Deliveries {
+    type Target = [Delivery];
+    fn deref(&self) -> &[Delivery] {
+        &self.buf[..self.len]
+    }
+}
+
 /// Outcome of pushing one message through the fault plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendOutcome {
     /// Deliveries to schedule: empty (lost), one, or two (duplicated).
-    pub deliveries: Vec<Delivery>,
+    pub deliveries: Deliveries,
     /// Whether the primary copy was dropped.
     pub lost: bool,
     /// Whether a duplicate delivery was generated.
@@ -163,14 +192,15 @@ impl MsgFaults {
     pub fn send(&mut self) -> SendOutcome {
         if self.cfg.msg_loss > 0.0 && self.rng.gen::<f64>() < self.cfg.msg_loss {
             return SendOutcome {
-                deliveries: Vec::new(),
+                deliveries: Deliveries::NONE,
                 lost: true,
                 duplicated: false,
             };
         }
-        let mut deliveries = vec![Delivery {
+        let mut deliveries = Deliveries::NONE;
+        deliveries.push(Delivery {
             extra: self.jitter(),
-        }];
+        });
         let duplicated = self.cfg.msg_dup > 0.0 && self.rng.gen::<f64>() < self.cfg.msg_dup;
         if duplicated {
             deliveries.push(Delivery {
@@ -352,7 +382,7 @@ mod tests {
         };
         let mut f = MsgFaults::new(cfg, &seq());
         for _ in 0..500 {
-            for d in f.send().deliveries {
+            for d in f.send().deliveries.iter() {
                 assert!(d.extra <= SimTime::from_millis(7));
             }
         }

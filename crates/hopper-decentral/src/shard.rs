@@ -71,7 +71,9 @@ use hopper_cluster::{
     duration_at_speed, rescaled_finish, CopyRef, DynEvent, JobRun, MachineDynamics, MachineId,
     TaskRef,
 };
-use hopper_core::protocol::{BackoffPolicy, Reservation, ResponseKind, UnsatisfiedJob};
+use hopper_core::protocol::{
+    BackoffPolicy, PickScratch, Reservation, ResponseKind, UnsatisfiedJob,
+};
 use hopper_core::{safe_horizon, EventKey, Mailbox, SyncBarrier};
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, SeriesCollector, TelemetrySeries, TelemetrySnapshot,
@@ -272,7 +274,9 @@ impl SlotPub {
 struct Coord {
     barrier: SyncBarrier,
     slots: [Vec<SlotPub>; 2],
-    mailboxes: Vec<Mailbox<SEv>>,
+    /// Cross-shard messages, each with the delay it was sent with (its
+    /// receiver's queue picks the lane by it).
+    mailboxes: Vec<Mailbox<(SimTime, SEv)>>,
 }
 
 /// Poisons the window barrier if its shard unwinds, so peers blocked at
@@ -360,17 +364,20 @@ struct Shard<'a> {
     retain_jobs: bool,
     lookahead: SimTime,
     backoff: BackoffPolicy,
-    /// This shard's events, fed only by `push_keyed`: they pop in
+    /// This shard's events, fed only by keyed pushes: they pop in
     /// [`EventKey`] order, the global order restricted to this shard.
+    /// Every event sent at a lane's delay joins that lane, on whichever
+    /// shard it lands, so the queue counters do not depend on the
+    /// shard count.
     queue: EventQueue<SEv>,
-    /// Cross-shard sends buffered during a window, flushed to the
-    /// destination mailboxes once at its end.
-    outboxes: Vec<Vec<(EventKey, SEv)>>,
+    /// Cross-shard sends buffered during a window, with their send
+    /// delays, flushed to the destination mailboxes once at its end.
+    outboxes: Vec<Vec<(EventKey, (SimTime, SEv))>>,
     /// The earliest key put in an outbox since the last rendezvous: in
     /// flight, the message is this shard's to publish (see `run_loop`).
     posted: Option<SimTime>,
     /// Reused buffer for this shard's mailbox drain.
-    inbox: Vec<(EventKey, SEv)>,
+    inbox: Vec<(EventKey, (SimTime, SEv))>,
     /// The whole source, replayed: foreign jobs are popped and dropped.
     arrivals: ArrivalSource<'a>,
     /// The owned job whose [`SEv::Arrival`] is queued (`None` once the
@@ -378,6 +385,8 @@ struct Shard<'a> {
     next_job: Option<TraceJob>,
     scheds: Vec<SchedSt>,
     workers: Vec<WorkSt>,
+    /// The Guideline-3 pick buffer this shard's worker steps borrow.
+    picks: PickScratch,
     dynamics: Option<MachineDynamics>,
     sched_chain: Option<SchedulerChain>,
     audit: Option<Box<Auditor>>,
@@ -625,7 +634,7 @@ impl<'a> Shard<'a> {
                     .then(|| MsgFaults::with_seed(cfg.faults, &seq, SHARD_WORKER_FAULT + w as u64)),
             })
             .collect();
-        let mut queue = EventQueue::new();
+        let mut queue = cfg.event_queue();
         // Every shard constructs the *full* dynamics plane and scheduler
         // chain — identical RNG draws everywhere, because both keep
         // strictly per-entity generators — then seeds its queue with only
@@ -695,6 +704,7 @@ impl<'a> Shard<'a> {
             next_job: None,
             scheds,
             workers,
+            picks: PickScratch::default(),
             dynamics,
             sched_chain,
             audit: cfg!(debug_assertions).then(|| Auditor::new(nworkers)),
@@ -772,8 +782,8 @@ impl<'a> Shard<'a> {
             // peer already past its window may have added messages from
             // this window too, and those lie at or beyond `window_end`.
             coord.mailboxes[self.id].drain_into(&mut self.inbox);
-            for (key, ev) in self.inbox.drain(..) {
-                self.queue.push_keyed(key, ev);
+            for (key, (delay, ev)) in self.inbox.drain(..) {
+                self.queue.push_keyed_after(delay, key, ev);
             }
             // The mailboxes pass buffers around (`post_all` and
             // `drain_into` swap); a burst's buffer is cut back here, so
@@ -807,8 +817,7 @@ impl<'a> Shard<'a> {
 
     /// Execute everything this shard owns strictly before `end`.
     fn exec_window(&mut self, end: SimTime) {
-        while self.queue.peek_time().is_some_and(|t| t < end) {
-            let (now, ev) = self.queue.pop().expect("peeked event");
+        while let Some((now, ev)) = self.queue.pop_before(end) {
             self.tele_tick(now);
             self.stats.events += 1;
             self.ev_counts[ev_idx(&ev)] += 1;
@@ -992,44 +1001,44 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Deliver a keyed message: own queue if the destination entity lives
-    /// here, else the destination shard's outbox (flushed at the end of
-    /// the window).
-    fn route(&mut self, key: EventKey, ev: SEv) {
+    /// Deliver a keyed message sent `delay` before `key.time`: own queue
+    /// if the destination entity lives here, else the destination
+    /// shard's outbox (flushed at the end of the window).
+    fn route(&mut self, key: EventKey, delay: SimTime, ev: SEv) {
         let dest = self.dest_shard(&ev);
         if dest == self.id {
             self.local_msgs += 1;
-            self.queue.push_keyed(key, ev);
+            self.queue.push_keyed_after(delay, key, ev);
         } else {
             self.cross_msgs += 1;
             self.posted = Some(self.posted.map_or(key.time, |t| t.min(key.time)));
-            self.outboxes[dest].push((key, ev));
+            self.outboxes[dest].push((key, (delay, ev)));
         }
     }
 
-    /// Queue a scheduler-local timer/self event (no latency floor
-    /// needed — it never crosses an entity boundary).
-    fn push_local_sched(&mut self, si: usize, at: SimTime, ev: SEv) {
+    /// Queue a scheduler-local timer/self event `delay` after `now` (no
+    /// latency floor needed — it never crosses an entity boundary).
+    fn push_local_sched(&mut self, si: usize, now: SimTime, delay: SimTime, ev: SEv) {
         let st = &mut self.scheds[si];
         let key = EventKey {
-            time: at,
+            time: now + delay,
             origin: st.book.s as u64,
             seq: st.seq,
         };
         st.seq += 1;
-        self.queue.push_keyed(key, ev);
+        self.queue.push_keyed_after(delay, key, ev);
     }
 
-    /// Queue a worker-local timer/self event.
-    fn push_local_worker(&mut self, wi: usize, at: SimTime, ev: SEv) {
+    /// Queue a worker-local timer/self event `delay` after `now`.
+    fn push_local_worker(&mut self, wi: usize, now: SimTime, delay: SimTime, ev: SEv) {
         let wk = &mut self.workers[wi];
         let key = EventKey {
-            time: at,
+            time: now + delay,
             origin: (self.k + wk.w) as u64,
             seq: wk.seq,
         };
         wk.seq += 1;
-        self.queue.push_keyed(key, ev);
+        self.queue.push_keyed_after(delay, key, ev);
     }
 
     /// Reliable internal message from worker `wi` at fixed latency.
@@ -1043,7 +1052,7 @@ impl<'a> Shard<'a> {
             seq: wk.seq,
         };
         wk.seq += 1;
-        self.route(key, ev);
+        self.route(key, self.lookahead, ev);
     }
 
     /// Scheduler→worker RPC through scheduler `si`'s fault sampler.
@@ -1104,7 +1113,7 @@ impl<'a> Shard<'a> {
                 origin,
                 seq: next_seq(self),
             };
-            self.route(key, ev);
+            self.route(key, latency, ev);
             return;
         };
         if out.lost {
@@ -1120,27 +1129,28 @@ impl<'a> Shard<'a> {
                 a.note_dup(kind);
             }
         }
-        let keys: Vec<EventKey> = out
+        // Seqs are stamped in delivery order; the last delivery takes
+        // the event itself.
+        let (last, dups) = out
             .deliveries
-            .iter()
-            .map(|d| EventKey {
-                time: now + latency + d.extra,
+            .split_last()
+            .expect("surviving message delivers");
+        for d in dups {
+            let delay = latency + d.extra;
+            let key = EventKey {
+                time: now + delay,
                 origin,
-                seq: 0,
-            })
-            .collect();
-        let last = keys.len() - 1;
-        for mut key in keys.into_iter().take(last) {
-            key.seq = next_seq(self);
-            self.route(key, ev.clone());
+                seq: next_seq(self),
+            };
+            self.route(key, delay, ev.clone());
         }
-        let mut key = EventKey {
-            time: now + latency + out.deliveries[last].extra,
+        let delay = latency + last.extra;
+        let key = EventKey {
+            time: now + delay,
             origin,
-            seq: 0,
+            seq: next_seq(self),
         };
-        key.seq = next_seq(self);
-        self.route(key, ev);
+        self.route(key, delay, ev);
     }
 
     fn panic_event_budget(&self, total: u64) -> ! {
@@ -1237,8 +1247,8 @@ impl<'a> Shard<'a> {
         let wk = &mut self.workers[wi];
         if !wk.poll_armed && !wk.state.queue.is_empty() {
             wk.poll_armed = true;
-            let at = now + self.cfg.scan_interval;
-            self.push_local_worker(wi, at, SEv::Poll { worker });
+            let scan = self.cfg.scan_interval;
+            self.push_local_worker(wi, now, scan, SEv::Poll { worker });
         }
     }
 
@@ -1251,7 +1261,9 @@ impl<'a> Shard<'a> {
         let wk = &mut self.workers[wi];
         let worker = wk.w;
         let thr = self.cfg.refusal_threshold;
-        let (offer, switched) = wk.state.step(self.policy, thr, &mut wk.rng);
+        let (offer, switched) = wk
+            .state
+            .step(self.policy, thr, &mut self.picks, &mut wk.rng);
         if switched {
             self.stats.guideline3_switches += 1;
         }
@@ -1266,12 +1278,12 @@ impl<'a> Shard<'a> {
         };
         self.worker_rpc(wi, now, response);
         if self.faults_on {
-            let at = now + SimTime::from_millis(self.cfg.faults.rpc_timeout_ms);
+            let timeout = SimTime::from_millis(self.cfg.faults.rpc_timeout_ms);
             let lease = SEv::Lease {
                 worker,
                 seq: o.lease,
             };
-            self.push_local_worker(wi, at, lease);
+            self.push_local_worker(wi, now, timeout, lease);
         }
     }
 
@@ -1362,7 +1374,7 @@ impl<'a> Shard<'a> {
         if let Some(a) = self.audit.as_mut() {
             a.note_copy_started(worker);
         }
-        self.push_local_worker(wi, now + dur, SEv::Finish { worker, wtoken });
+        self.push_local_worker(wi, now, dur, SEv::Finish { worker, wtoken });
         self.worker_msg(
             wi,
             now,
@@ -1460,7 +1472,7 @@ impl<'a> Shard<'a> {
         let w = m.0;
         let wi = self.wi_of(w);
         for (delay, next) in out.next {
-            self.push_local_worker(wi, now + delay, SEv::Dyn(next));
+            self.push_local_worker(wi, now, delay, SEv::Dyn(next));
         }
         match ev {
             DynEvent::SlowdownStart(_) | DynEvent::SlowdownEnd(_) => {
@@ -1478,7 +1490,8 @@ impl<'a> Shard<'a> {
                 for (tok, finish) in resched {
                     self.push_local_worker(
                         wi,
-                        finish,
+                        now,
+                        finish - now,
                         SEv::Finish {
                             worker: w,
                             wtoken: tok,
@@ -1546,8 +1559,8 @@ impl<'a> Shard<'a> {
         self.send_reservations(si, lj, targets, now);
         // Watchdog (faults only), as in the serial driver.
         if self.faults_on {
-            let at = now + SimTime::from_millis(self.backoff.delay_ms(0));
-            self.push_local_sched(si, at, SEv::JobTimeout { job: j });
+            let delay = SimTime::from_millis(self.backoff.delay_ms(0));
+            self.push_local_sched(si, now, delay, SEv::JobTimeout { job: j });
         }
     }
 
@@ -1814,7 +1827,7 @@ impl<'a> Shard<'a> {
         if !st.scan_armed && (!st.book.live.is_empty() || st.book.arrivals_pending > 0) {
             st.scan_armed = true;
             let scan = SEv::Scan { sched: st.book.s };
-            self.push_local_sched(si, now + self.cfg.scan_interval, scan);
+            self.push_local_sched(si, now, self.cfg.scan_interval, scan);
         }
     }
 
@@ -1840,7 +1853,7 @@ impl<'a> Shard<'a> {
             .expect("scheduler event without a crash chain")
             .apply(ev)
         {
-            self.push_local_sched(si, now + delay, SEv::SchedDyn(next));
+            self.push_local_sched(si, now, delay, SEv::SchedDyn(next));
         }
         match ev {
             SchedEv::Fail(_) => {
@@ -1871,8 +1884,8 @@ impl<'a> Shard<'a> {
                 self.send_probes(si, lj, probes, now);
             }
         }
-        let at = now + SimTime::from_millis(delay_ms);
-        self.push_local_sched(si, at, SEv::JobTimeout { job });
+        let delay = SimTime::from_millis(delay_ms);
+        self.push_local_sched(si, now, delay, SEv::JobTimeout { job });
     }
 
     /// Complete and **retire** job `lj` of scheduler `si` (see

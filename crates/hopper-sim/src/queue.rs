@@ -14,12 +14,16 @@
 //! [`EventQueue::push_arrival`]: its [`EventKey::arrival`] sorts first at
 //! its instant.
 //!
-//! A queue may also keep a FIFO *lane* for events pushed at one fixed
-//! delay ([`EventQueue::with_fifo_delay`]). The clock never rewinds and the
-//! insertion sequence only grows, so such events arrive already sorted by
-//! key: the lane is a plain deque, and `pop` takes the smaller of its
-//! front and the heap's top. The pop order is the heap-only order, tie
-//! for tie.
+//! A queue may also keep *delay lanes* ([`EventQueue::with_lanes`]): a
+//! push that declares it was sent `d` before it fires
+//! ([`EventQueue::push_after`], [`EventQueue::push_keyed_after`]) joins
+//! lane `d`. Sends come in clock order, so a lane's entries arrive
+//! almost sorted: a push appends, or walks back past the few larger keys
+//! at its instant. Each lane stays sorted by key, and `pop` takes the
+//! smallest of the lane fronts and the heap's top, so the pop order is
+//! the heap-only order, tie for tie. Events live once in a slab, with
+//! their keys; the heap moves 32-byte `(key, slot)` handles and a lane
+//! 4-byte slots.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -66,41 +70,65 @@ impl EventKey {
     }
 }
 
-/// An event plus its key, as stored in the queue.
-#[derive(Debug)]
-struct EventEntry<E> {
+/// Most delay lanes one queue keeps. Delays past the cap go to the heap,
+/// so a pop compares at most this many lane fronts with the heap's top,
+/// whatever the configuration.
+pub const MAX_LANES: usize = 8;
+
+/// A heap entry: an event's key and the slab slot holding the event.
+/// Small and `Copy`, so a sift moves 32 bytes, however large the event
+/// is.
+#[derive(Debug, Clone, Copy)]
+struct Handle {
     key: EventKey,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for EventEntry<E> {
+impl PartialEq for Handle {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<E> Eq for EventEntry<E> {}
+impl Eq for Handle {}
 
-impl<E> PartialOrd for EventEntry<E> {
+impl PartialOrd for Handle {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for EventEntry<E> {
+impl Ord for Handle {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the smallest key pops first.
         other.key.cmp(&self.key)
     }
 }
 
+/// One slab slot: a pending event with its key, or a free slot (`None`;
+/// its key is stale).
+#[derive(Debug)]
+struct Slot<E> {
+    key: EventKey,
+    event: Option<E>,
+}
+
+/// The events pushed at one delay after their send instant: their slab
+/// slots, sorted by key. A lane entry is 4 bytes, so a long lane (2-second
+/// leases, tens of thousands pending) costs little beyond its events.
+#[derive(Debug)]
+struct Lane {
+    delay: SimTime,
+    slots: VecDeque<u32>,
+}
+
 /// Deterministic work counters of an [`EventQueue`]: how many pushes
-/// went to the binary heap and how many to the FIFO lane. Exact per
-/// seed, so they can be compared across runs and gated.
+/// went to the binary heap and how many to a delay lane. Exact per seed,
+/// so they can be compared across runs and gated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueCounters {
     /// Pushes into the binary heap (O(log n) each, and O(log n) to pop).
     pub heap_pushes: u64,
-    /// Pushes into the fixed-delay FIFO lane (O(1) each way).
+    /// Pushes into a delay lane (O(1) each way, barring late inserts).
     pub lane_pushes: u64,
 }
 
@@ -112,11 +140,15 @@ pub struct QueueCounters {
 /// *t* — zero-latency self-messages are common in schedulers).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<EventEntry<E>>,
-    /// Events pushed `lane_delay` after the clock, in push order, which
-    /// is key order. Empty when `lane_delay` is `None`.
-    lane: VecDeque<EventEntry<E>>,
-    lane_delay: Option<SimTime>,
+    heap: BinaryHeap<Handle>,
+    /// At most [`MAX_LANES`] lanes, one per distinct delay; empty for
+    /// [`EventQueue::new`].
+    lanes: Vec<Lane>,
+    /// Every pending event with its key, stored once; the heap and the
+    /// lanes refer to it by slot.
+    slab: Vec<Slot<E>>,
+    /// Free slots of `slab`, reused last-freed first.
+    free: Vec<u32>,
     /// The `seq` the next [`EventQueue::push`] stamps (from 1; 0 is
     /// [`EventKey::arrival`]'s).
     next_seq: u64,
@@ -135,25 +167,37 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at time zero. Every event
     /// goes through the binary heap.
     pub fn new() -> Self {
+        Self::with_lanes([])
+    }
+
+    /// Create an empty queue with a delay lane for each distinct delay of
+    /// `delays`, in order, up to [`MAX_LANES`] (later ones go to the
+    /// heap). A push that declares one of these delays
+    /// ([`EventQueue::push_after`], [`EventQueue::push_keyed_after`])
+    /// joins that lane instead of the heap. The pop order is identical
+    /// to [`EventQueue::new`]'s.
+    pub fn with_lanes(delays: impl IntoIterator<Item = SimTime>) -> Self {
+        let mut lanes: Vec<Lane> = Vec::new();
+        for delay in delays {
+            if lanes.len() == MAX_LANES {
+                break;
+            }
+            if lanes.iter().all(|l| l.delay != delay) {
+                lanes.push(Lane {
+                    delay,
+                    slots: VecDeque::new(),
+                });
+            }
+        }
         Self {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
-            lane_delay: None,
+            lanes,
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 1,
             heap_pushes: 0,
             lane_pushes: 0,
             now: SimTime::ZERO,
-        }
-    }
-
-    /// Create an empty queue whose [`EventQueue::push_after`] calls with
-    /// exactly `delay` go to an O(1) FIFO lane instead of the heap (for
-    /// drivers whose messages all pay one fixed latency). The pop order
-    /// is identical to [`EventQueue::new`]'s.
-    pub fn with_fifo_delay(delay: SimTime) -> Self {
-        Self {
-            lane_delay: Some(delay),
-            ..Self::new()
         }
     }
 
@@ -164,12 +208,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.len() == 0
     }
 
     /// Pushes so far, split by store.
@@ -192,85 +236,139 @@ impl<E> EventQueue<E> {
         key
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at absolute time `at`, on the heap.
     ///
     /// Debug-panics if `at` is before the current clock; the engine never
     /// rewrites history.
     pub fn push(&mut self, at: SimTime, event: E) {
         let key = self.stamp(at);
-        self.push_keyed(key, event);
+        self.push_entry(key, None, event);
     }
 
-    /// Schedule `event` under a key its driver stamped. Keys must be
-    /// unique; a queue fed only by this method pops in key order,
-    /// whatever order the pushes came in. Debug-panics if the key's time
-    /// is before the current clock, or if its `seq` is the arrivals' 0.
+    /// Schedule `event` at `delay` after the current clock. With a lane
+    /// for `delay` the event joins it.
+    pub fn push_after(&mut self, delay: SimTime, event: E) {
+        let key = self.stamp(self.now + delay);
+        self.push_entry(key, Some(delay), event);
+    }
+
+    /// Schedule `event` under a key its driver stamped, on the heap. Keys
+    /// must be unique; a queue fed only by keyed pushes pops in key
+    /// order, whatever order the pushes came in. Debug-panics if the
+    /// key's time is before the current clock, or if its `seq` is the
+    /// arrivals' 0.
     pub fn push_keyed(&mut self, key: EventKey, event: E) {
         debug_assert!(key.seq > 0, "seq 0 is reserved for arrivals: {key:?}");
-        self.push_entry(key, event);
+        self.push_entry(key, None, event);
+    }
+
+    /// [`EventQueue::push_keyed`] for an event sent `delay` before
+    /// `key.time`; with a lane for `delay` it joins that lane. The send
+    /// instant may lie before the clock (a message another shard sent in
+    /// the last window): the lane is kept sorted by key either way.
+    pub fn push_keyed_after(&mut self, delay: SimTime, key: EventKey, event: E) {
+        debug_assert!(key.seq > 0, "seq 0 is reserved for arrivals: {key:?}");
+        self.push_entry(key, Some(delay), event);
     }
 
     /// Schedule a job arrival at `at` under [`EventKey::arrival`], so it
     /// pops before every other event at `at`. A queue may hold only one
     /// arrival at a time.
     pub fn push_arrival(&mut self, at: SimTime, event: E) {
-        self.push_entry(EventKey::arrival(at), event);
+        self.push_entry(EventKey::arrival(at), None, event);
     }
 
-    fn push_entry(&mut self, key: EventKey, event: E) {
+    fn push_entry(&mut self, key: EventKey, delay: Option<SimTime>, event: E) {
         debug_assert!(
             key.time >= self.now,
             "event scheduled in the past: at={:?} now={:?}",
             key.time,
             self.now
         );
-        self.heap_pushes += 1;
-        self.heap.push(EventEntry { key, event });
-    }
-
-    /// Schedule `event` at `delay` after the current clock. With `delay`
-    /// equal to the lane delay the event joins the FIFO lane.
-    pub fn push_after(&mut self, delay: SimTime, event: E) {
-        let key = self.stamp(self.now + delay);
-        if self.lane_delay != Some(delay) {
-            self.push_keyed(key, event);
+        let entry = Slot {
+            key,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = entry;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 pending events");
+                self.slab.push(entry);
+                slot
+            }
+        };
+        let Some(lane) = delay.and_then(|d| self.lanes.iter_mut().find(|l| l.delay == d)) else {
+            self.heap_pushes += 1;
+            self.heap.push(Handle { key, slot });
             return;
-        }
-        debug_assert!(
-            self.lane.back().is_none_or(|b| b.key < key),
-            "FIFO lane out of order"
-        );
+        };
+        // Insert after the last entry with a smaller key. Sends come in
+        // clock order, so this appends, except for a same-instant tie
+        // from a smaller origin or an event sent earlier elsewhere (a
+        // cross-shard message), which walk back a few places.
         self.lane_pushes += 1;
-        self.lane.push_back(EventEntry { key, event });
+        let slab = &self.slab;
+        let mut at = lane.slots.len();
+        while at > 0 && slab[lane.slots[at - 1] as usize].key > key {
+            at -= 1;
+        }
+        if at == lane.slots.len() {
+            lane.slots.push_back(slot);
+        } else {
+            lane.slots.insert(at, slot);
+        }
     }
 
-    /// Whether the earliest pending event is the lane's front.
-    fn lane_first(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => l.key < h.key,
-            (lane, _) => lane.is_some(),
+    /// The earliest pending entry's key and where it is: `Some(i)` for
+    /// lane `i`'s front, `None` for the heap's top.
+    fn head(&self) -> Option<(EventKey, Option<usize>)> {
+        let mut head = self.heap.peek().map(|h| (h.key, None));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&front) = lane.slots.front() {
+                let key = self.slab[front as usize].key;
+                if head.is_none_or(|(k, _)| key < k) {
+                    head = Some((key, Some(i)));
+                }
+            }
         }
+        head
+    }
+
+    /// Remove the entry [`EventQueue::head`] found, advancing the clock.
+    fn take(&mut self, lane: Option<usize>) -> (SimTime, E) {
+        let slot = match lane {
+            Some(i) => self.lanes[i].slots.pop_front(),
+            None => self.heap.pop().map(|h| h.slot),
+        }
+        .expect("the head is pending");
+        let entry = &mut self.slab[slot as usize];
+        let event = entry.event.take().expect("a pending slot is full");
+        let time = entry.key.time;
+        self.free.push(slot);
+        debug_assert!(time >= self.now);
+        self.now = time;
+        (time, event)
     }
 
     /// Pop the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = if self.lane_first() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
-        }?;
-        let time = entry.key.time;
-        debug_assert!(time >= self.now);
-        self.now = time;
-        Some((time, entry.event))
+        let (_, lane) = self.head()?;
+        Some(self.take(lane))
+    }
+
+    /// Pop the earliest event if it fires strictly before `end` (one
+    /// look at the stores' heads, where `peek_time` then `pop` takes two).
+    pub fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        let (key, lane) = self.head()?;
+        (key.time < end).then(|| self.take(lane))
     }
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => Some(l.key.time.min(h.key.time)),
-            (lane, heap) => lane.or(heap).map(|e| e.key.time),
-        }
+        self.head().map(|(key, _)| key.time)
     }
 }
 
@@ -362,7 +460,7 @@ mod tests {
             origin: 1,
             seq: 1,
         };
-        let mut q = EventQueue::with_fifo_delay(ms(5));
+        let mut q = EventQueue::with_lanes([ms(5)]);
         q.push(ms(5), "heap@5 first");
         q.push_after(ms(5), "lane@5");
         q.push(ms(5), "heap@5 last");
@@ -385,6 +483,52 @@ mod tests {
         assert!(q.is_empty());
         let c = q.counters();
         assert_eq!((c.heap_pushes, c.lane_pushes), (6, 2));
+    }
+
+    /// A keyed lane push with a smaller key than the lane's back (a
+    /// same-instant tie from a smaller origin, or a message sent earlier
+    /// on another shard) is inserted in key order, not appended.
+    #[test]
+    fn keyed_lane_inserts_below_its_back() {
+        let ms = SimTime::from_millis;
+        let key = |t, origin, seq| EventKey {
+            time: ms(t),
+            origin,
+            seq,
+        };
+        let mut q = EventQueue::with_lanes([ms(3)]);
+        q.push_keyed_after(ms(3), key(3, 4, 1), "o4@3");
+        q.push_keyed_after(ms(3), key(4, 2, 1), "o2@4");
+        q.push_keyed_after(ms(3), key(3, 1, 1), "o1@3");
+        q.push_keyed_after(ms(3), key(4, 2, 2), "o2@4'");
+        q.push_keyed_after(ms(3), key(3, 4, 2), "o4@3'");
+        q.push_keyed(key(3, 3, 1), "heap o3@3");
+        let c = q.counters();
+        assert_eq!((c.heap_pushes, c.lane_pushes), (1, 5));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            ["o1@3", "heap o3@3", "o4@3", "o4@3'", "o2@4", "o2@4'"]
+        );
+    }
+
+    /// Repeated delays share a lane, and delays past [`MAX_LANES`] go to
+    /// the heap.
+    #[test]
+    fn lane_count_is_capped() {
+        let ms = SimTime::from_millis;
+        let mut q = EventQueue::with_lanes([1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10].map(ms));
+        for d in 1..=10 {
+            q.push_after(ms(d), d);
+        }
+        let c = q.counters();
+        assert_eq!((c.heap_pushes, c.lane_pushes), (2, MAX_LANES as u64));
+        assert_eq!(q.pop_before(ms(1)), None);
+        assert_eq!(q.pop_before(ms(2)), Some((ms(1), 1)));
+        assert_eq!(q.len(), 9);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, d)| d)).collect();
+        assert_eq!(rest, (2..=10).collect::<Vec<_>>());
+        assert!(q.is_empty());
     }
 
     #[test]

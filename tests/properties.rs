@@ -26,10 +26,10 @@ fn demand_strategy() -> impl Strategy<Value = JobDemand> {
         })
 }
 
-/// Delay of the FIFO lane in the lane-vs-heap differential.
+/// Delay of the lane in the lane-vs-heap differential.
 const LANE_MS: u64 = 2;
 
-/// Drive a heap-only queue and a queue with a FIFO lane at [`LANE_MS`]
+/// Drive a heap-only queue and a queue with a delay lane at [`LANE_MS`]
 /// through the same operations, and assert that every observation —
 /// popped `(time, event)`, `peek_time`, `len`, `is_empty` — agrees after
 /// each one, then that both drain identically. An op is `(kind, arg)`:
@@ -44,7 +44,7 @@ const LANE_MS: u64 = 2;
 fn assert_lane_matches_heap(ops: impl IntoIterator<Item = (u8, u64)>) {
     let ms = SimTime::from_millis;
     let mut heap = EventQueue::new();
-    let mut lane = EventQueue::with_fifo_delay(ms(LANE_MS));
+    let mut lane = EventQueue::with_lanes([ms(LANE_MS)]);
     let mut arrival: Option<(SimTime, usize)> = None;
     for (i, (kind, arg)) in ops.into_iter().enumerate() {
         match kind {
@@ -149,6 +149,84 @@ fn assert_keyed_matches_reference(ops: impl IntoIterator<Item = (u8, u64, u64)>)
         assert_eq!(q.pop(), Some((k.0, id)));
     }
     assert!(q.is_empty());
+}
+
+/// Lane delays of the keyed-lane differential; its other delays (0, 4
+/// and 7 ms) go to the heap.
+const KEYED_LANES_MS: [u64; 3] = [1, 2, 3];
+
+/// Drive a queue with the lanes of [`KEYED_LANES_MS`], fed by keyed
+/// pushes as the sharded engine feeds its queues, and a reference
+/// `BinaryHeap` through the same operations; assert after each one that
+/// they agree on the popped `(time, event)`, `peek_time` and `len`. An op
+/// is `(kind, a, b)`; the origin is `1 + b % 4`, stamped with that
+/// origin's next sequence number:
+///
+/// - 0–2: push sent now, `[0, 1, 2, 3, 4, 7][a % 6]` ms ahead (lane and
+///   heap delays; few instants, so same-instant ties are the rule);
+/// - 3: a late push, as a mailbox delivers it: sent `a % 3` ms before
+///   the clock at a lane delay that still lands at or after it, so it
+///   sorts below the lane's back;
+/// - 4: `push_arrival` at `now + a % 3`, unless one is queued;
+/// - 5, 6: pop from both.
+fn assert_keyed_lanes_match_reference(ops: impl IntoIterator<Item = (u8, u64, u64)>) {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let ms = SimTime::from_millis;
+    let mut q = EventQueue::with_lanes(KEYED_LANES_MS.map(ms));
+    let mut reference = BinaryHeap::new();
+    let mut seqs = [1u64; 5];
+    let mut arrival_queued = false;
+    // Expected (heap, lane) pushes.
+    let mut pushes = (0, 0);
+    for (i, (kind, a, b)) in ops.into_iter().enumerate() {
+        let now = q.now();
+        let origin = 1 + b % 4;
+        let sent = match kind {
+            0..=2 => Some((now, ms([0, 1, 2, 3, 4, 7][a as usize % 6]))),
+            3 => {
+                let send = now.saturating_sub(ms(a % 3));
+                let delay = KEYED_LANES_MS[b as usize % 3].max((now - send).as_millis());
+                Some((send, ms(delay)))
+            }
+            _ => None,
+        };
+        if let Some((send, delay)) = sent {
+            let seq = seqs[origin as usize];
+            seqs[origin as usize] += 1;
+            let time = send + delay;
+            if KEYED_LANES_MS.contains(&delay.as_millis()) {
+                pushes.1 += 1;
+            } else {
+                pushes.0 += 1;
+            }
+            q.push_keyed_after(delay, EventKey { time, origin, seq }, i);
+            reference.push(Reverse(((time, true, origin, seq), i)));
+        } else if kind == 4 {
+            if !arrival_queued {
+                let at = now + ms(a % 3);
+                q.push_arrival(at, i);
+                reference.push(Reverse(((at, false, 0, 0), i)));
+                arrival_queued = true;
+                pushes.0 += 1;
+            }
+        } else {
+            let want = reference.pop().map(|Reverse(entry)| entry);
+            if matches!(want, Some(((_, false, ..), _))) {
+                arrival_queued = false;
+            }
+            assert_eq!(q.pop(), want.map(|(k, id)| (k.0, id)), "op {i}");
+        }
+        let next = reference.peek().map(|Reverse((k, _))| k.0);
+        assert_eq!(q.peek_time(), next, "op {i}");
+        assert_eq!(q.len(), reference.len(), "op {i}");
+    }
+    while let Some(Reverse((k, id))) = reference.pop() {
+        assert_eq!(q.pop(), Some((k.0, id)));
+    }
+    assert!(q.is_empty());
+    let c = q.counters();
+    assert_eq!((c.heap_pushes, c.lane_pushes), pushes);
 }
 
 proptest! {
@@ -306,11 +384,21 @@ proptest! {
         assert_keyed_matches_reference(ops);
     }
 
-    /// A queue with a FIFO lane pops exactly what the heap-only queue
+    /// A queue with a delay lane pops exactly what the heap-only queue
     /// pops, tie for tie, under random interleavings of every operation.
     #[test]
     fn event_queue_lane_matches_heap(ops in prop::collection::vec((0u8..6, 0u64..12), 0..400)) {
         assert_lane_matches_heap(ops);
+    }
+
+    /// Keyed pushes into delay lanes — from four origins, at lane and
+    /// heap delays, with late inserts below a lane's back — pop in
+    /// `EventKey` order, exactly like the reference heap.
+    #[test]
+    fn event_queue_keyed_lanes_match_reference(
+        ops in prop::collection::vec((0u8..7, 0u64..6, 0u64..12), 0..400),
+    ) {
+        assert_keyed_lanes_match_reference(ops);
     }
 
     /// Pareto sampler honours its analytic complementary CDF.
@@ -383,4 +471,20 @@ fn event_queue_lane_matches_heap_at_scale() {
     assert_lane_matches_heap(
         (0..1_000_000).map(|_| (rng.gen_range(0..6u8), rng.gen_range(0..12u64))),
     );
+}
+
+/// The keyed-lane differential over 10⁶ operations, so the lanes, their
+/// late inserts and the heap all grow deep. Ignored by default; run in
+/// release with `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore = "large; run in release via -- --ignored"]
+fn event_queue_keyed_lanes_match_reference_at_scale() {
+    let mut rng = rng_from_seed(0x1a4f);
+    assert_keyed_lanes_match_reference((0..1_000_000).map(|_| {
+        (
+            rng.gen_range(0..7u8),
+            rng.gen_range(0..6u64),
+            rng.gen_range(0..12u64),
+        )
+    }));
 }
