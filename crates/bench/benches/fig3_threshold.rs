@@ -43,12 +43,10 @@ fn main() {
                         slots_per_machine: 1,
                         dfs_replicas: 0,
                         handoff_ms: 0,
-                        ..Default::default()
                     },
                     speculator: Speculator::Late(SpecConfig {
                         min_elapsed: SimTime::from_millis(500),
                         spec_cap_fraction: 0.6,
-                        ..Default::default()
                     }),
                     scan_interval: SimTime::from_millis(500),
                     seed,

@@ -13,7 +13,7 @@ use std::ops::Bound;
 
 use hopper_cluster::{
     ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, JobSlab, MachineDynamics, MachineId,
-    Machines, PrewarmCounters, TaskRef,
+    Machines, PrewarmCounters, TaskRef, MAX_RUNNING_COPIES,
 };
 use hopper_core::{
     AllocCounters, AlphaEstimator, BetaEstimator, IncrementalAlloc, Interval, Regime,
@@ -577,9 +577,8 @@ impl<'a> Central<'a> {
                     }
                     // α learning at phase completion.
                     if out.phase_done {
-                        let ph = &self.jobs[job].phases()[copy.task.phase];
-                        if ph.spec.output_mb_per_task > 0.0 {
-                            let actual = ph.spec.output_mb_per_task;
+                        let actual = self.jobs[job].spec.phases[copy.task.phase].output_mb_per_task;
+                        if actual > 0.0 {
                             self.alpha_est.observe(self.jobs[job].spec.template, actual);
                             if let Some(pred) = self.predicted_mb[job] {
                                 self.alpha_est.record_outcome(pred, actual);
@@ -807,7 +806,7 @@ impl<'a> Central<'a> {
         let learn = matches!(self.policy, Policy::Hopper(h) if h.learn_alpha);
         let fresh = if learn {
             match self.predicted_mb[j] {
-                Some(mb) => self.jobs[j].alpha_with_predicted_output(mb, &self.cfg.cluster),
+                Some(mb) => self.jobs[j].alpha_with_predicted_output(mb),
                 None => self.jobs[j].alpha(), // cold start: ground truth
             }
         } else {
@@ -1428,16 +1427,8 @@ impl<'a> Central<'a> {
         let temp = self.machines.occupy_for(m, j);
         let delay = self.handoff_delay(temp);
         let speed = self.machine_speed(m);
-        let (copy, dur) = self.jobs[j].launch_copy_at_speed(
-            task,
-            m,
-            false,
-            now,
-            delay,
-            &self.cfg.cluster,
-            &mut self.rng,
-            speed,
-        );
+        let (copy, dur) =
+            self.jobs[j].launch_copy_at_speed(task, m, false, now, delay, &mut self.rng, speed);
         self.queue
             .push(now + delay + dur, Event::Finish { job: j, copy });
         self.usage[j] += 1;
@@ -1453,20 +1444,22 @@ impl<'a> Central<'a> {
     fn try_speculative(&mut self, j: usize, now: SimTime) -> bool {
         while let Some(cand) = self.candidates[j].front().copied() {
             let t = &self.jobs[j].phases()[cand.task.phase].tasks[cand.task.task];
-            if t.is_finished() || t.running_copies() == 0 || t.running_copies() >= 2 {
+            let running = t.running_copies();
+            if t.is_finished() || running == 0 || running >= MAX_RUNNING_COPIES {
                 self.candidates[j].pop_front();
                 continue;
             }
             // Prefer a machine not already running a copy of this task;
-            // the guard above leaves exactly one running copy.
-            debug_assert_eq!(t.running_copies(), 1);
-            let busy = t
-                .copies
-                .iter()
-                .find(|c| c.status == hopper_cluster::CopyStatus::Running)
-                .expect("a candidate task has one running copy")
-                .machine;
-            let Some(m) = self.machines.preferred_free_machine(j, &[busy]) else {
+            // the guard above leaves fewer than MAX_RUNNING_COPIES.
+            let mut busy = [MachineId(0); MAX_RUNNING_COPIES - 1];
+            for (b, c) in busy.iter_mut().zip(
+                t.copies
+                    .iter()
+                    .filter(|c| c.status == hopper_cluster::CopyStatus::Running),
+            ) {
+                *b = c.machine;
+            }
+            let Some(m) = self.machines.preferred_free_machine(j, &busy[..running]) else {
                 return false;
             };
             let temp = self.machines.occupy_for(m, j);
@@ -1478,7 +1471,6 @@ impl<'a> Central<'a> {
                 true,
                 now,
                 delay,
-                &self.cfg.cluster,
                 &mut self.rng,
                 speed,
             );
@@ -1684,6 +1676,39 @@ mod tests {
         assert!(out.stats.spec_won <= out.stats.spec_launched);
     }
 
+    /// A lone 30 s straggler (10 s copies) on four free slots that all
+    /// run at quarter speed: Hopper grants the job spare slots, and the
+    /// speculative copy (40 s wall) still leaves more than a fresh copy's
+    /// 10 s to go at every later scan, so only the copy limit keeps a
+    /// third copy out. The one speculative copy wins at 2 + 40 s.
+    #[test]
+    fn lone_straggler_gets_one_speculative_copy() {
+        let trace = Trace::new(vec![hopper_workload::single_phase_job(
+            0,
+            SimTime::ZERO,
+            vec![SimTime::from_millis(30_000)],
+            1.6,
+        )]);
+        let cfg = SimConfig {
+            cluster: ClusterConfig {
+                machines: 4,
+                slots_per_machine: 1,
+                dfs_replicas: 0,
+                handoff_ms: 0,
+            },
+            scripted: Some(vec![vec![(30_000, 10_000)]]),
+            dynamics: DynamicsConfig {
+                hetero: hopper_cluster::HeteroProfile::Uniform { lo: 0.25, hi: 0.25 },
+                ..DynamicsConfig::off()
+            },
+            ..motivating_sim_config()
+        };
+        let out = run(&trace, &Policy::Hopper(HopperConfig::pure()), &cfg);
+        assert_eq!(out.stats.spec_launched, 1);
+        assert_eq!(out.stats.spec_won, 1);
+        assert_eq!(dur(&out, 0), 42_000);
+    }
+
     #[test]
     fn regime_accounting_covers_all_jobs_once() {
         let trace = small_trace(17, 50, 0.8, 100);
@@ -1766,10 +1791,7 @@ mod tests {
         let fair = run(
             &trace,
             &Policy::Hopper(HopperConfig {
-                alloc: hopper_core::AllocConfig {
-                    fairness_eps: 0.0,
-                    ..Default::default()
-                },
+                alloc: hopper_core::AllocConfig { fairness_eps: 0.0 },
                 ..Default::default()
             }),
             &cfg,

@@ -56,7 +56,6 @@ pub fn motivating_sim_config() -> SimConfig {
             slots_per_machine: 1,
             dfs_replicas: 0,
             handoff_ms: 0, // the paper's example has no container set-up cost
-            ..Default::default()
         },
         speculator: Speculator::SimpleThreshold {
             detect_after: SimTime::from_millis(2_000),

@@ -99,6 +99,13 @@ impl HeteroProfile {
     }
 }
 
+/// Uniform range of a transient slowdown's speed multiplier, applied on
+/// top of the base speed (`< 1` = degradation).
+const SLOWDOWN_FACTOR: (f64, f64) = (0.3, 0.7);
+
+/// Uniform range of a transient slowdown's duration, ms.
+const SLOWDOWN_MS: (u64, u64) = (5_000, 60_000);
+
 /// Full description of a cluster's dynamics plane. The default is
 /// [`DynamicsConfig::off`]: no heterogeneity, no slowdowns, no failures —
 /// and, by contract, zero effect on any run.
@@ -106,13 +113,10 @@ impl HeteroProfile {
 pub struct DynamicsConfig {
     /// Base speed heterogeneity.
     pub hetero: HeteroProfile,
-    /// Transient slowdowns per machine per hour (0 disables).
+    /// Transient slowdowns per machine per hour (0 disables); each one
+    /// draws its speed factor from 0.3–0.7 and its length from 5–60 s
+    /// (`SLOWDOWN_FACTOR`, `SLOWDOWN_MS`).
     pub slowdown_rate_per_hour: f64,
-    /// Uniform range of the transient speed multiplier (applied on top of
-    /// the base speed; `< 1` = degradation).
-    pub slowdown_factor: (f64, f64),
-    /// Uniform range of a slowdown's duration, ms.
-    pub slowdown_ms: (u64, u64),
     /// Machine failures per machine per hour (0 disables).
     pub fail_rate_per_hour: f64,
     /// Uniform range of a failed machine's recovery time, ms.
@@ -131,8 +135,6 @@ impl DynamicsConfig {
         DynamicsConfig {
             hetero: HeteroProfile::Off,
             slowdown_rate_per_hour: 0.0,
-            slowdown_factor: (0.3, 0.7),
-            slowdown_ms: (5_000, 60_000),
             fail_rate_per_hour: 0.0,
             recovery_ms: (15_000, 45_000),
         }
@@ -293,11 +295,9 @@ impl MachineDynamics {
         match ev {
             DynEvent::SlowdownStart(_) => {
                 let old = self.base[m] * self.transient[m];
-                let (flo, fhi) = self.cfg.slowdown_factor;
-                let factor = Dist::Uniform { lo: flo, hi: fhi }
-                    .sample(&mut self.rngs[m])
-                    .max(0.01);
-                let dur = uniform_duration_ms(&mut self.rngs[m], self.cfg.slowdown_ms);
+                let (lo, hi) = SLOWDOWN_FACTOR;
+                let factor = Dist::Uniform { lo, hi }.sample(&mut self.rngs[m]).max(0.01);
+                let dur = uniform_duration_ms(&mut self.rngs[m], SLOWDOWN_MS);
                 self.transient[m] = factor;
                 let new = self.base[m] * self.transient[m];
                 DynOutcome {
@@ -420,8 +420,6 @@ mod tests {
     fn slowdown_brackets_and_ratio() {
         let cfg = DynamicsConfig {
             slowdown_rate_per_hour: 1.0,
-            slowdown_factor: (0.5, 0.5),
-            slowdown_ms: (1000, 1000),
             ..DynamicsConfig::off()
         };
         let mut d = MachineDynamics::new(cfg, 2, &seq());
@@ -430,16 +428,20 @@ mod tests {
         assert!(matches!(init[0].1, DynEvent::SlowdownStart(_)));
         let m = init[0].1.machine();
         let out = d.apply(DynEvent::SlowdownStart(m));
-        assert_eq!(d.speed(m), 0.5);
-        // old/new = 1.0/0.5: remaining work takes twice the wall clock.
-        assert!((out.rescale_ratio.unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(
-            out.next,
-            vec![(SimTime::from_millis(1000), DynEvent::SlowdownEnd(m))]
+        let slow = d.speed(m);
+        assert!(
+            (SLOWDOWN_FACTOR.0..=SLOWDOWN_FACTOR.1).contains(&slow),
+            "speed {slow}"
         );
+        // old/new = 1.0/slow: remaining work stretches by 1/slow.
+        assert!((out.rescale_ratio.unwrap() - 1.0 / slow).abs() < 1e-12);
+        assert_eq!(out.next.len(), 1);
+        let (after, end) = out.next[0];
+        assert_eq!(end, DynEvent::SlowdownEnd(m));
+        assert!((SLOWDOWN_MS.0..=SLOWDOWN_MS.1).contains(&after.as_millis()));
         let back = d.apply(DynEvent::SlowdownEnd(m));
         assert_eq!(d.speed(m), 1.0);
-        assert!((back.rescale_ratio.unwrap() - 0.5).abs() < 1e-12);
+        assert!((back.rescale_ratio.unwrap() - slow).abs() < 1e-12);
         // The chain continues: the end draws the next incident.
         assert_eq!(back.next.len(), 1);
     }

@@ -22,12 +22,35 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hopper_core::alpha_from_work;
 use hopper_sim::SimTime;
-use hopper_workload::{Dist, TraceJob, TracePhase};
+use hopper_workload::{Dist, TraceJob};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::ids::{CopyRef, MachineId, TaskRef};
-use crate::machine::ClusterConfig;
+use crate::machine::{transfer_ms, ClusterConfig};
+
+/// The most copies of one task that may run at once, original included.
+/// Every speculation guard reads this one value: both engines' launch
+/// paths, the decentralized extra-copy pick and every speculator in
+/// `hopper-spec`.
+pub const MAX_RUNNING_COPIES: usize = 2;
+
+// `JobIndex::solo_running` holds the tasks one running copy short of the
+// limit, so it is the extra-copy candidate set only while the limit is 2.
+// Raising the limit means re-keying that index by running-copy count.
+const _: () = assert!(
+    MAX_RUNNING_COPIES == 2,
+    "JobIndex::solo_running assumes a two-copy limit"
+);
+
+/// Upper clamp on the per-copy Pareto duration multiplier, bounding
+/// pathological tail draws (production stragglers reach ~8×; the clamp
+/// only guards simulation time).
+const MAX_STRAGGLE_FACTOR: f64 = 40.0;
+
+/// Duration multiplier for an input task reading its data remotely
+/// (non-local placement); ~1.1–1.3 in measurement studies.
+const REMOTE_READ_PENALTY: f64 = 1.2;
 
 /// Lifecycle of one execution copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +69,7 @@ pub struct Copy {
     /// Machine the copy runs on.
     pub machine: MachineId,
     /// Launch time.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Total duration the copy would take if never killed. Schedulers and
     /// speculation policies must not read this directly; they see elapsed
     /// time and progress through [`CopyObservation`].
@@ -55,8 +78,6 @@ pub struct Copy {
     pub status: CopyStatus,
     /// True if this is a speculative (non-first) copy.
     pub speculative: bool,
-    /// Whether the copy reads its input locally.
-    pub local: bool,
 }
 
 impl Copy {
@@ -69,26 +90,26 @@ impl Copy {
 /// Fixed durations for scripted scenarios (the §3 motivating example):
 /// originals take `original`, every speculative copy takes `speculative`.
 #[derive(Debug, Clone, Copy)]
-pub struct ScriptedTask {
+pub(crate) struct ScriptedTask {
     /// Duration of the original copy.
-    pub original: SimTime,
+    pub(crate) original: SimTime,
     /// Duration of any speculative copy.
-    pub speculative: SimTime,
+    pub(crate) speculative: SimTime,
 }
 
 /// Runtime state of one task.
 #[derive(Debug, Clone)]
 pub struct TaskRun {
     /// Nominal compute work (expected duration net of transfer/locality).
-    pub work: SimTime,
+    pub(crate) work: SimTime,
     /// Machines holding this task's input (empty = no preference).
     pub replicas: Vec<MachineId>,
     /// Scripted durations override the stochastic model when present.
-    pub scripted: Option<ScriptedTask>,
+    pub(crate) scripted: Option<ScriptedTask>,
     /// All copies launched so far (index = copy id).
     pub copies: Vec<Copy>,
     /// When the task finished (first copy completion).
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
     /// Maintained count of copies in [`CopyStatus::Running`] (kept in sync
     /// by [`JobRun::launch_copy`] / [`JobRun::finish_copy`]).
     running: u32,
@@ -101,7 +122,7 @@ impl TaskRun {
     }
 
     /// Whether any copy has been launched.
-    pub fn is_launched(&self) -> bool {
+    pub(crate) fn is_launched(&self) -> bool {
         !self.copies.is_empty()
     }
 
@@ -138,24 +159,23 @@ impl TaskRun {
     }
 }
 
-/// Runtime state of one phase.
+/// Runtime state of one phase (its static description is the job's
+/// `spec.phases[i]`).
 #[derive(Debug, Clone)]
 pub struct PhaseRun {
-    /// The static description this phase was built from.
-    pub spec: TracePhase,
-    /// Task states (same length as `spec.task_works`).
+    /// Task states (same length as the phase's `task_works`).
     pub tasks: Vec<TaskRun>,
     /// Finished task count.
-    pub finished: usize,
+    pub(crate) finished: usize,
     /// Whether tasks of this phase may be launched yet.
     pub eligible: bool,
     /// Shuffle transfer time included in every task of this phase
     /// (upstream output volume divided over this phase's tasks), ms.
     pub transfer_ms_per_task: f64,
     /// Sum of completed copy durations (for observed-duration stats).
-    pub completed_duration_sum_ms: u64,
+    pub(crate) completed_duration_sum_ms: u64,
     /// Count of completed copies.
-    pub completed_duration_count: u64,
+    pub(crate) completed_duration_count: u64,
 }
 
 impl PhaseRun {
@@ -170,12 +190,12 @@ impl PhaseRun {
     }
 
     /// Unfinished task count.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.tasks.len() - self.finished
     }
 
     /// Mean duration of completed copies in this phase, if any completed.
-    pub fn mean_completed_duration(&self) -> Option<SimTime> {
+    pub(crate) fn mean_completed_duration(&self) -> Option<SimTime> {
         (self.completed_duration_count > 0).then(|| {
             SimTime::from_millis(self.completed_duration_sum_ms / self.completed_duration_count)
         })
@@ -183,7 +203,7 @@ impl PhaseRun {
 
     /// Effective nominal duration of task `i` (compute + transfer), before
     /// the straggler multiplier.
-    pub fn effective_work(&self, i: usize) -> SimTime {
+    pub(crate) fn effective_work(&self, i: usize) -> SimTime {
         self.tasks[i].work + SimTime::from_millis(self.transfer_ms_per_task as u64)
     }
 }
@@ -287,8 +307,6 @@ pub struct CopyObservation {
     pub machine: MachineId,
     /// Time since launch.
     pub elapsed: SimTime,
-    /// Progress fraction in [0, 1).
-    pub progress: f64,
     /// Progress-rate-extrapolated remaining time.
     pub est_remaining: SimTime,
     /// Whether this copy is speculative.
@@ -311,8 +329,6 @@ struct JobIndex {
     current_remaining: usize,
     /// Remaining tasks across all phases — `total_remaining()`.
     total_remaining: usize,
-    /// Unlaunched originals in eligible phases — `pending_originals()`.
-    pending_originals: usize,
     /// Running copies across the job — `occupied_slots()`.
     running_copies: usize,
     /// Exact integer sum of unfinished tasks' nominal work (ms) in
@@ -351,13 +367,7 @@ pub struct JobRun {
     /// [`JobRun::set_replicas`]). Read access is [`JobRun::phases`].
     pub(crate) phases: Vec<PhaseRun>,
     /// Completion time, set when the last phase finishes.
-    pub completed_at: Option<SimTime>,
-    /// Scheduler-estimated α (set by drivers from the online estimator);
-    /// when `None`, [`JobRun::alpha`] computes the ground-truth value.
-    pub alpha_override: Option<f64>,
-    /// Scheduler-estimated β (defaults to the spec value; drivers may
-    /// substitute the online estimate).
-    pub beta_estimate: f64,
+    pub(crate) completed_at: Option<SimTime>,
     /// Local / non-local launch counters for input-phase tasks (Figure 13).
     pub local_launches: usize,
     /// Non-local input-phase launches.
@@ -380,7 +390,7 @@ impl JobRun {
                 .map(|&u| spec.phases[u].output_mb_per_task * spec.phases[u].num_tasks() as f64)
                 .sum();
             let transfer_ms_per_task = if p.num_tasks() > 0 {
-                cfg.transfer_ms(upstream_mb / p.num_tasks() as f64)
+                transfer_ms(upstream_mb / p.num_tasks() as f64)
             } else {
                 0.0
             };
@@ -401,7 +411,6 @@ impl JobRun {
                 })
                 .collect();
             phases.push(PhaseRun {
-                spec: p.clone(),
                 tasks,
                 finished: 0,
                 eligible: pi == 0 || p.upstream.is_empty(),
@@ -410,14 +419,11 @@ impl JobRun {
                 completed_duration_count: 0,
             });
         }
-        let beta = spec.beta;
         let mut job = JobRun {
             id: spec.id,
             spec,
             phases,
             completed_at: None,
-            alpha_override: None,
-            beta_estimate: beta,
             local_launches: 0,
             nonlocal_launches: 0,
             idx: JobIndex::default(),
@@ -427,11 +433,9 @@ impl JobRun {
     }
 
     /// Recompute every incremental index from scratch. Called at
-    /// construction and by the rebuild-on-write mutators below. Public as
-    /// an escape hatch for in-crate tests that reach into task state;
-    /// out-of-crate code cannot mutate `phases` directly and should not
-    /// need this.
-    pub fn rebuild_index(&mut self) {
+    /// construction, by the rebuild-on-write mutators below, and by
+    /// in-crate tests that reach into task state.
+    pub(crate) fn rebuild_index(&mut self) {
         self.idx = self.scan_index();
     }
 
@@ -471,7 +475,6 @@ impl JobRun {
         let mut idx = JobIndex {
             current_remaining: self.scan_current_remaining(),
             total_remaining: self.scan_total_remaining(),
-            pending_originals: self.scan_pending_originals(),
             running_copies: self.scan_occupied_slots(),
             remaining_compute_ms: 0,
             first_ineligible: self.phases.iter().position(|p| !p.eligible),
@@ -593,7 +596,6 @@ impl JobRun {
     /// Returns the copy id and its (hidden) duration so the driver can
     /// schedule the completion event at `now + delay + duration`. Panics if the task already finished or its phase is not
     /// eligible — drivers must not launch dead work.
-    #[allow(clippy::too_many_arguments)]
     pub fn launch_copy(
         &mut self,
         task: TaskRef,
@@ -601,10 +603,9 @@ impl JobRun {
         speculative: bool,
         now: SimTime,
         delay: SimTime,
-        cfg: &ClusterConfig,
         rng: &mut StdRng,
     ) -> (CopyRef, SimTime) {
-        self.launch_copy_at_speed(task, machine, speculative, now, delay, cfg, rng, 1.0)
+        self.launch_copy_at_speed(task, machine, speculative, now, delay, rng, 1.0)
     }
 
     /// [`JobRun::launch_copy`] on a machine running at `speed` (the
@@ -620,11 +621,10 @@ impl JobRun {
         speculative: bool,
         now: SimTime,
         delay: SimTime,
-        cfg: &ClusterConfig,
         rng: &mut StdRng,
         speed: f64,
     ) -> (CopyRef, SimTime) {
-        let unit = self.sample_unit_duration(task, machine, speculative, cfg, rng);
+        let unit = self.sample_unit_duration(task, machine, speculative, rng);
         let duration = duration_at_speed(unit, speed);
         let copy = self.launch_copy_prepared(task, machine, speculative, now + delay, duration);
         (copy, duration)
@@ -642,7 +642,6 @@ impl JobRun {
         task: TaskRef,
         machine: MachineId,
         speculative: bool,
-        cfg: &ClusterConfig,
         rng: &mut StdRng,
     ) -> SimTime {
         let phase = &self.phases[task.phase];
@@ -660,8 +659,8 @@ impl JobRun {
             None => {
                 let mult = Dist::unit_mean_pareto(self.spec.beta)
                     .sample(rng)
-                    .min(cfg.max_straggle_factor);
-                let penalty = if local { 1.0 } else { cfg.remote_read_penalty };
+                    .min(MAX_STRAGGLE_FACTOR);
+                let penalty = if local { 1.0 } else { REMOTE_READ_PENALTY };
                 effective.scale(mult * penalty)
             }
         }
@@ -709,7 +708,6 @@ impl JobRun {
             duration,
             status: CopyStatus::Running,
             speculative,
-            local,
         });
         t.running += 1;
         // Index maintenance: running totals, the solo-running set, and (on
@@ -735,7 +733,6 @@ impl JobRun {
             _ => {}
         }
         if was_pending {
-            self.idx.pending_originals -= 1;
             self.index_remove_pending(task);
         }
         #[cfg(debug_assertions)]
@@ -748,8 +745,8 @@ impl JobRun {
 
     /// Kill one running copy — its machine died under it. The slot
     /// freed nothing (it died with the machine); a task whose last
-    /// running copy was lost becomes pending again (it re-enters
-    /// `pending_originals` and the locality indices), while its recorded
+    /// running copy was lost becomes pending again (it re-enters the
+    /// pending index and the locality indices), while its recorded
     /// copies stay (`Killed`), so duration statistics are untouched.
     /// [`JobRun::fail_machine`] applies it to a whole machine; the
     /// sharded engine applies it per loss notification. `None` when the
@@ -783,7 +780,6 @@ impl JobRun {
         }
         let requeued = now_running == 0;
         if requeued {
-            self.idx.pending_originals += 1;
             self.index_insert_pending(c.task);
         }
         #[cfg(debug_assertions)]
@@ -840,7 +836,7 @@ impl JobRun {
             if self.phases[pi].eligible {
                 continue;
             }
-            let ready = self.phases[pi].spec.upstream.iter().all(|&u| {
+            let ready = self.spec.phases[pi].upstream.iter().all(|&u| {
                 let up = &self.phases[u];
                 up.finished >= up.num_tasks().max(1)
             });
@@ -956,7 +952,6 @@ impl JobRun {
     fn index_phase_eligible(&mut self, pi: usize) {
         let p = &self.phases[pi];
         self.idx.current_remaining += p.remaining();
-        self.idx.pending_originals += p.remaining();
         for (ti, t) in p.tasks.iter().enumerate() {
             debug_assert!(!t.is_launched() && !t.is_finished());
             self.idx.remaining_compute_ms += t.work.as_millis();
@@ -1002,21 +997,6 @@ impl JobRun {
 
     fn scan_total_remaining(&self) -> usize {
         self.phases.iter().map(|p| p.remaining()).sum()
-    }
-
-    /// Unlaunched original tasks in eligible phases. O(1).
-    pub fn pending_originals(&self) -> usize {
-        debug_assert_eq!(self.idx.pending_originals, self.scan_pending_originals());
-        self.idx.pending_originals
-    }
-
-    fn scan_pending_originals(&self) -> usize {
-        self.phases
-            .iter()
-            .filter(|p| p.eligible)
-            .flat_map(|p| &p.tasks)
-            .filter(|t| t.scan_needs_original())
-            .count()
     }
 
     /// Currently running copies (slot occupancy of this job). O(1).
@@ -1172,16 +1152,10 @@ impl JobRun {
                     .filter(|(_, c)| c.status == CopyStatus::Running)
                     .map(|(ci, c)| {
                         let elapsed = now.saturating_sub(c.start);
-                        let progress = if c.duration.as_millis() == 0 {
-                            1.0
-                        } else {
-                            (elapsed.as_millis() as f64 / c.duration.as_millis() as f64).min(1.0)
-                        };
                         CopyObservation {
                             copy: CopyRef::new(pi, ti, ci),
                             machine: c.machine,
                             elapsed,
-                            progress,
                             est_remaining: c.duration.saturating_sub(elapsed),
                             speculative: c.speculative,
                         }
@@ -1245,7 +1219,7 @@ impl JobRun {
         {
             let mut scan_best: Option<(SimTime, TaskRef)> = None;
             for (task, obs) in self.observe_running(now) {
-                if obs.len() >= 2 {
+                if obs.len() >= MAX_RUNNING_COPIES {
                     continue;
                 }
                 let rem = obs.iter().map(|o| o.est_remaining).min().unwrap();
@@ -1290,13 +1264,9 @@ impl JobRun {
     }
 
     /// The job's DAG weight α: remaining downstream transfer work over
-    /// remaining current-phase compute work (§4.2), or the override the
-    /// driver installed from the online estimator. O(1) via the compute
+    /// remaining current-phase compute work (§4.2). O(1) via the compute
     /// counter and cached first-ineligible phase.
     pub fn alpha(&self) -> f64 {
-        if let Some(a) = self.alpha_override {
-            return a;
-        }
         let compute_ms = self.remaining_compute_ms_f64();
         let transfer_ms: f64 = self
             .idx
@@ -1319,13 +1289,13 @@ impl JobRun {
     /// This is what a scheduler using the online α estimator (§6.3) sees:
     /// intermediate data sizes are unknown until the phase runs, so the
     /// transfer term is built from the recurring-job prediction.
-    pub fn alpha_with_predicted_output(&self, mb_per_task: f64, cfg: &ClusterConfig) -> f64 {
+    pub fn alpha_with_predicted_output(&self, mb_per_task: f64) -> f64 {
         let compute_ms = self.remaining_compute_ms_f64();
-        let Some(next) = self.idx.first_ineligible.map(|pi| &self.phases[pi]) else {
+        let Some(pi) = self.idx.first_ineligible else {
             return 1.0;
         };
-        let upstream_tasks: usize = next
-            .spec
+        let next = &self.phases[pi];
+        let upstream_tasks: usize = self.spec.phases[pi]
             .upstream
             .iter()
             .map(|&u| self.phases[u].num_tasks())
@@ -1334,18 +1304,12 @@ impl JobRun {
             return 1.0;
         }
         let per_task_mb = mb_per_task.max(0.0) * upstream_tasks as f64 / next.num_tasks() as f64;
-        let transfer_ms = cfg.transfer_ms(per_task_mb) * next.remaining() as f64;
-        if transfer_ms <= 0.0 {
+        let transfer = transfer_ms(per_task_mb) * next.remaining() as f64;
+        if transfer <= 0.0 {
             1.0
         } else {
-            alpha_from_work(transfer_ms, compute_ms)
+            alpha_from_work(transfer, compute_ms)
         }
-    }
-
-    /// Fraction of input-phase launches that were data-local.
-    pub fn locality_fraction(&self) -> Option<f64> {
-        let total = self.local_launches + self.nonlocal_launches;
-        (total > 0).then(|| self.local_launches as f64 / total as f64)
     }
 }
 
@@ -1366,7 +1330,7 @@ fn sample_replicas(cfg: &ClusterConfig, rng: &mut StdRng) -> Vec<MachineId> {
 mod tests {
     use super::*;
     use hopper_sim::rng_from_seed;
-    use hopper_workload::{single_phase_job, CommPattern};
+    use hopper_workload::single_phase_job;
 
     fn cfg() -> ClusterConfig {
         ClusterConfig {
@@ -1374,6 +1338,20 @@ mod tests {
             slots_per_machine: 2,
             ..Default::default()
         }
+    }
+
+    /// Unlaunched original tasks in eligible phases, by scan, checked
+    /// against the pending index.
+    fn pending_originals(j: &JobRun) -> usize {
+        let scanned = j
+            .phases
+            .iter()
+            .filter(|p| p.eligible)
+            .flat_map(|p| &p.tasks)
+            .filter(|t| t.scan_needs_original())
+            .count();
+        assert_eq!(j.idx.pending.len(), scanned);
+        scanned
     }
 
     fn simple_job(n_tasks: usize, work_ms: u64) -> JobRun {
@@ -1393,7 +1371,6 @@ mod tests {
             task_works: vec![SimTime::from_millis(500); 2],
             upstream: vec![0],
             output_mb_per_task: 0.0,
-            comm: CommPattern::AllToAll,
             reads_dfs_input: false,
         });
         JobRun::new(spec, &cfg(), &mut rng_from_seed(3))
@@ -1422,7 +1399,6 @@ mod tests {
         assert_eq!(j.total_remaining() - j.current_remaining(), 2);
 
         let mut rng = rng_from_seed(1);
-        let c = cfg();
         // Run all 4 upstream tasks to completion.
         let mut finish_times = Vec::new();
         for ti in 0..4 {
@@ -1432,7 +1408,6 @@ mod tests {
                 false,
                 SimTime::ZERO,
                 SimTime::ZERO,
-                &c,
                 &mut rng,
             );
             finish_times.push((cr, d));
@@ -1500,14 +1475,13 @@ mod tests {
         );
         // Scripts are index-neutral: pending counts unchanged.
         assert_eq!(j.current_remaining(), 2);
-        assert_eq!(j.pending_originals(), 2);
+        assert_eq!(pending_originals(&j), 2);
     }
 
     #[test]
     fn race_kills_siblings_and_frees_slots() {
         let mut j = simple_job(1, 1000);
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         let task = TaskRef::new(0, 0);
         let (orig, _) = j.launch_copy(
             task,
@@ -1515,7 +1489,6 @@ mod tests {
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         let (spec, _) = j.launch_copy(
@@ -1524,7 +1497,6 @@ mod tests {
             true,
             SimTime::from_millis(100),
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         assert_eq!(j.occupied_slots(), 2);
@@ -1544,7 +1516,6 @@ mod tests {
     fn stale_finish_for_killed_copy_is_ignored() {
         let mut j = simple_job(2, 1000);
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         let t0 = TaskRef::new(0, 0);
         let (c0, _) = j.launch_copy(
             t0,
@@ -1552,7 +1523,6 @@ mod tests {
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         let out = j.finish_copy(c0, SimTime::from_millis(500)).unwrap();
@@ -1566,14 +1536,12 @@ mod tests {
     fn scripted_durations_are_exact() {
         let mut j = JobRun::scripted(0, SimTime::ZERO, &[(30_000, 10_000), (10_000, 10_000)]);
         let mut rng = rng_from_seed(5);
-        let c = cfg();
         let (_, d0) = j.launch_copy(
             TaskRef::new(0, 0),
             MachineId(0),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         assert_eq!(d0, SimTime::from_millis(30_000));
@@ -1583,7 +1551,6 @@ mod tests {
             true,
             SimTime::from_millis(2000),
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         assert_eq!(d0s, SimTime::from_millis(10_000));
@@ -1593,14 +1560,12 @@ mod tests {
     fn observation_progress_and_estimates() {
         let mut j = JobRun::scripted(0, SimTime::ZERO, &[(10_000, 5_000)]);
         let mut rng = rng_from_seed(5);
-        let c = cfg();
         j.launch_copy(
             TaskRef::new(0, 0),
             MachineId(0),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         let obs = j.observe_running(SimTime::from_millis(2_500));
@@ -1608,7 +1573,6 @@ mod tests {
         let (task, copies) = &obs[0];
         assert_eq!(*task, TaskRef::new(0, 0));
         assert_eq!(copies.len(), 1);
-        assert!((copies[0].progress - 0.25).abs() < 1e-9);
         assert_eq!(copies[0].est_remaining, SimTime::from_millis(7_500));
         assert_eq!(copies[0].elapsed, SimTime::from_millis(2_500));
     }
@@ -1644,14 +1608,12 @@ mod tests {
         }
         j.rebuild_index();
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         j.launch_copy(
             TaskRef::new(0, 0),
             MachineId(1),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         j.launch_copy(
@@ -1660,12 +1622,10 @@ mod tests {
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         assert_eq!(j.local_launches, 1);
         assert_eq!(j.nonlocal_launches, 1);
-        assert!((j.locality_fraction().unwrap() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -1676,28 +1636,22 @@ mod tests {
         assert!((a - 0.4).abs() < 0.01, "alpha {a}");
         // Single-phase job: no downstream → α = 1.
         assert_eq!(simple_job(3, 500).alpha(), 1.0);
-        // Override wins.
-        let mut j2 = two_phase_job();
-        j2.alpha_override = Some(2.5);
-        assert_eq!(j2.alpha(), 2.5);
     }
 
     #[test]
     fn pending_and_remaining_counts() {
         let mut j = simple_job(3, 1000);
-        assert_eq!(j.pending_originals(), 3);
+        assert_eq!(pending_originals(&j), 3);
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         j.launch_copy(
             TaskRef::new(0, 0),
             MachineId(0),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
-        assert_eq!(j.pending_originals(), 2);
+        assert_eq!(pending_originals(&j), 2);
         assert_eq!(j.current_remaining(), 3);
         assert_eq!(j.total_remaining(), 3);
         assert_eq!(j.occupied_slots(), 1);
@@ -1713,14 +1667,12 @@ mod tests {
             SimTime::from_millis(1000)
         );
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         let (c0, d0) = j.launch_copy(
             task,
             MachineId(0),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         j.finish_copy(c0, d0).unwrap();
@@ -1732,14 +1684,12 @@ mod tests {
     fn launching_into_ineligible_phase_panics() {
         let mut j = two_phase_job();
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         j.launch_copy(
             TaskRef::new(1, 0),
             MachineId(0),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
     }
@@ -1748,7 +1698,6 @@ mod tests {
     fn fail_machine_requeues_sole_copy_tasks() {
         let mut j = simple_job(3, 1000);
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         // Task 0 runs on machine 4, task 1 on machine 5.
         for (ti, m) in [(0usize, 4usize), (1, 5)] {
             j.launch_copy(
@@ -1757,17 +1706,16 @@ mod tests {
                 false,
                 SimTime::ZERO,
                 SimTime::ZERO,
-                &c,
                 &mut rng,
             );
         }
-        assert_eq!(j.pending_originals(), 1);
+        assert_eq!(pending_originals(&j), 1);
         let out = j.fail_machine(MachineId(4));
         assert_eq!(out.killed, 1);
         assert_eq!(out.killed_spec, 0);
         assert_eq!(out.requeued, vec![TaskRef::new(0, 0)]);
         // The task is pending again and relaunchable.
-        assert_eq!(j.pending_originals(), 2);
+        assert_eq!(pending_originals(&j), 2);
         assert_eq!(j.occupied_slots(), 1);
         assert!(j.pending_tasks().any(|t| t == TaskRef::new(0, 0)));
         let (copy, _) = j.launch_copy(
@@ -1776,11 +1724,10 @@ mod tests {
             false,
             SimTime::from_millis(10),
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         assert_eq!(copy.copy, 1, "relaunch is a fresh copy of the same task");
-        assert_eq!(j.pending_originals(), 1);
+        assert_eq!(pending_originals(&j), 1);
         // Unrelated machines are untouched.
         let none = j.fail_machine(MachineId(9));
         assert_eq!(none.killed, 0);
@@ -1791,7 +1738,6 @@ mod tests {
     fn fail_machine_with_speculative_sibling_keeps_task_running() {
         let mut j = simple_job(1, 1000);
         let mut rng = rng_from_seed(2);
-        let c = cfg();
         let task = TaskRef::new(0, 0);
         j.launch_copy(
             task,
@@ -1799,7 +1745,6 @@ mod tests {
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         let (spec, _) = j.launch_copy(
@@ -1808,7 +1753,6 @@ mod tests {
             true,
             SimTime::from_millis(100),
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         // The original's machine dies; the speculative copy survives and
@@ -1817,7 +1761,7 @@ mod tests {
         assert_eq!(out.killed, 1);
         assert!(out.requeued.is_empty());
         assert_eq!(j.occupied_slots(), 1);
-        assert_eq!(j.pending_originals(), 0);
+        assert_eq!(pending_originals(&j), 0);
         // The surviving speculative copy can finish the task.
         let fin = j
             .finish_copy(spec, SimTime::from_millis(50_000))
@@ -1844,7 +1788,6 @@ mod tests {
                 speculative,
                 SimTime::ZERO,
                 SimTime::ZERO,
-                &c,
                 &mut rng,
             );
         }
@@ -1859,7 +1802,7 @@ mod tests {
         let solo: Vec<_> = j.idx.solo_running.iter().copied().collect();
         assert_eq!(solo, vec![(survivor, t0)]);
         assert_eq!(j.pending_tasks().collect::<Vec<_>>(), vec![t1]);
-        assert_eq!(j.pending_originals(), 1);
+        assert_eq!(pending_originals(&j), 1);
         assert_eq!(j.occupied_slots(), 1);
     }
 
@@ -1867,14 +1810,12 @@ mod tests {
     fn rescale_machine_stretches_remaining_time_only() {
         let mut j = JobRun::scripted(0, SimTime::ZERO, &[(10_000, 5_000)]);
         let mut rng = rng_from_seed(5);
-        let c = cfg();
         j.launch_copy(
             TaskRef::new(0, 0),
             MachineId(0),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
         );
         // At t = 4 s the machine halves its speed: 6 s remaining → 12 s.
@@ -1900,7 +1841,6 @@ mod tests {
         // best_extra_speculation).
         let mut j = JobRun::scripted(0, SimTime::ZERO, &[(10_000, 1_000), (8_000, 1_000)]);
         let mut rng = rng_from_seed(5);
-        let c = cfg();
         for ti in 0..2 {
             j.launch_copy(
                 TaskRef::new(0, ti),
@@ -1908,7 +1848,6 @@ mod tests {
                 false,
                 SimTime::ZERO,
                 SimTime::ZERO,
-                &c,
                 &mut rng,
             );
         }
@@ -1928,14 +1867,12 @@ mod tests {
     fn launch_at_speed_divides_duration() {
         let mut j = JobRun::scripted(0, SimTime::ZERO, &[(10_000, 5_000), (10_000, 5_000)]);
         let mut rng = rng_from_seed(5);
-        let c = cfg();
         let (_, d_slow) = j.launch_copy_at_speed(
             TaskRef::new(0, 0),
             MachineId(0),
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
             0.5,
         );
@@ -1946,7 +1883,6 @@ mod tests {
             false,
             SimTime::ZERO,
             SimTime::ZERO,
-            &c,
             &mut rng,
             2.0,
         );
@@ -1975,7 +1911,6 @@ mod tests {
                     false,
                     SimTime::ZERO,
                     SimTime::ZERO,
-                    &c,
                     &mut rng,
                 );
                 max = max.max(d.as_millis() as f64 / 1000.0);

@@ -21,7 +21,7 @@ pub use dynamics::{
 pub use ids::{CopyRef, MachineId, TaskRef};
 pub use job::{
     duration_at_speed, rescaled_finish, Copy, CopyLoss, CopyObservation, CopyStatus, FailOutcome,
-    FinishOutcome, JobRun, PhaseRun, ScriptedTask, TaskRun,
+    FinishOutcome, JobRun, PhaseRun, TaskRun, MAX_RUNNING_COPIES,
 };
 pub use machine::{ClusterConfig, Machines, PrewarmCounters, SlotTemp};
 pub use slab::JobSlab;

@@ -26,16 +26,6 @@ pub struct ClusterConfig {
     /// DFS replication factor: input tasks may run locally on this many
     /// machines (3 in HDFS and in the paper's setup).
     pub dfs_replicas: usize,
-    /// Duration multiplier for an input task reading its data remotely
-    /// (non-local placement). ~1.1–1.3 in measurement studies.
-    pub remote_read_penalty: f64,
-    /// Per-slot network bandwidth in MB/s used to convert intermediate
-    /// data volume into transfer time (drives α and shuffle durations).
-    pub bandwidth_mbps: f64,
-    /// Upper clamp on the per-copy Pareto duration multiplier, bounding
-    /// pathological tail draws (production stragglers observed up to ~8×;
-    /// we allow well beyond that, the clamp only guards simulation time).
-    pub max_straggle_factor: f64,
     /// Cost (ms) of handing a slot to a *different* job: scheduler
     /// round-trip plus container/executor start. Zero for long-lived
     /// shared executors (the Sparrow/decentralized setting).
@@ -48,9 +38,6 @@ impl Default for ClusterConfig {
             machines: 200,
             slots_per_machine: 16,
             dfs_replicas: 3,
-            remote_read_penalty: 1.2,
-            bandwidth_mbps: 125.0, // 1 Gbps, as in the paper's cluster
-            max_straggle_factor: 40.0,
             handoff_ms: 1000,
         }
     }
@@ -61,15 +48,19 @@ impl ClusterConfig {
     pub fn total_slots(&self) -> usize {
         self.machines * self.slots_per_machine
     }
+}
 
-    /// Convert an intermediate data volume (MB) into transfer milliseconds
-    /// at per-slot bandwidth.
-    pub fn transfer_ms(&self, mb: f64) -> f64 {
-        if mb <= 0.0 {
-            0.0
-        } else {
-            mb / self.bandwidth_mbps * 1000.0
-        }
+/// Per-slot network bandwidth in MB/s: 1 Gbps, as in the paper's cluster
+/// (§7.1).
+const BANDWIDTH_MBPS: f64 = 125.0;
+
+/// Convert an intermediate data volume (MB) into transfer milliseconds at
+/// per-slot bandwidth (drives α and shuffle durations).
+pub(crate) fn transfer_ms(mb: f64) -> f64 {
+    if mb <= 0.0 {
+        0.0
+    } else {
+        mb / BANDWIDTH_MBPS * 1000.0
     }
 }
 
@@ -685,8 +676,10 @@ impl Machines {
         self.free[m.0]
     }
 
-    /// Free slots on `m` already bound to `job`.
-    pub fn warm_on(&self, m: MachineId, job: usize) -> usize {
+    /// Free slots on `m` already bound to `job` (the debug oracle of
+    /// [`Machines::preferred_free_machine`]).
+    #[cfg(any(test, debug_assertions))]
+    fn warm_on(&self, m: MachineId, job: usize) -> usize {
         self.bound[m.0].get(job)
     }
 
@@ -1344,11 +1337,7 @@ mod tests {
 
     #[test]
     fn transfer_time_math() {
-        let cfg = ClusterConfig {
-            bandwidth_mbps: 100.0,
-            ..Default::default()
-        };
-        assert_eq!(cfg.transfer_ms(0.0), 0.0);
-        assert!((cfg.transfer_ms(50.0) - 500.0).abs() < 1e-9);
+        assert_eq!(transfer_ms(0.0), 0.0);
+        assert!((transfer_ms(62.5) - 500.0).abs() < 1e-9);
     }
 }

@@ -69,11 +69,6 @@ impl JobSlab {
         self.slots.get(j).is_some_and(|s| s.is_some())
     }
 
-    /// Jobs currently live.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
     /// Maximum simultaneous live jobs over the slab's lifetime.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -82,11 +77,6 @@ impl JobSlab {
     /// Jobs retired so far.
     pub fn retired(&self) -> usize {
         self.retired
-    }
-
-    /// Id capacity (total jobs of the run).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -125,17 +115,17 @@ mod tests {
     #[test]
     fn insert_retire_tracks_live_and_high_water() {
         let mut s = JobSlab::new(4);
-        assert_eq!((s.live(), s.high_water(), s.capacity()), (0, 0, 4));
+        assert_eq!((s.live, s.high_water(), s.slots.len()), (0, 0, 4));
         s.insert(0, job(0));
         s.insert(2, job(2));
-        assert_eq!((s.live(), s.high_water()), (2, 2));
+        assert_eq!((s.live, s.high_water()), (2, 2));
         assert!(s.is_live(2) && !s.is_live(1));
         let retired = s.retire(0);
         assert_eq!(retired.id, 0);
-        assert_eq!((s.live(), s.high_water(), s.retired()), (1, 2, 1));
+        assert_eq!((s.live, s.high_water(), s.retired()), (1, 2, 1));
         s.insert(1, job(1));
         s.insert(3, job(3));
-        assert_eq!((s.live(), s.high_water()), (3, 3));
+        assert_eq!((s.live, s.high_water()), (3, 3));
         assert_eq!(s[3].id, 3);
     }
 

@@ -12,10 +12,10 @@
 //!    go to jobs in ascending `max(V, V′)` order, each filled up to its
 //!    virtual size;
 //! 3. otherwise (**Guideline 3**) remaining slots are split proportionally
-//!    to virtual sizes, capped at `max_useful_factor × T_rem` per job, with
-//!    overflow redistributed.
+//!    to virtual sizes, capped at [`MAX_USEFUL_FACTOR`] slots per
+//!    remaining task, with overflow redistributed.
 
-use crate::vsize::{priority_key, virtual_size};
+use crate::vsize::{ceil_usize, priority_key, virtual_size};
 
 /// Per-job input to the allocator.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,28 +79,18 @@ pub struct AllocConfig {
     /// `(1−ε)` of its fair share (§4.3). `1.0` disables the floor entirely;
     /// `0.0` is perfectly fair scheduling. The paper's default is 0.1.
     pub fairness_eps: f64,
-    /// Cap on useful slots per job, as a multiple of remaining tasks.
-    /// Beyond ~3× there is nothing left to speculate on (Figure 3's x-axis
-    /// tops out at 2.5×); overflow is redistributed.
-    pub max_useful_factor: f64,
 }
 
 impl Default for AllocConfig {
     fn default() -> Self {
-        AllocConfig {
-            fairness_eps: 0.1,
-            max_useful_factor: 3.0,
-        }
+        AllocConfig { fairness_eps: 0.1 }
     }
 }
 
 impl AllocConfig {
     /// Config with fairness disabled (pure Guidelines 2/3).
     pub fn no_fairness() -> Self {
-        AllocConfig {
-            fairness_eps: 1.0,
-            ..Default::default()
-        }
+        AllocConfig { fairness_eps: 1.0 }
     }
 }
 
@@ -161,7 +151,10 @@ pub fn allocate(demands: &[JobDemand], capacity: usize, cfg: &AllocConfig) -> Ve
         Regime::Proportional
     };
 
-    let cap: Vec<usize> = demands.iter().map(|d| useful_cap(d, cfg)).collect();
+    let cap: Vec<usize> = demands
+        .iter()
+        .map(|d| useful_cap(d.remaining_tasks))
+        .collect();
     // ε-fair floors. Weighted fair share of job i is S·w_i/Σw; the floor is
     // (1−ε) of that, but never more than the job's own desired allocation
     // ⌈V⌉ (fairness should not force wasted slots) nor its useful cap.
@@ -217,9 +210,14 @@ pub fn cmp_priority(a: (f64, usize), b: (f64, usize)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// Hard cap on slots a job can use productively.
-pub(crate) fn useful_cap(d: &JobDemand, cfg: &AllocConfig) -> usize {
-    (d.remaining_tasks * cfg.max_useful_factor).ceil() as usize
+/// Cap on useful slots per job, as a multiple of remaining tasks. Beyond
+/// ~3× there is nothing left to speculate on (Figure 3's x-axis tops out
+/// at 2.5×); overflow is redistributed.
+pub const MAX_USEFUL_FACTOR: f64 = 3.0;
+
+/// Hard cap on slots a job with `remaining_tasks` can use productively.
+pub(crate) fn useful_cap(remaining_tasks: f64) -> usize {
+    ceil_usize(remaining_tasks * MAX_USEFUL_FACTOR)
 }
 
 /// Desired slots under Guideline 2: fill up to ⌈V(t)⌉ — Pseudocode 2's
@@ -453,10 +451,7 @@ mod tests {
             (0..9).map(|i| JobDemand::simple(i, 500.0, 1.4)).collect();
         demands.push(JobDemand::simple(9, 400.0, 1.4));
         let cap = 200;
-        let cfg = AllocConfig {
-            fairness_eps: 0.1,
-            ..Default::default()
-        };
+        let cfg = AllocConfig { fairness_eps: 0.1 };
         let allocs = allocate(&demands, cap, &cfg);
         let floor = ((1.0 - 0.1) * cap as f64 / 10.0).floor() as usize;
         for a in &allocs {
@@ -477,10 +472,7 @@ mod tests {
             JobDemand::simple(0, 1.0, 1.5),
             JobDemand::simple(1, 1000.0, 1.5),
         ];
-        let cfg = AllocConfig {
-            fairness_eps: 0.0,
-            ..Default::default()
-        };
+        let cfg = AllocConfig { fairness_eps: 0.0 };
         let allocs = allocate(&demands, 100, &cfg);
         assert!(allocs[0].slots <= 3);
         // The big job receives what the small one cannot use.
@@ -493,10 +485,7 @@ mod tests {
             JobDemand::simple(0, 100.0, 1.5),
             JobDemand::simple(1, 100.0, 1.5),
         ];
-        let cfg = AllocConfig {
-            fairness_eps: 0.0,
-            ..Default::default()
-        };
+        let cfg = AllocConfig { fairness_eps: 0.0 };
         let allocs = allocate(&demands, 80, &cfg);
         assert_eq!(allocs[0].slots, 40);
         assert_eq!(allocs[1].slots, 40);
@@ -508,10 +497,7 @@ mod tests {
         let mut b = JobDemand::simple(1, 1000.0, 1.5);
         a.weight = 3.0;
         b.weight = 1.0;
-        let cfg = AllocConfig {
-            fairness_eps: 0.0,
-            ..Default::default()
-        };
+        let cfg = AllocConfig { fairness_eps: 0.0 };
         let allocs = allocate(&[a, b], 100, &cfg);
         assert_eq!(allocs[0].slots, 75);
         assert_eq!(allocs[1].slots, 25);

@@ -38,7 +38,8 @@
 //! golden suites pin the contract.
 
 use crate::allocate::{
-    apply_floor_trim, cmp_priority, fair_share_floor, fill_proportional, AllocConfig, Regime,
+    apply_floor_trim, cmp_priority, fair_share_floor, fill_proportional, useful_cap, AllocConfig,
+    Regime,
 };
 use crate::threshold::{level_interval, Interval};
 use crate::vsize::{ceil_usize, speculation_multiplier};
@@ -63,7 +64,7 @@ struct Entry {
     /// allocator's `key_m` (see [`IncrementalAlloc::mult_of`]).
     mult: f64,
     epoch: u64,
-    /// Useful cap `⌈remaining · max_useful_factor⌉` (valid for `params`).
+    /// Useful cap `⌈remaining · MAX_USEFUL_FACTOR⌉`.
     cap: usize,
     /// Desired slots `min(⌈V⌉, cap)` (valid for `params`).
     want: usize,
@@ -192,10 +193,8 @@ pub struct IncrementalAlloc {
     total_weight: f64,
     /// Integer floor sum, maintained exactly.
     floor_sum: usize,
-    /// `(capacity, eps bits, max_useful_factor bits)` the cached
-    /// floors/caps were computed for.
-    params: Option<(usize, u64, u64)>,
-    last_regime: Option<Regime>,
+    /// `(capacity, eps bits)` the cached floors were computed for.
+    params: Option<(usize, u64)>,
     /// The constrained fill as an exhaustion point: `fill_x` is the first
     /// order position that does not get its full want (`order.len()`
     /// when every job does), `fill_used` the sum of the increments
@@ -246,7 +245,6 @@ impl IncrementalAlloc {
             total_weight: 0.0,
             floor_sum: 0,
             params: None,
-            last_regime: None,
             fill_valid: false,
             fill_x: 0,
             fill_used: 0,
@@ -597,10 +595,10 @@ impl IncrementalAlloc {
     /// refresh: the floor sum and the fill prefix take the exact integer
     /// differences, the grant is rewritten by the fill, and the `⌈V⌉`
     /// interval is cached anew.
-    fn reevaluate(&mut self, s: u32, pos: usize, cfg: &AllocConfig) {
+    fn reevaluate(&mut self, s: u32, pos: usize) {
         let e = &self.slab[s as usize];
         let vc = ceil_usize((self.mult_of(e) * e.remaining) * e.sqrt_alpha);
-        let cap = ceil_usize(e.remaining * cfg.max_useful_factor);
+        let cap = useful_cap(e.remaining);
         let (old_delta, old_floor) = (e.delta(), e.floor);
         let e = &mut self.slab[s as usize];
         e.cap = cap;
@@ -687,11 +685,7 @@ impl IncrementalAlloc {
         );
         assert!(!self.ids.is_empty(), "allocate over an empty job set");
         self.counters.recomputes += 1;
-        let params = (
-            capacity,
-            cfg.fairness_eps.to_bits(),
-            cfg.max_useful_factor.to_bits(),
-        );
+        let params = (capacity, cfg.fairness_eps.to_bits());
         let structural = self.structure_dirty || self.params != Some(params);
 
         // Exact regime input: ΣV summed over the current per-job sizes in
@@ -799,7 +793,7 @@ impl IncrementalAlloc {
             let mut last_share: Option<(u64, usize)> = None;
             for r in &self.ids {
                 let e = &mut self.slab[r.slot as usize];
-                e.cap = ceil_usize(e.remaining * cfg.max_useful_factor);
+                e.cap = useful_cap(e.remaining);
                 let vc = ceil_usize(r.v);
                 e.want = vc.min(e.cap);
                 e.share_floor = match last_share {
@@ -827,11 +821,11 @@ impl IncrementalAlloc {
             for &pos in &stale {
                 let s = self.slot_of[self.order[pos].job];
                 debug_assert!(!self.slab[s as usize].dirty);
-                self.reevaluate(s, pos, cfg);
+                self.reevaluate(s, pos);
             }
             for &s in &dirty {
                 let pos = self.slot_pos(s);
-                self.reevaluate(s, pos, cfg);
+                self.reevaluate(s, pos);
             }
         }
         stale.clear();
@@ -890,7 +884,6 @@ impl IncrementalAlloc {
             }
         }
 
-        self.last_regime = Some(regime);
         self.structure_dirty &= floor_sum != self.floor_sum; // keep only the trim fallback
         self.params = Some(params);
         regime
@@ -1068,10 +1061,7 @@ mod tests {
         let cfgs = [
             AllocConfig::default(),
             AllocConfig::no_fairness(),
-            AllocConfig {
-                fairness_eps: 0.0,
-                ..Default::default()
-            },
+            AllocConfig { fairness_eps: 0.0 },
         ];
         let cfg = &cfgs[(seed % 3) as usize];
         let mut inc = IncrementalAlloc::new(shared.then_some(1.5));
@@ -1379,10 +1369,7 @@ mod tests {
         let cfgs = [
             AllocConfig::default(),
             AllocConfig::no_fairness(),
-            AllocConfig {
-                fairness_eps: 0.0,
-                ..Default::default()
-            },
+            AllocConfig { fairness_eps: 0.0 },
         ];
         let cfg = &cfgs[(seed % 3) as usize];
         let mut beta = 1.6;

@@ -32,7 +32,9 @@ pub mod shard;
 pub mod threshold;
 pub mod vsize;
 
-pub use allocate::{allocate, cmp_priority, AllocConfig, Allocation, JobDemand, Regime};
+pub use allocate::{
+    allocate, cmp_priority, AllocConfig, Allocation, JobDemand, Regime, MAX_USEFUL_FACTOR,
+};
 pub use estimate::{alpha_from_work, AlphaEstimator, BetaEstimator};
 pub use incremental::{AllocCounters, IncrementalAlloc, OrderEdit};
 pub use protocol::{

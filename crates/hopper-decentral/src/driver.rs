@@ -1161,7 +1161,6 @@ impl<'a> Decentral<'a> {
             speculative,
             now,
             SimTime::ZERO,
-            &self.cfg.cluster,
             &mut self.rng,
             speed,
         );

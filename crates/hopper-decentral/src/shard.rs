@@ -1629,7 +1629,6 @@ impl<'a> Shard<'a> {
             task,
             MachineId(worker),
             speculative,
-            &self.cfg.cluster,
             &mut st.rng,
         );
         let fresh = st.book.reservation(lj);

@@ -361,7 +361,7 @@ pub struct ExperimentSpec {
     pub hetero_sigma: f64,
     /// Transient machine slowdowns per machine per hour (0 disables).
     /// Degradation factor and interval use the fixed
-    /// [`DynamicsConfig::off`] bands (0.3–0.7× for 5–60 s).
+    /// bands of `hopper_cluster::dynamics` (0.3–0.7× for 5–60 s).
     pub slowdown_rate: f64,
     /// Machine failures per machine per hour (0 disables). A failure
     /// kills every running copy on the machine for re-dispatch.
@@ -651,7 +651,6 @@ impl ExperimentSpec {
             slowdown_rate_per_hour: self.slowdown_rate,
             fail_rate_per_hour: self.fail_rate,
             recovery_ms: (self.mttr_ms / 2, self.mttr_ms + self.mttr_ms / 2),
-            ..DynamicsConfig::off()
         }
     }
 
@@ -772,7 +771,6 @@ impl ExperimentSpec {
             _ => Policy::Hopper(HopperConfig {
                 alloc: AllocConfig {
                     fairness_eps: self.eps,
-                    ..Default::default()
                 },
                 learn_beta: self.learn_beta,
                 realloc_drift: self.realloc_drift,

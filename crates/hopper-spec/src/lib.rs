@@ -27,37 +27,35 @@
 //! exactly the paper's architecture (speculation proposes, scheduling
 //! disposes).
 
-use hopper_cluster::{CopyObservation, JobRun, TaskRef};
+use hopper_cluster::{CopyObservation, JobRun, TaskRef, MAX_RUNNING_COPIES};
 use hopper_sim::SimTime;
 
-/// Shared knobs for the speculation policies.
+/// LATE's slow-task threshold: a task is "slow" if its best running
+/// copy's progress rate is below this percentile of the job's running
+/// copies' rates (LATE's SlowTaskThreshold, 25th percentile).
+const SLOW_PERCENTILE: f64 = 0.25;
+
+/// GRASS switches from resource-aware to greedy speculation once the
+/// remaining fraction of the job's tasks is at most this value.
+const GRASS_SWITCH_FRACTION: f64 = 0.2;
+
+/// Shared knobs for the speculation policies. The per-task copy limit
+/// is [`MAX_RUNNING_COPIES`] for every policy.
 #[derive(Debug, Clone)]
 pub struct SpecConfig {
     /// Minimum elapsed time before a copy's progress is judged (LATE's
     /// warm-up; the §3 example uses 2 time units).
     pub min_elapsed: SimTime,
-    /// Maximum concurrent copies per task (original + speculative).
-    pub max_copies_per_task: usize,
-    /// LATE's slow-task threshold: a task is "slow" if its best running
-    /// copy's progress rate is below this percentile of the job's running
-    /// copies' rates.
-    pub slow_percentile: f64,
     /// Cap on concurrently running speculative copies, as a fraction of
     /// the job's total tasks (LATE's speculativeCap).
     pub spec_cap_fraction: f64,
-    /// GRASS: switch from resource-aware to greedy speculation when the
-    /// remaining fraction of job tasks drops below this value.
-    pub grass_switch_fraction: f64,
 }
 
 impl Default for SpecConfig {
     fn default() -> Self {
         SpecConfig {
             min_elapsed: SimTime::from_millis(500),
-            max_copies_per_task: 2,
-            slow_percentile: 0.25,
             spec_cap_fraction: 0.15,
-            grass_switch_fraction: 0.2,
         }
     }
 }
@@ -105,45 +103,35 @@ impl Speculator {
 
     /// Prioritized speculation candidates for `job` at `now` (best first).
     ///
-    /// A task qualifies only if it has fewer running copies than the
-    /// per-task cap and its estimated benefit satisfies the policy's rule;
+    /// A task qualifies only if it has fewer than [`MAX_RUNNING_COPIES`]
+    /// running copies and its estimated benefit satisfies the policy's rule;
     /// the returned order is descending estimated remaining time.
     pub fn candidates(&self, job: &JobRun, now: SimTime) -> Vec<Candidate> {
         match self {
             Speculator::None => Vec::new(),
             Speculator::SimpleThreshold { detect_after } => {
-                let mut out = base_candidates(job, now, *detect_after, 2, |rem, new| rem > new);
+                let mut out = base_candidates(job, now, *detect_after, |rem, new| rem > new);
                 sort_desc(&mut out);
                 out
             }
             Speculator::Mantri(cfg) => {
-                let mut out = base_candidates(
-                    job,
-                    now,
-                    cfg.min_elapsed,
-                    cfg.max_copies_per_task,
-                    |rem, new| rem.as_millis() > 2 * new.as_millis(),
-                );
+                let mut out = base_candidates(job, now, cfg.min_elapsed, |rem, new| {
+                    rem.as_millis() > 2 * new.as_millis()
+                });
                 sort_desc(&mut out);
                 cap(out, job, cfg)
             }
             Speculator::Grass(cfg) => {
                 let total = job.spec.num_tasks().max(1);
                 let remaining_frac = job.total_remaining() as f64 / total as f64;
-                let greedy = remaining_frac <= cfg.grass_switch_fraction;
-                let mut out = base_candidates(
-                    job,
-                    now,
-                    cfg.min_elapsed,
-                    cfg.max_copies_per_task,
-                    |rem, new| {
-                        if greedy {
-                            rem > new
-                        } else {
-                            rem.as_millis() > 2 * new.as_millis()
-                        }
-                    },
-                );
+                let greedy = remaining_frac <= GRASS_SWITCH_FRACTION;
+                let mut out = base_candidates(job, now, cfg.min_elapsed, |rem, new| {
+                    if greedy {
+                        rem > new
+                    } else {
+                        rem.as_millis() > 2 * new.as_millis()
+                    }
+                });
                 sort_desc(&mut out);
                 cap(out, job, cfg)
             }
@@ -160,7 +148,7 @@ impl Speculator {
                 rates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
                 let slow_threshold = if rates.len() >= 4 {
                     Some(
-                        rates[((rates.len() as f64 * cfg.slow_percentile) as usize)
+                        rates[((rates.len() as f64 * SLOW_PERCENTILE) as usize)
                             .min(rates.len() - 1)],
                     )
                 } else {
@@ -169,7 +157,7 @@ impl Speculator {
 
                 let mut out = Vec::new();
                 for (task, obs) in &running {
-                    if obs.len() >= cfg.max_copies_per_task {
+                    if obs.len() >= MAX_RUNNING_COPIES {
                         continue;
                     }
                     let best = best_observation(obs);
@@ -219,12 +207,11 @@ fn base_candidates(
     job: &JobRun,
     now: SimTime,
     min_elapsed: SimTime,
-    max_copies: usize,
     benefit: impl Fn(SimTime, SimTime) -> bool,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
     for (task, obs) in job.observe_running(now) {
-        if obs.len() >= max_copies {
+        if obs.len() >= MAX_RUNNING_COPIES {
             continue;
         }
         let best = best_observation(&obs);
@@ -298,7 +285,6 @@ mod tests {
                 false,
                 SimTime::ZERO,
                 SimTime::ZERO,
-                &cfg,
                 &mut rng,
             );
         }
@@ -350,26 +336,37 @@ mod tests {
 
     #[test]
     fn grass_switches_to_greedy_near_the_end() {
-        let cfg = SpecConfig {
-            grass_switch_fraction: 0.5,
-            ..Default::default()
-        };
-        // 2 tasks: both unfinished → remaining fraction 1.0 > 0.5 →
-        // resource-aware mode → t_rem 15s < 2×10s: no candidates.
-        let mut job = scripted(&[(25_000, 10_000), (11_000, 10_000)]);
+        // 5 tasks: all unfinished → remaining fraction 1.0 > 0.2 →
+        // resource-aware mode → task 0's t_rem 15s < 2×10s: no candidates.
+        let mut job = scripted(&[
+            (25_000, 10_000),
+            (11_000, 10_000),
+            (11_000, 10_000),
+            (11_000, 10_000),
+            (11_000, 10_000),
+        ]);
         launch_all(&mut job);
-        let pol = Speculator::Grass(cfg);
-        let t = SimTime::from_millis(10_000);
+        let pol = Speculator::Grass(SpecConfig::default());
+        assert!(pol
+            .candidates(&job, SimTime::from_millis(10_000))
+            .is_empty());
+
+        // Finish tasks 1–3 → remaining fraction 0.4 > 0.2: still
+        // resource-aware, task 0's t_rem 14s < 20s.
+        let t = SimTime::from_millis(11_000);
+        for ti in 1..4 {
+            assert!(job
+                .finish_copy(hopper_cluster::CopyRef::new(0, ti, 0), t)
+                .is_some());
+        }
         assert!(pol.candidates(&job, t).is_empty());
 
-        // Finish task 1 → remaining fraction 0.5 ≤ 0.5 → greedy mode →
-        // task 0's t_rem 14s > 10s: candidate.
-        let out = job.finish_copy(
-            hopper_cluster::CopyRef::new(0, 1, 0),
-            SimTime::from_millis(11_000),
-        );
-        assert!(out.is_some());
-        let cands = pol.candidates(&job, SimTime::from_millis(11_000));
+        // Finish task 4 → remaining fraction 0.2 ≤ GRASS_SWITCH_FRACTION →
+        // greedy mode → task 0's t_rem 14s > 10s: candidate.
+        assert!(job
+            .finish_copy(hopper_cluster::CopyRef::new(0, 4, 0), t)
+            .is_some());
+        let cands = pol.candidates(&job, t);
         assert_eq!(cands.len(), 1, "{cands:?}");
         assert_eq!(cands[0].task, TaskRef::new(0, 0));
     }
@@ -403,7 +400,6 @@ mod tests {
         let pol = Speculator::Late(SpecConfig {
             spec_cap_fraction: 0.1, // cap = ceil(20×0.1) = 2
             min_elapsed: SimTime::from_millis(1_000),
-            ..Default::default()
         });
         let cands = pol.candidates(&job, SimTime::from_millis(5_000));
         assert_eq!(cands.len(), 2);
@@ -411,34 +407,62 @@ mod tests {
 
     #[test]
     fn max_copies_per_task_blocks_respeculation() {
-        let mut job = scripted(&[
-            (60_000, 10_000),
-            (10_000, 10_000),
-            (10_000, 10_000),
-            (10_000, 10_000),
-            (10_000, 10_000),
-        ]);
-        launch_all(&mut job);
-        let mut rng = rng_from_seed(3);
-        let ccfg = cluster_cfg();
-        // Speculate task 0 once.
-        job.launch_copy(
-            TaskRef::new(0, 0),
-            MachineId(11),
-            true,
-            SimTime::from_millis(3_000),
-            SimTime::ZERO,
-            &ccfg,
-            &mut rng,
-        );
-        let pol = Speculator::SimpleThreshold {
-            detect_after: SimTime::from_millis(1_000),
+        // A wide speculation cap, so that only the per-task copy limit can
+        // keep task 0 out once it runs MAX_RUNNING_COPIES copies.
+        let cfg = SpecConfig {
+            spec_cap_fraction: 1.0,
+            ..Default::default()
         };
-        let cands = pol.candidates(&job, SimTime::from_millis(5_000));
-        assert!(
-            cands.iter().all(|c| c.task != TaskRef::new(0, 0)),
-            "task with 2 running copies must not be re-speculated: {cands:?}"
-        );
+        let policies = [
+            Speculator::SimpleThreshold {
+                detect_after: SimTime::from_millis(1_000),
+            },
+            Speculator::Late(cfg.clone()),
+            Speculator::Mantri(cfg.clone()),
+            Speculator::Grass(cfg),
+        ];
+        let straggler = TaskRef::new(0, 0);
+        let now = SimTime::from_millis(5_000);
+        for pol in &policies {
+            let mut job = scripted(&[
+                (60_000, 10_000),
+                (10_000, 10_000),
+                (10_000, 10_000),
+                (10_000, 10_000),
+                (10_000, 10_000),
+            ]);
+            launch_all(&mut job);
+            // Below the limit, task 0 (t_rem 55s, t_new 10s) passes every
+            // policy's benefit rule.
+            assert!(
+                pol.candidates(&job, now)
+                    .iter()
+                    .any(|c| c.task == straggler),
+                "{} skipped a solo straggler",
+                pol.name()
+            );
+            // Extra copies as slow as the original, so the benefit rules
+            // keep passing and only the limit decides.
+            for _ in 1..MAX_RUNNING_COPIES {
+                job.launch_copy_prepared(
+                    straggler,
+                    MachineId(11),
+                    true,
+                    SimTime::from_millis(3_000),
+                    SimTime::from_millis(60_000),
+                );
+            }
+            assert_eq!(
+                job.phases()[0].tasks[0].running_copies(),
+                MAX_RUNNING_COPIES
+            );
+            let cands = pol.candidates(&job, now);
+            assert!(
+                cands.iter().all(|c| c.task != straggler),
+                "{}: a task at the copy limit was re-speculated: {cands:?}",
+                pol.name()
+            );
+        }
     }
 
     #[test]
@@ -497,7 +521,6 @@ mod tests {
                 false,
                 SimTime::ZERO,
                 SimTime::ZERO,
-                &ccfg,
                 &mut rng,
             );
         }

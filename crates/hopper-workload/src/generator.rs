@@ -13,18 +13,18 @@ use rand::Rng;
 use crate::dist::Dist;
 use crate::profile::WorkloadProfile;
 use crate::rate::{RateClock, RateProfile};
-use crate::trace::{CommPattern, Trace, TraceJob, TracePhase};
+use crate::trace::{Trace, TraceJob, TracePhase};
 
 /// Deterministic trace generator.
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     /// The workload statistics to draw from.
-    pub profile: WorkloadProfile,
+    pub(crate) profile: WorkloadProfile,
     /// Number of jobs to synthesize.
-    pub num_jobs: usize,
+    pub(crate) num_jobs: usize,
     /// Root seed; child seeds are derived per concern so that e.g. changing
     /// DAG synthesis does not perturb job sizes.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl TraceGenerator {
@@ -196,13 +196,6 @@ impl TraceGenerator {
             } else {
                 (base_output * output_jitter.sample(rng)).max(0.1)
             };
-            let comm = if d == 0 {
-                CommPattern::OneToOne
-            } else if phase_tasks == 1 {
-                CommPattern::ManyToOne
-            } else {
-                CommPattern::AllToAll
-            };
             // In a bushy job the branch phase is inserted at index 1, so
             // downstream indices shift by one and the join reads both roots.
             let idx_shift = usize::from(bushy && d >= 1);
@@ -216,7 +209,6 @@ impl TraceGenerator {
                     vec![d - 1 + idx_shift]
                 },
                 output_mb_per_task: output,
-                comm,
                 reads_dfs_input: d == 0,
             });
             if bushy && d == 0 {
@@ -233,7 +225,6 @@ impl TraceGenerator {
                         .collect(),
                     upstream: vec![],
                     output_mb_per_task: (base_output * output_jitter.sample(rng)).max(0.1),
-                    comm: CommPattern::OneToOne,
                     reads_dfs_input: true,
                 });
             }

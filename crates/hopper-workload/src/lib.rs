@@ -23,7 +23,7 @@ pub mod trace;
 pub use dist::Dist;
 pub use generator::{TraceGenerator, TraceStream};
 pub use profile::WorkloadProfile;
-pub use rate::{RateClock, RateProfile};
-pub use replay::{export_replay_csv, parse_replay_csv, ReplayError, REPLAY_HEADER};
+pub use rate::RateProfile;
+pub use replay::{export_replay_csv, parse_replay_csv, ReplayError};
 pub use source::ArrivalSource;
-pub use trace::{single_phase_job, CommPattern, JobId, Trace, TraceJob, TracePhase};
+pub use trace::{single_phase_job, Trace, TraceJob, TracePhase};

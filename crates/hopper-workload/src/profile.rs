@@ -27,8 +27,6 @@ use crate::dist::Dist;
 /// Statistical description of a workload, sufficient to synthesize traces.
 #[derive(Debug, Clone)]
 pub struct WorkloadProfile {
-    /// Human-readable name ("facebook", "bing", ...).
-    pub name: &'static str,
     /// Distribution of job sizes = input-phase task counts (continuous,
     /// rounded to ≥ 1).
     pub job_size: Dist,
@@ -37,31 +35,31 @@ pub struct WorkloadProfile {
     pub beta_range: (f64, f64),
     /// Distribution of each job's *mean* task duration in milliseconds
     /// (across jobs; within a job tasks are similar).
-    pub mean_task_ms: Dist,
+    pub(crate) mean_task_ms: Dist,
     /// Log-normal σ of within-job task-work variation (0 = identical
     /// nominal work for all tasks of a phase).
-    pub task_work_sigma: f64,
+    pub(crate) task_work_sigma: f64,
     /// Probability mass over DAG lengths; index `i` is the weight of a job
     /// having `i + 1` phases.
-    pub dag_len_weights: Vec<f64>,
+    pub(crate) dag_len_weights: Vec<f64>,
     /// Downstream phase task count as a fraction of the upstream phase's.
-    pub downstream_ratio: Dist,
+    pub(crate) downstream_ratio: Dist,
     /// Downstream phase mean-task-work multiplier relative to the input
     /// phase (reduce tasks are usually shorter in aggregate).
-    pub downstream_work_factor: Dist,
+    pub(crate) downstream_work_factor: Dist,
     /// Intermediate output per input-phase task, in MB. Drives α: larger
     /// outputs ⇒ heavier downstream network transfer.
     pub output_mb_per_task: Dist,
     /// Fraction of jobs that belong to a recurring template (the paper's
     /// clusters are dominated by recurring jobs).
-    pub recurring_fraction: f64,
+    pub(crate) recurring_fraction: f64,
     /// Number of distinct recurring templates.
-    pub num_templates: u32,
+    pub(crate) num_templates: u32,
     /// Fraction of multi-phase jobs whose DAG is "bushy" (§4.2: two
     /// parallel input branches joining into the downstream phase) rather
     /// than a chain. 0 (the default) leaves generation byte-identical to
     /// chain-only profiles; enable with [`WorkloadProfile::with_bushy`].
-    pub bushy_fraction: f64,
+    pub(crate) bushy_fraction: f64,
 }
 
 impl WorkloadProfile {
@@ -70,7 +68,6 @@ impl WorkloadProfile {
     /// durations tens of seconds.
     pub fn facebook() -> Self {
         WorkloadProfile {
-            name: "facebook",
             job_size: Dist::BoundedPareto {
                 shape: 1.1,
                 min: 4.0,
@@ -103,7 +100,6 @@ impl WorkloadProfile {
     /// room, Fig. 6b), deeper DAGs, shuffle-heavier.
     pub fn bing() -> Self {
         WorkloadProfile {
-            name: "bing",
             job_size: Dist::BoundedPareto {
                 shape: 0.95, // heavier tail: bigger big jobs
                 min: 2.0,
@@ -133,7 +129,7 @@ impl WorkloadProfile {
     /// Used to turn a batch profile into an interactive, Spark-like one
     /// ("tasks vary from sub-second durations to a few seconds", §7.1):
     /// `facebook().scaled_tasks(0.1)` gives ~2 s mean tasks.
-    pub fn scaled_tasks(mut self, factor: f64) -> Self {
+    pub(crate) fn scaled_tasks(mut self, factor: f64) -> Self {
         assert!(factor > 0.0);
         self.mean_task_ms = match self.mean_task_ms {
             Dist::LogNormal { mu, sigma } => Dist::LogNormal {
@@ -225,11 +221,11 @@ impl WorkloadProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::tests::mean;
 
     #[test]
     fn facebook_profile_is_sane() {
         let p = WorkloadProfile::facebook();
-        assert_eq!(p.name, "facebook");
         assert!(p.beta_range.0 > 1.0 && p.beta_range.1 < 2.0);
         assert!((0.0..=1.0).contains(&p.recurring_fraction));
     }
@@ -250,15 +246,15 @@ mod tests {
     fn scaled_tasks_scales_the_mean() {
         let p = WorkloadProfile::facebook();
         let scaled = p.clone().scaled_tasks(0.1);
-        let m0 = p.mean_task_ms.mean().unwrap();
-        let m1 = scaled.mean_task_ms.mean().unwrap();
+        let m0 = mean(&p.mean_task_ms).unwrap();
+        let m1 = mean(&scaled.mean_task_ms).unwrap();
         assert!((m1 / m0 - 0.1).abs() < 1e-9);
     }
 
     #[test]
     fn interactive_is_subsecond_to_seconds() {
         let p = WorkloadProfile::facebook().interactive();
-        let m = p.mean_task_ms.mean().unwrap();
+        let m = mean(&p.mean_task_ms).unwrap();
         assert!(m > 200.0 && m < 5000.0, "interactive mean task {m} ms");
     }
 

@@ -15,7 +15,7 @@
 //! the stream draws the same exponential gap `g` it would draw under
 //! [`RateProfile::Constant`] (one uniform per arrival, so RNG streams
 //! never diverge between profiles) and then advances time to the `t'`
-//! with `∫_t^{t'} r(s) ds = g` via [`RateClock::advance`]. The relative
+//! with `∫_t^{t'} r(s) ds = g` via `RateClock::advance`. The relative
 //! rate is piecewise linear (linear diurnal segments × piecewise-
 //! constant burst multiplier), so each segment's integral is a
 //! quadratic solved in closed form — no step-size error, fully
@@ -206,7 +206,7 @@ impl BurstState {
 /// normalization constant, and converts exponential gap draws into
 /// arrival-time advances by exact inversion.
 #[derive(Debug, Clone)]
-pub struct RateClock {
+pub(crate) struct RateClock {
     /// Resolved diurnal period in ms (`None` for a constant base).
     diurnal_period_ms: Option<f64>,
     /// Burst layer, if any.

@@ -37,19 +37,19 @@
 
 use hopper_sim::SimTime;
 
-use crate::trace::{CommPattern, Trace, TraceJob, TracePhase};
+use crate::trace::{Trace, TraceJob, TracePhase};
 
 /// The canonical header row [`export_replay_csv`] writes (ingest
 /// accepts it, any prefix of it, or no header at all).
-pub const REPLAY_HEADER: &str = "arrival_ms,tasks,work_ms,dag_len,beta";
+pub(crate) const REPLAY_HEADER: &str = "arrival_ms,tasks,work_ms,dag_len,beta";
 
 /// A rejected replay row: 1-based line number plus what was wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayError {
     /// 1-based line number in the input text (0 for file-level errors).
-    pub line: usize,
+    pub(crate) line: usize,
     /// What was wrong with the row.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl std::fmt::Display for ReplayError {
@@ -139,13 +139,6 @@ pub fn parse_replay_csv(text: &str) -> Result<Trace, ReplayError> {
                 task_works: vec![work; tasks],
                 upstream: if d == 0 { vec![] } else { vec![d - 1] },
                 output_mb_per_task: 0.0,
-                comm: if d == 0 {
-                    CommPattern::OneToOne
-                } else if tasks == 1 {
-                    CommPattern::ManyToOne
-                } else {
-                    CommPattern::AllToAll
-                },
                 reads_dfs_input: d == 0,
             })
             .collect();

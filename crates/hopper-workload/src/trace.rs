@@ -9,21 +9,7 @@
 use hopper_sim::SimTime;
 
 /// Identifier of a job within a trace (its index in [`Trace::jobs`]).
-pub type JobId = usize;
-
-/// How a downstream phase consumes its upstream outputs.
-///
-/// Only the aggregate volume matters to the scheduler (through α); the
-/// pattern changes how transfer work is attributed to downstream tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommPattern {
-    /// Every downstream task reads from every upstream task (shuffle).
-    AllToAll,
-    /// Each downstream task reads a disjoint slice of upstream outputs.
-    OneToOne,
-    /// A single downstream task gathers everything (e.g., final aggregate).
-    ManyToOne,
-}
+pub(crate) type JobId = usize;
 
 /// One phase (stage) of a job: a set of parallel tasks plus how the phase
 /// connects upstream.
@@ -38,8 +24,6 @@ pub struct TracePhase {
     /// Intermediate data produced per task, in MB, consumed by downstream
     /// phases (0 for leaf phases).
     pub output_mb_per_task: f64,
-    /// Communication pattern toward this phase from its upstream phases.
-    pub comm: CommPattern,
     /// Whether this phase's tasks read distributed-filesystem input and thus
     /// have placement (locality) preferences. Typically true only for phase
     /// 0 (map/input phases).
@@ -102,7 +86,7 @@ impl TraceJob {
 
     /// Validate topological ordering of phases; panics on violation.
     /// Used by generators and scripted-scenario builders in tests.
-    pub fn assert_well_formed(&self) {
+    pub(crate) fn assert_well_formed(&self) {
         assert!(!self.phases.is_empty(), "job {} has no phases", self.id);
         assert!(self.beta > 1.0, "job {} beta must be > 1", self.id);
         for (i, p) in self.phases.iter().enumerate() {
@@ -180,7 +164,6 @@ pub fn single_phase_job(
             task_works,
             upstream: vec![],
             output_mb_per_task: 0.0,
-            comm: CommPattern::OneToOne,
             reads_dfs_input: true,
         }],
         beta,
@@ -237,7 +220,6 @@ mod tests {
             task_works: vec![SimTime::from_millis(5)],
             upstream: vec![5],
             output_mb_per_task: 0.0,
-            comm: CommPattern::AllToAll,
             reads_dfs_input: false,
         });
         j.assert_well_formed();
@@ -250,7 +232,6 @@ mod tests {
             task_works: vec![SimTime::from_millis(7); 4],
             upstream: vec![0],
             output_mb_per_task: 1.0,
-            comm: CommPattern::AllToAll,
             reads_dfs_input: false,
         });
         assert_eq!(j.num_tasks(), 6);

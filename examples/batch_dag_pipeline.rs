@@ -25,11 +25,11 @@ fn main() {
     };
     let sample = JobRun::new(trace.jobs[0].clone(), &cluster, &mut rng_from_seed(1));
     println!("sample job {}:", sample.id);
-    for (i, p) in sample.phases().iter().enumerate() {
+    for (i, (p, spec)) in sample.phases().iter().zip(&sample.spec.phases).enumerate() {
         println!(
             "  phase {i}: {} tasks, {:.1} MB out/task, shuffle-in {:.0} ms/task",
             p.num_tasks(),
-            p.spec.output_mb_per_task,
+            spec.output_mb_per_task,
             p.transfer_ms_per_task,
         );
     }

@@ -28,7 +28,6 @@ fn main() {
             slots_per_machine: 1,
             dfs_replicas: 0,
             handoff_ms: 0,
-            ..Default::default()
         },
         speculator: Speculator::Late(SpecConfig {
             min_elapsed: SimTime::from_millis(1_000),

@@ -226,10 +226,7 @@ fn weighted_jobs_get_larger_fair_floors() {
     let mut heavy = JobDemand::simple(0, 1000.0, 1.5);
     heavy.weight = 3.0;
     let light = JobDemand::simple(1, 1000.0, 1.5);
-    let cfg = AllocConfig {
-        fairness_eps: 0.0,
-        ..Default::default()
-    };
+    let cfg = AllocConfig { fairness_eps: 0.0 };
     let allocs = allocate(&[heavy, light], 120, &cfg);
     assert_eq!(allocs[0].slots, 90);
     assert_eq!(allocs[1].slots, 30);

@@ -1,6 +1,8 @@
 //! Property-based tests (proptest) on the core invariants.
 
-use hopper::core::{allocate, AllocConfig, FreeSlotEpisode, JobDemand, Reservation, WorkerAction};
+use hopper::core::{
+    allocate, AllocConfig, FreeSlotEpisode, JobDemand, Reservation, WorkerAction, MAX_USEFUL_FACTOR,
+};
 use hopper::metrics::percentile;
 use hopper::sim::{rng_from_seed, EventKey, EventQueue, SimTime};
 use hopper::workload::Dist;
@@ -237,7 +239,7 @@ proptest! {
         capacity in 0usize..5000,
         eps in 0.0f64..=1.0,
     ) {
-        let cfg = AllocConfig { fairness_eps: eps, ..Default::default() };
+        let cfg = AllocConfig { fairness_eps: eps };
         let allocs = allocate(&demands, capacity, &cfg);
         let total: usize = allocs.iter().map(|a| a.slots).sum();
         prop_assert!(total <= capacity, "total {total} > capacity {capacity}");
@@ -256,7 +258,7 @@ proptest! {
         capacity in 1usize..2000,
         eps in 0.0f64..0.9,
     ) {
-        let cfg = AllocConfig { fairness_eps: eps, ..Default::default() };
+        let cfg = AllocConfig { fairness_eps: eps };
         let allocs = allocate(&demands, capacity, &cfg);
         let total_w: f64 = demands.iter().map(|d| d.weight).sum();
         // Floors are trimmed only when their sum exceeds capacity; skip
@@ -269,7 +271,7 @@ proptest! {
         for (a, d) in allocs.iter().zip(&demands) {
             let fair = capacity as f64 * d.weight / total_w;
             let floor = ((1.0 - eps) * fair).floor();
-            let cap = (d.remaining_tasks * cfg.max_useful_factor).ceil();
+            let cap = (d.remaining_tasks * MAX_USEFUL_FACTOR).ceil();
             let entitled = floor.min(d.virtual_size().ceil()).min(cap);
             prop_assert!(
                 a.slots as f64 >= entitled - 1.0,
@@ -292,7 +294,7 @@ proptest! {
         let cfg = AllocConfig::no_fairness();
         let total_cap: f64 = demands
             .iter()
-            .map(|d| (d.remaining_tasks * cfg.max_useful_factor).ceil())
+            .map(|d| (d.remaining_tasks * MAX_USEFUL_FACTOR).ceil())
             .sum();
         prop_assume!(total_cap >= capacity as f64);
         let allocs = allocate(&demands, capacity, &cfg);
@@ -322,7 +324,7 @@ proptest! {
             let at = (*z).min(demands.len());
             demands.insert(at, d);
         }
-        let cfg = AllocConfig { fairness_eps: eps, ..Default::default() };
+        let cfg = AllocConfig { fairness_eps: eps };
         let allocs = allocate(&demands, capacity, &cfg);
         for (a, d) in allocs.iter().zip(&demands) {
             if d.remaining_tasks == 0.0 && d.downstream_tasks == 0.0 {

@@ -134,7 +134,6 @@ fn shard_counts_are_bit_identical_under_dynamics() {
         slowdown_rate_per_hour: 30.0,
         fail_rate_per_hour: 10.0,
         recovery_ms: (5_000, 15_000),
-        ..DynamicsConfig::off()
     };
     for policy in [DecPolicy::Hopper, DecPolicy::Sparrow] {
         for seed in [2, 5] {
