@@ -142,6 +142,10 @@ pub struct RunOutput {
     /// Work counters of Hopper's persistent launch-loop row table (all
     /// zero for non-Hopper policies). Not in `report.core` either.
     pub row_counters: RowCounters,
+    /// Launches that left more than `MAX_RUNNING_COPIES` copies of their
+    /// task running, summed over retired jobs. Observational; zero, since
+    /// the central launch path checks the limit before every copy.
+    pub over_limit_launches: u64,
 }
 
 impl RunSummary for RunOutput {
@@ -321,6 +325,9 @@ struct Central<'a> {
     /// end-of-run locality fraction no longer walks every job).
     local_launches: usize,
     nonlocal_launches: usize,
+    /// Retired jobs' launches past the copy limit (see
+    /// `RunOutput::over_limit_launches`).
+    over_limit_launches: u64,
 }
 
 impl<'a> Central<'a> {
@@ -387,6 +394,7 @@ impl<'a> Central<'a> {
             tele: SeriesCollector::new(cfg.telemetry_window_ms, cfg.cluster.total_slots() as u64),
             local_launches: 0,
             nonlocal_launches: 0,
+            over_limit_launches: 0,
             jobs: JobSlab::new(n),
         };
         central.queue_next_arrival();
@@ -663,6 +671,7 @@ impl<'a> Central<'a> {
                 .table
                 .as_ref()
                 .map_or_else(RowCounters::default, |t| t.counters),
+            over_limit_launches: self.over_limit_launches,
         }
     }
 
@@ -718,6 +727,7 @@ impl<'a> Central<'a> {
         let job = self.jobs.retire(j);
         self.local_launches += job.local_launches;
         self.nonlocal_launches += job.nonlocal_launches;
+        self.over_limit_launches += job.over_limit_launches as u64;
         let result = JobResult {
             job: job.id,
             size_tasks: job.spec.size_tasks(),

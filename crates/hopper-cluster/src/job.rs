@@ -18,7 +18,7 @@
 //!   time, which also feeds the job's α (remaining transfer vs remaining
 //!   compute, §4.2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use hopper_core::alpha_from_work;
 use hopper_sim::SimTime;
@@ -26,6 +26,7 @@ use hopper_workload::{Dist, TraceJob};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::flat::TaskIndex;
 use crate::ids::{CopyRef, MachineId, TaskRef};
 use crate::machine::{transfer_ms, ClusterConfig};
 
@@ -138,7 +139,7 @@ impl TaskRun {
 
     /// Ground-truth form of [`TaskRun::needs_original`] by copy-status
     /// scan (the `scan_*` oracle family).
-    fn scan_needs_original(&self) -> bool {
+    pub(crate) fn scan_needs_original(&self) -> bool {
         self.finished_at.is_none() && self.scan_running_copies() == 0
     }
 
@@ -151,7 +152,7 @@ impl TaskRun {
 
     /// Ground-truth running-copy count by scanning copy statuses (the
     /// pre-index implementation; retained as the cross-check oracle).
-    fn scan_running_copies(&self) -> usize {
+    pub(crate) fn scan_running_copies(&self) -> usize {
         self.copies
             .iter()
             .filter(|c| c.status == CopyStatus::Running)
@@ -319,10 +320,10 @@ pub struct CopyObservation {
 /// methods on [`JobRun`]), and `debug_assert!` cross-checks re-run those
 /// scans after every state transition in debug builds (all of `cargo
 /// test`). The counters turn the per-event O(tasks) queries of both
-/// drivers into O(1) reads; the `BTreeMap`/`BTreeSet` structures iterate
-/// in ascending `(phase, task)` / machine order, which is exactly the
-/// order the replaced scans visited, so tie-breaking is bit-identical.
-/// See DESIGN.md, "Index invariants".
+/// drivers into O(1) reads; the flat [`TaskIndex`] and the solo-running
+/// set iterate in ascending `(phase, task)` / machine order, which is
+/// exactly the order the replaced scans visited, so tie-breaking is
+/// bit-identical. See DESIGN.md, "Index invariants".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct JobIndex {
     /// Remaining tasks in eligible phases — `current_remaining()`.
@@ -331,6 +332,9 @@ struct JobIndex {
     total_remaining: usize,
     /// Running copies across the job — `occupied_slots()`.
     running_copies: usize,
+    /// Running speculative copies across the job —
+    /// `running_speculative_copies()`.
+    running_speculative: usize,
     /// Exact integer sum of unfinished tasks' nominal work (ms) in
     /// eligible phases — the compute term of `alpha()`. Integer so that
     /// incremental updates reproduce the old f64 scan bit-for-bit (task
@@ -339,13 +343,8 @@ struct JobIndex {
     /// Index of the first not-yet-eligible phase — the transfer term of
     /// `alpha()`.
     first_ineligible: Option<usize>,
-    /// Pending (unlaunched, unfinished, eligible-phase) tasks.
-    pending: BTreeSet<TaskRef>,
-    /// Pending tasks with an empty replica set (no locality preference).
-    pending_no_replica: BTreeSet<TaskRef>,
-    /// Inverted replica index: machine → pending tasks with a replica
-    /// there. Sets are non-empty by invariant (emptied entries removed).
-    pending_local: BTreeMap<MachineId, BTreeSet<TaskRef>>,
+    /// Pending, replica-local and running tasks.
+    tasks: TaskIndex,
     /// Running copies on tasks with *exactly one* running copy, keyed by
     /// the copy's completion instant — the candidate set of
     /// `best_extra_speculation`.
@@ -372,6 +371,9 @@ pub struct JobRun {
     pub local_launches: usize,
     /// Non-local input-phase launches.
     pub nonlocal_launches: usize,
+    /// Launches that left more than [`MAX_RUNNING_COPIES`] copies of
+    /// their task running. Observational only: no decision reads it.
+    pub over_limit_launches: usize,
     /// Incremental indices (pure caches; see [`JobIndex`]).
     idx: JobIndex,
 }
@@ -426,6 +428,7 @@ impl JobRun {
             completed_at: None,
             local_launches: 0,
             nonlocal_launches: 0,
+            over_limit_launches: 0,
             idx: JobIndex::default(),
         };
         job.rebuild_index();
@@ -462,7 +465,7 @@ impl JobRun {
     }
 
     /// Replace the DFS replica set of `task`, rebuilding the locality
-    /// indices (`pending_no_replica`, `pending_local`) that depend on it.
+    /// index (the replica CSR of `TaskIndex`) that depends on it.
     /// The sanctioned form of the replica rewrites scenario tests do.
     pub fn set_replicas(&mut self, task: TaskRef, replicas: Vec<MachineId>) {
         self.phases[task.phase].tasks[task.task].replicas = replicas;
@@ -476,11 +479,10 @@ impl JobRun {
             current_remaining: self.scan_current_remaining(),
             total_remaining: self.scan_total_remaining(),
             running_copies: self.scan_occupied_slots(),
+            running_speculative: self.scan_running_speculative_copies(),
             remaining_compute_ms: 0,
             first_ineligible: self.phases.iter().position(|p| !p.eligible),
-            pending: BTreeSet::new(),
-            pending_no_replica: BTreeSet::new(),
-            pending_local: BTreeMap::new(),
+            tasks: TaskIndex::scan(&self.phases),
             solo_running: BTreeSet::new(),
         };
         for (pi, p) in self.phases.iter().enumerate() {
@@ -492,15 +494,6 @@ impl JobRun {
                     idx.remaining_compute_ms += t.work.as_millis();
                 }
                 let tr = TaskRef::new(pi, ti);
-                if t.scan_needs_original() {
-                    idx.pending.insert(tr);
-                    if t.replicas.is_empty() {
-                        idx.pending_no_replica.insert(tr);
-                    }
-                    for &r in &t.replicas {
-                        idx.pending_local.entry(r).or_default().insert(tr);
-                    }
-                }
                 if t.scan_running_copies() == 1 {
                     let c = t
                         .copies
@@ -534,39 +527,18 @@ impl JobRun {
         );
     }
 
-    /// Remove a newly-launched or no-longer-pending task from the pending
-    /// index structures.
-    fn index_remove_pending(&mut self, tr: TaskRef) {
-        if !self.idx.pending.remove(&tr) {
-            return;
-        }
-        let t = &self.phases[tr.phase].tasks[tr.task];
-        if t.replicas.is_empty() {
-            self.idx.pending_no_replica.remove(&tr);
-        }
-        for r in &t.replicas {
-            if let Some(set) = self.idx.pending_local.get_mut(r) {
-                set.remove(&tr);
-                if set.is_empty() {
-                    self.idx.pending_local.remove(r);
-                }
-            }
-        }
+    /// Move `tr` into (`on`) or out of the pending index: at phase
+    /// eligibility, first launch, and when a lost copy requeues it.
+    fn index_set_pending(&mut self, tr: TaskRef, on: bool) {
+        let g = self.idx.tasks.number(tr);
+        let replicas = &self.phases[tr.phase].tasks[tr.task].replicas;
+        self.idx.tasks.set_pending(g, replicas, on);
     }
 
-    /// Re-insert a task into the pending index structures (machine
-    /// failure requeued it for re-dispatch).
-    fn index_insert_pending(&mut self, tr: TaskRef) {
-        if !self.idx.pending.insert(tr) {
-            return;
-        }
-        let t = &self.phases[tr.phase].tasks[tr.task];
-        if t.replicas.is_empty() {
-            self.idx.pending_no_replica.insert(tr);
-        }
-        for &r in &t.replicas {
-            self.idx.pending_local.entry(r).or_default().insert(tr);
-        }
+    /// Mark `tr` running (it has a running copy) or not in the index.
+    fn index_set_running(&mut self, tr: TaskRef, on: bool) {
+        let g = self.idx.tasks.number(tr);
+        self.idx.tasks.set_running(g, on);
     }
 
     /// Build a single-phase job with *scripted* per-task durations — used
@@ -711,11 +683,16 @@ impl JobRun {
         });
         t.running += 1;
         // Index maintenance: running totals, the solo-running set, and (on
-        // the first copy) the pending-original structures.
+        // the first copy) the running and pending-original structures.
         self.idx.running_copies += 1;
-        let running_now = self.phases[task.phase].tasks[task.task].running;
+        self.idx.running_speculative += speculative as usize;
+        let running_now = self.phases[task.phase].tasks[task.task].running as usize;
+        if running_now > MAX_RUNNING_COPIES {
+            self.over_limit_launches += 1;
+        }
         match running_now {
             1 => {
+                self.index_set_running(task, true);
                 self.idx.solo_running.insert((start + duration, task));
             }
             2 => {
@@ -733,7 +710,7 @@ impl JobRun {
             _ => {}
         }
         if was_pending {
-            self.index_remove_pending(task);
+            self.index_set_pending(task, false);
         }
         #[cfg(debug_assertions)]
         self.debug_check_index();
@@ -769,6 +746,7 @@ impl JobRun {
             .find(|cp| cp.status == CopyStatus::Running)
             .map(|cp| cp.finish_time());
         self.idx.running_copies -= 1;
+        self.idx.running_speculative -= speculative as usize;
         if prev_running == 1 {
             let removed = self.idx.solo_running.remove(&(killed_finish, c.task));
             debug_assert!(removed, "solo-running entry missing at copy loss");
@@ -780,7 +758,8 @@ impl JobRun {
         }
         let requeued = now_running == 0;
         if requeued {
-            self.index_insert_pending(c.task);
+            self.index_set_running(c.task, false);
+            self.index_set_pending(c.task, true);
         }
         #[cfg(debug_assertions)]
         self.debug_check_index();
@@ -806,10 +785,12 @@ impl JobRun {
         let duration = t.copies[c.copy].duration;
         let winner_finish = t.copies[c.copy].finish_time();
         let mut freed = vec![t.copies[c.copy].machine];
+        let mut speculative_stopped = t.copies[c.copy].speculative as usize;
         for sibling in t.copies.iter_mut() {
             if sibling.status == CopyStatus::Running {
                 sibling.status = CopyStatus::Killed;
                 freed.push(sibling.machine);
+                speculative_stopped += sibling.speculative as usize;
             }
         }
         t.running = 0;
@@ -826,6 +807,8 @@ impl JobRun {
             self.idx.solo_running.remove(&(winner_finish, c.task));
         }
         self.idx.running_copies -= prev_running as usize;
+        self.idx.running_speculative -= speculative_stopped;
+        self.index_set_running(c.task, false);
         self.idx.current_remaining -= 1;
         self.idx.total_remaining -= 1;
         self.idx.remaining_compute_ms -= work_ms;
@@ -952,25 +935,11 @@ impl JobRun {
     fn index_phase_eligible(&mut self, pi: usize) {
         let p = &self.phases[pi];
         self.idx.current_remaining += p.remaining();
+        let first = self.idx.tasks.number(TaskRef::new(pi, 0));
         for (ti, t) in p.tasks.iter().enumerate() {
             debug_assert!(!t.is_launched() && !t.is_finished());
             self.idx.remaining_compute_ms += t.work.as_millis();
-            let tr = TaskRef::new(pi, ti);
-            self.idx.pending.insert(tr);
-            if t.replicas.is_empty() {
-                self.idx.pending_no_replica.insert(tr);
-            }
-        }
-        // Second pass for the replica map (split to appease the borrow
-        // checker: `entry` needs `&mut self.idx` while `p` borrows phases).
-        for (ti, t) in self.phases[pi].tasks.iter().enumerate() {
-            for &r in &t.replicas {
-                self.idx
-                    .pending_local
-                    .entry(r)
-                    .or_default()
-                    .insert(TaskRef::new(pi, ti));
-            }
+            self.idx.tasks.set_pending(first + ti, &t.replicas, true);
         }
     }
 
@@ -1013,35 +982,49 @@ impl JobRun {
             .sum()
     }
 
+    /// Running speculative copies across the job (the in-flight count of
+    /// speculation caps). O(1).
+    pub fn running_speculative_copies(&self) -> usize {
+        debug_assert_eq!(
+            self.idx.running_speculative,
+            self.scan_running_speculative_copies()
+        );
+        self.idx.running_speculative
+    }
+
+    fn scan_running_speculative_copies(&self) -> usize {
+        self.phases
+            .iter()
+            .flat_map(|p| &p.tasks)
+            .flat_map(|t| &t.copies)
+            .filter(|c| c.speculative && c.status == CopyStatus::Running)
+            .count()
+    }
+
     /// Pick the next original task to launch, preferring one whose input
     /// is local to `machine`. Returns the task and whether it is local.
     ///
-    /// O(log tasks) via the pending index. The replaced scan visited tasks
-    /// in `(phase, task)` order and returned at the first task that was
+    /// Via the flat pending index. The replaced scan visited tasks in
+    /// `(phase, task)` order and returned at the first task that was
     /// either replica-free or local to `machine`; the index reproduces
-    /// that by taking the minimum of the two ordered sets' heads.
+    /// that by taking the minimum of the two ascending walks' heads.
     pub fn next_task_for(&self, machine: Option<MachineId>) -> Option<(TaskRef, bool)> {
+        let tasks = &self.idx.tasks;
         let picked = match machine {
             Some(m) => {
-                let no_pref = self.idx.pending_no_replica.first().copied();
-                let local = self
-                    .idx
-                    .pending_local
-                    .get(&m)
-                    .and_then(|s| s.first())
-                    .copied();
+                let no_pref = tasks.pending_no_replica().next();
+                let local = tasks.pending_local(m).next();
                 match (no_pref, local) {
                     (Some(a), Some(b)) => Some((a.min(b), true)),
                     (Some(a), None) => Some((a, true)),
                     (None, Some(b)) => Some((b, true)),
-                    (None, None) => self.idx.pending.first().map(|&t| (t, false)),
+                    (None, None) => tasks.pending().next().map(|t| (t, false)),
                 }
             }
-            None => self
-                .idx
-                .pending
-                .first()
-                .map(|&t| (t, self.phases[t.phase].tasks[t.task].replicas.is_empty())),
+            None => tasks
+                .pending()
+                .next()
+                .map(|t| (t, self.phases[t.phase].tasks[t.task].replicas.is_empty())),
         };
         debug_assert_eq!(picked, self.scan_next_task_for(machine));
         picked
@@ -1075,9 +1058,9 @@ impl JobRun {
     }
 
     /// Whether the job has a task that would be data-local on `machine`.
-    /// O(log machines) via the inverted replica index.
+    /// O(log replica machines) via the replica CSR.
     pub fn has_local_task_for(&self, machine: MachineId) -> bool {
-        let indexed = self.idx.pending_local.contains_key(&machine);
+        let indexed = self.idx.tasks.has_local(machine);
         debug_assert_eq!(indexed, self.scan_has_local_task_for(machine));
         indexed
     }
@@ -1096,75 +1079,69 @@ impl JobRun {
     /// ascending id order (the free-machine probe of the centralized
     /// driver's `launch_original` walks this instead of every machine).
     pub fn machines_with_local_pending(&self) -> impl Iterator<Item = MachineId> + '_ {
-        self.idx.pending_local.keys().copied()
+        self.idx.tasks.machines_with_local_pending()
     }
 
     /// First pending task with a replica on `machine`, if any.
     pub fn first_local_pending(&self, machine: MachineId) -> Option<TaskRef> {
-        self.idx
-            .pending_local
-            .get(&machine)
-            .and_then(|s| s.first())
-            .copied()
+        self.idx.tasks.pending_local(machine).next()
     }
 
     /// Whether any pending task has no replica set (such a task launches
     /// "locally" anywhere, so locality probes can stop at the first free
     /// machine).
     pub fn has_pending_no_replica(&self) -> bool {
-        !self.idx.pending_no_replica.is_empty()
+        self.idx.tasks.has_pending_no_replica()
+    }
+
+    /// Number of pending tasks. O(1).
+    pub fn pending_count(&self) -> usize {
+        self.idx.tasks.pending_len()
     }
 
     /// Pending (unlaunched, eligible-phase) tasks in `(phase, task)` order.
     pub fn pending_tasks(&self) -> impl Iterator<Item = TaskRef> + '_ {
-        self.idx.pending.iter().copied()
+        self.idx.tasks.pending()
     }
 
     /// Pending tasks with no replica preference, in `(phase, task)` order.
     pub fn pending_no_replica_tasks(&self) -> impl Iterator<Item = TaskRef> + '_ {
-        self.idx.pending_no_replica.iter().copied()
+        self.idx.tasks.pending_no_replica()
     }
 
     /// Pending tasks with a replica on `machine`, in `(phase, task)` order.
     pub fn pending_local_tasks(&self, machine: MachineId) -> impl Iterator<Item = TaskRef> + '_ {
-        self.idx
-            .pending_local
-            .get(&machine)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        self.idx.tasks.pending_local(machine)
     }
 
-    /// Observations of all running copies, for speculation policies.
-    pub fn observe_running(&self, now: SimTime) -> Vec<(TaskRef, Vec<CopyObservation>)> {
+    /// Observations of all running copies, for speculation policies, in
+    /// `(phase, task, copy)` order, so each task's copies are adjacent
+    /// (split them with `chunk_by` on `copy.task`). Walks the running-task
+    /// bitset, not every task.
+    pub fn observe_running(&self, now: SimTime) -> Vec<CopyObservation> {
         let mut out = Vec::new();
-        for (pi, p) in self.phases.iter().enumerate() {
-            if !p.eligible {
-                continue;
-            }
-            for (ti, t) in p.tasks.iter().enumerate() {
-                if t.is_finished() || t.running == 0 {
-                    continue;
-                }
-                let obs: Vec<CopyObservation> = t
-                    .copies
-                    .iter()
+        for tr in self.idx.tasks.running() {
+            let before = out.len();
+            let copies = self.phases[tr.phase].tasks[tr.task].copies.iter();
+            out.extend(
+                copies
                     .enumerate()
                     .filter(|(_, c)| c.status == CopyStatus::Running)
                     .map(|(ci, c)| {
                         let elapsed = now.saturating_sub(c.start);
                         CopyObservation {
-                            copy: CopyRef::new(pi, ti, ci),
+                            copy: CopyRef::new(tr.phase, tr.task, ci),
                             machine: c.machine,
                             elapsed,
                             est_remaining: c.duration.saturating_sub(elapsed),
                             speculative: c.speculative,
                         }
-                    })
-                    .collect();
-                if !obs.is_empty() {
-                    out.push((TaskRef::new(pi, ti), obs));
-                }
-            }
+                    }),
+            );
+            debug_assert!(
+                out.len() > before,
+                "running task {tr:?} has no running copy"
+            );
         }
         out
     }
@@ -1218,7 +1195,9 @@ impl JobRun {
         #[cfg(debug_assertions)]
         {
             let mut scan_best: Option<(SimTime, TaskRef)> = None;
-            for (task, obs) in self.observe_running(now) {
+            let running = self.observe_running(now);
+            for obs in running.chunk_by(|a, b| a.copy.task == b.copy.task) {
+                let task = obs[0].copy.task;
                 if obs.len() >= MAX_RUNNING_COPIES {
                     continue;
                 }
@@ -1350,7 +1329,7 @@ mod tests {
             .flat_map(|p| &p.tasks)
             .filter(|t| t.scan_needs_original())
             .count();
-        assert_eq!(j.idx.pending.len(), scanned);
+        assert_eq!(j.pending_count(), scanned);
         scanned
     }
 
@@ -1568,11 +1547,9 @@ mod tests {
             SimTime::ZERO,
             &mut rng,
         );
-        let obs = j.observe_running(SimTime::from_millis(2_500));
-        assert_eq!(obs.len(), 1);
-        let (task, copies) = &obs[0];
-        assert_eq!(*task, TaskRef::new(0, 0));
+        let copies = j.observe_running(SimTime::from_millis(2_500));
         assert_eq!(copies.len(), 1);
+        assert_eq!(copies[0].copy, CopyRef::new(0, 0, 0));
         assert_eq!(copies[0].est_remaining, SimTime::from_millis(7_500));
         assert_eq!(copies[0].elapsed, SimTime::from_millis(2_500));
     }
@@ -1918,5 +1895,194 @@ mod tests {
             max
         };
         assert!(max_mult(1.1, 10) > max_mult(1.9, 10));
+    }
+
+    /// A random multi-phase job on `machines` machines: up to four
+    /// phases of up to `max_tasks` tasks (zero-task phases included),
+    /// each downstream phase reading a random subset of earlier ones, and
+    /// replica sets drawn from a small shared pool that holds an empty
+    /// set.
+    fn random_job(rng: &mut StdRng, machines: usize, max_tasks: usize) -> JobRun {
+        let n_phases = rng.gen_range(1..=4usize);
+        let phases = (0..n_phases)
+            .map(|pi| hopper_workload::TracePhase {
+                task_works: vec![SimTime::from_millis(1000); rng.gen_range(0..=max_tasks)],
+                upstream: (0..pi).filter(|_| rng.gen_bool(0.5)).collect(),
+                output_mb_per_task: 1.0,
+                reads_dfs_input: rng.gen_bool(0.7),
+            })
+            .collect();
+        let spec = TraceJob {
+            phases,
+            ..single_phase_job(0, SimTime::ZERO, Vec::new(), 1.5)
+        };
+        let c = ClusterConfig {
+            machines,
+            ..Default::default()
+        };
+        let mut j = JobRun::new(spec, &c, rng);
+        let pool: Vec<Vec<MachineId>> = (0..4)
+            .map(|k| {
+                (0..k)
+                    .map(|_| MachineId(rng.gen_range(0..machines)))
+                    .collect()
+            })
+            .collect();
+        for tr in all_tasks(&j) {
+            if rng.gen_bool(0.3) {
+                j.set_replicas(tr, pool[rng.gen_range(0..pool.len())].clone());
+            }
+        }
+        j
+    }
+
+    fn all_tasks(j: &JobRun) -> Vec<TaskRef> {
+        let phases = j.phases.iter().enumerate();
+        phases
+            .flat_map(|(pi, p)| (0..p.tasks.len()).map(move |ti| TaskRef::new(pi, ti)))
+            .collect()
+    }
+
+    fn running_copies(j: &JobRun) -> Vec<CopyRef> {
+        let mut out = Vec::new();
+        for tr in all_tasks(j) {
+            for (ci, c) in j.phases[tr.phase].tasks[tr.task].copies.iter().enumerate() {
+                if c.status == CopyStatus::Running {
+                    out.push(CopyRef::new(tr.phase, tr.task, ci));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every flat-index query against its scan: the two `next_task_for`
+    /// forms, the pending iterators, the locality queries on `probe`
+    /// machines, `observe_running`'s order and the speculative count.
+    fn check_queries(j: &JobRun, probe: &[MachineId], now: SimTime) {
+        assert!(j.idx == j.scan_index(), "index drifted from its scan");
+        let pending: Vec<TaskRef> = all_tasks(j)
+            .into_iter()
+            .filter(|t| j.phases[t.phase].eligible)
+            .filter(|t| j.phases[t.phase].tasks[t.task].scan_needs_original())
+            .collect();
+        let replicas = |t: &TaskRef| &j.phases[t.phase].tasks[t.task].replicas;
+        assert_eq!(j.pending_tasks().collect::<Vec<_>>(), pending);
+        assert_eq!(j.pending_count(), pending.len());
+        let no_replica: Vec<TaskRef> = pending
+            .iter()
+            .copied()
+            .filter(|t| replicas(t).is_empty())
+            .collect();
+        assert_eq!(j.pending_no_replica_tasks().collect::<Vec<_>>(), no_replica);
+        assert_eq!(j.has_pending_no_replica(), !no_replica.is_empty());
+        let mut with_local: Vec<MachineId> = pending
+            .iter()
+            .flat_map(|t| replicas(t).iter().copied())
+            .collect();
+        with_local.sort();
+        with_local.dedup();
+        assert_eq!(
+            j.machines_with_local_pending().collect::<Vec<_>>(),
+            with_local
+        );
+        assert_eq!(j.next_task_for(None), j.scan_next_task_for(None));
+        for &m in probe {
+            let local: Vec<TaskRef> = pending
+                .iter()
+                .copied()
+                .filter(|t| replicas(t).contains(&m))
+                .collect();
+            assert_eq!(j.pending_local_tasks(m).collect::<Vec<_>>(), local);
+            assert_eq!(j.first_local_pending(m), local.first().copied());
+            assert_eq!(j.has_local_task_for(m), j.scan_has_local_task_for(m));
+            assert_eq!(j.next_task_for(Some(m)), j.scan_next_task_for(Some(m)));
+        }
+        let observed: Vec<CopyRef> = j.observe_running(now).iter().map(|o| o.copy).collect();
+        assert_eq!(observed, running_copies(j));
+        assert_eq!(
+            j.running_speculative_copies(),
+            j.scan_running_speculative_copies()
+        );
+    }
+
+    /// Random launch / finish / loss / machine-failure / rescale /
+    /// replica-rewrite sequences on one random job, every query checked
+    /// against its scan after every step.
+    fn flat_index_differential(seed: u64, machines: usize, max_tasks: usize, steps: usize) {
+        let mut rng = rng_from_seed(seed);
+        let mut j = random_job(&mut rng, machines, max_tasks);
+        let mut now = SimTime::ZERO;
+        let all_machines: Vec<MachineId> = (0..machines).map(MachineId).collect();
+        for _ in 0..steps {
+            now += SimTime::from_millis(rng.gen_range(1..100));
+            let m = MachineId(rng.gen_range(0..machines));
+            let running = running_copies(&j);
+            let pick = |rng: &mut StdRng| running[rng.gen_range(0..running.len())];
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let open: Vec<TaskRef> = all_tasks(&j)
+                        .into_iter()
+                        .filter(|t| j.phases[t.phase].eligible)
+                        .filter(|t| !j.phases[t.phase].tasks[t.task].is_finished())
+                        .collect();
+                    if let Some(&t) = open.get(rng.gen_range(0..open.len().max(1))) {
+                        let speculative = j.phases[t.phase].tasks[t.task].running > 0;
+                        let d = SimTime::from_millis(rng.gen_range(1..5000));
+                        j.launch_copy_prepared(t, m, speculative, now, d);
+                    }
+                }
+                4 | 5 if !running.is_empty() => {
+                    j.finish_copy(pick(&mut rng), now).expect("running copy");
+                }
+                6 if !running.is_empty() => {
+                    j.lose_copy(pick(&mut rng)).expect("running copy");
+                }
+                7 => {
+                    j.fail_machine(m);
+                }
+                8 => {
+                    let tasks = all_tasks(&j);
+                    if !tasks.is_empty() {
+                        let t = tasks[rng.gen_range(0..tasks.len())];
+                        let k = rng.gen_range(0..=3usize);
+                        j.set_replicas(
+                            t,
+                            (0..k)
+                                .map(|_| MachineId(rng.gen_range(0..machines)))
+                                .collect(),
+                        );
+                    }
+                }
+                9 => {
+                    j.rescale_machine(m, now, if rng.gen_bool(0.5) { 0.5 } else { 2.0 });
+                }
+                _ => {}
+            }
+            if machines <= 16 {
+                check_queries(&j, &all_machines, now);
+            } else {
+                let probe: Vec<MachineId> = (0..8)
+                    .map(|_| MachineId(rng.gen_range(0..machines)))
+                    .chain([m])
+                    .collect();
+                check_queries(&j, &probe, now);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn flat_index_matches_the_scans(seed in 0u64..u64::MAX) {
+            flat_index_differential(seed, 6, 12, 120);
+        }
+    }
+
+    /// Benchmark-sized jobs on 2,000 machines (run in release by CI).
+    #[test]
+    #[ignore]
+    fn flat_index_matches_the_scans_at_scale() {
+        for seed in 0..40 {
+            flat_index_differential(seed, 2000, 400, 1500);
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! comparisons are apples-to-apples.
 
 pub mod dynamics;
+mod flat;
 pub mod ids;
 pub mod job;
 pub mod machine;

@@ -399,6 +399,9 @@ pub(crate) struct SchedBook {
     pub arrivals_pending: usize,
     /// β learned from this scheduler's own completions.
     beta: BetaEstimator,
+    /// Retired jobs' launches that left more than `MAX_RUNNING_COPIES`
+    /// copies of their task running (`JobRun::over_limit_launches`).
+    pub over_limit_launches: u64,
 }
 
 impl SchedBook {
@@ -428,6 +431,7 @@ impl SchedBook {
             live: Vec::new(),
             arrivals_pending: n,
             beta: BetaEstimator::with_prior(1.5),
+            over_limit_launches: 0,
         }
     }
 
@@ -872,7 +876,7 @@ impl SchedBook {
     /// Reset job `lj`'s occupancy and pending counts to ground truth.
     fn resync(&mut self, lj: usize) {
         self.occupied[lj] = self.jobs[lj].occupied_slots();
-        self.pending_orig[lj] = self.jobs[lj].pending_tasks().count();
+        self.pending_orig[lj] = self.jobs[lj].pending_count();
     }
 
     /// One watchdog check of job `lj` (faults only). `None` once the job
@@ -920,6 +924,7 @@ impl SchedBook {
         let pos = self.live.binary_search(&lj).expect("completed job is live");
         self.live.remove(pos);
         let retired = self.jobs.retire(lj);
+        self.over_limit_launches += retired.over_limit_launches as u64;
         JobResult {
             job: retired.id,
             size_tasks: retired.spec.size_tasks(),

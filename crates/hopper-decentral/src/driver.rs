@@ -253,6 +253,12 @@ pub struct DecOutput {
     /// is one heap push. Not in `report.core`: they count work, not
     /// outcomes.
     pub queue_counters: QueueCounters,
+    /// Launches that left more than `MAX_RUNNING_COPIES` copies of their
+    /// task running, summed over retired jobs (and over shards; the same
+    /// for every shard count). Observational: offers inside one message
+    /// round trip can pick the same task for an extra copy (DESIGN.md,
+    /// "Deviations"). Not in `stats`, whose `Debug` form the goldens pin.
+    pub over_limit_launches: u64,
 }
 
 impl RunSummary for DecOutput {
@@ -873,6 +879,7 @@ impl<'a> Decentral<'a> {
             report,
             shard: None,
             queue_counters: self.queue.counters(),
+            over_limit_launches: self.books.iter().map(|b| b.over_limit_launches).sum(),
         }
     }
 

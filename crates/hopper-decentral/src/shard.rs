@@ -489,6 +489,7 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
     // Every event is pushed into exactly one shard's queue, so the sums
     // are the same for every shard count.
     let mut queue_counters = QueueCounters::default();
+    let mut over_limit_launches = 0u64;
     let mut shard_stats = ShardStats {
         shards: nshards,
         windows: shards.first().map_or(0, |sh| sh.windows),
@@ -528,6 +529,7 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         for sched in &sh.scheds {
             live_high_water += sched.book.jobs.high_water();
             done_total += sched.book.jobs.retired();
+            over_limit_launches += sched.book.over_limit_launches;
         }
         match audit.as_mut() {
             None => audit = sh.audit,
@@ -558,6 +560,7 @@ fn merge(mut shards: Vec<Shard<'_>>, n: usize, nshards: usize) -> DecOutput {
         report,
         shard: Some(shard_stats),
         queue_counters,
+        over_limit_launches,
     }
 }
 

@@ -141,7 +141,6 @@ impl Speculator {
                 // original copy, for the slow-task percentile.
                 let mut rates: Vec<f64> = running
                     .iter()
-                    .flat_map(|(_, obs)| obs.iter())
                     .filter(|o| !o.speculative && o.elapsed >= cfg.min_elapsed)
                     .map(rate_of)
                     .collect();
@@ -156,10 +155,11 @@ impl Speculator {
                 };
 
                 let mut out = Vec::new();
-                for (task, obs) in &running {
+                for obs in by_task(&running) {
                     if obs.len() >= MAX_RUNNING_COPIES {
                         continue;
                     }
+                    let task = obs[0].copy.task;
                     let best = best_observation(obs);
                     if best.elapsed < cfg.min_elapsed {
                         continue;
@@ -170,10 +170,10 @@ impl Speculator {
                             continue;
                         }
                     }
-                    let t_new = job.estimated_new_copy_duration(*task);
+                    let t_new = job.estimated_new_copy_duration(task);
                     if best.est_remaining > t_new {
                         out.push(Candidate {
-                            task: *task,
+                            task,
                             est_remaining: best.est_remaining,
                         });
                     }
@@ -195,11 +195,16 @@ fn rate_of(o: &CopyObservation) -> f64 {
     }
 }
 
+/// `observe_running`'s observations split into one slice per task.
+fn by_task(running: &[CopyObservation]) -> impl Iterator<Item = &[CopyObservation]> {
+    running.chunk_by(|a, b| a.copy.task == b.copy.task)
+}
+
 /// The copy that will finish soonest (the task's best hope).
 fn best_observation(obs: &[CopyObservation]) -> &CopyObservation {
     obs.iter()
         .min_by_key(|o| o.est_remaining)
-        .expect("observe_running never yields empty copy lists")
+        .expect("by_task never yields an empty slice")
 }
 
 /// Candidates satisfying `benefit(t_rem, t_new)` after `min_elapsed`.
@@ -210,11 +215,12 @@ fn base_candidates(
     benefit: impl Fn(SimTime, SimTime) -> bool,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
-    for (task, obs) in job.observe_running(now) {
+    for obs in by_task(&job.observe_running(now)) {
         if obs.len() >= MAX_RUNNING_COPIES {
             continue;
         }
-        let best = best_observation(&obs);
+        let task = obs[0].copy.task;
+        let best = best_observation(obs);
         if best.elapsed < min_elapsed {
             continue;
         }
@@ -243,14 +249,7 @@ fn sort_desc(out: &mut [Candidate]) {
 /// `ceil(spec_cap_fraction × job tasks)` speculative copies in flight.
 fn cap(out: Vec<Candidate>, job: &JobRun, cfg: &SpecConfig) -> Vec<Candidate> {
     let cap = ((job.spec.num_tasks() as f64 * cfg.spec_cap_fraction).ceil() as usize).max(1);
-    let in_flight: usize = job
-        .phases()
-        .iter()
-        .flat_map(|p| &p.tasks)
-        .flat_map(|t| &t.copies)
-        .filter(|c| c.speculative && c.status == hopper_cluster::CopyStatus::Running)
-        .count();
-    let budget = cap.saturating_sub(in_flight);
+    let budget = cap.saturating_sub(job.running_speculative_copies());
     out.into_iter().take(budget).collect()
 }
 

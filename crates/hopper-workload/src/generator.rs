@@ -37,17 +37,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Generate the jobs *without* arrival times (all at t = 0).
-    ///
-    /// The unit tests' view of the job population, arrival-free.
-    #[cfg(test)]
-    fn generate_jobs(&self) -> Vec<TraceJob> {
-        let seq = SeedSequence::new(self.seed);
-        (0..self.num_jobs)
-            .map(|i| self.generate_job(i, &mut seq.child_rng(i as u64)))
-            .collect()
-    }
-
     /// Generate a full trace whose offered load against `total_slots` slots
     /// averages `target_util` (0 < u ≤ 1) over the arrival window.
     ///
@@ -343,6 +332,18 @@ fn sample_weighted(weights: &[f64], rng: &mut StdRng) -> usize {
 mod tests {
     use super::*;
     use crate::profile::WorkloadProfile;
+
+    impl TraceGenerator {
+        /// Generate the jobs *without* arrival times (all at t = 0).
+        ///
+        /// The unit tests' view of the job population, arrival-free.
+        fn generate_jobs(&self) -> Vec<TraceJob> {
+            let seq = SeedSequence::new(self.seed);
+            (0..self.num_jobs)
+                .map(|i| self.generate_job(i, &mut seq.child_rng(i as u64)))
+                .collect()
+        }
+    }
 
     fn generator(n: usize) -> TraceGenerator {
         TraceGenerator::new(WorkloadProfile::facebook(), n, 42)

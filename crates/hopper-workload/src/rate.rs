@@ -296,17 +296,6 @@ impl RateClock {
         k * q
     }
 
-    /// Relative rate at `t` (time-average 1), for the calibration
-    /// tests; arrival sampling goes through [`RateClock::advance`].
-    #[cfg(test)]
-    fn rel_rate(&mut self, t: f64) -> f64 {
-        let (mult, _) = match self.burst.as_mut() {
-            Some(b) => b.at(t),
-            None => (1.0, f64::INFINITY),
-        };
-        self.base_at(t).0 * mult / self.norm
-    }
-
     /// Advance from `t` by an exponential gap `g` drawn at relative
     /// rate 1: returns the `t'` with `∫_t^{t'} rel(s) ds = g`. Walks
     /// the piecewise-linear segments (diurnal knots × burst edges) and
@@ -349,6 +338,18 @@ impl RateClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RateClock {
+        /// Relative rate at `t` (time-average 1), for the calibration
+        /// tests; arrival sampling goes through [`RateClock::advance`].
+        fn rel_rate(&mut self, t: f64) -> f64 {
+            let (mult, _) = match self.burst.as_mut() {
+                Some(b) => b.at(t),
+                None => (1.0, f64::INFINITY),
+            };
+            self.base_at(t).0 * mult / self.norm
+        }
+    }
 
     #[test]
     fn diurnal_knots_average_to_one() {

@@ -14,8 +14,10 @@
 //! elsewhere); it is a *different* documented equivalence family, so no
 //! test here compares shards=0 against shards>=1 outputs.
 
+use hopper::central;
 use hopper::cluster::{ClusterConfig, DynamicsConfig, HeteroProfile};
 use hopper::decentral::{self, DecConfig, DecPolicy, FaultConfig};
+use hopper::experiment::ExperimentSpec;
 use hopper::workload::{ArrivalSource, Trace, TraceGenerator, WorkloadProfile};
 
 fn trace(seed: u64, jobs: usize) -> Trace {
@@ -80,6 +82,10 @@ fn assert_same(a: &decentral::DecOutput, b: &decentral::DecOutput, ctx: &str) {
     assert_eq!(
         a.queue_counters, b.queue_counters,
         "queue counters drifted: {ctx}"
+    );
+    assert_eq!(
+        a.over_limit_launches, b.over_limit_launches,
+        "copy-limit overshoot count drifted: {ctx}"
     );
 }
 
@@ -308,6 +314,43 @@ fn window_counters_are_exact_at_every_shard_count() {
         assert_eq!(s.windows, b.windows, "{ctx}");
         assert_eq!(s.cross_msgs + s.local_msgs, b.local_msgs, "{ctx}");
         assert!(s.cross_msgs > 0, "{ctx}");
+    }
+}
+
+/// Decentralized Hopper can run more copies of a task than
+/// `MAX_RUNNING_COPIES` (offers inside one message round trip pick the
+/// same task; DESIGN.md, "Deviations"). The count is observational, and
+/// a function of each job's launches, so every shard count reports the
+/// same one; the central engine checks the limit before every copy and
+/// reports none.
+#[test]
+fn copy_limit_overshoot_is_counted_at_every_shard_count() {
+    let t = trace(1, 60);
+    let serial = decentral::run(&t, DecPolicy::Hopper, &cfg(1, 0));
+    assert!(serial.over_limit_launches > 0, "serial run never overshot");
+    let one = decentral::run(&t, DecPolicy::Hopper, &cfg(1, 1));
+    assert!(one.over_limit_launches > 0, "sharded run never overshot");
+    for shards in 2..=4 {
+        let got = decentral::run(&t, DecPolicy::Hopper, &cfg(1, shards));
+        assert_eq!(
+            got.over_limit_launches, one.over_limit_launches,
+            "shards{shards}"
+        );
+    }
+    let spec = ExperimentSpec {
+        interactive: true,
+        jobs: 60,
+        machines: 25,
+        ..ExperimentSpec::central()
+    };
+    for policy in ["hopper", "srpt"] {
+        let spec = ExperimentSpec {
+            policy: policy.into(),
+            ..spec.clone()
+        };
+        let (policy, c) = spec.central_config(1).unwrap();
+        let out = central::run(&spec.trace(1), &policy, &c);
+        assert_eq!(out.over_limit_launches, 0, "central {}", spec.policy);
     }
 }
 
