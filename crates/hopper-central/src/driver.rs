@@ -22,7 +22,7 @@ use hopper_metrics::{
     JobDigest, JobResult, RunReport, RunSummary, SeriesCollector, TelemetrySnapshot,
 };
 use hopper_sim::{EventQueue, SeedSequence, SimTime};
-use hopper_spec::{Candidate, Speculator};
+use hopper_spec::{Candidate, ScanScratch, Speculator};
 use hopper_workload::{ArrivalSource, Trace, TraceJob};
 use rand::rngs::StdRng;
 
@@ -260,6 +260,8 @@ struct Central<'a> {
     /// Cached speculation candidates per job (refreshed at scans);
     /// consumed front-first, so a deque instead of a `Vec::remove(0)`.
     candidates: Vec<VecDeque<Candidate>>,
+    /// The speculator's scan buffer, reused by every job's scan.
+    scan_scratch: ScanScratch,
     /// Cached α per job (refreshed at scans / phase transitions).
     alpha_cache: Vec<f64>,
     /// Whether a job's first allocation regime has been recorded.
@@ -368,6 +370,7 @@ impl<'a> Central<'a> {
             usage: vec![0; n],
             pending_orig: vec![0; n],
             candidates: vec![VecDeque::new(); n],
+            scan_scratch: ScanScratch::default(),
             alpha_cache: vec![1.0; n],
             regime_counted: vec![false; n],
             active: Vec::new(),
@@ -526,8 +529,7 @@ impl<'a> Central<'a> {
                     // no longer matches the copy's finish instant. A no-op
                     // without dynamics (events always pop on time).
                     {
-                        let c = &self.jobs[job].phases()[copy.task.phase].tasks[copy.task.task]
-                            .copies[copy.copy];
+                        let c = self.jobs[job].copy(copy);
                         if c.status == hopper_cluster::CopyStatus::Running && c.finish_time() != now
                         {
                             continue;
@@ -539,10 +541,8 @@ impl<'a> Central<'a> {
                     // Captured *before* finish_copy so copies a machine
                     // failure killed earlier — already deducted from
                     // `orig_running` at failure time — are not recounted.
-                    let running_orig_delta = self.jobs[job].phases()[copy.task.phase].tasks
-                        [copy.task.task]
-                        .copies
-                        .iter()
+                    let running_orig_delta = self.jobs[job]
+                        .copies(copy.task)
                         .filter(|c| {
                             !c.speculative && c.status == hopper_cluster::CopyStatus::Running
                         })
@@ -561,9 +561,7 @@ impl<'a> Central<'a> {
                     for &m in &out.freed {
                         self.machines.release_to(m, job);
                     }
-                    let was_spec = self.jobs[job].phases()[copy.task.phase].tasks[copy.task.task]
-                        .copies[copy.copy]
-                        .speculative;
+                    let was_spec = self.jobs[job].copy(copy).speculative;
                     let freed_of_job = out.freed.len();
                     self.usage[job] -= freed_of_job;
                     let killed = freed_of_job - 1;
@@ -614,8 +612,12 @@ impl<'a> Central<'a> {
                     self.scan_armed = false;
                     for idx in 0..self.active.len() {
                         let j = self.active[idx];
-                        self.candidates[j] =
-                            self.cfg.speculator.candidates(&self.jobs[j], now).into();
+                        self.cfg.speculator.candidates_into(
+                            &self.jobs[j],
+                            now,
+                            &mut self.scan_scratch,
+                            &mut self.candidates[j],
+                        );
                         self.mark_ready(j);
                         self.refresh_alpha(j);
                     }
@@ -724,6 +726,7 @@ impl<'a> Central<'a> {
         self.alloc.remove(j);
         self.force_realloc = true;
         self.candidates[j] = VecDeque::new();
+        self.machines.retire_job(j);
         let job = self.jobs.retire(j);
         self.local_launches += job.local_launches;
         self.nonlocal_launches += job.nonlocal_launches;
@@ -1463,8 +1466,8 @@ impl<'a> Central<'a> {
             // the guard above leaves fewer than MAX_RUNNING_COPIES.
             let mut busy = [MachineId(0); MAX_RUNNING_COPIES - 1];
             for (b, c) in busy.iter_mut().zip(
-                t.copies
-                    .iter()
+                self.jobs[j]
+                    .copies(cand.task)
                     .filter(|c| c.status == hopper_cluster::CopyStatus::Running),
             ) {
                 *b = c.machine;

@@ -1,5 +1,6 @@
 //! [`TaskIndex`]: one flat index over a job's tasks, the pending and
-//! locality half of `JobRun`'s incremental indices.
+//! locality half of `JobRun`'s incremental indices, and [`ReplicaSets`],
+//! the job's task → replica-machine table it is built from.
 //!
 //! Tasks are numbered `g = first[phase] + task`, so ascending `g` is
 //! exactly `(phase, task)` order, the order every replaced scan visited.
@@ -11,9 +12,56 @@
 //! iterates in the order the B-tree sets it replaced did, and a job's
 //! index costs one `u32` per (task, replica) pair and three per replica
 //! machine instead of one B-tree leaf per replica machine.
+//!
+//! The replica sets themselves are the transpose of that CSR, by the same
+//! task numbering: one offset per task into one machine array per job.
 
 use crate::ids::{MachineId, TaskRef};
 use crate::job::PhaseRun;
+
+/// Each task's DFS replica machines (empty = no preference), as a CSR by
+/// task number: task `g`'s set is `machines[starts[g]..starts[g + 1]]`.
+/// Static job input, not a cache: only [`ReplicaSets::set`] rewrites it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReplicaSets {
+    starts: Vec<u32>,
+    machines: Vec<MachineId>,
+}
+
+impl ReplicaSets {
+    /// An empty table with room for `tasks` tasks and `pairs` replicas.
+    pub(crate) fn with_capacity(tasks: usize, pairs: usize) -> Self {
+        let mut starts = Vec::with_capacity(tasks + 1);
+        starts.push(0);
+        ReplicaSets {
+            starts,
+            machines: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// Append the next task's set: `fill` pushes its machines onto the
+    /// array and may read the ones it already pushed.
+    pub(crate) fn push_task(&mut self, fill: impl FnOnce(&mut Vec<MachineId>)) {
+        fill(&mut self.machines);
+        let end = u32::try_from(self.machines.len()).expect("replica count fits u32");
+        self.starts.push(end);
+    }
+
+    /// Task `g`'s replica set.
+    pub(crate) fn get(&self, g: usize) -> &[MachineId] {
+        &self.machines[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+
+    /// Replace task `g`'s replica set with `new`.
+    pub(crate) fn set(&mut self, g: usize, new: &[MachineId]) {
+        let (lo, hi) = (self.starts[g] as usize, self.starts[g + 1] as usize);
+        self.machines.splice(lo..hi, new.iter().copied());
+        for s in &mut self.starts[g + 1..] {
+            let moved = *s as usize - hi + lo + new.len();
+            *s = u32::try_from(moved).expect("replica count fits u32");
+        }
+    }
+}
 
 /// A fixed-length bitset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -103,8 +151,12 @@ pub(crate) struct TaskIndex {
 
 impl TaskIndex {
     /// Ground truth by full scan of the task state (the oracle of the
-    /// maintained index).
-    pub(crate) fn scan(phases: &[PhaseRun]) -> TaskIndex {
+    /// maintained index), given each task's running-copy count.
+    pub(crate) fn scan(
+        phases: &[PhaseRun],
+        replicas: &ReplicaSets,
+        running_copies: impl Fn(TaskRef) -> usize,
+    ) -> TaskIndex {
         let mut first = Vec::with_capacity(phases.len() + 1);
         let mut n = 0usize;
         for p in phases {
@@ -115,23 +167,27 @@ impl TaskIndex {
         let mut no_replica = Bits::new(n);
         let mut pending = Bits::new(n);
         let mut running = Bits::new(n);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let tasks = phases
-            .iter()
-            .flat_map(|p| p.tasks.iter().map(move |t| (p.eligible, t)));
-        for (g, (eligible, t)) in tasks.enumerate() {
-            no_replica.put(g, t.replicas.is_empty());
-            pending.put(g, eligible && t.scan_needs_original());
-            running.put(g, eligible && t.scan_running_copies() > 0);
-            pairs.extend(t.replicas.iter().map(|m| {
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(replicas.machines.len());
+        let tasks = phases.iter().enumerate().flat_map(|(pi, p)| {
+            let tasks = p.tasks.iter().enumerate();
+            tasks.map(move |(ti, t)| (p.eligible, t, TaskRef::new(pi, ti)))
+        });
+        for (g, (eligible, t, tr)) in tasks.enumerate() {
+            let replicas = replicas.get(g);
+            let running_now = running_copies(tr);
+            no_replica.put(g, replicas.is_empty());
+            pending.put(g, eligible && !t.is_finished() && running_now == 0);
+            running.put(g, eligible && running_now > 0);
+            pairs.extend(replicas.iter().map(|m| {
                 let m = u32::try_from(m.0).expect("machine id fits u32");
                 (m, g as u32)
             }));
         }
         pairs.sort_unstable();
         pairs.dedup();
-        let mut machines: Vec<u32> = Vec::new();
-        let mut starts: Vec<u32> = Vec::new();
+        let distinct = pairs.chunk_by(|a, b| a.0 == b.0).count();
+        let mut machines: Vec<u32> = Vec::with_capacity(distinct);
+        let mut starts: Vec<u32> = Vec::with_capacity(distinct + 1);
         let mut tasks: Vec<u32> = Vec::with_capacity(pairs.len());
         for (m, g) in pairs {
             if machines.last() != Some(&m) {

@@ -1,11 +1,11 @@
 //! Strongly-typed identifiers for cluster entities.
 
 /// A machine (worker host) in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MachineId(pub usize);
 
 /// A task within a job: `(phase index, task index)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskRef {
     /// Index of the phase within the job DAG.
     pub phase: usize,
@@ -14,7 +14,7 @@ pub struct TaskRef {
 }
 
 /// One execution copy of a task (original or speculative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CopyRef {
     /// The task this copy belongs to.
     pub task: TaskRef,

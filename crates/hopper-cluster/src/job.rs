@@ -26,8 +26,9 @@ use hopper_workload::{Dist, TraceJob};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::flat::TaskIndex;
+use crate::flat::{ReplicaSets, TaskIndex};
 use crate::ids::{CopyRef, MachineId, TaskRef};
+use crate::inline::InlineVec;
 use crate::machine::{transfer_ms, ClusterConfig};
 
 /// The most copies of one task that may run at once, original included.
@@ -53,6 +54,16 @@ const MAX_STRAGGLE_FACTOR: f64 = 40.0;
 /// (non-local placement); ~1.1–1.3 in measurement studies.
 const REMOTE_READ_PENALTY: f64 = 1.2;
 
+/// The end of a task's copy list in its job's copy arena.
+const NO_COPY: u32 = u32::MAX;
+
+/// Freed slots a [`FinishOutcome`] keeps inline: the winner's plus one per
+/// running sibling. The central engine never runs more than
+/// [`MAX_RUNNING_COPIES`]; the decentralized engines can overshoot the
+/// limit (DESIGN.md, "Deviations from the paper"), and a longer list
+/// spills to the heap.
+const FREED_INLINE: usize = 2 * MAX_RUNNING_COPIES;
+
 /// Lifecycle of one execution copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyStatus {
@@ -64,7 +75,7 @@ pub enum CopyStatus {
     Killed,
 }
 
-/// One execution copy of a task.
+/// One execution copy of a task, an entry of its job's copy arena.
 #[derive(Debug, Clone)]
 pub struct Copy {
     /// Machine the copy runs on.
@@ -79,6 +90,9 @@ pub struct Copy {
     pub status: CopyStatus,
     /// True if this is a speculative (non-first) copy.
     pub speculative: bool,
+    /// Arena position of the task's next copy in launch order
+    /// ([`NO_COPY`] for its latest).
+    next: u32,
 }
 
 impl Copy {
@@ -98,23 +112,25 @@ pub(crate) struct ScriptedTask {
     pub(crate) speculative: SimTime,
 }
 
-/// Runtime state of one task.
+/// Runtime state of one task. Its replica set, copies and scripted
+/// durations live in per-job tables ([`JobRun::replicas`],
+/// [`JobRun::copies`]), so a task is 32 bytes with no heap storage.
 #[derive(Debug, Clone)]
 pub struct TaskRun {
     /// Nominal compute work (expected duration net of transfer/locality).
     pub(crate) work: SimTime,
-    /// Machines holding this task's input (empty = no preference).
-    pub replicas: Vec<MachineId>,
-    /// Scripted durations override the stochastic model when present.
-    pub(crate) scripted: Option<ScriptedTask>,
-    /// All copies launched so far (index = copy id).
-    pub copies: Vec<Copy>,
     /// When the task finished (first copy completion).
     pub(crate) finished_at: Option<SimTime>,
     /// Maintained count of copies in [`CopyStatus::Running`] (kept in sync
     /// by [`JobRun::launch_copy`] / [`JobRun::finish_copy`]).
     running: u32,
+    /// Arena position of the task's first copy ([`NO_COPY`] before its
+    /// first launch); the rest follow through [`Copy::next`].
+    first_copy: u32,
 }
+
+// The arenas keep a task at four words, with no heap storage of its own.
+const _: () = assert!(std::mem::size_of::<TaskRun>() == 32);
 
 impl TaskRun {
     /// Whether the task has finished.
@@ -124,7 +140,7 @@ impl TaskRun {
 
     /// Whether any copy has been launched.
     pub(crate) fn is_launched(&self) -> bool {
-        !self.copies.is_empty()
+        self.first_copy != NO_COPY
     }
 
     /// Whether the task needs an original (re-)dispatched: unfinished
@@ -137,26 +153,11 @@ impl TaskRun {
         self.finished_at.is_none() && self.running == 0
     }
 
-    /// Ground-truth form of [`TaskRun::needs_original`] by copy-status
-    /// scan (the `scan_*` oracle family).
-    pub(crate) fn scan_needs_original(&self) -> bool {
-        self.finished_at.is_none() && self.scan_running_copies() == 0
-    }
-
     /// Number of currently running copies (O(1); counter maintained by the
-    /// launch / finish transitions).
+    /// launch / finish transitions, checked against a copy-status scan by
+    /// the job's sampled index oracle).
     pub fn running_copies(&self) -> usize {
-        debug_assert_eq!(self.running as usize, self.scan_running_copies());
         self.running as usize
-    }
-
-    /// Ground-truth running-copy count by scanning copy statuses (the
-    /// pre-index implementation; retained as the cross-check oracle).
-    pub(crate) fn scan_running_copies(&self) -> usize {
-        self.copies
-            .iter()
-            .filter(|c| c.status == CopyStatus::Running)
-            .count()
     }
 }
 
@@ -210,11 +211,12 @@ impl PhaseRun {
 }
 
 /// What a finished copy did to the job (returned by [`JobRun::finish_copy`]).
+/// Its lists are inline, so a finish allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FinishOutcome {
     /// Machines whose slots freed: the finishing copy's machine plus one
     /// entry per killed sibling copy.
-    pub freed: Vec<MachineId>,
+    pub freed: InlineVec<MachineId, FREED_INLINE>,
     /// The completed copy's total duration (for β estimation: duration
     /// divided by nominal work is the straggler multiplier).
     pub duration: SimTime,
@@ -223,7 +225,7 @@ pub struct FinishOutcome {
     /// Whether the whole phase completed with this task.
     pub phase_done: bool,
     /// Phases that just became eligible (every upstream task finished).
-    pub newly_eligible: Vec<usize>,
+    pub newly_eligible: InlineVec<usize, 2>,
     /// Whether the whole job completed.
     pub job_done: bool,
 }
@@ -374,6 +376,18 @@ pub struct JobRun {
     /// Launches that left more than [`MAX_RUNNING_COPIES`] copies of
     /// their task running. Observational only: no decision reads it.
     pub over_limit_launches: usize,
+    /// Every copy the job launched, in launch order. Each task's copies
+    /// form a list through [`Copy::next`] from [`TaskRun`]'s first one,
+    /// so copy `i` of a task (its [`CopyRef::copy`]) is the `i`-th of its
+    /// list.
+    arena: Vec<Copy>,
+    /// Each task's DFS replica machines, by the task numbering of the
+    /// flat index.
+    replica_sets: ReplicaSets,
+    /// Scripted durations of the leading input-phase tasks (the §3
+    /// motivating example); they override the stochastic model. Empty
+    /// for every generated job.
+    scripted: Vec<ScriptedTask>,
     /// Incremental indices (pure caches; see [`JobIndex`]).
     idx: JobIndex,
 }
@@ -382,6 +396,16 @@ impl JobRun {
     /// Instantiate runtime state for `spec` on a cluster, assigning DFS
     /// replicas for input-phase tasks from `rng`.
     pub fn new(spec: TraceJob, cfg: &ClusterConfig, rng: &mut StdRng) -> Self {
+        let sampled = |p: &hopper_workload::TracePhase| p.reads_dfs_input && cfg.machines > 0;
+        let n_tasks: usize = spec.phases.iter().map(|p| p.num_tasks()).sum();
+        let replicated: usize = spec
+            .phases
+            .iter()
+            .filter(|p| sampled(p))
+            .map(|p| p.num_tasks())
+            .sum();
+        let mut replica_sets =
+            ReplicaSets::with_capacity(n_tasks, replicated * cfg.dfs_replicas.min(cfg.machines));
         let mut phases: Vec<PhaseRun> = Vec::with_capacity(spec.phases.len());
         for (pi, p) in spec.phases.iter().enumerate() {
             // Shuffle volume arriving at this phase: every upstream task's
@@ -399,17 +423,18 @@ impl JobRun {
             let tasks = p
                 .task_works
                 .iter()
-                .map(|&w| TaskRun {
-                    work: w,
-                    replicas: if p.reads_dfs_input && cfg.machines > 0 {
-                        sample_replicas(cfg, rng)
-                    } else {
-                        Vec::new()
-                    },
-                    scripted: None,
-                    copies: Vec::new(),
-                    finished_at: None,
-                    running: 0,
+                .map(|&w| {
+                    replica_sets.push_task(|machines| {
+                        if sampled(p) {
+                            sample_replicas(cfg, rng, machines);
+                        }
+                    });
+                    TaskRun {
+                        work: w,
+                        finished_at: None,
+                        running: 0,
+                        first_copy: NO_COPY,
+                    }
                 })
                 .collect();
             phases.push(PhaseRun {
@@ -429,6 +454,9 @@ impl JobRun {
             local_launches: 0,
             nonlocal_launches: 0,
             over_limit_launches: 0,
+            arena: Vec::with_capacity(n_tasks),
+            replica_sets,
+            scripted: Vec::new(),
             idx: JobIndex::default(),
         };
         job.rebuild_index();
@@ -449,27 +477,88 @@ impl JobRun {
 
     /// Install scripted `(original_ms, speculative_ms)` durations for the
     /// leading tasks of the input phase — the §3 motivating example and
-    /// the scripted scenario benches. Rebuilds the incremental indices
-    /// afterwards (scripts are index-neutral today, but this keeps the
-    /// "mutation ⇒ rebuild" invariant mechanical rather than argued).
+    /// the scripted scenario benches — replacing any earlier script. The
+    /// scripts live in a side table no index reads.
     ///
     /// Panics if there are more scripts than input-phase tasks.
     pub fn script_single_phase(&mut self, scripts: &[(u64, u64)]) {
-        for (t, &(orig, spec)) in scripts.iter().enumerate() {
-            self.phases[0].tasks[t].scripted = Some(ScriptedTask {
+        assert!(
+            scripts.len() <= self.phases.first().map_or(0, |p| p.num_tasks()),
+            "more scripts than input-phase tasks"
+        );
+        self.scripted = scripts
+            .iter()
+            .map(|&(orig, spec)| ScriptedTask {
                 original: SimTime::from_millis(orig),
                 speculative: SimTime::from_millis(spec),
-            });
-        }
-        self.rebuild_index();
+            })
+            .collect();
+    }
+
+    /// The scripted durations of `task`, if it has any.
+    fn scripted_task(&self, task: TaskRef) -> Option<ScriptedTask> {
+        (task.phase == 0)
+            .then(|| self.scripted.get(task.task).copied())
+            .flatten()
     }
 
     /// Replace the DFS replica set of `task`, rebuilding the locality
-    /// index (the replica CSR of `TaskIndex`) that depends on it.
+    /// index (the machine → task CSR of `TaskIndex`) that depends on it.
     /// The sanctioned form of the replica rewrites scenario tests do.
-    pub fn set_replicas(&mut self, task: TaskRef, replicas: Vec<MachineId>) {
-        self.phases[task.phase].tasks[task.task].replicas = replicas;
+    pub fn set_replicas(&mut self, task: TaskRef, replicas: &[MachineId]) {
+        let g = self.idx.tasks.number(task);
+        self.replica_sets.set(g, replicas);
         self.rebuild_index();
+    }
+
+    /// Machines holding `task`'s input (empty = no preference).
+    pub fn replicas(&self, task: TaskRef) -> &[MachineId] {
+        self.replica_sets.get(self.idx.tasks.number(task))
+    }
+
+    /// Arena positions of `task`'s copies, in launch order.
+    fn copy_slots(&self, task: TaskRef) -> impl Iterator<Item = usize> + '_ {
+        let mut k = self.phases[task.phase].tasks[task.task].first_copy;
+        std::iter::from_fn(move || {
+            (k != NO_COPY).then(|| {
+                let at = k as usize;
+                k = self.arena[at].next;
+                at
+            })
+        })
+    }
+
+    /// Arena position of copy `c`. Panics if it was never launched.
+    fn slot(&self, c: CopyRef) -> usize {
+        self.copy_slots(c.task)
+            .nth(c.copy)
+            .expect("copy was launched")
+    }
+
+    /// One launched copy.
+    pub fn copy(&self, c: CopyRef) -> &Copy {
+        &self.arena[self.slot(c)]
+    }
+
+    /// Every copy of `task` launched so far, in launch order: the `i`-th
+    /// is copy `i` of the task.
+    pub fn copies(&self, task: TaskRef) -> impl Iterator<Item = &Copy> + '_ {
+        self.copy_slots(task).map(|k| &self.arena[k])
+    }
+
+    /// Running copies of `task` by copy-status scan (the oracle of
+    /// [`TaskRun::running_copies`]).
+    fn scan_running_copies(&self, task: TaskRef) -> usize {
+        self.copies(task)
+            .filter(|c| c.status == CopyStatus::Running)
+            .count()
+    }
+
+    /// Ground-truth form of [`TaskRun::needs_original`] by copy-status
+    /// scan (the `scan_*` oracle family).
+    fn scan_needs_original(&self, task: TaskRef) -> bool {
+        !self.phases[task.phase].tasks[task.task].is_finished()
+            && self.scan_running_copies(task) == 0
     }
 
     /// Ground-truth index state by full scan — the pre-index query code,
@@ -482,7 +571,9 @@ impl JobRun {
             running_speculative: self.scan_running_speculative_copies(),
             remaining_compute_ms: 0,
             first_ineligible: self.phases.iter().position(|p| !p.eligible),
-            tasks: TaskIndex::scan(&self.phases),
+            tasks: TaskIndex::scan(&self.phases, &self.replica_sets, |tr| {
+                self.scan_running_copies(tr)
+            }),
             solo_running: BTreeSet::new(),
         };
         for (pi, p) in self.phases.iter().enumerate() {
@@ -494,10 +585,9 @@ impl JobRun {
                     idx.remaining_compute_ms += t.work.as_millis();
                 }
                 let tr = TaskRef::new(pi, ti);
-                if t.scan_running_copies() == 1 {
-                    let c = t
-                        .copies
-                        .iter()
+                if self.scan_running_copies(tr) == 1 {
+                    let c = self
+                        .copies(tr)
                         .find(|c| c.status == CopyStatus::Running)
                         .expect("one running copy");
                     idx.solo_running.insert((c.finish_time(), tr));
@@ -525,14 +615,23 @@ impl JobRun {
             "incremental job index drifted from scan ground truth (job {})",
             self.id
         );
+        for (pi, p) in self.phases.iter().enumerate() {
+            for (ti, t) in p.tasks.iter().enumerate() {
+                assert_eq!(
+                    t.running_copies(),
+                    self.scan_running_copies(TaskRef::new(pi, ti)),
+                    "running-copy counter drifted (job {}, task {pi}.{ti})",
+                    self.id
+                );
+            }
+        }
     }
 
     /// Move `tr` into (`on`) or out of the pending index: at phase
     /// eligibility, first launch, and when a lost copy requeues it.
     fn index_set_pending(&mut self, tr: TaskRef, on: bool) {
         let g = self.idx.tasks.number(tr);
-        let replicas = &self.phases[tr.phase].tasks[tr.task].replicas;
-        self.idx.tasks.set_pending(g, replicas, on);
+        self.idx.tasks.set_pending(g, self.replica_sets.get(g), on);
     }
 
     /// Mark `tr` running (it has a running copy) or not in the index.
@@ -616,11 +715,10 @@ impl JobRun {
         speculative: bool,
         rng: &mut StdRng,
     ) -> SimTime {
-        let phase = &self.phases[task.phase];
-        let effective = phase.effective_work(task.task);
-        let t = &phase.tasks[task.task];
-        let local = t.replicas.is_empty() || t.replicas.contains(&machine);
-        match t.scripted {
+        let effective = self.phases[task.phase].effective_work(task.task);
+        let replicas = self.replicas(task);
+        let local = replicas.is_empty() || replicas.contains(&machine);
+        match self.scripted_task(task) {
             Some(s) => {
                 if speculative {
                     s.speculative
@@ -653,40 +751,59 @@ impl JobRun {
         start: SimTime,
         duration: SimTime,
     ) -> CopyRef {
-        let phase = &mut self.phases[task.phase];
+        let phase = &self.phases[task.phase];
         assert!(phase.eligible, "launching into ineligible phase");
-        let t = &mut phase.tasks[task.task];
+        let t = &phase.tasks[task.task];
         assert!(t.finished_at.is_none(), "launching a finished task");
         debug_assert!(
             !speculative || t.running > 0,
             "speculating on a task with no running copy"
         );
-        let local = t.replicas.is_empty() || t.replicas.contains(&machine);
-        if !t.replicas.is_empty() {
-            if local {
+        // The task leaves the pending pool when it had no running copy —
+        // on its very first launch, or on a re-dispatch after a machine
+        // failure requeued it.
+        let was_pending = t.running == 0;
+        let replicas = self.replicas(task);
+        if !replicas.is_empty() {
+            if replicas.contains(&machine) {
                 self.local_launches += 1;
             } else {
                 self.nonlocal_launches += 1;
             }
         }
-        // The task leaves the pending pool when it had no running copy —
-        // on its very first launch, or on a re-dispatch after a machine
-        // failure requeued it.
-        let was_pending = t.running == 0;
-        let copy_idx = t.copies.len();
-        t.copies.push(Copy {
+        // The previously solo running copy, which leaves the candidate
+        // set if this launch makes the task's second running copy.
+        let solo_finish = self
+            .copies(task)
+            .find(|c| c.status == CopyStatus::Running)
+            .map(Copy::finish_time);
+        // Append the copy to the arena and to the tail of its task's list.
+        let (copy_idx, tail) = self
+            .copy_slots(task)
+            .fold((0, None), |(n, _), k| (n + 1, Some(k)));
+        let at = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&at| at != NO_COPY)
+            .expect("job copy count fits u32");
+        self.arena.push(Copy {
             machine,
             start,
             duration,
             status: CopyStatus::Running,
             speculative,
+            next: NO_COPY,
         });
+        let t = &mut self.phases[task.phase].tasks[task.task];
+        match tail {
+            Some(k) => self.arena[k].next = at,
+            None => t.first_copy = at,
+        }
         t.running += 1;
+        let running_now = t.running as usize;
         // Index maintenance: running totals, the solo-running set, and (on
         // the first copy) the running and pending-original structures.
         self.idx.running_copies += 1;
         self.idx.running_speculative += speculative as usize;
-        let running_now = self.phases[task.phase].tasks[task.task].running as usize;
         if running_now > MAX_RUNNING_COPIES {
             self.over_limit_launches += 1;
         }
@@ -696,15 +813,7 @@ impl JobRun {
                 self.idx.solo_running.insert((start + duration, task));
             }
             2 => {
-                // The task just gained a second copy: its previously solo
-                // copy leaves the candidate set.
-                let prev = self.phases[task.phase].tasks[task.task]
-                    .copies
-                    .iter()
-                    .enumerate()
-                    .find(|(i, c)| *i != copy_idx && c.status == CopyStatus::Running)
-                    .map(|(_, c)| c.finish_time())
-                    .expect("second running copy implies a first");
+                let prev = solo_finish.expect("second running copy implies a first");
                 self.idx.solo_running.remove(&(prev, task));
             }
             _ => {}
@@ -730,21 +839,25 @@ impl JobRun {
     /// copy is no longer running (its race resolved while the loss
     /// notification was in flight).
     pub fn lose_copy(&mut self, c: CopyRef) -> Option<CopyLoss> {
-        let t = &mut self.phases[c.task.phase].tasks[c.task.task];
-        if t.finished_at.is_some() || t.copies[c.copy].status != CopyStatus::Running {
+        if self.phases[c.task.phase].tasks[c.task.task].is_finished() {
             return None;
         }
-        let speculative = t.copies[c.copy].speculative;
+        let k = self.slot(c);
+        let lost = &mut self.arena[k];
+        if lost.status != CopyStatus::Running {
+            return None;
+        }
+        lost.status = CopyStatus::Killed;
+        let speculative = lost.speculative;
+        let killed_finish = lost.finish_time();
+        let t = &mut self.phases[c.task.phase].tasks[c.task.task];
         let prev_running = t.running;
-        let killed_finish = t.copies[c.copy].finish_time();
-        t.copies[c.copy].status = CopyStatus::Killed;
         t.running -= 1;
         let now_running = t.running;
-        let survivor_finish = t
-            .copies
-            .iter()
+        let survivor_finish = self
+            .copies(c.task)
             .find(|cp| cp.status == CopyStatus::Running)
-            .map(|cp| cp.finish_time());
+            .map(Copy::finish_time);
         self.idx.running_copies -= 1;
         self.idx.running_speculative -= speculative as usize;
         if prev_running == 1 {
@@ -774,25 +887,35 @@ impl JobRun {
     /// simply drop such events.
     pub fn finish_copy(&mut self, c: CopyRef, now: SimTime) -> Option<FinishOutcome> {
         let nominal = self.phases[c.task.phase].effective_work(c.task.task);
-        let phase = &mut self.phases[c.task.phase];
-        let t = &mut phase.tasks[c.task.task];
-        if t.copies[c.copy].status != CopyStatus::Running || t.finished_at.is_some() {
-            return None;
-        }
-        let prev_running = t.running;
-        t.copies[c.copy].status = CopyStatus::Finished;
-        t.finished_at = Some(now);
-        let duration = t.copies[c.copy].duration;
-        let winner_finish = t.copies[c.copy].finish_time();
-        let mut freed = vec![t.copies[c.copy].machine];
-        let mut speculative_stopped = t.copies[c.copy].speculative as usize;
-        for sibling in t.copies.iter_mut() {
+        let k = self.slot(c);
+        let first = {
+            let t = &self.phases[c.task.phase].tasks[c.task.task];
+            if self.arena[k].status != CopyStatus::Running || t.finished_at.is_some() {
+                return None;
+            }
+            t.first_copy
+        };
+        let winner = &mut self.arena[k];
+        winner.status = CopyStatus::Finished;
+        let duration = winner.duration;
+        let winner_finish = winner.finish_time();
+        let mut freed = InlineVec::new();
+        freed.push(winner.machine);
+        let mut speculative_stopped = winner.speculative as usize;
+        let mut at = first;
+        while at != NO_COPY {
+            let sibling = &mut self.arena[at as usize];
             if sibling.status == CopyStatus::Running {
                 sibling.status = CopyStatus::Killed;
                 freed.push(sibling.machine);
                 speculative_stopped += sibling.speculative as usize;
             }
+            at = sibling.next;
         }
+        let phase = &mut self.phases[c.task.phase];
+        let t = &mut phase.tasks[c.task.task];
+        let prev_running = t.running;
+        t.finished_at = Some(now);
         t.running = 0;
         let work_ms = t.work.as_millis();
         phase.finished += 1;
@@ -814,7 +937,7 @@ impl JobRun {
         self.idx.remaining_compute_ms -= work_ms;
 
         // Strict barrier: re-evaluate eligibility of downstream phases.
-        let mut newly_eligible = Vec::new();
+        let mut newly_eligible = InlineVec::new();
         for pi in 0..self.phases.len() {
             if self.phases[pi].eligible {
                 continue;
@@ -855,8 +978,8 @@ impl JobRun {
     pub fn fail_machine(&mut self, machine: MachineId) -> FailOutcome {
         let mut doomed = Vec::new();
         for (pi, p) in self.phases.iter().enumerate().filter(|(_, p)| p.eligible) {
-            for (ti, t) in p.tasks.iter().enumerate().filter(|(_, t)| t.running > 0) {
-                for (ci, c) in t.copies.iter().enumerate() {
+            for (ti, _) in p.tasks.iter().enumerate().filter(|(_, t)| t.running > 0) {
+                for (ci, c) in self.copies(TaskRef::new(pi, ti)).enumerate() {
                     if c.status == CopyStatus::Running && c.machine == machine {
                         doomed.push(CopyRef::new(pi, ti, ci));
                     }
@@ -898,13 +1021,16 @@ impl JobRun {
             if !self.phases[pi].eligible {
                 continue;
             }
-            for ti in 0..self.phases[pi].tasks.len() {
-                let t = &mut self.phases[pi].tasks[ti];
+            for (ti, t) in self.phases[pi].tasks.iter().enumerate() {
                 if t.finished_at.is_some() || t.running == 0 {
                     continue;
                 }
                 let solo = t.running == 1;
-                for (ci, c) in t.copies.iter_mut().enumerate() {
+                let (mut at, mut ci) = (t.first_copy, 0);
+                while at != NO_COPY {
+                    let c = &mut self.arena[at as usize];
+                    at = c.next;
+                    ci += 1;
                     if c.status != CopyStatus::Running || c.machine != machine {
                         continue;
                     }
@@ -916,7 +1042,7 @@ impl JobRun {
                     if solo {
                         solo_moves.push((old_finish, new_finish, TaskRef::new(pi, ti)));
                     }
-                    resched.push((CopyRef::new(pi, ti, ci), new_finish));
+                    resched.push((CopyRef::new(pi, ti, ci - 1), new_finish));
                 }
             }
         }
@@ -939,7 +1065,10 @@ impl JobRun {
         for (ti, t) in p.tasks.iter().enumerate() {
             debug_assert!(!t.is_launched() && !t.is_finished());
             self.idx.remaining_compute_ms += t.work.as_millis();
-            self.idx.tasks.set_pending(first + ti, &t.replicas, true);
+            let g = first + ti;
+            self.idx
+                .tasks
+                .set_pending(g, self.replica_sets.get(g), true);
         }
     }
 
@@ -975,11 +1104,10 @@ impl JobRun {
     }
 
     fn scan_occupied_slots(&self) -> usize {
-        self.phases
+        self.arena
             .iter()
-            .flat_map(|p| &p.tasks)
-            .map(|t| t.scan_running_copies())
-            .sum()
+            .filter(|c| c.status == CopyStatus::Running)
+            .count()
     }
 
     /// Running speculative copies across the job (the in-flight count of
@@ -993,10 +1121,8 @@ impl JobRun {
     }
 
     fn scan_running_speculative_copies(&self) -> usize {
-        self.phases
+        self.arena
             .iter()
-            .flat_map(|p| &p.tasks)
-            .flat_map(|t| &t.copies)
             .filter(|c| c.speculative && c.status == CopyStatus::Running)
             .count()
     }
@@ -1024,7 +1150,7 @@ impl JobRun {
             None => tasks
                 .pending()
                 .next()
-                .map(|t| (t, self.phases[t.phase].tasks[t.task].replicas.is_empty())),
+                .map(|t| (t, self.replicas(t).is_empty())),
         };
         debug_assert_eq!(picked, self.scan_next_task_for(machine));
         picked
@@ -1036,21 +1162,22 @@ impl JobRun {
             if !p.eligible || p.is_complete() {
                 continue;
             }
-            for (ti, t) in p.tasks.iter().enumerate() {
-                if !t.scan_needs_original() {
+            for ti in 0..p.tasks.len() {
+                let tr = TaskRef::new(pi, ti);
+                if !self.scan_needs_original(tr) {
                     continue;
                 }
-                let tr = TaskRef::new(pi, ti);
+                let replicas = self.replicas(tr);
                 match machine {
-                    Some(m) if !t.replicas.is_empty() => {
-                        if t.replicas.contains(&m) {
+                    Some(m) if !replicas.is_empty() => {
+                        if replicas.contains(&m) {
                             return Some((tr, true));
                         }
                         if fallback.is_none() {
                             fallback = Some(tr);
                         }
                     }
-                    _ => return Some((tr, t.replicas.is_empty())),
+                    _ => return Some((tr, replicas.is_empty())),
                 }
             }
         }
@@ -1066,12 +1193,13 @@ impl JobRun {
     }
 
     fn scan_has_local_task_for(&self, machine: MachineId) -> bool {
-        self.phases.iter().any(|p| {
+        self.phases.iter().enumerate().any(|(pi, p)| {
             p.eligible
                 && !p.is_complete()
-                && p.tasks
-                    .iter()
-                    .any(|t| t.scan_needs_original() && t.replicas.contains(&machine))
+                && (0..p.tasks.len()).any(|ti| {
+                    let tr = TaskRef::new(pi, ti);
+                    self.scan_needs_original(tr) && self.replicas(tr).contains(&machine)
+                })
         })
     }
 
@@ -1115,35 +1243,25 @@ impl JobRun {
     }
 
     /// Observations of all running copies, for speculation policies, in
-    /// `(phase, task, copy)` order, so each task's copies are adjacent
-    /// (split them with `chunk_by` on `copy.task`). Walks the running-task
-    /// bitset, not every task.
-    pub fn observe_running(&self, now: SimTime) -> Vec<CopyObservation> {
-        let mut out = Vec::new();
-        for tr in self.idx.tasks.running() {
-            let before = out.len();
-            let copies = self.phases[tr.phase].tasks[tr.task].copies.iter();
-            out.extend(
-                copies
-                    .enumerate()
-                    .filter(|(_, c)| c.status == CopyStatus::Running)
-                    .map(|(ci, c)| {
-                        let elapsed = now.saturating_sub(c.start);
-                        CopyObservation {
-                            copy: CopyRef::new(tr.phase, tr.task, ci),
-                            machine: c.machine,
-                            elapsed,
-                            est_remaining: c.duration.saturating_sub(elapsed),
-                            speculative: c.speculative,
-                        }
-                    }),
-            );
-            debug_assert!(
-                out.len() > before,
-                "running task {tr:?} has no running copy"
-            );
-        }
-        out
+    /// `(phase, task, copy)` order, so each task's copies are adjacent.
+    /// Walks the running-task bitset, not every task, and allocates
+    /// nothing: the observations are computed as the caller iterates.
+    pub fn observe_running(&self, now: SimTime) -> impl Iterator<Item = CopyObservation> + '_ {
+        self.idx.tasks.running().flat_map(move |tr| {
+            self.copies(tr)
+                .enumerate()
+                .filter(|(_, c)| c.status == CopyStatus::Running)
+                .map(move |(ci, c)| {
+                    let elapsed = now.saturating_sub(c.start);
+                    CopyObservation {
+                        copy: CopyRef::new(tr.phase, tr.task, ci),
+                        machine: c.machine,
+                        elapsed,
+                        est_remaining: c.duration.saturating_sub(elapsed),
+                        speculative: c.speculative,
+                    }
+                })
+        })
     }
 
     /// Mean completed-copy duration across eligible phases (the scheduler's
@@ -1151,10 +1269,10 @@ impl JobRun {
     /// nominal work when nothing has completed yet. Scripted tasks report
     /// their scripted speculative duration (the §3 example's known `t_new`).
     pub fn estimated_new_copy_duration(&self, task: TaskRef) -> SimTime {
-        let p = &self.phases[task.phase];
-        if let Some(s) = p.tasks[task.task].scripted {
+        if let Some(s) = self.scripted_task(task) {
             return s.speculative;
         }
+        let p = &self.phases[task.phase];
         p.mean_completed_duration()
             .unwrap_or_else(|| p.effective_work(task.task))
     }
@@ -1195,7 +1313,7 @@ impl JobRun {
         #[cfg(debug_assertions)]
         {
             let mut scan_best: Option<(SimTime, TaskRef)> = None;
-            let running = self.observe_running(now);
+            let running: Vec<CopyObservation> = self.observe_running(now).collect();
             for obs in running.chunk_by(|a, b| a.copy.task == b.copy.task) {
                 let task = obs[0].copy.task;
                 if obs.len() >= MAX_RUNNING_COPIES {
@@ -1292,17 +1410,16 @@ impl JobRun {
     }
 }
 
-/// Sample `dfs_replicas` distinct machines.
-fn sample_replicas(cfg: &ClusterConfig, rng: &mut StdRng) -> Vec<MachineId> {
+/// Sample `dfs_replicas` distinct machines onto the end of `machines`.
+fn sample_replicas(cfg: &ClusterConfig, rng: &mut StdRng, machines: &mut Vec<MachineId>) {
     let k = cfg.dfs_replicas.min(cfg.machines);
-    let mut picked: Vec<MachineId> = Vec::with_capacity(k);
-    while picked.len() < k {
+    let base = machines.len();
+    while machines.len() - base < k {
         let m = MachineId(rng.gen_range(0..cfg.machines));
-        if !picked.contains(&m) {
-            picked.push(m);
+        if !machines[base..].contains(&m) {
+            machines.push(m);
         }
     }
-    picked
 }
 
 #[cfg(test)]
@@ -1322,12 +1439,9 @@ mod tests {
     /// Unlaunched original tasks in eligible phases, by scan, checked
     /// against the pending index.
     fn pending_originals(j: &JobRun) -> usize {
-        let scanned = j
-            .phases
-            .iter()
-            .filter(|p| p.eligible)
-            .flat_map(|p| &p.tasks)
-            .filter(|t| t.scan_needs_original())
+        let scanned = all_tasks(j)
+            .into_iter()
+            .filter(|t| j.phases[t.phase].eligible && j.scan_needs_original(*t))
             .count();
         assert_eq!(j.pending_count(), scanned);
         scanned
@@ -1358,14 +1472,16 @@ mod tests {
     #[test]
     fn replicas_assigned_to_input_phase_only() {
         let j = two_phase_job();
-        for t in &j.phases[0].tasks {
-            assert_eq!(t.replicas.len(), 3);
-            let mut sorted = t.replicas.clone();
+        for ti in 0..j.phases[0].num_tasks() {
+            let replicas = j.replicas(TaskRef::new(0, ti));
+            assert_eq!(replicas.len(), 3);
+            let mut sorted = replicas.to_vec();
+            sorted.sort();
             sorted.dedup();
             assert_eq!(sorted.len(), 3, "replicas must be distinct");
         }
-        for t in &j.phases[1].tasks {
-            assert!(t.replicas.is_empty());
+        for ti in 0..j.phases[1].num_tasks() {
+            assert!(j.replicas(TaskRef::new(1, ti)).is_empty());
         }
     }
 
@@ -1397,7 +1513,7 @@ mod tests {
             if i < 3 {
                 assert!(out.newly_eligible.is_empty());
             } else {
-                assert_eq!(out.newly_eligible, vec![1]);
+                assert_eq!(out.newly_eligible[..], [1]);
                 assert!(out.phase_done);
                 eligible_seen = true;
             }
@@ -1427,12 +1543,12 @@ mod tests {
         // Point task 0's replicas at a known machine and verify every
         // locality query agrees — the mutator must rebuild the
         // pending/locality indices, not just the raw field.
-        j.set_replicas(t0, vec![MachineId(7)]);
+        j.set_replicas(t0, &[MachineId(7)]);
         assert!(j.has_local_task_for(MachineId(7)));
         assert_eq!(j.first_local_pending(MachineId(7)), Some(t0));
-        assert_eq!(j.phases()[0].tasks[0].replicas, vec![MachineId(7)]);
+        assert_eq!(j.replicas(t0), [MachineId(7)]);
         // Strip the replicas: the task must move to the no-replica set.
-        j.set_replicas(t0, Vec::new());
+        j.set_replicas(t0, &[]);
         assert_eq!(j.first_local_pending(MachineId(7)), None);
         assert!(j.pending_no_replica_tasks().any(|t| t == t0));
         // The external read surface is the accessor; the oracle re-scan
@@ -1445,11 +1561,11 @@ mod tests {
         let mut j = simple_job(2, 1000);
         j.script_single_phase(&[(123, 45), (678, 90)]);
         assert_eq!(
-            j.phases()[0].tasks[0].scripted.unwrap().original,
+            j.scripted_task(TaskRef::new(0, 0)).unwrap().original,
             SimTime::from_millis(123)
         );
         assert_eq!(
-            j.phases()[0].tasks[1].scripted.unwrap().speculative,
+            j.scripted_task(TaskRef::new(0, 1)).unwrap().speculative,
             SimTime::from_millis(90)
         );
         // Scripts are index-neutral: pending counts unchanged.
@@ -1547,7 +1663,7 @@ mod tests {
             SimTime::ZERO,
             &mut rng,
         );
-        let copies = j.observe_running(SimTime::from_millis(2_500));
+        let copies: Vec<_> = j.observe_running(SimTime::from_millis(2_500)).collect();
         assert_eq!(copies.len(), 1);
         assert_eq!(copies[0].copy, CopyRef::new(0, 0, 0));
         assert_eq!(copies[0].est_remaining, SimTime::from_millis(7_500));
@@ -1558,14 +1674,10 @@ mod tests {
     fn next_task_prefers_local() {
         let mut j = simple_job(5, 1000);
         // Make task 3 local to machine 9, others not.
-        for (i, t) in j.phases[0].tasks.iter_mut().enumerate() {
-            t.replicas = if i == 3 {
-                vec![MachineId(9)]
-            } else {
-                vec![MachineId(0)]
-            };
+        for i in 0..5 {
+            let m = if i == 3 { 9 } else { 0 };
+            j.set_replicas(TaskRef::new(0, i), &[MachineId(m)]);
         }
-        j.rebuild_index();
         let (tr, local) = j.next_task_for(Some(MachineId(9))).unwrap();
         assert_eq!(tr, TaskRef::new(0, 3));
         assert!(local);
@@ -1580,10 +1692,9 @@ mod tests {
     #[test]
     fn locality_counters() {
         let mut j = simple_job(2, 1000);
-        for t in j.phases[0].tasks.iter_mut() {
-            t.replicas = vec![MachineId(1)];
+        for i in 0..2 {
+            j.set_replicas(TaskRef::new(0, i), &[MachineId(1)]);
         }
-        j.rebuild_index();
         let mut rng = rng_from_seed(2);
         j.launch_copy(
             TaskRef::new(0, 0),
@@ -1775,7 +1886,7 @@ mod tests {
             requeued: vec![t1],
         };
         assert_eq!(out, expected);
-        let survivor = j.phases()[0].tasks[0].copies[1].finish_time();
+        let survivor = j.copy(CopyRef::new(0, 0, 1)).finish_time();
         let solo: Vec<_> = j.idx.solo_running.iter().copied().collect();
         assert_eq!(solo, vec![(survivor, t0)]);
         assert_eq!(j.pending_tasks().collect::<Vec<_>>(), vec![t1]);
@@ -1800,7 +1911,7 @@ mod tests {
         let resched = j.rescale_machine(MachineId(0), now, 2.0);
         assert_eq!(resched.len(), 1);
         assert_eq!(resched[0].1, SimTime::from_millis(16_000));
-        let cp = &j.phases()[0].tasks[0].copies[0];
+        let cp = j.copy(CopyRef::new(0, 0, 0));
         assert_eq!(cp.finish_time(), SimTime::from_millis(16_000));
         // Speed restored at t = 10 s: 6 s remaining → 3 s.
         let back = j.rescale_machine(MachineId(0), SimTime::from_millis(10_000), 0.5);
@@ -1930,7 +2041,7 @@ mod tests {
             .collect();
         for tr in all_tasks(&j) {
             if rng.gen_bool(0.3) {
-                j.set_replicas(tr, pool[rng.gen_range(0..pool.len())].clone());
+                j.set_replicas(tr, &pool[rng.gen_range(0..pool.len())]);
             }
         }
         j
@@ -1946,7 +2057,7 @@ mod tests {
     fn running_copies(j: &JobRun) -> Vec<CopyRef> {
         let mut out = Vec::new();
         for tr in all_tasks(j) {
-            for (ci, c) in j.phases[tr.phase].tasks[tr.task].copies.iter().enumerate() {
+            for (ci, c) in j.copies(tr).enumerate() {
                 if c.status == CopyStatus::Running {
                     out.push(CopyRef::new(tr.phase, tr.task, ci));
                 }
@@ -1963,9 +2074,9 @@ mod tests {
         let pending: Vec<TaskRef> = all_tasks(j)
             .into_iter()
             .filter(|t| j.phases[t.phase].eligible)
-            .filter(|t| j.phases[t.phase].tasks[t.task].scan_needs_original())
+            .filter(|t| j.scan_needs_original(*t))
             .collect();
-        let replicas = |t: &TaskRef| &j.phases[t.phase].tasks[t.task].replicas;
+        let replicas = |t: &TaskRef| j.replicas(*t);
         assert_eq!(j.pending_tasks().collect::<Vec<_>>(), pending);
         assert_eq!(j.pending_count(), pending.len());
         let no_replica: Vec<TaskRef> = pending
@@ -1997,7 +2108,7 @@ mod tests {
             assert_eq!(j.has_local_task_for(m), j.scan_has_local_task_for(m));
             assert_eq!(j.next_task_for(Some(m)), j.scan_next_task_for(Some(m)));
         }
-        let observed: Vec<CopyRef> = j.observe_running(now).iter().map(|o| o.copy).collect();
+        let observed: Vec<CopyRef> = j.observe_running(now).map(|o| o.copy).collect();
         assert_eq!(observed, running_copies(j));
         assert_eq!(
             j.running_speculative_copies(),
@@ -2045,12 +2156,10 @@ mod tests {
                     if !tasks.is_empty() {
                         let t = tasks[rng.gen_range(0..tasks.len())];
                         let k = rng.gen_range(0..=3usize);
-                        j.set_replicas(
-                            t,
-                            (0..k)
-                                .map(|_| MachineId(rng.gen_range(0..machines)))
-                                .collect(),
-                        );
+                        let replicas: Vec<MachineId> = (0..k)
+                            .map(|_| MachineId(rng.gen_range(0..machines)))
+                            .collect();
+                        j.set_replicas(t, &replicas);
                     }
                 }
                 9 => {

@@ -11,6 +11,7 @@
 pub mod dynamics;
 mod flat;
 pub mod ids;
+mod inline;
 pub mod job;
 pub mod machine;
 pub mod slab;
@@ -20,6 +21,7 @@ pub use dynamics::{
     HeteroProfile, MachineDynamics,
 };
 pub use ids::{CopyRef, MachineId, TaskRef};
+pub use inline::InlineVec;
 pub use job::{
     duration_at_speed, rescaled_finish, Copy, CopyLoss, CopyObservation, CopyStatus, FailOutcome,
     FinishOutcome, JobRun, PhaseRun, TaskRun, MAX_RUNNING_COPIES,

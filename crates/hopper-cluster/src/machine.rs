@@ -15,6 +15,7 @@
 //! so the job's next speculative copy starts immediately.
 
 use crate::ids::MachineId;
+use crate::inline::InlineVec;
 
 /// Static cluster and execution-model parameters.
 #[derive(Debug, Clone)]
@@ -104,9 +105,13 @@ impl MachineSet {
         self.words[m / 64] |= 1 << (m % 64);
     }
 
+    /// Remove `m`; a no-op beyond the set's words (a freed per-job warm
+    /// set has none).
     #[inline]
     fn remove(&mut self, m: usize) {
-        self.words[m / 64] &= !(1 << (m % 64));
+        if let Some(w) = self.words.get_mut(m / 64) {
+            *w &= !(1 << (m % 64));
+        }
     }
 
     /// Smallest member, if any.
@@ -189,16 +194,21 @@ impl Iterator for MachineSetIter<'_> {
     }
 }
 
+/// Distinct warm jobs a machine keeps inline before its counts spill to
+/// the heap. A machine has at most one warm job per free slot, so on the
+/// benchmark clusters (4 slots per machine) the counts never spill.
+const WARM_INLINE: usize = 4;
+
 /// One machine's warm-slot counts: `(job, count)` ascending by job id.
 /// A machine has at most `slots_per_machine` warm entries (each counts a
-/// *free* slot), so linear probes over an inline vector beat the
-/// `BTreeMap` this replaces — the bind/steal hot path was dominated by
-/// tree-node allocator traffic. The smallest-id reads (`first_job`,
-/// `first_other`) that the deterministic victim picks rely on are the
-/// leading elements of the sorted vector.
+/// *free* slot), so linear probes over a short inline vector beat the
+/// `BTreeMap` this replaced, and keeping the entries inline makes a copy
+/// of a machine's counts (the repaint's mixed runs) allocation-free. The
+/// smallest-id reads (`first_job`, `first_other`) that the deterministic
+/// victim picks rely on are the leading elements of the sorted entries.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct WarmCounts {
-    e: Vec<(usize, usize)>,
+    e: InlineVec<(usize, usize), WARM_INLINE>,
 }
 
 impl WarmCounts {
@@ -235,19 +245,13 @@ impl WarmCounts {
     /// Add `k` warm slots for `job`; returns whether the job was absent
     /// before (0 → k transition).
     fn inc_by(&mut self, job: usize, k: usize) -> bool {
-        match self.e.iter().position(|&(j, _)| j >= job) {
-            Some(i) if self.e[i].0 == job => {
-                self.e[i].1 += k;
-                false
-            }
-            Some(i) => {
-                self.e.insert(i, (job, k));
-                true
-            }
-            None => {
-                self.e.push((job, k));
-                true
-            }
+        let i = self.e.partition_point(|&(j, _)| j < job);
+        if self.e.get(i).is_some_and(|&(j, _)| j == job) {
+            self.e[i].1 += k;
+            false
+        } else {
+            self.e.insert(i, (job, k));
+            true
         }
     }
 
@@ -267,14 +271,9 @@ impl WarmCounts {
         c
     }
 
-    /// Entries in ascending job order (debug-oracle reconciliation).
-    #[cfg(debug_assertions)]
+    /// Entries in ascending job order.
     fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.e.iter().copied()
-    }
-
-    fn take(&mut self) -> Vec<(usize, usize)> {
-        std::mem::take(&mut self.e)
     }
 }
 
@@ -355,10 +354,16 @@ pub struct Machines {
     /// A bitset instead of a sorted vector because the steal churn of
     /// `bind_idle` flips one machine in and one out per transfer — O(1)
     /// word ops, where the vector paid a binary search plus a memmove.
+    /// A retired job's set is freed (zero words) as soon as it holds no
+    /// warm slot, so the sets' storage follows the live and still-warm
+    /// jobs, not every job ever seen; a live job keeps its words while
+    /// its warmth comes and goes.
     warm_machines: Vec<MachineSet>,
     /// job → total free slots bound to it (dense by job id, grown on
     /// demand; 0 = no warmth).
     warm_totals: Vec<usize>,
+    /// job → whether the driver retired it ([`Machines::retire_job`]).
+    retired: Vec<bool>,
     /// Total bound (warm) slots across the cluster (Σ warm_totals).
     total_bound: usize,
     /// Machines currently failed (dynamics plane). A down machine has no
@@ -394,6 +399,7 @@ impl PartialEq for Machines {
                 self.warm_totals.get(j).unwrap_or(&0) == o.warm_totals.get(j).unwrap_or(&0)
                     && self.warm_machines.get(j).unwrap_or(&empty)
                         == o.warm_machines.get(j).unwrap_or(&empty)
+                    && self.retired.get(j).unwrap_or(&false) == o.retired.get(j).unwrap_or(&false)
             })
     }
 }
@@ -418,6 +424,7 @@ impl Machines {
             multi_set: MachineSet::empty(cfg.machines),
             warm_machines: Vec::new(),
             warm_totals: Vec::new(),
+            retired: Vec::new(),
             total_bound: 0,
             down: vec![false; cfg.machines],
             runs: Vec::new(),
@@ -431,6 +438,27 @@ impl Machines {
         if self.warm_totals.len() <= job {
             self.warm_totals.resize(job + 1, 0);
             self.warm_machines.resize(job + 1, MachineSet::default());
+            self.retired.resize(job + 1, false);
+        }
+    }
+
+    /// The driver is done with `job` (it completed): from now on its
+    /// warm-set storage is freed whenever it holds no warm slot. Its
+    /// remaining warm slots stay bound until other jobs take them.
+    pub fn retire_job(&mut self, job: usize) {
+        self.ensure_job(job);
+        self.retired[job] = true;
+        self.release_if_cold(job);
+        #[cfg(debug_assertions)]
+        self.debug_check_index();
+    }
+
+    /// Free `job`'s warm-set storage if it is retired and holds no warm
+    /// slot. Called wherever a job's warm total can reach zero.
+    #[inline]
+    fn release_if_cold(&mut self, job: usize) {
+        if self.warm_totals[job] == 0 && self.retired[job] {
+            self.warm_machines[job] = MachineSet::default();
         }
     }
 
@@ -448,10 +476,11 @@ impl Machines {
         self.free_set.remove(m);
         self.unbound[m] = 0;
         self.unbound_set.remove(m);
-        for (job, c) in self.bound[m].take() {
+        for (job, c) in std::mem::take(&mut self.bound[m]).iter() {
             self.total_bound -= c;
             self.warm_totals[job] -= c;
             self.warm_machines[job].remove(m);
+            self.release_if_cold(job);
         }
         self.bound_set.remove(m);
         self.multi_set.remove(m);
@@ -555,6 +584,7 @@ impl Machines {
         }
         self.warm_totals[job] -= k;
         self.total_bound -= k;
+        self.release_if_cold(job);
     }
 
     /// Move `k` warm slots on `m` from job `from` to job `to` in one index
@@ -578,6 +608,7 @@ impl Machines {
         }
         self.warm_totals[from] -= k;
         self.warm_totals[to] += k;
+        self.release_if_cold(from);
     }
 
     /// Debug-build oracle: every index must match the per-machine arrays.
@@ -646,6 +677,13 @@ impl Machines {
             "total_bound drifted"
         );
         assert_eq!(warm_totals, self.warm_totals, "warm_totals drifted");
+        let sets = self.warm_machines.iter().zip(&self.retired);
+        for (j, (set, &retired)) in sets.enumerate() {
+            assert!(
+                !(retired && warm_totals[j] == 0 && set.words.capacity() > 0),
+                "retired job {j} holds no warm slot but still owns warm-set storage"
+            );
+        }
         for m in 0..self.free.len() {
             let bound_sum: usize = self.bound[m].iter().map(|(_, c)| c).sum();
             assert_eq!(
@@ -973,23 +1011,32 @@ impl Machines {
 
     /// Set machine `m`'s warm counts to `new` (same free total) and bring
     /// `warm_machines` and `multi_set` along; `warm_totals` is the
-    /// caller's to keep. A no-op when the composition did not change.
+    /// caller's to keep, and already final, so a retired job that lost
+    /// its last warm slot here has its set freed (its bits on machines
+    /// rewritten later are gone with it). A no-op when the composition
+    /// did not change.
     fn rewrite_warmth(&mut self, m: usize, new: &[(usize, usize)]) {
-        if self.bound[m].e == new {
+        if *self.bound[m].e == *new {
             return;
         }
-        for &(j, _) in &self.bound[m].e {
+        let old = std::mem::take(&mut self.bound[m]);
+        for (j, _) in old.iter() {
             if !new.iter().any(|&(k, _)| k == j) {
                 self.warm_machines[j].remove(m);
+                self.release_if_cold(j);
             }
         }
         for &(j, _) in new {
-            if !self.bound[m].contains(j) {
+            if !old.contains(j) {
                 self.warm_machines[j].insert_grow(m);
             }
         }
-        self.bound[m].e.clear();
-        self.bound[m].e.extend_from_slice(new);
+        let mut e = old.e;
+        e.clear();
+        for &x in new {
+            e.push(x);
+        }
+        self.bound[m].e = e;
         self.refresh_multi(m);
     }
 
@@ -1080,6 +1127,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn small() -> (ClusterConfig, Machines) {
         let cfg = ClusterConfig {
@@ -1333,6 +1381,105 @@ mod tests {
         for seed in 0..200 {
             differential(seed, 2000, 4, 400, 250);
         }
+    }
+
+    /// Jobs owning warm-set storage, and the words they own.
+    fn warm_set_storage(ms: &Machines) -> (usize, usize) {
+        let owning = ms.warm_machines.iter().filter(|s| s.words.capacity() > 0);
+        (
+            owning.clone().count(),
+            owning.map(|s| s.words.capacity()).sum(),
+        )
+    }
+
+    /// A stream of thousands of short-lived jobs: each occupies and
+    /// releases slots (leaving them warm), pre-warms through `bind_idle`
+    /// and `bind_holds` (whose repaint steals retired jobs' warmth), rides
+    /// out machine failures, and retires a few jobs later. The warm sets
+    /// that keep storage must be those of live or still-warm jobs, never
+    /// one per job seen.
+    #[test]
+    fn retired_jobs_release_their_warm_sets() {
+        const JOBS: usize = 3000;
+        const LIVE: usize = 16;
+        let cfg = ClusterConfig {
+            machines: 300,
+            slots_per_machine: 2,
+            ..Default::default()
+        };
+        let mut ms = Machines::new(&cfg);
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut running: Vec<(MachineId, usize)> = Vec::new();
+        let mut peak_owning = 0;
+        for j in 0..JOBS {
+            for _ in 0..rng.gen_range(1..=6usize) {
+                if let Some(m) = ms.preferred_free_machine(j, &[]) {
+                    ms.occupy_for(m, j);
+                    running.push((m, j));
+                }
+            }
+            // Finish a random half of the running copies, each leaving its
+            // slot warm for its job.
+            for _ in 0..running.len() / 2 {
+                let (m, job) = running.swap_remove(rng.gen_range(0..running.len()));
+                if !ms.down[m.0] {
+                    ms.release_to(m, job);
+                }
+            }
+            let live: Vec<usize> = (j.saturating_sub(LIVE - 1)..=j).collect();
+            if rng.gen_bool(0.5) {
+                ms.bind_idle(j, rng.gen_range(1..8usize));
+            } else {
+                let rows: Vec<(usize, usize)> = live
+                    .iter()
+                    .map(|&k| (k, ms.warm_total(k) + rng.gen_range(0..4usize)))
+                    .collect();
+                ms.bind_holds(&rows);
+            }
+            if rng.gen_bool(0.05) {
+                let m = MachineId(rng.gen_range(0..cfg.machines));
+                if ms.down[m.0] {
+                    ms.set_up(m);
+                } else {
+                    ms.set_down(m);
+                    running.retain(|&(r, _)| r != m);
+                }
+            }
+            // A job retires once it leaves the live window and has no
+            // running copy.
+            if let Some(old) = j.checked_sub(LIVE) {
+                if running.iter().all(|&(_, k)| k != old) {
+                    ms.retire_job(old);
+                }
+            }
+            let warm_jobs: HashSet<usize> = ms
+                .bound
+                .iter()
+                .flat_map(|b| b.iter().map(|(k, _)| k))
+                .collect();
+            for (k, set) in ms.warm_machines.iter().enumerate() {
+                if ms.retired[k] && !warm_jobs.contains(&k) {
+                    assert_eq!(set.words.capacity(), 0, "job {k} retired and cold");
+                }
+            }
+            let (owning, _) = warm_set_storage(&ms);
+            let unretired = ms.retired.iter().filter(|&&r| !r).count();
+            assert!(owning <= unretired + warm_jobs.len(), "job {j}");
+            peak_owning = peak_owning.max(owning);
+        }
+        // Still-warm jobs are bounded by the free slots, live ones by the
+        // window plus the few retirements held back by running copies.
+        let (_, words) = warm_set_storage(&ms);
+        let bound = LIVE + cfg.total_slots() / 2;
+        assert!(peak_owning < bound, "{peak_owning} sets kept at peak");
+        assert!(
+            words <= bound * cfg.machines.div_ceil(64),
+            "{words} words kept"
+        );
+        assert!(
+            peak_owning * 5 < JOBS,
+            "storage follows live work, not jobs seen"
+        );
     }
 
     #[test]

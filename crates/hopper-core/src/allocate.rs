@@ -185,7 +185,17 @@ pub fn allocate(demands: &[JobDemand], capacity: usize, cfg: &AllocConfig) -> Ve
         }
         Regime::Proportional => {
             let headroom: Vec<usize> = (0..n).map(|i| cap[i].saturating_sub(floors[i])).collect();
-            fill_proportional(&v, &headroom, spare, total_virtual)
+            let mut extra = Vec::new();
+            let mut scratch = FillScratch::default();
+            fill_proportional(
+                &v,
+                &headroom,
+                spare,
+                total_virtual,
+                &mut scratch,
+                &mut extra,
+            );
+            extra
         }
     };
 
@@ -296,22 +306,41 @@ pub(crate) fn fill_srpt_ordered(
     extra
 }
 
+/// The working buffers of [`fill_proportional`], kept by a caller that
+/// fills every allocation round so the rounds allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FillScratch {
+    active: Vec<usize>,
+    fracs: Vec<(f64, usize)>,
+    round_grant: Vec<usize>,
+}
+
 /// Guideline 3: split spare slots proportionally to virtual sizes, capped
 /// at the useful headroom, redistributing overflow until fixed point.
-/// `v` and `headroom` are parallel arrays in the caller's input order.
+/// `v` and `headroom` are parallel arrays in the caller's input order;
+/// `extra` receives the grants, parallel to them.
 pub(crate) fn fill_proportional(
     v: &[f64],
     headroom: &[usize],
     spare: usize,
     total_virtual: f64,
-) -> Vec<usize> {
+    scratch: &mut FillScratch,
+    extra: &mut Vec<usize>,
+) {
     let n = v.len();
-    let mut extra = vec![0usize; n];
+    extra.clear();
+    extra.resize(n, 0);
     if total_virtual <= 0.0 || spare == 0 {
-        return extra;
+        return;
     }
     let mut remaining = spare;
-    let mut active: Vec<usize> = (0..n).filter(|&i| headroom[i] > 0).collect();
+    let FillScratch {
+        active,
+        fracs,
+        round_grant,
+    } = scratch;
+    active.clear();
+    active.extend((0..n).filter(|&i| headroom[i] > 0));
     // Iteratively hand out proportional shares; jobs hitting their cap drop
     // out and their share is re-split. Terminates: each round either
     // assigns everything or removes ≥1 job.
@@ -322,9 +351,10 @@ pub(crate) fn fill_proportional(
         }
         // Real-valued proportional targets for this round.
         let mut granted_this_round = 0usize;
-        let mut fracs: Vec<(f64, usize)> = Vec::with_capacity(active.len());
-        let mut round_grant = vec![0usize; n];
-        for &i in &active {
+        fracs.clear();
+        round_grant.clear();
+        round_grant.resize(n, 0);
+        for &i in active.iter() {
             let share = remaining as f64 * v[i] / v_active;
             let whole = share.floor() as usize;
             let capped = whole.min(headroom[i] - extra[i]);
@@ -335,10 +365,11 @@ pub(crate) fn fill_proportional(
             }
         }
         // Largest-remainder distribution of the leftover integer slots
-        // (descending fraction, ascending input index on exact ties).
+        // (descending fraction, ascending input index on exact ties: a
+        // total order, so an unstable sort gives the one order).
         let mut leftover = remaining - granted_this_round;
-        fracs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for &(_, i) in &fracs {
+        fracs.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for &(_, i) in fracs.iter() {
             if leftover == 0 {
                 break;
             }
@@ -358,7 +389,6 @@ pub(crate) fn fill_proportional(
             break; // nothing assignable (all capped)
         }
     }
-    extra
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@
 
 use crate::allocate::{
     apply_floor_trim, cmp_priority, fair_share_floor, fill_proportional, useful_cap, AllocConfig,
-    Regime,
+    FillScratch, Regime,
 };
 use crate::threshold::{level_interval, Interval};
 use crate::vsize::{ceil_usize, speculation_multiplier};
@@ -221,6 +221,12 @@ pub struct IncrementalAlloc {
     /// left, and order positions re-evaluated outside a structural refresh.
     stale: Vec<usize>,
     changed: Vec<usize>,
+    /// Scratch of the proportional fill: its inputs and grants in `ids`
+    /// order, and [`fill_proportional`]'s own buffers.
+    fill_v: Vec<f64>,
+    fill_headroom: Vec<usize>,
+    fill_extra: Vec<usize>,
+    fill_scratch: FillScratch,
 }
 
 impl IncrementalAlloc {
@@ -257,6 +263,10 @@ impl IncrementalAlloc {
             resync: true,
             stale: Vec::new(),
             changed: Vec::new(),
+            fill_v: Vec::new(),
+            fill_headroom: Vec::new(),
+            fill_extra: Vec::new(),
+            fill_scratch: FillScratch::default(),
         }
     }
 
@@ -754,8 +764,10 @@ impl IncrementalAlloc {
                     self.mark_dirty(s);
                 }
                 self.stale.clear();
+                // Unique keys make the order total: an unstable sort
+                // gives the one sorted order, without a merge buffer.
                 self.order
-                    .sort_by(|a, b| cmp_priority((a.key, a.job), (b.key, b.job)));
+                    .sort_unstable_by(|a, b| cmp_priority((a.key, a.job), (b.key, b.job)));
                 self.fill_valid = false;
                 self.request_resync();
             }
@@ -864,20 +876,25 @@ impl IncrementalAlloc {
                 }
             }
             Regime::Proportional => {
-                let v: Vec<f64> = self.ids.iter().map(|r| r.v).collect();
-                let headroom: Vec<usize> = self
-                    .ids
-                    .iter()
-                    .map(|r| {
-                        let e = &self.slab[r.slot as usize];
-                        e.cap.saturating_sub(e.floor)
-                    })
-                    .collect();
-                let extra = fill_proportional(&v, &headroom, spare, total_virtual);
-                for (i, add) in extra.into_iter().enumerate() {
+                self.fill_v.clear();
+                self.fill_v.extend(self.ids.iter().map(|r| r.v));
+                self.fill_headroom.clear();
+                self.fill_headroom.extend(self.ids.iter().map(|r| {
+                    let e = &self.slab[r.slot as usize];
+                    e.cap.saturating_sub(e.floor)
+                }));
+                fill_proportional(
+                    &self.fill_v,
+                    &self.fill_headroom,
+                    spare,
+                    total_virtual,
+                    &mut self.fill_scratch,
+                    &mut self.fill_extra,
+                );
+                for i in 0..self.ids.len() {
                     let r = self.ids[i];
                     let s = r.slot as usize;
-                    self.grant(s, r.job, self.slab[s].floor + add);
+                    self.grant(s, r.job, self.slab[s].floor + self.fill_extra[i]);
                 }
                 // A proportional fill has no exhaustion point.
                 self.fill_valid = false;

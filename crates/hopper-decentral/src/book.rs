@@ -32,7 +32,7 @@ use std::collections::{HashSet, VecDeque};
 
 use crate::driver::DecPolicy;
 use hopper_cluster::{
-    CopyRef, CopyStatus, JobRun, JobSlab, MachineId, TaskRef, MAX_RUNNING_COPIES,
+    CopyRef, CopyStatus, InlineVec, JobRun, JobSlab, MachineId, TaskRef, MAX_RUNNING_COPIES,
 };
 use hopper_core::protocol::{
     pick_fcfs, pick_srpt, scheduler_accepts, BackoffPolicy, FreeSlotEpisode, PickScratch,
@@ -41,7 +41,7 @@ use hopper_core::protocol::{
 use hopper_core::{virtual_size, BetaEstimator};
 use hopper_metrics::JobResult;
 use hopper_sim::SimTime;
-use hopper_spec::{Candidate, Speculator};
+use hopper_spec::{Candidate, ScanScratch, Speculator};
 use rand::Rng;
 
 /// Owning scheduler of job `j` among `k` schedulers, and the job's
@@ -351,12 +351,12 @@ impl Worker {
 pub(crate) struct Finished {
     /// The winner's running siblings, which lost the race, and their
     /// machines (the kill targets).
-    pub losers: Vec<(CopyRef, MachineId)>,
+    pub losers: InlineVec<(CopyRef, MachineId), 4>,
     /// Whether the winner was a speculative copy.
     pub spec_won: bool,
     /// Probe count for each phase the completion made eligible, in
     /// phase order (their originals are already counted pending).
-    pub phase_probes: Vec<usize>,
+    pub phase_probes: InlineVec<usize, 2>,
     /// Whether the whole job completed (the caller retires it).
     pub job_done: bool,
 }
@@ -389,6 +389,8 @@ pub(crate) struct SchedBook {
     live_res: Vec<usize>,
     /// Speculation candidates, consumed front-first.
     candidates: Vec<VecDeque<Candidate>>,
+    /// The speculator's scan buffer, reused by every job's scan.
+    scan_scratch: ScanScratch,
     /// Watchdog progress clock: bumped on every launch and finish.
     pub wd_progress: Vec<u64>,
     wd_seen: Vec<u64>,
@@ -425,6 +427,7 @@ impl SchedBook {
             claimed: vec![HashSet::new(); n],
             live_res: vec![0; n],
             candidates: vec![VecDeque::new(); n],
+            scan_scratch: ScanScratch::default(),
             wd_progress: vec![0; n],
             wd_seen: vec![0; n],
             wd_attempt: vec![0; n],
@@ -510,8 +513,8 @@ impl SchedBook {
         let job = &self.jobs[lj];
         let probes = probe_count(job.spec.size_tasks().max(1), self.probe_ratio);
         let mut targets: Vec<usize> = Vec::with_capacity(probes);
-        for t in &job.phases()[0].tasks {
-            for r in &t.replicas {
+        for ti in 0..job.phases()[0].num_tasks() {
+            for r in job.replicas(TaskRef::new(0, ti)) {
                 if targets.len() < probes {
                     targets.push(r.0);
                 }
@@ -656,7 +659,8 @@ impl SchedBook {
                 if !t.needs_original() || self.claimed[lj].contains(&tr) {
                     continue;
                 }
-                if t.replicas.is_empty() || t.replicas.contains(&m) {
+                let replicas = self.jobs[lj].replicas(tr);
+                if replicas.is_empty() || replicas.contains(&m) {
                     return Some(tr);
                 }
                 if fallback.is_none() {
@@ -764,25 +768,20 @@ impl SchedBook {
     ) -> Option<Finished> {
         let job = &mut self.jobs[lj];
         // Collect running siblings *before* resolving the race.
-        let losers = job.phases()[copy.task.phase].tasks[copy.task.task]
-            .copies
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| *i != copy.copy && c.status == CopyStatus::Running)
-            .map(|(i, c)| (CopyRef::new(copy.task.phase, copy.task.task, i), c.machine))
-            .collect();
+        let mut losers = InlineVec::new();
+        for (i, c) in job.copies(copy.task).enumerate() {
+            if i != copy.copy && c.status == CopyStatus::Running {
+                losers.push((CopyRef::new(copy.task.phase, copy.task.task, i), c.machine));
+            }
+        }
         let out = job.finish_copy(copy, now)?;
-        let spec_won =
-            job.phases()[copy.task.phase].tasks[copy.task.task].copies[copy.copy].speculative;
-        let phase_probes = out
-            .newly_eligible
-            .iter()
-            .map(|&pi| {
-                let tasks = job.phases()[pi].num_tasks();
-                self.pending_orig[lj] += tasks;
-                probe_count(tasks, self.probe_ratio)
-            })
-            .collect();
+        let spec_won = job.copy(copy).speculative;
+        let mut phase_probes = InlineVec::new();
+        for &pi in &out.newly_eligible {
+            let tasks = job.phases()[pi].num_tasks();
+            self.pending_orig[lj] += tasks;
+            phase_probes.push(probe_count(tasks, self.probe_ratio));
+        }
         self.wd_progress[lj] += 1;
         self.vacate(lj, 1);
         if out.nominal.as_millis() > 0 && self.up {
@@ -820,7 +819,12 @@ impl SchedBook {
     /// a job with running copies. A crashed scheduler scans nothing.
     pub fn refresh_candidates(&mut self, lj: usize, speculator: &Speculator, now: SimTime) {
         if self.up && self.jobs[lj].occupied_slots() > 0 {
-            self.candidates[lj] = speculator.candidates(&self.jobs[lj], now).into();
+            speculator.candidates_into(
+                &self.jobs[lj],
+                now,
+                &mut self.scan_scratch,
+                &mut self.candidates[lj],
+            );
         }
     }
 
@@ -1026,9 +1030,9 @@ mod tests {
     fn pick_order_is_original_then_candidate_then_extra_copy() {
         let mut b = book(&[3]);
         let t = |i| TaskRef::new(0, i);
-        b.jobs[0].set_replicas(t(0), vec![MachineId(5)]);
-        b.jobs[0].set_replicas(t(1), vec![MachineId(7)]);
-        b.jobs[0].set_replicas(t(2), vec![MachineId(5)]);
+        b.jobs[0].set_replicas(t(0), &[MachineId(5)]);
+        b.jobs[0].set_replicas(t(1), &[MachineId(7)]);
+        b.jobs[0].set_replicas(t(2), &[MachineId(5)]);
         let now = SimTime::from_millis(1_000);
         // Originals first, local to the offering worker preferred; a
         // claimed original is never handed out twice.

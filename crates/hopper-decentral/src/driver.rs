@@ -1283,8 +1283,7 @@ impl<'a> Decentral<'a> {
         // completion event pops at a time that no longer matches the
         // copy's finish instant. A no-op without dynamics.
         {
-            let c = &self.books[s].jobs[lj].phases()[copy.task.phase].tasks[copy.task.task].copies
-                [copy.copy];
+            let c = self.books[s].jobs[lj].copy(copy);
             if c.status == hopper_cluster::CopyStatus::Running && c.finish_time() != now {
                 return;
             }
@@ -1305,7 +1304,7 @@ impl<'a> Decentral<'a> {
         // also entered into the pending ledger so duplicates are
         // idempotent and losses are recovered at the copy's scheduled
         // finish.
-        for (c, m) in done.losers {
+        for &(c, m) in &done.losers {
             if self.faults.is_some() {
                 self.pending_kill.insert((job, c), self.workers[m.0].inc);
             }
@@ -1318,7 +1317,7 @@ impl<'a> Decentral<'a> {
             });
         }
         // New phases: their tasks need reservations too.
-        for probes in done.phase_probes {
+        for &probes in &done.phase_probes {
             self.send_probes(s, lj, probes);
         }
         if done.job_done {

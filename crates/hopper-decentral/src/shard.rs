@@ -1759,7 +1759,7 @@ impl<'a> Shard<'a> {
         if done.spec_won {
             self.stats.spec_won += 1;
         }
-        for (c, _) in done.losers {
+        for &(c, _) in &done.losers {
             // The sibling leaves the occupancy counter at its kill's
             // *send* (ground truth dropped it in `finish_copy` at this
             // same event), keeping counter and truth in lockstep.
@@ -1775,7 +1775,7 @@ impl<'a> Shard<'a> {
                 self.sched_rpc(si, now, kill);
             }
         }
-        for probes in done.phase_probes {
+        for &probes in &done.phase_probes {
             self.send_probes(si, lj, probes, now);
         }
         if done.job_done {

@@ -27,6 +27,8 @@
 //! exactly the paper's architecture (speculation proposes, scheduling
 //! disposes).
 
+use std::collections::VecDeque;
+
 use hopper_cluster::{CopyObservation, JobRun, TaskRef, MAX_RUNNING_COPIES};
 use hopper_sim::SimTime;
 
@@ -101,66 +103,77 @@ impl Speculator {
         }
     }
 
-    /// Prioritized speculation candidates for `job` at `now` (best first).
+    /// Prioritized speculation candidates for `job` at `now` (best
+    /// first), written into `out` (cleared first).
     ///
     /// A task qualifies only if it has fewer than [`MAX_RUNNING_COPIES`]
     /// running copies and its estimated benefit satisfies the policy's rule;
-    /// the returned order is descending estimated remaining time.
-    pub fn candidates(&self, job: &JobRun, now: SimTime) -> Vec<Candidate> {
+    /// the order is descending estimated remaining time. The buffers are
+    /// the caller's: a driver that rescans its jobs every scan interval
+    /// reuses each job's candidate queue and one scratch, so a scan
+    /// allocates nothing once they have grown.
+    pub fn candidates_into(
+        &self,
+        job: &JobRun,
+        now: SimTime,
+        scratch: &mut ScanScratch,
+        out: &mut VecDeque<Candidate>,
+    ) {
+        out.clear();
         match self {
-            Speculator::None => Vec::new(),
+            Speculator::None => {}
             Speculator::SimpleThreshold { detect_after } => {
-                let mut out = base_candidates(job, now, *detect_after, |rem, new| rem > new);
-                sort_desc(&mut out);
-                out
+                base_candidates(job, now, *detect_after, out, |rem, new| rem > new);
+                sort_desc(out);
             }
             Speculator::Mantri(cfg) => {
-                let mut out = base_candidates(job, now, cfg.min_elapsed, |rem, new| {
+                base_candidates(job, now, cfg.min_elapsed, out, |rem, new| {
                     rem.as_millis() > 2 * new.as_millis()
                 });
-                sort_desc(&mut out);
-                cap(out, job, cfg)
+                sort_desc(out);
+                cap(out, job, cfg);
             }
             Speculator::Grass(cfg) => {
                 let total = job.spec.num_tasks().max(1);
                 let remaining_frac = job.total_remaining() as f64 / total as f64;
                 let greedy = remaining_frac <= GRASS_SWITCH_FRACTION;
-                let mut out = base_candidates(job, now, cfg.min_elapsed, |rem, new| {
+                base_candidates(job, now, cfg.min_elapsed, out, |rem, new| {
                     if greedy {
                         rem > new
                     } else {
                         rem.as_millis() > 2 * new.as_millis()
                     }
                 });
-                sort_desc(&mut out);
-                cap(out, job, cfg)
+                sort_desc(out);
+                cap(out, job, cfg);
             }
             Speculator::Late(cfg) => {
-                let running = job.observe_running(now);
                 // Progress rates (1/est-total-duration) of every running
                 // original copy, for the slow-task percentile.
-                let mut rates: Vec<f64> = running
-                    .iter()
-                    .filter(|o| !o.speculative && o.elapsed >= cfg.min_elapsed)
-                    .map(rate_of)
-                    .collect();
-                rates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                let rates = &mut scratch.rates;
+                rates.clear();
+                rates.extend(
+                    job.observe_running(now)
+                        .filter(|o| !o.speculative && o.elapsed >= cfg.min_elapsed)
+                        .map(rate_of),
+                );
                 let slow_threshold = if rates.len() >= 4 {
-                    Some(
-                        rates[((rates.len() as f64 * SLOW_PERCENTILE) as usize)
-                            .min(rates.len() - 1)],
-                    )
+                    // The percentile's order statistic; equal rates are
+                    // the same value, so any selection order reads it.
+                    let k = ((rates.len() as f64 * SLOW_PERCENTILE) as usize).min(rates.len() - 1);
+                    let (_, &mut thr, _) = rates.select_nth_unstable_by(k, |a, b| {
+                        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    Some(thr)
                 } else {
                     Option::None // too few samples: rely on the benefit test
                 };
 
-                let mut out = Vec::new();
-                for obs in by_task(&running) {
-                    if obs.len() >= MAX_RUNNING_COPIES {
+                for (copies, best) in by_task(job, now) {
+                    if copies >= MAX_RUNNING_COPIES {
                         continue;
                     }
-                    let task = obs[0].copy.task;
-                    let best = best_observation(obs);
+                    let task = best.copy.task;
                     if best.elapsed < cfg.min_elapsed {
                         continue;
                     }
@@ -172,21 +185,28 @@ impl Speculator {
                     }
                     let t_new = job.estimated_new_copy_duration(task);
                     if best.est_remaining > t_new {
-                        out.push(Candidate {
+                        out.push_back(Candidate {
                             task,
                             est_remaining: best.est_remaining,
                         });
                     }
                 }
-                sort_desc(&mut out);
-                cap(out, job, cfg)
+                sort_desc(out);
+                cap(out, job, cfg);
             }
         }
     }
 }
 
+/// The reusable buffer of [`Speculator::candidates_into`] (LATE's
+/// progress rates).
+#[derive(Debug, Clone, Default)]
+pub struct ScanScratch {
+    rates: Vec<f64>,
+}
+
 /// Progress rate of a copy observation (fraction per ms).
-fn rate_of(o: &CopyObservation) -> f64 {
+fn rate_of(o: CopyObservation) -> f64 {
     let total = o.elapsed.as_millis() + o.est_remaining.as_millis();
     if total == 0 {
         f64::INFINITY
@@ -195,50 +215,57 @@ fn rate_of(o: &CopyObservation) -> f64 {
     }
 }
 
-/// `observe_running`'s observations split into one slice per task.
-fn by_task(running: &[CopyObservation]) -> impl Iterator<Item = &[CopyObservation]> {
-    running.chunk_by(|a, b| a.copy.task == b.copy.task)
+/// Each running task's running-copy count and best observation — the
+/// copy that will finish soonest (the task's best hope), the earliest on
+/// ties — in `(phase, task)` order, folded from `observe_running`'s
+/// stream (each task's copies are adjacent in it).
+fn by_task(job: &JobRun, now: SimTime) -> impl Iterator<Item = (usize, CopyObservation)> + '_ {
+    let mut running = job.observe_running(now).peekable();
+    std::iter::from_fn(move || {
+        let mut best = running.next()?;
+        let task = best.copy.task;
+        let mut copies = 1;
+        while let Some(o) = running.next_if(|o| o.copy.task == task) {
+            copies += 1;
+            if o.est_remaining < best.est_remaining {
+                best = o;
+            }
+        }
+        Some((copies, best))
+    })
 }
 
-/// The copy that will finish soonest (the task's best hope).
-fn best_observation(obs: &[CopyObservation]) -> &CopyObservation {
-    obs.iter()
-        .min_by_key(|o| o.est_remaining)
-        .expect("by_task never yields an empty slice")
-}
-
-/// Candidates satisfying `benefit(t_rem, t_new)` after `min_elapsed`.
+/// Append to `out` the candidates satisfying `benefit(t_rem, t_new)`
+/// after `min_elapsed`.
 fn base_candidates(
     job: &JobRun,
     now: SimTime,
     min_elapsed: SimTime,
+    out: &mut VecDeque<Candidate>,
     benefit: impl Fn(SimTime, SimTime) -> bool,
-) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    for obs in by_task(&job.observe_running(now)) {
-        if obs.len() >= MAX_RUNNING_COPIES {
+) {
+    for (copies, best) in by_task(job, now) {
+        if copies >= MAX_RUNNING_COPIES {
             continue;
         }
-        let task = obs[0].copy.task;
-        let best = best_observation(obs);
+        let task = best.copy.task;
         if best.elapsed < min_elapsed {
             continue;
         }
         let t_new = job.estimated_new_copy_duration(task);
         if benefit(best.est_remaining, t_new) {
-            out.push(Candidate {
+            out.push_back(Candidate {
                 task,
                 est_remaining: best.est_remaining,
             });
         }
     }
-    out
 }
 
 /// Sort candidates by descending estimated remaining time (ties by task id
-/// for determinism).
-fn sort_desc(out: &mut [Candidate]) {
-    out.sort_by(|a, b| {
+/// for determinism: the keys are distinct, so the order is total).
+fn sort_desc(out: &mut VecDeque<Candidate>) {
+    out.make_contiguous().sort_unstable_by(|a, b| {
         b.est_remaining
             .cmp(&a.est_remaining)
             .then(a.task.cmp(&b.task))
@@ -247,15 +274,23 @@ fn sort_desc(out: &mut [Candidate]) {
 
 /// Apply the concurrent-speculation cap: at most
 /// `ceil(spec_cap_fraction × job tasks)` speculative copies in flight.
-fn cap(out: Vec<Candidate>, job: &JobRun, cfg: &SpecConfig) -> Vec<Candidate> {
+fn cap(out: &mut VecDeque<Candidate>, job: &JobRun, cfg: &SpecConfig) {
     let cap = ((job.spec.num_tasks() as f64 * cfg.spec_cap_fraction).ceil() as usize).max(1);
-    let budget = cap.saturating_sub(job.running_speculative_copies());
-    out.into_iter().take(budget).collect()
+    out.truncate(cap.saturating_sub(job.running_speculative_copies()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Speculator {
+        /// [`Speculator::candidates_into`] into fresh buffers.
+        fn candidates(&self, job: &JobRun, now: SimTime) -> Vec<Candidate> {
+            let mut out = VecDeque::new();
+            self.candidates_into(job, now, &mut ScanScratch::default(), &mut out);
+            out.into()
+        }
+    }
     use hopper_cluster::{ClusterConfig, MachineId};
     use hopper_sim::rng_from_seed;
     use hopper_workload::single_phase_job;
