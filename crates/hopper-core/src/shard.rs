@@ -113,21 +113,35 @@ impl<T> Mailbox<T> {
     }
 }
 
-/// How many times a waiter polls the generation before it parks.
+/// How many times a waiter polls the generation before it yields.
 /// Measured on a shared 2-vCPU x86-64 host, as ns per wait of a
-/// two-party ping-pong and wall time of `cargo test --release --test
-/// shard` (engines of up to 8 shards, two tests at a time):
+/// two-party ping-pong (5 runs of 20,000 waits, 3 times) and wall time
+/// of `cargo test --release --test shard` (engines of up to 8 shards,
+/// two tests at a time; 3 runs):
 ///
-/// | polls | ns per wait | test wall |
-/// |------:|------------:|----------:|
-/// |     0 |       6,300 | 2.4–2.7 s |
-/// |    64 | 1,000–4,800 | 2.6–2.8 s |
-/// |   256 |     230–330 | 2.9–3.3 s |
-/// | 2,048 |     280–300 | 4.2–4.5 s |
+/// | polls            | ns per wait | test wall |
+/// |-----------------:|------------:|----------:|
+/// |                0 | 6,000–7,800 | 3.1–3.8 s |
+/// |               64 |   830–6,500 | 3.3–3.9 s |
+/// |              256 |     230–280 | 3.5–3.7 s |
+/// |            2,048 |     210–400 | 5.0–5.6 s |
+/// | 256 + 256 yields |   210–1,200 | 1.56–1.63 s |
 ///
 /// 256 is the shortest spin that reliably outlasts a peer's arrival;
-/// longer ones only burn the time slice a descheduled peer needs.
+/// longer ones only burn the time slice a descheduled peer needs. The
+/// last row is the barrier as it stands: after the spin, up to
+/// [`YIELD_LIMIT`] polls that each first yield the core, then a park.
+/// A yield hands the core to a runnable peer at the cost of one system
+/// call, where a park costs two and a wakeup; so oversubscribed engines,
+/// which do not spin, gain the most.
 const SPIN_LIMIT: u32 = 256;
+
+/// Polls after the spin, each after a `std::thread::yield_now`, before
+/// a waiter parks. On `sharded-storm` at seed 1 (2 shards, 2 cores) half
+/// of the 192,938 early arrivals outlast the spin: without the yields
+/// 96,463 of them parked, with them 662 do (counted with temporary
+/// counters).
+const YIELD_LIMIT: u32 = 256;
 
 fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -143,16 +157,21 @@ fn cores() -> usize {
 ///
 /// Arrival is one atomic increment; the last arriver resets the count
 /// and bumps the generation. Early arrivers spin on the generation for
-/// `SPIN_LIMIT` polls, then park on a condvar. The releaser takes the
+/// `SPIN_LIMIT` polls, poll it `YIELD_LIMIT` more times with a
+/// `yield_now` before each, then park on a condvar. The releaser takes the
 /// lock and notifies only when `sleepers` says someone is parked, so a
 /// rendezvous whose peers all arrive within the spin costs no syscall.
 #[derive(Debug)]
 pub struct SyncBarrier {
     parties: usize,
-    /// Polls before parking: `SPIN_LIMIT`, or 0 when the parties
+    /// Busy polls before yielding: `SPIN_LIMIT`, or 0 when the parties
     /// outnumber the cores (a spinner would hold the core a late peer
     /// needs).
     spin: u32,
+    /// Polls after the spin, each after a `yield_now`, before parking:
+    /// `YIELD_LIMIT`, whatever the party count (a yield gives the core
+    /// away).
+    yields: u32,
     arrived: AtomicUsize,
     generation: AtomicU64,
     poisoned: AtomicBool,
@@ -168,6 +187,7 @@ impl SyncBarrier {
         SyncBarrier {
             parties: parties.max(1),
             spin: if parties <= cores() { SPIN_LIMIT } else { 0 },
+            yields: YIELD_LIMIT,
             arrived: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
@@ -205,6 +225,13 @@ impl SyncBarrier {
             }
             self.check_poison();
             std::hint::spin_loop();
+        }
+        for _ in 0..self.yields {
+            if released() {
+                return self.check_poison();
+            }
+            self.check_poison();
+            std::thread::yield_now();
         }
         let mut g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         self.sleepers.fetch_add(1, SeqCst);

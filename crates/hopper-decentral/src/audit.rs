@@ -62,7 +62,7 @@ pub struct Auditor {
     /// mirror is the difference, maintained only while faults are off
     /// (under faults a lost assign legitimately de-syncs the counter
     /// until the watchdog reconciles, so there is nothing to assert).
-    in_flight_occ: HashMap<usize, i64>,
+    in_flight_occ: HashMap<u32, i64>,
     sent: [u64; NUM_KINDS],
     dup: [u64; NUM_KINDS],
     lost: [u64; NUM_KINDS],
@@ -155,17 +155,17 @@ impl Auditor {
 
     /// An occupancy-carrying message (assign or kill) for `job` left
     /// for a worker. Call only while faults are off.
-    pub fn note_occ_sent(&mut self, job: usize) {
+    pub fn note_occ_sent(&mut self, job: u32) {
         *self.in_flight_occ.entry(job).or_insert(0) += 1;
     }
 
     /// An occupancy-carrying message for `job` reached its worker.
-    pub fn note_occ_delivered(&mut self, job: usize) {
+    pub fn note_occ_delivered(&mut self, job: u32) {
         *self.in_flight_occ.entry(job).or_insert(0) -= 1;
     }
 
     /// In-flight occupancy messages for `job` as mirrored here.
-    pub fn in_flight(&self, job: usize) -> i64 {
+    pub fn in_flight(&self, job: u32) -> i64 {
         self.in_flight_occ.get(&job).copied().unwrap_or(0)
     }
 
@@ -197,7 +197,7 @@ impl Auditor {
     /// occupancy messages still on the wire (a sent assign is counted
     /// before it launches; a killed sibling leaves ground truth at race
     /// resolution but leaves the counter only when its kill lands).
-    pub fn check_job(&self, job: usize, counter: u64, ground_truth: u64) {
+    pub fn check_job(&self, job: u32, counter: u64, ground_truth: u64) {
         assert_eq!(
             counter as i64,
             ground_truth as i64 + self.in_flight(job),

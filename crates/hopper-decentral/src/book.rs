@@ -34,9 +34,10 @@ use crate::driver::DecPolicy;
 use hopper_cluster::{
     CopyRef, CopyStatus, InlineVec, JobRun, JobSlab, MachineId, TaskRef, MAX_RUNNING_COPIES,
 };
+pub(crate) use hopper_core::protocol::owner;
 use hopper_core::protocol::{
-    pick_fcfs, pick_srpt, scheduler_accepts, BackoffPolicy, FreeSlotEpisode, PickScratch,
-    Reservation, ResponseKind, UnsatisfiedJob, WorkerAction,
+    bump_stamp, pick_fcfs, pick_srpt, scheduler_accepts, wire_u32, BackoffPolicy, FreeSlotEpisode,
+    PickScratch, Reservation, ResponseKind, UnsatisfiedJob, WorkerAction,
 };
 use hopper_core::{virtual_size, BetaEstimator};
 use hopper_metrics::JobResult;
@@ -44,11 +45,17 @@ use hopper_sim::SimTime;
 use hopper_spec::{Candidate, ScanScratch, Speculator};
 use rand::Rng;
 
-/// Owning scheduler of job `j` among `k` schedulers, and the job's
-/// local index in that scheduler's book.
-#[inline]
-pub(crate) fn owner(j: usize, k: usize) -> (usize, usize) {
-    (j % k, j / k)
+/// A task as the `(phase, task)` pair of `u32`s its messages carry.
+pub(crate) fn task_pair(t: TaskRef) -> (u32, u32) {
+    (
+        wire_u32(t.phase, "phase index"),
+        wire_u32(t.task, "task index"),
+    )
+}
+
+/// The task a message's `(phase, task)` pair names.
+pub(crate) fn task_ref((phase, task): (u32, u32)) -> TaskRef {
+    TaskRef::new(phase as usize, task as usize)
 }
 
 /// Reservations to place for `tasks` tasks: `⌈tasks × probe_ratio⌉`,
@@ -77,10 +84,10 @@ pub(crate) fn fair_share(eps: Option<f64>, total_slots: usize, active: usize) ->
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Offer {
     pub scheduler: usize,
-    pub job: usize,
+    pub job: u32,
     pub kind: ResponseKind,
-    pub inc: u64,
-    pub ep: u64,
+    pub inc: u32,
+    pub ep: u32,
     pub lease: u64,
 }
 
@@ -106,11 +113,11 @@ pub(crate) struct Worker {
     /// Machine incarnation, bumped on failure: a reply to an offer from
     /// an earlier incarnation references a slot that died with the
     /// machine (always 0 while dynamics are off).
-    pub inc: u64,
+    pub inc: u32,
     /// Episode epoch, bumped at every episode end: a reply echoing an
     /// older epoch answers an episode that is already over (a duplicated
     /// or lease-superseded reply).
-    ep: u64,
+    ep: u32,
     /// RPC sequence, bumped on every offer sent, every reply processed
     /// and at episode end. A lease snapshots it at the offer; if it has
     /// not moved when the lease fires, the reply was lost.
@@ -176,7 +183,8 @@ impl Worker {
     /// Sparrow-SRPT its fewest-remaining pick, both non-refusable;
     /// Hopper runs Pseudocode 3, which after `refusal_threshold`
     /// refusals switches to the Guideline-3 weighted pick drawn from
-    /// `rng`. An offer marks its scheduler probed for the rest of the
+    /// `rng`. An offer goes to its job's owner among `schedulers`
+    /// ([`owner`]) and marks that scheduler probed for the rest of the
     /// episode; with nothing to offer the episode ends and its slot
     /// returns to the free pool. Returns the offer (`None`: idle, or no
     /// episode in flight) and whether this step was taken past the
@@ -186,6 +194,7 @@ impl Worker {
         &mut self,
         policy: DecPolicy,
         refusal_threshold: usize,
+        schedulers: usize,
         picks: &mut PickScratch,
         rng: &mut impl Rng,
     ) -> (Option<Offer>, bool) {
@@ -194,7 +203,7 @@ impl Worker {
         }
         let ep = &mut self.episode;
         let respond = |r: &Reservation| WorkerAction::Respond {
-            scheduler: r.scheduler,
+            scheduler: r.scheduler(schedulers),
             job: r.job,
             kind: ResponseKind::NonRefusable,
         };
@@ -209,7 +218,8 @@ impl Worker {
             ),
             DecPolicy::Hopper => {
                 let switched = ep.refusals() >= refusal_threshold;
-                (ep.next_action_with(&self.queue, picks, rng), switched)
+                let action = ep.next_action_with(&self.queue, schedulers, picks, rng);
+                (action, switched)
             }
         };
         let offer = match action {
@@ -222,7 +232,7 @@ impl Worker {
                 self.rpc += 1;
                 Some(Offer {
                     scheduler,
-                    job: job as usize,
+                    job,
                     kind,
                     inc: self.inc,
                     ep: self.ep,
@@ -243,21 +253,21 @@ impl Worker {
     /// Callers settle `free` themselves.
     fn end_episode(&mut self) {
         self.in_episode = false;
-        self.ep += 1;
+        bump_stamp(&mut self.ep, "worker episode epoch");
         self.rpc += 1;
     }
 
     /// Whether a reply stamped `(inc, ep)` answers the live episode of
     /// this incarnation. Faults off, a mismatch only follows a machine
     /// failure (the one mid-flight teardown), where both stamps move.
-    fn is_current(&self, inc: u64, ep: u64) -> bool {
+    fn is_current(&self, inc: u32, ep: u32) -> bool {
         inc == self.inc && ep == self.ep
     }
 
     /// A reply (refusal) stamped `(inc, ep)` reached the worker:
     /// whether it answers the live episode. A current reply voids the
     /// armed lease; a stale one touches nothing.
-    pub fn take_reply(&mut self, inc: u64, ep: u64) -> bool {
+    pub fn take_reply(&mut self, inc: u32, ep: u32) -> bool {
         let current = self.is_current(inc, ep);
         if current {
             self.rpc += 1;
@@ -265,23 +275,22 @@ impl Worker {
         current
     }
 
-    /// The episode's offer for `job` (owned by scheduler `sched`) was
-    /// refused, advertising `unsatisfied`. Sparrow's no-task consumes
-    /// one of the job's parked reservations and returns whether one was
-    /// there; Hopper keeps them — the job may want Guideline-3 extras
-    /// later — and records the refusal and its advertisement.
+    /// The episode's offer for `job` was refused, advertising
+    /// `unsatisfied`. Sparrow's no-task consumes one of the job's parked
+    /// reservations and returns whether one was there; Hopper keeps them
+    /// — the job may want Guideline-3 extras later — and records the
+    /// refusal and its advertisement.
     pub fn refused(
         &mut self,
         policy: DecPolicy,
-        sched: usize,
-        job: usize,
+        job: u32,
         unsatisfied: Option<UnsatisfiedJob>,
     ) -> bool {
         match policy {
             DecPolicy::Sparrow | DecPolicy::SparrowSrpt => self.consume_reservation(job),
             DecPolicy::Hopper => {
                 if self.in_episode {
-                    self.episode.record_refusal(sched, job as u64, unsatisfied);
+                    self.episode.record_refusal(job, unsatisfied);
                 }
                 false
             }
@@ -293,7 +302,7 @@ impl Worker {
     /// touches nothing. Otherwise the episode ends with its slot consumed
     /// by the assignment, which eats one of the job's parked
     /// reservations if there is one: returns whether it did.
-    pub fn assigned(&mut self, inc: u64, ep: u64, job: usize) -> Option<bool> {
+    pub fn assigned(&mut self, inc: u32, ep: u32, job: u32) -> Option<bool> {
         if !self.is_current(inc, ep) {
             return None;
         }
@@ -303,8 +312,8 @@ impl Worker {
 
     /// Remove the first of `job`'s parked reservations; returns whether
     /// there was one.
-    fn consume_reservation(&mut self, job: usize) -> bool {
-        let pos = self.queue.iter().position(|r| r.job as usize == job);
+    fn consume_reservation(&mut self, job: u32) -> bool {
+        let pos = self.queue.iter().position(|r| r.job == job);
         pos.map(|pos| self.queue.remove(pos)).is_some()
     }
 
@@ -323,8 +332,8 @@ impl Worker {
 
     /// The §5.3 piggyback: an assignment refreshes the virtual size and
     /// remaining count of every reservation its job has parked here.
-    pub fn piggyback(&mut self, job: usize, vsize: f64, remaining: f64) {
-        for r in self.queue.iter_mut().filter(|r| r.job as usize == job) {
+    pub fn piggyback(&mut self, job: u32, vsize: f64, remaining: u32) {
+        for r in self.queue.iter_mut().filter(|r| r.job == job) {
             r.virtual_size = vsize;
             r.remaining_tasks = remaining;
         }
@@ -334,7 +343,7 @@ impl Worker {
     /// flight is stale), the episode and every slot die, and the parked
     /// reservations are handed back for their schedulers to write off.
     pub fn fail(&mut self) -> Vec<Reservation> {
-        self.inc += 1;
+        bump_stamp(&mut self.inc, "worker incarnation");
         let queue = std::mem::take(&mut self.queue);
         self.end_episode();
         self.free = 0;
@@ -476,14 +485,18 @@ impl SchedBook {
         virtual_size(job.current_remaining() as f64, beta, job.alpha().max(1.0))
     }
 
+    /// Global id of local job `lj` as its messages carry it.
+    pub fn wire_job(&self, lj: usize) -> u32 {
+        wire_u32(self.job_id(lj), "job id")
+    }
+
     /// A reservation for job `lj` carrying the scheduler's current
     /// virtual size and remaining count (the §5.3 piggyback).
     pub fn reservation(&self, lj: usize) -> Reservation {
         Reservation {
-            scheduler: self.s,
-            job: self.job_id(lj) as u64,
+            job: self.wire_job(lj),
+            remaining_tasks: wire_u32(self.jobs[lj].current_remaining(), "remaining task count"),
             virtual_size: self.vsize(lj),
-            remaining_tasks: self.jobs[lj].current_remaining() as f64,
         }
     }
 
@@ -506,22 +519,22 @@ impl SchedBook {
     /// tasks first (§6.1), the rest drawn from `rng`. All count as live
     /// reservations. None while the scheduler is down: its recovery
     /// (and the job's watchdog) probe from ground truth instead.
-    pub fn arrival_probes(&mut self, lj: usize, rng: &mut impl Rng) -> Vec<usize> {
+    pub fn arrival_probes(&mut self, lj: usize, rng: &mut impl Rng) -> Vec<u32> {
         if !self.up {
             return Vec::new();
         }
         let job = &self.jobs[lj];
         let probes = probe_count(job.spec.size_tasks().max(1), self.probe_ratio);
-        let mut targets: Vec<usize> = Vec::with_capacity(probes);
+        let mut targets: Vec<u32> = Vec::with_capacity(probes);
         for ti in 0..job.phases()[0].num_tasks() {
             for r in job.replicas(TaskRef::new(0, ti)) {
                 if targets.len() < probes {
-                    targets.push(r.0);
+                    targets.push(wire_u32(r.0, "worker id"));
                 }
             }
         }
         while targets.len() < probes {
-            targets.push(rng.gen_range(0..self.workers));
+            targets.push(wire_u32(rng.gen_range(0..self.workers), "worker id"));
         }
         self.live_res[lj] += probes;
         targets
@@ -529,12 +542,14 @@ impl SchedBook {
 
     /// `count` fresh probe targets for job `lj`, drawn from `rng` and
     /// counted as live reservations. None while the scheduler is down.
-    pub fn random_probes(&mut self, lj: usize, count: usize, rng: &mut impl Rng) -> Vec<usize> {
+    pub fn random_probes(&mut self, lj: usize, count: usize, rng: &mut impl Rng) -> Vec<u32> {
         if !self.up {
             return Vec::new();
         }
         self.live_res[lj] += count;
-        (0..count).map(|_| rng.gen_range(0..self.workers)).collect()
+        (0..count)
+            .map(|_| wire_u32(rng.gen_range(0..self.workers), "worker id"))
+            .collect()
     }
 
     /// Decide a worker's slot offer for live job `lj` (Pseudocode 2).
@@ -687,8 +702,7 @@ impl SchedBook {
             let v = self.vsize(lj);
             if (self.occupied[lj] as f64) < v && best.is_none_or(|b| v < b.virtual_size) {
                 best = Some(UnsatisfiedJob {
-                    scheduler: self.s,
-                    job: self.job_id(lj) as u64,
+                    job: self.wire_job(lj),
                     virtual_size: v,
                 });
             }
@@ -995,7 +1009,7 @@ mod tests {
         b.occupied[1] = b.vsize(1).ceil() as usize;
         b.pending_orig[2] = 0;
         let adv = b.best_unsatisfied(0).expect("job 3 is unsatisfied");
-        assert_eq!((adv.scheduler, adv.job), (0, 3));
+        assert_eq!(adv.job, 3);
         assert_eq!(adv.virtual_size, b.vsize(3));
         // Asked by job 3, the smallest unsatisfied job is job 0.
         assert_eq!(b.best_unsatisfied(3).map(|u| u.job), Some(0));
@@ -1021,7 +1035,8 @@ mod tests {
             );
         }
         assert_eq!(
-            b.best_unsatisfied(usize::MAX).map(|u| (u.scheduler, u.job)),
+            b.best_unsatisfied(usize::MAX)
+                .map(|u| (owner(u.job as usize, 3).0, u.job)),
             Some((1, 4))
         );
     }
@@ -1124,21 +1139,25 @@ mod tests {
     /// A two-slot worker with one reservation for each of `jobs` parked,
     /// its episode opened and its first offer made (Sparrow: FCFS, no
     /// randomness).
-    fn offering(jobs: &[u64]) -> (Worker, Offer) {
+    fn offering(jobs: &[u32]) -> (Worker, Offer) {
         let mut w = Worker::new(2);
         for &job in jobs {
             w.queue.push(Reservation {
-                scheduler: 0,
                 job,
+                remaining_tasks: 1,
                 virtual_size: 1.0,
-                remaining_tasks: 1.0,
             });
         }
         assert!(w.open_episode(2));
         assert!(!w.open_episode(2), "one episode at a time");
         let mut rng = hopper_sim::rng_from_seed(0);
-        let (offer, switched) =
-            w.step(DecPolicy::Sparrow, 2, &mut PickScratch::default(), &mut rng);
+        let (offer, switched) = w.step(
+            DecPolicy::Sparrow,
+            2,
+            1,
+            &mut PickScratch::default(),
+            &mut rng,
+        );
         assert!(!switched);
         (w, offer.expect("a parked reservation is offered"))
     }
@@ -1176,7 +1195,13 @@ mod tests {
         // The next offer's reply never comes: its lease reclaims the slot.
         let mut rng = hopper_sim::rng_from_seed(0);
         let o2 = w
-            .step(DecPolicy::Sparrow, 2, &mut PickScratch::default(), &mut rng)
+            .step(
+                DecPolicy::Sparrow,
+                2,
+                1,
+                &mut PickScratch::default(),
+                &mut rng,
+            )
             .0
             .expect("offer");
         assert!(w.lease_expired(o2.lease));
@@ -1190,7 +1215,7 @@ mod tests {
     #[test]
     fn worker_failure_hands_back_reservations_and_slots() {
         let (mut w, o) = offering(&[3, 4, 3]);
-        let lost: Vec<u64> = w.fail().iter().map(|r| r.job).collect();
+        let lost: Vec<u32> = w.fail().iter().map(|r| r.job).collect();
         assert_eq!(lost, vec![3, 4, 3]);
         assert!(w.queue.is_empty());
         assert_eq!(w.free, 0);
@@ -1200,6 +1225,16 @@ mod tests {
         assert!(!w.open_episode(2));
         w.recover();
         assert_eq!(w.free, 2);
+    }
+
+    /// A stamp past `u32::MAX` panics, naming it, instead of wrapping
+    /// into a value a stale reply could echo.
+    #[test]
+    #[should_panic(expected = "worker incarnation 4294967296 does not fit")]
+    fn worker_incarnation_past_u32_panics() {
+        let mut w = Worker::new(2);
+        w.inc = u32::MAX;
+        w.fail();
     }
 
     #[test]
@@ -1216,10 +1251,16 @@ mod tests {
         // Sparrow's no-task eats the only reservation; the next step
         // finds nothing to offer, so the episode ends idle.
         assert!(w.take_reply(o.inc, o.ep));
-        assert!(w.refused(DecPolicy::Sparrow, 0, 3, None));
+        assert!(w.refused(DecPolicy::Sparrow, 3, None));
         let mut rng = hopper_sim::rng_from_seed(0);
         assert_eq!(
-            w.step(DecPolicy::Sparrow, 2, &mut PickScratch::default(), &mut rng),
+            w.step(
+                DecPolicy::Sparrow,
+                2,
+                1,
+                &mut PickScratch::default(),
+                &mut rng
+            ),
             (None, false)
         );
         assert_eq!(w.free, 2);

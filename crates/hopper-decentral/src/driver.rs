@@ -27,13 +27,13 @@
 use std::collections::HashMap;
 
 use crate::audit::{Auditor, MsgKind};
-use crate::book::{fair_share, owner, SchedBook, Worker};
+use crate::book::{fair_share, owner, task_pair, task_ref, SchedBook, Worker};
 use crate::faults::{FaultConfig, MsgFaults, SchedEv, SchedulerChain};
 use hopper_cluster::{
     ClusterConfig, CopyRef, DynEvent, DynamicsConfig, JobRun, MachineDynamics, MachineId, TaskRef,
 };
 use hopper_core::protocol::{
-    BackoffPolicy, PickScratch, Reservation, ResponseKind, UnsatisfiedJob,
+    bump_stamp, wire_u32, BackoffPolicy, PickScratch, Reservation, ResponseKind, UnsatisfiedJob,
 };
 use hopper_metrics::{
     JobDigest, JobResult, RunReport, RunSummary, SeriesCollector, TelemetrySnapshot,
@@ -305,13 +305,17 @@ pub fn run_source(
     Decentral::new(source, policy, cfg, retain_jobs).run()
 }
 
+/// One event of the serial driver. Worker and job ids, the task pair
+/// and the incarnation/epoch stamps are `u32` (checked where each is
+/// created, `hopper_core::protocol::wire_u32`), so an event is at most
+/// 48 bytes.
 #[derive(Debug, Clone)]
 enum Ev {
     /// The arrival of `Decentral::next_job`, queued by `push_arrival`
     /// ahead of every other event at its instant.
     Arrival,
     /// Reservation lands in a worker queue.
-    Reservation { worker: usize, res: Reservation },
+    Reservation { worker: u32, res: Reservation },
     /// Worker offers its free slot to `job`'s scheduler. `inc` is the
     /// worker's incarnation at offer time: a machine failure bumps it, so
     /// replies referencing a slot that died with the machine are
@@ -322,37 +326,37 @@ enum Ev {
     /// crash bumps it, so offers addressed to the pre-crash scheduler
     /// are recognizably stale (always 0 while scheduler faults are off).
     Response {
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         kind: ResponseKind,
-        inc: u64,
-        ep: u64,
-        sinc: u64,
+        inc: u32,
+        ep: u32,
+        sinc: u32,
     },
-    /// Scheduler assigns a task to the worker's promised slot (echoes the
-    /// offer's incarnation and episode epoch).
+    /// Scheduler assigns a task (`(phase, task)`) to the worker's
+    /// promised slot (echoes the offer's incarnation and episode epoch).
     Assign {
-        worker: usize,
-        job: usize,
-        task: TaskRef,
+        worker: u32,
+        job: u32,
+        task: (u32, u32),
         speculative: bool,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
     },
     /// Scheduler declines the offer (with optional unsatisfied-job info;
     /// echoes the offer's incarnation and episode epoch).
     Refusal {
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         unsatisfied: Option<UnsatisfiedJob>,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
     },
     /// A copy finished on `worker`.
     Finish {
-        job: usize,
+        job: u32,
         copy: CopyRef,
-        worker: usize,
+        worker: u32,
     },
     /// Kill notification reaches the worker running a lost sibling
     /// (stamped with the worker's incarnation at race-resolution time —
@@ -361,10 +365,10 @@ enum Ev {
     /// pending-kill ledger, making duplicated kills idempotent and lost
     /// kills recoverable at the copy's natural finish.
     Kill {
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         copy: CopyRef,
-        inc: u64,
+        inc: u32,
     },
     /// Periodic straggler scan (all schedulers).
     Scan,
@@ -378,13 +382,15 @@ enum Ev {
     /// the worker's RPC sequence has not moved since (no reply of any
     /// kind was processed), the promised slot is reclaimed. Only ever
     /// queued when faults are enabled.
-    Lease { worker: usize, seq: u64 },
+    Lease { worker: u32, seq: u64 },
     /// Per-job watchdog: fires on a backoff schedule; a job with no
     /// launch/finish progress since the last check is reconciled against
     /// ground truth and re-probed. Only ever queued when faults are
     /// enabled.
-    JobTimeout { job: usize },
+    JobTimeout { job: u32 },
 }
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 48);
 
 /// Conservation-ledger kind of a scheduler↔worker RPC — the five
 /// message kinds the fault plane applies to. `None` for local events:
@@ -441,7 +447,7 @@ struct Decentral<'a> {
     /// identical iteration to the old `0..n` loops with their
     /// done/arrived guards, but O(live), and structurally incapable of
     /// touching a retired job.
-    live: Vec<usize>,
+    live: Vec<u32>,
     /// Most jobs simultaneously live over the run.
     live_high_water: usize,
     /// Jobs completed so far (the epoch for worker-queue purges).
@@ -457,7 +463,7 @@ struct Decentral<'a> {
     sched_chain: Option<SchedulerChain>,
     /// Per-scheduler incarnation, bumped on crash — the scheduler-side
     /// mirror of `Worker::inc` (always 0 while scheduler faults are off).
-    sched_inc: Vec<u64>,
+    sched_inc: Vec<u32>,
     /// Watchdog pacing (from `faults.rpc_timeout_ms`/`rpc_retries`).
     backoff: BackoffPolicy,
     /// Kill messages in flight, keyed by the doomed copy and stamped
@@ -465,7 +471,7 @@ struct Decentral<'a> {
     /// are enabled: a duplicate kill finds no entry (idempotent), and a
     /// lost kill's entry lets the copy's natural finish return the slot
     /// instead of leaking it.
-    pending_kill: HashMap<(usize, CopyRef), u64>,
+    pending_kill: HashMap<(u32, CopyRef), u32>,
     /// Dev-profile conservation auditor (`None` in release/bench — the
     /// whole dev test suite re-proves the protocol invariants).
     audit: Option<Box<Auditor>>,
@@ -568,8 +574,8 @@ impl<'a> Decentral<'a> {
 
     /// Owning book and local index of job `j`.
     #[inline]
-    fn at(&self, j: usize) -> (usize, usize) {
-        owner(j, self.books.len())
+    fn at(&self, j: u32) -> (usize, usize) {
+        owner(j as usize, self.books.len())
     }
 
     /// Effective speed of worker `w`'s machine (1.0 when dynamics are off).
@@ -594,8 +600,8 @@ impl<'a> Decentral<'a> {
             let k = msg_kind(&ev).expect("send_msg only carries scheduler↔worker RPCs");
             a.note_sent(k);
             if faults_off {
-                match &ev {
-                    Ev::Assign { job, .. } | Ev::Kill { job, .. } => a.note_occ_sent(*job),
+                match ev {
+                    Ev::Assign { job, .. } | Ev::Kill { job, .. } => a.note_occ_sent(job),
                     _ => {}
                 }
             }
@@ -633,7 +639,8 @@ impl<'a> Decentral<'a> {
     /// and/or a job (see `crate::audit`).
     fn audit_event(&self, ev: &Ev) {
         let Some(a) = self.audit.as_ref() else { return };
-        let check_w = |w: usize| {
+        let check_w = |w: u32| {
+            let w = w as usize;
             a.check_worker(
                 w,
                 self.worker_up(w),
@@ -645,7 +652,7 @@ impl<'a> Decentral<'a> {
         // Per-job occupancy only reconciles exactly while faults are off
         // (see `Auditor::check_job`), and a retired job has no ground
         // truth left to compare.
-        let check_j = |j: usize| {
+        let check_j = |j: u32| {
             if self.faults.is_some() {
                 return;
             }
@@ -657,7 +664,7 @@ impl<'a> Decentral<'a> {
         match *ev {
             Ev::Reservation { worker, ref res } => {
                 check_w(worker);
-                check_j(res.job as usize);
+                check_j(res.job);
             }
             Ev::Response { worker, job, .. }
             | Ev::Assign { worker, job, .. }
@@ -668,7 +675,7 @@ impl<'a> Decentral<'a> {
                 check_j(job);
             }
             Ev::Lease { worker, .. } => check_w(worker),
-            Ev::Dyn(d) => check_w(d.machine().0),
+            Ev::Dyn(d) => check_w(wire_u32(d.machine().0, "worker id")),
             Ev::Arrival | Ev::Scan | Ev::SchedDyn(_) | Ev::JobTimeout { .. } => {}
         }
     }
@@ -728,9 +735,9 @@ impl<'a> Decentral<'a> {
                 if let Some(k) = msg_kind(&ev) {
                     a.note_delivered(k);
                     if self.faults.is_none() {
-                        match &ev {
+                        match ev {
                             Ev::Assign { job, .. } | Ev::Kill { job, .. } => {
-                                a.note_occ_delivered(*job)
+                                a.note_occ_delivered(job)
                             }
                             _ => {}
                         }
@@ -753,7 +760,8 @@ impl<'a> Decentral<'a> {
                     //
                     // A reservation reaching a down machine is lost with
                     // it (the scheduler re-probes at the next scan).
-                    let (s, lj) = self.at(res.job as usize);
+                    let (s, lj) = self.at(res.job);
+                    let worker = worker as usize;
                     if !self.worker_up(worker) {
                         self.books[s].reservations_gone(lj, 1);
                     } else if self.books[s].is_live(lj) {
@@ -776,7 +784,7 @@ impl<'a> Decentral<'a> {
                     speculative,
                     inc,
                     ep,
-                } => self.on_assign(worker, job, task, speculative, inc, ep, now),
+                } => self.on_assign(worker, job, task_ref(task), speculative, inc, ep, now),
                 Ev::Refusal {
                     worker,
                     job,
@@ -799,7 +807,7 @@ impl<'a> Decentral<'a> {
                     }
                     self.on_sched_dyn(sev, now);
                 }
-                Ev::Lease { worker, seq } => self.on_lease(worker, seq),
+                Ev::Lease { worker, seq } => self.on_lease(worker as usize, seq),
                 Ev::JobTimeout { job } => self.on_job_timeout(job),
                 Ev::Dyn(ev) => {
                     // The incident chain dies with the workload (see the
@@ -818,7 +826,7 @@ impl<'a> Decentral<'a> {
                     // cost is O(live jobs), not O(all jobs ever arrived).
                     let speculator = &self.cfg.speculator;
                     for &j in &self.live {
-                        let (s, lj) = owner(j, self.books.len());
+                        let (s, lj) = owner(j as usize, self.books.len());
                         self.books[s].refresh_candidates(lj, speculator, now);
                     }
                     for idx in 0..self.live.len() {
@@ -932,7 +940,7 @@ impl<'a> Decentral<'a> {
     /// the same draw sequence the historical build-everything-up-front
     /// constructor used, so results are bit-identical.
     fn on_job_arrive(&mut self, spec: TraceJob, now: SimTime) {
-        let j = spec.id;
+        let j = wire_u32(spec.id, "job id");
         debug_assert_eq!(spec.arrival, now);
         let (s, lj) = self.at(j);
         let job = JobRun::new(spec, &self.cfg.cluster, &mut self.placement_rng);
@@ -962,17 +970,14 @@ impl<'a> Decentral<'a> {
     }
 
     /// Send a reservation for book `s`'s job `lj` to each of `targets`.
-    fn send_reservations(&mut self, s: usize, lj: usize, targets: Vec<usize>) {
+    fn send_reservations(&mut self, s: usize, lj: usize, targets: Vec<u32>) {
         if targets.is_empty() {
             return;
         }
         let res = self.books[s].reservation(lj);
         for worker in targets {
             self.stats.reservations += 1;
-            self.send_msg(Ev::Reservation {
-                worker,
-                res: res.clone(),
-            });
+            self.send_msg(Ev::Reservation { worker, res });
         }
     }
 
@@ -1011,15 +1016,17 @@ impl<'a> Decentral<'a> {
     /// instead of hanging forever).
     fn episode_step(&mut self, w: usize) {
         let thr = self.cfg.refusal_threshold;
+        let k = self.books.len();
         let (offer, switched) =
-            self.workers[w].step(self.policy, thr, &mut self.picks, &mut self.rng);
+            self.workers[w].step(self.policy, thr, k, &mut self.picks, &mut self.rng);
         if switched {
             self.stats.guideline3_switches += 1;
         }
         let Some(o) = offer else { return };
         self.stats.responses += 1;
+        let worker = wire_u32(w, "worker id");
         self.send_msg(Ev::Response {
-            worker: w,
+            worker,
             job: o.job,
             kind: o.kind,
             inc: o.inc,
@@ -1030,7 +1037,7 @@ impl<'a> Decentral<'a> {
             self.queue.push_after(
                 SimTime::from_millis(self.cfg.faults.rpc_timeout_ms),
                 Ev::Lease {
-                    worker: w,
+                    worker,
                     seq: o.lease,
                 },
             );
@@ -1044,12 +1051,12 @@ impl<'a> Decentral<'a> {
     #[allow(clippy::too_many_arguments)]
     fn on_response(
         &mut self,
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         kind: ResponseKind,
-        inc: u64,
-        ep: u64,
-        sinc: u64,
+        inc: u32,
+        ep: u32,
+        sinc: u32,
         now: SimTime,
     ) {
         // Offer addressed to a crashed scheduler (down, or a pre-crash
@@ -1071,11 +1078,12 @@ impl<'a> Decentral<'a> {
             self.cfg.cluster.total_slots(),
             self.live.len(),
         );
-        match self.books[s].serve(lj, kind, MachineId(worker), self.policy, share, now) {
+        let m = MachineId(worker as usize);
+        match self.books[s].serve(lj, kind, m, self.policy, share, now) {
             Some((task, speculative)) => self.send_msg(Ev::Assign {
                 worker,
                 job,
-                task,
+                task: task_pair(task),
                 speculative,
                 inc,
                 ep,
@@ -1086,12 +1094,12 @@ impl<'a> Decentral<'a> {
 
     /// Refuse an offer for book `s`'s job `lj`, advertising the
     /// scheduler's smallest unsatisfied job (Pseudocode 3).
-    fn send_refusal(&mut self, worker: usize, s: usize, lj: usize, inc: u64, ep: u64) {
+    fn send_refusal(&mut self, worker: u32, s: usize, lj: usize, inc: u32, ep: u32) {
         self.stats.refusals += 1;
         let book = &self.books[s];
         let ev = Ev::Refusal {
             worker,
-            job: book.job_id(lj),
+            job: book.wire_job(lj),
             unsatisfied: book.best_unsatisfied(lj),
             inc,
             ep,
@@ -1101,19 +1109,20 @@ impl<'a> Decentral<'a> {
 
     fn on_refusal(
         &mut self,
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         unsatisfied: Option<UnsatisfiedJob>,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
     ) {
+        let worker = worker as usize;
         // A stale refusal answers a slot that died with the machine or an
         // episode that already ended (see `Worker::take_reply`).
         if !self.workers[worker].take_reply(inc, ep) {
             return;
         }
         let (s, lj) = self.at(job);
-        if self.workers[worker].refused(self.policy, s, job, unsatisfied) {
+        if self.workers[worker].refused(self.policy, job, unsatisfied) {
             self.books[s].reservations_gone(lj, 1);
         }
         self.episode_step(worker);
@@ -1124,21 +1133,22 @@ impl<'a> Decentral<'a> {
     #[allow(clippy::too_many_arguments)]
     fn on_assign(
         &mut self,
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         task: TaskRef,
         speculative: bool,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
         now: SimTime,
     ) {
         let (s, lj) = self.at(job);
+        let w = worker as usize;
         // The promised slot is gone: the machine failed while the
         // assignment was in flight, or the episode already ended (a
         // duplicated assign whose first delivery consumed the episode,
         // or a lease reclaim after this reply was presumed lost). Undo
         // the scheduler-side accounting; the worker is untouched.
-        let Some(consumed) = self.workers[worker].assigned(inc, ep, job) else {
+        let Some(consumed) = self.workers[w].assigned(inc, ep, job) else {
             self.books[s].assign_failed(lj, task, speculative);
             return;
         };
@@ -1146,25 +1156,20 @@ impl<'a> Decentral<'a> {
         // retired — or the task may have finished while the assignment
         // was in flight.
         if !self.books[s].assign_landed(lj, task, speculative, consumed) {
-            self.workers[worker].release_slot();
-            self.maybe_start_episode(worker);
+            self.workers[w].release_slot();
+            self.maybe_start_episode(w);
             return;
         }
-        let speed = self.machine_speed(worker);
+        let speed = self.machine_speed(w);
         let book = &mut self.books[s];
         if let Some(a) = self.audit.as_mut() {
             let t = &book.jobs[lj].phases()[task.phase].tasks[task.task];
-            a.note_launch(
-                worker,
-                !speculative,
-                t.running_copies() as u64,
-                t.is_finished(),
-            );
+            a.note_launch(w, !speculative, t.running_copies() as u64, t.is_finished());
         }
         book.wd_progress[lj] += 1;
         let (copy, dur) = book.jobs[lj].launch_copy_at_speed(
             task,
-            MachineId(worker),
+            MachineId(w),
             speculative,
             now,
             SimTime::ZERO,
@@ -1178,8 +1183,8 @@ impl<'a> Decentral<'a> {
         }
         self.queue.push(now + dur, Ev::Finish { job, copy, worker });
         let fresh = self.books[s].reservation(lj);
-        self.workers[worker].piggyback(job, fresh.virtual_size, fresh.remaining_tasks);
-        self.maybe_start_episode(worker);
+        self.workers[w].piggyback(job, fresh.virtual_size, fresh.remaining_tasks);
+        self.maybe_start_episode(w);
     }
 
     /// Apply one machine-dynamics incident.
@@ -1194,6 +1199,7 @@ impl<'a> Decentral<'a> {
         }
         let m = ev.machine();
         let w = m.0;
+        let worker = wire_u32(w, "worker id");
         match ev {
             DynEvent::SlowdownStart(_) | DynEvent::SlowdownEnd(_) => {
                 let ratio = out.rescale_ratio.expect("speed change carries a ratio");
@@ -1209,7 +1215,7 @@ impl<'a> Decentral<'a> {
                             Ev::Finish {
                                 job: j,
                                 copy,
-                                worker: w,
+                                worker,
                             },
                         );
                     }
@@ -1219,7 +1225,7 @@ impl<'a> Decentral<'a> {
                 // Worker-side teardown (`Worker::fail`): the parked
                 // reservations are written off at their schedulers.
                 for r in self.workers[w].fail() {
-                    let (s, lj) = self.at(r.job as usize);
+                    let (s, lj) = self.at(r.job);
                     self.books[s].reservations_gone(lj, 1);
                 }
                 if let Some(a) = self.audit.as_mut() {
@@ -1251,8 +1257,9 @@ impl<'a> Decentral<'a> {
         }
     }
 
-    fn on_finish(&mut self, job: usize, copy: CopyRef, worker: usize, now: SimTime) {
+    fn on_finish(&mut self, job: u32, copy: CopyRef, worker: u32, now: SimTime) {
         let (s, lj) = self.at(job);
+        let worker = worker as usize;
         // Lost or still-in-flight kill (faults only): the kill ledger
         // still holds this copy, so the worker never heard the race was
         // lost and ran the copy to this scheduled finish — it discovers
@@ -1310,7 +1317,7 @@ impl<'a> Decentral<'a> {
             }
             self.tele_kills += 1;
             self.send_msg(Ev::Kill {
-                worker: m.0,
+                worker: wire_u32(m.0, "worker id"),
                 job,
                 copy: c,
                 inc: self.workers[m.0].inc,
@@ -1327,7 +1334,7 @@ impl<'a> Decentral<'a> {
     }
 
     /// Kill notification reaches the worker running a lost sibling.
-    fn on_kill(&mut self, worker: usize, job: usize, copy: CopyRef, inc: u64) {
+    fn on_kill(&mut self, worker: u32, job: u32, copy: CopyRef, inc: u32) {
         // Idempotence (faults only): only the kill still present in the
         // pending ledger settles accounting — a duplicate, or a kill
         // whose copy already returned its slot at its scheduled finish,
@@ -1341,6 +1348,7 @@ impl<'a> Decentral<'a> {
         // only returns if the machine has not failed since the kill was
         // sent (incarnation match).
         let (s, lj) = self.at(job);
+        let worker = worker as usize;
         self.books[s].vacate(lj, 1);
         if inc == self.workers[worker].inc {
             if let Some(a) = self.audit.as_mut() {
@@ -1369,7 +1377,7 @@ impl<'a> Decentral<'a> {
                 // stay valid — their delivery-time re-validation makes
                 // re-dispatch after recovery safe.
                 self.books[s].crash();
-                self.sched_inc[s] += 1;
+                bump_stamp(&mut self.sched_inc[s], "scheduler incarnation");
                 self.stats.sched_failovers += 1;
             }
             SchedEv::Recover(s) => {
@@ -1394,7 +1402,7 @@ impl<'a> Decentral<'a> {
 
     /// The per-job watchdog fired (faults only); the owning book decides
     /// (see `SchedBook::watchdog`).
-    fn on_job_timeout(&mut self, job: usize) {
+    fn on_job_timeout(&mut self, job: u32) {
         let (s, lj) = self.at(job);
         let Some((delay_ms, stall)) = self.books[s].watchdog(lj, &self.backoff) else {
             return; // no re-arm: the watchdog dies with the job
@@ -1415,12 +1423,10 @@ impl<'a> Decentral<'a> {
     /// materialized mode) and remove it from every live index (see
     /// `SchedBook::retire`).
     fn complete_job(&mut self, s: usize, lj: usize, now: SimTime) {
+        let j = self.books[s].wire_job(lj);
         let result = self.books[s].retire(lj, now);
         self.done_count += 1;
-        let pos = self
-            .live
-            .binary_search(&result.job)
-            .expect("completed job is live");
+        let pos = self.live.binary_search(&j).expect("completed job is live");
         self.live.remove(pos);
         self.digest.observe_ms(result.duration_ms());
         self.tele.observe_jct(result.duration_ms());

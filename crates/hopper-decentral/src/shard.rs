@@ -64,7 +64,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 
 use crate::audit::{Auditor, MsgKind};
-use crate::book::{fair_share, SchedBook, Worker};
+use crate::book::{fair_share, owner, task_pair, task_ref, SchedBook, Worker};
 use crate::driver::{DecConfig, DecOutput, DecPolicy, DecStats};
 use crate::faults::{MsgFaults, SchedEv, SchedulerChain};
 use hopper_cluster::{
@@ -72,7 +72,7 @@ use hopper_cluster::{
     TaskRef,
 };
 use hopper_core::protocol::{
-    BackoffPolicy, PickScratch, Reservation, ResponseKind, UnsatisfiedJob,
+    wire_u32, BackoffPolicy, PickScratch, Reservation, ResponseKind, UnsatisfiedJob,
 };
 use hopper_core::{safe_horizon, EventKey, Mailbox, SyncBarrier};
 use hopper_metrics::{
@@ -118,7 +118,10 @@ pub struct ShardStats {
 
 /// One simulation event of the sharded engine. Worker-addressed events
 /// carry a global worker id; scheduler-addressed events are routed by
-/// the job's owner (`job % K`) or an explicit scheduler id.
+/// the job's owner (`book::owner`) or an explicit scheduler id. Worker
+/// and job ids, task pairs and incarnation/epoch stamps are `u32`
+/// (checked where each is created, `hopper_core::protocol::wire_u32`),
+/// so an event is at most 48 bytes.
 ///
 /// Five kinds are scheduler↔worker RPCs subject to the message-fault
 /// plane (`Reservation`, `Response`, `Assign`, `Refusal`, `Kill` — the
@@ -134,60 +137,61 @@ enum SEv {
     /// ahead of every other event at its instant.
     Arrival,
     /// Reservation lands in a worker queue.
-    Reservation { worker: usize, res: Reservation },
-    /// Scheduler assigns a task to the worker's promised slot. Carries
-    /// the scheduler-pre-drawn unit-speed duration (the worker scales
-    /// it by its local machine speed and commits), plus the job's
-    /// virtual-size/remaining snapshot for the §5.3 piggyback.
+    Reservation { worker: u32, res: Reservation },
+    /// Scheduler assigns a task (`(phase, task)`) to the worker's
+    /// promised slot. Carries the scheduler-pre-drawn unit-speed
+    /// duration (the worker scales it by its local machine speed and
+    /// commits), plus the job's virtual-size/remaining snapshot for the
+    /// §5.3 piggyback.
     Assign {
-        worker: usize,
-        job: usize,
-        task: TaskRef,
+        worker: u32,
+        job: u32,
+        task: (u32, u32),
         speculative: bool,
         unit_dur: SimTime,
         vsize: f64,
-        remaining: f64,
-        inc: u64,
-        ep: u64,
+        remaining: u32,
+        inc: u32,
+        ep: u32,
     },
     /// Scheduler declines the offer. `job_done` doubles as the
     /// completion notification that purges the job's parked
     /// reservations from the worker's queue.
     Refusal {
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         job_done: bool,
         unsatisfied: Option<UnsatisfiedJob>,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
     },
     /// Kill the copy behind `wtoken` (race lost). Idempotent at the
     /// worker: no record, no effect.
-    Kill { worker: usize, wtoken: u64 },
+    Kill { worker: u32, wtoken: u64 },
     /// Local copy-completion timer at the executing worker.
-    Finish { worker: usize, wtoken: u64 },
+    Finish { worker: u32, wtoken: u64 },
     /// Worker self-poll: re-examine the queue for a startable episode
     /// (replaces the serial driver's global-scan worker poke).
-    Poll { worker: usize },
+    Poll { worker: u32 },
     /// Response lease (faults only), as in the serial driver.
-    Lease { worker: usize, seq: u64 },
+    Lease { worker: u32, seq: u64 },
     /// Machine-dynamics incident for the owning worker's machine.
     Dyn(DynEvent),
     /// Worker offers its free slot to `job`'s scheduler.
     Response {
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         kind: ResponseKind,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
     },
     /// Worker committed an assigned copy: the launch ack. `consumed`
     /// reports whether a parked reservation was eaten by the assign.
     Launched {
-        job: usize,
-        worker: usize,
+        job: u32,
+        worker: u32,
         wtoken: u64,
-        task: TaskRef,
+        task: (u32, u32),
         speculative: bool,
         start: SimTime,
         dur: SimTime,
@@ -196,33 +200,31 @@ enum SEv {
     /// The assign reached a dead episode (machine failed or episode
     /// ended first): nothing was committed, undo the send-side books.
     AssignFailed {
-        job: usize,
-        task: TaskRef,
+        job: u32,
+        task: (u32, u32),
         speculative: bool,
     },
     /// A committed copy ran to completion on `worker`.
     TaskDone {
-        job: usize,
-        worker: usize,
+        job: u32,
+        worker: u32,
         wtoken: u64,
         dur: SimTime,
     },
     /// A committed copy died with its machine.
-    CopyLost {
-        job: usize,
-        worker: usize,
-        wtoken: u64,
-    },
+    CopyLost { job: u32, worker: u32, wtoken: u64 },
     /// `count` of the job's reservations evaporated at a worker (down
     /// machine, failure wipe, or a Sparrow no-task consume).
-    ResGone { job: usize, count: usize },
+    ResGone { job: u32, count: usize },
     /// Per-scheduler straggler scan.
     Scan { sched: usize },
     /// Scheduler crash/recover incident for an owned scheduler.
     SchedDyn(SchedEv),
     /// Per-job watchdog (faults only), armed by the owning scheduler.
-    JobTimeout { job: usize },
+    JobTimeout { job: u32 },
 }
+
+const _: () = assert!(std::mem::size_of::<SEv>() <= 48);
 
 /// Conservation-ledger kind of a scheduler↔worker RPC (`None` for the
 /// reliable internal messages and local timers).
@@ -298,7 +300,7 @@ impl Drop for PoisonGuard<'_> {
 /// machine-speed changes).
 #[derive(Debug, Clone, Copy)]
 struct CopyRec {
-    job: usize,
+    job: u32,
     start: SimTime,
     finish: SimTime,
 }
@@ -318,16 +320,16 @@ struct SchedSt {
     /// (job, copy) → (worker, wtoken): the scheduler's handle on every
     /// committed copy, for kill addressing. Lookup/remove only — never
     /// iterated, so HashMap nondeterminism cannot leak into events.
-    copy_tok: HashMap<(usize, CopyRef), (usize, u64)>,
+    copy_tok: HashMap<(u32, CopyRef), (u32, u64)>,
     /// (worker, wtoken) → (job, copy): resolves acks from workers.
-    tok_copy: HashMap<(usize, u64), (usize, CopyRef)>,
+    tok_copy: HashMap<(u32, u64), (u32, CopyRef)>,
 }
 
 /// One worker's complete runtime state: its protocol side
 /// (`crate::book`'s `Worker`) plus what only the sharded embedding needs.
 struct WorkSt {
     /// Global worker id (= machine id).
-    w: usize,
+    w: u32,
     /// Event-emission counter.
     seq: u64,
     state: Worker,
@@ -626,7 +628,7 @@ impl<'a> Shard<'a> {
         let mut workers: Vec<WorkSt> = (id..nworkers)
             .step_by(nshards)
             .map(|w| WorkSt {
-                w,
+                w: wire_u32(w, "worker id"),
                 seq: 1,
                 state: Worker::new(cfg.cluster.slots_per_machine),
                 records: BTreeMap::new(),
@@ -806,10 +808,8 @@ impl<'a> Shard<'a> {
         if let Some(a) = self.audit.as_ref() {
             for wk in &self.workers {
                 a.check_worker(
-                    wk.w,
-                    self.dynamics
-                        .as_ref()
-                        .is_none_or(|d| d.is_up(MachineId(wk.w))),
+                    wk.w as usize,
+                    self.worker_up(wk.w),
                     wk.state.free() as u64,
                     wk.state.has_episode(),
                     self.cfg.cluster.slots_per_machine as u64,
@@ -900,7 +900,7 @@ impl<'a> Shard<'a> {
                 job,
                 worker,
                 wtoken,
-                task,
+                task_ref(task),
                 speculative,
                 start,
                 dur,
@@ -911,7 +911,7 @@ impl<'a> Shard<'a> {
                 job,
                 task,
                 speculative,
-            } => self.on_assign_failed(job, task, speculative),
+            } => self.on_assign_failed(job, task_ref(task), speculative),
             SEv::TaskDone {
                 job,
                 worker,
@@ -935,7 +935,7 @@ impl<'a> Shard<'a> {
     /// which skips this shard's jobs in its own replica of the source.
     fn queue_next_arrival(&mut self) {
         self.next_job = std::iter::from_fn(|| self.arrivals.pop())
-            .find(|j| (j.id % self.k) % self.nshards == self.id);
+            .find(|j| owner(j.id, self.k).0 % self.nshards == self.id);
         if let Some(job) = &self.next_job {
             self.queue.push_arrival(job.arrival, SEv::Arrival);
         }
@@ -955,7 +955,8 @@ impl<'a> Shard<'a> {
     }
 
     /// Shard-local index of global worker `w` (must be owned here).
-    fn wi_of(&self, w: usize) -> usize {
+    fn wi_of(&self, w: u32) -> usize {
+        let w = w as usize;
         debug_assert_eq!(
             w % self.nshards,
             self.id,
@@ -966,18 +967,20 @@ impl<'a> Shard<'a> {
     }
 
     /// Owner scheduler of job `j` and its scheduler-local dense index.
-    fn owner_of(&self, j: usize) -> (usize, usize) {
-        (j % self.k, j / self.k)
+    fn owner_of(&self, j: u32) -> (usize, usize) {
+        owner(j as usize, self.k)
     }
 
-    fn machine_speed(&self, w: usize) -> f64 {
+    fn machine_speed(&self, w: u32) -> f64 {
         self.dynamics
             .as_ref()
-            .map_or(1.0, |d| d.speed(MachineId(w)))
+            .map_or(1.0, |d| d.speed(MachineId(w as usize)))
     }
 
-    fn worker_up(&self, w: usize) -> bool {
-        self.dynamics.as_ref().is_none_or(|d| d.is_up(MachineId(w)))
+    fn worker_up(&self, w: u32) -> bool {
+        self.dynamics
+            .as_ref()
+            .is_none_or(|d| d.is_up(MachineId(w as usize)))
     }
 
     /// Shard that owns the destination entity of an event.
@@ -989,7 +992,7 @@ impl<'a> Shard<'a> {
             | SEv::Kill { worker, .. }
             | SEv::Finish { worker, .. }
             | SEv::Poll { worker }
-            | SEv::Lease { worker, .. } => worker % self.nshards,
+            | SEv::Lease { worker, .. } => *worker as usize % self.nshards,
             SEv::Dyn(ev) => ev.machine().0 % self.nshards,
             SEv::Response { job, .. }
             | SEv::Launched { job, .. }
@@ -997,7 +1000,7 @@ impl<'a> Shard<'a> {
             | SEv::TaskDone { job, .. }
             | SEv::CopyLost { job, .. }
             | SEv::ResGone { job, .. }
-            | SEv::JobTimeout { job } => (job % self.k) % self.nshards,
+            | SEv::JobTimeout { job } => self.owner_of(*job).0 % self.nshards,
             SEv::Scan { sched } => sched % self.nshards,
             SEv::SchedDyn(ev) => sched_of(ev) % self.nshards,
             SEv::Arrival => unreachable!("an arrival is queued only by its owner shard"),
@@ -1037,7 +1040,7 @@ impl<'a> Shard<'a> {
         let wk = &mut self.workers[wi];
         let key = EventKey {
             time: now + delay,
-            origin: (self.k + wk.w) as u64,
+            origin: (self.k + wk.w as usize) as u64,
             seq: wk.seq,
         };
         wk.seq += 1;
@@ -1051,7 +1054,7 @@ impl<'a> Shard<'a> {
         let wk = &mut self.workers[wi];
         let key = EventKey {
             time: now + self.lookahead,
-            origin: (self.k + wk.w) as u64,
+            origin: (self.k + wk.w as usize) as u64,
             seq: wk.seq,
         };
         wk.seq += 1;
@@ -1088,7 +1091,7 @@ impl<'a> Shard<'a> {
             a.note_sent(kind);
         }
         let outcome = self.workers[wi].faults.as_mut().map(|f| f.send());
-        let origin = (self.k + self.workers[wi].w) as u64;
+        let origin = (self.k + self.workers[wi].w as usize) as u64;
         self.rpc_deliver(ev, kind, outcome, origin, now, |sh| {
             let wk = &mut sh.workers[wi];
             let q = wk.seq;
@@ -1177,17 +1180,17 @@ impl<'a> Shard<'a> {
     /// occupancy counter against ground truth (faults off, job live).
     fn audit_after(&self, ev: &SEv) {
         let Some(a) = self.audit.as_ref() else { return };
-        let check_w = |w: usize| {
+        let check_w = |w: u32| {
             let wk = &self.workers[self.wi_of(w)];
             a.check_worker(
-                w,
+                w as usize,
                 self.worker_up(w),
                 wk.state.free() as u64,
                 wk.state.has_episode(),
                 self.cfg.cluster.slots_per_machine as u64,
             );
         };
-        let check_j = |j: usize| {
+        let check_j = |j: u32| {
             if self.faults_on {
                 return;
             }
@@ -1204,7 +1207,7 @@ impl<'a> Shard<'a> {
             | SEv::Finish { worker, .. }
             | SEv::Poll { worker }
             | SEv::Lease { worker, .. } => check_w(*worker),
-            SEv::Dyn(ev) => check_w(ev.machine().0),
+            SEv::Dyn(ev) => check_w(wire_u32(ev.machine().0, "worker id")),
             SEv::Response { job, .. }
             | SEv::Launched { job, .. }
             | SEv::AssignFailed { job, .. }
@@ -1219,13 +1222,13 @@ impl<'a> Shard<'a> {
 
 // ---- worker-side handlers ----
 impl<'a> Shard<'a> {
-    fn on_reservation(&mut self, worker: usize, res: Reservation, now: SimTime) {
+    fn on_reservation(&mut self, worker: u32, res: Reservation, now: SimTime) {
         let wi = self.wi_of(worker);
         if !self.worker_up(worker) {
             // The machine is down: the reservation evaporates and the
             // owning scheduler's live-reservation count must learn it
             // by message (the serial driver decremented it in place).
-            let job = res.job as usize;
+            let job = res.job;
             self.worker_msg(wi, now, SEv::ResGone { job, count: 1 });
             return;
         }
@@ -1238,7 +1241,7 @@ impl<'a> Shard<'a> {
     /// Start a late-binding episode if the worker is up and has a free
     /// slot, no episode in flight, and a non-empty queue; then arm the
     /// self-poll that replaces the serial driver's global-scan poke.
-    fn maybe_start_episode(&mut self, worker: usize, now: SimTime) {
+    fn maybe_start_episode(&mut self, worker: u32, now: SimTime) {
         if !self.worker_up(worker) {
             return;
         }
@@ -1264,9 +1267,9 @@ impl<'a> Shard<'a> {
         let wk = &mut self.workers[wi];
         let worker = wk.w;
         let thr = self.cfg.refusal_threshold;
-        let (offer, switched) = wk
-            .state
-            .step(self.policy, thr, &mut self.picks, &mut wk.rng);
+        let (offer, switched) =
+            wk.state
+                .step(self.policy, thr, self.k, &mut self.picks, &mut wk.rng);
         if switched {
             self.stats.guideline3_switches += 1;
         }
@@ -1293,12 +1296,12 @@ impl<'a> Shard<'a> {
     #[allow(clippy::too_many_arguments)]
     fn on_refusal(
         &mut self,
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         job_done: bool,
         unsatisfied: Option<UnsatisfiedJob>,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
         now: SimTime,
     ) {
         let wi = self.wi_of(worker);
@@ -1311,7 +1314,7 @@ impl<'a> Shard<'a> {
         if job_done {
             let queue = &mut self.workers[wi].state.queue;
             let before = queue.len();
-            queue.retain(|r| r.job as usize != job);
+            queue.retain(|r| r.job != job);
             let gone = before - queue.len();
             if gone > 0 {
                 self.worker_msg(wi, now, SEv::ResGone { job, count: gone });
@@ -1321,7 +1324,7 @@ impl<'a> Shard<'a> {
         if !wk.take_reply(inc, ep) {
             return;
         }
-        if !job_done && wk.refused(self.policy, job % self.k, job, unsatisfied) {
+        if !job_done && wk.refused(self.policy, job, unsatisfied) {
             self.worker_msg(wi, now, SEv::ResGone { job, count: 1 });
         }
         self.episode_step(wi, now);
@@ -1334,15 +1337,15 @@ impl<'a> Shard<'a> {
     #[allow(clippy::too_many_arguments)]
     fn on_assign(
         &mut self,
-        worker: usize,
-        job: usize,
-        task: TaskRef,
+        worker: u32,
+        job: u32,
+        task: (u32, u32),
         speculative: bool,
         unit_dur: SimTime,
         vsize: f64,
-        remaining: f64,
-        inc: u64,
-        ep: u64,
+        remaining: u32,
+        inc: u32,
+        ep: u32,
         now: SimTime,
     ) {
         let wi = self.wi_of(worker);
@@ -1375,7 +1378,7 @@ impl<'a> Shard<'a> {
         // serial driver reads the scheduler's post-launch state directly.
         wk.state.piggyback(job, vsize, remaining);
         if let Some(a) = self.audit.as_mut() {
-            a.note_copy_started(worker);
+            a.note_copy_started(worker as usize);
         }
         self.push_local_worker(wi, now, dur, SEv::Finish { worker, wtoken });
         self.worker_msg(
@@ -1399,7 +1402,7 @@ impl<'a> Shard<'a> {
     /// the owning scheduler. If a kill beat the timer the record is
     /// gone and this is a no-op; if a rescale moved the finish, the
     /// superseded timer misses the recorded instant and dies here.
-    fn on_finish(&mut self, worker: usize, wtoken: u64, now: SimTime) {
+    fn on_finish(&mut self, worker: u32, wtoken: u64, now: SimTime) {
         let wi = self.wi_of(worker);
         let Some(rec) = self.workers[wi].records.get(&wtoken).copied() else {
             return;
@@ -1409,7 +1412,7 @@ impl<'a> Shard<'a> {
         }
         self.workers[wi].records.remove(&wtoken);
         if let Some(a) = self.audit.as_mut() {
-            a.note_copy_stopped(worker);
+            a.note_copy_stopped(worker as usize);
         }
         self.workers[wi].state.release_slot();
         self.worker_msg(
@@ -1429,26 +1432,26 @@ impl<'a> Shard<'a> {
     /// interleaving by construction: the record is the single source of
     /// truth, and whoever removes it first (kill, natural finish,
     /// machine failure) settles the slot exactly once.
-    fn on_kill(&mut self, worker: usize, wtoken: u64, now: SimTime) {
+    fn on_kill(&mut self, worker: u32, wtoken: u64, now: SimTime) {
         let wi = self.wi_of(worker);
         if self.workers[wi].records.remove(&wtoken).is_none() {
             return;
         }
         if let Some(a) = self.audit.as_mut() {
-            a.note_copy_stopped(worker);
+            a.note_copy_stopped(worker as usize);
         }
         self.workers[wi].state.release_slot();
         self.maybe_start_episode(worker, now);
     }
 
-    fn on_poll(&mut self, worker: usize, now: SimTime) {
+    fn on_poll(&mut self, worker: u32, now: SimTime) {
         let wi = self.wi_of(worker);
         self.workers[wi].poll_armed = false;
         self.maybe_start_episode(worker, now);
     }
 
     /// A response lease fired (faults only), as in the serial driver.
-    fn on_lease(&mut self, worker: usize, seq: u64, now: SimTime) {
+    fn on_lease(&mut self, worker: u32, seq: u64, now: SimTime) {
         let wi = self.wi_of(worker);
         if self.workers[wi].state.lease_expired(seq) {
             self.stats.orphan_reclaimed += 1;
@@ -1472,7 +1475,7 @@ impl<'a> Shard<'a> {
             .expect("dyn event without dynamics plane")
             .apply(ev);
         let m = ev.machine();
-        let w = m.0;
+        let w = wire_u32(m.0, "worker id");
         let wi = self.wi_of(w);
         for (delay, next) in out.next {
             self.push_local_worker(wi, now, delay, SEv::Dyn(next));
@@ -1511,13 +1514,13 @@ impl<'a> Shard<'a> {
                 let queue = wk.state.fail();
                 let records = std::mem::take(&mut wk.records);
                 if let Some(a) = self.audit.as_mut() {
-                    a.note_machine_failed(w);
+                    a.note_machine_failed(m.0);
                 }
                 // Aggregate reservation losses per job; BTreeMap iteration
                 // keeps the emission order deterministic.
-                let mut gone: BTreeMap<usize, usize> = BTreeMap::new();
+                let mut gone: BTreeMap<u32, usize> = BTreeMap::new();
                 for r in queue {
-                    *gone.entry(r.job as usize).or_insert(0) += 1;
+                    *gone.entry(r.job).or_insert(0) += 1;
                 }
                 for (job, count) in gone {
                     self.worker_msg(wi, now, SEv::ResGone { job, count });
@@ -1549,7 +1552,7 @@ impl<'a> Shard<'a> {
     /// targets come from the owner's own RNG, so the draw sequences are
     /// partition-independent.
     fn on_job_arrive(&mut self, spec: TraceJob, now: SimTime) {
-        let j = spec.id;
+        let j = wire_u32(spec.id, "job id");
         debug_assert_eq!(spec.arrival, now);
         let (s, lj) = self.owner_of(j);
         let si = self.si_of(s);
@@ -1577,14 +1580,13 @@ impl<'a> Shard<'a> {
 
     /// Send a reservation for job `lj` of scheduler `si` to each of
     /// `targets`.
-    fn send_reservations(&mut self, si: usize, lj: usize, targets: Vec<usize>, now: SimTime) {
+    fn send_reservations(&mut self, si: usize, lj: usize, targets: Vec<u32>, now: SimTime) {
         if targets.is_empty() {
             return;
         }
         let res = self.scheds[si].book.reservation(lj);
         for worker in targets {
             self.stats.reservations += 1;
-            let res = res.clone();
             self.sched_rpc(si, now, SEv::Reservation { worker, res });
         }
     }
@@ -1595,11 +1597,11 @@ impl<'a> Shard<'a> {
     /// makes it identical on every shard and for every shard count.
     fn on_response(
         &mut self,
-        worker: usize,
-        job: usize,
+        worker: u32,
+        job: u32,
         kind: ResponseKind,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
         now: SimTime,
     ) {
         let (s, lj) = self.owner_of(job);
@@ -1619,21 +1621,14 @@ impl<'a> Shard<'a> {
             self.active_global,
         );
         let st = &mut self.scheds[si];
-        let Some((task, speculative)) =
-            st.book
-                .serve(lj, kind, MachineId(worker), self.policy, share, now)
-        else {
+        let m = MachineId(worker as usize);
+        let Some((task, speculative)) = st.book.serve(lj, kind, m, self.policy, share, now) else {
             self.send_refusal(si, worker, lj, false, inc, ep, now);
             return;
         };
         // Pre-draw the unit-speed duration from the owner's own RNG; the
         // worker speed-scales and commits.
-        let unit_dur = st.book.jobs[lj].sample_unit_duration(
-            task,
-            MachineId(worker),
-            speculative,
-            &mut st.rng,
-        );
+        let unit_dur = st.book.jobs[lj].sample_unit_duration(task, m, speculative, &mut st.rng);
         let fresh = st.book.reservation(lj);
         self.sched_rpc(
             si,
@@ -1641,7 +1636,7 @@ impl<'a> Shard<'a> {
             SEv::Assign {
                 worker,
                 job,
-                task,
+                task: task_pair(task),
                 speculative,
                 unit_dur,
                 vsize: fresh.virtual_size,
@@ -1659,18 +1654,18 @@ impl<'a> Shard<'a> {
     fn send_refusal(
         &mut self,
         si: usize,
-        worker: usize,
+        worker: u32,
         lj: usize,
         job_done: bool,
-        inc: u64,
-        ep: u64,
+        inc: u32,
+        ep: u32,
         now: SimTime,
     ) {
         self.stats.refusals += 1;
         let book = &self.scheds[si].book;
         let ev = SEv::Refusal {
             worker,
-            job: book.job_id(lj),
+            job: book.wire_job(lj),
             job_done,
             unsatisfied: book.best_unsatisfied(lj),
             inc,
@@ -1686,8 +1681,8 @@ impl<'a> Shard<'a> {
     #[allow(clippy::too_many_arguments)]
     fn on_launched(
         &mut self,
-        job: usize,
-        worker: usize,
+        job: u32,
+        worker: u32,
         wtoken: u64,
         task: TaskRef,
         speculative: bool,
@@ -1715,8 +1710,8 @@ impl<'a> Shard<'a> {
             return;
         }
         st.book.wd_progress[lj] += 1;
-        let copy =
-            st.book.jobs[lj].launch_copy_prepared(task, MachineId(worker), speculative, start, dur);
+        let m = MachineId(worker as usize);
+        let copy = st.book.jobs[lj].launch_copy_prepared(task, m, speculative, start, dur);
         st.copy_tok.insert((job, copy), (worker, wtoken));
         st.tok_copy.insert((worker, wtoken), (job, copy));
         if speculative {
@@ -1729,7 +1724,7 @@ impl<'a> Shard<'a> {
     /// The assign found no promised slot (machine failed or episode
     /// ended in flight): undo the send-side accounting, as the serial
     /// driver's delivery-time mismatch branch does in place.
-    fn on_assign_failed(&mut self, job: usize, task: TaskRef, speculative: bool) {
+    fn on_assign_failed(&mut self, job: u32, task: TaskRef, speculative: bool) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
         if !self.faults_on {
@@ -1744,7 +1739,7 @@ impl<'a> Shard<'a> {
     /// learns β from the worker's measured wall-clock duration — equal
     /// to the serial driver's rescale-adjusted copy duration), kill the
     /// running siblings, probe newly eligible phases, complete the job.
-    fn on_task_done(&mut self, job: usize, worker: usize, wtoken: u64, dur: SimTime, now: SimTime) {
+    fn on_task_done(&mut self, job: u32, worker: u32, wtoken: u64, dur: SimTime, now: SimTime) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
         let st = &mut self.scheds[si];
@@ -1785,7 +1780,7 @@ impl<'a> Shard<'a> {
 
     /// A committed copy died with its machine: the per-copy half of the
     /// serial driver's `fail_machine` sweep.
-    fn on_copy_lost(&mut self, job: usize, worker: usize, wtoken: u64, now: SimTime) {
+    fn on_copy_lost(&mut self, job: u32, worker: u32, wtoken: u64, now: SimTime) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
         let st = &mut self.scheds[si];
@@ -1801,7 +1796,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Reservations for the job evaporated at a worker.
-    fn on_res_gone(&mut self, job: usize, count: usize) {
+    fn on_res_gone(&mut self, job: u32, count: usize) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
         self.scheds[si].book.reservations_gone(lj, count);
@@ -1873,7 +1868,7 @@ impl<'a> Shard<'a> {
 
     /// The per-job watchdog fired (faults only); the owning book decides
     /// (see `SchedBook::watchdog`).
-    fn on_job_timeout(&mut self, job: usize, now: SimTime) {
+    fn on_job_timeout(&mut self, job: u32, now: SimTime) {
         let (s, lj) = self.owner_of(job);
         let si = self.si_of(s);
         let Some((delay_ms, stall)) = self.scheds[si].book.watchdog(lj, &self.backoff) else {

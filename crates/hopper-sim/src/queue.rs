@@ -18,8 +18,9 @@
 //! push that declares it was sent `d` before it fires
 //! ([`EventQueue::push_after`], [`EventQueue::push_keyed_after`]) joins
 //! lane `d`. Sends come in clock order, so a lane's entries arrive
-//! almost sorted: a push appends, or walks back past the few larger keys
-//! at its instant. Each lane stays sorted by key, and `pop` takes the
+//! almost sorted: a push appends, or gallops back to its place among
+//! the larger keys at its instant (O(log d) key reads for a place `d`
+//! back). Each lane stays sorted by key, and `pop` takes the
 //! smallest of the lane fronts and the heap's top, so the pop order is
 //! the heap-only order, tie for tie. Events live once in a slab, with
 //! their keys; the heap moves 32-byte `(key, slot)` handles and a lane
@@ -305,16 +306,8 @@ impl<E> EventQueue<E> {
             self.heap.push(Handle { key, slot });
             return;
         };
-        // Insert after the last entry with a smaller key. Sends come in
-        // clock order, so this appends, except for a same-instant tie
-        // from a smaller origin or an event sent earlier elsewhere (a
-        // cross-shard message), which walk back a few places.
         self.lane_pushes += 1;
-        let slab = &self.slab;
-        let mut at = lane.slots.len();
-        while at > 0 && slab[lane.slots[at - 1] as usize].key > key {
-            at -= 1;
-        }
+        let at = insert_point(&lane.slots, |s| self.slab[s as usize].key < key);
         if at == lane.slots.len() {
             lane.slots.push_back(slot);
         } else {
@@ -370,6 +363,43 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.head().map(|(key, _)| key.time)
     }
+}
+
+/// Where a key goes in a lane sorted by key: the number of entries
+/// whose key is smaller (`below`). Sends come in clock order, so this is
+/// usually the back; a same-instant tie from a smaller origin, or an
+/// event sent earlier on another shard, lands `d` places before it.
+/// Galloping back from the back (1, 2, 4, … places) and then bisecting
+/// the last step finds it in O(log d) key reads, where a walk took `d`:
+/// a burst of same-instant messages from many origins arrives in no
+/// particular key order, and its later pushes land thousands of places
+/// back.
+fn insert_point(slots: &VecDeque<u32>, below: impl Fn(u32) -> bool) -> usize {
+    let len = slots.len();
+    // `hi`: an entry known to be above the key (or the end).
+    let mut hi = len;
+    let mut step = 1;
+    let mut lo = loop {
+        let Some(probe) = hi.checked_sub(step) else {
+            break 0;
+        };
+        if below(slots[probe]) {
+            break probe + 1;
+        }
+        hi = probe;
+        step *= 2;
+    };
+    // Every entry before `lo` is below the key, and `slots[hi]` (if any)
+    // above it.
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(slots[mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -510,6 +540,38 @@ mod tests {
             order,
             ["o1@3", "heap o3@3", "o4@3", "o4@3'", "o2@4", "o2@4'"]
         );
+    }
+
+    /// A long same-instant burst arriving in descending origin order,
+    /// as messages from many origins do: every push after the first
+    /// lands below the whole lane so far, with later instants and a
+    /// few stragglers mixed in. The lane pops in key order.
+    #[test]
+    fn keyed_lane_orders_a_descending_burst() {
+        let ms = SimTime::from_millis;
+        let key = |t, origin| EventKey {
+            time: ms(t),
+            origin,
+            seq: 1,
+        };
+        let mut q = EventQueue::with_lanes([ms(3)]);
+        let mut keys = Vec::new();
+        for origin in (1..=5_000u64).rev() {
+            keys.push(key(3, origin));
+            if origin % 1_000 == 0 {
+                keys.push(key(4, origin));
+            }
+            if origin % 777 == 0 {
+                keys.push(key(3, 10_000 + origin));
+            }
+        }
+        for &k in &keys {
+            q.push_keyed_after(ms(3), k, k);
+        }
+        assert_eq!(q.counters().lane_pushes, keys.len() as u64);
+        keys.sort();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, k)| k)).collect();
+        assert_eq!(order, keys);
     }
 
     /// Repeated delays share a lane, and delays past [`MAX_LANES`] go to

@@ -428,35 +428,36 @@ proptest! {
     }
 
     /// A worker episode never responds twice to the same scheduler within
-    /// an episode, and always terminates within its response bound.
+    /// an episode, and always terminates within its response bound. Job
+    /// `j` belongs to scheduler `j % 8`.
     #[test]
     fn episode_terminates_and_never_reprobes(
-        entries in prop::collection::vec((0usize..8, 0u64..40, 1.0f64..300.0), 0..60),
+        entries in prop::collection::vec((0u32..40, 1.0f64..300.0), 0..60),
         threshold in 0usize..6,
         seed in 0u64..20,
     ) {
         let queue: Vec<Reservation> = entries
             .iter()
-            .map(|&(s, j, v)| Reservation {
-                scheduler: s,
+            .map(|&(j, v)| Reservation {
                 job: j,
+                remaining_tasks: v as u32,
                 virtual_size: v,
-                remaining_tasks: v,
             })
             .collect();
         let mut ep = FreeSlotEpisode::new(threshold);
         let mut rng = rng_from_seed(seed);
         let mut probed: Vec<usize> = Vec::new();
         let mut steps = 0;
-        while let WorkerAction::Respond { scheduler, job, kind } = ep.next_action(&queue, &mut rng)
+        while let WorkerAction::Respond { scheduler, job, kind } = ep.next_action(&queue, 8, &mut rng)
         {
+            prop_assert_eq!(scheduler, job as usize % 8);
             if kind == hopper::core::ResponseKind::Refusable {
                 prop_assert!(!probed.contains(&scheduler), "re-probed {scheduler}");
             }
             probed.push(scheduler);
             ep.mark_probed(scheduler);
             // Simulate a refusal so the episode keeps going.
-            ep.record_refusal(scheduler, job, None);
+            ep.record_refusal(job, None);
             steps += 1;
             prop_assert!(steps <= threshold + 4, "episode exceeded its bound");
         }
