@@ -1634,7 +1634,7 @@ mod tests {
         let a = run(&trace, &hopper, &cfg).prewarm_counters;
         assert_eq!(a, run(&trace, &hopper, &cfg).prewarm_counters);
         assert!(
-            a.passes > 0 && a.deficit_rows > 0 && a.machines_visited > 0,
+            a.passes > 0 && a.reset_rows > 0 && a.machines_painted > 0,
             "{a:?}"
         );
         for policy in [Policy::Fifo, Policy::Fair, Policy::Srpt] {

@@ -11,7 +11,8 @@
 //! a bitset of the machines whose count is non-zero. Every query therefore
 //! iterates in the order the B-tree sets it replaced did, and a job's
 //! index costs one `u32` per (task, replica) pair and three per replica
-//! machine instead of one B-tree leaf per replica machine.
+//! machine instead of one B-tree leaf per replica machine, all in one
+//! block: building it allocates once.
 //!
 //! The replica sets themselves are the transpose of that CSR, by the same
 //! task numbering: one offset per task into one machine array per job.
@@ -63,90 +64,103 @@ impl ReplicaSets {
     }
 }
 
-/// A fixed-length bitset.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Bits(Vec<u64>);
+/// Bit `i` of a bitset stored as 32-bit words.
+fn bit(words: &[u32], i: usize) -> bool {
+    words[i / 32] >> (i % 32) & 1 == 1
+}
 
-impl Bits {
-    fn new(n: usize) -> Self {
-        Bits(vec![0; n.div_ceil(64)])
+/// Set bit `i` to `on`; returns whether it changed.
+fn put_bit(words: &mut [u32], i: usize, on: bool) -> bool {
+    let (w, b) = (i / 32, 1u32 << (i % 32));
+    let was = words[w] & b != 0;
+    if on {
+        words[w] |= b;
+    } else {
+        words[w] &= !b;
     }
+    was != on
+}
 
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Set bit `i` to `on`; returns whether it changed.
-    fn put(&mut self, i: usize, on: bool) -> bool {
-        let (w, b) = (i / 64, 1u64 << (i % 64));
-        let was = self.0[w] & b != 0;
-        if on {
-            self.0[w] |= b;
-        } else {
-            self.0[w] &= !b;
-        }
-        was != on
-    }
-
-    fn count(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Index of the first non-zero word at or after `from` (the word
-    /// count if there is none).
-    fn first_word_from(&self, from: usize) -> usize {
-        (from..self.0.len())
-            .find(|&w| self.0[w] != 0)
-            .unwrap_or(self.0.len())
-    }
+/// Index of the first non-zero word at or after `from` (the word count if
+/// there is none).
+fn first_word_from(words: &[u32], from: usize) -> usize {
+    (from..words.len())
+        .find(|&w| words[w] != 0)
+        .unwrap_or(words.len())
 }
 
 /// Set bit positions, ascending, of the words `word(w)` for `w` in `words`.
-fn ones(words: std::ops::Range<usize>, word: impl Fn(usize) -> u64) -> impl Iterator<Item = usize> {
+fn ones(words: std::ops::Range<usize>, word: impl Fn(usize) -> u32) -> impl Iterator<Item = usize> {
     words.flat_map(move |w| {
         let mut x = word(w);
         std::iter::from_fn(move || {
             (x != 0).then(|| {
                 let b = x.trailing_zeros() as usize;
                 x &= x - 1;
-                w * 64 + b
+                w * 32 + b
             })
         })
     })
 }
 
+/// The parts of a [`TaskIndex`] block, in block order.
+#[derive(Debug, Clone, Copy)]
+enum Part {
+    /// `First[p]` numbers task 0 of phase `p`; one last entry holds the
+    /// job's task count.
+    First,
+    /// Distinct replica machines, ascending.
+    Machines,
+    /// CSR offsets: machine `k`'s tasks are `Tasks[Starts[k]..Starts[k + 1]]`.
+    Starts,
+    /// Tasks with a replica on each machine, ascending per machine.
+    Tasks,
+    /// Pending tasks per replica machine (parallel to `Machines`).
+    LocalPending,
+    /// Bitset of the tasks with an empty replica set (static).
+    NoReplica,
+    /// Bitset of the pending tasks: unlaunched (or requeued), unfinished,
+    /// in an eligible phase.
+    Pending,
+    /// Bitset of the tasks with at least one running copy.
+    Running,
+    /// Bitset of the replica machines (positions in `Machines`) with
+    /// local pending work.
+    HasLocal,
+}
+
+const PARTS: usize = Part::HasLocal as usize + 1;
+
+/// Block range of part `p`, given each part's end.
+fn range(ends: &[u32; PARTS], p: Part) -> std::ops::Range<usize> {
+    let i = p as usize;
+    let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
+    lo..ends[i] as usize
+}
+
+thread_local! {
+    /// [`TaskIndex::scan`]'s `(machine, task)` pairs, kept between calls so
+    /// that building a job's index allocates only its block.
+    static PAIRS: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// The flat pending/locality/running index of one job (see the module
 /// docs). A pure cache: [`TaskIndex::scan`] derives it from the task
-/// state, and `JobRun`'s transitions keep it equal to that scan.
+/// state, and `JobRun`'s transitions keep it equal to that scan. The
+/// numbering, the CSR, the per-machine counts and the bitsets share one
+/// block of `u32`s, carved into the [`Part`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct TaskIndex {
-    /// `first[p]` numbers task 0 of phase `p`; one last entry holds the
-    /// job's task count.
-    first: Vec<u32>,
-    /// Tasks with an empty replica set (static).
-    no_replica: Bits,
-    /// Distinct replica machines, ascending.
-    machines: Vec<u32>,
-    /// CSR offsets: machine `k`'s tasks are `tasks[starts[k]..starts[k + 1]]`.
-    starts: Vec<u32>,
-    /// Tasks with a replica on each machine, ascending per machine.
-    tasks: Vec<u32>,
-    /// Pending tasks: unlaunched (or requeued), unfinished, in an eligible
-    /// phase.
-    pending: Bits,
-    /// First word of `pending` with a set bit (its word count if none);
+    block: Vec<u32>,
+    /// Each part's end in `block`.
+    ends: [u32; PARTS],
+    /// First word of `Pending` with a set bit (its word count if none);
     /// every pending walk starts here.
     pending_lo: usize,
     /// Number of pending tasks.
     pending_len: usize,
     /// Number of pending tasks without a replica.
     pending_no_replica: usize,
-    /// Pending tasks per replica machine (parallel to `machines`).
-    local_pending: Vec<u32>,
-    /// Replica machines (positions in `machines`) with local pending work.
-    has_local: Bits,
-    /// Tasks with at least one running copy.
-    running: Bits,
 }
 
 impl TaskIndex {
@@ -157,111 +171,134 @@ impl TaskIndex {
         replicas: &ReplicaSets,
         running_copies: impl Fn(TaskRef) -> usize,
     ) -> TaskIndex {
-        let mut first = Vec::with_capacity(phases.len() + 1);
-        let mut n = 0usize;
-        for p in phases {
-            first.push(n as u32);
-            n += p.tasks.len();
-        }
-        first.push(u32::try_from(n).expect("job task count fits u32"));
-        let mut no_replica = Bits::new(n);
-        let mut pending = Bits::new(n);
-        let mut running = Bits::new(n);
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(replicas.machines.len());
-        let tasks = phases.iter().enumerate().flat_map(|(pi, p)| {
-            let tasks = p.tasks.iter().enumerate();
-            tasks.map(move |(ti, t)| (p.eligible, t, TaskRef::new(pi, ti)))
-        });
-        for (g, (eligible, t, tr)) in tasks.enumerate() {
-            let replicas = replicas.get(g);
-            let running_now = running_copies(tr);
-            no_replica.put(g, replicas.is_empty());
-            pending.put(g, eligible && !t.is_finished() && running_now == 0);
-            running.put(g, eligible && running_now > 0);
-            pairs.extend(replicas.iter().map(|m| {
-                let m = u32::try_from(m.0).expect("machine id fits u32");
-                (m, g as u32)
-            }));
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let distinct = pairs.chunk_by(|a, b| a.0 == b.0).count();
-        let mut machines: Vec<u32> = Vec::with_capacity(distinct);
-        let mut starts: Vec<u32> = Vec::with_capacity(distinct + 1);
-        let mut tasks: Vec<u32> = Vec::with_capacity(pairs.len());
-        for (m, g) in pairs {
-            if machines.last() != Some(&m) {
-                machines.push(m);
-                starts.push(tasks.len() as u32);
+        let n: usize = phases.iter().map(|p| p.tasks.len()).sum();
+        let tasks = u32::try_from(n).expect("job task count fits u32");
+        PAIRS.with_borrow_mut(|pairs| {
+            // `(machine, task)` pairs, sorted: the CSR in machine order.
+            pairs.clear();
+            for g in 0..n {
+                pairs.extend(replicas.get(g).iter().map(|m| {
+                    let m = u32::try_from(m.0).expect("machine id fits u32");
+                    u64::from(m) << 32 | g as u64
+                }));
             }
-            tasks.push(g);
-        }
-        starts.push(tasks.len() as u32);
-        let local_pending: Vec<u32> = starts
-            .windows(2)
-            .map(|s| {
-                let list = &tasks[s[0] as usize..s[1] as usize];
-                list.iter().filter(|&&g| pending.get(g as usize)).count() as u32
-            })
-            .collect();
-        let mut has_local = Bits::new(machines.len());
-        for (k, &c) in local_pending.iter().enumerate() {
-            has_local.put(k, c > 0);
-        }
-        let pending_no_replica =
-            ones(0..pending.0.len(), |w| pending.0[w] & no_replica.0[w]).count();
-        TaskIndex {
-            first,
-            no_replica,
-            machines,
-            starts,
-            tasks,
-            pending_lo: pending.first_word_from(0),
-            pending_len: pending.count(),
-            pending_no_replica,
-            pending,
-            local_pending,
-            has_local,
-            running,
-        }
+            pairs.sort_unstable();
+            pairs.dedup();
+            let distinct = pairs.chunk_by(|a, b| a >> 32 == b >> 32).count();
+            let (words, bits) = (n.div_ceil(32), distinct.div_ceil(32));
+            // Part lengths, in `Part` order.
+            let lens = [
+                phases.len() + 1,
+                distinct,
+                distinct + 1,
+                pairs.len(),
+                distinct,
+                words,
+                words,
+                words,
+                bits,
+            ];
+            let mut ends = [0u32; PARTS];
+            let mut end = 0;
+            for (e, len) in ends.iter_mut().zip(lens) {
+                end += len;
+                *e = u32::try_from(end).expect("job index fits u32 offsets");
+            }
+            let mut idx = TaskIndex {
+                block: vec![0; end],
+                ends,
+                ..TaskIndex::default()
+            };
+            let mut g = 0;
+            for (pi, p) in phases.iter().enumerate() {
+                idx.part_mut(Part::First)[pi] = g as u32;
+                for (ti, t) in p.tasks.iter().enumerate() {
+                    let running_now = running_copies(TaskRef::new(pi, ti));
+                    let pending = p.eligible && !t.is_finished() && running_now == 0;
+                    put_bit(idx.part_mut(Part::NoReplica), g, replicas.get(g).is_empty());
+                    put_bit(idx.part_mut(Part::Pending), g, pending);
+                    put_bit(
+                        idx.part_mut(Part::Running),
+                        g,
+                        p.eligible && running_now > 0,
+                    );
+                    g += 1;
+                }
+            }
+            idx.part_mut(Part::First)[phases.len()] = tasks;
+            let mut k = 0;
+            for (i, &pair) in pairs.iter().enumerate() {
+                let (m, g) = ((pair >> 32) as u32, pair as u32);
+                if i == 0 || pairs[i - 1] >> 32 != pair >> 32 {
+                    idx.part_mut(Part::Machines)[k] = m;
+                    idx.part_mut(Part::Starts)[k] = i as u32;
+                    k += 1;
+                }
+                idx.part_mut(Part::Tasks)[i] = g;
+                if bit(idx.part(Part::Pending), g as usize) {
+                    idx.part_mut(Part::LocalPending)[k - 1] += 1;
+                    put_bit(idx.part_mut(Part::HasLocal), k - 1, true);
+                }
+            }
+            idx.part_mut(Part::Starts)[distinct] = pairs.len() as u32;
+            let (pending, no_replica) = (idx.part(Part::Pending), idx.part(Part::NoReplica));
+            let pending_lo = first_word_from(pending, 0);
+            let pending_len = pending.iter().map(|w| w.count_ones() as usize).sum();
+            let pending_no_replica = ones(0..words, |w| pending[w] & no_replica[w]).count();
+            idx.pending_lo = pending_lo;
+            idx.pending_len = pending_len;
+            idx.pending_no_replica = pending_no_replica;
+            idx
+        })
+    }
+
+    /// Part `p` of the block.
+    fn part(&self, p: Part) -> &[u32] {
+        &self.block[range(&self.ends, p)]
+    }
+
+    /// Part `p` of the block, writable.
+    fn part_mut(&mut self, p: Part) -> &mut [u32] {
+        &mut self.block[range(&self.ends, p)]
     }
 
     /// The number `g` of `task`.
     pub(crate) fn number(&self, task: TaskRef) -> usize {
-        self.first[task.phase] as usize + task.task
+        self.part(Part::First)[task.phase] as usize + task.task
     }
 
     /// The task numbered `g`.
     fn task_ref(&self, g: usize) -> TaskRef {
         // The last phase starting at or before `g`: an empty phase shares
         // its start with the next one, which is the one holding `g`.
-        let p = self.first.partition_point(|&f| f as usize <= g) - 1;
-        TaskRef::new(p, g - self.first[p] as usize)
+        let first = self.part(Part::First);
+        let p = first.partition_point(|&f| f as usize <= g) - 1;
+        TaskRef::new(p, g - first[p] as usize)
     }
 
     /// Position of `m` among the replica machines.
     fn machine_pos(&self, m: MachineId) -> Option<usize> {
         let m = u32::try_from(m.0).ok()?;
-        self.machines.binary_search(&m).ok()
+        self.part(Part::Machines).binary_search(&m).ok()
     }
 
     /// Mark task `g` (replica set `replicas`) pending or not, updating the
     /// per-machine counts. A no-op when the bit already holds `on`.
     pub(crate) fn set_pending(&mut self, g: usize, replicas: &[MachineId], on: bool) {
-        if !self.pending.put(g, on) {
+        if !put_bit(self.part_mut(Part::Pending), g, on) {
             return;
         }
-        let w = g / 64;
+        let w = g / 32;
         if on {
             self.pending_len += 1;
             self.pending_lo = self.pending_lo.min(w);
         } else {
             self.pending_len -= 1;
             if w == self.pending_lo {
-                self.pending_lo = self.pending.first_word_from(w);
+                self.pending_lo = first_word_from(self.part(Part::Pending), w);
             }
         }
-        if self.no_replica.get(g) {
+        if bit(self.part(Part::NoReplica), g) {
             if on {
                 self.pending_no_replica += 1;
             } else {
@@ -273,18 +310,20 @@ impl TaskIndex {
                 continue;
             }
             let k = self.machine_pos(*m).expect("replica machine is indexed");
+            let count = &mut self.part_mut(Part::LocalPending)[k];
             if on {
-                self.local_pending[k] += 1;
+                *count += 1;
             } else {
-                self.local_pending[k] -= 1;
+                *count -= 1;
             }
-            self.has_local.put(k, self.local_pending[k] > 0);
+            let local = *count > 0;
+            put_bit(self.part_mut(Part::HasLocal), k, local);
         }
     }
 
     /// Mark task `g` running (at least one running copy) or not.
     pub(crate) fn set_running(&mut self, g: usize, on: bool) {
-        self.running.put(g, on);
+        put_bit(self.part_mut(Part::Running), g, on);
     }
 
     /// Number of pending tasks.
@@ -300,46 +339,51 @@ impl TaskIndex {
     /// Whether some pending task has a replica on `m`.
     pub(crate) fn has_local(&self, m: MachineId) -> bool {
         self.machine_pos(m)
-            .is_some_and(|k| self.local_pending[k] > 0)
+            .is_some_and(|k| self.part(Part::LocalPending)[k] > 0)
     }
 
     /// Pending tasks, ascending.
     pub(crate) fn pending(&self) -> impl Iterator<Item = TaskRef> + '_ {
-        ones(self.pending_lo..self.pending.0.len(), |w| self.pending.0[w]).map(|g| self.task_ref(g))
+        let pending = self.part(Part::Pending);
+        ones(self.pending_lo..pending.len(), |w| pending[w]).map(|g| self.task_ref(g))
     }
 
     /// Pending tasks without a replica, ascending.
     pub(crate) fn pending_no_replica(&self) -> impl Iterator<Item = TaskRef> + '_ {
+        let (pending, no_replica) = (self.part(Part::Pending), self.part(Part::NoReplica));
         let words = if self.has_pending_no_replica() {
-            self.pending_lo..self.pending.0.len()
+            self.pending_lo..pending.len()
         } else {
             0..0
         };
-        ones(words, |w| self.pending.0[w] & self.no_replica.0[w]).map(|g| self.task_ref(g))
+        ones(words, |w| pending[w] & no_replica[w]).map(|g| self.task_ref(g))
     }
 
     /// Pending tasks with a replica on `m`, ascending.
     pub(crate) fn pending_local(&self, m: MachineId) -> impl Iterator<Item = TaskRef> + '_ {
         let list = match self.machine_pos(m) {
-            Some(k) if self.local_pending[k] > 0 => {
-                &self.tasks[self.starts[k] as usize..self.starts[k + 1] as usize]
+            Some(k) if self.part(Part::LocalPending)[k] > 0 => {
+                let starts = self.part(Part::Starts);
+                &self.part(Part::Tasks)[starts[k] as usize..starts[k + 1] as usize]
             }
             _ => &[],
         };
+        let pending = self.part(Part::Pending);
         list.iter()
             .map(|&g| g as usize)
-            .filter(|&g| self.pending.get(g))
+            .filter(|&g| bit(pending, g))
             .map(|g| self.task_ref(g))
     }
 
     /// Replica machines with local pending work, ascending.
     pub(crate) fn machines_with_local_pending(&self) -> impl Iterator<Item = MachineId> + '_ {
-        ones(0..self.has_local.0.len(), |w| self.has_local.0[w])
-            .map(|k| MachineId(self.machines[k] as usize))
+        let (has_local, machines) = (self.part(Part::HasLocal), self.part(Part::Machines));
+        ones(0..has_local.len(), |w| has_local[w]).map(|k| MachineId(machines[k] as usize))
     }
 
     /// Tasks with a running copy, ascending.
     pub(crate) fn running(&self) -> impl Iterator<Item = TaskRef> + '_ {
-        ones(0..self.running.0.len(), |w| self.running.0[w]).map(|g| self.task_ref(g))
+        let running = self.part(Part::Running);
+        ones(0..running.len(), |w| running[w]).map(|g| self.task_ref(g))
     }
 }

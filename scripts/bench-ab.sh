@@ -3,18 +3,21 @@
 #
 #   sh scripts/bench-ab.sh <base-rev> [pairs] [workload...] [--record PR]
 #
-# Checks <base-rev> out with `git worktree` under target/bench-ab/, builds
+# Extracts <base-rev> with `git archive` under target/bench-ab/, builds
 # its benchmark and the working tree's into separate CARGO_TARGET_DIRs, and
 # runs `benchmark run --workload W --seed 1 --seconds 0` in alternated
 # pairs (default 10 pairs; the run that goes first flips every pair) on
 # each workload (default: all four of BENCHMARK.json). For every
 # end-to-end metric it prints the per-pair ratios head/base, how many
 # pairs improved (by the metric's better direction), both medians, and
-# the base's own min-max; each workload's header says whether the two
-# builds printed the same simulation fingerprint. `--record PR` appends
-# the medians and both commits to docs/perf-history.tsv in its long
-# format. Run from anywhere inside the repository; the worktree is
-# removed on exit, and the raw outputs stay in target/bench-ab/runs/.
+# the base's own min-max, then a verdict line: a two-sided sign test
+# over the pairs that are not tied, and whether the head median lies
+# outside the base's min-max. Each workload's header says whether the
+# two builds printed the same simulation fingerprint. `--record PR`
+# appends the medians and both commits to docs/perf-history.tsv in its
+# long format. Run from anywhere inside the repository; the extracted
+# base is removed on exit, and the raw outputs stay in
+# target/bench-ab/runs/.
 set -eu
 
 usage() {
@@ -69,15 +72,14 @@ tree=$work/base-src
 runs=$work/runs
 
 cleanup() {
-    git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
-    git -C "$root" worktree prune
+    rm -rf "$tree"
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 cleanup
 rm -rf "$runs"
-mkdir -p "$runs"
-git worktree add --detach --quiet "$tree" "$base"
+mkdir -p "$runs" "$tree"
+git archive "$base" | tar -x -C "$tree"
 
 echo "building base $base and head $head" >&2
 CARGO_TARGET_DIR=$work/base-target cargo build --release -q --offline \
@@ -111,9 +113,19 @@ for w in $workloads; do
 done
 
 # Per workload and metric: ratios in pair order, improved pairs, medians,
-# the base's spread; records go to stdout as TSV after a `#record` mark.
+# the base's spread and the verdict; records go to stdout as TSV after a
+# `#record` mark.
 awk -v pairs="$pairs" -v record="$record" -v base="$base" -v head="$head" '
 function better_higher(m) { return m == "tasks_per_s" }
+# Two-sided sign test: the chance of a split at least as uneven as `k` of
+# `n` under a fair coin (1 when no pair differs).
+function sign_p(k, n,    lo, i, c, s) {
+    lo = k < n - k ? k : n - k
+    c = 1
+    for (i = 0; i <= lo; i++) { s += c; c = c * (n - i) / (i + 1) }
+    s = n > 0 ? 2 * s / 2 ^ n : 1
+    return s > 1 ? 1 : s
+}
 function median(arr, n,    i, j, t, s) {
     for (i = 1; i <= n; i++) s[i] = arr[i] + 0
     for (i = 2; i <= n; i++) {
@@ -161,6 +173,10 @@ END {
             printf "%-12s base median %.6g, head median %.6g %s; improved %d/%d, equal %d; base min-max %.6g-%.6g\n", \
                 m, mb, mh, unit[m], won, pairs, tied, lo, hi
             printf "%-12s ratios%s\n", "", ratios
+            untied = pairs - tied
+            spread = mh > hi ? "above the base max" : (mh < lo ? "below the base min" : "inside the base min-max")
+            printf "%-12s verdict: sign test p=%.3g (%d of %d untied pairs improved); head median %s\n", \
+                "", sign_p(won, untied), won, untied, spread
             if (record != "") {
                 rec = rec sprintf("%s\tbench_ab\t%s/base\t%s\t%s\t%.6g\n", record, w, m, unit[m], mb)
                 rec = rec sprintf("%s\tbench_ab\t%s/head\t%s\t%s\t%.6g\n", record, w, m, unit[m], mh)

@@ -178,9 +178,9 @@ fn streaming_equals_materialized_with_drift() {
     }
 }
 
-/// Exact work counters of the threshold intervals and the persistent
-/// launch-loop row table on one seeded learned-β run (they are kept out
-/// of `RunReport.core`). A shared-β move re-checks only the `⌈V⌉` whose
+/// Exact work counters of the threshold intervals, the persistent
+/// launch-loop row table and the pre-warm passes on one seeded learned-β
+/// run (they are kept out of `RunReport.core`). A shared-β move re-checks only the `⌈V⌉` whose
 /// interval it left, and a launch-loop pass recomputes only the rows
 /// that changed: both stay far below one full sweep per pass, and the
 /// table is built from scratch once (no β refresh re-sorted the order).
@@ -198,10 +198,16 @@ fn threshold_and_row_table_counters_are_pinned() {
     assert_eq!(out.jobs.len(), 80);
     assert_eq!((a.recomputes, a.index_rechecks), (1524, 521));
     assert_eq!((r.refreshed, r.rebuilds), (3541, 1));
-    assert_eq!(p.passes, 1565);
-    // Fewer rows recomputed over the run than rows that even needed a
-    // pre-warm bind (a subset of all rows), and fewer ⌈V⌉ re-checks than
-    // allocations.
-    assert!(r.refreshed < p.deficit_rows, "{r:?} vs {p:?}");
+    assert_eq!(
+        (p.passes, p.rows_scanned, p.reset_rows, p.rows_replayed),
+        (1565, 25076, 7379, 1416)
+    );
+    assert_eq!(p.machines_painted, 3889);
+    // Fewer rows recomputed over the run than rows the pre-warm passes
+    // scanned once their unbound slots ran out, fewer rows replayed
+    // through the run stack than reset rows, and fewer ⌈V⌉ re-checks
+    // than allocations.
+    assert!(r.refreshed < p.rows_scanned, "{r:?} vs {p:?}");
+    assert!(p.rows_replayed < p.reset_rows, "{p:?}");
     assert!(a.index_rechecks < a.recomputes, "{a:?}");
 }
