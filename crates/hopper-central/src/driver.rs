@@ -142,10 +142,30 @@ pub struct RunOutput {
     /// Work counters of Hopper's persistent launch-loop row table (all
     /// zero for non-Hopper policies). Not in `report.core` either.
     pub row_counters: RowCounters,
+    /// Work counters of the data-local machine pick of original launches.
+    pub locality_counters: LocalityCounters,
     /// Launches that left more than `MAX_RUNNING_COPIES` copies of their
     /// task running, summed over retired jobs. Observational; zero, since
     /// the central launch path checks the limit before every copy.
     pub over_limit_launches: u64,
+}
+
+/// Deterministic work counters of the data-local machine pick
+/// (`launch_original` and Hopper's k% relaxation probe): exact per seed,
+/// kept out of `RunReport.core` like the other work counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LocalityCounters {
+    /// Mask picks run: one per launch attempt of a job without pending
+    /// replica-free work, one per relaxation probe.
+    pub picks: u64,
+    /// `(word, mask)` entries of the jobs' local-pending machine sets the
+    /// picks read, each ANDed with one word of the free set.
+    pub mask_words: u64,
+    /// Original launch attempts that launched data-locally.
+    pub local_hits: u64,
+    /// Original launch attempts that fell back to
+    /// `preferred_free_machine` (the rest of the attempts).
+    pub fallbacks: u64,
 }
 
 impl RunSummary for RunOutput {
@@ -306,6 +326,8 @@ struct Central<'a> {
     table: Option<RowTable>,
     /// Work counters of the launch loop's pre-warm passes.
     prewarm: PrewarmCounters,
+    /// Work counters of the data-local machine pick.
+    locality: LocalityCounters,
     /// Cluster-wide running original copies (BudgetedSrpt's cap input).
     orig_running: usize,
     /// Machine speed/availability state; `None` when dynamics are off
@@ -385,6 +407,7 @@ impl<'a> Central<'a> {
             last_now: SimTime::ZERO,
             table: matches!(policy, Policy::Hopper(_)).then(|| RowTable::new(n)),
             prewarm: PrewarmCounters::default(),
+            locality: LocalityCounters::default(),
             orig_running: 0,
             dynamics,
             rng: seq.child_rng(0xD00D),
@@ -673,6 +696,7 @@ impl<'a> Central<'a> {
                 .table
                 .as_ref()
                 .map_or_else(RowCounters::default, |t| t.counters),
+            locality_counters: self.locality,
             over_limit_launches: self.over_limit_launches,
         }
     }
@@ -1361,17 +1385,28 @@ impl<'a> Central<'a> {
         headroom.min(anticipation)
     }
 
+    /// The smallest free machine holding a replica of one of `j`'s
+    /// pending tasks: the first common bit of the job's local-pending
+    /// machine masks and the free set, one 32-machine word at a time.
+    /// O(replica words) ≤ machines / 32, counted in `self.locality`.
+    fn local_free_machine(&mut self, j: usize) -> Option<MachineId> {
+        let mut read = 0;
+        let picked = self
+            .machines
+            .first_free_in(self.jobs[j].local_pending_masks().inspect(|_| read += 1));
+        self.locality.picks += 1;
+        self.locality.mask_words += read;
+        picked
+    }
+
     /// Whether `j`'s next original launch would be data-local on some
-    /// currently free machine. O(replica machines with pending work), via
-    /// the job's inverted replica index, instead of O(free machines ×
-    /// tasks).
-    fn would_launch_local(&self, j: usize) -> bool {
+    /// currently free machine. O(replica words) via
+    /// [`Self::local_free_machine`], instead of O(free machines × tasks).
+    fn would_launch_local(&mut self, j: usize) -> bool {
         if self.pending_orig[j] == 0 {
             return false; // speculative copies have no locality preference
         }
-        let indexed = self.jobs[j]
-            .machines_with_local_pending()
-            .any(|m| self.machines.free_on(m) > 0);
+        let indexed = self.local_free_machine(j).is_some();
         debug_assert_eq!(
             indexed,
             self.machines
@@ -1400,7 +1435,9 @@ impl<'a> Central<'a> {
     /// task the first free machine already wins (the old scan returned
     /// `local = true` there), otherwise the smallest-id machine that is
     /// both free and in the job's replica index is exactly the machine the
-    /// ascending free-machine scan would have stopped at.
+    /// ascending free-machine scan would have stopped at. That machine is
+    /// [`Self::local_free_machine`]'s first common bit: O(replica words),
+    /// at most machines / 32 word ANDs.
     fn launch_original(&mut self, j: usize, now: SimTime) -> bool {
         let mut pick: Option<(TaskRef, MachineId)> = None;
         if self.jobs[j].has_pending_no_replica() {
@@ -1409,10 +1446,7 @@ impl<'a> Central<'a> {
                     pick = Some((task, m));
                 }
             }
-        } else if let Some(m) = self.jobs[j]
-            .machines_with_local_pending()
-            .find(|&m| self.machines.free_on(m) > 0)
-        {
+        } else if let Some(m) = self.local_free_machine(j) {
             let task = self.jobs[j]
                 .first_local_pending(m)
                 .expect("indexed machine has pending local work");
@@ -1429,7 +1463,10 @@ impl<'a> Central<'a> {
             }
             assert_eq!(pick, scanned, "local launch pick drifted from scan");
         }
-        if pick.is_none() {
+        if pick.is_some() {
+            self.locality.local_hits += 1;
+        } else {
+            self.locality.fallbacks += 1;
             if let Some(m) = self.machines.preferred_free_machine(j, &[]) {
                 if let Some((task, _)) = self.jobs[j].next_task_for(Some(m)) {
                     pick = Some((task, m));
@@ -1645,6 +1682,21 @@ mod tests {
                 "policy {}",
                 policy.name()
             );
+        }
+    }
+
+    /// The locality counters are exact per seed, and no pick reads more
+    /// than one mask word per 32 machines.
+    #[test]
+    fn locality_counters_are_deterministic_and_word_bounded() {
+        let trace = small_trace(5, 30, 0.8, 400);
+        let mut cfg = small_cfg(5);
+        cfg.cluster.machines = 100;
+        for policy in [Policy::Srpt, Policy::Hopper(HopperConfig::default())] {
+            let c = run(&trace, &policy, &cfg).locality_counters;
+            assert_eq!(c, run(&trace, &policy, &cfg).locality_counters);
+            assert!(c.local_hits > 0 && c.fallbacks > 0, "{c:?}");
+            assert!(c.mask_words <= c.picks * 100u64.div_ceil(32), "{c:?}");
         }
     }
 

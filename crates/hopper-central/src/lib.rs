@@ -15,7 +15,7 @@ pub mod policy;
 mod rows;
 pub mod scenario;
 
-pub use driver::{run, run_source, RunOutput, RunStats, SimConfig};
+pub use driver::{run, run_source, LocalityCounters, RunOutput, RunStats, SimConfig};
 pub use hopper_cluster::PrewarmCounters;
 pub use policy::{HopperConfig, Policy};
 pub use rows::RowCounters;

@@ -6,13 +6,16 @@
 //! exactly `(phase, task)` order, the order every replaced scan visited.
 //! Bitsets over that numbering hold the pending and the running tasks,
 //! plus the static set of tasks without a replica. The locality side is a
-//! CSR over the job's distinct replica machines in ascending id order:
-//! each machine's tasks sorted by `g`, a count of those still pending, and
-//! a bitset of the machines whose count is non-zero. Every query therefore
-//! iterates in the order the B-tree sets it replaced did, and a job's
-//! index costs one `u32` per (task, replica) pair and three per replica
-//! machine instead of one B-tree leaf per replica machine, all in one
-//! block: building it allocates once.
+//! CSR over the job's distinct replica machines in ascending id order,
+//! each machine's tasks sorted by `g`. The machines themselves are a
+//! sparse machine bitset: one entry per 32-machine word that holds a
+//! replica machine, with the word's replica machines, those of them with
+//! pending work, and the CSR position of its first machine, so a
+//! machine's position is its entry's plus a popcount. Every query
+//! therefore iterates in the order the B-tree sets it replaced did, and a
+//! job's index costs one `u32` per (task, replica) pair, one per replica
+//! machine and four per replica word instead of one B-tree leaf per
+//! replica machine, all in one block: building it allocates once.
 //!
 //! The replica sets themselves are the transpose of that CSR, by the same
 //! task numbering: one offset per task into one machine array per job.
@@ -89,18 +92,20 @@ fn first_word_from(words: &[u32], from: usize) -> usize {
         .unwrap_or(words.len())
 }
 
-/// Set bit positions, ascending, of the words `word(w)` for `w` in `words`.
-fn ones(words: std::ops::Range<usize>, word: impl Fn(usize) -> u32) -> impl Iterator<Item = usize> {
-    words.flat_map(move |w| {
-        let mut x = word(w);
-        std::iter::from_fn(move || {
-            (x != 0).then(|| {
-                let b = x.trailing_zeros() as usize;
-                x &= x - 1;
-                w * 32 + b
-            })
+/// Set bit positions of `x`, ascending.
+fn bits(mut x: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (x != 0).then(|| {
+            let b = x.trailing_zeros() as usize;
+            x &= x - 1;
+            b
         })
     })
+}
+
+/// Set bit positions, ascending, of the words `word(w)` for `w` in `words`.
+fn ones(words: std::ops::Range<usize>, word: impl Fn(usize) -> u32) -> impl Iterator<Item = usize> {
+    words.flat_map(move |w| bits(word(w)).map(move |b| w * 32 + b))
 }
 
 /// The parts of a [`TaskIndex`] block, in block order.
@@ -109,14 +114,11 @@ enum Part {
     /// `First[p]` numbers task 0 of phase `p`; one last entry holds the
     /// job's task count.
     First,
-    /// Distinct replica machines, ascending.
-    Machines,
-    /// CSR offsets: machine `k`'s tasks are `Tasks[Starts[k]..Starts[k + 1]]`.
+    /// CSR offsets over the distinct replica machines in ascending id
+    /// order: the `k`-th one's tasks are `Tasks[Starts[k]..Starts[k + 1]]`.
     Starts,
     /// Tasks with a replica on each machine, ascending per machine.
     Tasks,
-    /// Pending tasks per replica machine (parallel to `Machines`).
-    LocalPending,
     /// Bitset of the tasks with an empty replica set (static).
     NoReplica,
     /// Bitset of the pending tasks: unlaunched (or requeued), unfinished,
@@ -124,12 +126,19 @@ enum Part {
     Pending,
     /// Bitset of the tasks with at least one running copy.
     Running,
-    /// Bitset of the replica machines (positions in `Machines`) with
-    /// local pending work.
-    HasLocal,
+    /// The machine words (`machine / 32`) holding a replica machine,
+    /// ascending: one entry each in the three parts below, where bit `b`
+    /// of a mask is machine `32 * word + b`.
+    Words,
+    /// Per entry, its replica machines (static).
+    Replicas,
+    /// Per entry, its replica machines with local pending work.
+    Masks,
+    /// Per entry, the CSR position of its first replica machine.
+    Base,
 }
 
-const PARTS: usize = Part::HasLocal as usize + 1;
+const PARTS: usize = Part::Base as usize + 1;
 
 /// Block range of part `p`, given each part's end.
 fn range(ends: &[u32; PARTS], p: Part) -> std::ops::Range<usize> {
@@ -147,7 +156,7 @@ thread_local! {
 /// The flat pending/locality/running index of one job (see the module
 /// docs). A pure cache: [`TaskIndex::scan`] derives it from the task
 /// state, and `JobRun`'s transitions keep it equal to that scan. The
-/// numbering, the CSR, the per-machine counts and the bitsets share one
+/// numbering, the CSR, the task bitsets and the machine masks share one
 /// block of `u32`s, carved into the [`Part`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct TaskIndex {
@@ -185,18 +194,20 @@ impl TaskIndex {
             pairs.sort_unstable();
             pairs.dedup();
             let distinct = pairs.chunk_by(|a, b| a >> 32 == b >> 32).count();
-            let (words, bits) = (n.div_ceil(32), distinct.div_ceil(32));
+            let entries = pairs.chunk_by(|a, b| a >> 37 == b >> 37).count();
+            let words = n.div_ceil(32);
             // Part lengths, in `Part` order.
             let lens = [
                 phases.len() + 1,
-                distinct,
                 distinct + 1,
                 pairs.len(),
-                distinct,
                 words,
                 words,
                 words,
-                bits,
+                entries,
+                entries,
+                entries,
+                entries,
             ];
             let mut ends = [0u32; PARTS];
             let mut end = 0;
@@ -226,18 +237,22 @@ impl TaskIndex {
                 }
             }
             idx.part_mut(Part::First)[phases.len()] = tasks;
-            let mut k = 0;
+            let (mut k, mut e) = (0, 0);
             for (i, &pair) in pairs.iter().enumerate() {
                 let (m, g) = ((pair >> 32) as u32, pair as u32);
+                if i == 0 || pairs[i - 1] >> 37 != pair >> 37 {
+                    idx.part_mut(Part::Words)[e] = m / 32;
+                    idx.part_mut(Part::Base)[e] = k as u32;
+                    e += 1;
+                }
                 if i == 0 || pairs[i - 1] >> 32 != pair >> 32 {
-                    idx.part_mut(Part::Machines)[k] = m;
+                    idx.part_mut(Part::Replicas)[e - 1] |= 1 << (m % 32);
                     idx.part_mut(Part::Starts)[k] = i as u32;
                     k += 1;
                 }
                 idx.part_mut(Part::Tasks)[i] = g;
                 if bit(idx.part(Part::Pending), g as usize) {
-                    idx.part_mut(Part::LocalPending)[k - 1] += 1;
-                    put_bit(idx.part_mut(Part::HasLocal), k - 1, true);
+                    idx.part_mut(Part::Masks)[e - 1] |= 1 << (m % 32);
                 }
             }
             idx.part_mut(Part::Starts)[distinct] = pairs.len() as u32;
@@ -276,14 +291,31 @@ impl TaskIndex {
         TaskRef::new(p, g - first[p] as usize)
     }
 
-    /// Position of `m` among the replica machines.
-    fn machine_pos(&self, m: MachineId) -> Option<usize> {
-        let m = u32::try_from(m.0).ok()?;
-        self.part(Part::Machines).binary_search(&m).ok()
+    /// Entry of `m`'s word among the replica words.
+    fn entry(&self, m: MachineId) -> Option<usize> {
+        let w = u32::try_from(m.0 / 32).ok()?;
+        self.part(Part::Words).binary_search(&w).ok()
+    }
+
+    /// The tasks, ascending, of replica machine `m`, whose word is entry
+    /// `e`: its CSR position is the entry's base plus the entry's replica
+    /// machines below it. Empty if `m` holds no replica.
+    fn tasks_in(&self, e: usize, m: MachineId) -> &[u32] {
+        let replicas = self.part(Part::Replicas)[e];
+        let b = m.0 % 32;
+        if replicas >> b & 1 == 0 {
+            return &[];
+        }
+        let below = (replicas & ((1 << b) - 1)).count_ones();
+        let k = (self.part(Part::Base)[e] + below) as usize;
+        let starts = self.part(Part::Starts);
+        &self.part(Part::Tasks)[starts[k] as usize..starts[k + 1] as usize]
     }
 
     /// Mark task `g` (replica set `replicas`) pending or not, updating the
-    /// per-machine counts. A no-op when the bit already holds `on`.
+    /// local-pending machine masks: a replica machine joins when one of
+    /// its tasks turns pending and leaves when its last pending task does.
+    /// A no-op when the bit already holds `on`.
     pub(crate) fn set_pending(&mut self, g: usize, replicas: &[MachineId], on: bool) {
         if !put_bit(self.part_mut(Part::Pending), g, on) {
             return;
@@ -305,19 +337,21 @@ impl TaskIndex {
                 self.pending_no_replica -= 1;
             }
         }
-        for (i, m) in replicas.iter().enumerate() {
-            if replicas[..i].contains(m) {
-                continue;
-            }
-            let k = self.machine_pos(*m).expect("replica machine is indexed");
-            let count = &mut self.part_mut(Part::LocalPending)[k];
-            if on {
-                *count += 1;
+        for &m in replicas {
+            let e = self.entry(m).expect("replica machine is indexed");
+            let local = on || {
+                let pending = self.part(Part::Pending);
+                self.tasks_in(e, m)
+                    .iter()
+                    .any(|&t| bit(pending, t as usize))
+            };
+            let b = 1 << (m.0 % 32);
+            let mask = &mut self.part_mut(Part::Masks)[e];
+            if local {
+                *mask |= b;
             } else {
-                *count -= 1;
+                *mask &= !b;
             }
-            let local = *count > 0;
-            put_bit(self.part_mut(Part::HasLocal), k, local);
         }
     }
 
@@ -338,8 +372,8 @@ impl TaskIndex {
 
     /// Whether some pending task has a replica on `m`.
     pub(crate) fn has_local(&self, m: MachineId) -> bool {
-        self.machine_pos(m)
-            .is_some_and(|k| self.part(Part::LocalPending)[k] > 0)
+        self.entry(m)
+            .is_some_and(|e| self.part(Part::Masks)[e] >> (m.0 % 32) & 1 == 1)
     }
 
     /// Pending tasks, ascending.
@@ -361,24 +395,31 @@ impl TaskIndex {
 
     /// Pending tasks with a replica on `m`, ascending.
     pub(crate) fn pending_local(&self, m: MachineId) -> impl Iterator<Item = TaskRef> + '_ {
-        let list = match self.machine_pos(m) {
-            Some(k) if self.part(Part::LocalPending)[k] > 0 => {
-                let starts = self.part(Part::Starts);
-                &self.part(Part::Tasks)[starts[k] as usize..starts[k + 1] as usize]
-            }
-            _ => &[],
-        };
         let pending = self.part(Part::Pending);
-        list.iter()
+        let tasks = self.entry(m).map_or(&[][..], |e| self.tasks_in(e, m));
+        tasks
+            .iter()
             .map(|&g| g as usize)
             .filter(|&g| bit(pending, g))
             .map(|g| self.task_ref(g))
     }
 
+    /// The replica machines with local pending work as `(word, mask)`
+    /// entries in ascending word order: bit `b` of `mask` is machine
+    /// `32 * word + b`. One entry per word holding a replica machine,
+    /// whether or not its mask is zero.
+    pub(crate) fn local_masks(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let (words, masks) = (self.part(Part::Words), self.part(Part::Masks));
+        words
+            .iter()
+            .zip(masks)
+            .map(|(&w, &mask)| (w as usize, mask))
+    }
+
     /// Replica machines with local pending work, ascending.
     pub(crate) fn machines_with_local_pending(&self) -> impl Iterator<Item = MachineId> + '_ {
-        let (has_local, machines) = (self.part(Part::HasLocal), self.part(Part::Machines));
-        ones(0..has_local.len(), |w| has_local[w]).map(|k| MachineId(machines[k] as usize))
+        self.local_masks()
+            .flat_map(|(w, mask)| bits(mask).map(move |b| MachineId(w * 32 + b)))
     }
 
     /// Tasks with a running copy, ascending.

@@ -178,6 +178,12 @@ pub struct PhaseRun {
     pub(crate) completed_duration_sum_ms: u64,
     /// Count of completed copies.
     pub(crate) completed_duration_count: u64,
+    /// `completed_duration_sum_ms / completed_duration_count`, kept at
+    /// each completion so that the per-read `t_new` estimate divides
+    /// nothing (`None` until a copy completes).
+    mean_completed: Option<SimTime>,
+    /// The smallest nominal compute work of the phase's tasks (static).
+    min_work: SimTime,
 }
 
 impl PhaseRun {
@@ -198,9 +204,15 @@ impl PhaseRun {
 
     /// Mean duration of completed copies in this phase, if any completed.
     pub(crate) fn mean_completed_duration(&self) -> Option<SimTime> {
-        (self.completed_duration_count > 0).then(|| {
-            SimTime::from_millis(self.completed_duration_sum_ms / self.completed_duration_count)
-        })
+        self.mean_completed
+    }
+
+    /// The smallest `t_new` any of the phase's tasks can have: the mean
+    /// completed duration once a copy completed, else the smallest
+    /// nominal work ([`PhaseRun::effective_work`]) of its tasks.
+    fn min_new_copy_duration(&self) -> SimTime {
+        self.mean_completed
+            .unwrap_or(self.min_work + SimTime::from_millis(self.transfer_ms_per_task as u64))
     }
 
     /// Effective nominal duration of task `i` (compute + transfer), before
@@ -444,6 +456,8 @@ impl JobRun {
                 transfer_ms_per_task,
                 completed_duration_sum_ms: 0,
                 completed_duration_count: 0,
+                mean_completed: None,
+                min_work: p.task_works.iter().copied().min().unwrap_or(SimTime::ZERO),
             });
         }
         let mut job = JobRun {
@@ -921,6 +935,9 @@ impl JobRun {
         phase.finished += 1;
         phase.completed_duration_sum_ms += duration.as_millis();
         phase.completed_duration_count += 1;
+        phase.mean_completed = Some(SimTime::from_millis(
+            phase.completed_duration_sum_ms / phase.completed_duration_count,
+        ));
         let phase_done = phase.is_complete();
 
         // Index maintenance: the finished task leaves every remaining
@@ -1185,7 +1202,7 @@ impl JobRun {
     }
 
     /// Whether the job has a task that would be data-local on `machine`.
-    /// O(log replica machines) via the replica CSR.
+    /// O(log replica words): one bit of the local-pending machine masks.
     pub fn has_local_task_for(&self, machine: MachineId) -> bool {
         let indexed = self.idx.tasks.has_local(machine);
         debug_assert_eq!(indexed, self.scan_has_local_task_for(machine));
@@ -1204,10 +1221,18 @@ impl JobRun {
     }
 
     /// Machines holding a replica of at least one pending task, in
-    /// ascending id order (the free-machine probe of the centralized
-    /// driver's `launch_original` walks this instead of every machine).
+    /// ascending id order.
     pub fn machines_with_local_pending(&self) -> impl Iterator<Item = MachineId> + '_ {
         self.idx.tasks.machines_with_local_pending()
+    }
+
+    /// The same machines as a sparse bitset: `(word, mask)` entries in
+    /// ascending word order, bit `b` of `mask` being machine
+    /// `32 * word + b`, one entry per 32-machine word holding any replica
+    /// of the job (its mask may be zero). The centralized driver ANDs
+    /// them with [`crate::Machines::first_free_in`]'s free set.
+    pub fn local_pending_masks(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.idx.tasks.local_masks()
     }
 
     /// First pending task with a replica on `machine`, if any.
@@ -1282,17 +1307,32 @@ impl JobRun {
     /// with exactly one running copy, provided a fresh copy could
     /// plausibly win the race (`t_rem > t_new`); ties prefer the earliest
     /// `(phase, task)`. O(log) via the solo-running set instead of an
-    /// O(tasks) `observe_running` sweep.
+    /// O(tasks) `observe_running` sweep; the walk also stops, while
+    /// nothing qualified, once `t_rem` falls to the smallest `t_new` of
+    /// the eligible, unfinished phases (scripted jobs, whose `t_new` is
+    /// per task, walk to the end).
     ///
     /// Contract: copies must have started at or before `now` (true for
     /// the zero-launch-delay decentralized driver, the only caller) — the
     /// remaining time is read off the copy's completion instant.
     pub fn best_extra_speculation(&self, now: SimTime) -> Option<TaskRef> {
+        let floor = if self.scripted.is_empty() {
+            self.phases
+                .iter()
+                .filter(|p| p.eligible && !p.is_complete())
+                .map(PhaseRun::min_new_copy_duration)
+                .min()
+                .unwrap_or(SimTime::ZERO)
+        } else {
+            SimTime::ZERO
+        };
         let mut best: Option<(SimTime, TaskRef)> = None;
         for &(finish, task) in self.idx.solo_running.iter().rev() {
-            // Descending (finish, task): once below the best finish (or
-            // out of positive-remaining entries) nothing later can win.
-            if finish <= now {
+            // Descending (finish, task): once below the best finish, or
+            // at `t_rem ≤ floor` (no `t_new` lies below it), nothing
+            // later can win.
+            let rem = finish.saturating_sub(now);
+            if rem <= floor {
                 break;
             }
             if let Some((best_finish, _)) = best {
@@ -1300,7 +1340,6 @@ impl JobRun {
                     break;
                 }
             }
-            let rem = finish.saturating_sub(now);
             if rem > self.estimated_new_copy_duration(task) {
                 best = match best {
                     // Equal-finish entries iterate in descending TaskRef,
@@ -1425,6 +1464,7 @@ fn sample_replicas(cfg: &ClusterConfig, rng: &mut StdRng, machines: &mut Vec<Mac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machines;
     use hopper_sim::rng_from_seed;
     use hopper_workload::single_phase_job;
 
@@ -2192,6 +2232,109 @@ mod tests {
     fn flat_index_matches_the_scans_at_scale() {
         for seed in 0..40 {
             flat_index_differential(seed, 2000, 400, 1500);
+        }
+    }
+
+    /// The local-pending machine masks and [`Machines::first_free_in`] on
+    /// a random replica layout over a few machine words: replicas on the
+    /// word edges (0, 31, 32, 63, 64, n − 1), duplicates within a task,
+    /// replica-free tasks, replica rewrites, and pending flips (launch,
+    /// loss, finish) in random order while machines fill and drain. After
+    /// every step the maintained index must equal a fresh scan, and the
+    /// pick and `machines_with_local_pending` the ascending walk of the
+    /// free set. It reads no debug oracle, so release builds check it too.
+    fn local_pick_differential(seed: u64, steps: usize) {
+        let mut rng = rng_from_seed(seed);
+        let n = rng.gen_range(65..=160usize);
+        let edges = [0, 31, 32, 63, 64, n - 1];
+        let draw = |rng: &mut StdRng| -> Vec<MachineId> {
+            (0..rng.gen_range(0..=4usize))
+                .map(|_| match rng.gen_bool(0.6) {
+                    true => MachineId(edges[rng.gen_range(0..edges.len())]),
+                    false => MachineId(rng.gen_range(0..n)),
+                })
+                .collect()
+        };
+        let c = ClusterConfig {
+            machines: n,
+            slots_per_machine: 2,
+            ..Default::default()
+        };
+        let works = vec![SimTime::from_millis(1000); rng.gen_range(1..=24usize)];
+        let mut j = JobRun::new(single_phase_job(0, SimTime::ZERO, works, 1.5), &c, &mut rng);
+        for tr in all_tasks(&j) {
+            let replicas = draw(&mut rng);
+            j.set_replicas(tr, &replicas);
+        }
+        let mut ms = Machines::new(&c);
+        let mut occupied: Vec<MachineId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..steps {
+            now += SimTime::from_millis(1);
+            let running = running_copies(&j);
+            let m = MachineId(rng.gen_range(0..n));
+            match rng.gen_range(0..6) {
+                0 | 1 => {
+                    let pending: Vec<TaskRef> = j.pending_tasks().collect();
+                    if !pending.is_empty() {
+                        let t = pending[rng.gen_range(0..pending.len())];
+                        j.launch_copy_prepared(t, m, false, now, SimTime::from_millis(9000));
+                    }
+                }
+                2 if !running.is_empty() => {
+                    j.lose_copy(running[rng.gen_range(0..running.len())]);
+                }
+                3 if !running.is_empty() => {
+                    j.finish_copy(running[rng.gen_range(0..running.len())], now);
+                }
+                4 => {
+                    let tasks = all_tasks(&j);
+                    let replicas = draw(&mut rng);
+                    j.set_replicas(tasks[rng.gen_range(0..tasks.len())], &replicas);
+                }
+                _ => {
+                    // Fill a machine (word edges first) or drain one.
+                    let m = match rng.gen_bool(0.5) {
+                        true => MachineId(edges[rng.gen_range(0..edges.len())]),
+                        false => m,
+                    };
+                    if ms.free_on(m) > 0 && rng.gen_bool(0.6) {
+                        ms.occupy_for(m, 0);
+                        occupied.push(m);
+                    } else if !occupied.is_empty() {
+                        let at = rng.gen_range(0..occupied.len());
+                        ms.release_to(occupied.swap_remove(at), 0);
+                    }
+                }
+            }
+            assert!(j.idx == j.scan_index(), "masks drifted from a fresh scan");
+            let mut local: Vec<MachineId> = all_tasks(&j)
+                .into_iter()
+                .filter(|t| j.scan_needs_original(*t))
+                .flat_map(|t| j.replicas(t).to_vec())
+                .collect();
+            local.sort();
+            local.dedup();
+            let indexed: Vec<MachineId> = j.machines_with_local_pending().collect();
+            assert_eq!(indexed, local);
+            let walked: Vec<MachineId> = ms
+                .machines_with_free()
+                .filter(|m| local.contains(m))
+                .collect();
+            let free_local: Vec<MachineId> =
+                indexed.into_iter().filter(|&m| ms.free_on(m) > 0).collect();
+            assert_eq!(free_local, walked);
+            assert_eq!(
+                ms.first_free_in(j.local_pending_masks()),
+                walked.first().copied()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn local_pick_matches_the_free_set_walk(seed in 0u64..u64::MAX) {
+            local_pick_differential(seed, 60);
         }
     }
 }

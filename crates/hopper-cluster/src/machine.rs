@@ -1144,6 +1144,25 @@ impl Machines {
         self.free_set.iter().map(MachineId)
     }
 
+    /// The smallest free machine of a sparse machine bitset: `masks` are
+    /// `(word, mask)` entries in ascending word order, bit `b` of `mask`
+    /// being machine `32 * word + b` (as [`crate::JobRun::local_pending_masks`]
+    /// yields them). Each entry costs one AND with the free set's word,
+    /// and the walk stops at the first entry with a common bit.
+    pub fn first_free_in(
+        &self,
+        masks: impl IntoIterator<Item = (usize, u32)>,
+    ) -> Option<MachineId> {
+        for (w, mask) in masks {
+            let free = (self.free_set.word(w / 2) >> (w % 2 * 32)) as u32;
+            let common = mask & free;
+            if common != 0 {
+                return Some(MachineId(w * 32 + common.trailing_zeros() as usize));
+            }
+        }
+        None
+    }
+
     /// A free machine for `job`, preferring one where the job has a warm
     /// slot, skipping `exclude`; falls back to the first free machine
     /// (even an excluded one) when every candidate is excluded — the

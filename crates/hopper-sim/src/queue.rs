@@ -120,6 +120,9 @@ struct Slot<E> {
 struct Lane {
     delay: SimTime,
     slots: VecDeque<u32>,
+    /// The key of `slots`' front, kept so that a pop compares the lane
+    /// fronts without reading the slab.
+    front: Option<EventKey>,
 }
 
 /// Deterministic work counters of an [`EventQueue`]: how many pushes
@@ -187,6 +190,7 @@ impl<E> EventQueue<E> {
                 lanes.push(Lane {
                     delay,
                     slots: VecDeque::new(),
+                    front: None,
                 });
             }
         }
@@ -313,6 +317,9 @@ impl<E> EventQueue<E> {
         } else {
             lane.slots.insert(at, slot);
         }
+        if at == 0 {
+            lane.front = Some(key);
+        }
     }
 
     /// The earliest pending entry's key and where it is: `Some(i)` for
@@ -320,8 +327,12 @@ impl<E> EventQueue<E> {
     fn head(&self) -> Option<(EventKey, Option<usize>)> {
         let mut head = self.heap.peek().map(|h| (h.key, None));
         for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(&front) = lane.slots.front() {
-                let key = self.slab[front as usize].key;
+            debug_assert_eq!(
+                lane.front,
+                lane.slots.front().map(|&s| self.slab[s as usize].key),
+                "cached lane front drifted"
+            );
+            if let Some(key) = lane.front {
                 if head.is_none_or(|(k, _)| key < k) {
                     head = Some((key, Some(i)));
                 }
@@ -333,7 +344,12 @@ impl<E> EventQueue<E> {
     /// Remove the entry [`EventQueue::head`] found, advancing the clock.
     fn take(&mut self, lane: Option<usize>) -> (SimTime, E) {
         let slot = match lane {
-            Some(i) => self.lanes[i].slots.pop_front(),
+            Some(i) => {
+                let lane = &mut self.lanes[i];
+                let slot = lane.slots.pop_front();
+                lane.front = lane.slots.front().map(|&s| self.slab[s as usize].key);
+                slot
+            }
             None => self.heap.pop().map(|h| h.slot),
         }
         .expect("the head is pending");
